@@ -1,6 +1,6 @@
-//! Minimal std-only JSON parser, used by `perfbench --check` to validate
-//! emitted `BENCH_events.json` files in CI (the crate registry is offline,
-//! so serde is unavailable).
+//! Minimal std-only JSON parser, used by the fuzzer to read back
+//! traumafuzz repro files (the crate registry is offline, so serde is
+//! unavailable).
 //!
 //! Supports the full JSON value grammar this workspace emits: objects,
 //! arrays, strings (with the standard escapes), finite numbers, booleans,

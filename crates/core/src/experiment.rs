@@ -23,7 +23,7 @@ use longlook_http::app::WebClient;
 use longlook_http::host::ProtoConfig;
 use longlook_http::workload::PageSpec;
 use longlook_sim::time::{Dur, Time};
-use longlook_sim::DeviceProfile;
+use longlook_sim::{DeviceProfile, ExecConfig};
 use longlook_stats::{Comparison, Heatmap, HeatmapCell};
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::conn::ConnStats;
@@ -45,6 +45,10 @@ pub struct Scenario {
     pub zero_rtt: bool,
     /// Simulated-time budget per run.
     pub deadline: Dur,
+    /// Execution paths every cell of this scenario runs on. Observables
+    /// are identical for every value; only the referees and trace
+    /// capture set anything but the default.
+    pub exec: ExecConfig,
 }
 
 impl Scenario {
@@ -58,6 +62,7 @@ impl Scenario {
             base_seed: 1,
             zero_rtt: true,
             deadline: Dur::from_secs(600),
+            exec: ExecConfig::default(),
         }
     }
 
@@ -76,6 +81,12 @@ impl Scenario {
     /// Builder: base seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
+        self
+    }
+
+    /// Builder: execution paths (scheduler, wire, batch, trace).
+    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -109,7 +120,8 @@ pub struct RunRecord {
 pub fn run_page_load(proto: &ProtoConfig, sc: &Scenario, round: u64) -> RunRecord {
     let seed = sc.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
     let net = per_round_net(sc, round);
-    let mut tb = Testbed::direct(
+    let mut tb = Testbed::direct_exec(
+        sc.exec,
         seed,
         &net,
         sc.device,
@@ -166,6 +178,7 @@ pub fn run_page_load_proxied(
 ) -> Option<Dur> {
     let seed = sc.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
     let mut tb = ProxyTestbed::midpoint(
+        sc.exec,
         seed,
         &sc.net,
         sc.device,

@@ -165,8 +165,8 @@ impl ConnArena {
     }
 
     /// Heap bytes held by all columns plus the slot pool — the number
-    /// the `fleet_*` perfbench cells report and gate against the
-    /// 64 MiB / 650 B-per-connection budget.
+    /// the `fleet_determinism` suite and the unit tests gate against
+    /// the 650 B-per-connection budget.
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.pool.bytes()

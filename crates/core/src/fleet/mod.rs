@@ -170,8 +170,7 @@ impl Default for FleetConfig {
 }
 
 /// Fleet size for interactive runs: `default` unless `LONGLOOK_FLEET_N`
-/// overrides it (warn-once on junk, like every other knob). The perfbench
-/// `fleet_10k` / `fleet_100k` cells pin exact counts and ignore this.
+/// overrides it (warn-once on junk, like every other knob).
 pub fn fleet_n(default: usize) -> usize {
     static WARNED: Once = Once::new();
     longlook_wire::env_knob(

@@ -324,8 +324,8 @@ struct ShardRun {
 
 /// Run one fleet cell to completion on a single shard (the whole link
 /// space, serial). Deterministic in `cfg` (including `cfg.seed`) and
-/// `proto`; independent of thread scheduling, the `LONGLOOK_SCHED`
-/// backend, and everything else environmental — and, via
+/// `proto`; independent of thread scheduling and everything else
+/// environmental — and, via
 /// [`run_fleet_sharded`], bit-identical on the observables to any
 /// sharded execution of the same cell.
 pub fn run_fleet(proto: &ProtoConfig, cfg: &FleetConfig) -> FleetMetrics {
@@ -350,7 +350,7 @@ pub fn run_fleet_sharded(
 ) -> FleetMetrics {
     let plan = ShardPlan::new(cfg.n_links, shards);
     let runs: Vec<ShardRun> = if plan.shards() == 1 || par.jobs() == 1 {
-        let mut queue = EventQueue::new(SchedKind::from_env());
+        let mut queue = EventQueue::new(SchedKind::Wheel);
         (0..plan.shards())
             .map(|s| {
                 let run = run_shard(proto, cfg, plan.link_range(s), &mut queue);
@@ -363,7 +363,7 @@ pub fn run_fleet_sharded(
             .collect()
     } else {
         run_ordered(par, plan.shards(), |s| {
-            let mut queue = EventQueue::new(SchedKind::from_env());
+            let mut queue = EventQueue::new(SchedKind::Wheel);
             run_shard(proto, cfg, plan.link_range(s), &mut queue)
         })
     };

@@ -23,9 +23,9 @@ pub fn infer_from_records(records: &[RunRecord]) -> InferredMachine {
     infer(&traces)
 }
 
-/// Infer a machine from captured structured event traces
-/// (`LONGLOOK_TRACE` / `repro trace` evidence): each trace's `CcState`
-/// events are the state-visit sequence, observed until its last record.
+/// Infer a machine from captured structured event traces (`repro trace`
+/// evidence): each trace's `CcState` events are the state-visit
+/// sequence, observed until its last record.
 /// Empty traces contribute nothing.
 pub fn infer_from_traces(traces: &[Vec<TraceRecord>]) -> InferredMachine {
     let traces: Vec<Trace> = traces

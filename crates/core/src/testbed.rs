@@ -14,7 +14,7 @@ use longlook_sim::link::{Jitter, LinkConfig, ReorderSpec};
 use longlook_sim::schedule::RateSchedule;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::world::World;
-use longlook_sim::{DeviceProfile, FaultPlan, FlowId, NodeId, PeerSide};
+use longlook_sim::{DeviceProfile, ExecConfig, FaultPlan, FlowId, NodeId, PeerSide};
 
 /// A network environment: everything `tc`/`netem` controlled on the
 /// paper's router.
@@ -129,7 +129,8 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Build the Fig 1 topology with the given flows sharing one link.
+    /// Build the Fig 1 topology with the given flows sharing one link,
+    /// on the default execution paths.
     pub fn direct(
         seed: u64,
         net: &NetProfile,
@@ -139,11 +140,38 @@ impl Testbed {
         wait: Option<WaitModel>,
         stop_when_done: bool,
     ) -> Testbed {
-        let mut world = World::new(seed);
+        Testbed::direct_exec(
+            ExecConfig::default(),
+            seed,
+            net,
+            device,
+            catalog,
+            flows,
+            wait,
+            stop_when_done,
+        )
+    }
+
+    /// [`Testbed::direct`] with the world and every connection on the
+    /// execution paths `exec` selects.
+    #[allow(clippy::too_many_arguments)]
+    pub fn direct_exec(
+        exec: ExecConfig,
+        seed: u64,
+        net: &NetProfile,
+        device: DeviceProfile,
+        catalog: PageSpec,
+        flows: Vec<FlowSpec>,
+        wait: Option<WaitModel>,
+        stop_when_done: bool,
+    ) -> Testbed {
+        let mut world = World::with_exec(seed, exec);
         let server_id = NodeId(1);
-        // Under a fault plan both endpoints run with armed watchdogs:
+        // Every installed config carries the cell's execution paths, and
+        // under a fault plan both endpoints run with armed watchdogs:
         // blackouts and stalls must end in a typed error, never a hang.
-        let arm = |proto: ProtoConfig| -> ProtoConfig {
+        let install = |proto: ProtoConfig| -> ProtoConfig {
+            let proto = proto.with_exec(exec);
             if net.fault.is_some() {
                 proto.with_watchdog()
             } else {
@@ -152,10 +180,12 @@ impl Testbed {
         };
         let mut client = ClientHost::new(server_id, stop_when_done);
         let mut server = ServerHost::new(
-            arm(flows
-                .first()
-                .map(|f| f.proto.clone())
-                .unwrap_or(ProtoConfig::Quic(Default::default()))),
+            install(
+                flows
+                    .first()
+                    .map(|f| f.proto.clone())
+                    .unwrap_or(ProtoConfig::Quic(Default::default())),
+            ),
             catalog,
             seed ^ 0x6C6F_6E67, // "long"
         );
@@ -179,10 +209,10 @@ impl Testbed {
                 }
                 _ => spec.proto.clone(),
             };
-            server.expect_flow(flow, arm(spec.proto.clone()));
+            server.expect_flow(flow, install(spec.proto.clone()));
             client.add(
                 flow,
-                &arm(client_proto),
+                &install(client_proto),
                 spec.zero_rtt,
                 spec.app,
                 Time::ZERO,
@@ -250,9 +280,11 @@ pub struct ProxyTestbed {
 impl ProxyTestbed {
     /// Build with the proxy "located midway between client and server"
     /// (Fig 16): each leg gets half the RTT and the full rate/impairments
-    /// of `net`.
+    /// of `net`. The world and all four connections run on the
+    /// execution paths `exec` selects.
     #[allow(clippy::too_many_arguments)]
     pub fn midpoint(
+        exec: ExecConfig,
         seed: u64,
         net: &NetProfile,
         device: DeviceProfile,
@@ -262,7 +294,8 @@ impl ProxyTestbed {
         zero_rtt: bool,
         app: Box<dyn ClientApp>,
     ) -> ProxyTestbed {
-        let mut world = World::new(seed);
+        let mut world = World::with_exec(seed, exec);
+        let (down_proto, up_proto) = (down_proto.with_exec(exec), up_proto.with_exec(exec));
         let proxy_id = NodeId(1);
         let origin_id = NodeId(2);
         let mut client = ClientHost::new(proxy_id, true);
@@ -377,6 +410,7 @@ mod tests {
     fn proxy_testbed_runs() {
         let page = PageSpec::single(50 * 1024);
         let mut tb = ProxyTestbed::midpoint(
+            ExecConfig::default(),
             3,
             &NetProfile::baseline(10.0),
             DeviceProfile::DESKTOP,

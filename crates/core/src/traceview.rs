@@ -1,7 +1,7 @@
 //! Trace analysis: turning a captured structured event trace
-//! (`LONGLOOK_TRACE`, qlog-inspired JSON-SEQ) into human-readable
-//! evidence — an event timeline, a per-state dwell table, and extracted
-//! loss episodes attributed to the fault windows that caused them.
+//! (qlog-inspired JSON-SEQ) into human-readable evidence — an event
+//! timeline, a per-state dwell table, and extracted loss episodes
+//! attributed to the fault windows that caused them.
 //!
 //! This is the read side of the trace layer: `repro trace FILE` parses a
 //! `.jsonseq` file (e.g. the trace a shrunk trauma repro carries) and

@@ -16,7 +16,7 @@ use longlook_http::app::{ClientApp, WebClient};
 use longlook_http::host::ProtoConfig;
 use longlook_sim::time::Time;
 use longlook_sim::trace::{merge_by_time, TraceRecord};
-use longlook_sim::RunOutcome;
+use longlook_sim::{ExecConfig, RunOutcome, TraceMode};
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::conn::{ConnError, ConnStats};
 
@@ -51,29 +51,24 @@ impl TraumaRecord {
 /// Run one trauma cell: same seeding and per-round network realization
 /// as [`crate::experiment::run_page_load`], plus the oracle extras.
 pub fn run_trauma_cell(proto: &ProtoConfig, sc: &Scenario, round: u64) -> TraumaRecord {
-    run_trauma_cell_inner(proto, sc, round).0
+    run_trauma_cell_inner(proto, sc, round, sc.exec).0
 }
 
-/// Run one trauma cell with the structured trace layer forced on for the
-/// duration of the run (`LONGLOOK_TRACE=on`; the previous value is
-/// restored afterwards — env vars are process-global, so concurrent
-/// tests flipping trace spellings must serialize, as the referee suites
-/// do). Returns the record plus the server connection's event trace
-/// merged with the fault plan's synthesized window edges, so the trace
-/// explains *when* the network was faulted as well as how the transport
-/// reacted.
+/// Run one trauma cell with the structured trace layer on for this cell
+/// only (`sc.exec` with `trace: On`). Returns the record plus the server
+/// connection's event trace merged with the fault plan's synthesized
+/// window edges, so the trace explains *when* the network was faulted as
+/// well as how the transport reacted.
 pub fn run_trauma_cell_traced(
     proto: &ProtoConfig,
     sc: &Scenario,
     round: u64,
 ) -> (TraumaRecord, Vec<TraceRecord>) {
-    let saved = std::env::var("LONGLOOK_TRACE").ok();
-    std::env::set_var("LONGLOOK_TRACE", "on");
-    let (rec, conn_trace) = run_trauma_cell_inner(proto, sc, round);
-    match saved {
-        Some(v) => std::env::set_var("LONGLOOK_TRACE", v),
-        None => std::env::remove_var("LONGLOOK_TRACE"),
-    }
+    let exec = ExecConfig {
+        trace: TraceMode::On,
+        ..sc.exec
+    };
+    let (rec, conn_trace) = run_trauma_cell_inner(proto, sc, round, exec);
     let edges = per_round_net(sc, round)
         .fault
         .map(|p| p.trace_window_edges())
@@ -85,10 +80,12 @@ fn run_trauma_cell_inner(
     proto: &ProtoConfig,
     sc: &Scenario,
     round: u64,
+    exec: ExecConfig,
 ) -> (TraumaRecord, Vec<TraceRecord>) {
     let seed = sc.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
     let net = per_round_net(sc, round);
-    let mut tb = Testbed::direct(
+    let mut tb = Testbed::direct_exec(
+        exec,
         seed,
         &net,
         sc.device,

@@ -12,7 +12,7 @@ use longlook_quic::{QuicConfig, QuicConnection};
 use longlook_sim::rng::SimRng;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::world::{Agent, Ctx};
-use longlook_sim::{FlowId, NodeId, Packet, PktClass};
+use longlook_sim::{ExecConfig, FlowId, NodeId, Packet, PktClass};
 use longlook_tcp::{TcpConfig, TcpConnection};
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::conn::{AppEvent, ConnError, ConnStats, Connection, StreamId};
@@ -63,6 +63,18 @@ impl ProtoConfig {
         match &mut self {
             ProtoConfig::Quic(cfg) => cfg.watchdog = true,
             ProtoConfig::Tcp(cfg) => cfg.watchdog = true,
+        }
+        self
+    }
+
+    /// Stamp the execution paths both endpoints' connections run on.
+    /// The testbed applies the scenario's [`ExecConfig`] to every
+    /// protocol config it installs, so a cell's mode is a value it
+    /// carries rather than process state.
+    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+        match &mut self {
+            ProtoConfig::Quic(cfg) => cfg.exec = exec,
+            ProtoConfig::Tcp(cfg) => cfg.exec = exec,
         }
         self
     }
@@ -173,7 +185,7 @@ impl ClientHost {
     }
 
     /// Structured trace records of the `index`-th connection
-    /// (`LONGLOOK_TRACE`); empty when tracing is off.
+    /// (`ExecConfig::trace`); empty when tracing is off.
     pub fn conn_trace(&self, index: usize) -> &[longlook_sim::trace::TraceRecord] {
         self.slots[index].conn.trace_records()
     }
@@ -364,7 +376,7 @@ impl ServerHost {
     }
 
     /// Structured trace records of the connection for `flow`
-    /// (`LONGLOOK_TRACE`); empty when tracing is off.
+    /// (`ExecConfig::trace`); empty when tracing is off.
     pub fn conn_trace(&self, flow: FlowId) -> Option<&[longlook_sim::trace::TraceRecord]> {
         self.conns.get(&flow).map(|s| s.conn.trace_records())
     }

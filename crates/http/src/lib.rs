@@ -81,6 +81,33 @@ mod world_tests {
         ProtoConfig::Tcp(TcpConfig::default())
     }
 
+    /// `with_exec` reaches the connection: the stamped wire mode picks
+    /// the payload representation and the stamped trace mode the tracer,
+    /// for both protocols and both roles.
+    #[test]
+    fn with_exec_selects_the_connections_paths() {
+        use longlook_sim::{ExecConfig, Payload, TraceMode, WireMode};
+        let reference = ExecConfig {
+            wire: WireMode::Encoded,
+            trace: TraceMode::On,
+            ..ExecConfig::default()
+        };
+        for proto in [quic(), tcp()] {
+            let mut fast = proto.client_conn(FlowId(1), false, Time::ZERO);
+            let tx = fast.poll_transmit(Time::ZERO).expect("first flight");
+            assert!(!matches!(tx.payload, Payload::Wire(_)));
+            assert!(fast.trace_records().is_empty());
+
+            let stamped = proto.with_exec(reference);
+            let mut client = stamped.client_conn(FlowId(1), false, Time::ZERO);
+            let tx = client.poll_transmit(Time::ZERO).expect("first flight");
+            assert!(matches!(tx.payload, Payload::Wire(_)));
+            assert!(!client.trace_records().is_empty());
+            let server = stamped.server_conn(FlowId(1), Time::ZERO);
+            assert!(!server.trace_records().is_empty());
+        }
+    }
+
     #[test]
     fn quic_page_load_completes() {
         let plt = run_plt(&quic(), PageSpec::single(100 * 1024), true, 10.0, 0.0, 1);

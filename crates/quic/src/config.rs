@@ -7,6 +7,7 @@
 //! 25-37 onto instances of this struct.
 
 use longlook_sim::time::Dur;
+use longlook_sim::ExecConfig;
 use longlook_transport::cubic::CubicConfig;
 
 /// Which congestion controller to run.
@@ -90,6 +91,10 @@ pub struct QuicConfig {
     /// and shrink; never set outside the fuzz harness.
     #[doc(hidden)]
     pub canary_mute_watchdog: bool,
+    /// Execution paths this connection runs on (wire representation,
+    /// batched hot path, tracing). Never changes protocol behavior; the
+    /// testbed stamps the scenario's value onto both endpoints.
+    pub exec: ExecConfig,
 }
 
 impl Default for QuicConfig {
@@ -123,6 +128,7 @@ impl Default for QuicConfig {
             handshake_timeout: Dur::from_secs(30),
             idle_timeout: Dur::from_secs(60),
             canary_mute_watchdog: false,
+            exec: ExecConfig::default(),
         }
     }
 }

@@ -14,7 +14,7 @@ use crate::wire::{Frame, HandshakeKind, QuicPacket, MAX_ACK_BLOCKS, MAX_PACKET_P
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{BatchMode, PayloadPool, Tracer, WireMode};
+use longlook_sim::{PayloadPool, Tracer, WireMode};
 use longlook_transport::cc::CongestionControl;
 use longlook_transport::ccstate::{CcState, StateTrace, StateTracker};
 use longlook_transport::conn::{
@@ -122,7 +122,7 @@ pub struct QuicConnection {
     /// dispatch shares the same `now`, so resolving only the *last* one
     /// lazily yields the exact timer the eager path would have set.
     loss_rearm_at: Option<Time>,
-    /// Batched hot path selected (`LONGLOOK_BATCH`, at construction).
+    /// Batched hot path selected (`cfg.exec.batch`).
     batch: bool,
     tlp_count: u32,
     rto_backoff: u32,
@@ -140,8 +140,8 @@ pub struct QuicConnection {
     stats: ConnStats,
     cwnd_log: Vec<(Time, u64)>,
     tracker: StateTracker,
-    /// Structured event trace (`LONGLOOK_TRACE`, at construction); a
-    /// disabled tracer is an inlined no-op on every emit.
+    /// Structured event trace (`cfg.exec.trace`); a disabled tracer is
+    /// an inlined no-op on every emit.
     tracer: Tracer,
     /// Recycled payload buffers (encoded path only): encoders take from
     /// here, spent received payloads are reclaimed in `on_datagram`.
@@ -152,7 +152,7 @@ pub struct QuicConnection {
     /// frames without touching the allocator.
     spare_frames: Vec<Vec<Frame>>,
     /// Structured (typed packets in memory) vs encoded (serialize +
-    /// reparse) wire path; resolved from `LONGLOOK_WIRE` at construction.
+    /// reparse) wire path (`cfg.exec.wire`).
     wire_mode: WireMode,
 }
 
@@ -220,7 +220,8 @@ impl QuicConnection {
         } else {
             cc.state_label(now)
         };
-        let mut tracer = Tracer::from_env();
+        let exec = cfg.exec;
+        let mut tracer = Tracer::new(exec.trace.is_on());
         tracer.cc_state(now.as_nanos(), initial_label);
         QuicConnection {
             cfg,
@@ -237,7 +238,7 @@ impl QuicConnection {
             gave_up: false,
             error: None,
             next_pn: 1,
-            sent: SentStore::from_env(),
+            sent: SentStore::new(exec.batch),
             acks: AckTracker::default(),
             rtt,
             cc,
@@ -261,7 +262,7 @@ impl QuicConnection {
             wu_queue: VecDeque::new(),
             loss_timer: None,
             loss_rearm_at: None,
-            batch: BatchMode::from_env().is_on(),
+            batch: exec.batch.is_on(),
             tlp_count: 0,
             rto_backoff: 0,
             tlp_fire: false,
@@ -277,7 +278,7 @@ impl QuicConnection {
             tracer,
             pool: PayloadPool::new(),
             spare_frames: Vec::new(),
-            wire_mode: WireMode::from_env(),
+            wire_mode: exec.wire,
         }
     }
 
@@ -543,7 +544,7 @@ impl QuicConnection {
             // deadline resolves lazily, but `compute_loss_timer` is a pure
             // function of state that cannot change between the request and
             // the observation point, so this records the same deadline the
-            // eager path sets — identically under either `LONGLOOK_BATCH`.
+            // eager path sets — identically under either batch mode.
             if let Some((_, at)) = self.compute_loss_timer(now) {
                 self.tracer.timer_arm(now.as_nanos(), at.as_nanos());
             }

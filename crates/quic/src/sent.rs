@@ -634,7 +634,7 @@ impl SentSlab {
 
 /// Either sender-side store behind one interface.
 ///
-/// Selected per connection from `LONGLOOK_BATCH`: the slab on the batched
+/// Selected per connection by its `BatchMode`: the slab on the batched
 /// hot path, the map store on the per-event reference path. The two are
 /// pinned semantically identical by the shared unit-test contract below
 /// (every test runs against both) and by the slab-equivalence proptest.
@@ -647,12 +647,19 @@ pub enum SentStore {
 }
 
 impl SentStore {
-    /// Pick the store for the current `LONGLOOK_BATCH` mode.
-    pub fn from_env() -> SentStore {
-        match BatchMode::from_env() {
+    /// The store for `batch`: slab when on, reference map when off.
+    pub fn new(batch: BatchMode) -> SentStore {
+        match batch {
             BatchMode::On => SentStore::Slab(SentSlab::default()),
             BatchMode::Off => SentStore::Map(SentTracker::default()),
         }
+    }
+
+    // Sole caller: `observatory/` (frozen; it refuses to start under any
+    // `LONGLOOK_*` variable, so the default is what it already observes).
+    #[doc(hidden)]
+    pub fn from_env() -> SentStore {
+        SentStore::new(BatchMode::default())
     }
 
     /// Record a transmission.

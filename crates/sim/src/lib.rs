@@ -36,7 +36,9 @@ pub use longlook_wire::pool;
 // so transports and the fault layer can both emit); re-exported here as
 // `longlook_sim::trace` for everything above the simulator.
 pub use longlook_wire::trace;
-pub use longlook_wire::{BatchMode, PayloadPool, TraceMode, TraceRecord, Tracer, WireMode};
+pub use longlook_wire::{
+    BatchMode, ExecConfig, PayloadPool, TraceMode, TraceRecord, Tracer, WireMode,
+};
 pub use packet::{FlowId, NodeId, Packet, Payload, PktClass};
 pub use rng::{current_cell, CellGuard, CellId, IsolationTag, SimRng};
 pub use sched::{EventQueue, SchedKind};

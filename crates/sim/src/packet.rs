@@ -30,7 +30,7 @@ pub enum PktClass {
 /// The structured variants hand the typed protocol structure to the peer
 /// by value — no serialization, no reparse — while the link layers charge
 /// the same analytic wire sizes either way. `Wire` is the reference
-/// encoded path (`LONGLOOK_WIRE=encoded`), kept for differential testing.
+/// encoded path (`WireMode::Encoded`), kept for differential testing.
 /// Links never look inside: loss and corruption drop whole packets, they
 /// never forge bytes.
 #[derive(Debug, Clone)]

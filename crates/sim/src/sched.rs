@@ -3,7 +3,7 @@
 //! Two interchangeable implementations sit behind [`EventQueue`]:
 //!
 //! * [`HeapSched`] — the original `BinaryHeap<(Time, seq)>`, kept as the
-//!   reference implementation and as an A/B fallback (`LONGLOOK_SCHED=heap`).
+//!   reference implementation the referees compare the wheel against.
 //! * [`TimingWheel`] — a hierarchical timing wheel: near-future events land
 //!   in fixed-width ring slots, far-future events wait in an overflow heap
 //!   that refills the wheel as the cursor advances.
@@ -55,7 +55,8 @@ use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem;
-use std::sync::Once;
+
+pub use longlook_wire::SchedKind;
 
 /// log2 of the wheel slot width in nanoseconds (2^17 ns = 131.072 µs).
 const SLOT_SHIFT: u32 = 17;
@@ -68,41 +69,6 @@ const WORDS: usize = SLOTS / 64;
 #[inline]
 fn tick_of(at: Time) -> u64 {
     at.tick(SLOT_SHIFT)
-}
-
-/// Which scheduler implementation backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedKind {
-    /// Hierarchical timing wheel (default).
-    Wheel,
-    /// Reference binary heap (`LONGLOOK_SCHED=heap`).
-    Heap,
-}
-
-impl SchedKind {
-    /// Resolve from the `LONGLOOK_SCHED` environment variable.
-    ///
-    /// Read on every call (not cached) so differential tests and benches
-    /// can flip the variable between `World` constructions in one process.
-    pub fn from_env() -> SchedKind {
-        static WARN: Once = Once::new();
-        longlook_wire::env_knob(
-            "LONGLOOK_SCHED",
-            "\"wheel\" or \"heap\"",
-            "wheel",
-            &WARN,
-            |v| {
-                if v.eq_ignore_ascii_case("heap") {
-                    Some(SchedKind::Heap)
-                } else if v.eq_ignore_ascii_case("wheel") || v.is_empty() {
-                    Some(SchedKind::Wheel)
-                } else {
-                    None
-                }
-            },
-        )
-        .unwrap_or(SchedKind::Wheel)
-    }
 }
 
 /// A scheduled event: payload plus its total-order key.
@@ -829,12 +795,5 @@ mod tests {
         assert_eq!(q.pop(), None);
         q.push(Time::from_nanos(1), 'z');
         assert_eq!(q.pop(), Some((Time::from_nanos(1), 'z')));
-    }
-
-    #[test]
-    fn sched_kind_from_env_is_read_per_call() {
-        // Not testing the env var itself here (process-global, racy across
-        // test threads) — just the default.
-        assert_eq!(SchedKind::from_env(), SchedKind::Wheel);
     }
 }

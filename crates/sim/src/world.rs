@@ -11,7 +11,7 @@ use crate::packet::{NodeId, Packet};
 use crate::rng::{IsolationTag, SimRng};
 use crate::sched::{EventQueue, SchedKind};
 use crate::time::Time;
-use longlook_wire::BatchMode;
+use longlook_wire::{BatchMode, ExecConfig};
 use std::any::Any;
 
 /// Interface the world hands an agent during a callback.
@@ -104,7 +104,7 @@ pub struct World {
     /// during `[from, until)` are deferred to `until`. Empty in every
     /// unfaulted run, so the per-event check is a length test.
     stalls: Vec<(NodeId, Time, Time)>,
-    /// Batched hot path (`LONGLOOK_BATCH`, resolved at construction):
+    /// Batched hot path (`ExecConfig::batch`, fixed at construction):
     /// consecutive same-instant packet deliveries to one node run in a
     /// single dispatch. Bursts drain each packet's wakes/outbox before
     /// consuming the next event, so every queue push lands with the same
@@ -117,18 +117,18 @@ pub struct World {
 }
 
 impl World {
-    /// Create a world with the given experiment seed. The scheduler backend
-    /// comes from `LONGLOOK_SCHED` (timing wheel unless set to `heap`).
+    /// Create a world with the given experiment seed on the default
+    /// execution paths (timing wheel, batched dispatch).
     pub fn new(seed: u64) -> Self {
-        World::new_with_sched(seed, SchedKind::from_env())
+        World::with_exec(seed, ExecConfig::default())
     }
 
-    /// Create a world with an explicit scheduler backend (used by the
-    /// heap/wheel differential tests and benches; behavior is identical).
-    pub fn new_with_sched(seed: u64, sched: SchedKind) -> Self {
+    /// Create a world on the scheduler and dispatch path `exec` selects;
+    /// every choice is observationally identical.
+    pub fn with_exec(seed: u64, exec: ExecConfig) -> Self {
         World {
             now: Time::ZERO,
-            queue: EventQueue::new(sched),
+            queue: EventQueue::new(exec.sched),
             nodes: Vec::new(),
             links: Vec::new(),
             rng: SimRng::new(seed),
@@ -137,7 +137,7 @@ impl World {
             scratch_out: Vec::new(),
             scratch_wakes: Vec::new(),
             stalls: Vec::new(),
-            batch: BatchMode::from_env().is_on(),
+            batch: exec.batch.is_on(),
             tag: IsolationTag::default(),
         }
     }

@@ -33,7 +33,7 @@ pub fn trace_from_transport(
 }
 
 /// Convenience: build a [`Trace`] from structured trace records
-/// (`longlook_sim::trace`, the `LONGLOOK_TRACE` layer). The `CcState`
+/// (`longlook_sim::trace`, the structured trace layer). The `CcState`
 /// events carry the same state-visit evidence as a transport
 /// `StateTrace`, so a captured qlog-style trace file can feed inference
 /// directly.

@@ -19,7 +19,7 @@ use crate::wire::{flags, TcpSegment};
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{BatchMode, PayloadPool, Tracer, WireMode};
+use longlook_sim::{ExecConfig, PayloadPool, Tracer, WireMode};
 use longlook_transport::cc::CongestionControl;
 use longlook_transport::ccstate::{CcState, StateTrace, StateTracker};
 use longlook_transport::conn::{
@@ -77,6 +77,10 @@ pub struct TcpConfig {
     /// `HandshakeTimeout` (Linux `tcp_syn_retries` default). Ignored when
     /// the watchdog is off — the historical model retried forever.
     pub max_syn_retries: u32,
+    /// Execution paths this connection runs on (wire representation,
+    /// batched hot path, tracing). Never changes protocol behavior; the
+    /// testbed stamps the scenario's value onto both endpoints.
+    pub exec: ExecConfig,
 }
 
 impl Default for TcpConfig {
@@ -94,6 +98,7 @@ impl Default for TcpConfig {
             handshake_timeout: Dur::from_secs(30),
             idle_timeout: Dur::from_secs(60),
             max_syn_retries: 6,
+            exec: ExecConfig::default(),
         }
     }
 }
@@ -170,7 +175,7 @@ pub struct TcpConnection {
     rto_rearm_at: Option<Time>,
     rto_backoff: u32,
     in_rto_state: bool,
-    /// `LONGLOOK_BATCH` resolved at construction: defer RTO re-arms.
+    /// Batched hot path selected (`cfg.exec.batch`): defer RTO re-arms.
     batch: bool,
 
     tls_established: bool,
@@ -189,14 +194,14 @@ pub struct TcpConnection {
     stats: ConnStats,
     cwnd_log: Vec<(Time, u64)>,
     tracker: StateTracker,
-    /// Structured event trace (`LONGLOOK_TRACE`); records nothing when
+    /// Structured event trace (`cfg.exec.trace`); records nothing when
     /// tracing is off.
     tracer: Tracer,
     /// Recycled payload buffers (encoded path only): encoders take from
     /// here, spent received payloads are reclaimed in `on_datagram`.
     pool: PayloadPool,
     /// Structured (typed segments in memory) vs encoded (serialize +
-    /// reparse) wire path; resolved from `LONGLOOK_WIRE` at construction.
+    /// reparse) wire path (`cfg.exec.wire`).
     wire_mode: WireMode,
 }
 
@@ -226,7 +231,8 @@ impl TcpConnection {
             (0, 0)
         };
         let cc: Box<dyn CongestionControl> = Box::new(Cubic::new(cfg.cubic.clone(), now));
-        let mut tracer = Tracer::from_env();
+        let exec = cfg.exec;
+        let mut tracer = Tracer::new(exec.trace.is_on());
         tracer.cc_state(now.as_nanos(), CcState::Init.label());
         TcpConnection {
             rtt: RttEstimator::new(cfg.initial_rtt),
@@ -249,7 +255,7 @@ impl TcpConnection {
             rto_rearm_at: None,
             rto_backoff: 0,
             in_rto_state: false,
-            batch: BatchMode::from_env().is_on(),
+            batch: exec.batch.is_on(),
             tls_established: false,
             handshake_done_emitted: false,
             app_limited: false,
@@ -263,7 +269,7 @@ impl TcpConnection {
             tracker: StateTracker::new(now, CcState::Init.label()),
             tracer,
             pool: PayloadPool::new(),
-            wire_mode: WireMode::from_env(),
+            wire_mode: exec.wire,
         }
     }
 
@@ -361,8 +367,8 @@ impl TcpConnection {
     fn rearm_rto(&mut self, now: Time) {
         // Trace the arm at the request point: the deadline is a pure
         // function of state that cannot change before a deferred re-arm
-        // resolves, so this is identical under both `LONGLOOK_BATCH`
-        // modes (costs a computation only when tracing is on).
+        // resolves, so this is identical under both batch modes (costs a
+        // computation only when tracing is on).
         if self.tracer.enabled() {
             if let Some(at) = self.compute_rto(now) {
                 self.tracer.timer_arm(now.as_nanos(), at.as_nanos());
@@ -525,8 +531,8 @@ impl Connection for TcpConnection {
         self.last_progress = now;
         if self.tracer.enabled() {
             // Recompute the analytic wire size so the record is identical
-            // under both `LONGLOOK_WIRE` modes (proptest-pinned equal to
-            // the encoded length).
+            // under both wire modes (proptest-pinned equal to the encoded
+            // length).
             let sz = seg.wire_size_payload() + TCP_OVERHEAD + 17 * seg.records.len() as u32;
             self.tracer.pkt_rx(now.as_nanos(), seg.seq, sz as u64);
         }

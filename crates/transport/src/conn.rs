@@ -43,7 +43,7 @@ pub enum AppEvent {
 #[derive(Debug, Clone)]
 pub struct Transmit {
     /// Protocol control information: a typed packet on the structured
-    /// fast path, encoded bytes under `LONGLOOK_WIRE=encoded`.
+    /// fast path, encoded bytes under `WireMode::Encoded`.
     pub payload: Payload,
     /// Total on-the-wire size including framing overhead and synthetic
     /// payload bytes.
@@ -156,8 +156,8 @@ pub trait Connection {
         None
     }
 
-    /// Structured trace records emitted so far (`LONGLOOK_TRACE`). Empty
-    /// when tracing is off; the default keeps test doubles compiling
+    /// Structured trace records emitted so far. Empty when tracing is
+    /// off (`TraceMode::Off`); the default keeps test doubles compiling
     /// unchanged, like [`Connection::error`].
     fn trace_records(&self) -> &[longlook_sim::trace::TraceRecord] {
         &[]

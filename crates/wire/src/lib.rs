@@ -16,7 +16,7 @@
 //! 2. **Canonical encoding**: `decode(encode(x)) == x` for every value the
 //!    transports emit, so handing the typed value to the peer (structured)
 //!    is observationally identical to encode→decode (encoded). The
-//!    `wire_differential` referee suite enforces this end to end.
+//!    `path_differential` referee suite enforces this end to end.
 
 pub mod mode;
 pub mod pool;
@@ -24,6 +24,6 @@ pub mod quic;
 pub mod tcp;
 pub mod trace;
 
-pub use mode::{env_knob, BatchMode, WireMode};
+pub use mode::{env_knob, BatchMode, ExecConfig, SchedKind, WireMode};
 pub use pool::PayloadPool;
 pub use trace::{TraceEvent, TraceMode, TraceRecord, Tracer};

@@ -1,23 +1,24 @@
-//! Runtime path selection knobs: structured vs encoded payloads
-//! (`LONGLOOK_WIRE`) and batched vs per-event hot paths (`LONGLOOK_BATCH`),
-//! plus the shared warn-once environment-knob parser every `LONGLOOK_*`
-//! variable funnels through.
+//! Execution-path selection as a value: [`ExecConfig`] names which
+//! scheduler, wire path, hot path and trace mode a run uses, and is
+//! passed down from the scenario to the world and its connections. Every
+//! non-default choice is a reference implementation the differential
+//! referees compare the default against. Also home to the warn-once
+//! parser the remaining `LONGLOOK_*` workload-size knobs share.
 
+use crate::trace::TraceMode;
 use std::sync::Once;
 
 /// Read the environment knob `var` and parse it with `parse`.
 ///
 /// Returns `None` when the variable is unset, `Some(value)` when `parse`
 /// accepts it, and `None` with a one-time stderr warning (keyed on
-/// `warned`, so each knob warns independently) when it does not. All the
-/// `LONGLOOK_*` knobs — `LONGLOOK_WIRE`, `LONGLOOK_BATCH`,
-/// `LONGLOOK_SCHED`, `LONGLOOK_JOBS`, `LONGLOOK_CHUNK`,
-/// `LONGLOOK_FLEET_N` — resolve through this helper, so a misconfigured
-/// CI run surfaces the same way for every knob instead of silently
-/// falling back.
+/// `warned`, so each knob warns independently) when it does not. The
+/// workload-size knobs — `LONGLOOK_JOBS`, `LONGLOOK_CHUNK`,
+/// `LONGLOOK_FLEET_N`, `LONGLOOK_FLEET_SHARDS` — resolve through this
+/// helper, so a misconfigured CI run surfaces the same way for every
+/// knob instead of silently falling back.
 ///
-/// The variable is re-read on every call (never cached) so differential
-/// tests and benches can flip knobs between constructions in one process.
+/// The variable is re-read on every call (never cached).
 pub fn env_knob<T>(
     var: &str,
     expected: &str,
@@ -39,41 +40,41 @@ pub fn env_knob<T>(
     }
 }
 
+/// Which scheduler implementation backs an event queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedKind {
+    /// Hierarchical timing wheel (default).
+    #[default]
+    Wheel,
+    /// Reference binary heap.
+    Heap,
+}
+
+impl SchedKind {
+    // Sole caller: `observatory/` (frozen; it refuses to start under any
+    // `LONGLOOK_*` variable, so the default is what it already observes).
+    #[doc(hidden)]
+    pub fn from_env() -> SchedKind {
+        SchedKind::default()
+    }
+}
+
 /// Which payload representation the transports put on simulated links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireMode {
     /// Hand the typed `QuicPacket`/`TcpSegment` to the peer by value,
     /// charging analytic `encoded_len()` sizes (default).
+    #[default]
     Structured,
-    /// Serialize to `Bytes` and reparse on receipt
-    /// (`LONGLOOK_WIRE=encoded`), the reference path.
+    /// Serialize to `Bytes` and reparse on receipt, the reference path.
     Encoded,
 }
 
 impl WireMode {
-    /// Resolve from the `LONGLOOK_WIRE` environment variable.
-    ///
-    /// Read on every call (not cached) so differential tests and benches
-    /// can flip the variable between connection constructions in one
-    /// process — mirroring `LONGLOOK_SCHED`.
+    // Sole caller: `observatory/` (see `SchedKind::from_env`).
+    #[doc(hidden)]
     pub fn from_env() -> WireMode {
-        static WARN: Once = Once::new();
-        env_knob(
-            "LONGLOOK_WIRE",
-            "\"structured\" or \"encoded\"",
-            "structured",
-            &WARN,
-            |v| {
-                if v.eq_ignore_ascii_case("encoded") {
-                    Some(WireMode::Encoded)
-                } else if v.eq_ignore_ascii_case("structured") || v.is_empty() {
-                    Some(WireMode::Structured)
-                } else {
-                    None
-                }
-            },
-        )
-        .unwrap_or(WireMode::Structured)
+        WireMode::default()
     }
 }
 
@@ -81,36 +82,23 @@ impl WireMode {
 /// bookkeeping, burst delivery, amortized timer re-arming) or strictly
 /// per-event.
 ///
-/// The two paths are pinned bit-identical by the `batch_differential`
-/// referee suite; `Off` is the reference path kept as an escape hatch
-/// while both coexist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The two paths are pinned bit-identical by the `path_differential`
+/// referee suite; `Off` is the reference path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
     /// Batched hot path (default): same observable behavior, less
     /// per-event work.
+    #[default]
     On,
-    /// Per-event reference path (`LONGLOOK_BATCH=off`).
+    /// Per-event reference path.
     Off,
 }
 
 impl BatchMode {
-    /// Resolve from the `LONGLOOK_BATCH` environment variable.
-    ///
-    /// Read on every call (not cached) so differential tests and benches
-    /// can flip the variable between runs in one process — mirroring
-    /// `LONGLOOK_WIRE` and `LONGLOOK_SCHED`.
+    // Sole caller: `observatory/` (see `SchedKind::from_env`).
+    #[doc(hidden)]
     pub fn from_env() -> BatchMode {
-        static WARN: Once = Once::new();
-        env_knob("LONGLOOK_BATCH", "\"on\" or \"off\"", "on", &WARN, |v| {
-            if v.eq_ignore_ascii_case("off") {
-                Some(BatchMode::Off)
-            } else if v.eq_ignore_ascii_case("on") || v.is_empty() {
-                Some(BatchMode::On)
-            } else {
-                None
-            }
-        })
-        .unwrap_or(BatchMode::On)
+        BatchMode::default()
     }
 
     /// True when the batched path is selected.
@@ -119,33 +107,31 @@ impl BatchMode {
     }
 }
 
+/// How one run executes: the four path selections, as a `Copy` value.
+///
+/// Carried by the scenario, stamped onto the protocol configs, and read
+/// by `World`, the connections, the sent-packet store and the tracer at
+/// construction. Nothing in the library reads it from the process
+/// environment, so cells with different configs can run concurrently.
+/// The default is the fast path with tracing off; any other value
+/// selects a reference implementation (or tracing), and the
+/// `path_differential` suite pins every one of them — and their
+/// combination — observationally identical to the default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExecConfig {
+    /// Event scheduler backend.
+    pub sched: SchedKind,
+    /// Payload representation on links.
+    pub wire: WireMode,
+    /// Batched or per-event transport hot path.
+    pub batch: BatchMode,
+    /// Per-connection structured event trace.
+    pub trace: TraceMode,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// One test flips the env var through every case: `LONGLOOK_WIRE` is
-    /// process-global, so separate tests would race.
-    #[test]
-    fn from_env_resolves_all_spellings() {
-        let saved = std::env::var("LONGLOOK_WIRE").ok();
-        std::env::remove_var("LONGLOOK_WIRE");
-        assert_eq!(WireMode::from_env(), WireMode::Structured);
-        for (v, want) in [
-            ("structured", WireMode::Structured),
-            ("STRUCTURED", WireMode::Structured),
-            ("", WireMode::Structured),
-            ("encoded", WireMode::Encoded),
-            ("Encoded", WireMode::Encoded),
-            ("junk-value", WireMode::Structured), // warns once, falls back
-        ] {
-            std::env::set_var("LONGLOOK_WIRE", v);
-            assert_eq!(WireMode::from_env(), want, "LONGLOOK_WIRE={v:?}");
-        }
-        match saved {
-            Some(v) => std::env::set_var("LONGLOOK_WIRE", v),
-            None => std::env::remove_var("LONGLOOK_WIRE"),
-        }
-    }
 
     /// The shared knob parser: unset → `None`, parsable → `Some`,
     /// junk → `None` (after a one-time warning keyed on the caller's
@@ -171,28 +157,16 @@ mod tests {
         }
     }
 
-    /// Same single-test discipline for `LONGLOOK_BATCH`.
     #[test]
-    fn batch_from_env_resolves_all_spellings() {
-        let saved = std::env::var("LONGLOOK_BATCH").ok();
-        std::env::remove_var("LONGLOOK_BATCH");
-        assert_eq!(BatchMode::from_env(), BatchMode::On);
-        assert!(BatchMode::On.is_on());
-        assert!(!BatchMode::Off.is_on());
-        for (v, want) in [
-            ("on", BatchMode::On),
-            ("ON", BatchMode::On),
-            ("", BatchMode::On),
-            ("off", BatchMode::Off),
-            ("Off", BatchMode::Off),
-            ("junk-value", BatchMode::On), // warns once, falls back
-        ] {
-            std::env::set_var("LONGLOOK_BATCH", v);
-            assert_eq!(BatchMode::from_env(), want, "LONGLOOK_BATCH={v:?}");
-        }
-        match saved {
-            Some(v) => std::env::set_var("LONGLOOK_BATCH", v),
-            None => std::env::remove_var("LONGLOOK_BATCH"),
-        }
+    fn default_exec_is_the_fast_path_with_tracing_off() {
+        assert_eq!(
+            ExecConfig::default(),
+            ExecConfig {
+                sched: SchedKind::Wheel,
+                wire: WireMode::Structured,
+                batch: BatchMode::On,
+                trace: TraceMode::Off,
+            }
+        );
     }
 }

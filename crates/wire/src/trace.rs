@@ -4,11 +4,11 @@
 //! [`TraceRecord`]s — packet tx/rx, ack processing, loss declarations,
 //! congestion-control state and cwnd changes, recovery decisions, timer
 //! arms/fires — while the fault layer contributes window-edge records
-//! synthesized from the plan. Tracing is selected by `LONGLOOK_TRACE`
-//! (`off`, the default / `on` / `rotating`) through the shared warn-once
-//! [`env_knob`] parser; when off every emit method is an inlined
-//! early-return on one bool, draws zero RNG, and perturbs nothing — a
-//! promise the `trace_differential` referee suite holds bit-exactly.
+//! synthesized from the plan. Tracing is selected per run by the
+//! [`TraceMode`] in its `ExecConfig` (off by default); when off every
+//! emit method is an inlined early-return on one bool, draws zero RNG,
+//! and perturbs nothing — a promise the `path_differential` referee
+//! suite holds bit-exactly.
 //!
 //! On disk a trace is qlog-style JSON-SEQ (RFC 7464): each record is an
 //! RS byte (`0x1E`), one minimized-key JSON object, and a newline. The
@@ -17,65 +17,34 @@
 //! [`parse_seq`] round-trips the concatenated segments back to the typed
 //! event sequence.
 
-use crate::mode::env_knob;
-use std::sync::Once;
-
 /// RFC 7464 record separator that prefixes every JSON-SEQ record.
 pub const RECORD_SEP: char = '\u{1e}';
 
-/// Default per-segment byte cap used by `LONGLOOK_TRACE=rotating`.
+/// A per-segment byte cap for [`RotatingWriter::new`] that keeps
+/// segments editor-sized.
 pub const DEFAULT_SEGMENT_CAP: usize = 64 * 1024;
 
-/// Tracing selection (`LONGLOOK_TRACE`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Whether a run records per-connection structured traces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// No tracing (default): emit methods are inlined no-ops.
+    #[default]
     Off,
-    /// Record everything into one unbounded segment.
+    /// Record every event in memory.
     On,
-    /// Record everything into size-capped rotating segments.
-    Rotating,
 }
 
 impl TraceMode {
-    /// Resolve from the `LONGLOOK_TRACE` environment variable.
-    ///
-    /// Read on every call (not cached) so differential tests can flip
-    /// the variable between connection constructions in one process —
-    /// mirroring `LONGLOOK_WIRE` and `LONGLOOK_BATCH`.
+    // Sole caller: `observatory/` (frozen; it refuses to start under any
+    // `LONGLOOK_*` variable, so the default is what it already observes).
+    #[doc(hidden)]
     pub fn from_env() -> TraceMode {
-        static WARN: Once = Once::new();
-        env_knob(
-            "LONGLOOK_TRACE",
-            "\"off\", \"on\" or \"rotating\"",
-            "off",
-            &WARN,
-            |v| {
-                if v.eq_ignore_ascii_case("on") {
-                    Some(TraceMode::On)
-                } else if v.eq_ignore_ascii_case("rotating") {
-                    Some(TraceMode::Rotating)
-                } else if v.eq_ignore_ascii_case("off") || v.is_empty() {
-                    Some(TraceMode::Off)
-                } else {
-                    None
-                }
-            },
-        )
-        .unwrap_or(TraceMode::Off)
+        TraceMode::default()
     }
 
-    /// True when any tracing is selected.
+    /// True when tracing is selected.
     pub fn is_on(self) -> bool {
-        self != TraceMode::Off
-    }
-
-    /// Segment byte cap a [`RotatingWriter`] should use for this mode.
-    pub fn segment_cap(self) -> usize {
-        match self {
-            TraceMode::Rotating => DEFAULT_SEGMENT_CAP,
-            _ => usize::MAX,
-        }
+        self == TraceMode::On
     }
 }
 
@@ -198,7 +167,7 @@ pub struct TraceRecord {
 }
 
 /// Per-connection event recorder. Constructed enabled or disabled once
-/// (from [`TraceMode::from_env`] at connection construction); when
+/// (from the run's [`TraceMode`] at connection construction); when
 /// disabled every emit method inlines to a single branch and the record
 /// vector never allocates.
 #[derive(Debug, Clone, Default)]
@@ -210,11 +179,6 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer honoring `LONGLOOK_TRACE` (off → disabled no-op).
-    pub fn from_env() -> Tracer {
-        Tracer::new(TraceMode::from_env().is_on())
-    }
-
     /// Explicitly enabled or disabled tracer.
     pub fn new(enabled: bool) -> Tracer {
         Tracer {
@@ -685,12 +649,6 @@ impl RotatingWriter {
         }
     }
 
-    /// Writer sized for a [`TraceMode`] (`On` = single unbounded
-    /// segment, `Rotating` = [`DEFAULT_SEGMENT_CAP`]).
-    pub fn for_mode(mode: TraceMode) -> RotatingWriter {
-        RotatingWriter::new(mode.segment_cap())
-    }
-
     /// Append one record, rotating first if it would overflow the cap.
     pub fn push(&mut self, rec: &TraceRecord) {
         let line = encode_record(rec);
@@ -737,35 +695,6 @@ impl RotatingWriter {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// One test flips the env var through every spelling:
-    /// `LONGLOOK_TRACE` is process-global, so separate tests would race.
-    #[test]
-    fn trace_mode_from_env_resolves_all_spellings() {
-        let saved = std::env::var("LONGLOOK_TRACE").ok();
-        std::env::remove_var("LONGLOOK_TRACE");
-        assert_eq!(TraceMode::from_env(), TraceMode::Off);
-        assert!(!TraceMode::Off.is_on());
-        assert!(TraceMode::On.is_on());
-        assert!(TraceMode::Rotating.is_on());
-        for (v, want) in [
-            ("off", TraceMode::Off),
-            ("OFF", TraceMode::Off),
-            ("", TraceMode::Off),
-            ("on", TraceMode::On),
-            ("On", TraceMode::On),
-            ("rotating", TraceMode::Rotating),
-            ("ROTATING", TraceMode::Rotating),
-            ("junk-value", TraceMode::Off), // warns once, falls back
-        ] {
-            std::env::set_var("LONGLOOK_TRACE", v);
-            assert_eq!(TraceMode::from_env(), want, "LONGLOOK_TRACE={v:?}");
-        }
-        match saved {
-            Some(v) => std::env::set_var("LONGLOOK_TRACE", v),
-            None => std::env::remove_var("LONGLOOK_TRACE"),
-        }
-    }
 
     #[test]
     fn disabled_tracer_records_nothing() {

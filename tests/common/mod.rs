@@ -1,0 +1,264 @@
+//! Shared referee harness: the table of execution-path axes and the
+//! scenario / fault-plan / bulk-cell tables every axis is checked over.
+//!
+//! An axis is an [`ExecConfig`] that differs from the default by one
+//! reference implementation (binary-heap scheduler, encoded wire path,
+//! per-event dispatch with the map sent-store, tracing on), plus the
+//! all-reference corner that flips all four at once. Modes are values,
+//! so every comparison runs in-process and the suites using this module
+//! need no serialization against each other.
+
+#![allow(dead_code)] // each test binary uses a subset
+
+use longlook_core::prelude::*;
+use longlook_transport::conn::ConnStats;
+
+/// Every non-default execution path, by name.
+pub fn axes() -> [(&'static str, ExecConfig); 5] {
+    let d = ExecConfig::default();
+    [
+        (
+            "sched=heap",
+            ExecConfig {
+                sched: SchedKind::Heap,
+                ..d
+            },
+        ),
+        (
+            "wire=encoded",
+            ExecConfig {
+                wire: WireMode::Encoded,
+                ..d
+            },
+        ),
+        (
+            "batch=off",
+            ExecConfig {
+                batch: BatchMode::Off,
+                ..d
+            },
+        ),
+        (
+            "trace=on",
+            ExecConfig {
+                trace: TraceMode::On,
+                ..d
+            },
+        ),
+        (
+            "all-reference",
+            ExecConfig {
+                sched: SchedKind::Heap,
+                wire: WireMode::Encoded,
+                batch: BatchMode::Off,
+                trace: TraceMode::On,
+            },
+        ),
+    ]
+}
+
+/// The axis called `name` in [`axes`].
+pub fn axis(name: &str) -> ExecConfig {
+    axes()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no axis named {name:?}"))
+        .1
+}
+
+pub fn protos() -> [(&'static str, ProtoConfig); 2] {
+    [
+        ("quic", ProtoConfig::Quic(QuicConfig::default())),
+        ("tcp", ProtoConfig::Tcp(TcpConfig::default())),
+    ]
+}
+
+/// Exhaustive deterministic rendering of a record set — every counter,
+/// the full state trace, and the complete cwnd timeline as exact
+/// integers, so equality is bit-for-bit.
+pub fn render(records: &[RunRecord]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let stats_line = |s: &ConnStats| {
+        format!(
+            "sent={} recv={} bytes_out={} bytes_in={} acked={} rexmit={} spurious={} \
+             losses={} rto={} tlp={} acks={} max_cwnd={}",
+            s.packets_sent,
+            s.packets_received,
+            s.bytes_sent,
+            s.bytes_received,
+            s.bytes_acked,
+            s.retransmissions,
+            s.spurious_retransmissions,
+            s.losses_detected,
+            s.rto_count,
+            s.tlp_count,
+            s.acks_sent,
+            s.max_cwnd,
+        )
+    };
+    for (k, r) in records.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "round {k}: plt_ns={} ended_ns={}",
+            r.plt
+                .map_or_else(|| "none".into(), |d| d.as_nanos().to_string()),
+            r.ended_at.as_nanos(),
+        );
+        let _ = writeln!(out, "  client {}", stats_line(&r.client_stats));
+        if let Some(s) = &r.server_stats {
+            let _ = writeln!(out, "  server {}", stats_line(s));
+        }
+        if let Some(t) = &r.server_trace {
+            let _ = writeln!(
+                out,
+                "  trace={} span_ns={}",
+                t.labels().join(">"),
+                t.span.as_nanos()
+            );
+        }
+        for &(t, w) in &r.server_cwnd {
+            let _ = writeln!(out, "  cwnd {} {}", t.as_nanos(), w);
+        }
+    }
+    out
+}
+
+/// Seed bases the four retired per-axis suites used; each shape below
+/// runs at `base + 1 + index`, reproducing all of their cells.
+const SCENARIO_SEED_BASES: [u64; 4] = [7100, 8200, 8300, 9500];
+
+/// Clean / lossy / jittered cells (loss and jitter exercise drop and
+/// reorder handling, where a tie-break divergence surfaces at once) and
+/// a page small enough that most delivery bursts are a single packet,
+/// where the batched loop must collapse to per-event behavior.
+pub fn scenarios() -> Vec<(String, Scenario)> {
+    let shapes = [
+        (
+            "clean",
+            NetProfile::baseline(10.0),
+            PageSpec::single(40 * 1024),
+        ),
+        (
+            "lossy",
+            NetProfile::baseline(5.0).with_loss(0.02),
+            PageSpec::single(80 * 1024),
+        ),
+        (
+            "jittered",
+            NetProfile::baseline(20.0).with_jitter(Dur::from_millis(4)),
+            PageSpec::uniform(5, 20 * 1024),
+        ),
+        ("tiny", NetProfile::baseline(10.0), PageSpec::single(1024)),
+    ];
+    let mut out = Vec::new();
+    for base in SCENARIO_SEED_BASES {
+        for (i, (name, net, page)) in shapes.iter().enumerate() {
+            let seed = base + 1 + i as u64;
+            out.push((
+                format!("{name}@{seed}"),
+                Scenario::new(net.clone(), page.clone())
+                    .with_rounds(2)
+                    .with_seed(seed),
+            ));
+        }
+    }
+    out
+}
+
+fn fev(at_ms: u64, dur_ms: u64, kind: FaultKind) -> FaultEvent {
+    FaultEvent {
+        at: Time::ZERO + Dur::from_millis(at_ms),
+        dur: Dur::from_millis(dur_ms),
+        dir: FaultDir::Both,
+        kind,
+    }
+}
+
+/// Fault plans chosen to cut through the middle of delivery bursts: a
+/// blackout opening mid-transfer (losses, an RTO storm and a recovery —
+/// the densest emit schedule the trace layer has), a flapping link, a
+/// bandwidth cliff spanning most of the run, a frozen server, and
+/// same-instant duplicate deliveries (which extend bursts).
+fn fault_plans() -> Vec<(&'static str, FaultPlan)> {
+    vec![
+        (
+            "blackout_mid",
+            FaultPlan::new().with_event(fev(30, 80, FaultKind::Blackout)),
+        ),
+        (
+            "flap",
+            FaultPlan::new().with_event(fev(
+                20,
+                200,
+                FaultKind::Flap {
+                    period: Dur::from_millis(10),
+                    down_pm: 400,
+                },
+            )),
+        ),
+        (
+            "cliff",
+            FaultPlan::new().with_event(fev(10, 300, FaultKind::BandwidthCliff { factor_pm: 200 })),
+        ),
+        (
+            "server_stall",
+            FaultPlan::new().with_event(fev(
+                40,
+                60,
+                FaultKind::PeerStall {
+                    side: PeerSide::Server,
+                },
+            )),
+        ),
+        (
+            "duplicate",
+            FaultPlan::new().with_event(fev(0, 400, FaultKind::Duplicate { prob_pm: 150 })),
+        ),
+    ]
+}
+
+/// One single-round 120 KiB cell per fault plan and seed.
+pub fn faulted_scenarios() -> Vec<(String, Scenario)> {
+    let mut out = Vec::new();
+    for seed in [8400, 9504] {
+        for (name, plan) in fault_plans() {
+            let net = NetProfile::baseline(5.0).with_fault(plan);
+            out.push((
+                format!("{name}@{seed}"),
+                Scenario::new(net, PageSpec::single(120 * 1024))
+                    .with_rounds(1)
+                    .with_seed(seed),
+            ));
+        }
+    }
+    out
+}
+
+pub const BULK_SEEDS: [u64; 4] = [7777, 8888, 8899, 9599];
+
+/// One 2 MiB page load on `exec`'s paths; returns `(events_processed,
+/// scheduled_peak)`. Also checks the world really is on the requested
+/// scheduler and dispatch path, so an axis cannot pass vacuously.
+pub fn bulk_cell(proto: &ProtoConfig, exec: ExecConfig, seed: u64) -> (u64, u64) {
+    let net = NetProfile::baseline(20.0);
+    let page = PageSpec::single(2 * 1024 * 1024);
+    let mut tb = Testbed::direct_exec(
+        exec,
+        seed,
+        &net,
+        DeviceProfile::DESKTOP,
+        page.clone(),
+        vec![FlowSpec {
+            proto: proto.clone(),
+            zero_rtt: false,
+            app: Box::new(WebClient::new(page)),
+        }],
+        None,
+        true,
+    );
+    assert_eq!(tb.world.sched_kind(), exec.sched);
+    assert_eq!(tb.world.batch_mode(), exec.batch);
+    tb.run(Dur::from_secs(120));
+    (tb.world.events_processed(), tb.world.scheduled_peak())
+}

@@ -14,6 +14,8 @@
 //! golden_seed -- --nocapture` and paste the printed block over the
 //! constant it names.
 
+mod common;
+
 use longlook_core::prelude::*;
 
 fn clean_scenario() -> Scenario {
@@ -184,44 +186,47 @@ fn armed_empty_fault_plan_is_invisible() {
     }
 }
 
-/// Batched-hot-path referee: the snapshots below were blessed under the
-/// per-event dispatch path. `LONGLOOK_BATCH=on` (burst delivery, slab
-/// sent-store, lazy timer re-arm) must reproduce every one of them bit
-/// for bit — and so must `off` — with nothing re-blessed. Both modes run
-/// in this one test because the switch is a process-global env var.
+/// Reference-path referee: the snapshots were blessed under the per-event
+/// dispatch path, before the batched one existed. Every execution path —
+/// each reference axis alone and all of them combined (the tests below
+/// cover the default) — must reproduce every one of them bit for bit,
+/// with nothing re-blessed.
 #[test]
-fn goldens_hold_under_both_batch_modes() {
-    let saved = std::env::var("LONGLOOK_BATCH").ok();
-    for mode in ["on", "off"] {
-        std::env::set_var("LONGLOOK_BATCH", mode);
-        check(
-            "GOLDEN_QUIC_CLEAN",
-            &ProtoConfig::Quic(QuicConfig::default()),
-            &clean_scenario(),
-            GOLDEN_QUIC_CLEAN,
-        );
-        check(
-            "GOLDEN_QUIC_LOSSY",
-            &ProtoConfig::Quic(QuicConfig::default()),
-            &lossy_scenario(),
-            GOLDEN_QUIC_LOSSY,
-        );
-        check(
-            "GOLDEN_TCP_CLEAN",
-            &ProtoConfig::Tcp(TcpConfig::default()),
-            &clean_scenario(),
-            GOLDEN_TCP_CLEAN,
-        );
-        check(
-            "GOLDEN_TCP_LOSSY",
-            &ProtoConfig::Tcp(TcpConfig::default()),
-            &lossy_scenario(),
-            GOLDEN_TCP_LOSSY,
-        );
-    }
-    match saved {
-        Some(v) => std::env::set_var("LONGLOOK_BATCH", v),
-        None => std::env::remove_var("LONGLOOK_BATCH"),
+fn goldens_hold_on_every_execution_path() {
+    for (axis, exec) in common::axes() {
+        for (name, proto, sc, golden) in [
+            (
+                "GOLDEN_QUIC_CLEAN",
+                ProtoConfig::Quic(QuicConfig::default()),
+                clean_scenario(),
+                GOLDEN_QUIC_CLEAN,
+            ),
+            (
+                "GOLDEN_QUIC_LOSSY",
+                ProtoConfig::Quic(QuicConfig::default()),
+                lossy_scenario(),
+                GOLDEN_QUIC_LOSSY,
+            ),
+            (
+                "GOLDEN_TCP_CLEAN",
+                ProtoConfig::Tcp(TcpConfig::default()),
+                clean_scenario(),
+                GOLDEN_TCP_CLEAN,
+            ),
+            (
+                "GOLDEN_TCP_LOSSY",
+                ProtoConfig::Tcp(TcpConfig::default()),
+                lossy_scenario(),
+                GOLDEN_TCP_LOSSY,
+            ),
+        ] {
+            check(
+                &format!("{name} ({axis})"),
+                &proto,
+                &sc.with_exec(exec),
+                golden,
+            );
+        }
     }
 }
 

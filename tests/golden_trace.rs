@@ -14,26 +14,11 @@
 //! `LONGLOOK_BLESS=1 cargo test -p longlook-integration --test
 //! golden_trace -- --nocapture` and paste the printed block over the
 //! constant it names.
-//!
-//! Everything runs inside ONE `#[test]`: capture pins `LONGLOOK_TRACE`
-//! (via `run_trauma_cell_traced`) and this test additionally pins
-//! `LONGLOOK_BATCH` / `LONGLOOK_WIRE` to their defaults — all
-//! process-global env vars.
+
+mod common;
 
 use longlook_core::prelude::*;
 use longlook_sim::trace::{encode_seq, parse_seq};
-
-/// Run `f` with `key` set to `val`, restoring the prior value afterwards.
-fn with_env<T>(key: &str, val: &str, f: impl FnOnce() -> T) -> T {
-    let saved = std::env::var(key).ok();
-    std::env::set_var(key, val);
-    let out = f();
-    match saved {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    }
-    out
-}
 
 fn quic_clean_scenario() -> Scenario {
     Scenario::new(NetProfile::baseline(10.0), PageSpec::single(2 * 1024))
@@ -161,21 +146,43 @@ const GOLDEN_TRACE_TCP_BLACKOUT: &str = r#"
 "#;
 
 #[test]
-fn traces_match_golden_snapshots() {
-    with_env("LONGLOOK_BATCH", "on", || {
-        with_env("LONGLOOK_WIRE", "structured", || {
-            check(
-                "GOLDEN_TRACE_QUIC_CLEAN",
-                &ProtoConfig::Quic(QuicConfig::default()),
-                &quic_clean_scenario(),
-                GOLDEN_TRACE_QUIC_CLEAN,
-            );
-            check(
-                "GOLDEN_TRACE_TCP_BLACKOUT",
-                &ProtoConfig::Tcp(TcpConfig::default()),
-                &tcp_blackout_scenario(),
-                GOLDEN_TRACE_TCP_BLACKOUT,
-            );
-        })
-    });
+fn quic_clean_trace_matches_golden() {
+    check(
+        "GOLDEN_TRACE_QUIC_CLEAN",
+        &ProtoConfig::Quic(QuicConfig::default()),
+        &quic_clean_scenario(),
+        GOLDEN_TRACE_QUIC_CLEAN,
+    );
+}
+
+#[test]
+fn tcp_blackout_trace_matches_golden() {
+    check(
+        "GOLDEN_TRACE_TCP_BLACKOUT",
+        &ProtoConfig::Tcp(TcpConfig::default()),
+        &tcp_blackout_scenario(),
+        GOLDEN_TRACE_TCP_BLACKOUT,
+    );
+}
+
+/// The trace itself — not just the observables — is path-independent:
+/// sizes are analytic under either wire mode and `TimerArm` is emitted
+/// at the request point under either batch mode, so every reference
+/// path reproduces the golden bytes.
+#[test]
+fn golden_traces_hold_on_every_execution_path() {
+    for (axis, exec) in common::axes() {
+        check(
+            &format!("GOLDEN_TRACE_QUIC_CLEAN ({axis})"),
+            &ProtoConfig::Quic(QuicConfig::default()),
+            &quic_clean_scenario().with_exec(exec),
+            GOLDEN_TRACE_QUIC_CLEAN,
+        );
+        check(
+            &format!("GOLDEN_TRACE_TCP_BLACKOUT ({axis})"),
+            &ProtoConfig::Tcp(TcpConfig::default()),
+            &tcp_blackout_scenario().with_exec(exec),
+            GOLDEN_TRACE_TCP_BLACKOUT,
+        );
+    }
 }

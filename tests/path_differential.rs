@@ -1,0 +1,155 @@
+//! Execution-path differential referee: every reference path — and all
+//! of them at once — against `ExecConfig::default()`.
+//!
+//! The fast paths change *how* work is done, never *what* happens:
+//!
+//! * **sched** — the timing wheel pops in the exact `(time, seq)` order
+//!   of the binary heap it replaced, so RNG draws and event counts match;
+//! * **wire** — the structured path hands typed packets to the peer and
+//!   charges links analytic `encoded_len()` sizes; the encoded path
+//!   serializes and reparses. Same wire sizes, same frames after transit
+//!   (links drop whole packets, never forge bytes);
+//! * **batch** — `World::dispatch_burst` consumes runs of same-instant
+//!   deliveries, draining each packet's wakes and outbox before the next
+//!   so every derived event gets the key the per-event loop would assign;
+//!   the QUIC sent-packet store swaps a `BTreeMap` walk for a slab; both
+//!   transports defer timer re-arming to one pure resolution per dispatch;
+//! * **trace** — every emit point sits after the decision it records and
+//!   the tracer draws no randomness, so it observes and never steers.
+//!
+//! Each is an equivalence-by-construction argument; this suite re-checks
+//! the conclusion end to end, per axis and for the all-reference corner
+//! (which pins that the axes do not interact): bit-identical `RunRecord`s
+//! and `StateTrace`s over clean / lossy / jittered / tiny cells under
+//! `Serial` and `Threads(4)` runners, identical `TraumaRecord`s when
+//! fault windows split bursts mid-run, and identical event counts and
+//! scheduler high-water marks on bulk transfers, for both protocols.
+//!
+//! Modes are values carried by the scenario, so each axis is its own
+//! `#[test]` and they run concurrently.
+
+mod common;
+
+use common::{axis, bulk_cell, faulted_scenarios, protos, render, scenarios, BULK_SEEDS};
+use longlook_core::prelude::*;
+
+fn assert_identical_to_default(axis_name: &str) {
+    let exec = axis(axis_name);
+    let default = ExecConfig::default();
+
+    for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+        for (proto_name, proto) in &protos() {
+            for (sc_name, sc) in scenarios() {
+                let want = render(&run_records_par(proto, &sc, par));
+                let got = render(&run_records_par(proto, &sc.with_exec(exec), par));
+                assert_eq!(
+                    got, want,
+                    "{axis_name}: {proto_name}/{sc_name}/{par:?}: RunRecords diverged \
+                     from ExecConfig::default()"
+                );
+            }
+        }
+    }
+
+    // Faulted cells: the full TraumaRecord (outcome, typed errors,
+    // app-level bytes, record) must match field for field.
+    for (proto_name, proto) in &protos() {
+        for (sc_name, sc) in faulted_scenarios() {
+            let want = run_trauma_cell(proto, &sc, 0);
+            let got = run_trauma_cell(proto, &sc.with_exec(exec), 0);
+            assert_eq!(
+                got, want,
+                "{axis_name}: {proto_name}/{sc_name}: TraumaRecord diverged from \
+                 ExecConfig::default()"
+            );
+        }
+    }
+
+    // Event-loop accounting on a bulk transfer: identical push/pop
+    // sequences mean identical counts and scheduler high-water marks.
+    for (proto_name, proto) in &protos() {
+        for seed in BULK_SEEDS {
+            let (ev_want, peak_want) = bulk_cell(proto, default, seed);
+            let (ev_got, peak_got) = bulk_cell(proto, exec, seed);
+            assert_eq!(
+                ev_got, ev_want,
+                "{axis_name}: {proto_name}/bulk@{seed}: events_processed diverged"
+            );
+            assert_eq!(
+                peak_got, peak_want,
+                "{axis_name}: {proto_name}/bulk@{seed}: scheduled_peak diverged"
+            );
+            assert!(
+                ev_want > 1_000,
+                "{proto_name}/bulk@{seed}: bulk cell suspiciously small"
+            );
+        }
+    }
+}
+
+#[test]
+fn heap_scheduler_is_observationally_identical() {
+    assert_identical_to_default("sched=heap");
+}
+
+#[test]
+fn encoded_wire_path_is_observationally_identical() {
+    assert_identical_to_default("wire=encoded");
+}
+
+#[test]
+fn per_event_path_is_observationally_identical() {
+    assert_identical_to_default("batch=off");
+}
+
+#[test]
+fn tracing_on_is_observationally_identical() {
+    assert_identical_to_default("trace=on");
+}
+
+#[test]
+fn all_reference_corner_is_observationally_identical() {
+    assert_identical_to_default("all-reference");
+}
+
+/// Tracing is a property of one cell, not of the process: traced and
+/// untraced cells sharded across the same worker pool must each see
+/// exactly the mode they asked for.
+#[test]
+fn tracing_is_per_cell_under_a_threaded_runner() {
+    let quic = ProtoConfig::Quic(QuicConfig::default());
+    let sc = faulted_scenarios().swap_remove(0).1;
+    // Even cells are traced trauma cells, odd cells plain default-path
+    // testbeds; each reports how many trace records its server kept.
+    let lens = run_ordered(Parallelism::Threads(4), 24, |k| {
+        if k % 2 == 0 {
+            run_trauma_cell_traced(&quic, &sc, k as u64).1.len()
+        } else {
+            let mut tb = Testbed::direct(
+                k as u64,
+                &sc.net,
+                sc.device,
+                sc.page.clone(),
+                vec![FlowSpec {
+                    proto: quic.clone(),
+                    zero_rtt: false,
+                    app: Box::new(WebClient::new(sc.page.clone())),
+                }],
+                None,
+                true,
+            );
+            tb.run(sc.deadline);
+            tb.server_host()
+                .conn_trace(tb.flows[0])
+                .expect("server accepted the flow")
+                .len()
+        }
+    });
+    for (k, len) in lens.into_iter().enumerate() {
+        if k % 2 == 0 {
+            assert!(len > 10, "traced cell {k} recorded only {len} events");
+        } else {
+            assert_eq!(len, 0, "untraced cell {k} recorded {len} trace events");
+        }
+    }
+}
