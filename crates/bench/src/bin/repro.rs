@@ -12,8 +12,8 @@
 //! Set `LONGLOOK_ROUNDS` to lower the per-measurement rounds (default 10)
 //! for quicker smoke runs. Experiment cells are sharded across worker
 //! threads (`LONGLOOK_JOBS` or `-j N`; default: all hardware threads) in
-//! chunks (`LONGLOOK_CHUNK`; default auto-tuned) — results are
-//! bit-identical to a serial run regardless of either setting. With
+//! auto-tuned chunks — results are bit-identical to a serial run at any
+//! worker count. With
 //! `--timing`, every scheduler batch prints a `RunnerReport`: elapsed vs
 //! summed cell time (achieved speedup), per-worker cells/chunks claimed,
 //! and the slowest cells.

@@ -12,7 +12,7 @@
 //! Every `_par` entry point shards its `(scenario, protocol, round)` cells
 //! through [`run_ordered`], the chunked deterministic scheduler: results
 //! are reassembled in cell order regardless of worker count or chunk size
-//! (`LONGLOOK_JOBS` / `LONGLOOK_CHUNK`), and in debug builds the runner
+//! (`LONGLOOK_JOBS`), and in debug builds the runner
 //! wraps each cell in a `CellGuard` so a closure that leaked a `SimRng`
 //! or `World` across cells panics naming both cells instead of silently
 //! correlating rounds.
@@ -23,7 +23,7 @@ use longlook_http::app::WebClient;
 use longlook_http::host::ProtoConfig;
 use longlook_http::workload::PageSpec;
 use longlook_sim::time::{Dur, Time};
-use longlook_sim::{DeviceProfile, ExecConfig};
+use longlook_sim::{DeviceProfile, ExecConfig, RunOutcome};
 use longlook_stats::{Comparison, Heatmap, HeatmapCell};
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::conn::ConnStats;
@@ -118,10 +118,22 @@ pub struct RunRecord {
 
 /// Load `sc.page` once over `proto` with per-round seed `round`.
 pub fn run_page_load(proto: &ProtoConfig, sc: &Scenario, round: u64) -> RunRecord {
+    collect(&run_cell(proto, sc, round, sc.exec).0)
+}
+
+/// Build and run one page-load cell on `exec`: the per-round seed and
+/// network realization, one `WebClient` flow, run to `sc.deadline`.
+/// Shared by [`run_page_load`] and the trauma cells.
+pub(crate) fn run_cell(
+    proto: &ProtoConfig,
+    sc: &Scenario,
+    round: u64,
+    exec: ExecConfig,
+) -> (Testbed, RunOutcome) {
     let seed = sc.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
     let net = per_round_net(sc, round);
     let mut tb = Testbed::direct_exec(
-        sc.exec,
+        exec,
         seed,
         &net,
         sc.device,
@@ -134,9 +146,9 @@ pub fn run_page_load(proto: &ProtoConfig, sc: &Scenario, round: u64) -> RunRecor
         None,
         true,
     );
-    tb.run(sc.deadline);
+    let outcome = tb.world.run_until(Time::ZERO + sc.deadline);
     crate::runner::note_cell_events(tb.world.events_processed());
-    collect(&tb, sc)
+    (tb, outcome)
 }
 
 /// Per-round network realization: the base RTT varies by ±3% from round
@@ -150,7 +162,7 @@ pub(crate) fn per_round_net(sc: &Scenario, round: u64) -> NetProfile {
     net
 }
 
-fn collect(tb: &Testbed, _sc: &Scenario) -> RunRecord {
+pub(crate) fn collect(tb: &Testbed) -> RunRecord {
     let now = tb.world.now();
     let host = tb.client_host();
     let app = host.app::<WebClient>(0);

@@ -311,8 +311,7 @@ mod tests {
 
     #[test]
     fn fleet_shards_defaults_without_env() {
-        // The CI shard matrix exports the knob for the referee binaries;
-        // only pin the default when this process didn't inherit it.
+        // Only pin the default when this process didn't inherit the knob.
         if std::env::var_os("LONGLOOK_FLEET_SHARDS").is_none() {
             assert_eq!(fleet_shards(4), 4);
         }

@@ -16,7 +16,7 @@
 //!
 //! Scheduling is dynamic self-scheduling over **chunks**: each worker
 //! claims a contiguous run of cell indices from a shared atomic cursor
-//! (auto-tuned size, override with `LONGLOOK_CHUNK`), so long cells do
+//! (auto-tuned size, see [`chunk_size`]), so long cells do
 //! not straggle behind a static partition while the cursor stops
 //! ping-ponging between cores on large heatmap sweeps. Finished chunks
 //! travel back over the mpsc channel as one message each and are placed
@@ -105,10 +105,6 @@ impl Parallelism {
     }
 }
 
-/// The environment variable overriding the claim-chunk size (`0` or unset
-/// means auto-tune; see [`chunk_size`]).
-pub const CHUNK_ENV: &str = "LONGLOOK_CHUNK";
-
 /// Cap on the auto-tuned chunk size: past this, cursor traffic is already
 /// negligible and bigger chunks only hurt load balance.
 const CHUNK_CAP: usize = 64;
@@ -117,25 +113,13 @@ const CHUNK_CAP: usize = 64;
 /// auto-tune: enough that one slow chunk cannot straggle the batch.
 const CHUNKS_PER_WORKER: usize = 8;
 
-/// Resolve the claim-chunk size for a batch of `n` cells on `jobs`
-/// workers: `LONGLOOK_CHUNK` if set and non-zero, otherwise
-/// `ceil(n / (jobs * 8))` capped at 64 — large sweeps claim tens of cells
-/// per atomic op, while small batches keep chunk 1 and lose nothing.
+/// The auto-tuned claim-chunk size for a batch of `n` cells on `jobs`
+/// workers: `ceil(n / (jobs * 8))` capped at 64 — large sweeps claim tens
+/// of cells per atomic op, while small batches keep chunk 1 and lose
+/// nothing.
 pub fn chunk_size(n: usize, jobs: usize) -> usize {
-    static WARNED: Once = Once::new();
-    let configured = longlook_wire::env_knob(
-        CHUNK_ENV,
-        "a non-negative integer",
-        "auto-tuned chunk size",
-        &WARNED,
-        |v| v.trim().parse::<usize>().ok(),
-    );
-    match configured {
-        Some(c) if c > 0 => c,
-        _ => n
-            .div_ceil(jobs.max(1) * CHUNKS_PER_WORKER)
-            .clamp(1, CHUNK_CAP),
-    }
+    n.div_ceil(jobs.max(1) * CHUNKS_PER_WORKER)
+        .clamp(1, CHUNK_CAP)
 }
 
 /// What one worker thread did during a batch.
@@ -327,9 +311,8 @@ where
 }
 
 /// [`run_ordered_reporting`] with an explicit chunk-size override
-/// (`None` = resolve from `LONGLOOK_CHUNK` / auto-tune). The override
-/// exists so the determinism-equivalence suite can pin chunk sizes
-/// without mutating process environment.
+/// (`None` or `Some(0)` = auto-tune). The override exists so the
+/// determinism-equivalence suite can pin chunk sizes.
 pub fn run_ordered_chunked<T, F>(
     par: Parallelism,
     chunk: Option<usize>,

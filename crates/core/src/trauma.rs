@@ -9,12 +9,10 @@
 //! errors, and the client's app-level delivered byte count (the wire
 //! level would double-count duplicated packets).
 
-use crate::experiment::{per_round_net, RunRecord, Scenario};
+use crate::experiment::{collect, per_round_net, run_cell, RunRecord, Scenario};
 use crate::runner::{run_ordered, Parallelism};
-use crate::testbed::{FlowSpec, Testbed};
 use longlook_http::app::{ClientApp, WebClient};
 use longlook_http::host::ProtoConfig;
-use longlook_sim::time::Time;
 use longlook_sim::trace::{merge_by_time, TraceRecord};
 use longlook_sim::{ExecConfig, RunOutcome, TraceMode};
 use longlook_transport::ccstate::StateTrace;
@@ -82,41 +80,11 @@ fn run_trauma_cell_inner(
     round: u64,
     exec: ExecConfig,
 ) -> (TraumaRecord, Vec<TraceRecord>) {
-    let seed = sc.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
-    let net = per_round_net(sc, round);
-    let mut tb = Testbed::direct_exec(
-        exec,
-        seed,
-        &net,
-        sc.device,
-        sc.page.clone(),
-        vec![FlowSpec {
-            proto: proto.clone(),
-            zero_rtt: sc.zero_rtt,
-            app: Box::new(WebClient::new(sc.page.clone())),
-        }],
-        None,
-        true,
-    );
-    let outcome = tb.world.run_until(Time::ZERO + sc.deadline);
-    crate::runner::note_cell_events(tb.world.events_processed());
-
-    let now = tb.world.now();
+    let (tb, outcome) = run_cell(proto, sc, round, exec);
     let host = tb.client_host();
     let app = host.app::<WebClient>(0);
     let flow = tb.flows[0];
     let server = tb.server_host();
-    let record = RunRecord {
-        plt: app.plt(),
-        client_stats: host.conn_stats(0),
-        server_stats: server.conn_stats(flow),
-        server_trace: server.state_trace(flow, now),
-        server_cwnd: server
-            .cwnd_timeline(flow)
-            .map(<[(Time, u64)]>::to_vec)
-            .unwrap_or_default(),
-        ended_at: now,
-    };
     let conn_trace = server
         .conn_trace(flow)
         .map(<[_]>::to_vec)
@@ -127,7 +95,7 @@ fn run_trauma_cell_inner(
         client_error: host.conn_error(0),
         server_error: server.conn_error(flow),
         outcome,
-        record,
+        record: collect(&tb),
     };
     (rec, conn_trace)
 }
@@ -163,7 +131,7 @@ mod tests {
     use longlook_http::workload::PageSpec;
     use longlook_quic::QuicConfig;
     use longlook_sim::fault::{FaultDir, FaultEvent, FaultKind, FaultPlan};
-    use longlook_sim::time::Dur;
+    use longlook_sim::time::{Dur, Time};
     use longlook_tcp::TcpConfig;
 
     fn faulted_scenario(plan: FaultPlan) -> Scenario {

@@ -14,9 +14,10 @@ use crate::wire::{Frame, HandshakeKind, QuicPacket, MAX_ACK_BLOCKS, MAX_PACKET_P
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{PayloadPool, Tracer, WireMode};
+use longlook_sim::{PayloadPool, WireMode};
 use longlook_transport::cc::CongestionControl;
-use longlook_transport::ccstate::{CcState, StateTrace, StateTracker};
+use longlook_transport::ccstate::StateTrace;
+use longlook_transport::chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
 use longlook_transport::conn::{
     AppEvent, ConnError, ConnStats, Connection, StreamId, Transmit, UDP_OVERHEAD,
 };
@@ -45,13 +46,6 @@ enum Handshake {
     Established,
 }
 
-/// Loss timer kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LossTimer {
-    Tlp,
-    Rto,
-}
-
 /// A gQUIC-like connection.
 pub struct QuicConnection {
     cfg: QuicConfig,
@@ -69,14 +63,8 @@ pub struct QuicConnection {
     /// Client's 0-RTT attempt was rejected; it fell back to 1-RTT.
     zero_rtt_rejected: bool,
 
-    /// Construction instant: base for the handshake watchdog deadline.
-    started_at: Time,
-    /// Last inbound packet: base for the idle watchdog deadline.
-    last_progress: Time,
-    /// Watchdog tripped: the connection stopped trying (error may be
-    /// muted by the test-only canary).
-    gave_up: bool,
-    error: Option<ConnError>,
+    /// Give-up deadlines (the error may be muted by the test-only canary).
+    watchdog: Watchdog,
 
     next_pn: u64,
     sent: SentStore,
@@ -115,34 +103,16 @@ pub struct QuicConnection {
     /// Window updates queued for transmission: (stream, max_offset).
     wu_queue: VecDeque<(u32, u64)>,
 
-    loss_timer: Option<(LossTimer, Time)>,
-    /// Batched hot path: a pending loss-timer re-arm deferred to the next
-    /// observation point (`next_wakeup`/`on_wakeup`). Re-arming is a pure
-    /// function of connection state, and every re-arm request inside one
-    /// dispatch shares the same `now`, so resolving only the *last* one
-    /// lazily yields the exact timer the eager path would have set.
-    loss_rearm_at: Option<Time>,
-    /// Batched hot path selected (`cfg.exec.batch`).
-    batch: bool,
-    tlp_count: u32,
-    rto_backoff: u32,
+    /// TLP/RTO timer over `sent`'s retransmittable packets.
+    recovery: RecoveryTimer,
     /// Probe transmission requested by the TLP timer.
     tlp_fire: bool,
-    /// Sticky labels cleared by the next ack of new data.
-    in_rto_state: bool,
-    in_tlp_state: bool,
 
     pacing_deadline: Option<Time>,
     app_limited: bool,
 
-    events: VecDeque<AppEvent>,
-    handshake_done_emitted: bool,
-    stats: ConnStats,
-    cwnd_log: Vec<(Time, u64)>,
-    tracker: StateTracker,
-    /// Structured event trace (`cfg.exec.trace`); a disabled tracer is
-    /// an inlined no-op on every emit.
-    tracer: Tracer,
+    /// Counters, cwnd log, state trace, event trace, app events.
+    tel: ConnTelemetry,
     /// Recycled payload buffers (encoded path only): encoders take from
     /// here, spent received payloads are reclaimed in `on_datagram`.
     pool: PayloadPool,
@@ -163,11 +133,9 @@ impl QuicConnection {
         let use_zero_rtt = zero_rtt && cfg.zero_rtt_enabled;
         let mut c = Self::new_common(cfg, conn_id, Role::Client, now);
         if use_zero_rtt {
-            c.hs = Handshake::Established;
+            c.establish(now);
             c.used_zero_rtt = true;
             c.hs_queue.push_back(HandshakeKind::FullChlo);
-            c.events.push_back(AppEvent::HandshakeDone);
-            c.handshake_done_emitted = true;
         } else {
             c.hs = Handshake::AwaitingRej;
             c.hs_queue.push_back(HandshakeKind::InchoateChlo);
@@ -203,27 +171,21 @@ impl QuicConnection {
         } else {
             Pacer::disabled()
         };
-        let rtt = RttEstimator::new(cfg.initial_rtt);
         let next_stream_id = match role {
             Role::Client => 3,
             Role::Server => 2,
         };
-        let nack_threshold = cfg.nack_threshold;
-        let conn_send_limit = cfg.conn_recv_window;
-        let conn_advertised = cfg.conn_recv_window;
-        let cfg_conn_window = cfg.conn_recv_window;
-        let cfg_stream_window = cfg.stream_recv_window;
-        // BBR reports its own state vocabulary from the first instant
-        // (Fig 3b has no Init state); Cubic overlays connection states.
-        let initial_label = if cc.overlay_connection_states() {
-            CcState::Init.label()
-        } else {
-            cc.state_label(now)
-        };
         let exec = cfg.exec;
-        let mut tracer = Tracer::new(exec.trace.is_on());
-        tracer.cc_state(now.as_nanos(), initial_label);
         QuicConnection {
+            watchdog: Watchdog::new(now, cfg.watchdog, cfg.handshake_timeout, cfg.idle_timeout),
+            recovery: RecoveryTimer::new(cfg.tlp, exec.batch),
+            tel: ConnTelemetry::new(now, exec.trace, cc.as_ref()),
+            rtt: RttEstimator::new(cfg.initial_rtt),
+            nack_threshold: cfg.nack_threshold,
+            conn_send_limit: cfg.conn_recv_window,
+            conn_advertised: cfg.conn_recv_window,
+            conn_window: cfg.conn_recv_window,
+            stream_window: cfg.stream_recv_window,
             cfg,
             role,
             conn_id,
@@ -233,49 +195,26 @@ impl QuicConnection {
             used_zero_rtt: false,
             rej_sent: false,
             zero_rtt_rejected: false,
-            started_at: now,
-            last_progress: now,
-            gave_up: false,
-            error: None,
             next_pn: 1,
             sent: SentStore::new(exec.batch),
             acks: AckTracker::default(),
-            rtt,
             cc,
             pacer,
-            nack_threshold,
             send_streams: BTreeMap::new(),
             recv_streams: BTreeMap::new(),
             next_stream_id,
             open_initiated: 0,
             seen_peer_streams: BTreeMap::new(),
-            conn_send_limit,
             conn_fresh_sent: 0,
             conn_delivered: 0,
-            conn_advertised,
-            conn_window: cfg_conn_window,
-            stream_window: cfg_stream_window,
             last_conn_update: None,
             last_stream_update: None,
             stream_advertised: BTreeMap::new(),
             pending_stream_limits: BTreeMap::new(),
             wu_queue: VecDeque::new(),
-            loss_timer: None,
-            loss_rearm_at: None,
-            batch: exec.batch.is_on(),
-            tlp_count: 0,
-            rto_backoff: 0,
             tlp_fire: false,
-            in_rto_state: false,
-            in_tlp_state: false,
             pacing_deadline: None,
             app_limited: false,
-            events: VecDeque::new(),
-            handshake_done_emitted: false,
-            stats: ConnStats::default(),
-            cwnd_log: vec![(now, 0)],
-            tracker: StateTracker::new(now, initial_label),
-            tracer,
             pool: PayloadPool::new(),
             spare_frames: Vec::new(),
             wire_mode: exec.wire,
@@ -308,12 +247,12 @@ impl QuicConnection {
         self.conn_id
     }
 
+    /// Every caller is in a pre-established state, so `HandshakeDone` is
+    /// emitted exactly once.
     fn establish(&mut self, _now: Time) {
+        debug_assert!(self.hs != Handshake::Established);
         self.hs = Handshake::Established;
-        if !self.handshake_done_emitted {
-            self.events.push_back(AppEvent::HandshakeDone);
-            self.handshake_done_emitted = true;
-        }
+        self.tel.events.push_back(AppEvent::HandshakeDone);
     }
 
     fn on_handshake_frame(&mut self, kind: HandshakeKind, now: Time) {
@@ -351,13 +290,13 @@ impl QuicConnection {
                     .iter()
                     .any(|p| matches!(p.handshake, Some(HandshakeKind::FullChlo)));
                 for pkt in &lost {
-                    self.tracer.loss(now.as_nanos(), pkt.pn);
+                    self.tel.tracer.loss(now.as_nanos(), pkt.pn);
                     self.requeue_lost(pkt);
                 }
                 if !had_chlo {
                     self.hs_queue.push_back(HandshakeKind::FullChlo);
                 }
-                self.rearm_loss_timer(now);
+                self.arm_recovery(now);
             }
             (Role::Client, HandshakeKind::Shlo) => {
                 // Forward secure keys; nothing further to do in the model.
@@ -375,7 +314,8 @@ impl QuicConnection {
         let peer_initiated = (id % 2) != (self.next_stream_id % 2);
         if peer_initiated && !self.seen_peer_streams.contains_key(&id) {
             self.seen_peer_streams.insert(id, ());
-            self.events
+            self.tel
+                .events
                 .push_back(AppEvent::StreamOpened(StreamId(id as u64)));
             self.stream_advertised.insert(id, self.stream_window);
             self.wu_queue.push_back((id, self.stream_window));
@@ -384,7 +324,7 @@ impl QuicConnection {
         let newly = stream.on_chunk(offset, len, fin);
         if newly > 0 {
             self.conn_delivered += newly;
-            self.events.push_back(AppEvent::StreamData {
+            self.tel.events.push_back(AppEvent::StreamData {
                 id: StreamId(id as u64),
                 bytes: newly,
             });
@@ -396,7 +336,8 @@ impl QuicConnection {
             .expect("just inserted")
             .take_fin()
         {
-            self.events
+            self.tel
+                .events
                 .push_back(AppEvent::StreamFin(StreamId(id as u64)));
             // A stream we initiated is finished by the peer: free an MSPC slot.
             if !peer_initiated {
@@ -459,7 +400,7 @@ impl QuicConnection {
             self.rtt.on_sample(sample, Dur::from_micros(ack_delay_us));
         }
         if out.spurious > 0 {
-            self.stats.spurious_retransmissions += out.spurious as u64;
+            self.tel.stats.spurious_retransmissions += out.spurious as u64;
             if self.cfg.adaptive_nack {
                 // RR-TCP-style: grow the tolerance when reordering is
                 // proven, up to a sane cap.
@@ -467,11 +408,8 @@ impl QuicConnection {
             }
         }
         if out.acked_new_data {
-            self.tlp_count = 0;
-            self.rto_backoff = 0;
-            self.in_rto_state = false;
-            self.in_tlp_state = false;
-            self.stats.bytes_acked += out.acked_payload_bytes;
+            self.recovery.on_new_data_acked();
+            self.tel.stats.bytes_acked += out.acked_payload_bytes;
         }
         if out.newly_acked_bytes > 0 {
             self.cc.on_ack(
@@ -483,10 +421,10 @@ impl QuicConnection {
                 self.app_limited,
             );
         }
-        self.tracer.ack(now.as_nanos(), out.newly_acked_bytes);
+        self.tel.tracer.ack(now.as_nanos(), out.newly_acked_bytes);
         for lost in &out.lost {
-            self.stats.losses_detected += 1;
-            self.tracer.loss(now.as_nanos(), lost.pn);
+            self.tel.stats.losses_detected += 1;
+            self.tel.tracer.loss(now.as_nanos(), lost.pn);
             self.requeue_lost(lost);
             self.cc.on_congestion_event(
                 now,
@@ -495,13 +433,13 @@ impl QuicConnection {
                 self.sent.bytes_in_flight(),
             );
         }
-        self.rearm_loss_timer(now);
-        self.log_cwnd(now);
+        self.arm_recovery(now);
+        self.tel.log_cwnd(now, self.cc.cwnd());
     }
 
     fn requeue_lost(&mut self, lost: &SentPacket) {
         for chunk in &lost.chunks {
-            self.stats.retransmissions += 1;
+            self.tel.stats.retransmissions += 1;
             if let Some(s) = self.send_streams.get_mut(&chunk.id) {
                 s.on_chunk_lost(chunk);
             }
@@ -524,79 +462,23 @@ impl QuicConnection {
         }
     }
 
-    /// What the loss timer should be, re-armed at `now` — a pure function
-    /// of connection state, shared by the eager and lazy re-arm paths.
-    fn compute_loss_timer(&self, now: Time) -> Option<(LossTimer, Time)> {
-        if !self.sent.has_retransmittable() {
-            return None;
-        }
-        if self.cfg.tlp && self.tlp_count < 2 {
-            Some((LossTimer::Tlp, now + self.rtt.tlp_timeout()))
-        } else {
-            let rto = self.rtt.rto().saturating_mul(1 << self.rto_backoff.min(6));
-            Some((LossTimer::Rto, now + rto))
-        }
-    }
-
-    fn rearm_loss_timer(&mut self, now: Time) {
-        if self.tracer.enabled() {
-            // Pure recomputation for the trace only: in batch mode the
-            // deadline resolves lazily, but `compute_loss_timer` is a pure
-            // function of state that cannot change between the request and
-            // the observation point, so this records the same deadline the
-            // eager path sets — identically under either batch mode.
-            if let Some((_, at)) = self.compute_loss_timer(now) {
-                self.tracer.timer_arm(now.as_nanos(), at.as_nanos());
-            }
-        }
-        if self.batch {
-            // Defer: the timer is unobservable until `next_wakeup` or the
-            // next `on_wakeup`, and nothing that feeds `compute_loss_timer`
-            // changes between the last re-arm request of a dispatch and
-            // those observation points — resolving once there is exact.
-            self.loss_rearm_at = Some(now);
-        } else {
-            self.loss_timer = self.compute_loss_timer(now);
-        }
-    }
-
-    /// Apply a deferred re-arm before the timer is read mutably.
-    fn resolve_loss_timer(&mut self) {
-        if let Some(at) = self.loss_rearm_at.take() {
-            self.loss_timer = self.compute_loss_timer(at);
-        }
-    }
-
-    fn log_cwnd(&mut self, now: Time) {
-        let cwnd = self.cc.cwnd();
-        self.stats.max_cwnd = self.stats.max_cwnd.max(cwnd);
-        if self.cwnd_log.last().map(|&(_, c)| c) != Some(cwnd) {
-            self.cwnd_log.push((now, cwnd));
-            self.tracer.cwnd(now.as_nanos(), cwnd);
-        }
+    fn arm_recovery(&mut self, now: Time) {
+        self.recovery.rearm(
+            now,
+            self.sent.has_retransmittable(),
+            &self.rtt,
+            &mut self.tel.tracer,
+        );
     }
 
     fn update_state(&mut self, now: Time) {
-        let label = if !self.cc.overlay_connection_states() {
-            self.cc.state_label(now)
-        } else if self.hs != Handshake::Established {
-            CcState::Init.label()
-        } else if self.in_rto_state {
-            CcState::RetransmissionTimeout.label()
-        } else if self.in_tlp_state {
-            CcState::TailLossProbe.label()
-        } else {
-            let cc_label = self.cc.state_label(now);
-            if cc_label == CcState::Recovery.label() {
-                cc_label
-            } else if self.app_limited {
-                CcState::ApplicationLimited.label()
-            } else {
-                cc_label
-            }
-        };
-        self.tracker.set(now, label);
-        self.tracer.cc_state(now.as_nanos(), label);
+        self.tel.update_state(
+            now,
+            self.cc.as_ref(),
+            self.is_established(),
+            &self.recovery,
+            self.app_limited,
+        );
     }
 
     /// Does any stream have bytes or FINs ready (ignoring cc/pacing)?
@@ -609,34 +491,12 @@ impl QuicConnection {
     /// unless the test-only canary mutes it (the silent-livelock bug the
     /// fuzzer oracle exists to catch).
     fn give_up(&mut self, err: ConnError, now: Time) {
-        self.gave_up = true;
-        self.tracer.recovery(now.as_nanos(), RecoveryKind::GiveUp);
-        if !self.cfg.canary_mute_watchdog {
-            self.error = Some(err);
-        }
+        let surface = !self.cfg.canary_mute_watchdog;
+        self.watchdog.trip(err, surface, now, &mut self.tel.tracer);
+        self.recovery.cancel();
         self.hs_queue.clear();
-        self.loss_timer = None;
-        self.loss_rearm_at = None;
         self.pacing_deadline = None;
         self.tlp_fire = false;
-    }
-
-    /// Check the armed watchdog at `now`, tripping it when a deadline
-    /// passed. Handshake phase uses the construction-relative deadline;
-    /// established connections time out on inbound silence, but only
-    /// while work is actually outstanding (a finished, idle connection
-    /// never times out).
-    fn check_watchdog(&mut self, now: Time) {
-        if !self.cfg.watchdog || self.gave_up {
-            return;
-        }
-        if self.hs != Handshake::Established {
-            if now >= self.started_at + self.cfg.handshake_timeout {
-                self.give_up(ConnError::HandshakeTimeout, now);
-            }
-        } else if !self.is_quiescent() && now >= self.last_progress + self.cfg.idle_timeout {
-            self.give_up(ConnError::IdleTimeout, now);
-        }
     }
 
     fn frame_budget(used: u32) -> u32 {
@@ -676,12 +536,9 @@ impl QuicConnection {
             frames,
         };
         let wire_size = pkt.wire_size() + UDP_OVERHEAD;
-        self.stats.packets_sent += 1;
-        self.stats.bytes_sent += wire_size as u64;
-        self.tracer
-            .pkt_tx(now.as_nanos(), pn, wire_size as u64, retransmittable);
+        self.tel.on_sent(now, pn, wire_size, retransmittable);
         if !retransmittable {
-            self.stats.acks_sent += 1;
+            self.tel.stats.acks_sent += 1;
         }
         self.sent.on_sent(SentPacket {
             pn,
@@ -698,7 +555,7 @@ impl QuicConnection {
                 .on_packet_sent(now, wire_size as u64, self.sent.bytes_in_flight());
             let rate = self.cc.pacing_rate_bps(&self.rtt);
             self.pacer.on_sent(now, wire_size as u64, rate);
-            self.rearm_loss_timer(now);
+            self.arm_recovery(now);
         }
         let payload = match self.wire_mode {
             WireMode::Structured => Payload::Quic(pkt),
@@ -720,7 +577,7 @@ impl QuicConnection {
 
 impl Connection for QuicConnection {
     fn on_datagram(&mut self, payload: Payload, now: Time) {
-        self.stats.packets_received += 1;
+        self.tel.stats.packets_received += 1;
         let pkt = match payload {
             // Structured fast path: the typed packet arrives by value.
             Payload::Quic(p) => p,
@@ -739,15 +596,15 @@ impl Connection for QuicConnection {
             // an undecodable datagram.
             Payload::Tcp(_) => return,
         };
-        if self.gave_up {
+        if self.watchdog.gave_up() {
             return;
         }
-        self.last_progress = now;
-        if self.tracer.enabled() {
+        self.watchdog.on_progress(now);
+        if self.tel.tracer.enabled() {
             // Analytic sizing is proptest-pinned to the encoded length,
             // so recomputing it here is wire-mode invariant.
             let sz = (pkt.wire_size() + UDP_OVERHEAD) as u64;
-            self.tracer.pkt_rx(now.as_nanos(), pkt.pn, sz);
+            self.tel.tracer.pkt_rx(now.as_nanos(), pkt.pn, sz);
         }
         // 0-RTT rejection: a server whose cached config expired must not
         // process — or ack — early data arriving before the handshake. The
@@ -824,7 +681,7 @@ impl Connection for QuicConnection {
     }
 
     fn poll_transmit(&mut self, now: Time) -> Option<Transmit> {
-        if self.gave_up {
+        if self.watchdog.gave_up() {
             return None;
         }
         let mut frames: Vec<Frame> = self.spare_frames.pop().unwrap_or_default();
@@ -1009,89 +866,65 @@ impl Connection for QuicConnection {
     }
 
     fn next_wakeup(&self) -> Option<Time> {
-        if self.gave_up {
+        if self.watchdog.gave_up() {
             return None;
         }
-        let mut t: Option<Time> = None;
-        let mut consider = |cand: Option<Time>| {
-            if let Some(c) = cand {
-                t = Some(match t {
-                    Some(cur) if cur <= c => cur,
-                    _ => c,
-                });
-            }
-        };
-        // A deferred re-arm resolves here without mutation: the pure
-        // computation sees exactly the state the eager path saw.
-        let loss_timer = match self.loss_rearm_at {
-            Some(at) => self.compute_loss_timer(at),
-            None => self.loss_timer,
-        };
-        consider(loss_timer.map(|(_, at)| at));
-        consider(self.acks.deadline());
-        consider(self.pacing_deadline);
-        if self.cfg.watchdog {
-            // The watchdog only schedules a wake while there is work it
-            // could give up on; a quiescent connection stays silent so
-            // unfaulted runs still end in the Idle outcome.
-            if self.hs != Handshake::Established {
-                consider(Some(self.started_at + self.cfg.handshake_timeout));
-            } else if !self.is_quiescent() {
-                consider(Some(self.last_progress + self.cfg.idle_timeout));
-            }
-        }
-        t
+        [
+            self.recovery
+                .deadline(self.sent.has_retransmittable(), &self.rtt),
+            self.acks.deadline(),
+            self.pacing_deadline,
+            self.watchdog
+                .deadline(self.is_established(), || self.is_quiescent()),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     fn on_wakeup(&mut self, now: Time) {
-        self.resolve_loss_timer();
-        self.check_watchdog(now);
-        if self.gave_up {
+        if let Some(err) = self
+            .watchdog
+            .check(now, self.is_established(), || self.is_quiescent())
+        {
+            return self.give_up(err, now);
+        }
+        if self.watchdog.gave_up() {
             return;
         }
-        if let Some(d) = self.pacing_deadline {
-            if now >= d {
-                self.pacing_deadline = None;
-            }
+        if self.pacing_deadline.is_some_and(|d| now >= d) {
+            self.pacing_deadline = None;
         }
-        if let Some((kind, at)) = self.loss_timer {
-            if now >= at && self.sent.has_retransmittable() {
-                match kind {
-                    LossTimer::Tlp => {
-                        self.tracer.timer_fire(now.as_nanos(), RecoveryKind::Tlp);
-                        self.tracer.recovery(now.as_nanos(), RecoveryKind::Tlp);
-                        self.tlp_count += 1;
-                        self.stats.tlp_count += 1;
-                        self.in_tlp_state = true;
-                        self.tlp_fire = true;
-                        self.rearm_loss_timer(now);
-                    }
-                    LossTimer::Rto => {
-                        self.tracer.timer_fire(now.as_nanos(), RecoveryKind::Rto);
-                        self.tracer.recovery(now.as_nanos(), RecoveryKind::Rto);
-                        self.stats.rto_count += 1;
-                        self.in_rto_state = true;
-                        // A repeated timeout with no ack in between means
-                        // the whole flight is gone (link outage), not a
-                        // stray tail drop: declare everything lost so the
-                        // requeued data isn't forever gated by a flight
-                        // full of dead packets. First RTOs keep the
-                        // conservative oldest-2 declaration.
-                        let cap = if self.rto_backoff > 0 { usize::MAX } else { 2 };
-                        let lost = self.sent.declare_oldest_lost(cap);
-                        for pkt in &lost {
-                            self.tracer.loss(now.as_nanos(), pkt.pn);
-                            self.requeue_lost(pkt);
-                        }
-                        self.cc.on_rto(now);
-                        self.rto_backoff += 1;
-                        self.rearm_loss_timer(now);
-                        self.log_cwnd(now);
-                    }
-                }
-            } else if now >= at {
-                self.loss_timer = None;
+        match self.recovery.expire(
+            now,
+            self.sent.has_retransmittable(),
+            &self.rtt,
+            &mut self.tel.tracer,
+        ) {
+            Some(RecoveryKind::Tlp) => {
+                self.tel.stats.tlp_count += 1;
+                self.tlp_fire = true;
+                self.arm_recovery(now);
             }
+            Some(_) => {
+                self.tel.stats.rto_count += 1;
+                // A repeated timeout with no ack in between means the
+                // whole flight is gone (link outage), not a stray tail
+                // drop: declare everything lost so the requeued data
+                // isn't forever gated by a flight full of dead packets.
+                // First RTOs keep the conservative oldest-2 declaration.
+                let repeated = self.recovery.rto_backoff() > 1;
+                let cap = if repeated { usize::MAX } else { 2 };
+                let lost = self.sent.declare_oldest_lost(cap);
+                for pkt in &lost {
+                    self.tel.tracer.loss(now.as_nanos(), pkt.pn);
+                    self.requeue_lost(pkt);
+                }
+                self.cc.on_rto(now);
+                self.arm_recovery(now);
+                self.tel.log_cwnd(now, self.cc.cwnd());
+            }
+            None => {}
         }
         self.update_state(now);
     }
@@ -1128,7 +961,7 @@ impl Connection for QuicConnection {
     }
 
     fn poll_event(&mut self) -> Option<AppEvent> {
-        self.events.pop_front()
+        self.tel.events.pop_front()
     }
 
     fn is_established(&self) -> bool {
@@ -1136,22 +969,22 @@ impl Connection for QuicConnection {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.gave_up
+        self.watchdog.gave_up()
             || (!self.sent.has_retransmittable()
                 && self.hs_queue.is_empty()
                 && !self.stream_data_pending())
     }
 
     fn stats(&self) -> ConnStats {
-        self.stats
+        self.tel.stats
     }
 
     fn cwnd_timeline(&self) -> &[(Time, u64)] {
-        &self.cwnd_log
+        self.tel.cwnd_timeline()
     }
 
     fn state_trace(&self, now: Time) -> StateTrace {
-        self.tracker.finish(now)
+        self.tel.state_trace(now)
     }
 
     fn srtt(&self) -> Dur {
@@ -1159,10 +992,10 @@ impl Connection for QuicConnection {
     }
 
     fn trace_records(&self) -> &[longlook_sim::trace::TraceRecord] {
-        self.tracer.records()
+        self.tel.tracer.records()
     }
 
     fn error(&self) -> Option<ConnError> {
-        self.error
+        self.watchdog.error()
     }
 }

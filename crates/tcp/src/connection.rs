@@ -19,15 +19,15 @@ use crate::wire::{flags, TcpSegment};
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{ExecConfig, PayloadPool, Tracer, WireMode};
+use longlook_sim::{ExecConfig, PayloadPool, WireMode};
 use longlook_transport::cc::CongestionControl;
-use longlook_transport::ccstate::{CcState, StateTrace, StateTracker};
+use longlook_transport::ccstate::StateTrace;
+use longlook_transport::chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
 use longlook_transport::conn::{
     AppEvent, ConnError, ConnStats, Connection, StreamId, Transmit, TCP_OVERHEAD,
 };
 use longlook_transport::cubic::{Cubic, CubicConfig};
 use longlook_transport::rtt::RttEstimator;
-use std::collections::VecDeque;
 
 /// TLS 1.2 handshake message sizes in stream bytes.
 mod tls {
@@ -166,37 +166,17 @@ pub struct TcpConnection {
     /// Next client-initiated h2 stream id.
     next_stream_id: u32,
 
-    rto_deadline: Option<Time>,
-    /// Pending lazy RTO re-arm: the `now` of the newest `rearm_rto`
-    /// request this dispatch. Re-arming is a pure function of scoreboard /
-    /// rtt / backoff state, and the deadline is only observable at
-    /// `next_wakeup` / `on_wakeup`, so resolving just the last request is
-    /// exact (see the QUIC twin's loss-timer treatment).
-    rto_rearm_at: Option<Time>,
-    rto_backoff: u32,
-    in_rto_state: bool,
-    /// Batched hot path selected (`cfg.exec.batch`): defer RTO re-arms.
-    batch: bool,
+    /// RTO timer over the scoreboard's outstanding bytes (no tail loss
+    /// probe — tail drops wait for the RTO).
+    recovery: RecoveryTimer,
 
     tls_established: bool,
-    handshake_done_emitted: bool,
     app_limited: bool,
 
-    /// Construction instant: base for the handshake watchdog deadline.
-    started_at: Time,
-    /// Last inbound segment: base for the idle watchdog deadline.
-    last_progress: Time,
-    /// Watchdog tripped: the connection stopped trying.
-    gave_up: bool,
-    error: Option<ConnError>,
-
-    events: VecDeque<AppEvent>,
-    stats: ConnStats,
-    cwnd_log: Vec<(Time, u64)>,
-    tracker: StateTracker,
-    /// Structured event trace (`cfg.exec.trace`); records nothing when
-    /// tracing is off.
-    tracer: Tracer,
+    /// Give-up deadlines; the handshake one covers SYN + TLS.
+    watchdog: Watchdog,
+    /// Counters, cwnd log, state trace, event trace, app events.
+    tel: ConnTelemetry,
     /// Recycled payload buffers (encoded path only): encoders take from
     /// here, spent received payloads are reclaimed in `on_datagram`.
     pool: PayloadPool,
@@ -232,9 +212,10 @@ impl TcpConnection {
         };
         let cc: Box<dyn CongestionControl> = Box::new(Cubic::new(cfg.cubic.clone(), now));
         let exec = cfg.exec;
-        let mut tracer = Tracer::new(exec.trace.is_on());
-        tracer.cc_state(now.as_nanos(), CcState::Init.label());
         TcpConnection {
+            watchdog: Watchdog::new(now, cfg.watchdog, cfg.handshake_timeout, cfg.idle_timeout),
+            recovery: RecoveryTimer::new(false, exec.batch),
+            tel: ConnTelemetry::new(now, exec.trace, cc.as_ref()),
             rtt: RttEstimator::new(cfg.initial_rtt),
             receiver: TcpReceiver::new(cfg.recv_buffer),
             mux: H2Mux::new(our_prefix),
@@ -251,23 +232,8 @@ impl TcpConnection {
             cc,
             snd_nxt: 0,
             next_stream_id: 1,
-            rto_deadline: None,
-            rto_rearm_at: None,
-            rto_backoff: 0,
-            in_rto_state: false,
-            batch: exec.batch.is_on(),
             tls_established: false,
-            handshake_done_emitted: false,
             app_limited: false,
-            started_at: now,
-            last_progress: now,
-            gave_up: false,
-            error: None,
-            events: VecDeque::new(),
-            stats: ConnStats::default(),
-            cwnd_log: vec![(now, 0)],
-            tracker: StateTracker::new(now, CcState::Init.label()),
-            tracer,
             pool: PayloadPool::new(),
             wire_mode: exec.wire,
         }
@@ -319,75 +285,27 @@ impl TcpConnection {
         };
         if done {
             self.tls_established = true;
-            if !self.handshake_done_emitted {
-                self.handshake_done_emitted = true;
-                self.events.push_back(AppEvent::HandshakeDone);
-            }
-        }
-    }
-
-    fn log_cwnd(&mut self, now: Time) {
-        let cwnd = self.cc.cwnd();
-        self.stats.max_cwnd = self.stats.max_cwnd.max(cwnd);
-        if self.cwnd_log.last().map(|&(_, c)| c) != Some(cwnd) {
-            self.cwnd_log.push((now, cwnd));
-            self.tracer.cwnd(now.as_nanos(), cwnd);
+            self.tel.events.push_back(AppEvent::HandshakeDone);
         }
     }
 
     fn update_state(&mut self, now: Time) {
-        let label = if !self.tls_established {
-            CcState::Init.label()
-        } else if self.in_rto_state {
-            CcState::RetransmissionTimeout.label()
-        } else {
-            let cc_label = self.cc.state_label(now);
-            if cc_label == CcState::Recovery.label() {
-                cc_label
-            } else if self.app_limited {
-                CcState::ApplicationLimited.label()
-            } else {
-                cc_label
-            }
-        };
-        self.tracker.set(now, label);
-        self.tracer.cc_state(now.as_nanos(), label);
+        self.tel.update_state(
+            now,
+            self.cc.as_ref(),
+            self.tls_established,
+            &self.recovery,
+            self.app_limited,
+        );
     }
 
-    /// Pure RTO deadline computation for a re-arm requested at `now`.
-    fn compute_rto(&self, now: Time) -> Option<Time> {
-        if self.scoreboard.has_outstanding() {
-            let rto = self.rtt.rto().saturating_mul(1 << self.rto_backoff.min(6));
-            Some(now + rto)
-        } else {
-            None
-        }
-    }
-
-    fn rearm_rto(&mut self, now: Time) {
-        // Trace the arm at the request point: the deadline is a pure
-        // function of state that cannot change before a deferred re-arm
-        // resolves, so this is identical under both batch modes (costs a
-        // computation only when tracing is on).
-        if self.tracer.enabled() {
-            if let Some(at) = self.compute_rto(now) {
-                self.tracer.timer_arm(now.as_nanos(), at.as_nanos());
-            }
-        }
-        if self.batch {
-            // Batched hot path: every segment sent in a dispatch requests
-            // a re-arm with the same `now`; defer and resolve once.
-            self.rto_rearm_at = Some(now);
-        } else {
-            self.rto_deadline = self.compute_rto(now);
-        }
-    }
-
-    /// Apply a deferred re-arm before the deadline is acted on.
-    fn resolve_rto(&mut self) {
-        if let Some(at) = self.rto_rearm_at.take() {
-            self.rto_deadline = self.compute_rto(at);
-        }
+    fn arm_recovery(&mut self, now: Time) {
+        self.recovery.rearm(
+            now,
+            self.scoreboard.has_outstanding(),
+            &self.rtt,
+            &mut self.tel.tracer,
+        );
     }
 
     /// Emit one data segment covering `[seq, seq+len)`.
@@ -407,12 +325,9 @@ impl TcpConnection {
         self.scoreboard.on_sent(seq, len, now);
         self.cc
             .on_packet_sent(now, len as u64, self.scoreboard.pipe());
-        self.rearm_rto(now);
+        self.arm_recovery(now);
         let wire_size = seg.wire_size_payload() + TCP_OVERHEAD + 17 * seg.records.len() as u32;
-        self.stats.packets_sent += 1;
-        self.stats.bytes_sent += wire_size as u64;
-        self.tracer
-            .pkt_tx(now.as_nanos(), seq, wire_size as u64, true);
+        self.tel.on_sent(now, seq, wire_size, true);
         let payload = match self.wire_mode {
             WireMode::Structured => Payload::Tcp(seg),
             WireMode::Encoded => Payload::Wire(seg.encode_with(&mut self.pool)),
@@ -433,13 +348,10 @@ impl TcpConnection {
             records: Vec::new(),
         };
         let wire_size = seg.wire_size_payload() + TCP_OVERHEAD;
-        self.stats.packets_sent += 1;
-        self.stats.bytes_sent += wire_size as u64;
+        self.tel.on_sent(now, 0, wire_size, false);
         if seg.is_bare_ack() {
-            self.stats.acks_sent += 1;
+            self.tel.stats.acks_sent += 1;
         }
-        self.tracer
-            .pkt_tx(now.as_nanos(), 0, wire_size as u64, false);
         let payload = match self.wire_mode {
             WireMode::Structured => Payload::Tcp(seg),
             WireMode::Encoded => Payload::Wire(seg.encode_with(&mut self.pool)),
@@ -452,17 +364,19 @@ impl TcpConnection {
         for e in evs {
             match e {
                 H2Event::StreamOpened(s) => {
-                    self.events
+                    self.tel
+                        .events
                         .push_back(AppEvent::StreamOpened(StreamId(s as u64)));
                 }
                 H2Event::StreamData { stream, bytes } => {
-                    self.events.push_back(AppEvent::StreamData {
+                    self.tel.events.push_back(AppEvent::StreamData {
                         id: StreamId(stream as u64),
                         bytes,
                     });
                 }
                 H2Event::StreamFin(s) => {
-                    self.events
+                    self.tel
+                        .events
                         .push_back(AppEvent::StreamFin(StreamId(s as u64)));
                 }
             }
@@ -477,36 +391,17 @@ impl TcpConnection {
     /// Watchdog trip: stop trying, clear every pending timer and control
     /// flag so the connection reads as quiescent, and surface the error.
     fn give_up(&mut self, err: ConnError, now: Time) {
-        self.tracer.recovery(now.as_nanos(), RecoveryKind::GiveUp);
-        self.gave_up = true;
-        self.error = Some(err);
+        self.watchdog.trip(err, true, now, &mut self.tel.tracer);
+        self.recovery.cancel();
         self.syn_pending = false;
         self.synack_pending = false;
         self.syn_deadline = None;
-        self.rto_deadline = None;
-        self.rto_rearm_at = None;
-    }
-
-    /// Check the armed watchdog at `now` (see the QUIC twin): the
-    /// handshake deadline covers SYN + TLS; established connections time
-    /// out on inbound silence only while work is outstanding.
-    fn check_watchdog(&mut self, now: Time) {
-        if !self.cfg.watchdog || self.gave_up {
-            return;
-        }
-        if !self.tls_established {
-            if now >= self.started_at + self.cfg.handshake_timeout {
-                self.give_up(ConnError::HandshakeTimeout, now);
-            }
-        } else if !self.is_quiescent() && now >= self.last_progress + self.cfg.idle_timeout {
-            self.give_up(ConnError::IdleTimeout, now);
-        }
     }
 }
 
 impl Connection for TcpConnection {
     fn on_datagram(&mut self, payload: Payload, now: Time) {
-        self.stats.packets_received += 1;
+        self.tel.stats.packets_received += 1;
         let seg = match payload {
             // Structured fast path: the typed segment arrives by value.
             Payload::Tcp(s) => s,
@@ -525,16 +420,16 @@ impl Connection for TcpConnection {
             // an undecodable segment.
             Payload::Quic(_) => return,
         };
-        if self.gave_up {
+        if self.watchdog.gave_up() {
             return;
         }
-        self.last_progress = now;
-        if self.tracer.enabled() {
+        self.watchdog.on_progress(now);
+        if self.tel.tracer.enabled() {
             // Recompute the analytic wire size so the record is identical
             // under both wire modes (proptest-pinned equal to the encoded
             // length).
             let sz = seg.wire_size_payload() + TCP_OVERHEAD + 17 * seg.records.len() as u32;
-            self.tracer.pkt_rx(now.as_nanos(), seg.seq, sz as u64);
+            self.tel.tracer.pkt_rx(now.as_nanos(), seg.seq, sz as u64);
         }
 
         // Handshake control.
@@ -552,7 +447,6 @@ impl Connection for TcpConnection {
                 (TcpRole::Client, TcpState::SynSent) if seg.flags & flags::ACK != 0 => {
                     self.state = TcpState::Open;
                     self.syn_deadline = None;
-                    let _ = self.syn_retries;
                     self.maybe_tls_established(now);
                 }
                 _ => {}
@@ -569,7 +463,7 @@ impl Connection for TcpConnection {
             let newly =
                 self.receiver
                     .on_segment(seg.seq, seg.payload_len, now, self.cfg.delayed_ack);
-            self.stats.bytes_received += seg.payload_len as u64;
+            self.tel.stats.bytes_received += seg.payload_len as u64;
             if newly > 0 {
                 self.maybe_tls_established(now);
                 self.drain_h2_events();
@@ -585,13 +479,12 @@ impl Connection for TcpConnection {
                 self.rtt.on_sample(sample, Dur::ZERO);
             }
             if out.spurious {
-                self.stats.spurious_retransmissions += 1;
+                self.tel.stats.spurious_retransmissions += 1;
             }
-            self.tracer.ack(now.as_nanos(), out.newly_acked);
+            self.tel.tracer.ack(now.as_nanos(), out.newly_acked);
             if out.newly_acked > 0 {
-                self.rto_backoff = 0;
-                self.in_rto_state = false;
-                self.stats.bytes_acked += out.newly_acked;
+                self.recovery.on_new_data_acked();
+                self.tel.stats.bytes_acked += out.newly_acked;
                 self.mux.prune(self.scoreboard.snd_una());
             }
             let delivered = out.newly_acked + out.newly_sacked;
@@ -604,14 +497,16 @@ impl Connection for TcpConnection {
                     self.scoreboard.pipe(),
                     self.app_limited,
                 );
-                self.rearm_rto(now);
+                self.arm_recovery(now);
             }
             if out.fast_retransmit {
-                self.stats.losses_detected += out.lost_ranges.len() as u64;
-                self.tracer.recovery(now.as_nanos(), RecoveryKind::FastRetx);
-                if self.tracer.enabled() {
+                self.tel.stats.losses_detected += out.lost_ranges.len() as u64;
+                self.tel
+                    .tracer
+                    .recovery(now.as_nanos(), RecoveryKind::FastRetx);
+                if self.tel.tracer.enabled() {
                     for &(seq, _) in &out.lost_ranges {
-                        self.tracer.loss(now.as_nanos(), seq);
+                        self.tel.tracer.loss(now.as_nanos(), seq);
                     }
                 }
                 self.cc.on_congestion_event(
@@ -621,13 +516,13 @@ impl Connection for TcpConnection {
                     self.scoreboard.pipe(),
                 );
             }
-            self.log_cwnd(now);
+            self.tel.log_cwnd(now, self.cc.cwnd());
         }
         self.update_state(now);
     }
 
     fn poll_transmit(&mut self, now: Time) -> Option<Transmit> {
-        if self.gave_up {
+        if self.watchdog.gave_up() {
             return None;
         }
         // 1. TCP handshake control segments.
@@ -647,7 +542,7 @@ impl Connection for TcpConnection {
         // 2. Retransmissions first (cc-gated via PRR/cwnd).
         if let Some((seq, len)) = self.scoreboard.first_lost() {
             if self.cc.can_send(self.scoreboard.pipe(), len as u64) {
-                self.stats.retransmissions += 1;
+                self.tel.stats.retransmissions += 1;
                 return Some(self.make_data_segment(seq, len, now));
             }
         }
@@ -686,43 +581,30 @@ impl Connection for TcpConnection {
     }
 
     fn next_wakeup(&self) -> Option<Time> {
-        if self.gave_up {
+        if self.watchdog.gave_up() {
             return None;
         }
-        let mut t: Option<Time> = None;
-        let mut consider = |cand: Option<Time>| {
-            if let Some(c) = cand {
-                t = Some(match t {
-                    Some(cur) if cur <= c => cur,
-                    _ => c,
-                });
-            }
-        };
-        // Resolve any deferred re-arm without mutating: a pending request
-        // supersedes the stored deadline.
-        let rto = match self.rto_rearm_at {
-            Some(at) => self.compute_rto(at),
-            None => self.rto_deadline,
-        };
-        consider(rto);
-        consider(self.syn_deadline);
-        consider(self.receiver.deadline());
-        if self.cfg.watchdog {
-            // Only schedules a wake while there is work to give up on, so
-            // unfaulted runs still end in the Idle outcome.
-            if !self.tls_established {
-                consider(Some(self.started_at + self.cfg.handshake_timeout));
-            } else if !self.is_quiescent() {
-                consider(Some(self.last_progress + self.cfg.idle_timeout));
-            }
-        }
-        t
+        [
+            self.recovery
+                .deadline(self.scoreboard.has_outstanding(), &self.rtt),
+            self.syn_deadline,
+            self.receiver.deadline(),
+            self.watchdog
+                .deadline(self.tls_established, || self.is_quiescent()),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     fn on_wakeup(&mut self, now: Time) {
-        self.resolve_rto();
-        self.check_watchdog(now);
-        if self.gave_up {
+        if let Some(err) = self
+            .watchdog
+            .check(now, self.tls_established, || self.is_quiescent())
+        {
+            return self.give_up(err, now);
+        }
+        if self.watchdog.gave_up() {
             return;
         }
         if let Some(d) = self.syn_deadline {
@@ -730,28 +612,24 @@ impl Connection for TcpConnection {
                 if self.cfg.watchdog && self.syn_retries >= self.cfg.max_syn_retries {
                     // SYN retry budget exhausted: give up rather than
                     // back off forever into a blackout.
-                    self.give_up(ConnError::HandshakeTimeout, now);
-                    return;
+                    return self.give_up(ConnError::HandshakeTimeout, now);
                 }
                 self.syn_pending = true;
                 self.syn_retries += 1;
                 self.syn_deadline = Some(now + self.cfg.syn_rto.saturating_mul(2));
             }
         }
-        if let Some(d) = self.rto_deadline {
-            if now >= d && self.scoreboard.has_outstanding() {
-                self.stats.rto_count += 1;
-                self.tracer.timer_fire(now.as_nanos(), RecoveryKind::Rto);
-                self.tracer.recovery(now.as_nanos(), RecoveryKind::Rto);
-                self.in_rto_state = true;
-                self.scoreboard.mark_all_lost();
-                self.cc.on_rto(now);
-                self.rto_backoff += 1;
-                self.rearm_rto(now);
-                self.log_cwnd(now);
-            } else if now >= d {
-                self.rto_deadline = None;
-            }
+        let outstanding = self.scoreboard.has_outstanding();
+        if self
+            .recovery
+            .expire(now, outstanding, &self.rtt, &mut self.tel.tracer)
+            .is_some()
+        {
+            self.tel.stats.rto_count += 1;
+            self.scoreboard.mark_all_lost();
+            self.cc.on_rto(now);
+            self.arm_recovery(now);
+            self.tel.log_cwnd(now, self.cc.cwnd());
         }
         self.update_state(now);
     }
@@ -771,7 +649,7 @@ impl Connection for TcpConnection {
     }
 
     fn poll_event(&mut self) -> Option<AppEvent> {
-        self.events.pop_front()
+        self.tel.events.pop_front()
     }
 
     fn is_established(&self) -> bool {
@@ -779,22 +657,22 @@ impl Connection for TcpConnection {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.gave_up
+        self.watchdog.gave_up()
             || (!self.scoreboard.has_outstanding()
                 && self.snd_nxt >= self.mux.stream_len().min(self.sendable_limit())
                 && self.scoreboard.lost_count() == 0)
     }
 
     fn stats(&self) -> ConnStats {
-        self.stats
+        self.tel.stats
     }
 
     fn cwnd_timeline(&self) -> &[(Time, u64)] {
-        &self.cwnd_log
+        self.tel.cwnd_timeline()
     }
 
     fn state_trace(&self, now: Time) -> StateTrace {
-        self.tracker.finish(now)
+        self.tel.state_trace(now)
     }
 
     fn srtt(&self) -> Dur {
@@ -802,10 +680,10 @@ impl Connection for TcpConnection {
     }
 
     fn trace_records(&self) -> &[longlook_sim::trace::TraceRecord] {
-        self.tracer.records()
+        self.tel.tracer.records()
     }
 
     fn error(&self) -> Option<ConnError> {
-        self.error
+        self.watchdog.error()
     }
 }

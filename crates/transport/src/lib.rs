@@ -13,11 +13,14 @@
 //! * [`hystart`] / [`prr`] / [`pacing`] — Hybrid Slow Start, proportional
 //!   rate reduction, and packet pacing;
 //! * [`ccstate`] — Table 3's state vocabulary and the transition tracker
-//!   whose traces feed state-machine inference.
+//!   whose traces feed state-machine inference;
+//! * [`chassis`] — the watchdog, TLP/RTO timer and telemetry bundle both
+//!   connection models embed instead of keeping twins.
 
 pub mod bbr;
 pub mod cc;
 pub mod ccstate;
+pub mod chassis;
 pub mod conn;
 pub mod cubic;
 pub mod hystart;
@@ -31,6 +34,7 @@ pub use ccstate::{
     bbr_legal_edges, check_trace_legal, cubic_legal_edges, BbrState, CcState, StateTrace,
     StateTracker, Transition,
 };
+pub use chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
 pub use conn::{
     AppEvent, ConnError, ConnStats, Connection, StreamId, Transmit, TCP_OVERHEAD, UDP_OVERHEAD,
 };

@@ -237,54 +237,30 @@ fn plt_samples_serial_equals_threads4() {
     }
 }
 
-/// Chunked claiming changes nothing: `Serial`, `Threads(4)`, and
-/// `Threads(4)` with `LONGLOOK_CHUNK=7` produce field-for-field identical
-/// `RunRecord`s for both protocols in every scenario. Chunk size only
-/// regroups which worker claims which cells — reassembly is by cell
-/// index, so the env knob must be invisible in the results.
-#[test]
-fn chunked_mode_serial_equals_threads4() {
-    for (name, sc) in scenarios() {
-        for proto in [quic(), tcp()] {
-            let serial = run_records_par(&proto, &sc, Parallelism::Serial);
-            let par = run_records_par(&proto, &sc, Parallelism::Threads(4));
-            assert_eq!(serial, par, "{name} / {proto:?}: Threads(4) diverged");
-            // The env knob. Leaking chunk=7 to a concurrently running
-            // test is harmless by the very property under test (results
-            // are chunk-invariant), so no serialization lock is needed.
-            std::env::set_var("LONGLOOK_CHUNK", "7");
-            let chunked = run_records_par(&proto, &sc, Parallelism::Threads(4));
-            std::env::remove_var("LONGLOOK_CHUNK");
-            assert_eq!(
-                serial, chunked,
-                "{name} / {proto:?}: LONGLOOK_CHUNK=7 diverged"
-            );
-        }
-    }
-}
-
-/// The explicit chunk-size override sweeps a range of sizes (including
-/// chunks larger than the batch) without perturbing a single record, and
-/// the scheduler report accounts for every cell exactly once.
+/// Chunked claiming changes nothing: `Serial`, auto-tuned `Threads(4)`
+/// and `Threads(4)` over a range of explicit chunk sizes (including
+/// chunks larger than the batch) produce field-for-field identical
+/// `RunRecord`s for both protocols in every scenario — chunk size only
+/// regroups which worker claims which cells, reassembly is by cell index
+/// — and the scheduler report accounts for every cell exactly once.
 #[test]
 fn explicit_chunk_sizes_are_record_invariant() {
-    let (name, sc) = scenarios().remove(1); // the lossy scenario
-    let proto = quic();
-    let n = sc.rounds as usize;
-    let (serial, _) = run_ordered_chunked(Parallelism::Serial, None, n, |k| {
-        run_page_load(&proto, &sc, k as u64)
-    });
-    for chunk in [1, 2, 3, 7, 64] {
-        let (par, report) = run_ordered_chunked(Parallelism::Threads(4), Some(chunk), n, |k| {
-            run_page_load(&proto, &sc, k as u64)
-        });
-        assert_eq!(serial, par, "{name}: chunk {chunk} diverged");
-        assert_eq!(report.chunk, chunk);
-        assert_eq!(
-            report.workers.iter().map(|w| w.cells).sum::<usize>(),
-            n,
-            "{name}: chunk {chunk} report lost cells"
-        );
+    for (name, sc) in scenarios() {
+        for proto in [quic(), tcp()] {
+            let n = sc.rounds as usize;
+            let cell = |k: usize| run_page_load(&proto, &sc, k as u64);
+            let serial = run_records_par(&proto, &sc, Parallelism::Serial);
+            for chunk in [None, Some(1), Some(2), Some(3), Some(7), Some(64)] {
+                let (par, report) = run_ordered_chunked(Parallelism::Threads(4), chunk, n, cell);
+                assert_eq!(serial, par, "{name} / {proto:?}: chunk {chunk:?} diverged");
+                assert_eq!(report.chunk, chunk.unwrap_or(1), "4 cells auto-tune to 1");
+                assert_eq!(
+                    report.workers.iter().map(|w| w.cells).sum::<usize>(),
+                    n,
+                    "{name} / {proto:?}: chunk {chunk:?} report lost cells"
+                );
+            }
+        }
     }
 }
 

@@ -1,0 +1,119 @@
+//! Knob census: the `LONGLOOK_*` environment variables the code reads are
+//! exactly the rows of README's environment table, plus the two
+//! test-only names below. "Fewer knobs" is an executable fact, and the
+//! README cannot drift from the code: adding an env read without a README
+//! row (or leaving a row behind after deleting the read) fails here.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Read by tests only, so deliberately absent from the README table:
+/// the golden suites' re-bless switch and the knob parser's own unit test.
+const TEST_ONLY: [&str; 2] = ["LONGLOOK_BLESS", "LONGLOOK_TEST_KNOB"];
+
+/// The calls that read the environment.
+const READERS: [&str; 3] = ["env::var(", "env::var_os(", "env_knob("];
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn rust_files(dir: &Path, recurse: bool, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            if recurse {
+                rust_files(&path, true, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The value of `const NAME: … = "…";` in `src`, if declared there.
+fn const_str<'a>(src: &'a str, name: &str) -> Option<&'a str> {
+    let decl = src.find(&format!("const {name}:"))?;
+    let rest = &src[decl..src[decl..].find(';')? + decl];
+    let open = rest.find('"')? + 1;
+    Some(&rest[open..open + rest[open..].find('"')?])
+}
+
+/// Every name a reader call in `path` is handed: a string literal, or a
+/// SCREAMING_CASE constant resolved in the same file. A lower-case first
+/// argument is a parameter being passed through (the parser's own body)
+/// and names no knob.
+fn knobs_read_in(path: &Path, found: &mut BTreeSet<String>) {
+    let text = fs::read_to_string(path).expect("readable source file");
+    let code: String = text
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    for reader in READERS {
+        for (at, _) in code.match_indices(reader) {
+            let arg = code[at + reader.len()..].trim_start();
+            let arg = &arg[..arg.find([',', ')']).expect("call has an argument list")];
+            let name = match arg.strip_prefix('"') {
+                Some(lit) => lit.trim_end_matches('"'),
+                None => {
+                    let ident = arg.rsplit("::").next().expect("rsplit yields one item");
+                    if ident.chars().any(|c| c.is_ascii_lowercase()) {
+                        continue;
+                    }
+                    const_str(&code, ident).unwrap_or_else(|| {
+                        panic!("{}: cannot resolve `{arg}` to a literal", path.display())
+                    })
+                }
+            };
+            if name.starts_with("LONGLOOK_") {
+                found.insert(name.to_string());
+            }
+        }
+    }
+}
+
+/// The first-column names of README's environment-variable table.
+fn readme_rows() -> BTreeSet<String> {
+    let readme = fs::read_to_string(repo_root().join("README.md")).expect("README.md");
+    readme
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `LONGLOOK_"))
+        .map(|rest| {
+            format!(
+                "LONGLOOK_{}",
+                &rest[..rest.find('`').expect("closing tick")]
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn env_reads_match_the_readme_table() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, true, &mut files);
+        }
+    }
+    rust_files(&root.join("tests"), false, &mut files);
+    let mut found = BTreeSet::new();
+    for file in &files {
+        // This file names the test-only knobs without reading them.
+        if !file.ends_with("knob_census.rs") {
+            knobs_read_in(file, &mut found);
+        }
+    }
+
+    let mut expected = readme_rows();
+    assert!(!expected.is_empty(), "README environment table not found");
+    expected.extend(TEST_ONLY.map(String::from));
+    assert_eq!(
+        found, expected,
+        "LONGLOOK_* variables read by the code (left) must equal README's \
+         table plus the test-only names (right)"
+    );
+}
