@@ -9,7 +9,7 @@
 use crate::config::{CcKind, QuicConfig};
 use crate::recv_ack::AckTracker;
 use crate::sent::{SentPacket, SentStore};
-use crate::streams::{Chunk, RecvStream, SendStream};
+use crate::streams::{Chunk, StreamTable};
 use crate::wire::{Frame, HandshakeKind, QuicPacket, MAX_ACK_BLOCKS, MAX_PACKET_PAYLOAD};
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
@@ -25,7 +25,7 @@ use longlook_transport::cubic::Cubic;
 use longlook_transport::pacing::Pacer;
 use longlook_transport::rtt::RttEstimator;
 use longlook_transport::Bbr;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Which end of the connection we are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,13 +74,11 @@ pub struct QuicConnection {
     pacer: Pacer,
     nack_threshold: u32,
 
-    send_streams: BTreeMap<u32, SendStream>,
-    recv_streams: BTreeMap<u32, RecvStream>,
+    /// Per-stream state and the send schedule over it.
+    streams: StreamTable,
     next_stream_id: u32,
     /// Streams we opened that the peer has not finished yet (MSPC gate).
     open_initiated: u32,
-    /// Peer streams we've already announced via StreamOpened.
-    seen_peer_streams: BTreeMap<u32, ()>,
 
     // Connection-level flow control.
     conn_send_limit: u64,
@@ -95,11 +93,6 @@ pub struct QuicConnection {
     last_conn_update: Option<Time>,
     /// When the previous stream window update was queued (any stream).
     last_stream_update: Option<Time>,
-    /// Per-stream advertised receive offsets.
-    stream_advertised: BTreeMap<u32, u64>,
-    /// Peer-announced stream send limits for streams we haven't opened a
-    /// send side for yet (window updates can precede our first write).
-    pending_stream_limits: BTreeMap<u32, u64>,
     /// Window updates queued for transmission: (stream, max_offset).
     wu_queue: VecDeque<(u32, u64)>,
 
@@ -186,6 +179,7 @@ impl QuicConnection {
             conn_advertised: cfg.conn_recv_window,
             conn_window: cfg.conn_recv_window,
             stream_window: cfg.stream_recv_window,
+            streams: StreamTable::new(cfg.stream_recv_window),
             cfg,
             role,
             conn_id,
@@ -200,17 +194,12 @@ impl QuicConnection {
             acks: AckTracker::default(),
             cc,
             pacer,
-            send_streams: BTreeMap::new(),
-            recv_streams: BTreeMap::new(),
             next_stream_id,
             open_initiated: 0,
-            seen_peer_streams: BTreeMap::new(),
             conn_fresh_sent: 0,
             conn_delivered: 0,
             last_conn_update: None,
             last_stream_update: None,
-            stream_advertised: BTreeMap::new(),
-            pending_stream_limits: BTreeMap::new(),
             wu_queue: VecDeque::new(),
             tlp_fire: false,
             pacing_deadline: None,
@@ -245,6 +234,12 @@ impl QuicConnection {
     /// The connection id.
     pub fn conn_id(&self) -> u64 {
         self.conn_id
+    }
+
+    /// Streams the send scheduler has examined so far.
+    #[cfg(test)]
+    pub(crate) fn stream_probes(&self) -> u64 {
+        self.streams.probes
     }
 
     /// Every caller is in a pre-established state, so `HandshakeDone` is
@@ -312,30 +307,55 @@ impl QuicConnection {
             self.hs_queue.push_back(HandshakeKind::Shlo);
         }
         let peer_initiated = (id % 2) != (self.next_stream_id % 2);
-        if peer_initiated && !self.seen_peer_streams.contains_key(&id) {
-            self.seen_peer_streams.insert(id, ());
+        let rec = self.streams.rec_mut(id);
+        if peer_initiated && !rec.announced {
+            rec.announced = true;
             self.tel
                 .events
                 .push_back(AppEvent::StreamOpened(StreamId(id as u64)));
-            self.stream_advertised.insert(id, self.stream_window);
+            rec.advertised = Some(self.stream_window);
             self.wu_queue.push_back((id, self.stream_window));
         }
-        let stream = self.recv_streams.entry(id).or_default();
-        let newly = stream.on_chunk(offset, len, fin);
+        let newly = rec.recv.on_chunk(offset, len, fin);
         if newly > 0 {
             self.conn_delivered += newly;
             self.tel.events.push_back(AppEvent::StreamData {
                 id: StreamId(id as u64),
                 bytes: newly,
             });
-            self.maybe_queue_window_updates(id, now);
+            // gQUIC auto-tuning: if two consecutive updates are closer
+            // than 2 x sRTT the window may be the bottleneck — double it
+            // (up to the ceiling).
+            let srtt = self.rtt.srtt();
+            let fast =
+                |last: Option<Time>| last.is_some_and(|t| now.saturating_since(t) < srtt * 2);
+            // Connection level.
+            let target = self.conn_delivered + self.conn_window;
+            if target.saturating_sub(self.conn_advertised) >= self.conn_window / 2 {
+                if self.cfg.flow_auto_tune && fast(self.last_conn_update) {
+                    self.conn_window = (self.conn_window * 2).min(self.cfg.conn_recv_window_max);
+                }
+                self.last_conn_update = Some(now);
+                let target = self.conn_delivered + self.conn_window;
+                self.conn_advertised = target;
+                self.wu_queue.push_back((0, target));
+            }
+            // Stream level.
+            let delivered = rec.recv.delivered();
+            let adv = rec.advertised.get_or_insert(self.cfg.stream_recv_window);
+            let target = delivered + self.stream_window;
+            if target.saturating_sub(*adv) >= self.stream_window / 2 {
+                if self.cfg.flow_auto_tune && fast(self.last_stream_update) {
+                    self.stream_window =
+                        (self.stream_window * 2).min(self.cfg.stream_recv_window_max);
+                }
+                self.last_stream_update = Some(now);
+                let target = delivered + self.stream_window;
+                *adv = target;
+                self.wu_queue.push_back((id, target));
+            }
         }
-        if self
-            .recv_streams
-            .get_mut(&id)
-            .expect("just inserted")
-            .take_fin()
-        {
+        if rec.recv.take_fin() {
             self.tel
                 .events
                 .push_back(AppEvent::StreamFin(StreamId(id as u64)));
@@ -343,42 +363,6 @@ impl QuicConnection {
             if !peer_initiated {
                 self.open_initiated = self.open_initiated.saturating_sub(1);
             }
-        }
-    }
-
-    fn maybe_queue_window_updates(&mut self, id: u32, now: Time) {
-        // gQUIC auto-tuning: if two consecutive updates are closer than
-        // 2 x sRTT the window may be the bottleneck — double it (up to
-        // the ceiling).
-        let fast = |last: Option<Time>, srtt: Dur| -> bool {
-            last.is_some_and(|t| now.saturating_since(t) < srtt * 2)
-        };
-        // Connection level.
-        let target = self.conn_delivered + self.conn_window;
-        if target.saturating_sub(self.conn_advertised) >= self.conn_window / 2 {
-            if self.cfg.flow_auto_tune && fast(self.last_conn_update, self.rtt.srtt()) {
-                self.conn_window = (self.conn_window * 2).min(self.cfg.conn_recv_window_max);
-            }
-            self.last_conn_update = Some(now);
-            let target = self.conn_delivered + self.conn_window;
-            self.conn_advertised = target;
-            self.wu_queue.push_back((0, target));
-        }
-        // Stream level.
-        let delivered = self.recv_streams.get(&id).map_or(0, |s| s.delivered());
-        let adv = self
-            .stream_advertised
-            .entry(id)
-            .or_insert(self.cfg.stream_recv_window);
-        let target = delivered + self.stream_window;
-        if target.saturating_sub(*adv) >= self.stream_window / 2 {
-            if self.cfg.flow_auto_tune && fast(self.last_stream_update, self.rtt.srtt()) {
-                self.stream_window = (self.stream_window * 2).min(self.cfg.stream_recv_window_max);
-            }
-            self.last_stream_update = Some(now);
-            let target = delivered + self.stream_window;
-            *adv = target;
-            self.wu_queue.push_back((id, target));
         }
     }
 
@@ -440,9 +424,7 @@ impl QuicConnection {
     fn requeue_lost(&mut self, lost: &SentPacket) {
         for chunk in &lost.chunks {
             self.tel.stats.retransmissions += 1;
-            if let Some(s) = self.send_streams.get_mut(&chunk.id) {
-                s.on_chunk_lost(chunk);
-            }
+            self.streams.on_chunk_lost(chunk);
         }
         if let Some(kind) = lost.handshake {
             self.hs_queue.push_back(kind);
@@ -453,9 +435,9 @@ impl QuicConnection {
             let current = if stream == 0 {
                 self.conn_advertised
             } else {
-                self.stream_advertised
-                    .get(&stream)
-                    .copied()
+                self.streams
+                    .get(stream)
+                    .and_then(|rec| rec.advertised)
                     .unwrap_or(self.stream_window)
             };
             self.wu_queue.push_back((stream, current));
@@ -479,11 +461,6 @@ impl QuicConnection {
             &self.recovery,
             self.app_limited,
         );
-    }
-
-    /// Does any stream have bytes or FINs ready (ignoring cc/pacing)?
-    fn stream_data_pending(&self) -> bool {
-        self.send_streams.values().any(SendStream::wants_to_send)
     }
 
     /// Watchdog trip: stop trying, clear every pending timer and queue so
@@ -514,22 +491,14 @@ impl QuicConnection {
     ) -> Transmit {
         let pn = self.next_pn;
         self.next_pn += 1;
-        // Window updates are rare; only allocate the id list when one is
-        // actually aboard.
-        let has_wu = frames
-            .iter()
-            .any(|f| matches!(f, Frame::WindowUpdate { .. }));
-        let wu_streams: Vec<u32> = if has_wu {
-            frames
-                .iter()
-                .filter_map(|f| match f {
-                    Frame::WindowUpdate { stream, .. } => Some(*stream),
-                    _ => None,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Window updates are rare; the id list allocates only when one
+        // is actually aboard.
+        let mut wu_streams: Vec<u32> = Vec::new();
+        for f in &frames {
+            if let Frame::WindowUpdate { stream, .. } = f {
+                wu_streams.push(*stream);
+            }
+        }
         let pkt = QuicPacket {
             conn_id: self.conn_id,
             pn,
@@ -661,13 +630,8 @@ impl Connection for QuicConnection {
                 Frame::WindowUpdate { stream, max_offset } => {
                     if stream == 0 {
                         self.conn_send_limit = self.conn_send_limit.max(max_offset);
-                    } else if let Some(s) = self.send_streams.get_mut(&stream) {
-                        s.on_window_update(max_offset);
                     } else {
-                        // The send side doesn't exist yet; remember the
-                        // limit for when the application first writes.
-                        let e = self.pending_stream_limits.entry(stream).or_insert(0);
-                        *e = (*e).max(max_offset);
+                        self.streams.on_window_update(stream, max_offset);
                     }
                 }
                 Frame::Handshake { kind, .. } => self.on_handshake_frame(kind, now),
@@ -795,35 +759,16 @@ impl Connection for QuicConnection {
                     }
                     // Connection-level flow control for fresh data.
                     let conn_room = self.conn_send_limit.saturating_sub(self.conn_fresh_sent);
-                    // Round-robin across streams with pending chunks
-                    // (in-place iteration, no key-list allocation; the
-                    // fresh-sent update is deferred past the borrow).
-                    let mut got: Option<Chunk> = None;
-                    let mut fresh_sent = 0u64;
-                    for s in self.send_streams.values_mut() {
-                        let had_retransmit = s.has_retransmit_pending();
-                        let fresh_ok = s.sendable_new().min(conn_room) > 0 || s.fin_pending();
-                        if !had_retransmit && !fresh_ok {
-                            continue;
-                        }
-                        data_was_available = true;
-                        // Cap fresh sends by connection flow control.
-                        let cap = if had_retransmit {
-                            budget
-                        } else {
-                            budget.min(conn_room.min(u32::MAX as u64) as u32)
-                        };
-                        if let Some(chunk) = s.next_chunk(cap) {
-                            if !had_retransmit {
-                                fresh_sent = chunk.len as u64;
-                            }
-                            got = Some(chunk);
-                            break;
-                        }
-                    }
-                    self.conn_fresh_sent += fresh_sent;
-                    match got {
+                    // Strict priority, not round-robin: the lowest stream
+                    // id with something sendable goes first (see
+                    // `StreamTable`).
+                    let pull = self.streams.next_chunk(budget, conn_room);
+                    data_was_available |= pull.data_was_available;
+                    match pull.chunk {
                         Some(chunk) => {
+                            if pull.fresh {
+                                self.conn_fresh_sent += chunk.len as u64;
+                            }
                             let f = Frame::Stream {
                                 id: chunk.id,
                                 offset: chunk.offset,
@@ -936,27 +881,15 @@ impl Connection for QuicConnection {
         let id = self.next_stream_id;
         self.next_stream_id += 2;
         self.open_initiated += 1;
-        self.send_streams
-            .insert(id, SendStream::with_window(id, self.cfg.stream_recv_window));
         // Announce our receive window for this stream (the peer assumes
         // its own default otherwise).
-        self.stream_advertised.insert(id, self.stream_window);
+        self.streams.rec_mut(id).advertised = Some(self.stream_window);
         self.wu_queue.push_back((id, self.stream_window));
         Some(StreamId(id as u64))
     }
 
     fn stream_send(&mut self, _now: Time, id: StreamId, bytes: u64, fin: bool) {
-        let id = id.0 as u32;
-        let window = self
-            .pending_stream_limits
-            .remove(&id)
-            .unwrap_or(0)
-            .max(self.cfg.stream_recv_window);
-        let s = self
-            .send_streams
-            .entry(id)
-            .or_insert_with(|| SendStream::with_window(id, window));
-        s.write(bytes, fin);
+        self.streams.write(id.0 as u32, bytes, fin);
         self.app_limited = false;
     }
 
@@ -972,7 +905,7 @@ impl Connection for QuicConnection {
         self.watchdog.gave_up()
             || (!self.sent.has_retransmittable()
                 && self.hs_queue.is_empty()
-                && !self.stream_data_pending())
+                && !self.streams.any_ready())
     }
 
     fn stats(&self) -> ConnStats {

@@ -41,6 +41,8 @@ mod loopback_tests {
         /// Drop the nth a->b packet (0-based counters).
         drop_a_to_b: Vec<u64>,
         sent_ab: u64,
+        /// Stream frames (chunks) `a` has put on the wire.
+        chunks_ab: u64,
     }
 
     impl Pipe {
@@ -50,6 +52,7 @@ mod loopback_tests {
                 b_to_a: VecDeque::new(),
                 drop_a_to_b: Vec::new(),
                 sent_ab: 0,
+                chunks_ab: 0,
             }
         }
     }
@@ -70,6 +73,13 @@ mod loopback_tests {
             while let Some(tx) = a.poll_transmit(now) {
                 let dropped = pipe.drop_a_to_b.contains(&pipe.sent_ab);
                 pipe.sent_ab += 1;
+                if let Payload::Quic(pkt) = &tx.payload {
+                    pipe.chunks_ab += pkt
+                        .frames
+                        .iter()
+                        .filter(|f| matches!(f, crate::Frame::Stream { .. }))
+                        .count() as u64;
+                }
                 if !dropped {
                     pipe.a_to_b.push_back((now + OWD, tx.payload));
                 }
@@ -266,6 +276,55 @@ mod loopback_tests {
         s.stream_send(Time::ZERO + Dur::from_millis(200), id, 50, true);
         run(&mut c, &mut s, &mut pipe, Time::ZERO + Dur::from_secs(2));
         assert!(c.open_stream(Time::ZERO + Dur::from_secs(2)).is_some());
+    }
+
+    /// Complexity guard, no timing: serving 200 streams costs the send
+    /// scheduler a number of stream probes proportional to the chunks it
+    /// emits, not to chunks x streams ever opened (a scan from the lowest
+    /// id for every chunk would make on the order of 10^5 probes here).
+    #[test]
+    fn scheduler_probes_scale_with_chunks_not_streams() {
+        const STREAMS: u64 = 200;
+        const OBJECT: u64 = 10 * 1024;
+        let cfg = QuicConfig {
+            max_streams: STREAMS as u32,
+            // Keep connection flow control out of the way: a blocked
+            // poll legitimately looks at every ready stream.
+            conn_recv_window: 16 * 1024 * 1024,
+            ..QuicConfig::default()
+        };
+        let mut c = QuicConnection::client(cfg.clone(), 11, true, Time::ZERO);
+        let mut s = QuicConnection::server(cfg, 11, Time::ZERO);
+        let ids: Vec<StreamId> = (0..STREAMS)
+            .map(|_| {
+                let id = c.open_stream(Time::ZERO).expect("under MSPC");
+                c.stream_send(Time::ZERO, id, 200, true);
+                id
+            })
+            .collect();
+        // The server is side `a` so its packets are the ones counted
+        // (and dropped: a few losses put retransmissions, which jump the
+        // queue, into the mix).
+        let mut pipe = Pipe::new();
+        let t1 = Time::ZERO + Dur::from_millis(200);
+        run(&mut s, &mut c, &mut pipe, t1);
+        for &id in &ids {
+            s.stream_send(t1, id, OBJECT, true);
+        }
+        pipe.drop_a_to_b = vec![40, 41, 300, 900];
+        pipe.chunks_ab = 0;
+        let (_, ev_c) = run(&mut s, &mut c, &mut pipe, Time::ZERO + Dur::from_secs(60));
+        for &id in &ids {
+            assert_eq!(total_bytes(&ev_c, id), OBJECT, "stream {id:?} incomplete");
+        }
+        assert!(s.is_quiescent());
+        assert!(s.stats().retransmissions >= 4);
+        let (chunks, probes) = (pipe.chunks_ab, s.stream_probes());
+        assert!(chunks >= STREAMS * OBJECT / 1350);
+        assert!(
+            probes <= 2 * chunks,
+            "{probes} stream probes for {chunks} chunks over {STREAMS} streams"
+        );
     }
 
     #[test]

@@ -242,6 +242,39 @@ fn next_live_tag(tags: &[u8], mut i: usize, end: usize) -> usize {
     i
 }
 
+/// Push onto `out` the key of every `items` entry (ascending by `key`)
+/// that some ack block covers. Blocks are disjoint and sorted (descending
+/// off the wire, ascending from tests), so after cutting `items` to the
+/// blocks' overall span one merge walk finds each key's only candidate
+/// block — entries outside the span are never touched.
+fn covered_keys<T>(items: &[T], key: impl Fn(&T) -> u64, blocks: &[AckBlock], out: &mut Vec<u64>) {
+    let (Some(&first), Some(&last)) = (blocks.first(), blocks.last()) else {
+        return;
+    };
+    let span_lo = first.0.min(last.0);
+    let span_hi = first.1.max(last.1);
+    let lo_idx = items.partition_point(|e| key(e) < span_lo);
+    let hi_idx = items.partition_point(|e| key(e) <= span_hi);
+    let descending = blocks.len() >= 2 && blocks[0].0 > blocks[1].0;
+    let at = |j: usize| {
+        if descending {
+            blocks[blocks.len() - 1 - j]
+        } else {
+            blocks[j]
+        }
+    };
+    let mut j = 0usize;
+    for e in &items[lo_idx..hi_idx] {
+        let pn = key(e);
+        while j < blocks.len() && at(j).1 < pn {
+            j += 1;
+        }
+        if j < blocks.len() && at(j).0 <= pn {
+            out.push(pn);
+        }
+    }
+}
+
 /// Slab-backed sender tracker with amortized NACK accounting — the batched
 /// hot-path twin of [`SentTracker`].
 ///
@@ -264,11 +297,25 @@ fn next_live_tag(tags: &[u8], mut i: usize, end: usize) -> usize {
 ///   pn-ascending order the map store emits, even when the adaptive
 ///   threshold grows between frames.
 ///
-/// Per ack frame the slab does O(newly-acked + newly-below + newly-lost)
-/// work. Time-threshold loss detection (off by default) takes a full-scan
-/// path over `below` instead of the prefix pop, because for arbitrary
-/// `sent_at` patterns time-lost packets need not be contiguous at the
-/// front; the scan preserves pn order exactly.
+/// Loss detection ignores non-retransmittable packets, so a bare ack the
+/// network dropped is never acked and never declared lost: left in its
+/// slot it would pin `base` for the rest of the connection while the
+/// window grew by one slot per packet sent. The horizon walk (which
+/// visits every pn exactly once) therefore moves each live
+/// non-retransmittable packet it passes into `stragglers`, a small
+/// pn-ordered side store that the ack scan also consults. Nothing can
+/// tell where such a packet is kept — it carries no bytes in flight, is
+/// in no NACK set, and is acked from the side store at the same place in
+/// pn order — so outcomes, `outstanding()` and chunk recycling match the
+/// map store's, and the slot window spans only the packets still in
+/// flight plus those waiting out their NACK threshold.
+///
+/// Per ack frame the slab does O(blocks + newly-acked + newly-below +
+/// newly-lost) work plus a word-at-a-time skip over that window's
+/// tombstones. Time-threshold loss detection (off by default) takes a
+/// full-scan path over `below` instead of the prefix pop, because for
+/// arbitrary `sent_at` patterns time-lost packets need not be contiguous
+/// at the front; the scan preserves pn order exactly.
 ///
 /// Packets acked or RTO-abandoned while queued in `below` leave their
 /// slab slot vacant; the queue skips such tombstones when it reaches them.
@@ -290,6 +337,9 @@ pub struct SentSlab {
     tags_head: usize,
     /// Occupied slot count.
     live: usize,
+    /// Live non-retransmittable packets the ack horizon has passed,
+    /// ascending by pn. Allocates only once a first one exists.
+    stragglers: Vec<SentPacket>,
     bytes_in_flight: u64,
     largest_acked: Option<u64>,
     /// Packets declared lost, retained briefly to detect spuriousness.
@@ -335,19 +385,47 @@ impl SentSlab {
         }
         let next = self.base + self.slots.len() as u64;
         assert!(pkt.pn >= next, "packet number reused or out of order");
-        // A packet sent below the current ack horizon (possible only for
-        // adversarial acks claiming unseen pns) joins the NACK set now:
-        // its first nack lands on the next walk, like the map store's.
-        if pkt.retransmittable && pkt.pn < self.next_below {
-            self.below.push_back((self.acks_seen, pkt.pn));
-        }
         for _ in next..pkt.pn {
             self.slots.push_back(None);
             self.tags.push(0);
         }
+        // A packet sent below the current ack horizon (possible only for
+        // adversarial acks claiming unseen pns) will never meet the
+        // horizon walk. A retransmittable one joins the NACK set now: its
+        // first nack lands on the next walk, like the map store's. A bare
+        // ack goes straight to the side store, leaving a hole in its slot.
+        if pkt.pn < self.next_below {
+            if !pkt.retransmittable {
+                self.tags.push(0);
+                self.slots.push_back(None);
+                self.push_straggler(pkt);
+                self.compact_front();
+                return;
+            }
+            self.below.push_back((self.acks_seen, pkt.pn));
+        }
         self.tags.push(if pkt.retransmittable { 2 } else { 1 });
         self.slots.push_back(Some(pkt));
         self.live += 1;
+    }
+
+    /// Every straggler was sent before any packet that later becomes one,
+    /// so pushing keeps the side store ascending.
+    fn push_straggler(&mut self, pkt: SentPacket) {
+        debug_assert!(self.stragglers.last().is_none_or(|p| p.pn < pkt.pn));
+        self.stragglers.push(pkt);
+    }
+
+    fn take_straggler(&mut self, pn: u64) -> Option<SentPacket> {
+        let i = self.stragglers.binary_search_by_key(&pn, |p| p.pn).ok()?;
+        Some(self.stragglers.remove(i))
+    }
+
+    /// Slots the window currently spans, holes included (complexity
+    /// guards only).
+    #[doc(hidden)]
+    pub fn window_len(&self) -> usize {
+        self.slots.len()
     }
 
     /// Live view of the tag array: `tags()[i]` pairs with `slots[i]`.
@@ -417,8 +495,13 @@ impl SentSlab {
         if pkt.retransmittable {
             self.bytes_in_flight -= pkt.wire_bytes as u64;
         }
-        // Compact fully-drained prefix so ack-block scans stay within the
-        // outstanding window.
+        self.compact_front();
+        Some(pkt)
+    }
+
+    /// Drop the fully-drained prefix so ack-block scans stay within the
+    /// outstanding window.
+    fn compact_front(&mut self) {
         while self.tags.get(self.tags_head) == Some(&0) {
             self.slots.pop_front();
             self.tags_head += 1;
@@ -429,12 +512,11 @@ impl SentSlab {
             self.tags.drain(..self.tags_head);
             self.tags_head = 0;
         }
-        Some(pkt)
     }
 
     /// Process an ack frame. Semantics are pinned to
     /// [`SentTracker::on_ack_frame`] — same outcome fields, same loss
-    /// order — with O(newly-acked + newly-below + newly-lost) work.
+    /// order — at the cost stated on [`SentSlab`].
     pub fn on_ack_frame(
         &mut self,
         now: Time,
@@ -447,7 +529,7 @@ impl SentSlab {
         let _ = ack_delay; // rtt adjustment is done by the caller's estimator
         let mut out = AckOutcome::default();
 
-        // Newly acked pns present in the slab, ascending.
+        // Newly acked pns present in the slab or the side store, ascending.
         let mut acked = mem::take(&mut self.scratch_acked);
         debug_assert!(acked.is_empty());
         let window_end = self.base + self.slots.len() as u64;
@@ -474,10 +556,14 @@ impl SentSlab {
                 }
             }
         }
+        covered_keys(&self.stragglers, |p| p.pn, blocks, &mut acked);
         acked.sort_unstable();
 
         for &pn in &acked {
-            let pkt = self.remove_in_flight(pn).expect("collected above");
+            let pkt = self
+                .remove_in_flight(pn)
+                .or_else(|| self.take_straggler(pn))
+                .expect("collected above");
             if pkt.retransmittable {
                 out.newly_acked_bytes += pkt.wire_bytes as u64;
                 out.acked_payload_bytes += pkt.chunks.iter().map(|c| c.len as u64).sum::<u64>();
@@ -499,61 +585,47 @@ impl SentSlab {
         acked.clear();
         self.scratch_acked = acked;
 
-        // Spurious detection: acked pns we had declared lost. The log
-        // ascends in pn and ack blocks are disjoint and sorted
-        // (descending off the wire, ascending from tests), so one merge
-        // walk over the log entries inside the blocks' overall span finds
-        // each pn's only candidate block — entries below the span (old
-        // losses the tracker has trimmed past) are never touched.
-        if !(self.lost_log.is_empty() || blocks.is_empty()) {
-            let first = blocks[0];
-            let last = blocks[blocks.len() - 1];
-            let span_lo = first.0.min(last.0);
-            let span_hi = first.1.max(last.1);
-            let lo_idx = self.lost_log.partition_point(|e| e.0 < span_lo);
-            let hi_idx = self.lost_log.partition_point(|e| e.0 <= span_hi);
-            if lo_idx < hi_idx {
-                let descending = blocks.len() >= 2 && blocks[0].0 > blocks[1].0;
-                let at = |j: usize| {
-                    if descending {
-                        blocks[blocks.len() - 1 - j]
-                    } else {
-                        blocks[j]
-                    }
-                };
-                let mut hits = mem::take(&mut self.scratch_pns);
-                debug_assert!(hits.is_empty());
-                let mut j = 0usize;
-                for &(pn, _) in &self.lost_log[lo_idx..hi_idx] {
-                    while j < blocks.len() && at(j).1 < pn {
-                        j += 1;
-                    }
-                    if j < blocks.len() && at(j).0 <= pn {
-                        hits.push(pn);
-                    }
+        // Spurious detection: acked pns we had declared lost (old losses
+        // the blocks have trimmed past are never touched).
+        if !self.lost_log.is_empty() {
+            let mut hits = mem::take(&mut self.scratch_pns);
+            debug_assert!(hits.is_empty());
+            covered_keys(&self.lost_log, |e| e.0, blocks, &mut hits);
+            for &pn in &hits {
+                if let Ok(i) = self.lost_log.binary_search_by_key(&pn, |e| e.0) {
+                    self.lost_log.remove(i);
+                    out.spurious += 1;
                 }
-                for &pn in &hits {
-                    if let Ok(i) = self.lost_log.binary_search_by_key(&pn, |e| e.0) {
-                        self.lost_log.remove(i);
-                        out.spurious += 1;
-                    }
-                }
-                hits.clear();
-                self.scratch_pns = hits;
             }
+            hits.clear();
+            self.scratch_pns = hits;
         }
 
         self.largest_acked = Some(self.largest_acked.map_or(largest, |l| l.max(largest)));
         let horizon = self.largest_acked.expect("just set");
 
         // Packets newly below the horizon join the NACK set with the
-        // pre-walk `acks_seen`, so this walk counts as their first nack.
+        // pre-walk `acks_seen`, so this walk counts as their first nack;
+        // bare acks among them leave the window for the side store.
         let lo = self.next_below.max(self.base);
         let hi = horizon.min(window_end);
+        let mut moved = false;
         for pn in lo..hi {
-            if self.tags[self.tags_head + (pn - self.base) as usize] == 2 {
-                self.below.push_back((self.acks_seen, pn));
+            let i = (pn - self.base) as usize;
+            match self.tags[self.tags_head + i] {
+                2 => self.below.push_back((self.acks_seen, pn)),
+                1 => {
+                    let pkt = self.slots[i].take().expect("tag 1 marks a live slot");
+                    self.tags[self.tags_head + i] = 0;
+                    self.live -= 1;
+                    self.push_straggler(pkt);
+                    moved = true;
+                }
+                _ => {}
             }
+        }
+        if moved {
+            self.compact_front();
         }
         self.next_below = self.next_below.max(horizon);
         self.acks_seen += 1;
@@ -628,7 +700,7 @@ impl SentSlab {
 
     /// Outstanding packet count (diagnostics).
     pub fn outstanding(&self) -> usize {
-        self.live
+        self.live + self.stragglers.len()
     }
 }
 
@@ -963,6 +1035,51 @@ mod tests {
             assert!(out.lost.is_empty());
             assert_eq!(s.outstanding(), 0);
             assert!(!s.has_retransmittable());
+        }
+    }
+
+    #[test]
+    fn bare_ack_below_the_horizon_stays_outstanding_until_acked_late() {
+        for mut s in stores() {
+            s.on_sent(ack_pkt(0, 0));
+            for pn in 1..4 {
+                s.on_sent(data_pkt(pn, pn));
+            }
+            // The horizon passes the unacked bare ack: it is neither
+            // nacked nor lost, and still counts as outstanding.
+            let o1 = s.on_ack_frame(t(40), 3, Dur::ZERO, &[(1, 3)], 1, None);
+            assert!(o1.lost.is_empty());
+            assert_eq!(s.outstanding(), 1);
+            assert_eq!(s.bytes_in_flight(), 0);
+            assert!(s.newest_retransmittable().is_none());
+            assert!(s.declare_oldest_lost(usize::MAX).is_empty());
+            // A late ack that covers it retires it like any other packet.
+            let o2 = s.on_ack_frame(t(50), 3, Dur::ZERO, &[(0, 3)], 1, None);
+            assert_eq!(o2.newest_acked_sent_at, Some(t(0)));
+            assert_eq!(o2.newly_acked_bytes, 0);
+            assert!(!o2.acked_new_data);
+            assert_eq!(s.outstanding(), 0);
+        }
+    }
+
+    /// Complexity guard, no timing: a bare ack the network dropped is
+    /// never acked and never declared lost, yet the slot window must keep
+    /// tracking what is in flight rather than everything sent since.
+    #[test]
+    fn lost_bare_ack_does_not_pin_the_slab_window() {
+        let mut s = SentSlab::default();
+        s.on_sent(ack_pkt(0, 0));
+        for pn in 1..=10_000u64 {
+            s.on_sent(data_pkt(pn, pn));
+            let out = s.on_ack_frame(t(pn + 40), pn, Dur::ZERO, &[(pn, pn)], 3, None);
+            assert_eq!(out.newly_acked_bytes, 1400);
+            assert_eq!(s.outstanding(), 1, "the lost bare ack stays outstanding");
+            assert!(
+                s.window_len() <= s.outstanding() + 2,
+                "window {} slots for {} outstanding at pn {pn}",
+                s.window_len(),
+                s.outstanding()
+            );
         }
     }
 

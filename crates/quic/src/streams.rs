@@ -5,7 +5,7 @@
 //! stream A never delays delivery on stream B (contrast with the single
 //! ordered byte stream in `longlook-tcp`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A chunk of stream data scheduled for (re)transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,6 +269,189 @@ impl RecvStream {
     /// Bytes buffered out of order (for flow-control accounting).
     pub fn buffered_out_of_order(&self) -> u64 {
         self.segments.iter().map(|(&s, &e)| e - s).sum()
+    }
+}
+
+/// Everything the connection keeps for one stream id, so a stream frame
+/// costs one lookup.
+#[derive(Debug)]
+pub struct StreamRec {
+    /// Send side. Private: it changes only through [`StreamTable`], which
+    /// keeps the ready index in step with it.
+    send: SendStream,
+    /// Receive-side reassembly.
+    pub recv: RecvStream,
+    /// Peer-initiated stream already announced to the application.
+    pub announced: bool,
+    /// Receive offset last advertised to the peer (`None` until the first
+    /// announcement).
+    pub advertised: Option<u64>,
+}
+
+/// What [`StreamTable::next_chunk`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pull {
+    /// The chunk to send, if any stream could produce one.
+    pub chunk: Option<Chunk>,
+    /// The chunk is fresh data (counts against connection flow control)
+    /// rather than a retransmission.
+    pub fresh: bool,
+    /// Some stream passed the flow-control gate, whether or not it then
+    /// produced a chunk (a bare FIN with no connection credit does not).
+    pub data_was_available: bool,
+}
+
+/// The connection's streams and their send schedule.
+///
+/// The policy is strict priority: the lowest stream id that has a
+/// retransmission queued, fresh data that both its own and the
+/// connection's flow-control window admit, or a FIN to send, goes first.
+/// `ready` holds exactly the ids whose send side `wants_to_send()`,
+/// ascending: a stream enters when a write, a stream window update or a
+/// declared loss gives it something to send, and leaves when the pull
+/// that drained it sees so. Connection flow control is not part of that
+/// test — a stream it alone blocks stays indexed and is passed over — so
+/// one pull costs the streams ahead of the first sendable one, not every
+/// stream the connection ever opened.
+#[derive(Debug)]
+pub struct StreamTable {
+    recs: BTreeMap<u32, StreamRec>,
+    ready: VecDeque<u32>,
+    /// Send limit a stream starts with (the peer's initial window).
+    initial_window: u64,
+    /// Streams examined by `next_chunk` so far (complexity guard).
+    #[cfg(test)]
+    pub(crate) probes: u64,
+}
+
+impl StreamTable {
+    /// An empty table whose streams start with `initial_window` bytes of
+    /// send credit.
+    pub fn new(initial_window: u64) -> Self {
+        StreamTable {
+            recs: BTreeMap::new(),
+            ready: VecDeque::new(),
+            initial_window,
+            #[cfg(test)]
+            probes: 0,
+        }
+    }
+
+    fn entry(recs: &mut BTreeMap<u32, StreamRec>, window: u64, id: u32) -> &mut StreamRec {
+        recs.entry(id).or_insert_with(|| StreamRec {
+            send: SendStream::new(id, window),
+            recv: RecvStream::default(),
+            announced: false,
+            advertised: None,
+        })
+    }
+
+    /// The record for `id`, created on first use.
+    pub fn rec_mut(&mut self, id: u32) -> &mut StreamRec {
+        Self::entry(&mut self.recs, self.initial_window, id)
+    }
+
+    /// The record for `id`, if the stream was ever touched.
+    pub fn get(&self, id: u32) -> Option<&StreamRec> {
+        self.recs.get(&id)
+    }
+
+    /// Enter `send`'s stream in the ready index if it has something to
+    /// send (every caller has just given it a reason to).
+    fn index_if_ready(ready: &mut VecDeque<u32>, send: &SendStream) {
+        if !send.wants_to_send() {
+            return;
+        }
+        match ready.back() {
+            Some(&last) if last >= send.id => {
+                if let Err(at) = ready.binary_search(&send.id) {
+                    ready.insert(at, send.id);
+                }
+            }
+            _ => ready.push_back(send.id),
+        }
+    }
+
+    /// Application queues `bytes` (and optionally the FIN) on `id`.
+    pub fn write(&mut self, id: u32, bytes: u64, fin: bool) {
+        let send = &mut Self::entry(&mut self.recs, self.initial_window, id).send;
+        send.write(bytes, fin);
+        Self::index_if_ready(&mut self.ready, send);
+    }
+
+    /// The peer raised stream `id`'s flow-control limit. A limit that
+    /// arrives before the application first writes waits on the idle
+    /// send side.
+    pub fn on_window_update(&mut self, id: u32, max_offset: u64) {
+        let send = &mut Self::entry(&mut self.recs, self.initial_window, id).send;
+        send.on_window_update(max_offset);
+        Self::index_if_ready(&mut self.ready, send);
+    }
+
+    /// A chunk was declared lost: queue it for retransmission (or re-arm
+    /// a bare FIN).
+    pub fn on_chunk_lost(&mut self, chunk: &Chunk) {
+        if let Some(rec) = self.recs.get_mut(&chunk.id) {
+            rec.send.on_chunk_lost(chunk);
+            Self::index_if_ready(&mut self.ready, &rec.send);
+        }
+    }
+
+    /// Does any stream have bytes or a FIN ready (ignoring connection
+    /// flow control, cc and pacing)?
+    pub fn any_ready(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
+    /// Pull the next chunk of at most `budget` bytes; fresh data is
+    /// further capped by `conn_room`, the connection-level credit left.
+    pub fn next_chunk(&mut self, budget: u32, conn_room: u64) -> Pull {
+        let mut data_was_available = false;
+        for at in 0..self.ready.len() {
+            let id = self.ready[at];
+            let s = &mut self
+                .recs
+                .get_mut(&id)
+                .expect("indexed stream has a record")
+                .send;
+            #[cfg(test)]
+            {
+                self.probes += 1;
+            }
+            let retransmit = s.has_retransmit_pending();
+            if !retransmit && s.sendable_new().min(conn_room) == 0 && !s.fin_pending() {
+                continue;
+            }
+            data_was_available = true;
+            // Retransmissions ignore connection flow control: the peer
+            // already granted credit for those offsets.
+            let cap = if retransmit {
+                budget
+            } else {
+                budget.min(conn_room.min(u32::MAX as u64) as u32)
+            };
+            if let Some(chunk) = s.next_chunk(cap) {
+                if !s.wants_to_send() {
+                    self.ready.remove(at);
+                }
+                return Pull {
+                    chunk: Some(chunk),
+                    fresh: !retransmit,
+                    data_was_available,
+                };
+            }
+        }
+        Pull {
+            chunk: None,
+            fresh: false,
+            data_was_available,
+        }
+    }
+
+    /// The ready index, ascending (for the scheduling proptest).
+    #[doc(hidden)]
+    pub fn ready_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ready.iter().copied()
     }
 }
 

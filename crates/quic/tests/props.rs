@@ -4,10 +4,11 @@
 use bytes::Bytes;
 use longlook_quic::recv_ack::AckTracker;
 use longlook_quic::sent::{AckOutcome, SentPacket, SentSlab, SentTracker};
-use longlook_quic::streams::{Chunk, RecvStream};
+use longlook_quic::streams::{Chunk, RecvStream, SendStream, StreamTable};
 use longlook_quic::wire::{AckBlock, Frame, HandshakeKind, QuicPacket};
 use longlook_sim::time::{Dur, Time};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
@@ -212,6 +213,12 @@ enum StoreOp {
     /// RTO path: abandon up to `n` oldest packets (255 = whole flight,
     /// the PR-5 livelock shape).
     Rto { n: u8 },
+    /// A bare ack the network drops: send it, then `data` data packets,
+    /// then an ack frame covering exactly those — the horizon passes the
+    /// bare ack and leaves it outstanding for good.
+    Straggle { data: u8 },
+    /// A late ack covering every pn sent so far, stragglers included.
+    LateAck,
 }
 
 fn arb_store_op() -> impl Strategy<Value = StoreOp> {
@@ -230,6 +237,8 @@ fn arb_store_op() -> impl Strategy<Value = StoreOp> {
                 timed,
             }),
         prop_oneof![Just(1u8), Just(2), Just(255)].prop_map(|n| StoreOp::Rto { n }),
+        (1u8..40).prop_map(|data| StoreOp::Straggle { data }),
+        Just(StoreOp::LateAck),
     ]
 }
 
@@ -287,8 +296,10 @@ proptest! {
     /// The slab store is indistinguishable from the map store over
     /// arbitrary operation sequences: same ack outcomes (including loss
     /// *order*), same in-flight accounting, same spurious detection,
-    /// through retransmission cycles, whole-flight RTO abandonment, and
-    /// adaptive thresholds shifting between frames.
+    /// through retransmission cycles, whole-flight RTO abandonment,
+    /// adaptive thresholds shifting between frames, and bare acks that
+    /// outlive the horizon in the slab's side store until a late ack
+    /// covers them (or for good).
     #[test]
     fn slab_store_equivalent_to_map_store(
         ops in proptest::collection::vec(arb_store_op(), 1..50),
@@ -298,44 +309,64 @@ proptest! {
         let mut next_pn = 0u64;
         let mut ms = 0u64;
         for op in ops {
+            // Every op reduces to sends, at most one ack frame, or an RTO.
+            let mut sends: Vec<bool> = Vec::new();
+            let mut ack: Option<(u64, Vec<AckBlock>, u32, bool)> = None;
+            let mut rto: Option<usize> = None;
             match op {
                 StoreOp::Send { count, mask } => {
-                    for i in 0..count {
-                        let retrans = mask & (1 << (i % 8)) != 0;
-                        let pkt = mk_pkt(next_pn, ms, retrans);
-                        map.on_sent(pkt.clone());
-                        slab.on_sent(pkt);
-                        next_pn += 1;
-                        ms += 1;
-                    }
+                    sends.extend((0..count).map(|i| mask & (1 << (i % 8)) != 0));
                 }
                 StoreOp::Ack { largest_jit, picks, thr, timed } => {
                     if next_pn == 0 {
                         continue;
                     }
-                    ms += 5;
                     // largest in [0, next_pn + 3]: past-the-end values
                     // exercise the adversarial below-horizon send path.
                     let largest = (largest_jit as u64) % (next_pn + 4);
-                    let blocks = picks_to_blocks(&picks, next_pn - 1);
-                    let now = Time::ZERO + Dur::from_millis(ms);
-                    let tth = timed.then(|| Dur::from_millis(20));
-                    let a = map.on_ack_frame(now, largest, Dur::ZERO, &blocks, thr as u32, tth);
-                    let b = slab.on_ack_frame(now, largest, Dur::ZERO, &blocks, thr as u32, tth);
-                    prop_assert!(
-                        outcomes_equal(&a, &b),
-                        "ack outcome diverged:\n map: {a:?}\nslab: {b:?}"
-                    );
+                    ack = Some((largest, picks_to_blocks(&picks, next_pn - 1), thr as u32, timed));
                 }
                 StoreOp::Rto { n } => {
-                    let n = if n == 255 { usize::MAX } else { n as usize };
-                    let a = map.declare_oldest_lost(n);
-                    let b = slab.declare_oldest_lost(n);
-                    prop_assert_eq!(
-                        a.iter().map(|p| p.pn).collect::<Vec<_>>(),
-                        b.iter().map(|p| p.pn).collect::<Vec<_>>()
-                    );
+                    rto = Some(if n == 255 { usize::MAX } else { n as usize });
                 }
+                StoreOp::Straggle { data } => {
+                    sends.push(false);
+                    sends.extend((0..data).map(|_| true));
+                    let newest = next_pn + data as u64;
+                    ack = Some((newest, vec![(next_pn + 1, newest)], 3, false));
+                }
+                StoreOp::LateAck => {
+                    if next_pn == 0 {
+                        continue;
+                    }
+                    ack = Some((next_pn - 1, vec![(0, next_pn - 1)], 3, false));
+                }
+            }
+            for retrans in sends {
+                let pkt = mk_pkt(next_pn, ms, retrans);
+                map.on_sent(pkt.clone());
+                slab.on_sent(pkt);
+                next_pn += 1;
+                ms += 1;
+            }
+            if let Some((largest, blocks, thr, timed)) = ack {
+                ms += 5;
+                let now = Time::ZERO + Dur::from_millis(ms);
+                let tth = timed.then(|| Dur::from_millis(20));
+                let a = map.on_ack_frame(now, largest, Dur::ZERO, &blocks, thr, tth);
+                let b = slab.on_ack_frame(now, largest, Dur::ZERO, &blocks, thr, tth);
+                prop_assert!(
+                    outcomes_equal(&a, &b),
+                    "ack outcome diverged:\n map: {a:?}\nslab: {b:?}"
+                );
+            }
+            if let Some(n) = rto {
+                let a = map.declare_oldest_lost(n);
+                let b = slab.declare_oldest_lost(n);
+                prop_assert_eq!(
+                    a.iter().map(|p| p.pn).collect::<Vec<_>>(),
+                    b.iter().map(|p| p.pn).collect::<Vec<_>>()
+                );
             }
             prop_assert_eq!(map.bytes_in_flight(), slab.bytes_in_flight());
             prop_assert_eq!(map.largest_acked(), slab.largest_acked());
@@ -474,5 +505,151 @@ proptest! {
         let f = Frame::Ack { largest, ack_delay_us: delay, blocks };
         let pkt = QuicPacket { conn_id: u64::MAX, pn: u64::MAX, frames: vec![f] };
         prop_assert_eq!(pkt.encoded_len() as usize, pkt.encode().len());
+    }
+}
+
+/// One abstract send-scheduling operation, applied identically to the
+/// [`StreamTable`] and to the full-scan oracle below.
+#[derive(Debug, Clone)]
+enum SchedOp {
+    /// The application writes to stream `3 + 2 * stream` (ignored once
+    /// that stream has its FIN queued).
+    Write { stream: u8, bytes: u16, fin: bool },
+    /// The peer raises one stream's flow-control limit by `delta`.
+    StreamWindow { stream: u8, delta: u16 },
+    /// The peer raises the connection flow-control limit by `delta`.
+    ConnWindow { delta: u16 },
+    /// One of the chunks pulled so far (zero-length FINs included) is
+    /// declared lost.
+    Lose { pick: u8 },
+    /// The connection asks for chunks of at most `budget` bytes until one
+    /// pull comes back empty or `max` have been taken.
+    Pull { budget: u16, max: u8 },
+}
+
+fn arb_sched_op() -> impl Strategy<Value = SchedOp> {
+    prop_oneof![
+        // Zero-byte writes on purpose: with `fin` they queue a bare FIN.
+        (0u8..12, prop_oneof![Just(0u16), 0u16..6_000], any::<bool>())
+            .prop_map(|(stream, bytes, fin)| SchedOp::Write { stream, bytes, fin }),
+        (0u8..12, 0u16..4_000).prop_map(|(stream, delta)| SchedOp::StreamWindow { stream, delta }),
+        (0u16..8_000).prop_map(|delta| SchedOp::ConnWindow { delta }),
+        any::<u8>().prop_map(|pick| SchedOp::Lose { pick }),
+        // Listed twice to weight pulls (the in-tree `prop_oneof!` has no
+        // weight syntax): the index is only pruned by pulling.
+        (0u16..1_400, 1u8..6).prop_map(|(budget, max)| SchedOp::Pull { budget, max }),
+        (0u16..1_400, 1u8..6).prop_map(|(budget, max)| SchedOp::Pull { budget, max }),
+    ]
+}
+
+/// The scheduling policy as the connection used to spell it out: walk
+/// every stream ever opened from the lowest id, take the first that has a
+/// retransmission, fresh data the connection window admits, or a FIN.
+/// Returns `(chunk, fresh, data_was_available)`.
+fn full_scan_pull(
+    streams: &mut BTreeMap<u32, SendStream>,
+    budget: u32,
+    conn_room: u64,
+) -> (Option<Chunk>, bool, bool) {
+    let mut data_was_available = false;
+    for s in streams.values_mut() {
+        let had_retransmit = s.has_retransmit_pending();
+        let fresh_ok = s.sendable_new().min(conn_room) > 0 || s.fin_pending();
+        if !had_retransmit && !fresh_ok {
+            continue;
+        }
+        data_was_available = true;
+        let cap = if had_retransmit {
+            budget
+        } else {
+            budget.min(conn_room.min(u32::MAX as u64) as u32)
+        };
+        if let Some(chunk) = s.next_chunk(cap) {
+            return (Some(chunk), !had_retransmit, true);
+        }
+    }
+    (None, false, data_was_available)
+}
+
+proptest! {
+    /// The ready index changes what a pull costs, never what it returns:
+    /// over random interleavings of writes, stream and connection window
+    /// updates, losses (bare FINs included) and pulls, the table hands
+    /// out the chunk sequence of the full scan, with the same
+    /// `data_was_available`, and after every step indexes exactly the
+    /// streams that still want to send — never a drained one.
+    #[test]
+    fn ready_index_schedules_like_the_full_scan(
+        ops in proptest::collection::vec(arb_sched_op(), 1..120),
+    ) {
+        const INITIAL_WINDOW: u64 = 3_000;
+        let mut table = StreamTable::new(INITIAL_WINDOW);
+        let mut oracle: BTreeMap<u32, SendStream> = BTreeMap::new();
+        let mut stream_limit: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut finished: Vec<u32> = Vec::new();
+        let mut conn_limit = 5_000u64;
+        let mut conn_fresh_sent = 0u64;
+        let mut pulled: Vec<Chunk> = Vec::new();
+        let id_of = |stream: u8| 3 + 2 * stream as u32;
+        for op in ops {
+            match op {
+                SchedOp::Write { stream, bytes, fin } => {
+                    let id = id_of(stream);
+                    if finished.contains(&id) {
+                        continue;
+                    }
+                    if fin {
+                        finished.push(id);
+                    }
+                    table.write(id, bytes as u64, fin);
+                    oracle
+                        .entry(id)
+                        .or_insert_with(|| SendStream::with_window(id, INITIAL_WINDOW))
+                        .write(bytes as u64, fin);
+                }
+                SchedOp::StreamWindow { stream, delta } => {
+                    let id = id_of(stream);
+                    let limit = stream_limit.entry(id).or_insert(INITIAL_WINDOW);
+                    *limit += delta as u64;
+                    table.on_window_update(id, *limit);
+                    oracle
+                        .entry(id)
+                        .or_insert_with(|| SendStream::with_window(id, INITIAL_WINDOW))
+                        .on_window_update(*limit);
+                }
+                SchedOp::ConnWindow { delta } => conn_limit += delta as u64,
+                SchedOp::Lose { pick } => {
+                    if pulled.is_empty() {
+                        continue;
+                    }
+                    let chunk = pulled.swap_remove(pick as usize % pulled.len());
+                    table.on_chunk_lost(&chunk);
+                    oracle
+                        .get_mut(&chunk.id)
+                        .expect("pulled from this stream")
+                        .on_chunk_lost(&chunk);
+                }
+                SchedOp::Pull { budget, max } => {
+                    for _ in 0..max {
+                        let conn_room = conn_limit.saturating_sub(conn_fresh_sent);
+                        let got = table.next_chunk(budget as u32, conn_room);
+                        let want = full_scan_pull(&mut oracle, budget as u32, conn_room);
+                        prop_assert_eq!((got.chunk, got.fresh, got.data_was_available), want);
+                        let Some(chunk) = got.chunk else { break };
+                        if got.fresh {
+                            conn_fresh_sent += chunk.len as u64;
+                        }
+                        pulled.push(chunk);
+                    }
+                }
+            }
+            let wanting: Vec<u32> = oracle
+                .iter()
+                .filter(|(_, s)| s.wants_to_send())
+                .map(|(&id, _)| id)
+                .collect();
+            prop_assert_eq!(table.ready_ids().collect::<Vec<_>>(), wanting);
+            prop_assert_eq!(table.any_ready(), oracle.values().any(SendStream::wants_to_send));
+        }
     }
 }

@@ -166,6 +166,39 @@ pub fn scenarios() -> Vec<(String, Scenario)> {
     out
 }
 
+/// Many-stream QUIC cells: 120 × 10 KB objects over 1 % loss, the page
+/// shape the object-count sweeps spend their time on. Every other cell
+/// here opens at most five streams, so these are what pin the send
+/// scheduler's policy (lowest ready stream id first, retransmissions
+/// exempt from connection flow control). `conn_blocked` freezes both
+/// receive windows at 24 KB — below the path's bandwidth-delay product —
+/// so the sender spends the load with a hundred streams holding fresh
+/// data the connection window will not admit while retransmissions and
+/// FINs still go out.
+pub fn many_stream_cells() -> Vec<(&'static str, ProtoConfig, Scenario)> {
+    let page = PageSpec::uniform(120, 10 * 1024);
+    let net = NetProfile::baseline(10.0).with_loss(0.01);
+    let blocked = QuicConfig {
+        conn_recv_window: 24 * 1024,
+        flow_auto_tune: false,
+        ..QuicConfig::default()
+    };
+    vec![
+        (
+            "many_streams",
+            ProtoConfig::Quic(QuicConfig::default()),
+            Scenario::new(net.clone(), page.clone())
+                .with_rounds(2)
+                .with_seed(9003),
+        ),
+        (
+            "many_streams_conn_blocked",
+            ProtoConfig::Quic(blocked),
+            Scenario::new(net, page).with_rounds(2).with_seed(9005),
+        ),
+    ]
+}
+
 fn fev(at_ms: u64, dur_ms: u64, kind: FaultKind) -> FaultEvent {
     FaultEvent {
         at: Time::ZERO + Dur::from_millis(at_ms),

@@ -21,7 +21,7 @@
 //! the conclusion end to end, per axis and for the all-reference corner
 //! (which pins that the axes do not interact): bit-identical `RunRecord`s
 //! and `StateTrace`s over clean / lossy / jittered / tiny cells under
-//! `Serial` and `Threads(4)` runners, identical `TraumaRecord`s when
+//! `Serial` and `Threads(4)` runners and over 120-stream lossy loads, identical `TraumaRecord`s when
 //! fault windows split bursts mid-run, and identical event counts and
 //! scheduler high-water marks on bulk transfers, for both protocols.
 //!
@@ -30,7 +30,9 @@
 
 mod common;
 
-use common::{axis, bulk_cell, faulted_scenarios, protos, render, scenarios, BULK_SEEDS};
+use common::{
+    axis, bulk_cell, faulted_scenarios, many_stream_cells, protos, render, scenarios, BULK_SEEDS,
+};
 use longlook_core::prelude::*;
 
 fn assert_identical_to_default(axis_name: &str) {
@@ -49,6 +51,17 @@ fn assert_identical_to_default(axis_name: &str) {
                 );
             }
         }
+    }
+
+    // 120-stream loads, flow-control-bound and not: the send scheduler
+    // and the sent-packet store at the depth the object-count sweeps run.
+    for (name, proto, sc) in many_stream_cells() {
+        let want = render(&run_records(&proto, &sc));
+        let got = render(&run_records(&proto, &sc.with_exec(exec)));
+        assert_eq!(
+            got, want,
+            "{axis_name}: {name}: RunRecords diverged from ExecConfig::default()"
+        );
     }
 
     // Faulted cells: the full TraumaRecord (outcome, typed errors,
