@@ -14,7 +14,7 @@ use crate::wire::{Frame, HandshakeKind, QuicPacket, MAX_ACK_BLOCKS, MAX_PACKET_P
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{PayloadPool, WireMode};
+use longlook_sim::{pool, PayloadPool, WireMode};
 use longlook_transport::cc::CongestionControl;
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
@@ -109,11 +109,6 @@ pub struct QuicConnection {
     /// Recycled payload buffers (encoded path only): encoders take from
     /// here, spent received payloads are reclaimed in `on_datagram`.
     pool: PayloadPool,
-    /// Recycled `Frame` vectors: received packets donate their (drained)
-    /// frame storage, outgoing packets take it back — the vec flow
-    /// mirrors the packet flow, so a steady ack-for-data exchange builds
-    /// frames without touching the allocator.
-    spare_frames: Vec<Vec<Frame>>,
     /// Structured (typed packets in memory) vs encoded (serialize +
     /// reparse) wire path (`cfg.exec.wire`).
     wire_mode: WireMode,
@@ -205,7 +200,6 @@ impl QuicConnection {
             pacing_deadline: None,
             app_limited: false,
             pool: PayloadPool::new(),
-            spare_frames: Vec::new(),
             wire_mode: exec.wire,
         }
     }
@@ -476,29 +470,32 @@ impl QuicConnection {
         self.tlp_fire = false;
     }
 
+    /// Append `f` to a packet under construction, drawing the vector's
+    /// storage from the thread's free list on first use.
+    fn push_frame(frames: &mut Vec<Frame>, f: Frame) {
+        if frames.capacity() == 0 {
+            *frames = pool::take_frames();
+        }
+        frames.push(f);
+    }
+
     fn frame_budget(used: u32) -> u32 {
         MAX_PACKET_PAYLOAD.saturating_sub(used)
     }
 
-    /// Assemble and account one outgoing packet from `frames`.
+    /// Assemble and account one outgoing packet from `frames`;
+    /// `wu_streams` names the window updates among them.
     fn finalize_packet(
         &mut self,
         frames: Vec<Frame>,
         chunks: Vec<Chunk>,
+        wu_streams: Vec<u32>,
         handshake: Option<HandshakeKind>,
         retransmittable: bool,
         now: Time,
     ) -> Transmit {
         let pn = self.next_pn;
         self.next_pn += 1;
-        // Window updates are rare; the id list allocates only when one
-        // is actually aboard.
-        let mut wu_streams: Vec<u32> = Vec::new();
-        for f in &frames {
-            if let Frame::WindowUpdate { stream, .. } = f {
-                wu_streams.push(*stream);
-            }
-        }
         let pkt = QuicPacket {
             conn_id: self.conn_id,
             pn,
@@ -529,14 +526,9 @@ impl QuicConnection {
         let payload = match self.wire_mode {
             WireMode::Structured => Payload::Quic(pkt),
             WireMode::Encoded => {
-                // The typed packet dies here after encoding; keep its
-                // frame storage for the next build.
+                // The typed packet dies here after encoding.
                 let bytes = pkt.encode_with(&mut self.pool);
-                let mut frames = pkt.frames;
-                frames.clear();
-                if self.spare_frames.len() < 8 {
-                    self.spare_frames.push(frames);
-                }
+                pool::give_frames(pkt.frames);
                 Payload::Wire(bytes)
             }
         };
@@ -626,7 +618,10 @@ impl Connection for QuicConnection {
                     largest,
                     ack_delay_us,
                     blocks,
-                } => self.process_ack(largest, ack_delay_us, &blocks, now),
+                } => {
+                    self.process_ack(largest, ack_delay_us, &blocks, now);
+                    pool::give_blocks(blocks);
+                }
                 Frame::WindowUpdate { stream, max_offset } => {
                     if stream == 0 {
                         self.conn_send_limit = self.conn_send_limit.max(max_offset);
@@ -638,9 +633,7 @@ impl Connection for QuicConnection {
                 Frame::Ping | Frame::Blocked { .. } | Frame::Close { .. } => {}
             }
         }
-        if self.spare_frames.len() < 8 {
-            self.spare_frames.push(frames);
-        }
+        pool::give_frames(frames);
         self.update_state(now);
     }
 
@@ -648,8 +641,9 @@ impl Connection for QuicConnection {
         if self.watchdog.gave_up() {
             return None;
         }
-        let mut frames: Vec<Frame> = self.spare_frames.pop().unwrap_or_default();
-        debug_assert!(frames.is_empty());
+        // Most polls find nothing to send: `push_frame` draws the vector's
+        // storage from the thread's free list only when a frame turns up.
+        let mut frames: Vec<Frame> = Vec::new();
         let mut chunks: Vec<Chunk> = self.sent.take_spare_chunks();
         debug_assert!(chunks.is_empty());
         let mut used = 0u32;
@@ -667,7 +661,7 @@ impl Connection for QuicConnection {
             };
             let f = Frame::Handshake { kind, pad };
             used += f.wire_size();
-            frames.push(f);
+            Self::push_frame(&mut frames, f);
             retransmittable = true;
         }
 
@@ -684,18 +678,24 @@ impl Connection for QuicConnection {
                     blocks,
                 };
                 used += f.wire_size();
-                frames.push(f);
+                Self::push_frame(&mut frames, f);
             }
         }
 
-        // 3. Window updates.
+        // 3. Window updates. Their stream ids stay with the sent packet
+        //    (replayed on loss), in storage an acked packet gave back.
+        let mut wu_streams: Vec<u32> = Vec::new();
         while used + 13 <= MAX_PACKET_PAYLOAD {
             let Some((stream, max_offset)) = self.wu_queue.pop_front() else {
                 break;
             };
             let f = Frame::WindowUpdate { stream, max_offset };
             used += f.wire_size();
-            frames.push(f);
+            Self::push_frame(&mut frames, f);
+            if wu_streams.capacity() == 0 {
+                wu_streams = self.sent.take_spare_ids();
+            }
+            wu_streams.push(stream);
             retransmittable = true;
         }
 
@@ -711,17 +711,20 @@ impl Connection for QuicConnection {
                     .map(|p| p.chunks.clone())
                     .unwrap_or_default();
                 for c in &probe_chunks {
-                    frames.push(Frame::Stream {
-                        id: c.id,
-                        offset: c.offset,
-                        len: c.len,
-                        fin: c.fin,
-                    });
+                    Self::push_frame(
+                        &mut frames,
+                        Frame::Stream {
+                            id: c.id,
+                            offset: c.offset,
+                            len: c.len,
+                            fin: c.fin,
+                        },
+                    );
                     chunks.push(*c);
                     retransmittable = true;
                 }
                 if probe_chunks.is_empty() {
-                    frames.push(Frame::Ping);
+                    Self::push_frame(&mut frames, Frame::Ping);
                     retransmittable = true;
                 }
             } else {
@@ -776,7 +779,7 @@ impl Connection for QuicConnection {
                                 fin: chunk.fin,
                             };
                             used += f.wire_size();
-                            frames.push(f);
+                            Self::push_frame(&mut frames, f);
                             chunks.push(chunk);
                             retransmittable = true;
                             sent_any_data = true;
@@ -801,13 +804,10 @@ impl Connection for QuicConnection {
         self.update_state(now);
         if frames.is_empty() {
             // Nothing to send: hand the recycled storage straight back.
-            if self.spare_frames.len() < 8 {
-                self.spare_frames.push(frames);
-            }
             self.sent.give_spare_chunks(chunks);
             return None;
         }
-        Some(self.finalize_packet(frames, chunks, handshake, retransmittable, now))
+        Some(self.finalize_packet(frames, chunks, wu_streams, handshake, retransmittable, now))
     }
 
     fn next_wakeup(&self) -> Option<Time> {

@@ -7,6 +7,7 @@
 //! for QUIC's better bandwidth estimation.
 
 use crate::wire::AckBlock;
+use longlook_sim::pool;
 use longlook_sim::time::{Dur, Time};
 
 /// Cap on ack ranges carried per frame (oldest are dropped).
@@ -131,12 +132,14 @@ impl AckTracker {
 
     /// Build the ack frame contents and reset the decimation counter.
     /// Returns `(largest, ack_delay, blocks-descending)`, or `None` if
-    /// nothing has been received yet.
+    /// nothing has been received yet. The block vector comes from the
+    /// thread's free list ([`pool::take_blocks`]); whoever processes the
+    /// ack hands it back.
     pub fn build_ack(&mut self, now: Time) -> Option<(u64, Dur, Vec<AckBlock>)> {
         let largest = self.largest?;
         let delay = now.saturating_since(self.largest_recv_time);
-        let mut blocks: Vec<AckBlock> = self.ranges.clone();
-        blocks.reverse(); // descending, largest first
+        let mut blocks = pool::take_blocks();
+        blocks.extend(self.ranges.iter().rev()); // descending, largest first
         self.unacked_count = 0;
         self.ack_deadline = None;
         Some((largest, delay, blocks))

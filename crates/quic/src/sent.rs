@@ -223,6 +223,15 @@ impl SentTracker {
     }
 }
 
+/// Keep `v`'s storage for a later packet if it has any and `spares` has
+/// room (eight cover a connection's steady state).
+fn stash<T>(spares: &mut Vec<Vec<T>>, mut v: Vec<T>) {
+    if spares.len() < 8 && v.capacity() > 0 {
+        v.clear();
+        spares.push(v);
+    }
+}
+
 /// First index in `tags[i..end]` holding a live (non-zero) tag, or `end`.
 /// Tombstone runs dominate the ack-scan window, so skip them eight tags
 /// at a time before finishing byte-wise.
@@ -363,6 +372,8 @@ pub struct SentSlab {
     /// Recycled `Chunk` vectors: acked packets donate their chunk
     /// storage back to the connection's next packet build.
     spare_chunks: Vec<Vec<Chunk>>,
+    /// Recycled `wu_streams` vectors, likewise.
+    spare_ids: Vec<Vec<u32>>,
 }
 
 impl SentSlab {
@@ -576,11 +587,8 @@ impl SentSlab {
             if pn == largest {
                 out.rtt_sample = Some(now.saturating_since(pkt.sent_at));
             }
-            if self.spare_chunks.len() < 8 && pkt.chunks.capacity() > 0 {
-                let mut ch = pkt.chunks;
-                ch.clear();
-                self.spare_chunks.push(ch);
-            }
+            stash(&mut self.spare_chunks, pkt.chunks);
+            stash(&mut self.spare_ids, pkt.wu_streams);
         }
         acked.clear();
         self.scratch_acked = acked;
@@ -710,6 +718,9 @@ impl SentSlab {
 /// hot path, the map store on the per-event reference path. The two are
 /// pinned semantically identical by the shared unit-test contract below
 /// (every test runs against both) and by the slab-equivalence proptest.
+// The map variant is the per-event reference path only; boxing the slab to
+// even the sizes out would put a pointer chase on every default-path call.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum SentStore {
     /// Reference `BTreeMap` tracker.
@@ -829,14 +840,21 @@ impl SentStore {
         }
     }
 
+    /// An empty stream-id vector for a packet's `wu_streams`, recycled
+    /// like [`SentStore::take_spare_chunks`].
+    pub fn take_spare_ids(&mut self) -> Vec<u32> {
+        match self {
+            SentStore::Map(_) => Vec::new(),
+            SentStore::Slab(s) => s.spare_ids.pop().unwrap_or_default(),
+        }
+    }
+
     /// Return unused chunk storage taken with
     /// [`SentStore::take_spare_chunks`].
     pub fn give_spare_chunks(&mut self, chunks: Vec<Chunk>) {
         debug_assert!(chunks.is_empty());
         if let SentStore::Slab(s) = self {
-            if s.spare_chunks.len() < 8 && chunks.capacity() > 0 {
-                s.spare_chunks.push(chunks);
-            }
+            stash(&mut s.spare_chunks, chunks);
         }
     }
 }

@@ -116,6 +116,17 @@ pub struct World {
     tag: IsolationTag,
 }
 
+/// A world is one cell, and the packet-storage free lists
+/// (`longlook_wire::pool`) serve the cell that is running: emptying them
+/// when it ends means the next world on this thread starts with empty
+/// lists and an unchanged live heap, so what a cell allocates never
+/// depends on which cells ran before it.
+impl Drop for World {
+    fn drop(&mut self) {
+        longlook_wire::pool::reset();
+    }
+}
+
 impl World {
     /// Create a world with the given experiment seed on the default
     /// execution paths (timing wheel, batched dispatch).

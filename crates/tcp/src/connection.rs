@@ -19,7 +19,7 @@ use crate::wire::{flags, TcpSegment};
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{ExecConfig, PayloadPool, WireMode};
+use longlook_sim::{pool, ExecConfig, PayloadPool, WireMode};
 use longlook_transport::cc::CongestionControl;
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
@@ -360,27 +360,17 @@ impl TcpConnection {
     }
 
     fn drain_h2_events(&mut self) {
-        let evs = self.demux.advance(self.receiver.rcv_nxt());
-        for e in evs {
-            match e {
-                H2Event::StreamOpened(s) => {
-                    self.tel
-                        .events
-                        .push_back(AppEvent::StreamOpened(StreamId(s as u64)));
-                }
-                H2Event::StreamData { stream, bytes } => {
-                    self.tel.events.push_back(AppEvent::StreamData {
-                        id: StreamId(stream as u64),
-                        bytes,
-                    });
-                }
-                H2Event::StreamFin(s) => {
-                    self.tel
-                        .events
-                        .push_back(AppEvent::StreamFin(StreamId(s as u64)));
-                }
-            }
-        }
+        let events = &mut self.tel.events;
+        self.demux.advance(self.receiver.rcv_nxt(), |e| {
+            events.push_back(match e {
+                H2Event::StreamOpened(s) => AppEvent::StreamOpened(StreamId(s as u64)),
+                H2Event::StreamData { stream, bytes } => AppEvent::StreamData {
+                    id: StreamId(stream as u64),
+                    bytes,
+                },
+                H2Event::StreamFin(s) => AppEvent::StreamFin(StreamId(s as u64)),
+            })
+        });
     }
 
     /// Current dupthresh (diagnostics; grows via DSACK).
@@ -518,6 +508,7 @@ impl Connection for TcpConnection {
             }
             self.tel.log_cwnd(now, self.cc.cwnd());
         }
+        pool::give_blocks(seg.sacks);
         self.update_state(now);
     }
 

@@ -61,15 +61,14 @@ impl H2Mux {
 
     /// Drop index entries fully below `below` (cumulatively acked).
     pub fn prune(&mut self, below: u64) {
-        // Keep any record whose span may still be retransmitted.
-        let keys: Vec<u64> = self
-            .records
-            .range(..below)
-            .filter(|(&off, d)| off + RECORD_HEADER + d.len as u64 <= below)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            self.records.remove(&k);
+        // Records lie back to back, so the fully acked ones are a prefix;
+        // keep any record whose span may still be retransmitted.
+        while let Some(first) = self.records.first_entry() {
+            let d = first.get();
+            if d.offset + RECORD_HEADER + d.len as u64 > below {
+                break;
+            }
+            first.remove();
         }
     }
 }
@@ -121,10 +120,9 @@ impl H2Demux {
         }
     }
 
-    /// Advance parsing up to the receiver's in-order point `rcv_nxt`;
-    /// returns the application events this releases.
-    pub fn advance(&mut self, rcv_nxt: u64) -> Vec<H2Event> {
-        let mut events = Vec::new();
+    /// Advance parsing up to the receiver's in-order point `rcv_nxt`,
+    /// handing each application event this releases to `emit`, in order.
+    pub fn advance(&mut self, rcv_nxt: u64, mut emit: impl FnMut(H2Event)) {
         loop {
             if self.parse_ptr >= rcv_nxt {
                 break;
@@ -148,10 +146,10 @@ impl H2Demux {
                 if readable_to == rec_end && d.len == 0 {
                     // Zero-length record fully consumed by its header.
                     if self.seen_streams.insert(d.stream, ()).is_none() {
-                        events.push(H2Event::StreamOpened(d.stream));
+                        emit(H2Event::StreamOpened(d.stream));
                     }
                     if d.fin {
-                        events.push(H2Event::StreamFin(d.stream));
+                        emit(H2Event::StreamFin(d.stream));
                     }
                     self.parse_ptr = rec_end;
                     self.current = None;
@@ -161,19 +159,19 @@ impl H2Demux {
             }
             // The full record header is readable: the stream is now open.
             if self.seen_streams.insert(d.stream, ()).is_none() {
-                events.push(H2Event::StreamOpened(d.stream));
+                emit(H2Event::StreamOpened(d.stream));
             }
             let new_taken = readable_to - payload_start;
             let delta = new_taken - taken;
             if delta > 0 {
-                events.push(H2Event::StreamData {
+                emit(H2Event::StreamData {
                     stream: d.stream,
                     bytes: delta,
                 });
             }
             if readable_to == rec_end {
                 if d.fin {
-                    events.push(H2Event::StreamFin(d.stream));
+                    emit(H2Event::StreamFin(d.stream));
                 }
                 self.parse_ptr = rec_end;
                 self.descs.remove(&rec_start);
@@ -183,7 +181,6 @@ impl H2Demux {
                 break; // consumed all available bytes
             }
         }
-        events
     }
 
     /// The parse pointer (diagnostics).
@@ -195,6 +192,13 @@ impl H2Demux {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The events `d` releases on reaching `rcv_nxt`, collected.
+    fn advance(d: &mut H2Demux, rcv_nxt: u64) -> Vec<H2Event> {
+        let mut events = Vec::new();
+        d.advance(rcv_nxt, |e| events.push(e));
+        events
+    }
 
     #[test]
     fn mux_lays_out_records_back_to_back() {
@@ -236,7 +240,7 @@ mod tests {
         m.push_record(1, 1000, true);
         let mut d = H2Demux::new(0);
         d.on_descs(&m.descs_in(0, 2000));
-        let ev = d.advance(1009);
+        let ev = advance(&mut d, 1009);
         assert_eq!(
             ev,
             vec![
@@ -256,7 +260,7 @@ mod tests {
         m.push_record(1, 1000, true);
         let mut d = H2Demux::new(0);
         d.on_descs(&m.descs_in(0, 2000));
-        let ev = d.advance(500);
+        let ev = advance(&mut d, 500);
         assert_eq!(
             ev,
             vec![
@@ -267,7 +271,7 @@ mod tests {
                 },
             ]
         );
-        let ev = d.advance(1009);
+        let ev = advance(&mut d, 1009);
         assert_eq!(
             ev,
             vec![
@@ -286,8 +290,8 @@ mod tests {
         m.push_record(1, 100, false);
         let mut d = H2Demux::new(0);
         d.on_descs(&m.descs_in(0, 200));
-        assert!(d.advance(5).is_empty(), "header incomplete");
-        let ev = d.advance(59);
+        assert!(advance(&mut d, 5).is_empty(), "header incomplete");
+        let ev = advance(&mut d, 59);
         assert_eq!(ev.len(), 2); // opened + 50 bytes
     }
 
@@ -298,7 +302,7 @@ mod tests {
         m.push_record(3, 100, true); // [109,218)
         let mut d = H2Demux::new(0);
         d.on_descs(&m.descs_in(0, 300));
-        let ev = d.advance(218);
+        let ev = advance(&mut d, 218);
         assert_eq!(
             ev,
             vec![
@@ -329,10 +333,10 @@ mod tests {
         let mut d = H2Demux::new(0);
         d.on_descs(&m.descs_in(0, 300));
         // rcv_nxt stuck at 50 because segment [50,109) was lost.
-        let ev = d.advance(50);
+        let ev = advance(&mut d, 50);
         assert_eq!(ev.len(), 2, "only stream 1 partially delivered");
         // After the hole fills, everything flushes at once.
-        let ev = d.advance(218);
+        let ev = advance(&mut d, 218);
         assert!(ev.contains(&H2Event::StreamFin(1)));
         assert!(ev.contains(&H2Event::StreamFin(3)));
     }
@@ -343,8 +347,8 @@ mod tests {
         m.push_record(1, 100, true);
         let mut d = H2Demux::new(478);
         d.on_descs(&m.descs_in(0, 1000));
-        assert!(d.advance(400).is_empty(), "still inside TLS prefix");
-        let ev = d.advance(478 + 109);
+        assert!(advance(&mut d, 400).is_empty(), "still inside TLS prefix");
+        let ev = advance(&mut d, 478 + 109);
         assert_eq!(ev.len(), 3);
     }
 
@@ -354,7 +358,7 @@ mod tests {
         m.push_record(1, 0, true);
         let mut d = H2Demux::new(0);
         d.on_descs(&m.descs_in(0, 100));
-        let ev = d.advance(9);
+        let ev = advance(&mut d, 9);
         assert_eq!(ev, vec![H2Event::StreamOpened(1), H2Event::StreamFin(1)]);
     }
 
@@ -366,7 +370,7 @@ mod tests {
         let mut d = H2Demux::new(0);
         d.on_descs(&descs);
         d.on_descs(&descs);
-        let ev = d.advance(109);
+        let ev = advance(&mut d, 109);
         assert_eq!(ev.len(), 3);
     }
 }

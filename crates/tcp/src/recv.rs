@@ -5,6 +5,7 @@
 //! space here: a hole blocks *all* bytes behind it, which is what gives
 //! HTTP/2-over-TCP its head-of-line blocking (Sec 2.1 of the paper).
 
+use longlook_sim::pool;
 use longlook_sim::time::{Dur, Time};
 use std::collections::BTreeMap;
 
@@ -71,15 +72,16 @@ impl TcpReceiver {
             // Out of order: store and demand an immediate (dup) ack.
             let mut start = seq;
             let mut stop = end;
-            let keys: Vec<u64> = self
-                .ooo
-                .range(..=stop)
-                .filter(|&(&s, &e)| e >= start && s <= stop)
-                .map(|(&s, _)| s)
-                .collect();
-            for k in keys {
-                let e = self.ooo.remove(&k).expect("key exists");
-                start = start.min(k);
+            // Absorb every interval that overlaps or touches the segment.
+            // Intervals are disjoint, so those are the last ones starting
+            // at or below `end`, back to the first that ends short of
+            // `seq`.
+            while let Some((&s, &e)) = self.ooo.range(..=end).next_back() {
+                if e < seq {
+                    break;
+                }
+                self.ooo.remove(&s);
+                start = start.min(s);
                 stop = stop.max(e);
             }
             self.ooo.insert(start, stop);
@@ -127,23 +129,22 @@ impl TcpReceiver {
     }
 
     /// Produce ack fields `(ack, window, sacks, dsack)`, resetting the
-    /// delayed-ack machinery.
+    /// delayed-ack machinery. A non-empty block vector comes from the
+    /// thread's free list ([`pool::take_blocks`]); whoever processes the
+    /// ack hands it back.
     pub fn build_ack(&mut self) -> (u64, u64, Vec<(u64, u64)>, bool) {
-        let mut sacks: Vec<(u64, u64)> = Vec::new();
-        let mut dsack = false;
-        if let Some(block) = self.pending_dsack.take() {
-            sacks.push(block);
-            dsack = true;
-        }
         // Only report blocks strictly above the cumulative ack; merges
         // can leave stale entries in the recency list.
         self.recent
             .retain(|&(s, e)| s > self.rcv_nxt && e > self.rcv_nxt);
-        for &(s, e) in &self.recent {
-            if sacks.len() >= 4 {
-                break;
-            }
-            sacks.push((s, e));
+        let dsack_block = self.pending_dsack.take();
+        let dsack = dsack_block.is_some();
+        let mut sacks: Vec<(u64, u64)> = Vec::new();
+        if dsack || !self.recent.is_empty() {
+            sacks = pool::take_blocks();
+            sacks.extend(dsack_block);
+            let plain = 4 - sacks.len();
+            sacks.extend(self.recent.iter().take(plain));
         }
         self.unacked_segs = 0;
         self.ack_deadline = None;
@@ -259,6 +260,21 @@ mod tests {
         r.on_segment(5000, 2000, t(0), DACK);
         let (_, window, _, _) = r.build_ack();
         assert_eq!(window, 8000);
+    }
+
+    #[test]
+    fn segment_bridging_several_intervals_absorbs_them_all() {
+        let mut r = TcpReceiver::new(1 << 20);
+        for (i, seq) in [2000, 4000, 6000, 9000].into_iter().enumerate() {
+            r.on_segment(seq, 500, t(i as u64), DACK);
+        }
+        // Touches [2000,2500) at its end, covers [4000,4500), overlaps
+        // [6000,6500); [9000,9500) is out of reach.
+        r.on_segment(2500, 3700, t(9), DACK);
+        let (_, _, sacks, _) = r.build_ack();
+        assert_eq!(sacks[0], (2000, 6500));
+        assert_eq!(sacks[1], (9000, 9500));
+        assert_eq!(r.buffered(), 5000);
     }
 
     #[test]

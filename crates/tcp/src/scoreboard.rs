@@ -13,7 +13,7 @@
 //!   (Sec 5.2, Fig 10 of the paper).
 
 use longlook_sim::time::Time;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Metadata for one transmitted segment.
 #[derive(Debug, Clone, Copy)]
@@ -50,9 +50,18 @@ pub struct TcpAckOutcome {
 }
 
 /// The scoreboard.
+///
+/// Outstanding segments live in a ring ordered by sequence number.
+/// Segments are contiguous, their boundaries are stable and first
+/// transmissions arrive in increasing `seq`, so the steady state is a
+/// `push_back` per send and a `pop_front` per acked segment, and the SACK
+/// walks run over an index range of contiguous memory. Only a
+/// retransmission (or an out-of-order first transmission, which the API
+/// allows though the connection never does it) needs a binary search.
 #[derive(Debug)]
 pub struct Scoreboard {
-    segs: BTreeMap<u64, Seg>,
+    /// `(seq, segment)`, strictly ascending by `seq`.
+    segs: VecDeque<(u64, Seg)>,
     snd_una: u64,
     /// Duplicate acks seen at the current snd_una.
     dupacks: u32,
@@ -74,7 +83,7 @@ impl Scoreboard {
     /// New scoreboard with the classic initial dupthresh of 3.
     pub fn new() -> Self {
         Scoreboard {
-            segs: BTreeMap::new(),
+            segs: VecDeque::new(),
             snd_una: 0,
             dupacks: 0,
             dupthresh: 3,
@@ -87,8 +96,22 @@ impl Scoreboard {
 
     /// Record a (re)transmission of `[seq, seq+len)`.
     pub fn on_sent(&mut self, seq: u64, len: u32, now: Time) {
-        match self.segs.get_mut(&seq) {
-            Some(seg) => {
+        let fresh = Seg {
+            len,
+            sent_at: now,
+            retransmitted: false,
+            sacked: false,
+            lost: false,
+        };
+        // First transmissions arrive in increasing `seq`.
+        if self.segs.back().is_none_or(|&(last, _)| last < seq) {
+            self.segs.push_back((seq, fresh));
+            self.pipe += len as u64;
+            return;
+        }
+        let i = self.index_of(seq);
+        match self.segs.get_mut(i) {
+            Some((k, seg)) if *k == seq => {
                 // Retransmission: back in the pipe, tainted for Karn.
                 debug_assert_eq!(seg.len, len, "segment boundaries are stable");
                 if seg.lost {
@@ -99,20 +122,16 @@ impl Scoreboard {
                 seg.retransmitted = true;
                 seg.sent_at = now;
             }
-            None => {
-                self.segs.insert(
-                    seq,
-                    Seg {
-                        len,
-                        sent_at: now,
-                        retransmitted: false,
-                        sacked: false,
-                        lost: false,
-                    },
-                );
+            _ => {
+                self.segs.insert(i, (seq, fresh));
                 self.pipe += len as u64;
             }
         }
+    }
+
+    /// Index of the first segment starting at or above `seq`.
+    fn index_of(&self, seq: u64) -> usize {
+        self.segs.partition_point(|&(k, _)| k < seq)
     }
 
     /// Bytes outstanding (sent, un-acked, un-sacked, not marked lost).
@@ -140,19 +159,18 @@ impl Scoreboard {
         self.segs
             .iter()
             .find(|(_, s)| !s.sacked)
-            .map(|(&seq, s)| (seq, s.len))
+            .map(|&(seq, s)| (seq, s.len))
     }
 
     /// Mark the oldest unsacked segment lost (RTO) and return it.
     pub fn mark_oldest_lost(&mut self) -> Option<(u64, u32)> {
-        let (seq, len) = self.oldest_unsacked()?;
-        let seg = self.segs.get_mut(&seq).expect("just found");
+        let (seq, seg) = self.segs.iter_mut().find(|(_, s)| !s.sacked)?;
         if !seg.lost {
             seg.lost = true;
             self.lost_segs += 1;
             self.pipe -= seg.len as u64;
         }
-        Some((seq, len))
+        Some((*seq, seg.len))
     }
 
     /// RTO handling per RFC 6675 / Linux: consider *every* outstanding
@@ -161,7 +179,7 @@ impl Scoreboard {
     /// retransmission path after a burst of drops.
     pub fn mark_all_lost(&mut self) -> usize {
         let mut n = 0;
-        for seg in self.segs.values_mut() {
+        for (_, seg) in self.segs.iter_mut() {
             if !seg.sacked && !seg.lost {
                 seg.lost = true;
                 self.lost_segs += 1;
@@ -196,10 +214,9 @@ impl Scoreboard {
             self.snd_una = ack;
             self.dupacks = 0;
             self.fr_fired = false;
-            // Pop covered segments in ascending order without collecting
-            // the key set first.
-            while let Some((&seq, _)) = self.segs.range(..ack).next() {
-                let seg = self.segs.remove(&seq).expect("present");
+            // Pop every segment starting below the ack, oldest first.
+            while let Some(&(seq, seg)) = self.segs.front().filter(|&&(seq, _)| seq < ack) {
+                self.segs.pop_front();
                 if !seg.sacked && !seg.lost {
                     self.pipe -= seg.len as u64;
                 }
@@ -228,10 +245,11 @@ impl Scoreboard {
         let mut highest_sacked = 0u64;
         for &(s, e) in plain {
             highest_sacked = highest_sacked.max(e);
-            // Marking never changes keys, so mutate in place through the
-            // range cursor instead of collecting the key set.
-            for (&k, seg) in self.segs.range_mut(s..e) {
-                if k >= s && k + seg.len as u64 <= e && !seg.sacked {
+            // Segments starting inside the block; one that runs past its
+            // end is not covered, and an inverted block covers nothing.
+            let (lo, hi) = (self.index_of(s), self.index_of(e));
+            for (k, seg) in self.segs.range_mut(lo..hi.max(lo)) {
+                if *k + seg.len as u64 <= e && !seg.sacked {
                     seg.sacked = true;
                     if !seg.lost {
                         self.pipe -= seg.len as u64;
@@ -255,12 +273,13 @@ impl Scoreboard {
         if highest_sacked > self.snd_una {
             // Walk the hole region newest-first, marking losses in place:
             // the verdict for a segment depends only on SACKed segments
-            // *above* it, which the reverse cursor has already consumed,
+            // *above* it, which the reverse walk has already consumed,
             // so no snapshot is needed.
             let mut sacked_above = 0u32;
             let mut latest_sacked_sent = None::<Time>;
             let dupthresh = self.dupthresh;
-            for (&k, seg) in self.segs.range_mut(self.snd_una..highest_sacked).rev() {
+            let (lo, hi) = (self.index_of(self.snd_una), self.index_of(highest_sacked));
+            for &mut (k, ref mut seg) in self.segs.range_mut(lo..hi).rev() {
                 if seg.sacked {
                     sacked_above += 1;
                     latest_sacked_sent = Some(match latest_sacked_sent {
@@ -295,26 +314,26 @@ impl Scoreboard {
         if self.dupacks >= self.dupthresh && !self.fr_fired {
             self.fr_fired = true;
             out.fast_retransmit = true;
-            if let Some((seq, len)) = self.oldest_unsacked() {
-                let seg = self.segs.get_mut(&seq).expect("found");
+            if let Some(&mut (seq, ref mut seg)) = self.segs.iter_mut().find(|(_, s)| !s.sacked) {
                 if !seg.lost {
                     seg.lost = true;
                     self.lost_segs += 1;
                     self.pipe -= seg.len as u64;
                 }
                 out.lost_sent_at = Some(seg.sent_at);
-                out.lost_ranges.push((seq, len));
+                out.lost_ranges.push((seq, seg.len));
             }
         }
         out
     }
 
     /// Lost ranges currently awaiting retransmission.
-    pub fn lost_ranges(&self) -> Vec<(u64, u32)> {
+    #[cfg(test)]
+    fn lost_ranges(&self) -> Vec<(u64, u32)> {
         self.segs
             .iter()
             .filter(|(_, s)| s.lost)
-            .map(|(&k, s)| (k, s.len))
+            .map(|&(k, s)| (k, s.len))
             .collect()
     }
 
@@ -332,7 +351,7 @@ impl Scoreboard {
         self.segs
             .iter()
             .find(|(_, s)| s.lost)
-            .map(|(&k, s)| (k, s.len))
+            .map(|&(k, s)| (k, s.len))
     }
 }
 

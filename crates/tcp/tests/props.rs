@@ -1,12 +1,23 @@
-//! Property-based tests for the TCP wire format, receive reassembly, and
-//! the h2 record layer.
+//! Property-based tests for the TCP wire format, receive reassembly, the
+//! h2 record layer, and the SACK scoreboard against its `BTreeMap` oracle.
+
+mod oracle;
 
 use bytes::Bytes;
 use longlook_sim::time::{Dur, Time};
 use longlook_tcp::h2::{H2Demux, H2Event, H2Mux};
 use longlook_tcp::recv::TcpReceiver;
+use longlook_tcp::scoreboard::{Scoreboard, TcpAckOutcome};
 use longlook_tcp::wire::{flags, RecordDesc, TcpSegment};
+use oracle::MapScoreboard;
 use proptest::prelude::*;
+
+/// Everything `demux` releases on reaching `rcv_nxt`, collected.
+fn advance(demux: &mut H2Demux, rcv_nxt: u64) -> Vec<H2Event> {
+    let mut events = Vec::new();
+    demux.advance(rcv_nxt, |e| events.push(e));
+    events
+}
 
 proptest! {
     /// Segment encode/decode is the identity.
@@ -131,7 +142,7 @@ proptest! {
         let total = mux.stream_len();
         let mut demux = H2Demux::new(0);
         demux.on_descs(&mux.descs_in(0, total));
-        let events = demux.advance(total);
+        let events = advance(&mut demux, total);
         // Total payload delivered matches; every fin surfaced.
         let delivered: u64 = events
             .iter()
@@ -174,8 +185,7 @@ proptest! {
 
         let mut one = H2Demux::new(0);
         one.on_descs(&mux.descs_in(0, total));
-        let all_at_once: u64 = one
-            .advance(total)
+        let all_at_once: u64 = advance(&mut one, total)
             .iter()
             .map(|e| match e {
                 H2Event::StreamData { bytes, .. } => *bytes,
@@ -187,8 +197,7 @@ proptest! {
         two.on_descs(&mux.descs_in(0, total));
         let mut split_total = 0u64;
         for stage in [cut, total] {
-            split_total += two
-                .advance(stage)
+            split_total += advance(&mut two, stage)
                 .iter()
                 .map(|e| match e {
                     H2Event::StreamData { bytes, .. } => *bytes,
@@ -318,5 +327,213 @@ proptest! {
                 .collect(),
         };
         prop_assert_eq!(seg.encoded_len() as usize, seg.encode().len());
+    }
+}
+
+/// One abstract sender-side operation; the interpreter below applies it
+/// identically to the ring scoreboard and the map oracle.
+#[derive(Debug, Clone)]
+enum SbOp {
+    /// First transmissions of `count` fresh segments at `snd_nxt`; `lens`
+    /// varies their sizes (boundaries stay stable afterwards).
+    Send { count: u8, lens: u8 },
+    /// Leave a hole at `snd_nxt`: the segment there is sent later, out of
+    /// order, by `FillHole` — the sorted-insert path the public API allows.
+    Skip,
+    /// First transmission of the oldest skipped segment.
+    FillHole,
+    /// Retransmit the first lost segment if there is one (what the
+    /// connection does), else the `pick`-th segment ever sent — which may
+    /// already be acked, landing a fresh entry below `snd_una`.
+    Retransmit { pick: u8 },
+    /// One ack. `ack` picks the cumulative point (a segment boundary,
+    /// mid-segment, stale, exactly `snd_una`, or beyond `snd_nxt`); each
+    /// of `sacks` picks a block by its two boundaries, `ragged` shaving a
+    /// byte off its end so the last segment inside is only partly
+    /// covered; `dsack` prepends a duplicate report.
+    Ack {
+        ack: u8,
+        shape: u8,
+        sacks: Vec<(u8, u8)>,
+        ragged: bool,
+        dsack: bool,
+        carries_data: bool,
+    },
+    /// `n` pure duplicate acks at `snd_una`, no SACK information.
+    Dupacks { n: u8 },
+    /// RTO, old style: the oldest unsacked segment.
+    MarkOldestLost,
+    /// RTO: everything unsacked.
+    MarkAllLost,
+}
+
+fn arb_sb_op() -> impl Strategy<Value = SbOp> {
+    prop_oneof![
+        (1u8..7, any::<u8>()).prop_map(|(count, lens)| SbOp::Send { count, lens }),
+        (1u8..7, any::<u8>()).prop_map(|(count, lens)| SbOp::Send { count, lens }),
+        Just(SbOp::Skip),
+        Just(SbOp::FillHole),
+        any::<u8>().prop_map(|pick| SbOp::Retransmit { pick }),
+        (
+            (any::<u8>(), 0u8..8),
+            proptest::collection::vec((any::<u8>(), any::<u8>()), 0..5),
+            (any::<bool>(), any::<u8>(), any::<u8>()),
+        )
+            .prop_map(|((ack, shape), sacks, (ragged, d, c))| SbOp::Ack {
+                ack,
+                shape,
+                sacks,
+                ragged,
+                dsack: d % 4 == 0,
+                carries_data: c % 4 == 0,
+            }),
+        (
+            (any::<u8>(), 0u8..8),
+            proptest::collection::vec((any::<u8>(), any::<u8>()), 1..4),
+        )
+            .prop_map(|((ack, shape), sacks)| SbOp::Ack {
+                ack,
+                shape,
+                sacks,
+                ragged: false,
+                dsack: false,
+                carries_data: false,
+            }),
+        (1u8..5).prop_map(|n| SbOp::Dupacks { n }),
+        Just(SbOp::MarkOldestLost),
+        Just(SbOp::MarkAllLost),
+    ]
+}
+
+type SackBlocks = Vec<(u64, u64)>;
+
+/// Every field of an ack outcome, `lost_ranges` in order.
+fn outcome_fields(o: &TcpAckOutcome) -> impl PartialEq + std::fmt::Debug + '_ {
+    (
+        o.newly_acked,
+        o.newly_sacked,
+        o.rtt_sample,
+        o.newest_acked_sent_at,
+        &o.lost_ranges,
+        o.fast_retransmit,
+        o.lost_sent_at,
+        o.spurious,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The sequence-ordered ring is observationally identical to the
+    /// `BTreeMap` scoreboard it replaced: same ack outcomes, same pipe,
+    /// same loss bookkeeping, through first sends, retransmissions,
+    /// out-of-order first sends, cumulative acks at and off segment
+    /// boundaries, SACK and DSACK blocks, dupack runs and both RTO marks.
+    #[test]
+    fn ring_scoreboard_equivalent_to_map_scoreboard(
+        ops in proptest::collection::vec(arb_sb_op(), 1..60),
+    ) {
+        let mut ring = Scoreboard::new();
+        let mut map = MapScoreboard::new();
+        // Every segment ever laid out, sent or still skipped: (seq, len).
+        let mut layout: Vec<(u64, u32)> = Vec::new();
+        let mut skipped: std::collections::VecDeque<(u64, u32)> = Default::default();
+        let mut snd_nxt = 0u64;
+        let mut ms = 0u64;
+        for op in ops {
+            let mut sends: Vec<(u64, u32)> = Vec::new();
+            // (ack, blocks, dsack, carries_data)
+            let mut acks: Vec<(u64, SackBlocks, bool, bool)> = Vec::new();
+            match op {
+                SbOp::Send { count, lens } => {
+                    for i in 0..count {
+                        let len = 400 + 200 * ((lens >> (i % 4)) & 7) as u32;
+                        layout.push((snd_nxt, len));
+                        sends.push((snd_nxt, len));
+                        snd_nxt += len as u64;
+                    }
+                }
+                SbOp::Skip => {
+                    layout.push((snd_nxt, 1000));
+                    skipped.push_back((snd_nxt, 1000));
+                    snd_nxt += 1000;
+                }
+                SbOp::FillHole => sends.extend(skipped.pop_front()),
+                SbOp::Retransmit { pick } => {
+                    let sent: Vec<(u64, u32)> = layout
+                        .iter()
+                        .copied()
+                        .filter(|seg| !skipped.contains(seg))
+                        .collect();
+                    match ring.first_lost() {
+                        Some(seg) => sends.push(seg),
+                        None if sent.is_empty() => continue,
+                        None => sends.push(sent[pick as usize % sent.len()]),
+                    }
+                }
+                SbOp::Ack { ack, shape, sacks, ragged, dsack, carries_data } => {
+                    if layout.is_empty() {
+                        continue;
+                    }
+                    let bound = |pick: u8| {
+                        let (seq, len) = layout[pick as usize % layout.len()];
+                        seq + len as u64
+                    };
+                    let ack = match shape {
+                        0 => ring.snd_una(),
+                        1 => bound(ack) - 1,          // mid-segment
+                        2 => snd_nxt + 700,           // beyond anything sent
+                        _ => bound(ack),
+                    };
+                    let mut blocks = SackBlocks::new();
+                    if dsack {
+                        let (seq, len) = layout[0];
+                        blocks.push((seq, seq + len as u64));
+                    }
+                    for (a, b) in sacks {
+                        let (a, b) = (bound(a), bound(b));
+                        let (s, e) = (a.min(b), a.max(b) - u64::from(ragged));
+                        // The wire rejects empty and inverted blocks.
+                        if s < e {
+                            blocks.push((s, e));
+                        }
+                    }
+                    acks.push((ack, blocks, dsack, carries_data));
+                }
+                SbOp::Dupacks { n } => {
+                    acks.extend((0..n).map(|_| (ring.snd_una(), Vec::new(), false, false)));
+                }
+                SbOp::MarkOldestLost => {
+                    prop_assert_eq!(ring.mark_oldest_lost(), map.mark_oldest_lost());
+                }
+                SbOp::MarkAllLost => {
+                    prop_assert_eq!(ring.mark_all_lost(), map.mark_all_lost());
+                }
+            }
+            for (seq, len) in sends {
+                ms += 1;
+                let now = Time::ZERO + Dur::from_millis(ms);
+                ring.on_sent(seq, len, now);
+                map.on_sent(seq, len, now);
+            }
+            for (ack, blocks, dsack, carries_data) in acks {
+                ms += 5;
+                let now = Time::ZERO + Dur::from_millis(ms);
+                let a = ring.on_ack(now, ack, &blocks, dsack, carries_data);
+                let b = map.on_ack(now, ack, &blocks, dsack, carries_data);
+                prop_assert_eq!(
+                    outcome_fields(&a),
+                    outcome_fields(&b),
+                    "ack {} sacks {:?} dsack {}", ack, blocks, dsack
+                );
+            }
+            prop_assert_eq!(ring.pipe(), map.pipe());
+            prop_assert_eq!(ring.snd_una(), map.snd_una());
+            prop_assert_eq!(ring.dupthresh(), map.dupthresh());
+            prop_assert_eq!(ring.lost_count(), map.lost_count());
+            prop_assert_eq!(ring.first_lost(), map.first_lost());
+            prop_assert_eq!(ring.oldest_unsacked(), map.oldest_unsacked());
+            prop_assert_eq!(ring.has_outstanding(), map.has_outstanding());
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! payload bytes the link is charged for. The structured fast path uses
 //! these analytic sizes and never serializes.
 
-use crate::pool::PayloadPool;
+use crate::pool::{self, PayloadPool};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Fixed public header size: 1 flags byte + 8 connection id + 8 packet
@@ -234,7 +234,12 @@ impl Frame {
                 if buf.remaining() < n * 16 {
                     return Err(WireError::Truncated);
                 }
-                let mut blocks = Vec::with_capacity(n);
+                let mut blocks = if n == 0 {
+                    Vec::new()
+                } else {
+                    pool::take_blocks()
+                };
+                blocks.reserve(n);
                 for _ in 0..n {
                     let start = buf.get_u64();
                     let end = buf.get_u64();
@@ -358,7 +363,7 @@ impl QuicPacket {
         }
         let conn_id = bytes.get_u64();
         let pn = bytes.get_u64();
-        let mut frames = Vec::new();
+        let mut frames = pool::take_frames();
         while bytes.has_remaining() {
             frames.push(Frame::decode(&mut bytes)?);
         }

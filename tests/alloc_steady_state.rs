@@ -1,0 +1,162 @@
+//! Allocation guard, no timing: once a transfer is under way the packet
+//! path must not call the allocator, on either transport.
+//!
+//! A counting `#[global_allocator]` (per-thread cells, so the other test
+//! in this binary cannot leak into a count) measures a clean 8 MiB and a
+//! clean 32 MiB transfer through [`Testbed::direct`]. Set-up, handshake and
+//! slow start cost the same in both, so the difference is what the extra
+//! 24 MiB of steady state allocated: at most one allocation per ten extra
+//! packets. Before the scoreboard ring, the h2 event sink and the
+//! frame / block free lists QUIC measured 0.67 per packet here.
+//!
+//! The second test checks that what the free lists hold when a cell starts
+//! reaches nothing observable.
+
+mod common;
+
+use longlook_core::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor fails at thread exit.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a thread-local cell
+// and never touches the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` are the caller's, passed through as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// One clean `mib`-MiB page load, build to teardown: `(allocations,
+/// packets both endpoints sent)`.
+fn transfer(proto: &ProtoConfig, mib: u64) -> (u64, u64) {
+    let page = PageSpec::single(mib * 1024 * 1024);
+    let before = ALLOCS.with(Cell::get);
+    let mut tb = Testbed::direct(
+        4242,
+        &NetProfile::baseline(100.0),
+        DeviceProfile::DESKTOP,
+        page.clone(),
+        vec![FlowSpec {
+            proto: proto.clone(),
+            zero_rtt: false,
+            app: Box::new(WebClient::new(page)),
+        }],
+        None,
+        true,
+    );
+    tb.run(Dur::from_secs(600));
+    assert!(
+        tb.client_host().app::<WebClient>(0).done(),
+        "{} {mib} MiB transfer did not finish",
+        proto.name()
+    );
+    let server = tb
+        .server_host()
+        .conn_stats(tb.flows[0])
+        .expect("server accepted the flow");
+    let packets = tb.client_host().conn_stats(0).packets_sent + server.packets_sent;
+    drop(tb);
+    (ALLOCS.with(Cell::get) - before, packets)
+}
+
+#[test]
+fn steady_state_packets_do_not_allocate() {
+    for (name, proto) in common::protos() {
+        // Warm the thread's free lists the way any earlier cell would.
+        transfer(&proto, 1);
+        let (small_allocs, small_pkts) = transfer(&proto, 8);
+        let (large_allocs, large_pkts) = transfer(&proto, 32);
+        let extra_pkts = large_pkts - small_pkts;
+        assert!(
+            extra_pkts > 15_000,
+            "{name}: only {extra_pkts} extra packets"
+        );
+        let extra_allocs = large_allocs.saturating_sub(small_allocs);
+        let per_packet = extra_allocs as f64 / extra_pkts as f64;
+        println!("{name}: {extra_allocs} allocations over {extra_pkts} extra packets = {per_packet:.4}/packet");
+        assert!(
+            per_packet <= 0.1,
+            "{name}: {extra_allocs} allocations for {extra_pkts} extra packets \
+             ({per_packet:.3} per packet; 8 MiB {small_allocs}, 32 MiB {large_allocs})"
+        );
+    }
+}
+
+/// A lossy 120-stream cell gives bit-identical records on a fresh thread
+/// and on one that ten other cells have run on and whose free lists are
+/// full of vectors of assorted capacities. (A world empties the lists when
+/// it is dropped, so the ten cells alone leave them cold again; the
+/// vectors are put there by hand.)
+#[test]
+fn warm_free_lists_do_not_change_a_cell() {
+    use longlook_sim::pool;
+    let cell = || {
+        let (_, proto, sc) = common::many_stream_cells().swap_remove(0);
+        let records: Vec<RunRecord> = (0..sc.rounds)
+            .map(|k| run_page_load(&proto, &sc, k))
+            .collect();
+        common::render(&records)
+    };
+    let cold = std::thread::spawn(cell)
+        .join()
+        .expect("cold cell thread panicked");
+    let warm = std::thread::spawn(move || {
+        for (_, sc) in common::scenarios().into_iter().take(5) {
+            for (_, proto) in common::protos() {
+                run_page_load(&proto, &sc, 0);
+            }
+        }
+        for k in 1..=pool::FREE_LIST_CAP {
+            pool::give_frames(Vec::with_capacity(3 * k));
+            pool::give_blocks(Vec::with_capacity(7 * k));
+        }
+        let records = cell();
+        assert_eq!(
+            pool::take_frames().capacity(),
+            0,
+            "the cell's world left the lists empty"
+        );
+        records
+    })
+    .join()
+    .expect("warm cell thread panicked");
+    assert!(
+        cold == warm,
+        "records differ:\ncold:\n{cold}\nwarm:\n{warm}"
+    );
+}
