@@ -5,10 +5,10 @@
 //! with the usual Welch gate. The base fleet size defaults to 2 000
 //! clients and is overridable with `LONGLOOK_FLEET_N`; rounds come from
 //! `LONGLOOK_ROUNDS` like every other experiment. The representative
-//! appendix fleets run through the sharded loop (`LONGLOOK_FLEET_SHARDS`,
-//! default 1) — sharding never changes the reported observables (the
+//! appendix fleets deal their links to the runner's worker threads, one
+//! range per worker — which never changes a reported number (the
 //! `fleet_shard_differential` referee pins that), it only spreads one
-//! big cell across workers.
+//! big cell across cores.
 
 use crate::rounds;
 use longlook_core::prelude::*;
@@ -29,21 +29,22 @@ pub fn fleet() -> String {
 
     // One representative flash-crowd fleet per protocol, for the numbers
     // the heatmap compresses away: completion rate, tails, arena cost.
-    // Sharded per the env knob so big interactive fleets can use the
-    // worker threads the heatmap cells above leave idle.
-    let shards = fleet_shards(1);
+    // One link range per worker thread, so big interactive fleets use
+    // the cores the heatmap cells above have left idle by now.
+    let par = Parallelism::auto();
     for (label, proto) in [
         ("QUIC", ProtoConfig::Quic(QuicConfig::default())),
         ("TCP", ProtoConfig::Tcp(TcpConfig::default())),
     ] {
-        let m = run_fleet_sharded(&proto, &base, shards, Parallelism::auto());
+        let m = run_fleet_sharded(&proto, &base, par.jobs(), par);
         let _ = write!(
             out,
-            "\n{label}: {n} clients flash-crowd ({shards} shard(s)) — \
+            "\n{label}: {n} clients flash-crowd over {} links — \
              {} completed, {} timed out; \
              latency p50/p99/p999 = {:.0}/{:.0}/{:.0} ms (mean {}); \
-             {} events, peak {} scheduled, peak {} live conns, \
-             arena {:.0} B/conn",
+             {} events; on the busiest link: peak {} scheduled, \
+             peak {} live conns, arena {:.0} B/conn",
+            base.n_links,
             m.completed,
             m.timed_out,
             m.p50_ms(),

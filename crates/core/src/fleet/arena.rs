@@ -1,11 +1,14 @@
 //! Struct-of-arrays connection state for fleet-scale worlds.
 //!
-//! One [`ConnArena`] holds every live connection of a fleet cell in
-//! parallel columns indexed by a [`SlotPool`] slot: the hot per-event
-//! fields (workload cursor, cwnd, RTT, flight counters) sit in dense
-//! `Vec`s instead of one heap allocation per connection, so a 100k-client
-//! flash crowd costs tens of megabytes at most and an event touches two
-//! or three cache lines rather than chasing a `Box` per connection.
+//! One [`ConnArena`] holds every live connection of the bottleneck link
+//! a fleet cell is running, in parallel columns indexed by a [`SlotPool`]
+//! slot: the hot per-event fields (workload cursor, cwnd, RTT, flight
+//! counters) sit in dense `Vec`s instead of one heap allocation per
+//! connection, so an event touches two or three cache lines rather than
+//! chasing a `Box` per connection, and the fleet loop [`reset`]s the
+//! arena between links instead of building one per link.
+//!
+//! [`reset`]: ConnArena::reset
 //!
 //! Handles are generational ([`SlotHandle`]): an ack or deadline event
 //! that arrives after its connection finished resolves to `None` and is
@@ -33,19 +36,19 @@ pub struct ConnInit {
     /// can key on the *client*, not the arena slot: slot assignment
     /// depends on execution grouping, client ids do not.
     pub client: u32,
-    /// Bottleneck link this client shares.
-    pub link: u16,
-    /// Server pool serving this client.
-    pub server: u16,
 }
 
 /// Dense per-connection state, one column per field.
 ///
 /// All columns are kept exactly `pool.slots()` long; a freed slot's
 /// column entries are simply overwritten by the next connection that
-/// recycles it. Budget: 42 bytes of column state plus 4 bytes of
-/// generation plus amortized free-list per slot — about 48 B/connection,
+/// recycles it. An arena holds the connections of *one* bottleneck link
+/// at a time (the fleet loop [`reset`](ConnArena::reset)s it between
+/// links), so which link a connection shares is not a column, and its
+/// server pool is `client % n_servers`. Budget: [`BYTES_PER_SLOT`] —
 /// an order of magnitude under the 650 B/connection acceptance budget.
+///
+/// [`BYTES_PER_SLOT`]: ConnArena::BYTES_PER_SLOT
 #[derive(Debug, Clone, Default)]
 pub struct ConnArena {
     pool: SlotPool,
@@ -68,10 +71,6 @@ pub struct ConnArena {
     pub(crate) flights: Vec<u32>,
     /// Flights that experienced loss (congestion or random).
     pub(crate) retx: Vec<u16>,
-    /// Shared bottleneck link id.
-    pub(crate) link: Vec<u16>,
-    /// Server pool id.
-    pub(crate) server: Vec<u16>,
 }
 
 impl ConnArena {
@@ -94,9 +93,24 @@ impl ConnArena {
             client: Vec::with_capacity(n),
             flights: Vec::with_capacity(n),
             retx: Vec::with_capacity(n),
-            link: Vec::with_capacity(n),
-            server: Vec::with_capacity(n),
         }
+    }
+
+    /// Forget every connection — slots, generations and the live
+    /// high-water mark rewind — keeping the columns' capacity, so the
+    /// next link's connections reuse this link's memory. Observationally
+    /// a fresh arena; handles issued before the reset must not be used.
+    pub fn reset(&mut self) {
+        self.pool.reset();
+        self.arrived_ns.clear();
+        self.remaining.clear();
+        self.object.clear();
+        self.cwnd.clear();
+        self.ssthresh.clear();
+        self.rtt_us.clear();
+        self.client.clear();
+        self.flights.clear();
+        self.retx.clear();
     }
 
     /// Admit a connection, recycling a finished connection's slot when
@@ -114,8 +128,6 @@ impl ConnArena {
             self.client.push(init.client);
             self.flights.push(0);
             self.retx.push(0);
-            self.link.push(init.link);
-            self.server.push(init.server);
         } else {
             self.arrived_ns[i] = init.arrived.as_nanos();
             self.remaining[i] = init.object;
@@ -126,8 +138,6 @@ impl ConnArena {
             self.client[i] = init.client;
             self.flights[i] = 0;
             self.retx[i] = 0;
-            self.link[i] = init.link;
-            self.server[i] = init.server;
         }
         h
     }
@@ -164,9 +174,21 @@ impl ConnArena {
         self.pool.slots()
     }
 
-    /// Heap bytes held by all columns plus the slot pool — the number
-    /// the `fleet_determinism` suite and the unit tests gate against
-    /// the 650 B-per-connection budget.
+    /// Arena state per slot: the columns (one `u64`, seven `u32`s, one
+    /// `u16`) plus the pool's generation word and free-list entry.
+    pub const BYTES_PER_SLOT: usize = 8 + 7 * 4 + 2 + 4 + 4;
+
+    /// Bytes of arena state the slots in use occupy —
+    /// `slots() * BYTES_PER_SLOT`. Unlike [`bytes`](ConnArena::bytes)
+    /// this does not see capacity an earlier, busier link left behind,
+    /// so it is a function of this link's own high-water mark: what the
+    /// fleet loop reports and the 650 B-per-connection budget gates.
+    pub fn bytes_in_use(&self) -> usize {
+        self.slots() * Self::BYTES_PER_SLOT
+    }
+
+    /// Heap bytes held by all columns plus the slot pool, allocator
+    /// slack and reused capacity included.
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.pool.bytes()
@@ -179,8 +201,6 @@ impl ConnArena {
             + self.client.capacity() * size_of::<u32>()
             + self.flights.capacity() * size_of::<u32>()
             + self.retx.capacity() * size_of::<u16>()
-            + self.link.capacity() * size_of::<u16>()
-            + self.server.capacity() * size_of::<u16>()
     }
 }
 
@@ -197,8 +217,6 @@ mod tests {
             ssthresh: u32::MAX,
             rtt_us: 36_000,
             client: 17,
-            link: 3,
-            server: 1,
         }
     }
 
@@ -208,7 +226,6 @@ mod tests {
         let h1 = a.alloc(init(1000));
         let i = a.resolve(h1).unwrap();
         assert_eq!(a.remaining[i], 1000);
-        assert_eq!(a.link[i], 3);
         assert!(a.free(h1));
         let h2 = a.alloc(init(2000));
         assert_eq!(h2.index(), h1.index(), "slot recycled");
@@ -240,5 +257,39 @@ mod tests {
         }
         assert_eq!(a.slots(), n);
         assert!(a.bytes() <= before * 2);
+    }
+
+    #[test]
+    fn bytes_per_slot_counts_every_column() {
+        // Exactly-sized columns and a free list grown to exactly `n`
+        // (doubling reaches a power of two): the heap figure and the
+        // per-slot constant must agree, so a new column cannot be added
+        // without moving the constant.
+        let n = 1024;
+        let mut a = ConnArena::with_capacity(n);
+        let hs: Vec<_> = (0..n).map(|_| a.alloc(init(1))).collect();
+        for h in hs {
+            assert!(a.free(h));
+        }
+        assert_eq!(a.bytes_in_use(), n * ConnArena::BYTES_PER_SLOT);
+        assert_eq!(a.bytes(), a.bytes_in_use());
+    }
+
+    #[test]
+    fn reset_arena_is_a_fresh_arena_with_the_old_capacity() {
+        let mut a = ConnArena::new();
+        let hs: Vec<_> = (0..100).map(|_| a.alloc(init(9))).collect();
+        assert!(a.free(hs[3]));
+        let held = a.bytes();
+        a.reset();
+        assert_eq!((a.live(), a.live_peak(), a.slots()), (0, 0, 0));
+        assert_eq!(a.bytes_in_use(), 0);
+        assert_eq!(a.bytes(), held, "reset keeps capacity");
+        // Same handles as a fresh arena, columns re-initialized.
+        let h = a.alloc(init(2000));
+        assert_eq!(h, ConnArena::new().alloc(init(2000)));
+        let i = a.resolve(h).unwrap();
+        assert_eq!((a.remaining[i], a.flights[i]), (2000, 0));
+        assert_eq!(a.slots(), 1);
     }
 }

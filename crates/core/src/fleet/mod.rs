@@ -13,10 +13,10 @@
 //!   log-bucketed [`QuantileSketch`] — no per-sample vectors
 //!   ([`longlook_stats`]),
 //! * the event loop charges flights against fluid shared-bottleneck
-//!   links ([`world`]), and one cell can be split into independent
-//!   per-link-range shards ([`ShardPlan`], [`run_fleet_sharded`]) that
-//!   run across worker threads and merge deterministically — the path
-//!   to 10^6 connections per cell.
+//!   links ([`world`]) and runs one link at a time, so what is live at
+//!   once is one link's clients, not the fleet's; the links can be dealt
+//!   to worker threads ([`ShardPlan`], [`run_fleet_sharded`]) without
+//!   moving a bit of the result — the path to 10^7 connections per cell.
 //!
 //! The headline output is [`fleet_heatmap`]: arrival profiles × load
 //! multipliers, QUIC-vs-TCP p99 completion latency, Welch-gated exactly
@@ -183,24 +183,6 @@ pub fn fleet_n(default: usize) -> usize {
     .unwrap_or(default)
 }
 
-/// Shard count for fleet cells: `default` unless `LONGLOOK_FLEET_SHARDS`
-/// overrides it (warn-once on junk, like every other knob). The value is
-/// re-clamped to the cell's link count by [`ShardPlan::new`], so an
-/// oversized setting degrades gracefully instead of erroring. Sharding
-/// never changes the observables — `fleet_shard_differential` pins that —
-/// so this knob only trades wall-clock against thread count.
-pub fn fleet_shards(default: usize) -> usize {
-    static WARNED: Once = Once::new();
-    longlook_wire::env_knob(
-        "LONGLOOK_FLEET_SHARDS",
-        "a positive integer",
-        "the experiment default",
-        &WARNED,
-        |v| v.trim().parse::<usize>().ok().filter(|n| *n > 0),
-    )
-    .unwrap_or(default)
-}
-
 /// Arrival profiles × load multipliers, QUIC vs TCP on p99 completion
 /// latency, Welch-gated. Rows are the three [`ArrivalProfile`]s; columns
 /// scale `base.n_conns` by 0.5 / 1 / 2. Runs through the deterministic
@@ -307,13 +289,5 @@ mod tests {
     fn fleet_n_defaults_without_env() {
         // The env var is absent in tests; the default must pass through.
         assert_eq!(fleet_n(1234), 1234);
-    }
-
-    #[test]
-    fn fleet_shards_defaults_without_env() {
-        // Only pin the default when this process didn't inherit the knob.
-        if std::env::var_os("LONGLOOK_FLEET_SHARDS").is_none() {
-            assert_eq!(fleet_shards(4), 4);
-        }
     }
 }

@@ -1,6 +1,5 @@
 //! The fleet event loop: N clients against server pools over shared
-//! bottleneck links, at flight granularity — shardable across workers
-//! with a deterministic merge.
+//! bottleneck links, at flight granularity — run one link at a time.
 //!
 //! A fleet cell does not build N packet-level testbeds — that is what
 //! the arena-backed model avoids. Each connection advances in *flights*:
@@ -12,38 +11,63 @@
 //! RTT versus TCP+TLS's 3 — which is exactly the asymmetry the paper's
 //! Fig 7 isolates, scaled up to a population.
 //!
-//! # Sharding
+//! # The link is the loop
 //!
 //! Connections interact only through their bottleneck link (`k %
 //! n_links`) and the per-connection state itself; server pools are
-//! stateless delay terms. So the link space partitions: a [`ShardPlan`]
-//! splits the links into contiguous ranges, [`run_fleet_sharded`] runs
-//! one independent event loop per range (serially through one reused
-//! queue, or fanned across the deterministic runner's worker threads),
-//! and the per-shard [`FleetMetrics`] merge in fixed shard order.
+//! stateless delay terms. So a cell is not one event loop over the
+//! population but one event loop *per link*, run back to back through
+//! scratch (queue, arena, deadline FIFO, sketch) that is reset, not
+//! rebuilt, between links and dropped when the call returns. What is
+//! live at any instant is one link's clients, not the fleet's.
 //!
-//! Two design rules make the merged observables *bit-identical* across
-//! `shards=1` serial, `shards=S` serial, and `shards=S` threaded:
+//! Two rules make every link's run a pure function of `(cfg, proto,
+//! link)`, whatever ran before it on the same scratch and on whichever
+//! thread:
 //!
-//! 1. **Every same-time queue tie that touches shared state is between
-//!    events of one link.** Arrivals chain per link (`Arrival(k)`
-//!    schedules `Arrival(k + n_links)`, the next client of the *same*
-//!    link; the queue is seeded with one arrival per link), and acks /
-//!    deadlines are pushed while processing events of their own link. So
-//!    each link's event subsequence — and therefore each connection's
-//!    trajectory — is invariant under how links are grouped into queues.
+//! 1. **Every event of a link is pushed while processing an event of
+//!    that link.** Arrivals chain per link (`Arrival(k)` schedules
+//!    `Arrival(k + n_links)`, the next client of the *same* link), acks
+//!    follow flights of their own connection.
 //! 2. **No draw or decision keys on execution-dependent identifiers.**
-//!    Random draws hash (seed, client id, flight), never arena slots,
-//!    whose assignment depends on grouping.
+//!    Random draws hash (seed, client id, flight), never arena slots.
 //!
-//! Merging is then exact: counters sum, the [`QuantileSketch`] merges
-//! bucket-wise in `u64`s, and the Welford [`Summary`] — whose batch
-//! merge *is* float-order-sensitive — is accumulated per link and folded
-//! in global link order in every mode, so the fold sequence never
-//! depends on sharding. Capacity diagnostics (queue/arena peaks) are
-//! per-shard peaks summed in shard order; see
-//! [`FleetMetrics::observables`] for the exact invariance contract.
+//! # Deadlines wait in a FIFO, not in the scheduler
+//!
+//! A connection's deadline is `arrival + cfg.deadline` and a link's
+//! arrivals are processed in time order, so the link's deadlines are
+//! monotone: they wait in a `VecDeque` and the loop takes its next event
+//! from whichever of {queue front, FIFO front} is earlier — **the
+//! deadline first on equal times**. Each FIFO pop counts as an event:
+//! it retires the connection (`timed_out`) or finds the handle stale
+//! (`stale_deadline_pops`, one per completed connection).
+//!
+//! Why that is the order one queue holding everything would give, on
+//! everything observable: a connection's deadline is created at its
+//! arrival, before any of its acks, so on a shared queue it had the
+//! lower sequence number and fired first on a tie — the same as here.
+//! Against an equal-time event of *another* connection the order may
+//! differ from a shared queue's, but the two commute: a deadline only
+//! frees its own slot and schedules nothing, so swapping them changes
+//! at most which slot a simultaneous arrival recycles and the live
+//! count in between — and by rule 2 nothing reads a slot id. The
+//! `link_loop_equivalent_to_global_queue` referee holds the loop to the
+//! single-queue oracle it replaced, ties included.
+//!
+//! # Threads, and what the numbers mean
+//!
+//! [`run_fleet_sharded`] deals contiguous link ranges to the
+//! deterministic runner's workers, each with its own scratch. Per-link
+//! results are scalars and fold in global link order in every mode:
+//! counters sum, `finished_at` is a max, the [`QuantileSketch`] merges
+//! bucket-wise in `u64`s (order-free), the Welford [`Summary`] — whose
+//! batch merge *is* float-order-sensitive — folds link by link, and the
+//! capacity diagnostics (`scheduled_peak`, `peak_live`,
+//! `arena_bytes_peak`) are the largest over the links, i.e. what the
+//! busiest link needed. All of that is a function of per-link values, so
+//! the whole [`FleetMetrics`] is bit-identical for every `(shards, par)`.
 
+use std::collections::VecDeque;
 use std::ops::Range;
 
 use longlook_http::host::ProtoConfig;
@@ -65,12 +89,12 @@ const SALT_RTT: u64 = 0x0177_0000_0000_0003;
 const SALT_REPEAT: u64 = 0x0E77_0000_0000_0004;
 const SALT_LOSS: u64 = 0x1055_0000_0000_0005;
 
-/// One scheduled occurrence in a fleet world.
+/// One scheduled occurrence on the running link. Completion deadlines
+/// are not among them: they wait in the link's FIFO (module docs).
 enum FleetEvent {
     /// The `k`-th client arrives. Chained **per link**: processing
     /// arrival `k` schedules arrival `k + n_links` — the next client of
-    /// the same link — so the queue holds one pending arrival per link
-    /// and cross-link arrivals never contend on push order.
+    /// the same link — so the queue holds one pending arrival.
     Arrival(u32),
     /// A flight's ack returns. `delivered` bytes made it; `lost` marks a
     /// congestion or random loss in the flight.
@@ -79,44 +103,44 @@ enum FleetEvent {
         delivered: u32,
         lost: bool,
     },
-    /// The per-connection completion deadline.
-    Deadline(SlotHandle),
 }
 
-/// Everything a fleet run reports.
+/// Everything a fleet run reports. Every field is a function of
+/// per-link values folded in link order, so the whole struct is
+/// bit-identical however [`run_fleet_sharded`] deals the links to
+/// threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
-    /// Events processed (arrivals + acks + deadlines), summed over shards.
+    /// Events processed (arrivals + acks + deadline pops), summed over
+    /// links.
     pub events: u64,
-    /// Peak simultaneously scheduled events — the per-shard queue peaks,
-    /// summed in shard order (a capacity diagnostic: the total queue
-    /// footprint the run provisioned, not a single instant's snapshot).
+    /// Peak simultaneously scheduled events on the busiest link: its
+    /// pending arrival plus one ack per live connection. Deadlines wait
+    /// in the link's FIFO, not in the scheduler, and are not counted.
     pub scheduled_peak: usize,
-    /// Peak simultaneously live connections — per-shard arena peaks,
-    /// summed in shard order (capacity diagnostic, like
-    /// [`scheduled_peak`](FleetMetrics::scheduled_peak)).
+    /// Peak simultaneously live connections on the busiest link — what
+    /// the arena has to hold at once, since links run one at a time.
     pub peak_live: usize,
-    /// Peak connection-arena heap bytes (columns + slot pool), summed
-    /// over shards.
+    /// Connection-arena bytes at that high-water mark
+    /// ([`ConnArena::bytes_in_use`] on the busiest link).
     pub arena_bytes_peak: usize,
     /// Connections that delivered their full object before the deadline.
     pub completed: u64,
     /// Connections cut off at the deadline.
     pub timed_out: u64,
-    /// Deadline events that fired after their connection had already
-    /// completed and were rejected by the arena's generation check.
-    /// Each completed connection leaves exactly one such tombstone in
-    /// the queue — this counter makes that queue bloat visible at 10^6
-    /// connections instead of silent (the determinism suite pins
-    /// `stale_deadline_pops == completed`).
+    /// Deadlines that came due after their connection had already
+    /// completed and were rejected by the arena's generation check:
+    /// exactly one per completed connection (the determinism suite pins
+    /// `stale_deadline_pops == completed`). They cost a FIFO pop each,
+    /// never a scheduler entry.
     pub stale_deadline_pops: u64,
     /// Completion latency (ms), streaming mean/variance — no per-sample
     /// vector is ever retained. Accumulated per link, folded in global
-    /// link order: bit-identical across shard counts and thread counts.
+    /// link order.
     pub latency_ms: Summary,
     /// Completion latency (ms), log-bucketed tail sketch.
     pub latency_sketch: QuantileSketch,
-    /// Simulated time when the last event fired (max over shards).
+    /// Simulated time when the last event fired (max over links).
     pub finished_at: Time,
 }
 
@@ -161,17 +185,12 @@ impl FleetMetrics {
         }
     }
 
-    /// The shard-invariant observables: bit-identical for `shards=1`
-    /// serial, `shards=S` serial, and `shards=S` threaded, for any `S`
-    /// (the `fleet_shard_differential` referee pins this).
-    ///
-    /// The capacity diagnostics (`scheduled_peak`, `peak_live`,
-    /// `arena_bytes_peak`) are excluded: they are per-shard peaks summed
-    /// in shard order, and a peak legitimately depends on which links
-    /// share a queue/arena (four quarter-fleet peaks at different
-    /// instants sum higher than one global peak). They *are* still exact
-    /// between serial and threaded execution at a fixed shard count,
-    /// which the referee checks via full `FleetMetrics` equality.
+    /// What the cell measured, without the three capacity diagnostics
+    /// (`scheduled_peak`, `peak_live`, `arena_bytes_peak`). Both halves
+    /// are invariant under `(shards, par)`; the split is between results
+    /// that only a model change may move and footprint figures a change
+    /// to the loop may move. It is what the loop's referee compares with
+    /// the single-queue oracle, whose footprint is the population's.
     pub fn observables(&self) -> FleetObservables {
         FleetObservables {
             events: self.events,
@@ -185,8 +204,8 @@ impl FleetMetrics {
     }
 }
 
-/// The subset of [`FleetMetrics`] that is invariant under sharding —
-/// see [`FleetMetrics::observables`] for the contract.
+/// [`FleetMetrics`] without its capacity diagnostics — see
+/// [`FleetMetrics::observables`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetObservables {
     /// Events processed.
@@ -195,7 +214,7 @@ pub struct FleetObservables {
     pub completed: u64,
     /// Connections cut off at the deadline.
     pub timed_out: u64,
-    /// Generation-rejected deadline tombstones popped.
+    /// Generation-rejected deadlines popped.
     pub stale_deadline_pops: u64,
     /// Completion latency stream (ms).
     pub latency_ms: Summary,
@@ -206,8 +225,9 @@ pub struct FleetObservables {
 }
 
 /// A contiguous, balanced partition of the fleet's link space into
-/// shards. Links (and with them connections, `k % n_links`) are the unit
-/// of sharding because they are the only state connections share.
+/// shards: the ranges [`run_fleet_sharded`] deals to worker threads.
+/// Links (and with them connections, `k % n_links`) are the unit
+/// because they are the only state connections share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     n_links: usize,
@@ -239,7 +259,7 @@ impl ShardPlan {
     /// `s·L/S .. (s+1)·L/S`, so shard sizes differ by at most one even
     /// when `n_links` is not divisible by the shard count, and
     /// concatenating the ranges in shard order walks the links in global
-    /// order (which is what pins the merge's Summary fold).
+    /// order (which is what pins the Summary fold).
     pub fn link_range(&self, s: usize) -> Range<usize> {
         assert!(s < self.shards, "shard {s} out of {}", self.shards);
         (s * self.n_links / self.shards)..((s + 1) * self.n_links / self.shards)
@@ -291,238 +311,297 @@ impl ProtoModel {
     }
 }
 
-/// One shard's event loop over its owned link range. The queue is
-/// borrowed so the serial path can reuse (and reset) one allocation
-/// across every shard of the cell.
-struct World<'a> {
+/// What the links of one cell share: the configuration and the
+/// constants derived from it once per call.
+struct Cell<'a> {
     cfg: &'a FleetConfig,
     model: ProtoModel,
-    queue: &'a mut EventQueue<FleetEvent>,
-    arena: ConnArena,
-    /// First global link id this shard owns (local index = global - lo).
-    link_lo: usize,
-    /// Fluid busy horizon per owned link (ns), locally indexed.
-    link_busy_ns: Vec<u64>,
-    /// Per-link completion-latency accumulators, locally indexed. Kept
-    /// per link (not per shard) so the merge can fold them in global
-    /// link order — the one pinned order every sharding reproduces.
-    link_latency: Vec<Summary>,
+    /// `cfg.n_conns`, checked to fit the 32-bit client id.
+    n_conns: u32,
+    n_links: usize,
+    n_servers: usize,
     /// Serialization cost on the cross-traffic-reduced link (ns/byte).
     ns_per_byte: f64,
     buffer_ns: u64,
-    metrics: FleetMetrics,
 }
 
-/// What one shard hands to the merge.
-struct ShardRun {
-    /// Shard-local metrics; `latency_ms` is left empty here (the merge
-    /// folds `link_latency` instead, in global link order).
-    metrics: FleetMetrics,
-    /// Per-owned-link latency summaries, in link order.
-    link_latency: Vec<Summary>,
+impl<'a> Cell<'a> {
+    /// Panics if `cfg.n_conns` does not fit a `u32`: client ids key the
+    /// hash streams as 32-bit values and would silently alias past it.
+    fn new(proto: &ProtoConfig, cfg: &'a FleetConfig) -> Cell<'a> {
+        let n_conns = u32::try_from(cfg.n_conns).unwrap_or_else(|_| {
+            panic!(
+                "FleetConfig::n_conns = {} exceeds the 32-bit client id space",
+                cfg.n_conns
+            )
+        });
+        let eff_mbps = cfg.link_mbps * (1.0 - cfg.cross_traffic_frac).max(1e-3);
+        Cell {
+            cfg,
+            model: ProtoModel::of(proto),
+            n_conns,
+            n_links: cfg.n_links.max(1),
+            n_servers: cfg.n_servers.max(1),
+            // mbps → bytes/ns is mbps / 8000; invert for ns/byte.
+            ns_per_byte: 8000.0 / eff_mbps,
+            buffer_ns: cfg.buffer.as_nanos(),
+        }
+    }
+
+    /// Arrival offset of client `k` under the configured profile.
+    fn arrival_time(&self, k: u32) -> Dur {
+        let u = hash_unit(self.cfg.seed ^ SALT_ARRIVE, k.into());
+        self.cfg
+            .profile
+            .time_at(self.cfg.window, k, self.n_conns, u)
+    }
 }
 
-/// Run one fleet cell to completion on a single shard (the whole link
-/// space, serial). Deterministic in `cfg` (including `cfg.seed`) and
-/// `proto`; independent of thread scheduling and everything else
-/// environmental — and, via
-/// [`run_fleet_sharded`], bit-identical on the observables to any
-/// sharded execution of the same cell.
+/// What one worker reuses from link to link. Reset, not rebuilt, between
+/// links, so after the first link the loop allocates nothing; owned by
+/// one [`run_fleet_sharded`] call and dropped with it.
+struct Scratch {
+    queue: EventQueue<FleetEvent>,
+    arena: ConnArena,
+    /// The running link's pending completion deadlines, in arrival (and
+    /// therefore time) order.
+    deadlines: VecDeque<(Time, SlotHandle)>,
+    /// Completion latencies of every link run on this scratch so far
+    /// (the sketch merge is order-free, so it need not be per link).
+    sketch: QuantileSketch,
+}
+
+impl Scratch {
+    fn new(cell: &Cell) -> Scratch {
+        let per_link = cell.cfg.n_conns / cell.n_links;
+        Scratch {
+            queue: EventQueue::new(SchedKind::Wheel),
+            arena: ConnArena::with_capacity((per_link / 4).max(16)),
+            deadlines: VecDeque::new(),
+            sketch: QuantileSketch::new(),
+        }
+    }
+}
+
+/// What one link's run reports: scalars, a pure function of `(cfg,
+/// proto, link)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LinkRun {
+    events: u64,
+    completed: u64,
+    timed_out: u64,
+    stale_deadline_pops: u64,
+    latency_ms: Summary,
+    finished_at: Time,
+    scheduled_peak: usize,
+    peak_live: usize,
+    arena_bytes_peak: usize,
+}
+
+impl FleetMetrics {
+    /// Fold the next link's run in. Callers feed links in global link
+    /// order — the one order every `(shards, par)` reproduces — because
+    /// the Summary merge is float-order-sensitive; everything else here
+    /// is a sum or a max.
+    fn absorb(&mut self, r: &LinkRun) {
+        self.events += r.events;
+        self.completed += r.completed;
+        self.timed_out += r.timed_out;
+        self.stale_deadline_pops += r.stale_deadline_pops;
+        self.latency_ms.merge(&r.latency_ms);
+        self.finished_at = self.finished_at.max(r.finished_at);
+        self.scheduled_peak = self.scheduled_peak.max(r.scheduled_peak);
+        self.peak_live = self.peak_live.max(r.peak_live);
+        self.arena_bytes_peak = self.arena_bytes_peak.max(r.arena_bytes_peak);
+    }
+}
+
+/// Run one fleet cell to completion on the calling thread, link by
+/// link. Deterministic in `cfg` (including `cfg.seed`) and `proto`;
+/// independent of thread scheduling and everything else environmental —
+/// and bit-identical to any [`run_fleet_sharded`] execution of the same
+/// cell.
 pub fn run_fleet(proto: &ProtoConfig, cfg: &FleetConfig) -> FleetMetrics {
     run_fleet_sharded(proto, cfg, 1, Parallelism::Serial)
 }
 
-/// Run one fleet cell split into `shards` independent event loops over
-/// the plan's link ranges, under `par`.
+/// Run one fleet cell with its links dealt to `par`'s workers as
+/// `shards` contiguous ranges (clamped to the links that have clients).
 ///
-/// Serial execution (either `par` resolving to one job or a single
-/// shard) runs the shards back to back through one reused event queue;
-/// threaded execution fans the shards across the deterministic runner
-/// and reassembles in shard order. Either way the merged
-/// [`FleetMetrics::observables`] are bit-identical for every `(shards,
-/// par)` combination, and the full metrics (capacity diagnostics
-/// included) are bit-identical across `par` at fixed `shards`.
+/// Each range runs link by link on its own scratch and the per-link
+/// results fold in global link order, so the returned [`FleetMetrics`] —
+/// diagnostics included — is bit-identical for every `(shards, par)`;
+/// the two only decide which thread runs which link. With one job (or
+/// one shard) the ranges run back to back on the calling thread, which
+/// is the plain loop over every link.
+///
+/// # Panics
+///
+/// If `cfg.n_conns` exceeds `u32::MAX` (the client id space).
 pub fn run_fleet_sharded(
     proto: &ProtoConfig,
     cfg: &FleetConfig,
     shards: usize,
     par: Parallelism,
 ) -> FleetMetrics {
-    let plan = ShardPlan::new(cfg.n_links, shards);
-    let runs: Vec<ShardRun> = if plan.shards() == 1 || par.jobs() == 1 {
-        let mut queue = EventQueue::new(SchedKind::Wheel);
-        (0..plan.shards())
-            .map(|s| {
-                let run = run_shard(proto, cfg, plan.link_range(s), &mut queue);
-                // A reset queue is observationally a fresh one (seq and
-                // peak rewound), so this loop is bit-identical to the
-                // threaded path's queue-per-shard.
-                queue.reset();
-                run
-            })
-            .collect()
-    } else {
-        run_ordered(par, plan.shards(), |s| {
-            let mut queue = EventQueue::new(SchedKind::Wheel);
-            run_shard(proto, cfg, plan.link_range(s), &mut queue)
-        })
-    };
-    let merged = merge_shards(runs);
-    note_cell_events(merged.events);
-    merged
-}
-
-/// Merge per-shard results in fixed shard order. Exactness argument:
-/// counters sum in `u64`; the sketch merge is bucket-wise `u64` addition
-/// (grouping-invariant, canonical representation); `finished_at` is a
-/// max; and the float-order-sensitive Summary is folded from the
-/// per-*link* accumulators — shard ranges are contiguous and ascending,
-/// so shard-order concatenation *is* global link order, the same fold
-/// sequence at any shard count.
-fn merge_shards(runs: Vec<ShardRun>) -> FleetMetrics {
+    let cell = Cell::new(proto, cfg);
+    // Only links `l < n_conns` have a client (`k % n_links` reaches no
+    // other); the rest would never see an event and are not planned.
+    let plan = ShardPlan::new(cell.n_links.min(cfg.n_conns), shards);
     let mut total = FleetMetrics::empty();
-    for r in &runs {
-        total.events += r.metrics.events;
-        total.scheduled_peak += r.metrics.scheduled_peak;
-        total.peak_live += r.metrics.peak_live;
-        total.arena_bytes_peak += r.metrics.arena_bytes_peak;
-        total.completed += r.metrics.completed;
-        total.timed_out += r.metrics.timed_out;
-        total.stale_deadline_pops += r.metrics.stale_deadline_pops;
-        total.latency_sketch.merge(&r.metrics.latency_sketch);
-        total.finished_at = total.finished_at.max(r.metrics.finished_at);
+    if plan.shards() == 1 || par.jobs() == 1 {
+        let mut scratch = Scratch::new(&cell);
+        for link in 0..plan.n_links() {
+            total.absorb(&run_link(&cell, &mut scratch, link));
+        }
+        total.latency_sketch = scratch.sketch;
+    } else {
+        let parts = run_ordered(par, plan.shards(), |s| {
+            let mut scratch = Scratch::new(&cell);
+            let runs: Vec<LinkRun> = plan
+                .link_range(s)
+                .map(|link| run_link(&cell, &mut scratch, link))
+                .collect();
+            (runs, scratch.sketch)
+        });
+        // Shard ranges are contiguous and ascending, so shard order
+        // concatenated is global link order.
+        for (runs, sketch) in &parts {
+            for r in runs {
+                total.absorb(r);
+            }
+            total.latency_sketch.merge(sketch);
+        }
     }
-    total.latency_ms = Summary::merge_all(runs.iter().flat_map(|r| r.link_latency.iter()));
+    note_cell_events(total.events);
     total
 }
 
-/// One shard's event loop: seed an arrival per owned link, drain.
-fn run_shard(
-    proto: &ProtoConfig,
-    cfg: &FleetConfig,
-    links: Range<usize>,
-    queue: &mut EventQueue<FleetEvent>,
-) -> ShardRun {
-    debug_assert!(
-        queue.is_empty() && queue.scheduled_peak() == 0,
-        "shard queue must start (or reset to) fresh"
-    );
-    let n_links = cfg.n_links.max(1);
-    let owned = links.len();
-    // This shard admits the connections whose link lands in its range:
-    // about n_conns * owned / n_links of them over the whole window.
-    let approx_conns = (cfg.n_conns / n_links).saturating_mul(owned) + owned;
-    let eff_mbps = cfg.link_mbps * (1.0 - cfg.cross_traffic_frac).max(1e-3);
-    let mut w = World {
-        cfg,
-        model: ProtoModel::of(proto),
-        queue,
-        arena: ConnArena::with_capacity((approx_conns / 4).max(16)),
-        link_lo: links.start,
-        link_busy_ns: vec![0; owned],
-        link_latency: vec![Summary::new(); owned],
-        // mbps → bytes/ns is mbps / 8000; invert for ns/byte.
-        ns_per_byte: 8000.0 / eff_mbps,
-        buffer_ns: cfg.buffer.as_nanos(),
-        metrics: FleetMetrics::empty(),
-    };
-    // Seed one arrival per owned link: client `l` is the first client of
-    // link `l` (links assign round-robin, `k % n_links`), and arrivals
-    // chain per link from there.
-    for l in links {
-        if l < cfg.n_conns {
-            let t = w.arrival_time(l as u32);
-            w.queue.push(Time::ZERO + t, FleetEvent::Arrival(l as u32));
-        }
-    }
-    while let Some((now, ev)) = w.queue.pop() {
-        w.metrics.events += 1;
-        w.metrics.finished_at = now;
-        match ev {
-            FleetEvent::Arrival(k) => w.on_arrival(now, k),
-            FleetEvent::Ack { h, delivered, lost } => w.on_ack(now, h, delivered, lost),
-            FleetEvent::Deadline(h) => {
-                if w.arena.free(h) {
-                    w.metrics.timed_out += 1;
-                } else {
-                    // Completed connections freed their slot earlier and
-                    // left this deadline behind as a tombstone; the
-                    // generation check rejected the stale handle. Counted
-                    // so the queue bloat is visible, and bounded: exactly
-                    // one tombstone per completed connection.
-                    w.metrics.stale_deadline_pops += 1;
-                }
-            }
-        }
-    }
-    w.metrics.scheduled_peak = w.queue.scheduled_peak();
-    w.metrics.peak_live = w.arena.live_peak();
-    w.metrics.arena_bytes_peak = w.metrics.arena_bytes_peak.max(w.arena.bytes());
-    ShardRun {
-        metrics: w.metrics,
-        link_latency: w.link_latency,
-    }
+/// The link being run: its scalars plus the worker's scratch.
+struct Link<'a> {
+    cell: &'a Cell<'a>,
+    s: &'a mut Scratch,
+    /// Fluid busy horizon of this link (ns).
+    busy_ns: u64,
+    run: LinkRun,
 }
 
-impl World<'_> {
-    /// Arrival offset of client `k` under the configured profile.
-    fn arrival_time(&self, k: u32) -> Dur {
-        let u = hash_unit(self.cfg.seed ^ SALT_ARRIVE, k.into());
-        self.cfg
-            .profile
-            .time_at(self.cfg.window, k, self.cfg.n_conns as u32, u)
-    }
-
-    /// Local (shard-relative) index of a connection's link.
-    #[inline]
-    fn local_link(&self, i: usize) -> usize {
-        let li = self.arena.link[i] as usize;
-        debug_assert!(
-            li >= self.link_lo && li - self.link_lo < self.link_busy_ns.len(),
-            "connection routed to a link outside this shard"
+/// One link's event loop: seed its first arrival, then take the earlier
+/// of {queue front, deadline FIFO front} until both are empty.
+fn run_link(cell: &Cell, scratch: &mut Scratch, link: usize) -> LinkRun {
+    scratch.queue.reset();
+    scratch.arena.reset();
+    debug_assert!(scratch.deadlines.is_empty(), "a link left deadlines behind");
+    let mut l = Link {
+        cell,
+        s: scratch,
+        busy_ns: 0,
+        run: LinkRun {
+            events: 0,
+            completed: 0,
+            timed_out: 0,
+            stale_deadline_pops: 0,
+            latency_ms: Summary::new(),
+            finished_at: Time::ZERO,
+            scheduled_peak: 0,
+            peak_live: 0,
+            arena_bytes_peak: 0,
+        },
+    };
+    // Client `link` is the first client of this link (links assign
+    // round-robin, `k % n_links`); arrivals chain from there. Only the
+    // one link planned for a cell with no clients at all has none.
+    if link < cell.cfg.n_conns {
+        let first = link as u32;
+        l.s.queue.push(
+            Time::ZERO + cell.arrival_time(first),
+            FleetEvent::Arrival(first),
         );
-        li - self.link_lo
     }
+    loop {
+        // Deadline first on equal times: a queue event goes ahead only
+        // if it is strictly earlier than the oldest pending deadline.
+        let queued = match l.s.deadlines.front() {
+            Some(&(due, _)) => l.s.queue.pop_if(|at, _| at < due),
+            None => l.s.queue.pop(),
+        };
+        let now = match queued {
+            Some((now, FleetEvent::Arrival(k))) => {
+                l.on_arrival(now, k);
+                now
+            }
+            Some((now, FleetEvent::Ack { h, delivered, lost })) => {
+                l.on_ack(now, h, delivered, lost);
+                now
+            }
+            None => {
+                let Some((due, h)) = l.s.deadlines.pop_front() else {
+                    break;
+                };
+                if l.s.arena.free(h) {
+                    l.run.timed_out += 1;
+                } else {
+                    // The connection completed and freed its slot
+                    // earlier; the generation check rejected the stale
+                    // handle. Exactly one per completed connection.
+                    l.run.stale_deadline_pops += 1;
+                }
+                due
+            }
+        };
+        l.run.events += 1;
+        l.run.finished_at = now;
+    }
+    debug_assert_eq!(l.s.arena.live(), 0, "every connection has a deadline");
+    l.run.scheduled_peak = l.s.queue.scheduled_peak();
+    l.run.peak_live = l.s.arena.live_peak();
+    l.run.arena_bytes_peak = l.s.arena.bytes_in_use();
+    l.run
+}
 
+impl Link<'_> {
     fn on_arrival(&mut self, now: Time, k: u32) {
-        let n_links = self.cfg.n_links.max(1);
+        let cfg = self.cell.cfg;
         // Chain to the next client of the *same* link (arrival times are
         // monotone in k, so the subsequence for one link is monotone too).
-        let next = k as usize + n_links;
-        if next < self.cfg.n_conns {
-            let t = self.arrival_time(next as u32);
-            self.queue
-                .push(Time::ZERO + t, FleetEvent::Arrival(next as u32));
+        let next = (k as usize).saturating_add(self.cell.n_links);
+        if next < cfg.n_conns {
+            let next = next as u32;
+            self.s.queue.push(
+                Time::ZERO + self.cell.arrival_time(next),
+                FleetEvent::Arrival(next),
+            );
         }
-        let object = fleet_object_bytes(hash_unit(self.cfg.seed ^ SALT_SIZE, k.into())) as u32;
-        let rtt_jitter = hash_unit(self.cfg.seed ^ SALT_RTT, k.into());
-        let rtt_us = (self.cfg.base_rtt.as_nanos() as f64 / 1_000.0
-            * (1.0 + self.cfg.rtt_jitter_frac * rtt_jitter)) as u32;
-        let h = self.arena.alloc(ConnInit {
+        let object = fleet_object_bytes(hash_unit(cfg.seed ^ SALT_SIZE, k.into())) as u32;
+        let rtt_jitter = hash_unit(cfg.seed ^ SALT_RTT, k.into());
+        let rtt_us = (cfg.base_rtt.as_nanos() as f64 / 1_000.0
+            * (1.0 + cfg.rtt_jitter_frac * rtt_jitter)) as u32;
+        let h = self.s.arena.alloc(ConnInit {
             arrived: now,
             object,
-            cwnd: self.model.init_cwnd,
-            ssthresh: self.model.max_cwnd,
+            cwnd: self.cell.model.init_cwnd,
+            ssthresh: self.cell.model.max_cwnd,
             rtt_us,
             client: k,
-            link: (k as usize % n_links) as u16,
-            server: (k as usize % self.cfg.n_servers.max(1)) as u16,
         });
-        self.metrics.arena_bytes_peak = self.metrics.arena_bytes_peak.max(self.arena.bytes());
-        self.queue
-            .push(now + self.cfg.deadline, FleetEvent::Deadline(h));
-        let repeat = hash_unit(self.cfg.seed ^ SALT_REPEAT, k.into()) < self.cfg.repeat_visit_frac;
+        let due = now + cfg.deadline;
+        debug_assert!(
+            self.s.deadlines.back().is_none_or(|&(last, _)| last <= due),
+            "a link's deadlines must be monotone"
+        );
+        self.s.deadlines.push_back((due, h));
+        let repeat = hash_unit(cfg.seed ^ SALT_REPEAT, k.into()) < cfg.repeat_visit_frac;
         let hs_rtts = if repeat {
-            self.model.hs_repeat
+            self.cell.model.hs_repeat
         } else {
-            self.model.hs_cold
+            self.cell.model.hs_cold
         };
         if hs_rtts == 0 {
             // 0-RTT: the first flight rides the handshake packet.
             self.send_flight(now, h);
         } else {
             let hs = Dur::from_nanos(u64::from(hs_rtts) * u64::from(rtt_us) * 1_000);
-            self.queue.push(
+            self.s.queue.push(
                 now + hs,
                 FleetEvent::Ack {
                     h,
@@ -534,66 +613,68 @@ impl World<'_> {
     }
 
     /// Send one congestion window of data and schedule its ack, charging
-    /// the shared link's fluid queue.
+    /// the link's fluid queue.
     fn send_flight(&mut self, now: Time, h: SlotHandle) {
-        let i = self.arena.resolve(h).expect("send_flight on stale handle");
-        let flight = self.arena.remaining[i].min(self.arena.cwnd[i]).max(1);
-        let f = self.arena.flights[i];
-        self.arena.flights[i] = f.saturating_add(1);
-        let li = self.local_link(i);
+        let cfg = self.cell.cfg;
+        let arena = &mut self.s.arena;
+        let i = arena.resolve(h).expect("send_flight on stale handle");
+        let flight = arena.remaining[i].min(arena.cwnd[i]).max(1);
+        let f = arena.flights[i];
+        arena.flights[i] = f.saturating_add(1);
         let now_ns = now.as_nanos();
-        let wait_ns = self.link_busy_ns[li].saturating_sub(now_ns);
-        let ser_ns = (f64::from(flight) * self.ns_per_byte).round() as u64;
-        self.link_busy_ns[li] = self.link_busy_ns[li].max(now_ns) + ser_ns;
+        let wait_ns = self.busy_ns.saturating_sub(now_ns);
+        let ser_ns = (f64::from(flight) * self.cell.ns_per_byte).round() as u64;
+        self.busy_ns = self.busy_ns.max(now_ns) + ser_ns;
         // Congestion loss: the flight would queue past the buffer's drain
         // time. Random loss: an independent per-flight draw keyed by
         // (client id, flight) — injective over the full 32-bit flight
-        // counter (the old key masked flights to 12 bits, aliasing flight
-        // 4096 onto flight 0's draw) and keyed by the *client*, not the
-        // arena slot, so the stream is invariant under sharding (slot
-        // assignment depends on execution grouping). `hash_unit`'s
+        // counter, and keyed by the *client*, not the arena slot, which
+        // depends on what else the arena has held. `hash_unit`'s
         // SplitMix64 finalizer does the 64-bit mixing.
-        let key = (u64::from(self.arena.client[i]) << 32) | u64::from(f);
-        let lost =
-            wait_ns > self.buffer_ns || hash_unit(self.cfg.seed ^ SALT_LOSS, key) < self.cfg.loss;
+        let client = arena.client[i];
+        let key = (u64::from(client) << 32) | u64::from(f);
+        let lost = wait_ns > self.cell.buffer_ns || hash_unit(cfg.seed ^ SALT_LOSS, key) < cfg.loss;
         let delivered = if lost { flight / 2 } else { flight };
-        let rtt_ns = u64::from(self.arena.rtt_us[i]) * 1_000;
-        let service_ns = self.cfg.server_service.as_nanos() * (1 + u64::from(self.arena.server[i]));
-        self.queue.push(
+        let rtt_ns = u64::from(arena.rtt_us[i]) * 1_000;
+        // Clients round-robin over the server pools; pool `s` charges
+        // `s + 1` service units.
+        let server = (client as usize % self.cell.n_servers) as u64;
+        let service_ns = cfg.server_service.as_nanos() * (1 + server);
+        self.s.queue.push(
             now + Dur::from_nanos(wait_ns + ser_ns + rtt_ns + service_ns),
             FleetEvent::Ack { h, delivered, lost },
         );
     }
 
     fn on_ack(&mut self, now: Time, h: SlotHandle, delivered: u32, lost: bool) {
+        let arena = &mut self.s.arena;
         // Stale = the deadline already retired this connection.
-        let Some(i) = self.arena.resolve(h) else {
+        let Some(i) = arena.resolve(h) else {
             return;
         };
-        let mss = self.model.mss;
+        let mss = self.cell.model.mss;
+        let max_cwnd = self.cell.model.max_cwnd;
         if lost {
-            self.arena.retx[i] = self.arena.retx[i].saturating_add(1);
-            let half = (self.arena.cwnd[i] / 2).max(2 * mss);
-            self.arena.ssthresh[i] = half;
-            self.arena.cwnd[i] = half;
-        } else if self.arena.cwnd[i] < self.arena.ssthresh[i] {
+            arena.retx[i] = arena.retx[i].saturating_add(1);
+            let half = (arena.cwnd[i] / 2).max(2 * mss);
+            arena.ssthresh[i] = half;
+            arena.cwnd[i] = half;
+        } else if arena.cwnd[i] < arena.ssthresh[i] {
             // Slow start: grow by the bytes acked.
-            self.arena.cwnd[i] =
-                (self.arena.cwnd[i].saturating_add(delivered)).min(self.model.max_cwnd);
+            arena.cwnd[i] = (arena.cwnd[i].saturating_add(delivered)).min(max_cwnd);
         } else {
             // Congestion avoidance: ~one MSS per cwnd of acked data.
-            let grow = (u64::from(mss) * u64::from(delivered)
-                / u64::from(self.arena.cwnd[i].max(1))) as u32;
-            self.arena.cwnd[i] = (self.arena.cwnd[i].saturating_add(grow)).min(self.model.max_cwnd);
+            let grow =
+                (u64::from(mss) * u64::from(delivered) / u64::from(arena.cwnd[i].max(1))) as u32;
+            arena.cwnd[i] = (arena.cwnd[i].saturating_add(grow)).min(max_cwnd);
         }
-        self.arena.remaining[i] = self.arena.remaining[i].saturating_sub(delivered);
-        if self.arena.remaining[i] == 0 {
-            let latency_ms = (now.as_nanos().saturating_sub(self.arena.arrived_ns[i])) as f64 / 1e6;
-            let li = self.local_link(i);
-            self.link_latency[li].add(latency_ms);
-            self.metrics.latency_sketch.add(latency_ms);
-            self.metrics.completed += 1;
-            self.arena.free(h);
+        arena.remaining[i] = arena.remaining[i].saturating_sub(delivered);
+        if arena.remaining[i] == 0 {
+            let latency_ms = (now.as_nanos().saturating_sub(arena.arrived_ns[i])) as f64 / 1e6;
+            self.run.latency_ms.add(latency_ms);
+            self.s.sketch.add(latency_ms);
+            self.run.completed += 1;
+            arena.free(h);
         } else {
             self.send_flight(now, h);
         }
@@ -635,6 +716,48 @@ mod tests {
         assert_eq!(ShardPlan::new(8, 100).shards(), 8);
         assert_eq!(ShardPlan::new(0, 4).shards(), 1);
         assert_eq!(ShardPlan::new(0, 4).n_links(), 1);
+    }
+
+    /// Scratch reuse is unobservable: a link reports the same run on a
+    /// scratch that other links — busier ones included — have been
+    /// through as on a fresh one. The fold's max would hide a peak that
+    /// leaked from an earlier link, so this looks at the links one by one.
+    #[test]
+    fn a_links_run_does_not_depend_on_what_its_scratch_ran_before() {
+        let mut cfg = FleetConfig::new(2_400);
+        cfg.n_links = 8;
+        let proto = ProtoConfig::Tcp(Default::default());
+        let cell = Cell::new(&proto, &cfg);
+        let fresh: Vec<LinkRun> = (0..8)
+            .map(|link| run_link(&cell, &mut Scratch::new(&cell), link))
+            .collect();
+        assert!(
+            fresh.iter().any(|r| r.peak_live != fresh[0].peak_live)
+                && fresh
+                    .iter()
+                    .any(|r| r.scheduled_peak != fresh[0].scheduled_peak),
+            "the links must differ in their peaks for a leak to show"
+        );
+        let mut scratch = Scratch::new(&cell);
+        for link in (0..8).chain((0..8).rev()) {
+            assert_eq!(
+                run_link(&cell, &mut scratch, link),
+                fresh[link],
+                "link {link}"
+            );
+        }
+    }
+
+    /// Client ids are 32-bit (they key the hash streams and the arrival
+    /// chain); a population past that is refused by name before any
+    /// work, not truncated.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "FleetConfig::n_conns = 4294967296 exceeds")]
+    fn a_population_past_the_client_id_space_is_refused() {
+        let mut cfg = FleetConfig::new(10);
+        cfg.n_conns = u32::MAX as usize + 1;
+        run_fleet(&ProtoConfig::Quic(Default::default()), &cfg);
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub mod prelude {
         fairness_net, quic_vs_n_tcp, run_fairness, FairnessRun, FlowThroughput,
     };
     pub use crate::fleet::{
-        fleet_heatmap, fleet_n, fleet_shards, run_fleet, run_fleet_sharded, ArrivalProfile,
-        ConnArena, ConnInit, FleetConfig, FleetMetrics, FleetObservables, ShardPlan,
+        fleet_heatmap, fleet_n, run_fleet, run_fleet_sharded, ArrivalProfile, ConnArena, ConnInit,
+        FleetConfig, FleetMetrics, FleetObservables, ShardPlan,
     };
     pub use crate::params::{render_table1, ParameterSpace};
     pub use crate::rootcause::{compare_machines, infer_from_records, infer_from_traces};

@@ -77,6 +77,19 @@ impl SlotPool {
         }
     }
 
+    /// Return to the just-constructed state — no slots, generations and
+    /// the live high-water mark rewound — while keeping both vectors'
+    /// capacity. A reset pool is observationally a fresh one: it issues
+    /// the same handles for the same alloc/free sequence. Handles issued
+    /// before the reset must not be used after it (the generations that
+    /// would have rejected them are gone).
+    pub fn reset(&mut self) {
+        self.generations.clear();
+        self.free.clear();
+        self.live = 0;
+        self.live_peak = 0;
+    }
+
     /// Allocate a slot: recycle the most recently freed one, or grow the
     /// slot space by one. The caller must keep its columns at least
     /// [`Self::slots`] long.
@@ -220,6 +233,27 @@ mod tests {
         assert_eq!(p.live(), 3);
         assert_eq!(p.live_peak(), 5);
         assert_eq!(p.slots(), 5, "recycling does not grow the slot space");
+    }
+
+    #[test]
+    fn reset_pool_issues_a_fresh_pools_handles_and_keeps_capacity() {
+        let script = |p: &mut SlotPool| {
+            let a = p.alloc();
+            let b = p.alloc();
+            assert!(p.free(a));
+            let c = p.alloc();
+            (a, b, c, p.live(), p.live_peak(), p.slots())
+        };
+        let mut used = SlotPool::with_capacity(64);
+        let hs: Vec<_> = (0..40).map(|_| used.alloc()).collect();
+        for h in &hs[..30] {
+            assert!(used.free(*h));
+        }
+        let sized = used.bytes();
+        used.reset();
+        assert_eq!((used.live(), used.live_peak(), used.slots()), (0, 0, 0));
+        assert_eq!(used.bytes(), sized, "reset keeps capacity");
+        assert_eq!(script(&mut used), script(&mut SlotPool::new()));
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! frame / block free lists QUIC measured 0.67 per packet here.
 //!
 //! The second test checks that what the free lists hold when a cell starts
-//! reaches nothing observable.
+//! reaches nothing observable. The third holds the fleet loop to "nothing
+//! is per link on the heap": the same allocator also tracks live bytes, and
+//! twice the links at the same clients per link must cost neither more
+//! allocations nor a higher peak.
 
 mod common;
 
@@ -24,35 +27,51 @@ thread_local! {
     // Const-initialised and without a destructor, so touching it from
     // inside the allocator neither allocates nor fails at thread exit.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread has allocated and not yet freed, and their
+    // high-water mark. Signed: a thread may free what another allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
     ALLOCS.with(|c| c.set(c.get() + 1));
 }
 
+fn resize(by: i64) {
+    let live = LIVE.with(|c| {
+        c.set(c.get() + by);
+        c.get()
+    });
+    PEAK.with(|c| c.set(c.get().max(live)));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a thread-local cell
-// and never touches the returned memory.
+// upholds the `GlobalAlloc` contract; the counters are thread-local cells
+// and never touch the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(layout.size() as i64);
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as i64));
         // SAFETY: `ptr` and `layout` are the caller's, passed through as is.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        resize(new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -115,6 +134,46 @@ fn steady_state_packets_do_not_allocate() {
              ({per_packet:.3} per packet; 8 MiB {small_allocs}, 32 MiB {large_allocs})"
         );
     }
+}
+
+/// One serial flash-crowd fleet of 1 500 clients per link: `(allocations,
+/// peak bytes live above what was live when it began)`.
+fn fleet(n_links: usize) -> (u64, i64) {
+    let mut cfg = FleetConfig::new(1_500 * n_links);
+    cfg.n_links = n_links;
+    let before = ALLOCS.with(Cell::get);
+    let floor = LIVE.with(Cell::get);
+    PEAK.with(|c| c.set(floor));
+    let m = run_fleet(&ProtoConfig::Quic(QuicConfig::default()), &cfg);
+    assert_eq!(m.completed + m.timed_out, cfg.n_conns as u64);
+    drop(m);
+    (
+        ALLOCS.with(Cell::get) - before,
+        PEAK.with(Cell::get) - floor,
+    )
+}
+
+/// The fleet loop runs one link at a time through scratch it resets, so
+/// nothing on the heap is per link: twice the links (and clients) cost at
+/// most a small constant more allocations (a busier link may touch a
+/// wheel slot or double a column the earlier ones did not) and no higher
+/// a peak. With one arena and one queue for the population, both doubled.
+#[test]
+fn fleet_heap_does_not_grow_with_links() {
+    fleet(2);
+    let (allocs_4, peak_4) = fleet(4);
+    let (allocs_8, peak_8) = fleet(8);
+    println!(
+        "fleet: 4 links {allocs_4} allocations, peak {peak_4} B; 8 links {allocs_8}, {peak_8} B"
+    );
+    assert!(
+        allocs_8 <= allocs_4 + 64,
+        "8 links allocated {allocs_8} times, 4 links {allocs_4}"
+    );
+    assert!(
+        peak_8 <= peak_4 + peak_4 / 4,
+        "peak live heap grew with the link count: {peak_4} B at 4 links, {peak_8} B at 8"
+    );
 }
 
 /// A lossy 120-stream cell gives bit-identical records on a fresh thread

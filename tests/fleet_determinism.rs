@@ -101,13 +101,13 @@ fn flash_crowd_10k_fits_connection_budget() {
     // The latency stream and the sketch must agree on the sample count:
     // both are fed once per completion, nothing retained per-sample.
     assert_eq!(m.latency_sketch.count(), m.completed);
-    // Stale-deadline tombstones are bounded, not silent: every completed
-    // connection leaves exactly one Deadline event in the queue that pops
-    // after the slot was freed and is generation-rejected. A higher count
-    // would mean the queue is bloating with duplicates; a lower one would
-    // mean deadlines are being double-consumed.
+    // Stale deadlines are bounded, not silent: every completed
+    // connection leaves exactly one deadline in its link's FIFO that
+    // comes due after the slot was freed and is generation-rejected. A
+    // higher count would mean a deadline was queued twice; a lower one
+    // that deadlines are being dropped or double-consumed.
     assert_eq!(
         m.stale_deadline_pops, m.completed,
-        "tombstone pops must equal completions"
+        "stale deadline pops must equal completions"
     );
 }

@@ -1,25 +1,17 @@
-//! Sharded-fleet differential referee: splitting one fleet cell across
-//! shards (and across worker threads) must not change what it measures.
+//! Sharded-fleet differential referee: dealing one fleet cell's links to
+//! shards (and the shards to worker threads) must not change a bit of
+//! what it reports.
 //!
-//! The contract under test, from `longlook_core::fleet::world`:
-//!
-//! * **Across shard counts** — `shards=1` serial, `shards=S` serial, and
-//!   `shards=S` threaded produce bit-identical [`FleetObservables`]
-//!   (events, completions, timeouts, tombstones, the latency Summary and
-//!   sketch, finish time) for every `S`. Connections interact only
-//!   through their bottleneck link, links partition contiguously across
-//!   shards, and no draw keys on execution-dependent state, so each
-//!   link's event subsequence is sharding-invariant and the pinned-order
-//!   merge reassembles exactly what one big loop would have produced.
-//! * **Across thread counts at fixed shards** — the *full*
-//!   [`FleetMetrics`], capacity diagnostics included, are bit-identical
-//!   between the serial queue-reuse path and the threaded fan-out: the
-//!   same shards run either way, only the schedule differs.
-//!
-//! Capacity peaks (`scheduled_peak`, `peak_live`, `arena_bytes_peak`)
-//! are deliberately *outside* the first contract: they are per-shard
-//! peaks summed in shard order, and four quarter-fleet peaks taken at
-//! different instants legitimately sum higher than one global peak.
+//! The contract under test, from `longlook_core::fleet::world`: the
+//! *whole* [`FleetMetrics`] — events, completions, timeouts, stale
+//! deadlines, the latency Summary and sketch, finish time, and the three
+//! capacity diagnostics — is bit-identical for every `(shards, par)`.
+//! A cell runs one bottleneck link at a time; a link's run is a pure
+//! function of the configuration and the link; and the per-link results
+//! (the diagnostics are the largest over the links) fold in global link
+//! order however the links were dealt out. With one job the shard count
+//! selects nothing — the ranges run back to back, which is the plain
+//! loop — so the threaded rows are the ones that vary the path.
 
 use longlook_core::prelude::*;
 
@@ -36,7 +28,7 @@ fn tcp() -> ProtoConfig {
 /// (2, 4) and oversized (9 → clamped to 4) splits.
 const SHARD_COUNTS: [usize; 3] = [2, 4, 9];
 
-/// The headline differential: observables are bit-identical across
+/// The headline differential: the full metrics are bit-identical across
 /// shard counts and thread counts, for both protocols and all three
 /// arrival profiles.
 #[test]
@@ -50,26 +42,50 @@ fn sharded_observables_match_serial_bitwise() {
         for proto in [quic(), tcp()] {
             let baseline = run_fleet(&proto, &cfg);
             for shards in SHARD_COUNTS {
-                let serial = run_fleet_sharded(&proto, &cfg, shards, Parallelism::Serial);
-                assert_eq!(
-                    baseline.observables(),
-                    serial.observables(),
-                    "shards={shards} serial diverged from unsharded: {profile:?} / {proto:?}"
-                );
-                for jobs in [2, 4] {
-                    let threaded =
-                        run_fleet_sharded(&proto, &cfg, shards, Parallelism::Threads(jobs));
-                    // At a fixed shard count, serial vs threaded is the
-                    // *same* computation on a different schedule: the
-                    // full metrics — capacity diagnostics included —
-                    // must match field for field.
+                for par in [
+                    Parallelism::Serial,
+                    Parallelism::Threads(2),
+                    Parallelism::Threads(4),
+                ] {
                     assert_eq!(
-                        serial, threaded,
-                        "shards={shards} jobs={jobs} diverged from serial shards: \
+                        baseline,
+                        run_fleet_sharded(&proto, &cfg, shards, par),
+                        "shards={shards} {par:?} diverged from run_fleet: \
                          {profile:?} / {proto:?}"
                     );
                 }
             }
+        }
+    }
+}
+
+/// A 20 000-client flash crowd over 13 links. The scheduler holds the
+/// running link's pending arrival and one ack per live connection — a
+/// deadline per client in the queue would make it ≈ `n_conns` — and
+/// every way of dealing the links out reports the same struct,
+/// diagnostics included.
+#[test]
+fn scheduler_depth_tracks_live_connections_in_every_mode() {
+    let cfg = FleetConfig::new(20_000);
+    let baseline = run_fleet(&quic(), &cfg);
+    assert!(
+        baseline.scheduled_peak <= baseline.peak_live + 2,
+        "scheduled_peak {} vs peak_live {}",
+        baseline.scheduled_peak,
+        baseline.peak_live
+    );
+    assert_eq!(
+        baseline.arena_bytes_peak,
+        baseline.peak_live * ConnArena::BYTES_PER_SLOT,
+        "arena bytes come from the slot high-water mark"
+    );
+    for shards in [1, 2, 5, cfg.n_links] {
+        for par in [Parallelism::Serial, Parallelism::Threads(3)] {
+            assert_eq!(
+                baseline,
+                run_fleet_sharded(&quic(), &cfg, shards, par),
+                "shards={shards} {par:?}"
+            );
         }
     }
 }
@@ -87,16 +103,12 @@ fn non_divisible_link_count_still_merges_exactly() {
         let plan = ShardPlan::new(cfg.n_links, shards);
         assert_eq!(plan.shards(), shards.min(cfg.n_links));
         let m = run_fleet_sharded(&quic(), &cfg, shards, Parallelism::Threads(3));
-        assert_eq!(
-            baseline.observables(),
-            m.observables(),
-            "5 links over {shards} shards diverged"
-        );
+        assert_eq!(baseline, m, "5 links over {shards} shards diverged");
     }
 }
 
-/// Fewer connections than links: some shards own links that never see a
-/// client. Their loops are empty, the merge still balances.
+/// Fewer connections than links: the links no client maps to are not
+/// run at all, and the shard count clamps to the three that are.
 #[test]
 fn shards_with_idle_links_are_benign() {
     let mut cfg = FleetConfig::new(3);
@@ -104,13 +116,13 @@ fn shards_with_idle_links_are_benign() {
     cfg.n_servers = 2;
     let baseline = run_fleet(&quic(), &cfg);
     let m = run_fleet_sharded(&quic(), &cfg, 8, Parallelism::Threads(4));
-    assert_eq!(baseline.observables(), m.observables());
+    assert_eq!(baseline, m);
     assert_eq!(m.completed + m.timed_out, 3);
 }
 
 /// Population accounting holds in every mode: completed + timed_out
 /// covers every spawned client, the latency feeds agree on the sample
-/// count, and each completion leaves exactly one deadline tombstone.
+/// count, and each completion leaves exactly one stale deadline.
 #[test]
 fn population_accounting_is_exact_in_every_mode() {
     let cfg = FleetConfig::new(1_500);
@@ -129,26 +141,9 @@ fn population_accounting_is_exact_in_every_mode() {
         assert_eq!(m.latency_ms.count(), m.completed);
         assert_eq!(
             m.stale_deadline_pops, m.completed,
-            "tombstone pops must equal completions at shards={shards}"
+            "stale deadline pops must equal completions at shards={shards}"
         );
     }
-}
-
-/// The CI shard matrix drives this binary with `LONGLOOK_FLEET_SHARDS`
-/// ∈ {1, 4}: resolve the knob the way an experiment would and check the
-/// env-selected shard count against the serial baseline, so the matrix
-/// actually varies the code path under test.
-#[test]
-fn env_resolved_shard_count_matches_serial() {
-    let shards = fleet_shards(4);
-    let cfg = FleetConfig::new(fleet_n(1_500).min(20_000));
-    let baseline = run_fleet(&quic(), &cfg);
-    let m = run_fleet_sharded(&quic(), &cfg, shards, Parallelism::auto());
-    assert_eq!(
-        baseline.observables(),
-        m.observables(),
-        "env-resolved shards={shards} diverged from serial"
-    );
 }
 
 /// `ShardPlan` unit geometry at integration scope: ranges partition the
