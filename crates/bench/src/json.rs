@@ -6,7 +6,8 @@
 //! arrays, strings (with the standard escapes), finite numbers, booleans,
 //! and null. Errors carry a byte offset for debuggability. Not a
 //! general-purpose parser: no streaming, no duplicate-key handling beyond
-//! last-wins, recursion bounded only by input nesting.
+//! last-wins, and arrays / objects nest at most 128 deep (the parser
+//! recurses, and `repro trauma <file>` feeds it user files).
 
 use std::collections::BTreeMap;
 
@@ -78,12 +79,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array / object nesting [`parse`] accepts; repro files nest
+/// four levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -97,6 +103,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -134,8 +142,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -143,6 +151,20 @@ impl Parser<'_> {
             b'-' | b'0'..=b'9' => self.number(),
             _ => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Parse one array or object, refusing to recurse past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -222,6 +244,8 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
+                                // `from_str_radix` alone would take "+12f".
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("invalid \\u escape"))?;
@@ -347,6 +371,37 @@ mod tests {
         assert_eq!(escape("a\n\"b\\"), "a\\n\\\"b\\\\");
         let reparsed = parse(&format!("\"{}\"", escape("x\n\"y\\z\t"))).expect("reparse");
         assert_eq!(reparsed.as_str(), Some("x\n\"y\\z\t"));
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap().as_str(), Some("Aé"));
+        for bad in [
+            r#""\u+12f""#,
+            r#""\u-12f""#,
+            r#""\u12""#,
+            r#""\u12g4""#,
+            r#""\u"#,
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert_eq!((err.msg, err.at), ("invalid \\u escape", 3), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        // One level too many is refused at the bracket that opens it,
+        // however much deeper the input goes and whether or not it is
+        // ever closed.
+        for input in [nest(MAX_DEPTH + 1), "[".repeat(1_000_000)] {
+            let err = parse(&input).expect_err("too deep");
+            assert_eq!(err.at, MAX_DEPTH, "{err}");
+            assert!(err.msg.contains("128"), "{err}");
+        }
+        let mixed = r#"{"a":["#.repeat(1_000_000);
+        assert_eq!(parse(&mixed).expect_err("too deep").at, 64 * 6);
     }
 
     #[test]

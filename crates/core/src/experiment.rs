@@ -45,9 +45,9 @@ pub struct Scenario {
     pub zero_rtt: bool,
     /// Simulated-time budget per run.
     pub deadline: Dur,
-    /// Execution paths every cell of this scenario runs on. Observables
-    /// are identical for every value; only the referees and trace
-    /// capture set anything but the default.
+    /// Wire path and trace mode of every cell of this scenario.
+    /// Observables are identical for every value; only the referees and
+    /// trace capture set anything but the default.
     pub exec: ExecConfig,
 }
 
@@ -84,7 +84,7 @@ impl Scenario {
         self
     }
 
-    /// Builder: execution paths (scheduler, wire, batch, trace).
+    /// Builder: execution mode (wire path, trace).
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
         self

@@ -73,7 +73,7 @@ use std::ops::Range;
 use longlook_http::host::ProtoConfig;
 use longlook_http::workload::fleet_object_bytes;
 use longlook_sim::rng::hash_unit;
-use longlook_sim::sched::{EventQueue, SchedKind};
+use longlook_sim::sched::EventQueue;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::SlotHandle;
 use longlook_stats::{QuantileSketch, Summary};
@@ -375,7 +375,7 @@ impl Scratch {
     fn new(cell: &Cell) -> Scratch {
         let per_link = cell.cfg.n_conns / cell.n_links;
         Scratch {
-            queue: EventQueue::new(SchedKind::Wheel),
+            queue: EventQueue::default(),
             arena: ConnArena::with_capacity((per_link / 4).max(16)),
             deadlines: VecDeque::new(),
             sketch: QuantileSketch::new(),

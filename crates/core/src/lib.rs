@@ -88,8 +88,8 @@ pub mod prelude {
     pub use longlook_quic::{CcKind, QuicConfig};
     pub use longlook_sim::time::{Dur, Time};
     pub use longlook_sim::{
-        BatchMode, DeviceProfile, ExecConfig, FaultDir, FaultEvent, FaultKind, FaultPlan, GeParams,
-        Jitter, PeerSide, RateSchedule, ReorderSpec, RunOutcome, SchedKind, TraceMode, WireMode,
+        DeviceProfile, ExecConfig, FaultDir, FaultEvent, FaultKind, FaultPlan, GeParams, Jitter,
+        PeerSide, RateSchedule, ReorderSpec, RunOutcome, TraceMode, WireMode,
     };
     pub use longlook_stats::{Comparison, Heatmap, HeatmapCell, Summary, Verdict};
     pub use longlook_tcp::TcpConfig;

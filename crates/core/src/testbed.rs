@@ -130,7 +130,7 @@ pub struct Testbed {
 
 impl Testbed {
     /// Build the Fig 1 topology with the given flows sharing one link,
-    /// on the default execution paths.
+    /// on the default [`ExecConfig`].
     pub fn direct(
         seed: u64,
         net: &NetProfile,
@@ -152,8 +152,8 @@ impl Testbed {
         )
     }
 
-    /// [`Testbed::direct`] with the world and every connection on the
-    /// execution paths `exec` selects.
+    /// [`Testbed::direct`] with every connection on the wire path and
+    /// trace mode `exec` selects.
     #[allow(clippy::too_many_arguments)]
     pub fn direct_exec(
         exec: ExecConfig,
@@ -165,9 +165,9 @@ impl Testbed {
         wait: Option<WaitModel>,
         stop_when_done: bool,
     ) -> Testbed {
-        let mut world = World::with_exec(seed, exec);
+        let mut world = World::new(seed);
         let server_id = NodeId(1);
-        // Every installed config carries the cell's execution paths, and
+        // Every installed config carries the cell's `ExecConfig`, and
         // under a fault plan both endpoints run with armed watchdogs:
         // blackouts and stalls must end in a typed error, never a hang.
         let install = |proto: ProtoConfig| -> ProtoConfig {
@@ -280,8 +280,8 @@ pub struct ProxyTestbed {
 impl ProxyTestbed {
     /// Build with the proxy "located midway between client and server"
     /// (Fig 16): each leg gets half the RTT and the full rate/impairments
-    /// of `net`. The world and all four connections run on the
-    /// execution paths `exec` selects.
+    /// of `net`. All four connections run on the wire path and trace mode
+    /// `exec` selects.
     #[allow(clippy::too_many_arguments)]
     pub fn midpoint(
         exec: ExecConfig,
@@ -294,7 +294,7 @@ impl ProxyTestbed {
         zero_rtt: bool,
         app: Box<dyn ClientApp>,
     ) -> ProxyTestbed {
-        let mut world = World::with_exec(seed, exec);
+        let mut world = World::new(seed);
         let (down_proto, up_proto) = (down_proto.with_exec(exec), up_proto.with_exec(exec));
         let proxy_id = NodeId(1);
         let origin_id = NodeId(2);

@@ -17,7 +17,7 @@ use longlook_core::fleet::{FleetConfig, FleetMetrics};
 use longlook_http::host::ProtoConfig;
 use longlook_http::workload::fleet_object_bytes;
 use longlook_sim::rng::hash_unit;
-use longlook_sim::sched::{EventQueue, SchedKind};
+use longlook_sim::sched::EventQueue;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::{SlotHandle, SlotPool};
 use longlook_stats::{QuantileSketch, Summary};
@@ -177,7 +177,7 @@ pub fn run_fleet_global_queue(proto: &ProtoConfig, cfg: &FleetConfig) -> FleetMe
     let mut w = World {
         cfg,
         model: ProtoModel::of(proto),
-        queue: EventQueue::new(SchedKind::Wheel),
+        queue: EventQueue::default(),
         arena: ConnArena::default(),
         link_busy_ns: vec![0; n_links],
         link_latency: vec![Summary::new(); n_links],

@@ -67,8 +67,8 @@ impl ProtoConfig {
         self
     }
 
-    /// Stamp the execution paths both endpoints' connections run on.
-    /// The testbed applies the scenario's [`ExecConfig`] to every
+    /// Stamp the wire path and trace mode both endpoints' connections
+    /// run on. The testbed applies the scenario's [`ExecConfig`] to every
     /// protocol config it installs, so a cell's mode is a value it
     /// carries rather than process state.
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {

@@ -90,7 +90,6 @@ mod world_tests {
         let reference = ExecConfig {
             wire: WireMode::Encoded,
             trace: TraceMode::On,
-            ..ExecConfig::default()
         };
         for proto in [quic(), tcp()] {
             let mut fast = proto.client_conn(FlowId(1), false, Time::ZERO);

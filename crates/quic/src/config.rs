@@ -91,9 +91,9 @@ pub struct QuicConfig {
     /// and shrink; never set outside the fuzz harness.
     #[doc(hidden)]
     pub canary_mute_watchdog: bool,
-    /// Execution paths this connection runs on (wire representation,
-    /// batched hot path, tracing). Never changes protocol behavior; the
-    /// testbed stamps the scenario's value onto both endpoints.
+    /// How this connection executes (wire representation, tracing).
+    /// Never changes protocol behavior; the testbed stamps the scenario's
+    /// value onto both endpoints.
     pub exec: ExecConfig,
 }
 

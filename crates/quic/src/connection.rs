@@ -166,7 +166,7 @@ impl QuicConnection {
         let exec = cfg.exec;
         QuicConnection {
             watchdog: Watchdog::new(now, cfg.watchdog, cfg.handshake_timeout, cfg.idle_timeout),
-            recovery: RecoveryTimer::new(cfg.tlp, exec.batch),
+            recovery: RecoveryTimer::new(cfg.tlp),
             tel: ConnTelemetry::new(now, exec.trace, cc.as_ref()),
             rtt: RttEstimator::new(cfg.initial_rtt),
             nack_threshold: cfg.nack_threshold,
@@ -185,7 +185,7 @@ impl QuicConnection {
             rej_sent: false,
             zero_rtt_rejected: false,
             next_pn: 1,
-            sent: SentStore::new(exec.batch),
+            sent: SentStore::default(),
             acks: AckTracker::default(),
             cc,
             pacer,

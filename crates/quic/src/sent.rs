@@ -12,12 +12,17 @@
 //! * **spurious-retransmission detection** — an ack arriving for a packet
 //!   already declared lost proves the retransmission spurious, feeding
 //!   both statistics and the optional adaptive threshold.
+//!
+//! [`SentStore`] is the one implementation. The `BTreeMap` tracker it
+//! replaced — one node per packet, a nack counter bumped on every packet
+//! below the horizon on every ack — survives as the oracle of
+//! `slab_store_equivalent_to_map_store` (`tests/oracle/`), which holds
+//! every outcome field, the loss order and the accounting to it.
 
 use crate::streams::Chunk;
 use crate::wire::{AckBlock, HandshakeKind};
 use longlook_sim::time::{Dur, Time};
-use longlook_sim::BatchMode;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::mem;
 
 /// Bookkeeping for one transmitted packet.
@@ -38,7 +43,10 @@ pub struct SentPacket {
     pub wu_streams: Vec<u32>,
     /// Whether the packet counts toward bytes in flight and needs acking.
     pub retransmittable: bool,
-    /// Times this packet has been nacked.
+    // Unused by `SentStore`, which derives a packet's nack count from
+    // the ack counter; only the map oracle counts here. Kept because
+    // `observatory/` (frozen) builds `SentPacket` literals.
+    #[doc(hidden)]
     pub nacks: u32,
 }
 
@@ -60,167 +68,6 @@ pub struct AckOutcome {
     pub spurious: u32,
     /// Whether any new data was acked (resets TLP/RTO backoff).
     pub acked_new_data: bool,
-}
-
-/// Sender-side tracker.
-#[derive(Debug, Default)]
-pub struct SentTracker {
-    packets: BTreeMap<u64, SentPacket>,
-    bytes_in_flight: u64,
-    largest_acked: Option<u64>,
-    /// Packets declared lost, retained briefly to detect spuriousness.
-    lost_log: BTreeMap<u64, Time>,
-}
-
-impl SentTracker {
-    /// Record a transmission.
-    pub fn on_sent(&mut self, pkt: SentPacket) {
-        if pkt.retransmittable {
-            self.bytes_in_flight += pkt.wire_bytes as u64;
-        }
-        let prev = self.packets.insert(pkt.pn, pkt);
-        debug_assert!(prev.is_none(), "packet number reused");
-    }
-
-    /// Retransmittable bytes currently outstanding.
-    pub fn bytes_in_flight(&self) -> u64 {
-        self.bytes_in_flight
-    }
-
-    /// Whether any retransmittable packet is outstanding.
-    pub fn has_retransmittable(&self) -> bool {
-        self.bytes_in_flight > 0
-    }
-
-    /// Largest acked packet number.
-    pub fn largest_acked(&self) -> Option<u64> {
-        self.largest_acked
-    }
-
-    /// Clone of the newest outstanding retransmittable packet (for TLP).
-    pub fn newest_retransmittable(&self) -> Option<&SentPacket> {
-        self.packets.values().rev().find(|p| p.retransmittable)
-    }
-
-    /// Declare up to `n` oldest retransmittable packets lost (for RTO);
-    /// returns them with in-flight accounting updated and spurious
-    /// tracking armed.
-    pub fn declare_oldest_lost(&mut self, n: usize) -> Vec<SentPacket> {
-        let pns: Vec<u64> = self
-            .packets
-            .values()
-            .filter(|p| p.retransmittable)
-            .take(n)
-            .map(|p| p.pn)
-            .collect();
-        let mut out = Vec::with_capacity(pns.len());
-        for pn in pns {
-            if let Some(pkt) = self.remove_in_flight(pn) {
-                self.lost_log.insert(pkt.pn, pkt.sent_at);
-                out.push(pkt);
-            }
-        }
-        out
-    }
-
-    fn remove_in_flight(&mut self, pn: u64) -> Option<SentPacket> {
-        let pkt = self.packets.remove(&pn)?;
-        if pkt.retransmittable {
-            self.bytes_in_flight -= pkt.wire_bytes as u64;
-        }
-        Some(pkt)
-    }
-
-    /// Process an ack frame. `time_threshold` (if set) additionally marks
-    /// packets lost once they are older than that relative to `now` and
-    /// below the largest acked pn.
-    pub fn on_ack_frame(
-        &mut self,
-        now: Time,
-        largest: u64,
-        ack_delay: Dur,
-        blocks: &[AckBlock],
-        nack_threshold: u32,
-        time_threshold: Option<Dur>,
-    ) -> AckOutcome {
-        let _ = ack_delay; // rtt adjustment is done by the caller's estimator
-        let mut out = AckOutcome::default();
-
-        // Collect newly acked pns present in our map.
-        let mut acked: Vec<u64> = Vec::new();
-        for &(start, end) in blocks {
-            let in_range: Vec<u64> = self.packets.range(start..=end).map(|(&pn, _)| pn).collect();
-            acked.extend(in_range);
-        }
-        acked.sort_unstable();
-
-        for pn in acked {
-            let pkt = self.remove_in_flight(pn).expect("collected above");
-            if pkt.retransmittable {
-                out.newly_acked_bytes += pkt.wire_bytes as u64;
-                out.acked_payload_bytes += pkt.chunks.iter().map(|c| c.len as u64).sum::<u64>();
-                out.acked_new_data = true;
-            }
-            out.newest_acked_sent_at = Some(match out.newest_acked_sent_at {
-                Some(t) if t > pkt.sent_at => t,
-                _ => pkt.sent_at,
-            });
-            if pn == largest {
-                out.rtt_sample = Some(now.saturating_since(pkt.sent_at));
-            }
-        }
-
-        // Spurious detection: acked pns we had declared lost.
-        for &(start, end) in blocks {
-            let hits: Vec<u64> = self
-                .lost_log
-                .range(start..=end)
-                .map(|(&pn, _)| pn)
-                .collect();
-            for pn in hits {
-                self.lost_log.remove(&pn);
-                out.spurious += 1;
-            }
-        }
-
-        self.largest_acked = Some(self.largest_acked.map_or(largest, |l| l.max(largest)));
-        let horizon = self.largest_acked.expect("just set");
-
-        // NACK counting: every unacked packet below the largest acked gets
-        // one nack per ack frame processed.
-        let mut lost_pns: Vec<u64> = Vec::new();
-        for (&pn, pkt) in self.packets.range_mut(..horizon) {
-            if !pkt.retransmittable {
-                continue;
-            }
-            pkt.nacks += 1;
-            let nack_lost = pkt.nacks >= nack_threshold;
-            let time_lost = time_threshold.is_some_and(|th| now.saturating_since(pkt.sent_at) > th);
-            if nack_lost || time_lost {
-                lost_pns.push(pn);
-            }
-        }
-        for pn in lost_pns {
-            let pkt = self.remove_in_flight(pn).expect("present");
-            self.lost_log.insert(pkt.pn, pkt.sent_at);
-            out.lost.push(pkt);
-        }
-
-        self.prune_lost_log();
-        out
-    }
-
-    fn prune_lost_log(&mut self) {
-        if let Some(horizon) = self.largest_acked {
-            let cutoff = horizon.saturating_sub(10_000);
-            self.lost_log = self.lost_log.split_off(&cutoff);
-        }
-    }
-
-    /// Outstanding packet count (diagnostics).
-    pub fn outstanding(&self) -> usize {
-        self.packets.len()
-    }
 }
 
 /// Keep `v`'s storage for a later packet if it has any and `spares` has
@@ -284,16 +131,15 @@ fn covered_keys<T>(items: &[T], key: impl Fn(&T) -> u64, blocks: &[AckBlock], ou
     }
 }
 
-/// Slab-backed sender tracker with amortized NACK accounting — the batched
-/// hot-path twin of [`SentTracker`].
+/// Slab-backed sender tracker with amortized NACK accounting.
 ///
 /// Packet numbers are dense and monotone (the connection assigns them from
 /// a counter), so outstanding packets live in a `VecDeque` slab indexed by
 /// `pn - base`: O(1) insert/lookup/remove with no per-packet tree nodes.
 ///
-/// The map store's NACK walk touches **every** outstanding packet below
-/// the ack horizon on **every** ack frame — O(outstanding) per ack. The
-/// slab replaces the walk with arithmetic:
+/// Every ack frame nacks **every** outstanding packet below the ack
+/// horizon; counting that per packet is O(outstanding) per ack. The slab
+/// replaces the walk with arithmetic:
 ///
 /// * `acks_seen` counts completed NACK walks (one per ack frame);
 /// * a packet entering the below-horizon set records `entry = acks_seen`
@@ -302,9 +148,9 @@ fn covered_keys<T>(items: &[T], key: impl Fn(&T) -> u64, blocks: &[AckBlock], ou
 /// * the `below` queue holds `(entry, pn)`, ascending in both fields
 ///   (packets enter in pn order, entries are monotone), so the
 ///   NACK-threshold loss condition `entry + threshold <= acks_seen` is
-///   true for exactly a *prefix* — losses pop from the front in the same
-///   pn-ascending order the map store emits, even when the adaptive
-///   threshold grows between frames.
+///   true for exactly a *prefix* — losses pop from the front in
+///   pn-ascending order, even when the adaptive threshold grows between
+///   frames.
 ///
 /// Loss detection ignores non-retransmittable packets, so a bare ack the
 /// network dropped is never acked and never declared lost: left in its
@@ -315,9 +161,9 @@ fn covered_keys<T>(items: &[T], key: impl Fn(&T) -> u64, blocks: &[AckBlock], ou
 /// pn-ordered side store that the ack scan also consults. Nothing can
 /// tell where such a packet is kept — it carries no bytes in flight, is
 /// in no NACK set, and is acked from the side store at the same place in
-/// pn order — so outcomes, `outstanding()` and chunk recycling match the
-/// map store's, and the slot window spans only the packets still in
-/// flight plus those waiting out their NACK threshold.
+/// pn order — so outcomes, `outstanding()` and chunk recycling are those
+/// of a store that kept it in place, and the slot window spans only the
+/// packets still in flight plus those waiting out their NACK threshold.
 ///
 /// Per ack frame the slab does O(blocks + newly-acked + newly-below +
 /// newly-lost) work plus a word-at-a-time skip over that window's
@@ -329,7 +175,7 @@ fn covered_keys<T>(items: &[T], key: impl Fn(&T) -> u64, blocks: &[AckBlock], ou
 /// Packets acked or RTO-abandoned while queued in `below` leave their
 /// slab slot vacant; the queue skips such tombstones when it reaches them.
 #[derive(Debug, Default)]
-pub struct SentSlab {
+pub struct SentStore {
     /// Packet number of `slots[0]`.
     base: u64,
     /// Outstanding packets at `pn - base`; `None` marks acked/lost holes.
@@ -376,7 +222,14 @@ pub struct SentSlab {
     spare_ids: Vec<Vec<u32>>,
 }
 
-impl SentSlab {
+impl SentStore {
+    // Sole caller: `observatory/` (frozen); everything else constructs
+    // with `Default`.
+    #[doc(hidden)]
+    pub fn from_env() -> SentStore {
+        SentStore::default()
+    }
+
     #[inline]
     fn slot_index(&self, pn: u64) -> Option<usize> {
         pn.checked_sub(self.base)
@@ -403,8 +256,8 @@ impl SentSlab {
         // A packet sent below the current ack horizon (possible only for
         // adversarial acks claiming unseen pns) will never meet the
         // horizon walk. A retransmittable one joins the NACK set now: its
-        // first nack lands on the next walk, like the map store's. A bare
-        // ack goes straight to the side store, leaving a hole in its slot.
+        // first nack lands on the next walk. A bare ack goes straight to
+        // the side store, leaving a hole in its slot.
         if pkt.pn < self.next_below {
             if !pkt.retransmittable {
                 self.tags.push(0);
@@ -489,8 +342,7 @@ impl SentSlab {
         out
     }
 
-    /// Record a lost pn in the sorted log (same insert-or-replace
-    /// semantics as the map store's `BTreeMap::insert`).
+    /// Record a lost pn in the sorted log (insert or replace).
     fn log_lost(&mut self, pn: u64, sent_at: Time) {
         match self.lost_log.binary_search_by_key(&pn, |e| e.0) {
             Ok(i) => self.lost_log[i].1 = sent_at,
@@ -525,9 +377,9 @@ impl SentSlab {
         }
     }
 
-    /// Process an ack frame. Semantics are pinned to
-    /// [`SentTracker::on_ack_frame`] — same outcome fields, same loss
-    /// order — at the cost stated on [`SentSlab`].
+    /// Process an ack frame. `time_threshold` (if set) additionally marks
+    /// packets lost once they are older than that relative to `now` and
+    /// below the largest acked pn.
     pub fn on_ack_frame(
         &mut self,
         now: Time,
@@ -641,8 +493,7 @@ impl SentSlab {
         let thr = nack_threshold as u64;
         if let Some(th) = time_threshold {
             // Exact slow path: time-lost packets need not be a prefix of
-            // `below` for arbitrary sent_at patterns, so scan it all
-            // (matching the map store's full walk cost in this mode).
+            // `below` for arbitrary sent_at patterns, so scan it all.
             let mut lost_pns = mem::take(&mut self.scratch_pns);
             debug_assert!(lost_pns.is_empty());
             {
@@ -694,8 +545,7 @@ impl SentSlab {
     }
 
     fn prune_lost_log(&mut self) {
-        // Same retained set as the map store's `split_off(&cutoff)`, but
-        // only touches the vec when an entry actually falls below the
+        // Only touches the vec when an entry actually falls below the
         // cutoff.
         if let Some(horizon) = self.largest_acked {
             let cutoff = horizon.saturating_sub(10_000);
@@ -710,167 +560,30 @@ impl SentSlab {
     pub fn outstanding(&self) -> usize {
         self.live + self.stragglers.len()
     }
-}
 
-/// Either sender-side store behind one interface.
-///
-/// Selected per connection by its `BatchMode`: the slab on the batched
-/// hot path, the map store on the per-event reference path. The two are
-/// pinned semantically identical by the shared unit-test contract below
-/// (every test runs against both) and by the slab-equivalence proptest.
-// The map variant is the per-event reference path only; boxing the slab to
-// even the sizes out would put a pointer chase on every default-path call.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum SentStore {
-    /// Reference `BTreeMap` tracker.
-    Map(SentTracker),
-    /// Slab tracker with amortized NACK accounting.
-    Slab(SentSlab),
-}
-
-impl SentStore {
-    /// The store for `batch`: slab when on, reference map when off.
-    pub fn new(batch: BatchMode) -> SentStore {
-        match batch {
-            BatchMode::On => SentStore::Slab(SentSlab::default()),
-            BatchMode::Off => SentStore::Map(SentTracker::default()),
-        }
-    }
-
-    // Sole caller: `observatory/` (frozen; it refuses to start under any
-    // `LONGLOOK_*` variable, so the default is what it already observes).
-    #[doc(hidden)]
-    pub fn from_env() -> SentStore {
-        SentStore::new(BatchMode::default())
-    }
-
-    /// Record a transmission.
-    pub fn on_sent(&mut self, pkt: SentPacket) {
-        match self {
-            SentStore::Map(s) => s.on_sent(pkt),
-            SentStore::Slab(s) => s.on_sent(pkt),
-        }
-    }
-
-    /// Retransmittable bytes currently outstanding.
-    pub fn bytes_in_flight(&self) -> u64 {
-        match self {
-            SentStore::Map(s) => s.bytes_in_flight(),
-            SentStore::Slab(s) => s.bytes_in_flight(),
-        }
-    }
-
-    /// Whether any retransmittable packet is outstanding.
-    pub fn has_retransmittable(&self) -> bool {
-        match self {
-            SentStore::Map(s) => s.has_retransmittable(),
-            SentStore::Slab(s) => s.has_retransmittable(),
-        }
-    }
-
-    /// Largest acked packet number.
-    pub fn largest_acked(&self) -> Option<u64> {
-        match self {
-            SentStore::Map(s) => s.largest_acked(),
-            SentStore::Slab(s) => s.largest_acked(),
-        }
-    }
-
-    /// The newest outstanding retransmittable packet (for TLP).
-    pub fn newest_retransmittable(&self) -> Option<&SentPacket> {
-        match self {
-            SentStore::Map(s) => s.newest_retransmittable(),
-            SentStore::Slab(s) => s.newest_retransmittable(),
-        }
-    }
-
-    /// Declare up to `n` oldest retransmittable packets lost (for RTO).
-    pub fn declare_oldest_lost(&mut self, n: usize) -> Vec<SentPacket> {
-        match self {
-            SentStore::Map(s) => s.declare_oldest_lost(n),
-            SentStore::Slab(s) => s.declare_oldest_lost(n),
-        }
-    }
-
-    /// Process an ack frame (see [`SentTracker::on_ack_frame`]).
-    pub fn on_ack_frame(
-        &mut self,
-        now: Time,
-        largest: u64,
-        ack_delay: Dur,
-        blocks: &[AckBlock],
-        nack_threshold: u32,
-        time_threshold: Option<Dur>,
-    ) -> AckOutcome {
-        match self {
-            SentStore::Map(s) => s.on_ack_frame(
-                now,
-                largest,
-                ack_delay,
-                blocks,
-                nack_threshold,
-                time_threshold,
-            ),
-            SentStore::Slab(s) => s.on_ack_frame(
-                now,
-                largest,
-                ack_delay,
-                blocks,
-                nack_threshold,
-                time_threshold,
-            ),
-        }
-    }
-
-    /// Outstanding packet count (diagnostics).
-    pub fn outstanding(&self) -> usize {
-        match self {
-            SentStore::Map(s) => s.outstanding(),
-            SentStore::Slab(s) => s.outstanding(),
-        }
-    }
-
-    /// An empty `Chunk` vector, recycled from an acked packet when the
-    /// slab has one spare (the map reference path always allocates).
+    /// An empty `Chunk` vector for the next packet build, recycled from
+    /// an acked packet when one is spare.
     pub fn take_spare_chunks(&mut self) -> Vec<Chunk> {
-        match self {
-            SentStore::Map(_) => Vec::new(),
-            SentStore::Slab(s) => s.spare_chunks.pop().unwrap_or_default(),
-        }
+        self.spare_chunks.pop().unwrap_or_default()
     }
 
     /// An empty stream-id vector for a packet's `wu_streams`, recycled
     /// like [`SentStore::take_spare_chunks`].
     pub fn take_spare_ids(&mut self) -> Vec<u32> {
-        match self {
-            SentStore::Map(_) => Vec::new(),
-            SentStore::Slab(s) => s.spare_ids.pop().unwrap_or_default(),
-        }
+        self.spare_ids.pop().unwrap_or_default()
     }
 
     /// Return unused chunk storage taken with
     /// [`SentStore::take_spare_chunks`].
     pub fn give_spare_chunks(&mut self, chunks: Vec<Chunk>) {
         debug_assert!(chunks.is_empty());
-        if let SentStore::Slab(s) = self {
-            stash(&mut s.spare_chunks, chunks);
-        }
+        stash(&mut self.spare_chunks, chunks);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every contract below runs against both stores: the map tracker is
-    /// the reference, the slab must be indistinguishable.
-    fn stores() -> [SentStore; 2] {
-        [
-            SentStore::Map(SentTracker::default()),
-            SentStore::Slab(SentSlab::default()),
-        ]
-    }
 
     fn t(ms: u64) -> Time {
         Time::ZERO + Dur::from_millis(ms)
@@ -909,175 +622,164 @@ mod tests {
 
     #[test]
     fn in_flight_accounting() {
-        for mut s in stores() {
-            s.on_sent(data_pkt(0, 0));
-            s.on_sent(data_pkt(1, 1));
-            s.on_sent(ack_pkt(2, 2));
-            assert_eq!(s.bytes_in_flight(), 2800);
-            let out = s.on_ack_frame(t(40), 1, Dur::ZERO, &[(0, 1)], 3, None);
-            assert_eq!(out.newly_acked_bytes, 2800);
-            assert_eq!(s.bytes_in_flight(), 0);
-            assert!(out.acked_new_data);
-            assert_eq!(out.acked_payload_bytes, 2700);
-        }
+        let mut s = SentStore::default();
+        s.on_sent(data_pkt(0, 0));
+        s.on_sent(data_pkt(1, 1));
+        s.on_sent(ack_pkt(2, 2));
+        assert_eq!(s.bytes_in_flight(), 2800);
+        let out = s.on_ack_frame(t(40), 1, Dur::ZERO, &[(0, 1)], 3, None);
+        assert_eq!(out.newly_acked_bytes, 2800);
+        assert_eq!(s.bytes_in_flight(), 0);
+        assert!(out.acked_new_data);
+        assert_eq!(out.acked_payload_bytes, 2700);
     }
 
     #[test]
     fn rtt_sample_from_largest() {
-        for mut s in stores() {
-            s.on_sent(data_pkt(0, 0));
-            s.on_sent(data_pkt(1, 10));
-            let out = s.on_ack_frame(t(50), 1, Dur::ZERO, &[(0, 1)], 3, None);
-            assert_eq!(out.rtt_sample, Some(Dur::from_millis(40)));
-            assert_eq!(out.newest_acked_sent_at, Some(t(10)));
-        }
+        let mut s = SentStore::default();
+        s.on_sent(data_pkt(0, 0));
+        s.on_sent(data_pkt(1, 10));
+        let out = s.on_ack_frame(t(50), 1, Dur::ZERO, &[(0, 1)], 3, None);
+        assert_eq!(out.rtt_sample, Some(Dur::from_millis(40)));
+        assert_eq!(out.newest_acked_sent_at, Some(t(10)));
     }
 
     #[test]
     fn no_rtt_sample_when_largest_already_acked() {
-        for mut s in stores() {
-            s.on_sent(data_pkt(0, 0));
-            s.on_sent(data_pkt(1, 1));
-            s.on_ack_frame(t(40), 1, Dur::ZERO, &[(1, 1)], 3, None);
-            // Second ack repeats largest=1 but only newly covers pn 0.
-            let out = s.on_ack_frame(t(45), 1, Dur::ZERO, &[(0, 1)], 3, None);
-            assert_eq!(out.rtt_sample, None);
-            assert_eq!(out.newly_acked_bytes, 1400);
-        }
+        let mut s = SentStore::default();
+        s.on_sent(data_pkt(0, 0));
+        s.on_sent(data_pkt(1, 1));
+        s.on_ack_frame(t(40), 1, Dur::ZERO, &[(1, 1)], 3, None);
+        // Second ack repeats largest=1 but only newly covers pn 0.
+        let out = s.on_ack_frame(t(45), 1, Dur::ZERO, &[(0, 1)], 3, None);
+        assert_eq!(out.rtt_sample, None);
+        assert_eq!(out.newly_acked_bytes, 1400);
     }
 
     #[test]
     fn nack_threshold_declares_loss() {
-        for mut s in stores() {
-            for pn in 0..5 {
-                s.on_sent(data_pkt(pn, pn));
-            }
-            // pn 0 missing; acks covering later packets nack it.
-            let o1 = s.on_ack_frame(t(40), 1, Dur::ZERO, &[(1, 1)], 3, None);
-            assert!(o1.lost.is_empty());
-            let o2 = s.on_ack_frame(t(41), 2, Dur::ZERO, &[(1, 2)], 3, None);
-            assert!(o2.lost.is_empty());
-            let o3 = s.on_ack_frame(t(42), 3, Dur::ZERO, &[(1, 3)], 3, None);
-            assert_eq!(o3.lost.len(), 1);
-            assert_eq!(o3.lost[0].pn, 0);
-            // Its bytes left the pipe.
-            assert_eq!(s.bytes_in_flight(), 1400, "only pn 4 remains");
+        let mut s = SentStore::default();
+        for pn in 0..5 {
+            s.on_sent(data_pkt(pn, pn));
         }
+        // pn 0 missing; acks covering later packets nack it.
+        let o1 = s.on_ack_frame(t(40), 1, Dur::ZERO, &[(1, 1)], 3, None);
+        assert!(o1.lost.is_empty());
+        let o2 = s.on_ack_frame(t(41), 2, Dur::ZERO, &[(1, 2)], 3, None);
+        assert!(o2.lost.is_empty());
+        let o3 = s.on_ack_frame(t(42), 3, Dur::ZERO, &[(1, 3)], 3, None);
+        assert_eq!(o3.lost.len(), 1);
+        assert_eq!(o3.lost[0].pn, 0);
+        // Its bytes left the pipe.
+        assert_eq!(s.bytes_in_flight(), 1400, "only pn 4 remains");
     }
 
     #[test]
     fn higher_threshold_tolerates_deeper_reordering() {
-        for mut s in stores() {
-            for pn in 0..12 {
-                s.on_sent(data_pkt(pn, pn));
-            }
-            // 5 acks skip pn 0.
-            for k in 1..=5u64 {
-                let out = s.on_ack_frame(t(40 + k), k, Dur::ZERO, &[(1, k)], 10, None);
-                assert!(out.lost.is_empty(), "threshold 10 not yet reached");
-            }
+        let mut s = SentStore::default();
+        for pn in 0..12 {
+            s.on_sent(data_pkt(pn, pn));
+        }
+        // 5 acks skip pn 0.
+        for k in 1..=5u64 {
+            let out = s.on_ack_frame(t(40 + k), k, Dur::ZERO, &[(1, k)], 10, None);
+            assert!(out.lost.is_empty(), "threshold 10 not yet reached");
         }
     }
 
     #[test]
     fn spurious_detected_when_lost_packet_is_acked() {
-        for mut s in stores() {
-            for pn in 0..5 {
-                s.on_sent(data_pkt(pn, pn));
-            }
-            for k in 1..=3u64 {
-                s.on_ack_frame(t(40 + k), k, Dur::ZERO, &[(1, k)], 3, None);
-            }
-            // pn 0 was declared lost; now the "reordered" original arrives.
-            let out = s.on_ack_frame(t(45), 4, Dur::ZERO, &[(0, 4)], 3, None);
-            assert_eq!(out.spurious, 1);
+        let mut s = SentStore::default();
+        for pn in 0..5 {
+            s.on_sent(data_pkt(pn, pn));
         }
+        for k in 1..=3u64 {
+            s.on_ack_frame(t(40 + k), k, Dur::ZERO, &[(1, k)], 3, None);
+        }
+        // pn 0 was declared lost; now the "reordered" original arrives.
+        let out = s.on_ack_frame(t(45), 4, Dur::ZERO, &[(0, 4)], 3, None);
+        assert_eq!(out.spurious, 1);
     }
 
     #[test]
     fn time_based_loss() {
-        for mut s in stores() {
-            s.on_sent(data_pkt(0, 0));
-            s.on_sent(data_pkt(1, 100));
-            // One ack above pn 0, far in the future: time threshold trips
-            // even though only one nack accumulated.
-            let out = s.on_ack_frame(
-                t(500),
-                1,
-                Dur::ZERO,
-                &[(1, 1)],
-                100,
-                Some(Dur::from_millis(200)),
-            );
-            assert_eq!(out.lost.len(), 1);
-            assert_eq!(out.lost[0].pn, 0);
-        }
+        let mut s = SentStore::default();
+        s.on_sent(data_pkt(0, 0));
+        s.on_sent(data_pkt(1, 100));
+        // One ack above pn 0, far in the future: time threshold trips
+        // even though only one nack accumulated.
+        let out = s.on_ack_frame(
+            t(500),
+            1,
+            Dur::ZERO,
+            &[(1, 1)],
+            100,
+            Some(Dur::from_millis(200)),
+        );
+        assert_eq!(out.lost.len(), 1);
+        assert_eq!(out.lost[0].pn, 0);
     }
 
     #[test]
     fn rto_declares_oldest_lost() {
-        for mut s in stores() {
-            for pn in 0..4 {
-                s.on_sent(data_pkt(pn, pn));
-            }
-            let lost = s.declare_oldest_lost(2);
-            assert_eq!(lost.len(), 2);
-            assert_eq!(lost[0].pn, 0);
-            assert_eq!(lost[1].pn, 1);
-            assert_eq!(s.bytes_in_flight(), 2800);
-            // Acking one of them later counts as spurious.
-            let out = s.on_ack_frame(t(100), 3, Dur::ZERO, &[(0, 0), (3, 3)], 3, None);
-            assert_eq!(out.spurious, 1);
+        let mut s = SentStore::default();
+        for pn in 0..4 {
+            s.on_sent(data_pkt(pn, pn));
         }
+        let lost = s.declare_oldest_lost(2);
+        assert_eq!(lost.len(), 2);
+        assert_eq!(lost[0].pn, 0);
+        assert_eq!(lost[1].pn, 1);
+        assert_eq!(s.bytes_in_flight(), 2800);
+        // Acking one of them later counts as spurious.
+        let out = s.on_ack_frame(t(100), 3, Dur::ZERO, &[(0, 0), (3, 3)], 3, None);
+        assert_eq!(out.spurious, 1);
     }
 
     #[test]
     fn newest_retransmittable_for_tlp() {
-        for mut s in stores() {
-            s.on_sent(data_pkt(0, 0));
-            s.on_sent(data_pkt(1, 1));
-            s.on_sent(ack_pkt(2, 2));
-            assert_eq!(s.newest_retransmittable().unwrap().pn, 1);
-        }
+        let mut s = SentStore::default();
+        s.on_sent(data_pkt(0, 0));
+        s.on_sent(data_pkt(1, 1));
+        s.on_sent(ack_pkt(2, 2));
+        assert_eq!(s.newest_retransmittable().unwrap().pn, 1);
     }
 
     #[test]
     fn acked_packets_stop_being_nacked() {
-        for mut s in stores() {
-            for pn in 0..3 {
-                s.on_sent(data_pkt(pn, pn));
-            }
-            s.on_ack_frame(t(40), 2, Dur::ZERO, &[(0, 0), (2, 2)], 3, None);
-            // pn 1 has 1 nack; ack it, then no more loss machinery applies.
-            let out = s.on_ack_frame(t(41), 2, Dur::ZERO, &[(0, 2)], 3, None);
-            assert!(out.lost.is_empty());
-            assert_eq!(s.outstanding(), 0);
-            assert!(!s.has_retransmittable());
+        let mut s = SentStore::default();
+        for pn in 0..3 {
+            s.on_sent(data_pkt(pn, pn));
         }
+        s.on_ack_frame(t(40), 2, Dur::ZERO, &[(0, 0), (2, 2)], 3, None);
+        // pn 1 has 1 nack; ack it, then no more loss machinery applies.
+        let out = s.on_ack_frame(t(41), 2, Dur::ZERO, &[(0, 2)], 3, None);
+        assert!(out.lost.is_empty());
+        assert_eq!(s.outstanding(), 0);
+        assert!(!s.has_retransmittable());
     }
 
     #[test]
     fn bare_ack_below_the_horizon_stays_outstanding_until_acked_late() {
-        for mut s in stores() {
-            s.on_sent(ack_pkt(0, 0));
-            for pn in 1..4 {
-                s.on_sent(data_pkt(pn, pn));
-            }
-            // The horizon passes the unacked bare ack: it is neither
-            // nacked nor lost, and still counts as outstanding.
-            let o1 = s.on_ack_frame(t(40), 3, Dur::ZERO, &[(1, 3)], 1, None);
-            assert!(o1.lost.is_empty());
-            assert_eq!(s.outstanding(), 1);
-            assert_eq!(s.bytes_in_flight(), 0);
-            assert!(s.newest_retransmittable().is_none());
-            assert!(s.declare_oldest_lost(usize::MAX).is_empty());
-            // A late ack that covers it retires it like any other packet.
-            let o2 = s.on_ack_frame(t(50), 3, Dur::ZERO, &[(0, 3)], 1, None);
-            assert_eq!(o2.newest_acked_sent_at, Some(t(0)));
-            assert_eq!(o2.newly_acked_bytes, 0);
-            assert!(!o2.acked_new_data);
-            assert_eq!(s.outstanding(), 0);
+        let mut s = SentStore::default();
+        s.on_sent(ack_pkt(0, 0));
+        for pn in 1..4 {
+            s.on_sent(data_pkt(pn, pn));
         }
+        // The horizon passes the unacked bare ack: it is neither
+        // nacked nor lost, and still counts as outstanding.
+        let o1 = s.on_ack_frame(t(40), 3, Dur::ZERO, &[(1, 3)], 1, None);
+        assert!(o1.lost.is_empty());
+        assert_eq!(s.outstanding(), 1);
+        assert_eq!(s.bytes_in_flight(), 0);
+        assert!(s.newest_retransmittable().is_none());
+        assert!(s.declare_oldest_lost(usize::MAX).is_empty());
+        // A late ack that covers it retires it like any other packet.
+        let o2 = s.on_ack_frame(t(50), 3, Dur::ZERO, &[(0, 3)], 1, None);
+        assert_eq!(o2.newest_acked_sent_at, Some(t(0)));
+        assert_eq!(o2.newly_acked_bytes, 0);
+        assert!(!o2.acked_new_data);
+        assert_eq!(s.outstanding(), 0);
     }
 
     /// Complexity guard, no timing: a bare ack the network dropped is
@@ -1085,7 +787,7 @@ mod tests {
     /// tracking what is in flight rather than everything sent since.
     #[test]
     fn lost_bare_ack_does_not_pin_the_slab_window() {
-        let mut s = SentSlab::default();
+        let mut s = SentStore::default();
         s.on_sent(ack_pkt(0, 0));
         for pn in 1..=10_000u64 {
             s.on_sent(data_pkt(pn, pn));
@@ -1107,49 +809,47 @@ mod tests {
         // (`declare_oldest_lost(usize::MAX)`), retransmissions go out with
         // fresh pns, then a late ack covers abandoned pns (spurious) while
         // an adaptive caller raises the nack threshold between frames.
-        for mut s in stores() {
-            for pn in 0..6 {
-                s.on_sent(data_pkt(pn, pn));
-            }
-            let abandoned = s.declare_oldest_lost(usize::MAX);
-            assert_eq!(abandoned.len(), 6);
-            assert_eq!(s.bytes_in_flight(), 0);
-            for pn in 6..10 {
-                s.on_sent(data_pkt(pn, 100 + pn));
-            }
-            // Late ack for abandoned pns 0..=2: spurious, not newly acked.
-            let o1 = s.on_ack_frame(t(200), 7, Dur::ZERO, &[(0, 2), (7, 7)], 3, None);
-            assert_eq!(o1.spurious, 3);
-            assert_eq!(o1.newly_acked_bytes, 1400);
-            // Threshold grows (adaptive caller) mid-stream; pn 6 drops out
-            // only after enough further acks.
-            let o2 = s.on_ack_frame(t(201), 8, Dur::ZERO, &[(8, 8)], 6, None);
-            assert!(o2.lost.is_empty());
-            let o3 = s.on_ack_frame(t(202), 9, Dur::ZERO, &[(9, 9)], 3, None);
-            assert_eq!(o3.lost.len(), 1, "threshold back down: pn 6 lost");
-            assert_eq!(o3.lost[0].pn, 6);
+        let mut s = SentStore::default();
+        for pn in 0..6 {
+            s.on_sent(data_pkt(pn, pn));
         }
+        let abandoned = s.declare_oldest_lost(usize::MAX);
+        assert_eq!(abandoned.len(), 6);
+        assert_eq!(s.bytes_in_flight(), 0);
+        for pn in 6..10 {
+            s.on_sent(data_pkt(pn, 100 + pn));
+        }
+        // Late ack for abandoned pns 0..=2: spurious, not newly acked.
+        let o1 = s.on_ack_frame(t(200), 7, Dur::ZERO, &[(0, 2), (7, 7)], 3, None);
+        assert_eq!(o1.spurious, 3);
+        assert_eq!(o1.newly_acked_bytes, 1400);
+        // Threshold grows (adaptive caller) mid-stream; pn 6 drops out
+        // only after enough further acks.
+        let o2 = s.on_ack_frame(t(201), 8, Dur::ZERO, &[(8, 8)], 6, None);
+        assert!(o2.lost.is_empty());
+        let o3 = s.on_ack_frame(t(202), 9, Dur::ZERO, &[(9, 9)], 3, None);
+        assert_eq!(o3.lost.len(), 1, "threshold back down: pn 6 lost");
+        assert_eq!(o3.lost[0].pn, 6);
     }
 
     #[test]
     fn slab_handles_retransmission_cycle_like_map() {
         // Loss -> retransmit under new pn -> ack of the retransmission;
         // the store must keep in-flight accounting exact throughout.
-        for mut s in stores() {
-            for pn in 0..4 {
-                s.on_sent(data_pkt(pn, pn));
-            }
-            for k in 1..=3u64 {
-                s.on_ack_frame(t(40 + k), k, Dur::ZERO, &[(k, k)], 3, None);
-            }
-            // pn 0 declared lost on the third nack; retransmit as pn 4.
-            assert_eq!(s.outstanding(), 0);
-            s.on_sent(data_pkt(4, 50));
-            assert_eq!(s.bytes_in_flight(), 1400);
-            let out = s.on_ack_frame(t(90), 4, Dur::ZERO, &[(4, 4)], 3, None);
-            assert_eq!(out.newly_acked_bytes, 1400);
-            assert!(out.rtt_sample.is_some());
-            assert_eq!(s.bytes_in_flight(), 0);
+        let mut s = SentStore::default();
+        for pn in 0..4 {
+            s.on_sent(data_pkt(pn, pn));
         }
+        for k in 1..=3u64 {
+            s.on_ack_frame(t(40 + k), k, Dur::ZERO, &[(k, k)], 3, None);
+        }
+        // pn 0 declared lost on the third nack; retransmit as pn 4.
+        assert_eq!(s.outstanding(), 0);
+        s.on_sent(data_pkt(4, 50));
+        assert_eq!(s.bytes_in_flight(), 1400);
+        let out = s.on_ack_frame(t(90), 4, Dur::ZERO, &[(4, 4)], 3, None);
+        assert_eq!(out.newly_acked_bytes, 1400);
+        assert!(out.rtt_sample.is_some());
+        assert_eq!(s.bytes_in_flight(), 0);
     }
 }

@@ -1,12 +1,15 @@
 //! Property-based tests for the QUIC wire format and reassembly
-//! structures.
+//! structures, and the sent-packet store against its `BTreeMap` oracle.
+
+mod oracle;
 
 use bytes::Bytes;
 use longlook_quic::recv_ack::AckTracker;
-use longlook_quic::sent::{AckOutcome, SentPacket, SentSlab, SentTracker};
+use longlook_quic::sent::{AckOutcome, SentPacket, SentStore};
 use longlook_quic::streams::{Chunk, RecvStream, SendStream, StreamTable};
 use longlook_quic::wire::{AckBlock, Frame, HandshakeKind, QuicPacket};
 use longlook_sim::time::{Dur, Time};
+use oracle::SentTracker;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -193,7 +196,7 @@ proptest! {
 }
 
 /// One abstract sender-store operation; the interpreter below applies it
-/// identically to the map tracker and the slab.
+/// identically to the map oracle and the store.
 #[derive(Debug, Clone)]
 enum StoreOp {
     /// Send `count` packets; bit `i` of `mask` makes packet `i`
@@ -265,8 +268,8 @@ fn mk_pkt(pn: u64, ms: u64, retransmittable: bool) -> SentPacket {
 }
 
 /// Turn an arbitrary pick set into disjoint ascending ack blocks over
-/// `[0, top]` (real ack frames are always disjoint — both stores assume
-/// it).
+/// `[0, top]` (real ack frames are always disjoint — store and oracle
+/// both assume it).
 fn picks_to_blocks(picks: &[u8], top: u64) -> Vec<AckBlock> {
     let mut pns: Vec<u64> = picks.iter().map(|&p| p as u64 % (top + 1)).collect();
     pns.sort_unstable();
@@ -293,7 +296,9 @@ fn outcomes_equal(a: &AckOutcome, b: &AckOutcome) -> bool {
 }
 
 proptest! {
-    /// The slab store is indistinguishable from the map store over
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The slab store is indistinguishable from the map oracle over
     /// arbitrary operation sequences: same ack outcomes (including loss
     /// *order*), same in-flight accounting, same spurious detection,
     /// through retransmission cycles, whole-flight RTO abandonment,
@@ -305,7 +310,7 @@ proptest! {
         ops in proptest::collection::vec(arb_store_op(), 1..50),
     ) {
         let mut map = SentTracker::default();
-        let mut slab = SentSlab::default();
+        let mut slab = SentStore::default();
         let mut next_pn = 0u64;
         let mut ms = 0u64;
         for op in ops {
@@ -382,8 +387,9 @@ proptest! {
     /// Ack processing depends only on the *set* of pns the blocks cover,
     /// never on how that set is partitioned into ranges: a frame carrying
     /// maximal coalesced ranges and one carrying the same set split into
-    /// arbitrary finer blocks produce identical outcomes on both stores —
-    /// same newly-acked bytes, largest-acked, and loss verdicts.
+    /// arbitrary finer blocks produce identical outcomes on the store and
+    /// on the oracle — same newly-acked bytes, largest-acked, and loss
+    /// verdicts.
     #[test]
     fn ack_outcome_depends_only_on_covered_set(
         sent in 4u64..40,
@@ -409,7 +415,7 @@ proptest! {
 
         let run = |blocks: &[AckBlock]| {
             let mut map = SentTracker::default();
-            let mut slab = SentSlab::default();
+            let mut slab = SentStore::default();
             for pn in 0..sent {
                 map.on_sent(mk_pkt(pn, pn, true));
                 slab.on_sent(mk_pkt(pn, pn, true));
@@ -427,6 +433,9 @@ proptest! {
         prop_assert_eq!(cs, fs);
     }
 
+}
+
+proptest! {
     /// Receiver-side coalescing is insertion-order-invariant: any arrival
     /// interleaving of a pn set yields the same maximal ranges and the
     /// same duplicate verdicts. This pins the in-order fast path in

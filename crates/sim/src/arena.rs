@@ -2,7 +2,7 @@
 //!
 //! Fleet-scale worlds hold 10^5–10^6 concurrent connections; per-cell
 //! `Box`/`HashMap` ownership (one allocation per connection, pointer
-//! chasing per event) is exactly the layout the batched hot path removed
+//! chasing per event) is exactly the layout the slab sent-store removed
 //! from the 1-vs-1 cells, so the fleet substrate never introduces it.
 //! Instead, per-connection state lives in parallel columns (`Vec<T>` per
 //! field) indexed by a *slot*, and [`SlotPool`] is the allocator that

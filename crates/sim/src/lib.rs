@@ -36,12 +36,14 @@ pub use longlook_wire::pool;
 // so transports and the fault layer can both emit); re-exported here as
 // `longlook_sim::trace` for everything above the simulator.
 pub use longlook_wire::trace;
-pub use longlook_wire::{
-    BatchMode, ExecConfig, PayloadPool, TraceMode, TraceRecord, Tracer, WireMode,
-};
+pub use longlook_wire::{ExecConfig, PayloadPool, TraceMode, TraceRecord, Tracer, WireMode};
+// Sole caller: `observatory/` (frozen), which names both through this
+// crate; see `longlook_wire::mode`.
+#[doc(hidden)]
+pub use longlook_wire::{BatchMode, SchedKind};
 pub use packet::{FlowId, NodeId, Packet, Payload, PktClass};
 pub use rng::{current_cell, CellGuard, CellId, IsolationTag, SimRng};
-pub use sched::{EventQueue, SchedKind};
+pub use sched::EventQueue;
 pub use schedule::RateSchedule;
 pub use time::{transmission_delay, Dur, Time};
 pub use world::{Agent, Ctx, RunOutcome, World};

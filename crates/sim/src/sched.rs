@@ -1,17 +1,16 @@
-//! Event-queue schedulers for the discrete-event world.
+//! The event queue of the discrete-event world and of the fleet loop.
 //!
-//! Two interchangeable implementations sit behind [`EventQueue`]:
+//! [`EventQueue`] is a hierarchical timing wheel: near-future events land
+//! in fixed-width ring slots, far-future events wait in an overflow heap
+//! that refills the wheel as the cursor advances.
 //!
-//! * [`HeapSched`] — the original `BinaryHeap<(Time, seq)>`, kept as the
-//!   reference implementation the referees compare the wheel against.
-//! * [`TimingWheel`] — a hierarchical timing wheel: near-future events land
-//!   in fixed-width ring slots, far-future events wait in an overflow heap
-//!   that refills the wheel as the cursor advances.
-//!
-//! Both produce the **exact same pop order**: ascending `(Time, seq)` where
-//! `seq` is the queue-assigned push sequence number. That total order is
-//! what makes simulation replay bit-identical, so the wheel never
-//! approximates it — see the invariant notes on [`TimingWheel`].
+//! It pops in ascending `(Time, seq)` order, where `seq` is the
+//! queue-assigned push sequence number — exactly the order of the
+//! `BinaryHeap<(Time, seq)>` it replaced. That total order is what makes
+//! simulation replay bit-identical, so the wheel never approximates it.
+//! The binary heap survives as the oracle of
+//! `wheel_matches_heap_under_interleaved_ops` (`tests/oracle/`), which
+//! holds every method below to it.
 //!
 //! # Wheel layout
 //!
@@ -52,11 +51,10 @@
 //!    the same order the heap would.
 
 use crate::time::Time;
+use longlook_wire::SchedKind;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem;
-
-pub use longlook_wire::SchedKind;
 
 /// log2 of the wheel slot width in nanoseconds (2^17 ns = 131.072 µs).
 const SLOT_SHIFT: u32 = 17;
@@ -106,92 +104,9 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// The original binary-heap scheduler, generic over the event payload.
-pub struct HeapSched<T> {
-    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-    seq: u64,
-    len: usize,
-    peak: usize,
-}
-
-impl<T> HeapSched<T> {
-    /// An empty heap scheduler.
-    pub fn new() -> Self {
-        HeapSched {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            len: 0,
-            peak: 0,
-        }
-    }
-
-    /// Schedule `item` at `at`, after everything already scheduled there.
-    pub fn push(&mut self, at: Time, item: T) {
-        self.seq += 1;
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
-        self.heap.push(Reverse(HeapEntry(Entry {
-            at,
-            seq: self.seq,
-            item,
-        })));
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(Time, T)> {
-        let Reverse(HeapEntry(e)) = self.heap.pop()?;
-        self.len -= 1;
-        Some((e.at, e.item))
-    }
-
-    /// Timestamp of the earliest event.
-    pub fn next_at(&mut self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(HeapEntry(e))| e.at)
-    }
-
-    /// Borrow the earliest event without removing it.
-    pub fn peek(&mut self) -> Option<(Time, &T)> {
-        self.heap
-            .peek()
-            .map(|Reverse(HeapEntry(e))| (e.at, &e.item))
-    }
-
-    /// Pop the earliest event iff it is at or before `deadline`
-    /// (peek + pop fused into one front check).
-    pub fn pop_at_most(&mut self, deadline: Time) -> Option<(Time, T)> {
-        match self.heap.peek() {
-            Some(Reverse(HeapEntry(e))) if e.at <= deadline => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Pop the earliest event iff `pred` approves it (peek + pop fused).
-    pub fn pop_if(&mut self, pred: impl FnOnce(Time, &T) -> bool) -> Option<(Time, T)> {
-        match self.heap.peek() {
-            Some(Reverse(HeapEntry(e))) if pred(e.at, &e.item) => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Return to the just-constructed state — empty, sequence counter and
-    /// peak rewound — keeping the heap's allocation for reuse.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-        self.len = 0;
-        self.peak = 0;
-    }
-}
-
-impl<T> Default for HeapSched<T> {
-    fn default() -> Self {
-        HeapSched::new()
-    }
-}
-
 /// Hierarchical timing-wheel scheduler. See the module docs for layout and
 /// the exact-order argument.
-pub struct TimingWheel<T> {
+pub struct EventQueue<T> {
     /// Tick currently being drained; lower bound on every live tick.
     cursor: u64,
     /// Events of the cursor tick (plus defensively any pushed-in-the-past
@@ -210,12 +125,12 @@ pub struct TimingWheel<T> {
     peak: usize,
 }
 
-impl<T> TimingWheel<T> {
+impl<T> Default for EventQueue<T> {
     /// An empty wheel with the cursor at the origin.
-    pub fn new() -> Self {
+    fn default() -> Self {
         let mut slots = Vec::with_capacity(SLOTS);
         slots.resize_with(SLOTS, Vec::new);
-        TimingWheel {
+        EventQueue {
             cursor: 0,
             active: Vec::new(),
             slots,
@@ -226,6 +141,15 @@ impl<T> TimingWheel<T> {
             len: 0,
             peak: 0,
         }
+    }
+}
+
+impl<T> EventQueue<T> {
+    // Sole caller: `observatory/` (frozen); everything else constructs
+    // with `Default`.
+    #[doc(hidden)]
+    pub fn new(_: SchedKind) -> Self {
+        EventQueue::default()
     }
 
     /// Schedule `item` at `at`, after everything already scheduled there.
@@ -252,7 +176,7 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Remove and return the earliest event.
+    /// Remove and return the earliest event (FIFO among equal times).
     pub fn pop(&mut self) -> Option<(Time, T)> {
         if self.active.is_empty() && !self.advance() {
             return None;
@@ -262,27 +186,8 @@ impl<T> TimingWheel<T> {
         Some((e.at, e.item))
     }
 
-    /// Timestamp of the earliest event. Takes `&mut self` because locating
-    /// it may advance the cursor and load a slot (pop order is unaffected).
-    pub fn next_at(&mut self) -> Option<Time> {
-        if self.active.is_empty() && !self.advance() {
-            return None;
-        }
-        self.active.last().map(|e| e.at)
-    }
-
-    /// Borrow the earliest event without removing it. `&mut self` for the
-    /// same cursor-advance reason as [`TimingWheel::next_at`].
-    pub fn peek(&mut self) -> Option<(Time, &T)> {
-        if self.active.is_empty() && !self.advance() {
-            return None;
-        }
-        self.active.last().map(|e| (e.at, &e.item))
-    }
-
-    /// Pop the earliest event iff it is at or before `deadline`. One
-    /// front check instead of a `next_at` + `pop` pair — the event loop's
-    /// per-event peek was a measurable share of its runtime.
+    /// Pop the earliest event iff it is at or before `deadline`: the
+    /// world's event loop in one front check.
     pub fn pop_at_most(&mut self, deadline: Time) -> Option<(Time, T)> {
         if self.active.is_empty() && !self.advance() {
             return None;
@@ -295,8 +200,8 @@ impl<T> TimingWheel<T> {
         Some((e.at, e.item))
     }
 
-    /// Pop the earliest event iff `pred` approves it (peek + pop fused,
-    /// used by burst dispatch to continue a same-instant run).
+    /// Pop the earliest event iff `pred` approves it; the fleet loop
+    /// takes a queue event only if it is due before the next deadline.
     pub fn pop_if(&mut self, pred: impl FnOnce(Time, &T) -> bool) -> Option<(Time, T)> {
         if self.active.is_empty() && !self.advance() {
             return None;
@@ -310,12 +215,28 @@ impl<T> TimingWheel<T> {
         Some((e.at, e.item))
     }
 
+    /// Outstanding event count.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no events are scheduled.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// High-water mark of outstanding events over the queue's lifetime.
+    pub fn scheduled_peak(&self) -> usize {
+        self.peak
+    }
+
     /// Return to the just-constructed state — cursor at the origin,
     /// sequence counter and peak rewound, every event discarded — while
     /// keeping all allocations (slot ring capacities, free list, overflow
-    /// heap). A reset wheel is observationally identical to a fresh one:
-    /// same pop order, same tie-breaks (seq restarts at 0), same peak
-    /// accounting.
+    /// heap). A reset wheel is observationally identical to a fresh one —
+    /// same pop order, same tie-breaks, same peak accounting — which is
+    /// what lets the fleet run link after link through one queue and
+    /// still match a threaded shard's fresh one.
     pub fn reset(&mut self) {
         self.active.clear();
         for v in &mut self.slots {
@@ -327,6 +248,18 @@ impl<T> TimingWheel<T> {
         self.seq = 0;
         self.len = 0;
         self.peak = 0;
+    }
+
+    /// Pre-size internal storage for roughly `n` concurrently outstanding
+    /// events (a hint; the queue grows on demand regardless).
+    pub fn reserve_hint(&mut self, n: usize) {
+        self.active.reserve(n.min(64));
+        // Park pre-sized vectors in the free list so the first bursts of
+        // slot traffic don't allocate.
+        let want = (n / 4).clamp(1, 32);
+        while self.free.len() < want {
+            self.free.push(Vec::with_capacity(8));
+        }
     }
 
     fn slot_insert(&mut self, t: u64, e: Entry<T>) {
@@ -427,148 +360,9 @@ impl<T> TimingWheel<T> {
     }
 }
 
-impl<T> Default for TimingWheel<T> {
-    fn default() -> Self {
-        TimingWheel::new()
-    }
-}
-
-/// A scheduler of either kind behind one interface; the simulation world
-/// holds this and stays agnostic.
-pub enum EventQueue<T> {
-    /// Timing-wheel backed.
-    Wheel(TimingWheel<T>),
-    /// Binary-heap backed.
-    Heap(HeapSched<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue of the given kind.
-    pub fn new(kind: SchedKind) -> Self {
-        match kind {
-            SchedKind::Wheel => EventQueue::Wheel(TimingWheel::new()),
-            SchedKind::Heap => EventQueue::Heap(HeapSched::new()),
-        }
-    }
-
-    /// Which implementation backs this queue.
-    pub fn kind(&self) -> SchedKind {
-        match self {
-            EventQueue::Wheel(_) => SchedKind::Wheel,
-            EventQueue::Heap(_) => SchedKind::Heap,
-        }
-    }
-
-    /// Schedule `item` at `at`, after everything already scheduled there.
-    pub fn push(&mut self, at: Time, item: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, item),
-            EventQueue::Heap(h) => h.push(at, item),
-        }
-    }
-
-    /// Remove and return the earliest event (FIFO among equal times).
-    pub fn pop(&mut self) -> Option<(Time, T)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop(),
-        }
-    }
-
-    /// Timestamp of the earliest event without removing it. `&mut self`
-    /// because the wheel may need to advance its cursor to find it.
-    pub fn next_at(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(w) => w.next_at(),
-            EventQueue::Heap(h) => h.next_at(),
-        }
-    }
-
-    /// Borrow the earliest event (time and payload) without removing it.
-    /// The borrowed payload is exactly what the next `pop` would return —
-    /// burst dispatch uses this to decide whether to keep consuming.
-    pub fn peek(&mut self) -> Option<(Time, &T)> {
-        match self {
-            EventQueue::Wheel(w) => w.peek(),
-            EventQueue::Heap(h) => h.peek(),
-        }
-    }
-
-    /// Pop the earliest event iff it is at or before `deadline`. Same
-    /// observable behavior as `next_at` followed by `pop`, in one call.
-    pub fn pop_at_most(&mut self, deadline: Time) -> Option<(Time, T)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_at_most(deadline),
-            EventQueue::Heap(h) => h.pop_at_most(deadline),
-        }
-    }
-
-    /// Pop the earliest event iff `pred` approves it. Same observable
-    /// behavior as `peek` followed by `pop`, in one call.
-    pub fn pop_if(&mut self, pred: impl FnOnce(Time, &T) -> bool) -> Option<(Time, T)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_if(pred),
-            EventQueue::Heap(h) => h.pop_if(pred),
-        }
-    }
-
-    /// Outstanding event count.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len,
-            EventQueue::Heap(h) => h.len,
-        }
-    }
-
-    /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// High-water mark of outstanding events over the queue's lifetime.
-    pub fn scheduled_peak(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.peak,
-            EventQueue::Heap(h) => h.peak,
-        }
-    }
-
-    /// Return the queue to its just-constructed state — empty, cursor at
-    /// the origin, sequence counter and peak rewound — while keeping every
-    /// allocation. Sharded fleet loops run shards back to back through one
-    /// queue serially; because the sequence counter restarts, a reset
-    /// queue breaks same-time ties exactly like the fresh queue a threaded
-    /// shard gets, which is what keeps serial and threaded shard runs
-    /// bit-identical.
-    pub fn reset(&mut self) {
-        match self {
-            EventQueue::Wheel(w) => w.reset(),
-            EventQueue::Heap(h) => h.reset(),
-        }
-    }
-
-    /// Pre-size internal storage for roughly `n` concurrently outstanding
-    /// events (a hint; queues grow on demand regardless).
-    pub fn reserve_hint(&mut self, n: usize) {
-        match self {
-            EventQueue::Wheel(w) => {
-                w.active.reserve(n.min(64));
-                // Park pre-sized vectors in the free list so the first
-                // bursts of slot traffic don't allocate.
-                let want = (n / 4).clamp(1, 32);
-                while w.free.len() < want {
-                    w.free.push(Vec::with_capacity(8));
-                }
-            }
-            EventQueue::Heap(h) => h.heap.reserve(n),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
 
     fn drain<T>(q: &mut EventQueue<T>) -> Vec<(Time, T)> {
         let mut out = Vec::new();
@@ -580,22 +374,20 @@ mod tests {
 
     #[test]
     fn fifo_within_equal_time() {
-        for kind in [SchedKind::Wheel, SchedKind::Heap] {
-            let mut q = EventQueue::new(kind);
-            let t = Time::from_nanos(5_000_000);
-            for i in 0..10u32 {
-                q.push(t, i);
-            }
-            let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, i)| i).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::default();
+        let t = Time::from_nanos(5_000_000);
+        for i in 0..10u32 {
+            q.push(t, i);
         }
+        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, i)| i).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn equal_time_fifo_survives_slot_boundary_and_overflow_refill() {
         // Same-instant events pushed before and after intervening pops that
         // advance the cursor across slot boundaries and drain overflow.
-        let mut q = EventQueue::new(SchedKind::Wheel);
+        let mut q = EventQueue::default();
         let far = Time::from_nanos((1000u64) << SLOT_SHIFT); // overflow tick
         q.push(far, 0u32);
         q.push(far, 1);
@@ -608,22 +400,20 @@ mod tests {
 
     #[test]
     fn time_max_adjacent_events_order_correctly() {
-        for kind in [SchedKind::Wheel, SchedKind::Heap] {
-            let mut q = EventQueue::new(kind);
-            q.push(Time::MAX, 'z');
-            q.push(Time::from_nanos(u64::MAX - 1), 'y');
-            q.push(Time::ZERO, 'a');
-            q.push(Time::MAX, 'w'); // FIFO after the first MAX event
-            let order: Vec<char> = drain(&mut q).into_iter().map(|(_, c)| c).collect();
-            assert_eq!(order, vec!['a', 'y', 'z', 'w'], "{kind:?}");
-        }
+        let mut q = EventQueue::default();
+        q.push(Time::MAX, 'z');
+        q.push(Time::from_nanos(u64::MAX - 1), 'y');
+        q.push(Time::ZERO, 'a');
+        q.push(Time::MAX, 'w'); // FIFO after the first MAX event
+        let order: Vec<char> = drain(&mut q).into_iter().map(|(_, c)| c).collect();
+        assert_eq!(order, vec!['a', 'y', 'z', 'w']);
     }
 
     #[test]
     fn push_at_cursor_tick_while_draining() {
         // An agent scheduling a wake at `now` must run after events already
         // queued for `now` but before later times — even mid-drain.
-        let mut q = EventQueue::new(SchedKind::Wheel);
+        let mut q = EventQueue::default();
         let t = Time::from_nanos(50);
         q.push(t, 0u32);
         q.push(t, 1);
@@ -635,22 +425,8 @@ mod tests {
     }
 
     #[test]
-    fn next_at_matches_pop_and_is_stable() {
-        let mut q = EventQueue::new(SchedKind::Wheel);
-        q.push(Time::from_nanos(7 << SLOT_SHIFT), 'b');
-        q.push(Time::from_nanos(3), 'a');
-        assert_eq!(q.next_at(), Some(Time::from_nanos(3)));
-        assert_eq!(q.next_at(), Some(Time::from_nanos(3)));
-        assert_eq!(q.pop(), Some((Time::from_nanos(3), 'a')));
-        assert_eq!(q.next_at(), Some(Time::from_nanos(7 << SLOT_SHIFT)));
-        assert_eq!(q.pop(), Some((Time::from_nanos(7 << SLOT_SHIFT), 'b')));
-        assert_eq!(q.next_at(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn overflow_refills_wheel_in_order() {
-        let mut q = EventQueue::new(SchedKind::Wheel);
+        let mut q = EventQueue::default();
         // Spread events far past the initial horizon; every refill must
         // preserve global order.
         let times: Vec<u64> = (0..40)
@@ -670,88 +446,26 @@ mod tests {
     }
 
     #[test]
-    fn randomized_wheel_matches_heap() {
-        let mut rng = SimRng::new(0xC0FFEE);
-        for round in 0..20u64 {
-            let mut wheel = EventQueue::new(SchedKind::Wheel);
-            let mut heap = EventQueue::new(SchedKind::Heap);
-            let mut now = 0u64;
-            let mut id = 0u64;
-            // Interleave pushes and pops with a monotone "now" like the
-            // world's event loop does.
-            for _ in 0..500 {
-                if rng.chance(0.6) {
-                    let delta = if rng.chance(0.05) {
-                        rng.uniform_u64(0, 500_000_000) // far future
-                    } else {
-                        rng.uniform_u64(0, 2_000_000) // near future
-                    };
-                    let at = Time::from_nanos(now + delta);
-                    wheel.push(at, id);
-                    heap.push(at, id);
-                    id += 1;
-                } else {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    assert_eq!(a, b, "round {round}");
-                    if let Some((t, _)) = a {
-                        now = t.as_nanos();
-                    }
-                }
-            }
-            loop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "round {round} drain");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn peek_matches_next_pop_exactly() {
-        for kind in [SchedKind::Wheel, SchedKind::Heap] {
-            let mut q = EventQueue::new(kind);
-            q.push(Time::from_nanos(7 << SLOT_SHIFT), 'b'); // different slot
-            q.push(Time::from_nanos(3), 'a');
-            q.push(Time::from_nanos(3), 'c'); // FIFO behind 'a'
-            while let Some((t, &item)) = q.peek() {
-                // Peek must not disturb order, and must borrow the exact
-                // payload the following pop returns.
-                assert_eq!(q.peek().map(|(pt, &pi)| (pt, pi)), Some((t, item)));
-                assert_eq!(q.pop(), Some((t, item)), "{kind:?}");
-            }
-            assert!(q.is_empty(), "{kind:?}");
-        }
-    }
-
-    #[test]
     fn len_and_peak_track_outstanding_events() {
-        for kind in [SchedKind::Wheel, SchedKind::Heap] {
-            let mut q = EventQueue::new(kind);
-            assert_eq!(q.scheduled_peak(), 0);
-            for i in 0..5u64 {
-                q.push(Time::from_nanos(i * 1_000_000), i);
-            }
-            assert_eq!(q.len(), 5);
-            q.pop();
-            q.pop();
-            assert_eq!(q.len(), 3);
-            q.push(Time::from_nanos(9_000_000), 9);
-            assert_eq!(q.scheduled_peak(), 5, "{kind:?}");
+        let mut q = EventQueue::default();
+        assert_eq!(q.scheduled_peak(), 0);
+        for i in 0..5u64 {
+            q.push(Time::from_nanos(i * 1_000_000), i);
         }
+        assert_eq!(q.len(), 5);
+        q.pop();
+        q.pop();
+        assert_eq!(q.len(), 3);
+        q.push(Time::from_nanos(9_000_000), 9);
+        assert_eq!(q.scheduled_peak(), 5);
     }
 
     #[test]
     fn reserve_hint_is_harmless() {
-        for kind in [SchedKind::Wheel, SchedKind::Heap] {
-            let mut q = EventQueue::new(kind);
-            q.reserve_hint(256);
-            q.push(Time::ZERO, 1u8);
-            assert_eq!(q.pop(), Some((Time::ZERO, 1)));
-        }
+        let mut q = EventQueue::default();
+        q.reserve_hint(256);
+        q.push(Time::ZERO, 1u8);
+        assert_eq!(q.pop(), Some((Time::ZERO, 1)));
     }
 
     #[test]
@@ -759,32 +473,30 @@ mod tests {
         // Run a workload, reset, run it again: pop order (including
         // same-time tie-breaks, which depend on the rewound seq counter),
         // len, and scheduled_peak must all match a brand-new queue's.
-        for kind in [SchedKind::Wheel, SchedKind::Heap] {
-            let mut reused = EventQueue::new(kind);
-            let workload = |q: &mut EventQueue<u32>| {
-                q.push(Time::from_nanos(40 << SLOT_SHIFT), 0); // far slot
-                q.push(Time::from_nanos(5), 1);
-                q.push(Time::from_nanos(5), 2); // FIFO tie with 1
-                q.push(Time::from_nanos((1000u64) << SLOT_SHIFT), 3); // overflow
-                let order: Vec<(Time, u32)> = drain(q);
-                (order, q.scheduled_peak())
-            };
-            let first = workload(&mut reused);
-            reused.reset();
-            assert!(reused.is_empty(), "{kind:?}: reset left events behind");
-            assert_eq!(reused.scheduled_peak(), 0, "{kind:?}: peak survived");
-            let again = workload(&mut reused);
-            let fresh = workload(&mut EventQueue::new(kind));
-            assert_eq!(again, fresh, "{kind:?}: reset queue diverged");
-            assert_eq!(first, fresh, "{kind:?}: workload not repeatable");
-        }
+        let mut reused = EventQueue::default();
+        let workload = |q: &mut EventQueue<u32>| {
+            q.push(Time::from_nanos(40 << SLOT_SHIFT), 0); // far slot
+            q.push(Time::from_nanos(5), 1);
+            q.push(Time::from_nanos(5), 2); // FIFO tie with 1
+            q.push(Time::from_nanos((1000u64) << SLOT_SHIFT), 3); // overflow
+            let order: Vec<(Time, u32)> = drain(q);
+            (order, q.scheduled_peak())
+        };
+        let first = workload(&mut reused);
+        reused.reset();
+        assert!(reused.is_empty(), "reset left events behind");
+        assert_eq!(reused.scheduled_peak(), 0, "peak survived");
+        let again = workload(&mut reused);
+        let fresh = workload(&mut EventQueue::default());
+        assert_eq!(again, fresh, "reset queue diverged");
+        assert_eq!(first, fresh, "workload not repeatable");
     }
 
     #[test]
     fn reset_mid_drain_discards_pending_events() {
         // Reset with events still queued (active, slots, and overflow all
         // populated): everything must vanish and the queue behave fresh.
-        let mut q = EventQueue::new(SchedKind::Wheel);
+        let mut q = EventQueue::default();
         q.push(Time::from_nanos(3), 'a');
         q.push(Time::from_nanos(3), 'b');
         q.push(Time::from_nanos(9 << SLOT_SHIFT), 'c');

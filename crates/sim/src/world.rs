@@ -9,9 +9,8 @@ use crate::device::{DeviceCpu, DeviceProfile};
 use crate::link::{LinkConfig, LinkDir, LinkStats, Verdict};
 use crate::packet::{NodeId, Packet};
 use crate::rng::{IsolationTag, SimRng};
-use crate::sched::{EventQueue, SchedKind};
+use crate::sched::EventQueue;
 use crate::time::Time;
-use longlook_wire::{BatchMode, ExecConfig};
 use std::any::Any;
 
 /// Interface the world hands an agent during a callback.
@@ -104,12 +103,6 @@ pub struct World {
     /// during `[from, until)` are deferred to `until`. Empty in every
     /// unfaulted run, so the per-event check is a length test.
     stalls: Vec<(NodeId, Time, Time)>,
-    /// Batched hot path (`ExecConfig::batch`, fixed at construction):
-    /// consecutive same-instant packet deliveries to one node run in a
-    /// single dispatch. Bursts drain each packet's wakes/outbox before
-    /// consuming the next event, so every queue push lands with the same
-    /// `(time, seq)` key as the per-event path — bit-identical replay.
-    batch: bool,
     /// Debug-build cell-ownership tag (see [`crate::rng::IsolationTag`]):
     /// a `World` shared across experiment cells is caught even before any
     /// of its RNG streams draw.
@@ -128,18 +121,11 @@ impl Drop for World {
 }
 
 impl World {
-    /// Create a world with the given experiment seed on the default
-    /// execution paths (timing wheel, batched dispatch).
+    /// Create a world with the given experiment seed.
     pub fn new(seed: u64) -> Self {
-        World::with_exec(seed, ExecConfig::default())
-    }
-
-    /// Create a world on the scheduler and dispatch path `exec` selects;
-    /// every choice is observationally identical.
-    pub fn with_exec(seed: u64, exec: ExecConfig) -> Self {
         World {
             now: Time::ZERO,
-            queue: EventQueue::new(exec.sched),
+            queue: EventQueue::default(),
             nodes: Vec::new(),
             links: Vec::new(),
             rng: SimRng::new(seed),
@@ -148,17 +134,7 @@ impl World {
             scratch_out: Vec::new(),
             scratch_wakes: Vec::new(),
             stalls: Vec::new(),
-            batch: exec.batch.is_on(),
             tag: IsolationTag::default(),
-        }
-    }
-
-    /// Which hot-path mode this world was constructed with.
-    pub fn batch_mode(&self) -> BatchMode {
-        if self.batch {
-            BatchMode::On
-        } else {
-            BatchMode::Off
         }
     }
 
@@ -221,7 +197,7 @@ impl World {
 
     /// Schedule a Wake for `node` at `at`, deduplicating against any
     /// earlier pending wake (agents re-request their next timer on every
-    /// dispatch; without dedup the heap fills with stale duplicates).
+    /// dispatch; without dedup the queue fills with stale duplicates).
     fn schedule_wake(&mut self, node: NodeId, at: Time) {
         let slot = &mut self.nodes[node.0 as usize];
         if slot.pending_wake.is_some_and(|p| p <= at) {
@@ -245,11 +221,6 @@ impl World {
     /// Correlates throughput with queue depth in bench output.
     pub fn scheduled_peak(&self) -> u64 {
         self.queue.scheduled_peak() as u64
-    }
-
-    /// Which scheduler backend this world runs on.
-    pub fn sched_kind(&self) -> SchedKind {
-        self.queue.kind()
     }
 
     /// Whether an agent requested a stop.
@@ -343,19 +314,11 @@ impl World {
                     .process(self.now, pkt.class);
                 if done > self.now {
                     self.push(done, Ev::Deliver(pkt));
-                } else if self.batch && self.stalls.is_empty() {
-                    self.dispatch_burst(pkt);
                 } else {
-                    self.dispatch_packet(pkt);
+                    self.dispatch(pkt.dst, Some(pkt));
                 }
             }
-            Ev::Deliver(pkt) => {
-                if self.batch && self.stalls.is_empty() {
-                    self.dispatch_burst(pkt);
-                } else {
-                    self.dispatch_packet(pkt);
-                }
-            }
+            Ev::Deliver(pkt) => self.dispatch(pkt.dst, Some(pkt)),
             Ev::Wake(node) => {
                 // Stale duplicates (superseded by an earlier wake) fire as
                 // harmless no-ops; clear the dedup marker when the
@@ -363,7 +326,7 @@ impl World {
                 if self.nodes[node.0 as usize].pending_wake == Some(self.now) {
                     self.nodes[node.0 as usize].pending_wake = None;
                 }
-                self.dispatch_wake(node);
+                self.dispatch(node, None);
             }
         }
     }
@@ -390,114 +353,6 @@ impl World {
                 }
             }
         }
-    }
-
-    fn dispatch_packet(&mut self, pkt: Packet) {
-        let node = pkt.dst;
-        self.dispatch(node, Some(pkt));
-    }
-
-    /// Batched packet delivery: after dispatching `first`, keep consuming
-    /// queue-front events that are (a) at the same instant, (b) packets
-    /// (never wakes), and (c) addressed to the same node — all inside one
-    /// agent checkout and one scratch-buffer loan.
-    ///
-    /// Equivalence with the per-event path is by construction, not by
-    /// approximation:
-    ///
-    /// * Each packet's wake requests and outbox are drained *before* the
-    ///   next event is consumed, so every derived push gets the same
-    ///   `(time, seq)` key as under per-event stepping. (Consumed burst
-    ///   events were queued before anything this burst pushes, so popping
-    ///   them early never reorders equal-time events.)
-    /// * A `LinkOut` whose CPU charge lands in the future pushes its
-    ///   `Deliver` exactly where the per-event loop would, then the burst
-    ///   keeps scanning — subsequent same-instant arrivals see the same
-    ///   busy CPU either way.
-    /// * `events_processed` advances once per consumed event, so event
-    ///   counts match per-event runs exactly.
-    /// * A stop request ends the burst before the next event is consumed,
-    ///   mirroring `run_until`'s check between steps; remaining events
-    ///   stay queued for a later (or multi-phase) run.
-    ///
-    /// Bursts only form when no stall windows exist (checked by `step`);
-    /// faulted cells take the per-event path, which applies deferrals
-    /// event by event.
-    fn dispatch_burst(&mut self, first: Packet) {
-        let node = first.dst;
-        let mut agent = self.nodes[node.0 as usize]
-            .agent
-            .take()
-            .expect("reentrant dispatch");
-        let mut out = std::mem::take(&mut self.scratch_out);
-        let mut wakes = std::mem::take(&mut self.scratch_wakes);
-        debug_assert!(out.is_empty() && wakes.is_empty());
-        let mut pkt = first;
-        'burst: loop {
-            let mut stop = false;
-            {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    node,
-                    out: &mut out,
-                    wakes: &mut wakes,
-                    stop: &mut stop,
-                };
-                agent.on_packet(pkt, &mut ctx);
-            }
-            if stop {
-                self.stop = true;
-            }
-            // Per-packet drain: wakes then outbox, same order as
-            // `dispatch`, so derived events take identical queue keys.
-            for t in wakes.drain(..) {
-                let at = if t < self.now { self.now } else { t };
-                self.schedule_wake(node, at);
-            }
-            for p in out.drain(..) {
-                assert_eq!(p.src, node, "agent spoofed src");
-                self.route(p);
-            }
-            if self.stop {
-                break;
-            }
-            // Consume queue-front events while they are same-instant
-            // packets for this node; the first deliverable one continues
-            // the burst, anything else ends it for the ordinary loop.
-            pkt = loop {
-                let now = self.now;
-                let popped = self.queue.pop_if(|at, ev| {
-                    at == now && matches!(ev, Ev::LinkOut(p) | Ev::Deliver(p) if p.dst == node)
-                });
-                let Some((_, ev)) = popped else {
-                    break 'burst;
-                };
-                self.events_processed += 1;
-                match ev {
-                    Ev::LinkOut(p) => {
-                        let done = self.nodes[node.0 as usize].cpu.process(self.now, p.class);
-                        if done > self.now {
-                            // CPU busy past `now`: defer exactly like the
-                            // per-event loop (no callback) and keep
-                            // scanning — later arrivals see the same busy
-                            // CPU and defer in the same order.
-                            self.push(done, Ev::Deliver(p));
-                        } else {
-                            break p;
-                        }
-                    }
-                    Ev::Deliver(p) => break p,
-                    Ev::Wake(_) => unreachable!("burst never consumes wakes"),
-                }
-            };
-        }
-        self.nodes[node.0 as usize].agent = Some(agent);
-        self.scratch_out = out;
-        self.scratch_wakes = wakes;
-    }
-
-    fn dispatch_wake(&mut self, node: NodeId) {
-        self.dispatch(node, None);
     }
 
     fn dispatch(&mut self, node: NodeId, pkt: Option<Packet>) {

@@ -1,10 +1,14 @@
-//! Property-based tests for the link emulation and time arithmetic.
+//! Property-based tests for the link emulation and time arithmetic, and
+//! the event queue against its binary-heap oracle.
+
+mod oracle;
 
 use longlook_sim::link::{Jitter, LinkConfig, LinkDir, Verdict};
 use longlook_sim::schedule::RateSchedule;
 use longlook_sim::time::{transmission_delay, Dur, Time};
+use longlook_sim::EventQueue;
 use longlook_sim::SimRng;
-use longlook_sim::{EventQueue, SchedKind};
+use oracle::HeapSched;
 use proptest::prelude::*;
 
 proptest! {
@@ -223,6 +227,31 @@ proptest! {
     }
 }
 
+/// The wheel's slot width and horizon (`sched::SLOT_SHIFT`, `SLOTS`): the
+/// generator below aims at their boundaries.
+const TICK: u64 = 1 << 17;
+const RING: u64 = 512 * TICK;
+
+/// A delay from one of the classes the wheel files differently.
+fn delay(class: u8, x: u64) -> u64 {
+    match class % 8 {
+        // The instant being drained.
+        0 => 0,
+        // Inside the tick being drained, or just past it.
+        1 => x % TICK,
+        2 => (x % 4) * TICK + x % 2,
+        // Anywhere in the ring (< 67 ms).
+        3 => x % RING,
+        // A coarse grid, so distinct pushes share ticks and instants.
+        4 => (x % 600) * TICK + x % 3,
+        // Either side of the horizon, then well into the overflow heap.
+        5 => RING - 2 * TICK + x % (4 * TICK),
+        6 => RING + x % (8 * RING),
+        // `Time::MAX` and its neighbours (saturating).
+        _ => u64::MAX - x % 3,
+    }
+}
+
 proptest! {
     /// The timing wheel is a priority queue: popping everything yields
     /// exactly the (at, seq)-sorted order, i.e. time-sorted with FIFO
@@ -232,7 +261,7 @@ proptest! {
     fn wheel_pop_order_is_sorted_by_time_then_arrival(
         ats in proptest::collection::vec(0u64..3_000_000_000, 1..300),
     ) {
-        let mut q: EventQueue<u64> = EventQueue::new(SchedKind::Wheel);
+        let mut q: EventQueue<u64> = EventQueue::default();
         for (i, &at) in ats.iter().enumerate() {
             q.push(Time::from_nanos(at), i as u64);
         }
@@ -248,31 +277,129 @@ proptest! {
         }
         prop_assert_eq!(got, expect);
     }
+}
 
-    /// Under arbitrary interleavings of pushes (with a monotone "now",
-    /// as the world's event loop guarantees) and pops, the wheel and the
-    /// heap produce identical pop sequences.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every method the world and the fleet loop call, against the binary
+    /// heap the wheel replaced: pushes (with a monotone "now", as an
+    /// event loop guarantees) at the instant being drained, in its tick,
+    /// in the ring, past the horizon and next to `Time::MAX`; plain pops;
+    /// `pop_at_most` with deadlines that admit and that refuse; `pop_if`
+    /// with a predicate that may refuse on the time or on the item (and
+    /// must then consume nothing); `reserve_hint`; and `reset` in
+    /// mid-sequence, after which the same queue starts over at time
+    /// zero. A refusal leaves "now" behind the wheel's cursor, so the
+    /// pushes that follow it land in the past of the loaded tick. After
+    /// every step `len`, `is_empty` and `scheduled_peak` agree.
     #[test]
     fn wheel_matches_heap_under_interleaved_ops(
-        ops in proptest::collection::vec(
-            (any::<bool>(), 0u64..500_000_000),
-            1..400,
-        ),
+        ops in proptest::collection::vec((0u8..32, any::<u8>(), any::<u64>()), 1..400),
     ) {
-        let mut wheel: EventQueue<u64> = EventQueue::new(SchedKind::Wheel);
-        let mut heap: EventQueue<u64> = EventQueue::new(SchedKind::Heap);
+        let mut wheel: EventQueue<u64> = EventQueue::default();
+        let mut heap: HeapSched<u64> = HeapSched::new();
         let mut now = 0u64;
         let mut id = 0u64;
-        for &(push, delta) in &ops {
-            if push {
-                let at = Time::from_nanos(now.saturating_add(delta));
+        for &(op, class, x) in &ops {
+            let popped = match op {
+                0..=14 => {
+                    let at = Time::from_nanos(now.saturating_add(delay(class, x)));
+                    wheel.push(at, id);
+                    heap.push(at, id);
+                    id += 1;
+                    None
+                }
+                15..=21 => {
+                    let got = wheel.pop();
+                    prop_assert_eq!(got, heap.pop());
+                    got
+                }
+                22..=24 => {
+                    let deadline = Time::from_nanos(now.saturating_add(delay(class, x)));
+                    let got = wheel.pop_at_most(deadline);
+                    prop_assert_eq!(got, heap.pop_at_most(deadline));
+                    prop_assert!(got.is_none_or(|(at, _)| at <= deadline));
+                    got
+                }
+                25..=28 => {
+                    // Refuses a late front, or one item in four whatever
+                    // its time; both queues must offer the same front.
+                    let due = Time::from_nanos(now.saturating_add(delay(class, x)));
+                    let veto = x % 5;
+                    let mut offered = [None, None];
+                    let got = wheel.pop_if(|at, &item| {
+                        offered[0] = Some((at, item));
+                        at <= due && item % 4 != veto
+                    });
+                    let want = heap.pop_if(|at, &item| {
+                        offered[1] = Some((at, item));
+                        at <= due && item % 4 != veto
+                    });
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(offered[0], offered[1]);
+                    prop_assert!(got.is_none() || got == offered[0]);
+                    got
+                }
+                29..=30 => {
+                    wheel.reserve_hint(x as usize % 2048);
+                    heap.reserve_hint(x as usize % 2048);
+                    None
+                }
+                _ => {
+                    wheel.reset();
+                    heap.reset();
+                    now = 0;
+                    None
+                }
+            };
+            if let Some((at, _)) = popped {
+                prop_assert!(at.as_nanos() >= now, "time went backwards");
+                now = at.as_nanos();
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(wheel.is_empty(), heap.len() == 0);
+            prop_assert_eq!(wheel.scheduled_peak(), heap.scheduled_peak());
+        }
+        loop {
+            let got = wheel.pop();
+            prop_assert_eq!(got, heap.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+        prop_assert!(wheel.is_empty());
+        prop_assert_eq!(wheel.scheduled_peak(), heap.scheduled_peak());
+    }
+}
+
+/// Moved here from `sched.rs` with its oracle: long deterministic runs
+/// (500 steps, 20 rounds) of near- and far-future pushes against pops.
+#[test]
+fn randomized_wheel_matches_heap() {
+    let mut rng = SimRng::new(0xC0FFEE);
+    for round in 0..20u64 {
+        let mut wheel = EventQueue::default();
+        let mut heap = HeapSched::new();
+        let mut now = 0u64;
+        let mut id = 0u64;
+        // Interleave pushes and pops with a monotone "now" like the
+        // world's event loop does.
+        for _ in 0..500 {
+            if rng.chance(0.6) {
+                let delta = if rng.chance(0.05) {
+                    rng.uniform_u64(0, 500_000_000) // far future
+                } else {
+                    rng.uniform_u64(0, 2_000_000) // near future
+                };
+                let at = Time::from_nanos(now + delta);
                 wheel.push(at, id);
                 heap.push(at, id);
                 id += 1;
             } else {
                 let a = wheel.pop();
-                prop_assert_eq!(a, heap.pop());
-                prop_assert_eq!(wheel.next_at(), heap.next_at());
+                let b = heap.pop();
+                assert_eq!(a, b, "round {round}");
                 if let Some((t, _)) = a {
                     now = t.as_nanos();
                 }
@@ -280,12 +407,12 @@ proptest! {
         }
         loop {
             let a = wheel.pop();
-            prop_assert_eq!(a, heap.pop());
+            let b = heap.pop();
+            assert_eq!(a, b, "round {round} drain");
             if a.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(wheel.scheduled_peak(), heap.scheduled_peak());
     }
 }
 

@@ -77,9 +77,9 @@ pub struct TcpConfig {
     /// `HandshakeTimeout` (Linux `tcp_syn_retries` default). Ignored when
     /// the watchdog is off — the historical model retried forever.
     pub max_syn_retries: u32,
-    /// Execution paths this connection runs on (wire representation,
-    /// batched hot path, tracing). Never changes protocol behavior; the
-    /// testbed stamps the scenario's value onto both endpoints.
+    /// How this connection executes (wire representation, tracing).
+    /// Never changes protocol behavior; the testbed stamps the scenario's
+    /// value onto both endpoints.
     pub exec: ExecConfig,
 }
 
@@ -214,7 +214,7 @@ impl TcpConnection {
         let exec = cfg.exec;
         TcpConnection {
             watchdog: Watchdog::new(now, cfg.watchdog, cfg.handshake_timeout, cfg.idle_timeout),
-            recovery: RecoveryTimer::new(false, exec.batch),
+            recovery: RecoveryTimer::new(false),
             tel: ConnTelemetry::new(now, exec.trace, cc.as_ref()),
             rtt: RttEstimator::new(cfg.initial_rtt),
             receiver: TcpReceiver::new(cfg.recv_buffer),

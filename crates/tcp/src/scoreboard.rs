@@ -2,7 +2,7 @@
 //! threshold (DSACK / RR-TCP), loss marking, and Karn-compliant RTT
 //! sampling metadata.
 //!
-//! The contrast with QUIC's `SentTracker` is the point of the model:
+//! The contrast with QUIC's `SentStore` is the point of the model:
 //!
 //! * sequence numbers are *byte ranges* that are reused on retransmission,
 //!   so a retransmitted segment's ack is ambiguous and produces **no RTT

@@ -10,7 +10,7 @@ use crate::conn::{AppEvent, ConnError, ConnStats};
 use crate::rtt::RttEstimator;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{BatchMode, TraceMode, Tracer};
+use longlook_sim::{TraceMode, Tracer};
 use std::collections::VecDeque;
 
 /// Gives a connection up with a typed [`ConnError`] instead of letting it
@@ -100,16 +100,17 @@ impl Watchdog {
 /// backoff doubles per consecutive expiry (shift capped at 6). Construct
 /// with `tlp = false` for RTO only.
 ///
-/// Under [`BatchMode::On`] a re-arm is deferred to the next observation
-/// point ([`deadline`](Self::deadline) / [`expire`](Self::expire)). That
-/// is exact: the schedule is a pure function of (`outstanding`, rtt,
+/// A re-arm is deferred to the next observation point
+/// ([`deadline`](Self::deadline) / [`expire`](Self::expire)): a dispatch
+/// that sends ten packets asks ten times and computes once. That is
+/// exact: the schedule is a pure function of (`outstanding`, rtt,
 /// counters), and every change to those is followed by a re-arm request
 /// before the connection is next observed — so resolving the last request
-/// late yields the deadline the eager path stored.
+/// late yields the deadline an eager re-arm would have stored
+/// (`deferred_rearm_equals_eager_rearm`).
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryTimer {
     tlp: bool,
-    defer: bool,
     armed: Option<(RecoveryKind, Time)>,
     /// `now` of the newest deferred re-arm request.
     rearm_at: Option<Time>,
@@ -122,10 +123,9 @@ pub struct RecoveryTimer {
 
 impl RecoveryTimer {
     /// A disarmed timer.
-    pub fn new(tlp: bool, batch: BatchMode) -> Self {
+    pub fn new(tlp: bool) -> Self {
         RecoveryTimer {
             tlp,
-            defer: batch.is_on(),
             ..Default::default()
         }
     }
@@ -149,16 +149,13 @@ impl RecoveryTimer {
     /// Request a re-arm at `now` (after a send, an ack or a repair).
     pub fn rearm(&mut self, now: Time, outstanding: bool, rtt: &RttEstimator, tracer: &mut Tracer) {
         if tracer.enabled() {
-            // Traced at the request so both batch modes log the same arm.
+            // Traced at the request, so the trace shows every arm and not
+            // only the ones an observation resolved.
             if let Some((_, at)) = self.schedule(now, outstanding, rtt) {
                 tracer.timer_arm(now.as_nanos(), at.as_nanos());
             }
         }
-        if self.defer {
-            self.rearm_at = Some(now);
-        } else {
-            self.armed = self.schedule(now, outstanding, rtt);
-        }
+        self.rearm_at = Some(now);
     }
 
     /// The armed deadline; a deferred request supersedes the stored one.
@@ -422,70 +419,79 @@ mod tests {
     #[test]
     fn two_probes_then_rto_whose_backoff_shift_saturates_at_six() {
         let rtt = sampled_rtt(40);
-        for batch in [BatchMode::On, BatchMode::Off] {
-            let mut timer = RecoveryTimer::new(true, batch);
-            let mut now = t(0);
-            timer.rearm(now, true, &rtt, &mut Tracer::new(false));
-            for _ in 0..2 {
-                let (kind, waited) = fire(&mut timer, &rtt, &mut now);
-                assert_eq!((kind, waited), (RecoveryKind::Tlp, rtt.tlp_timeout()));
-            }
-            for n in 0..10u32 {
-                let (kind, waited) = fire(&mut timer, &rtt, &mut now);
-                assert_eq!(kind, RecoveryKind::Rto);
-                assert_eq!(waited, rtt.rto().saturating_mul(1 << n.min(6)), "rto #{n}");
-            }
-            assert_eq!((timer.tlp_count, timer.rto_backoff()), (2, 10));
-            // An ack of new data restarts the whole schedule.
-            timer.on_new_data_acked();
-            timer.rearm(now, true, &rtt, &mut Tracer::new(false));
-            assert_eq!(fire(&mut timer, &rtt, &mut now).0, RecoveryKind::Tlp);
+        let mut timer = RecoveryTimer::new(true);
+        let mut now = t(0);
+        timer.rearm(now, true, &rtt, &mut Tracer::new(false));
+        for _ in 0..2 {
+            let (kind, waited) = fire(&mut timer, &rtt, &mut now);
+            assert_eq!((kind, waited), (RecoveryKind::Tlp, rtt.tlp_timeout()));
         }
+        for n in 0..10u32 {
+            let (kind, waited) = fire(&mut timer, &rtt, &mut now);
+            assert_eq!(kind, RecoveryKind::Rto);
+            assert_eq!(waited, rtt.rto().saturating_mul(1 << n.min(6)), "rto #{n}");
+        }
+        assert_eq!((timer.tlp_count, timer.rto_backoff()), (2, 10));
+        // An ack of new data restarts the whole schedule.
+        timer.on_new_data_acked();
+        timer.rearm(now, true, &rtt, &mut Tracer::new(false));
+        assert_eq!(fire(&mut timer, &rtt, &mut now).0, RecoveryKind::Tlp);
     }
 
     #[test]
     fn nothing_outstanding_disarms_and_cancel_drops_a_deferred_request() {
         let rtt = sampled_rtt(40);
         let mut tracer = Tracer::new(false);
-        for batch in [BatchMode::On, BatchMode::Off] {
-            let mut timer = RecoveryTimer::new(false, batch);
-            timer.rearm(t(0), false, &rtt, &mut tracer);
-            assert_eq!(timer.deadline(false, &rtt), None);
-            // Armed, then everything got acked before the expiry.
-            timer.rearm(t(0), true, &rtt, &mut tracer);
-            let at = timer.deadline(true, &rtt).expect("armed");
-            assert_eq!(timer.expire(at, false, &rtt, &mut tracer), None);
-            assert_eq!(timer.deadline(false, &rtt), None);
-            assert_eq!(timer.rto_backoff(), 0, "a moot expiry is not a timeout");
-            timer.rearm(t(5), true, &rtt, &mut tracer);
-            timer.cancel();
-            assert_eq!(timer.deadline(true, &rtt), None);
-            assert_eq!(timer.expire(t(100_000), true, &rtt, &mut tracer), None);
-        }
+        let mut timer = RecoveryTimer::new(false);
+        timer.rearm(t(0), false, &rtt, &mut tracer);
+        assert_eq!(timer.deadline(false, &rtt), None);
+        // Armed, then everything got acked before the expiry.
+        timer.rearm(t(0), true, &rtt, &mut tracer);
+        let at = timer.deadline(true, &rtt).expect("armed");
+        assert_eq!(timer.expire(at, false, &rtt, &mut tracer), None);
+        assert_eq!(timer.deadline(false, &rtt), None);
+        assert_eq!(timer.rto_backoff(), 0, "a moot expiry is not a timeout");
+        timer.rearm(t(5), true, &rtt, &mut tracer);
+        timer.cancel();
+        assert_eq!(timer.deadline(true, &rtt), None);
+        assert_eq!(timer.expire(t(100_000), true, &rtt, &mut tracer), None);
     }
 
     /// One endpoint's view of a [`RecoveryTimer`], driven the way the
     /// connections drive it: every change to the schedule's inputs is
-    /// followed by a re-arm request before the next observation.
+    /// followed by a re-arm request before the next observation. With
+    /// `eager` set it is the model of the timer as it was before re-arms
+    /// were deferred: each request is resolved into `armed` on the spot,
+    /// from the inputs of that instant.
     struct Harness {
         timer: RecoveryTimer,
+        eager: bool,
         tracer: Tracer,
         fired: Vec<RecoveryKind>,
     }
 
     impl Harness {
-        fn new(tlp: bool, batch: BatchMode) -> Self {
+        fn new(tlp: bool, eager: bool) -> Self {
             Harness {
-                timer: RecoveryTimer::new(tlp, batch),
+                timer: RecoveryTimer::new(tlp),
+                eager,
                 tracer: Tracer::new(true),
                 fired: Vec::new(),
+            }
+        }
+
+        fn rearm(&mut self, now: Time, outstanding: bool, rtt: &RttEstimator) {
+            self.timer.rearm(now, outstanding, rtt, &mut self.tracer);
+            if self.eager {
+                self.timer.rearm_at = None;
+                self.timer.armed = self.timer.schedule(now, outstanding, rtt);
             }
         }
 
         fn wake(&mut self, now: Time, outstanding: bool, rtt: &RttEstimator) {
             if let Some(kind) = self.timer.expire(now, outstanding, rtt, &mut self.tracer) {
                 self.fired.push(kind);
-                self.timer.rearm(now, outstanding, rtt, &mut self.tracer);
+                self.rearm(now, outstanding, rtt);
             }
         }
 
@@ -496,17 +502,18 @@ mod tests {
     }
 
     proptest! {
-        /// The deferred (batched) and eager (per-event) re-arm modes are
-        /// indistinguishable at every observation point: same deadline,
-        /// same fired kinds, same counters, same trace — the exactness
-        /// `path_differential`'s `batch=off` axis asserts end to end.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The deferred re-arm is indistinguishable from the eager one
+        /// it replaced at every observation point: same deadline, same
+        /// fired kinds, same counters, same trace.
         #[test]
         fn deferred_rearm_equals_eager_rearm(
             tlp in any::<bool>(),
             ops in proptest::collection::vec((0u8..6, 1u64..400), 1..120),
         ) {
-            let mut eager = Harness::new(tlp, BatchMode::Off);
-            let mut lazy = Harness::new(tlp, BatchMode::On);
+            let mut eager = Harness::new(tlp, true);
+            let mut lazy = Harness::new(tlp, false);
             let mut rtt = RttEstimator::new(Dur::from_millis(100));
             let mut now = t(0);
             let mut outstanding = false;
@@ -519,7 +526,7 @@ mod tests {
                         outstanding = true;
                         for h in [&mut eager, &mut lazy] {
                             for _ in 0..=x % 4 {
-                                h.timer.rearm(now, outstanding, &rtt, &mut h.tracer);
+                                h.rearm(now, outstanding, &rtt);
                             }
                         }
                     }
@@ -531,7 +538,7 @@ mod tests {
                         outstanding &= x % 2 == 0;
                         for h in [&mut eager, &mut lazy] {
                             h.timer.on_new_data_acked();
-                            h.timer.rearm(now, outstanding, &rtt, &mut h.tracer);
+                            h.rearm(now, outstanding, &rtt);
                         }
                     }
                     // Sleep to the armed deadline and service it.
@@ -548,8 +555,9 @@ mod tests {
                         eager.wake(now, outstanding, &rtt);
                         lazy.wake(now, outstanding, &rtt);
                     }
+                    // The flight stays outstanding, as it does when the
+                    // watchdog gives up on it.
                     _ => {
-                        outstanding = false;
                         eager.timer.cancel();
                         lazy.timer.cancel();
                     }
@@ -575,7 +583,7 @@ mod tests {
         RecoveryTimer {
             in_rto: rto,
             in_tlp: tlp,
-            ..RecoveryTimer::new(true, BatchMode::On)
+            ..RecoveryTimer::new(true)
         }
     }
 

@@ -1,9 +1,7 @@
-//! Execution-path selection as a value: [`ExecConfig`] names which
-//! scheduler, wire path, hot path and trace mode a run uses, and is
-//! passed down from the scenario to the world and its connections. Every
-//! non-default choice is a reference implementation the differential
-//! referees compare the default against. Also home to the warn-once
-//! parser the remaining `LONGLOOK_*` workload-size knobs share.
+//! Execution mode as a value: [`ExecConfig`] names the wire path and the
+//! trace mode of a run and is passed down from the scenario to the
+//! connections. Also home to the warn-once parser the remaining
+//! `LONGLOOK_*` workload-size knobs share.
 
 use crate::trace::TraceMode;
 use std::sync::Once;
@@ -39,22 +37,18 @@ pub fn env_knob<T>(
     }
 }
 
-/// Which scheduler implementation backs an event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// Sole caller: `observatory/` (frozen), which prints it in its header
+// and passes it to `EventQueue::new`. There is one scheduler.
+#[doc(hidden)]
+#[derive(Debug)]
 pub enum SchedKind {
-    /// Hierarchical timing wheel (default).
-    #[default]
     Wheel,
-    /// Reference binary heap.
-    Heap,
 }
 
 impl SchedKind {
-    // Sole caller: `observatory/` (frozen; it refuses to start under any
-    // `LONGLOOK_*` variable, so the default is what it already observes).
     #[doc(hidden)]
     pub fn from_env() -> SchedKind {
-        SchedKind::default()
+        SchedKind::Wheel
     }
 }
 
@@ -70,60 +64,42 @@ pub enum WireMode {
 }
 
 impl WireMode {
-    // Sole caller: `observatory/` (see `SchedKind::from_env`).
+    // Sole caller: `observatory/` (frozen; it refuses to start under any
+    // `LONGLOOK_*` variable, so the default is what it already observes).
     #[doc(hidden)]
     pub fn from_env() -> WireMode {
         WireMode::default()
     }
 }
 
-/// Whether the transport hot paths run batched (flight-granular ack
-/// bookkeeping, burst delivery, amortized timer re-arming) or strictly
-/// per-event.
-///
-/// The two paths are pinned bit-identical by the `path_differential`
-/// referee suite; `Off` is the reference path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// Sole caller: `observatory/` (frozen), which prints it in its header.
+// There is one event loop, one sent-packet store and one timer.
+#[doc(hidden)]
+#[derive(Debug)]
 pub enum BatchMode {
-    /// Batched hot path (default): same observable behavior, less
-    /// per-event work.
-    #[default]
     On,
-    /// Per-event reference path.
-    Off,
 }
 
 impl BatchMode {
-    // Sole caller: `observatory/` (see `SchedKind::from_env`).
     #[doc(hidden)]
     pub fn from_env() -> BatchMode {
-        BatchMode::default()
-    }
-
-    /// True when the batched path is selected.
-    pub fn is_on(self) -> bool {
-        self == BatchMode::On
+        BatchMode::On
     }
 }
 
-/// How one run executes: the four path selections, as a `Copy` value.
+/// How one run executes, as a `Copy` value: what the transports put on
+/// the links and whether connections keep a trace.
 ///
 /// Carried by the scenario, stamped onto the protocol configs, and read
-/// by `World`, the connections, the sent-packet store and the tracer at
-/// construction. Nothing in the library reads it from the process
-/// environment, so cells with different configs can run concurrently.
-/// The default is the fast path with tracing off; any other value
-/// selects a reference implementation (or tracing), and the
-/// `path_differential` suite pins every one of them — and their
-/// combination — observationally identical to the default.
+/// by the connections at construction. Nothing in the library reads it
+/// from the process environment, so cells with different configs can run
+/// concurrently. The default is structured payloads with tracing off;
+/// the `path_differential` suite pins the other three values
+/// observationally identical to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecConfig {
-    /// Event scheduler backend.
-    pub sched: SchedKind,
     /// Payload representation on links.
     pub wire: WireMode,
-    /// Batched or per-event transport hot path.
-    pub batch: BatchMode,
     /// Per-connection structured event trace.
     pub trace: TraceMode,
 }
@@ -161,9 +137,7 @@ mod tests {
         assert_eq!(
             ExecConfig::default(),
             ExecConfig {
-                sched: SchedKind::Wheel,
                 wire: WireMode::Structured,
-                batch: BatchMode::On,
                 trace: TraceMode::Off,
             }
         );

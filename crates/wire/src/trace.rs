@@ -474,6 +474,12 @@ impl<'a> Parser<'a> {
                             self.expect(b'\\')?;
                             self.expect(b'u')?;
                             let lo = self.parse_hex4()?;
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err(format!(
+                                    "high surrogate \\u{cp:04x} followed by \\u{lo:04x}, \
+                                     not a low surrogate"
+                                ));
+                            }
                             let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                             out.push(char::from_u32(c).ok_or_else(|| "bad surrogate".to_string())?);
                         } else {
@@ -792,6 +798,30 @@ mod tests {
         assert!(parse_record(r#"{"t":1,"k":"tx","pn":2}"#).is_err());
         assert!(parse_record(r#"{"t":1,"k":"rec","r":"warp"}"#).is_err());
         assert!(parse_record(r#"{"t":1,"k":"loss","pn":2} extra"#).is_err());
+    }
+
+    /// A `\u` escape in the high-surrogate range is only half a
+    /// character: whatever follows it but a low surrogate is an error,
+    /// never an arithmetic underflow.
+    #[test]
+    fn unpaired_surrogates_are_errors() {
+        let state = |escapes: &str| parse_seq(&format!(r#"{{"t":1,"k":"st","s":"{escapes}"}}"#));
+        let err = state(r"\ud800\u0041").expect_err("high surrogate, then a plain escape");
+        assert!(err.contains("not a low surrogate"), "{err}");
+        assert!(state(r"\ud800\ud800").is_err(), "two high surrogates");
+        assert!(state(r"\ud800").is_err(), "high surrogate at the end");
+        assert!(state(r"\ud800A").is_err(), "high surrogate, then a letter");
+        assert!(state(r"\udc00").is_err(), "low surrogate on its own");
+        assert!(parse_seq(r#"{"k":"\ud800\u0041"}"#).is_err());
+        assert_eq!(
+            state(r"\ud83e\udd80").expect("a valid pair"),
+            [TraceRecord {
+                t: 1,
+                ev: TraceEvent::CcState {
+                    state: "🦀".to_string()
+                }
+            }]
+        );
     }
 
     // ---- proptest strategies -------------------------------------------

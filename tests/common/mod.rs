@@ -1,57 +1,47 @@
-//! Shared referee harness: the table of execution-path axes and the
+//! Shared referee harness: the table of `ExecConfig` axes and the
 //! scenario / fault-plan / bulk-cell tables every axis is checked over.
 //!
-//! An axis is an [`ExecConfig`] that differs from the default by one
-//! reference implementation (binary-heap scheduler, encoded wire path,
-//! per-event dispatch with the map sent-store, tracing on), plus the
-//! all-reference corner that flips all four at once. Modes are values,
-//! so every comparison runs in-process and the suites using this module
-//! need no serialization against each other.
+//! An axis is an [`ExecConfig`] that differs from the default in one
+//! field (encoded wire path, tracing on), plus the corner that flips
+//! both. There is one scheduler, one event loop, one sent-packet store
+//! and one recovery timer; the implementations they replaced are held to
+//! them by proptests against oracles under `crates/*/tests/oracle/`, not
+//! by a runtime axis here. Modes are values, so every comparison runs
+//! in-process and the suites using this module need no serialization
+//! against each other.
 
 #![allow(dead_code)] // each test binary uses a subset
 
 use longlook_core::prelude::*;
 use longlook_transport::conn::ConnStats;
 
-/// Every non-default execution path, by name.
-pub fn axes() -> [(&'static str, ExecConfig); 5] {
-    let d = ExecConfig::default();
+/// Every non-default `ExecConfig`, by name: one row per field, then all
+/// of them at once.
+pub fn axes() -> [(&'static str, ExecConfig); 3] {
+    // Exhaustive on purpose: a new `ExecConfig` field fails to compile
+    // here, at the table that has to grow a row for it.
+    let ExecConfig { wire, trace } = ExecConfig::default();
+    let (encoded, traced) = (WireMode::Encoded, TraceMode::On);
     [
-        (
-            "sched=heap",
-            ExecConfig {
-                sched: SchedKind::Heap,
-                ..d
-            },
-        ),
         (
             "wire=encoded",
             ExecConfig {
-                wire: WireMode::Encoded,
-                ..d
-            },
-        ),
-        (
-            "batch=off",
-            ExecConfig {
-                batch: BatchMode::Off,
-                ..d
+                wire: encoded,
+                trace,
             },
         ),
         (
             "trace=on",
             ExecConfig {
-                trace: TraceMode::On,
-                ..d
+                wire,
+                trace: traced,
             },
         ),
         (
-            "all-reference",
+            "both",
             ExecConfig {
-                sched: SchedKind::Heap,
-                wire: WireMode::Encoded,
-                batch: BatchMode::Off,
-                trace: TraceMode::On,
+                wire: encoded,
+                trace: traced,
             },
         ),
     ]
@@ -130,8 +120,7 @@ const SCENARIO_SEED_BASES: [u64; 4] = [7100, 8200, 8300, 9500];
 
 /// Clean / lossy / jittered cells (loss and jitter exercise drop and
 /// reorder handling, where a tie-break divergence surfaces at once) and
-/// a page small enough that most delivery bursts are a single packet,
-/// where the batched loop must collapse to per-event behavior.
+/// a page that fits in one packet.
 pub fn scenarios() -> Vec<(String, Scenario)> {
     let shapes = [
         (
@@ -208,11 +197,11 @@ fn fev(at_ms: u64, dur_ms: u64, kind: FaultKind) -> FaultEvent {
     }
 }
 
-/// Fault plans chosen to cut through the middle of delivery bursts: a
-/// blackout opening mid-transfer (losses, an RTO storm and a recovery —
+/// Fault plans chosen to cut through the middle of a transfer: a
+/// blackout opening mid-flight (losses, an RTO storm and a recovery —
 /// the densest emit schedule the trace layer has), a flapping link, a
 /// bandwidth cliff spanning most of the run, a frozen server, and
-/// same-instant duplicate deliveries (which extend bursts).
+/// duplicated packets arriving right behind their originals.
 fn fault_plans() -> Vec<(&'static str, FaultPlan)> {
     vec![
         (
@@ -270,9 +259,8 @@ pub fn faulted_scenarios() -> Vec<(String, Scenario)> {
 
 pub const BULK_SEEDS: [u64; 4] = [7777, 8888, 8899, 9599];
 
-/// One 2 MiB page load on `exec`'s paths; returns `(events_processed,
-/// scheduled_peak)`. Also checks the world really is on the requested
-/// scheduler and dispatch path, so an axis cannot pass vacuously.
+/// One 2 MiB page load under `exec`; returns `(events_processed,
+/// scheduled_peak)`.
 pub fn bulk_cell(proto: &ProtoConfig, exec: ExecConfig, seed: u64) -> (u64, u64) {
     let net = NetProfile::baseline(20.0);
     let page = PageSpec::single(2 * 1024 * 1024);
@@ -290,8 +278,6 @@ pub fn bulk_cell(proto: &ProtoConfig, exec: ExecConfig, seed: u64) -> (u64, u64)
         None,
         true,
     );
-    assert_eq!(tb.world.sched_kind(), exec.sched);
-    assert_eq!(tb.world.batch_mode(), exec.batch);
     tb.run(Dur::from_secs(120));
     (tb.world.events_processed(), tb.world.scheduled_peak())
 }

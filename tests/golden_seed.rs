@@ -227,9 +227,10 @@ fn armed_empty_fault_plan_is_invisible() {
     }
 }
 
-/// Reference-path referee: the snapshots were blessed under the per-event
-/// dispatch path, before the batched one existed. Every execution path —
-/// each reference axis alone and all of them combined (the tests below
+/// The snapshots were blessed on the implementations that have since
+/// been replaced (binary-heap scheduler, per-event loop, map sent-store,
+/// eager timer re-arm), so they pin the survivors to that history. Every
+/// `ExecConfig` — each field alone and both combined (the tests below
 /// cover the default) — must reproduce every one of them bit for bit,
 /// with nothing re-blessed.
 #[test]

@@ -167,8 +167,8 @@ fn tcp_blackout_trace_matches_golden() {
 
 /// The trace itself — not just the observables — is path-independent:
 /// sizes are analytic under either wire mode and `TimerArm` is emitted
-/// at the request point under either batch mode, so every reference
-/// path reproduces the golden bytes.
+/// at the request point (as the eager timer the goldens were blessed on
+/// did), so every `ExecConfig` reproduces the golden bytes.
 #[test]
 fn golden_traces_hold_on_every_execution_path() {
     for (axis, exec) in common::axes() {
