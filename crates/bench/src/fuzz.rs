@@ -25,7 +25,7 @@
 //! exactly. Per-mille integer parameters mean the JSON round trip is
 //! lossless.
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, JsonError};
 use longlook_core::prelude::*;
 use longlook_core::trauma::server_stats_or_zero;
 use longlook_sim::SimRng;
@@ -55,6 +55,42 @@ impl std::fmt::Display for Violation {
         write!(f, "[{}] {}", self.proto, self.oracle)
     }
 }
+
+/// Why [`parse_repro`] refused a document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReproError {
+    /// Not a JSON document.
+    Json(JsonError),
+    /// The named field is absent or not the JSON type the second word
+    /// names.
+    Missing(String, &'static str),
+    /// The named numeric field is not an unsigned integer literal: it is
+    /// negative, fractional, in exponent form, or beyond `u64`.
+    NotUnsigned(String, f64),
+    /// The named unsigned field does not fit the `u32` it feeds.
+    OutOfRange(String, u64),
+    /// A word the named vocabulary (schema, dir, fault kind, stall side)
+    /// does not have in this version.
+    Unknown(&'static str, String),
+}
+
+impl std::fmt::Display for ReproError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReproError::Json(e) => write!(f, "{e}"),
+            ReproError::Missing(key, want) => write!(f, "missing {want} field '{key}'"),
+            ReproError::NotUnsigned(key, got) => {
+                write!(f, "field '{key}' must be an unsigned integer, got {got}")
+            }
+            ReproError::OutOfRange(key, got) => {
+                write!(f, "field '{key}' is {got}, above its maximum {}", u32::MAX)
+            }
+            ReproError::Unknown(what, got) => write!(f, "unknown {what} '{got}'"),
+        }
+    }
+}
+
+impl std::error::Error for ReproError {}
 
 /// A self-contained reproduction case: everything `run_plan` needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -379,29 +415,33 @@ pub fn render_repro(case: &ReproCase) -> String {
     out
 }
 
-fn num_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
+/// An unsigned integer literal, read exactly. Every other number is an
+/// error rather than a cast: `-3` is not seed 0 and `1.9` is not seed 1.
+fn num_u64(obj: &Json, key: &str) -> Result<u64, ReproError> {
+    match obj.get(key) {
+        Some(Json::UInt(n)) => Ok(*n),
+        Some(Json::Num(got)) => Err(ReproError::NotUnsigned(key.into(), *got)),
+        _ => Err(ReproError::Missing(key.into(), "numeric")),
+    }
 }
 
-fn num_u32(obj: &Json, key: &str) -> Result<u32, String> {
-    num_u64(obj, key).map(|v| v as u32)
+fn num_u32(obj: &Json, key: &str) -> Result<u32, ReproError> {
+    let got = num_u64(obj, key)?;
+    u32::try_from(got).map_err(|_| ReproError::OutOfRange(key.into(), got))
 }
 
-fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
+fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, ReproError> {
     obj.get(key)
         .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
+        .ok_or_else(|| ReproError::Missing(key.into(), "string"))
 }
 
-fn parse_event(obj: &Json) -> Result<FaultEvent, String> {
+fn parse_event(obj: &Json) -> Result<FaultEvent, ReproError> {
     let dir = match str_field(obj, "dir")? {
         "up" => FaultDir::Up,
         "down" => FaultDir::Down,
         "both" => FaultDir::Both,
-        other => return Err(format!("unknown dir '{other}'")),
+        other => return Err(ReproError::Unknown("dir", other.into())),
     };
     let kind = match str_field(obj, "kind")? {
         "blackout" => FaultKind::Blackout,
@@ -431,13 +471,13 @@ fn parse_event(obj: &Json) -> Result<FaultEvent, String> {
             side: match str_field(obj, "side")? {
                 "client" => PeerSide::Client,
                 "server" => PeerSide::Server,
-                other => return Err(format!("unknown stall side '{other}'")),
+                other => return Err(ReproError::Unknown("stall side", other.into())),
             },
         },
         "buffer_shrink" => FaultKind::BufferShrink {
             factor_pm: num_u32(obj, "factor_pm")?,
         },
-        other => return Err(format!("unknown fault kind '{other}'")),
+        other => return Err(ReproError::Unknown("fault kind", other.into())),
     };
     Ok(FaultEvent {
         at: Time::from_nanos(num_u64(obj, "at_ns")?),
@@ -448,29 +488,29 @@ fn parse_event(obj: &Json) -> Result<FaultEvent, String> {
 }
 
 /// Parse a repro file produced by [`render_repro`].
-pub fn parse_repro(text: &str) -> Result<ReproCase, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
+pub fn parse_repro(text: &str) -> Result<ReproCase, ReproError> {
+    let doc = json::parse(text).map_err(ReproError::Json)?;
     let schema = str_field(&doc, "schema")?;
     if schema != REPRO_SCHEMA {
-        return Err(format!("unsupported schema '{schema}'"));
+        return Err(ReproError::Unknown("schema", schema.into()));
     }
     let seed = num_u64(&doc, "seed")?;
     let canary = match doc.get("canary") {
         Some(Json::Bool(b)) => *b,
-        _ => return Err("missing boolean field 'canary'".to_string()),
+        _ => return Err(ReproError::Missing("canary".into(), "boolean")),
     };
     let events = match doc.get("events") {
         Some(Json::Arr(items)) => items
             .iter()
             .map(parse_event)
-            .collect::<Result<Vec<FaultEvent>, String>>()?,
-        _ => return Err("missing array field 'events'".to_string()),
+            .collect::<Result<Vec<FaultEvent>, ReproError>>()?,
+        _ => return Err(ReproError::Missing("events".into(), "array")),
     };
     let trace = match doc.get("trace") {
         None => None,
         Some(j) => Some(
             j.as_str()
-                .ok_or_else(|| "field 'trace' must be a string".to_string())?
+                .ok_or_else(|| ReproError::Missing("trace".into(), "string"))?
                 .to_string(),
         ),
     };
@@ -522,6 +562,73 @@ mod tests {
             "canary": false,
             "events": [{"at_ns": 0, "dur_ns": 1, "dir": "both", "kind": "melt"}]}"#;
         assert!(parse_repro(bad_kind).is_err());
+    }
+
+    /// Numbers a cast would have bent into a different case: each is
+    /// refused with the error that names it, none panics, none replays
+    /// another seed or another plan.
+    #[test]
+    fn hostile_numbers_are_errors_not_other_plans() {
+        let doc = |seed: &str, event: &str| {
+            format!(
+                "{{\"schema\": \"{REPRO_SCHEMA}\", \"seed\": {seed}, \"canary\": false, \
+                 \"events\": [{event}]}}"
+            )
+        };
+        let dup = |at: &str, prob: &str| {
+            format!(
+                "{{\"at_ns\": {at}, \"dur_ns\": 1, \"dir\": \"both\", \
+                 \"kind\": \"duplicate\", \"prob_pm\": {prob}}}"
+            )
+        };
+        let ok = parse_repro(&doc("7", &dup("5", "100"))).expect("the table's baseline parses");
+        assert_eq!((ok.seed, ok.plan.events.len()), (7, 1));
+
+        let not_unsigned = |key: &str, got| ReproError::NotUnsigned(key.into(), got);
+        let missing = |key: &str| ReproError::Missing(key.into(), "numeric");
+        let table = [
+            // Was seed 0, seed 1, seed …992.
+            (doc("-3", ""), not_unsigned("seed", -3.0)),
+            (doc("1.9", ""), not_unsigned("seed", 1.9)),
+            (doc("7e0", ""), not_unsigned("seed", 7.0)),
+            (
+                doc("18446744073709551616", ""),
+                not_unsigned("seed", 18446744073709551616.0),
+            ),
+            (doc("\"7\"", ""), missing("seed")),
+            (doc("null", ""), missing("seed")),
+            // Was probability 100 (4294967396 mod 2^32).
+            (
+                doc("7", &dup("5", "4294967396")),
+                ReproError::OutOfRange("prob_pm".into(), 4_294_967_396),
+            ),
+            (doc("7", &dup("5", "-1")), not_unsigned("prob_pm", -1.0)),
+            (doc("7", &dup("5", "0.5")), not_unsigned("prob_pm", 0.5)),
+            (doc("7", &dup("-5", "100")), not_unsigned("at_ns", -5.0)),
+            (doc("7", &dup("5.5", "100")), not_unsigned("at_ns", 5.5)),
+        ];
+        for (text, want) in table {
+            assert_eq!(parse_repro(&text), Err(want), "{text}");
+        }
+        // 2^53 + 1 reads as itself, not as its even neighbour.
+        let odd = parse_repro(&doc("9007199254740993", "")).expect("an exact u64");
+        assert_eq!(odd.seed, 9_007_199_254_740_993);
+    }
+
+    #[test]
+    fn extreme_seeds_and_times_round_trip() {
+        let case = ReproCase {
+            seed: u64::MAX,
+            canary: true,
+            plan: FaultPlan::new().with_event(FaultEvent {
+                at: Time::from_nanos(u64::MAX - 1),
+                dur: Dur::from_nanos(u64::MAX),
+                dir: FaultDir::Up,
+                kind: FaultKind::Corrupt { prob_pm: u32::MAX },
+            }),
+            trace: None,
+        };
+        assert_eq!(parse_repro(&render_repro(&case)), Ok(case));
     }
 
     #[test]

@@ -18,7 +18,10 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (parsed as f64, which covers the bench schema).
+    /// An unsigned integer literal (digits only) that fits `u64`, kept
+    /// exactly: seeds and nanosecond times do not survive an `f64`.
+    UInt(u64),
+    /// Any other JSON number, as `f64`.
     Num(f64),
     /// String.
     Str(String),
@@ -40,6 +43,7 @@ impl Json {
     /// Numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::UInt(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -296,6 +300,12 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            // Digits only; what overflows `u64` is still a number.
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::UInt(n));
+            }
+        }
         text.parse::<f64>()
             .ok()
             .filter(|n| n.is_finite())
@@ -408,5 +418,17 @@ mod tests {
     fn numbers_parse() {
         assert_eq!(parse("-12.5e2").unwrap().as_f64(), Some(-1250.0));
         assert_eq!(parse("0").unwrap().as_f64(), Some(0.0));
+    }
+
+    #[test]
+    fn unsigned_integer_literals_are_exact() {
+        // 2^53 + 1 and u64::MAX: neither is an f64.
+        for n in [0, 9_007_199_254_740_993, u64::MAX] {
+            assert_eq!(parse(&n.to_string()), Ok(Json::UInt(n)));
+        }
+        // Anything else is a float, one past u64::MAX included.
+        for text in ["-3", "-0", "1.0", "1e3", "18446744073709551616"] {
+            assert!(matches!(parse(text), Ok(Json::Num(_))), "{text}");
+        }
     }
 }

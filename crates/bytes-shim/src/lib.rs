@@ -9,9 +9,7 @@
 //!
 //! Backing the shared buffer with `Arc<Vec<u8>>` (rather than `Arc<[u8]>`)
 //! keeps [`BytesMut::freeze`] zero-copy — the `Vec` moves into the `Arc`
-//! unchanged — and lets a sole owner recover the allocation via
-//! [`Bytes::try_into_vec`], which is what `longlook_sim::pool::PayloadPool`
-//! builds its recycle loop on.
+//! unchanged.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::{Arc, OnceLock};
@@ -90,18 +88,6 @@ impl Bytes {
     /// The bytes of this view.
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
-    }
-
-    /// Recover the backing allocation if this view is the sole owner.
-    ///
-    /// Succeeds only when no other `Bytes` clone (or slice) shares the
-    /// backing `Arc`; the returned `Vec` keeps its full capacity, making it
-    /// reusable as a write buffer. On failure the view is returned intact.
-    /// Note the window (`advance`/`slice` offsets) is discarded — callers
-    /// recycle the allocation, not the contents.
-    pub fn try_into_vec(self) -> Result<Vec<u8>, Bytes> {
-        let Bytes { data, start, end } = self;
-        Arc::try_unwrap(data).map_err(|data| Bytes { data, start, end })
     }
 }
 
@@ -400,34 +386,6 @@ mod tests {
     fn advance_past_end_panics() {
         let mut b = Bytes::from(vec![1]);
         b.advance(2);
-    }
-
-    #[test]
-    fn try_into_vec_recovers_sole_allocation() {
-        let mut bm = BytesMut::with_capacity(64);
-        bm.put_u32(7);
-        let b = bm.freeze();
-        let v = b.try_into_vec().expect("sole owner");
-        assert_eq!(v.len(), 4);
-        assert!(v.capacity() >= 64, "capacity preserved through freeze");
-    }
-
-    #[test]
-    fn try_into_vec_fails_when_shared() {
-        let b = Bytes::from(vec![1, 2, 3]);
-        let clone = b.clone();
-        let back = b.try_into_vec().expect_err("shared owner");
-        assert_eq!(&back[..], &[1, 2, 3]);
-        drop(clone);
-        assert_eq!(back.try_into_vec().expect("now sole"), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn advanced_view_still_reclaims_full_allocation() {
-        let mut b = Bytes::from(vec![1, 2, 3, 4]);
-        b.advance(2);
-        let v = b.try_into_vec().expect("sole owner");
-        assert_eq!(v, vec![1, 2, 3, 4], "window discarded, backing returned");
     }
 
     #[test]

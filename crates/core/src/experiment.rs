@@ -45,7 +45,7 @@ pub struct Scenario {
     pub zero_rtt: bool,
     /// Simulated-time budget per run.
     pub deadline: Dur,
-    /// Wire path and trace mode of every cell of this scenario.
+    /// Execution mode (tracing) of every cell of this scenario.
     /// Observables are identical for every value; only the referees and
     /// trace capture set anything but the default.
     pub exec: ExecConfig,
@@ -84,7 +84,7 @@ impl Scenario {
         self
     }
 
-    /// Builder: execution mode (wire path, trace).
+    /// Builder: execution mode (trace).
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
         self
@@ -132,14 +132,13 @@ pub(crate) fn run_cell(
 ) -> (Testbed, RunOutcome) {
     let seed = sc.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
     let net = per_round_net(sc, round);
-    let mut tb = Testbed::direct_exec(
-        exec,
+    let mut tb = Testbed::direct(
         seed,
         &net,
         sc.device,
         sc.page.clone(),
         vec![FlowSpec {
-            proto: proto.clone(),
+            proto: proto.clone().with_exec(exec),
             zero_rtt: sc.zero_rtt,
             app: Box::new(WebClient::new(sc.page.clone())),
         }],
@@ -190,13 +189,12 @@ pub fn run_page_load_proxied(
 ) -> Option<Dur> {
     let seed = sc.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
     let mut tb = ProxyTestbed::midpoint(
-        sc.exec,
         seed,
         &sc.net,
         sc.device,
         sc.page.clone(),
-        down.clone(),
-        up.clone(),
+        down.clone().with_exec(sc.exec),
+        up.clone().with_exec(sc.exec),
         sc.zero_rtt,
         Box::new(WebClient::new(sc.page.clone())),
     );
@@ -322,36 +320,54 @@ pub fn sweep_heatmap_par(
             scenarios.push(make_scenario(r, c));
         }
     }
-
-    // Flatten to (scenario, candidate?, round) cells, candidate (QUIC)
-    // rounds first within each scenario — the same sample order the
-    // serial `compare_pair` produced.
-    let mut cells = Vec::new();
-    for (s, sc) in scenarios.iter().enumerate() {
-        for cand in [true, false] {
-            for k in 0..sc.rounds {
-                cells.push((s, cand, k));
-            }
-        }
-    }
-    let samples = run_ordered(par, cells.len(), |i| {
-        let (s, cand, k) = cells[i];
+    let rounds = |s: usize| scenarios[s].rounds;
+    sweep_cells(title, row_labels, col_labels, rounds, par, |s, cand, k| {
         let sc = &scenarios[s];
         let proto = if cand { quic } else { tcp };
         run_page_load(proto, sc, k)
             .plt
             .unwrap_or(sc.deadline)
             .as_millis_f64()
+    })
+}
+
+/// The core both sweeps share. Heatmap cell `s` (row-major) takes
+/// `rounds(s)` samples per side; the whole matrix is flattened into one
+/// `(cell, candidate?, round)` work list — candidate rounds first within
+/// each cell, the sample order the serial `compare_pair` produced — run
+/// through [`run_ordered`], and cut back into per-cell slices for the
+/// Welch gate.
+fn sweep_cells(
+    title: &str,
+    row_labels: &[String],
+    col_labels: &[String],
+    rounds: impl Fn(usize) -> u64,
+    par: Parallelism,
+    run: impl Fn(usize, bool, u64) -> f64 + Sync,
+) -> Heatmap {
+    let ncols = col_labels.len();
+    let ncells = row_labels.len() * ncols;
+    let mut cells = Vec::new();
+    for s in 0..ncells {
+        for cand in [true, false] {
+            for k in 0..rounds(s) {
+                cells.push((s, cand, k));
+            }
+        }
+    }
+    let samples = run_ordered(par, cells.len(), |i| {
+        let (s, cand, k) = cells[i];
+        run(s, cand, k)
     });
 
     let mut map = Heatmap::new(title, row_labels.to_vec(), col_labels.to_vec());
     let mut pos = 0;
-    for (s, sc) in scenarios.iter().enumerate() {
-        let n = sc.rounds as usize;
-        let quic_ms = &samples[pos..pos + n];
-        let tcp_ms = &samples[pos + n..pos + 2 * n];
+    for s in 0..ncells {
+        let n = rounds(s) as usize;
+        let cand = &samples[pos..pos + n];
+        let base = &samples[pos + n..pos + 2 * n];
         pos += 2 * n;
-        let cmp = Comparison::lower_is_better(quic_ms, tcp_ms);
+        let cmp = Comparison::lower_is_better(cand, base);
         map.set(s / ncols, s % ncols, HeatmapCell::from_comparison(&cmp));
     }
     map
@@ -389,34 +405,14 @@ pub fn sweep_heatmap_with_par(
     par: Parallelism,
 ) -> Heatmap {
     let ncols = col_labels.len();
-    let mut cells = Vec::new();
-    for r in 0..row_labels.len() {
-        for c in 0..ncols {
-            for cand in [true, false] {
-                for k in 0..rounds {
-                    cells.push((r, c, cand, k));
-                }
-            }
-        }
-    }
-    let samples = run_ordered(par, cells.len(), |i| {
-        let (r, c, cand, k) = cells[i];
-        run(cand, r, c, k)
-    });
-
-    let n = rounds as usize;
-    let mut map = Heatmap::new(title, row_labels.to_vec(), col_labels.to_vec());
-    let mut pos = 0;
-    for r in 0..row_labels.len() {
-        for c in 0..ncols {
-            let cand = &samples[pos..pos + n];
-            let base = &samples[pos + n..pos + 2 * n];
-            pos += 2 * n;
-            let cmp = Comparison::lower_is_better(cand, base);
-            map.set(r, c, HeatmapCell::from_comparison(&cmp));
-        }
-    }
-    map
+    sweep_cells(
+        title,
+        row_labels,
+        col_labels,
+        |_| rounds,
+        par,
+        |s, cand, k| run(cand, s / ncols, s % ncols, k),
+    )
 }
 
 #[cfg(test)]

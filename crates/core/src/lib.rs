@@ -89,7 +89,7 @@ pub mod prelude {
     pub use longlook_sim::time::{Dur, Time};
     pub use longlook_sim::{
         DeviceProfile, ExecConfig, FaultDir, FaultEvent, FaultKind, FaultPlan, GeParams, Jitter,
-        PeerSide, RateSchedule, ReorderSpec, RunOutcome, TraceMode, WireMode,
+        PeerSide, RateSchedule, ReorderSpec, RunOutcome, TraceMode,
     };
     pub use longlook_stats::{Comparison, Heatmap, HeatmapCell, Summary, Verdict};
     pub use longlook_tcp::TcpConfig;

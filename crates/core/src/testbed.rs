@@ -14,7 +14,7 @@ use longlook_sim::link::{Jitter, LinkConfig, ReorderSpec};
 use longlook_sim::schedule::RateSchedule;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::world::World;
-use longlook_sim::{DeviceProfile, ExecConfig, FaultPlan, FlowId, NodeId, PeerSide};
+use longlook_sim::{DeviceProfile, FaultPlan, FlowId, NodeId, PeerSide};
 
 /// A network environment: everything `tc`/`netem` controlled on the
 /// paper's router.
@@ -129,34 +129,10 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Build the Fig 1 topology with the given flows sharing one link,
-    /// on the default [`ExecConfig`].
+    /// Build the Fig 1 topology with the given flows sharing one link.
+    /// Each flow's connections run on the `ExecConfig` its protocol
+    /// config carries.
     pub fn direct(
-        seed: u64,
-        net: &NetProfile,
-        device: DeviceProfile,
-        catalog: PageSpec,
-        flows: Vec<FlowSpec>,
-        wait: Option<WaitModel>,
-        stop_when_done: bool,
-    ) -> Testbed {
-        Testbed::direct_exec(
-            ExecConfig::default(),
-            seed,
-            net,
-            device,
-            catalog,
-            flows,
-            wait,
-            stop_when_done,
-        )
-    }
-
-    /// [`Testbed::direct`] with every connection on the wire path and
-    /// trace mode `exec` selects.
-    #[allow(clippy::too_many_arguments)]
-    pub fn direct_exec(
-        exec: ExecConfig,
         seed: u64,
         net: &NetProfile,
         device: DeviceProfile,
@@ -167,11 +143,9 @@ impl Testbed {
     ) -> Testbed {
         let mut world = World::new(seed);
         let server_id = NodeId(1);
-        // Every installed config carries the cell's `ExecConfig`, and
-        // under a fault plan both endpoints run with armed watchdogs:
+        // Under a fault plan both endpoints run with armed watchdogs:
         // blackouts and stalls must end in a typed error, never a hang.
         let install = |proto: ProtoConfig| -> ProtoConfig {
-            let proto = proto.with_exec(exec);
             if net.fault.is_some() {
                 proto.with_watchdog()
             } else {
@@ -280,11 +254,9 @@ pub struct ProxyTestbed {
 impl ProxyTestbed {
     /// Build with the proxy "located midway between client and server"
     /// (Fig 16): each leg gets half the RTT and the full rate/impairments
-    /// of `net`. All four connections run on the wire path and trace mode
-    /// `exec` selects.
+    /// of `net`.
     #[allow(clippy::too_many_arguments)]
     pub fn midpoint(
-        exec: ExecConfig,
         seed: u64,
         net: &NetProfile,
         device: DeviceProfile,
@@ -295,7 +267,6 @@ impl ProxyTestbed {
         app: Box<dyn ClientApp>,
     ) -> ProxyTestbed {
         let mut world = World::new(seed);
-        let (down_proto, up_proto) = (down_proto.with_exec(exec), up_proto.with_exec(exec));
         let proxy_id = NodeId(1);
         let origin_id = NodeId(2);
         let mut client = ClientHost::new(proxy_id, true);
@@ -410,7 +381,6 @@ mod tests {
     fn proxy_testbed_runs() {
         let page = PageSpec::single(50 * 1024);
         let mut tb = ProxyTestbed::midpoint(
-            ExecConfig::default(),
             3,
             &NetProfile::baseline(10.0),
             DeviceProfile::DESKTOP,

@@ -53,7 +53,7 @@ pub fn run_trauma_cell(proto: &ProtoConfig, sc: &Scenario, round: u64) -> Trauma
 }
 
 /// Run one trauma cell with the structured trace layer on for this cell
-/// only (`sc.exec` with `trace: On`). Returns the record plus the server
+/// only, whatever `sc.exec` says. Returns the record plus the server
 /// connection's event trace merged with the fault plan's synthesized
 /// window edges, so the trace explains *when* the network was faulted as
 /// well as how the transport reacted.
@@ -64,7 +64,6 @@ pub fn run_trauma_cell_traced(
 ) -> (TraumaRecord, Vec<TraceRecord>) {
     let exec = ExecConfig {
         trace: TraceMode::On,
-        ..sc.exec
     };
     let (rec, conn_trace) = run_trauma_cell_inner(proto, sc, round, exec);
     let edges = per_round_net(sc, round)

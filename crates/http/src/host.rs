@@ -67,10 +67,10 @@ impl ProtoConfig {
         self
     }
 
-    /// Stamp the wire path and trace mode both endpoints' connections
-    /// run on. The testbed applies the scenario's [`ExecConfig`] to every
-    /// protocol config it installs, so a cell's mode is a value it
-    /// carries rather than process state.
+    /// Stamp the execution mode (tracing) both endpoints' connections
+    /// run on. The experiment runner stamps the scenario's [`ExecConfig`]
+    /// on the protocol configs it hands the testbed, so a cell's mode is
+    /// a value it carries rather than process state.
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {
         match &mut self {
             ProtoConfig::Quic(cfg) => cfg.exec = exec,

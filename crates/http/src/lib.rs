@@ -81,26 +81,22 @@ mod world_tests {
         ProtoConfig::Tcp(TcpConfig::default())
     }
 
-    /// `with_exec` reaches the connection: the stamped wire mode picks
-    /// the payload representation and the stamped trace mode the tracer,
-    /// for both protocols and both roles.
+    /// `with_exec` reaches the connection: the stamped trace mode picks
+    /// the tracer, for both protocols and both roles.
     #[test]
     fn with_exec_selects_the_connections_paths() {
-        use longlook_sim::{ExecConfig, Payload, TraceMode, WireMode};
-        let reference = ExecConfig {
-            wire: WireMode::Encoded,
+        use longlook_sim::{ExecConfig, TraceMode};
+        let traced = ExecConfig {
             trace: TraceMode::On,
         };
         for proto in [quic(), tcp()] {
-            let mut fast = proto.client_conn(FlowId(1), false, Time::ZERO);
-            let tx = fast.poll_transmit(Time::ZERO).expect("first flight");
-            assert!(!matches!(tx.payload, Payload::Wire(_)));
-            assert!(fast.trace_records().is_empty());
+            let mut plain = proto.client_conn(FlowId(1), false, Time::ZERO);
+            plain.poll_transmit(Time::ZERO).expect("first flight");
+            assert!(plain.trace_records().is_empty());
 
-            let stamped = proto.with_exec(reference);
+            let stamped = proto.with_exec(traced);
             let mut client = stamped.client_conn(FlowId(1), false, Time::ZERO);
-            let tx = client.poll_transmit(Time::ZERO).expect("first flight");
-            assert!(matches!(tx.payload, Payload::Wire(_)));
+            client.poll_transmit(Time::ZERO).expect("first flight");
             assert!(!client.trace_records().is_empty());
             let server = stamped.server_conn(FlowId(1), Time::ZERO);
             assert!(!server.trace_records().is_empty());

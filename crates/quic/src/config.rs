@@ -91,9 +91,9 @@ pub struct QuicConfig {
     /// and shrink; never set outside the fuzz harness.
     #[doc(hidden)]
     pub canary_mute_watchdog: bool,
-    /// How this connection executes (wire representation, tracing).
-    /// Never changes protocol behavior; the testbed stamps the scenario's
-    /// value onto both endpoints.
+    /// How this connection executes (tracing). Never changes protocol
+    /// behavior; the experiment runner stamps the scenario's value onto
+    /// both endpoints.
     pub exec: ExecConfig,
 }
 

@@ -12,9 +12,9 @@ use crate::sent::{SentPacket, SentStore};
 use crate::streams::{Chunk, StreamTable};
 use crate::wire::{Frame, HandshakeKind, QuicPacket, MAX_ACK_BLOCKS, MAX_PACKET_PAYLOAD};
 use longlook_sim::packet::Payload;
+use longlook_sim::pool;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{pool, PayloadPool, WireMode};
 use longlook_transport::cc::CongestionControl;
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
@@ -106,12 +106,6 @@ pub struct QuicConnection {
 
     /// Counters, cwnd log, state trace, event trace, app events.
     tel: ConnTelemetry,
-    /// Recycled payload buffers (encoded path only): encoders take from
-    /// here, spent received payloads are reclaimed in `on_datagram`.
-    pool: PayloadPool,
-    /// Structured (typed packets in memory) vs encoded (serialize +
-    /// reparse) wire path (`cfg.exec.wire`).
-    wire_mode: WireMode,
 }
 
 impl QuicConnection {
@@ -163,11 +157,10 @@ impl QuicConnection {
             Role::Client => 3,
             Role::Server => 2,
         };
-        let exec = cfg.exec;
         QuicConnection {
             watchdog: Watchdog::new(now, cfg.watchdog, cfg.handshake_timeout, cfg.idle_timeout),
             recovery: RecoveryTimer::new(cfg.tlp),
-            tel: ConnTelemetry::new(now, exec.trace, cc.as_ref()),
+            tel: ConnTelemetry::new(now, cfg.exec.trace, cc.as_ref()),
             rtt: RttEstimator::new(cfg.initial_rtt),
             nack_threshold: cfg.nack_threshold,
             conn_send_limit: cfg.conn_recv_window,
@@ -199,8 +192,6 @@ impl QuicConnection {
             tlp_fire: false,
             pacing_deadline: None,
             app_limited: false,
-            pool: PayloadPool::new(),
-            wire_mode: exec.wire,
         }
     }
 
@@ -523,47 +514,26 @@ impl QuicConnection {
             self.pacer.on_sent(now, wire_size as u64, rate);
             self.arm_recovery(now);
         }
-        let payload = match self.wire_mode {
-            WireMode::Structured => Payload::Quic(pkt),
-            WireMode::Encoded => {
-                // The typed packet dies here after encoding.
-                let bytes = pkt.encode_with(&mut self.pool);
-                pool::give_frames(pkt.frames);
-                Payload::Wire(bytes)
-            }
-        };
-        Transmit { payload, wire_size }
+        Transmit {
+            payload: Payload::Quic(pkt),
+            wire_size,
+        }
     }
 }
 
 impl Connection for QuicConnection {
     fn on_datagram(&mut self, payload: Payload, now: Time) {
         self.tel.stats.packets_received += 1;
-        let pkt = match payload {
-            // Structured fast path: the typed packet arrives by value.
-            Payload::Quic(p) => p,
-            Payload::Wire(bytes) => {
-                // Decode borrows the payload so the spent buffer can be
-                // reclaimed into the pool afterwards (sole-owner fast
-                // path — no refcount bump, no clone).
-                let decoded = QuicPacket::decode(&bytes[..]);
-                self.pool.reclaim(bytes);
-                match decoded {
-                    Ok(p) => p,
-                    Err(_) => return, // corrupt packets are dropped silently
-                }
-            }
-            // Flow demux never routes a TCP segment here; treat one like
-            // an undecodable datagram.
-            Payload::Tcp(_) => return,
+        // Flow demux never routes a TCP segment here; drop one like an
+        // undecodable datagram.
+        let Payload::Quic(pkt) = payload else {
+            return;
         };
         if self.watchdog.gave_up() {
             return;
         }
         self.watchdog.on_progress(now);
         if self.tel.tracer.enabled() {
-            // Analytic sizing is proptest-pinned to the encoded length,
-            // so recomputing it here is wire-mode invariant.
             let sz = (pkt.wire_size() + UDP_OVERHEAD) as u64;
             self.tel.tracer.pkt_rx(now.as_nanos(), pkt.pn, sz);
         }
@@ -668,9 +638,9 @@ impl Connection for QuicConnection {
         // 2. Ack if due.
         if self.acks.ack_due(now, self.cfg.ack_every) {
             if let Some((largest, delay, mut blocks)) = self.acks.build_ack(now) {
-                // Canonicalize to the wire's block cap at build time so a
-                // structured packet carries exactly what an encode→decode
-                // round trip would deliver.
+                // Canonicalize to the wire's block cap at build time so the
+                // typed packet is exactly what an encode→decode round
+                // trip would deliver.
                 blocks.truncate(MAX_ACK_BLOCKS);
                 let f = Frame::Ack {
                     largest,

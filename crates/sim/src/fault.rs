@@ -7,7 +7,7 @@
 //! one link direction (or both) of a testbed cell.
 //!
 //! Two design rules keep trauma runs bit-identical across serial and
-//! threaded runners and both wire modes:
+//! threaded runners:
 //!
 //! * **Window evaluation is a pure function of time.** Like
 //!   [`crate::schedule::RateSchedule`], a fault's activity at instant `t`
@@ -172,8 +172,7 @@ pub enum FaultKind {
         prob_pm: u32,
     },
     /// Each packet is corrupted with this probability. A corrupted packet
-    /// is dropped whole (checksum failure); links never forge bytes, so
-    /// the structured and encoded wire paths stay identical.
+    /// is dropped whole (checksum failure); links never forge bytes.
     Corrupt {
         /// Corruption probability, per-mille.
         prob_pm: u32,

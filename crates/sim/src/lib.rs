@@ -29,18 +29,18 @@ pub use fault::{
     FaultDir, FaultEvent, FaultKind, FaultPlan, GeChain, GeParams, LinkFault, PeerSide,
 };
 pub use link::{DropKind, Jitter, LinkConfig, LinkDir, LinkStats, ReorderSpec, Verdict};
-// The payload pool moved down into `longlook-wire` (the wire formats need
-// it); re-exported here so `longlook_sim::pool::PayloadPool` keeps working.
+// The per-thread frame / block free lists live in `longlook-wire` (the
+// wire formats draw from them); re-exported here as `longlook_sim::pool`.
 pub use longlook_wire::pool;
 // The structured trace layer lives in `longlook-wire` (the bottom crate,
 // so transports and the fault layer can both emit); re-exported here as
 // `longlook_sim::trace` for everything above the simulator.
 pub use longlook_wire::trace;
-pub use longlook_wire::{ExecConfig, PayloadPool, TraceMode, TraceRecord, Tracer, WireMode};
-// Sole caller: `observatory/` (frozen), which names both through this
-// crate; see `longlook_wire::mode`.
+pub use longlook_wire::{ExecConfig, TraceMode, TraceRecord, Tracer};
+// Sole caller: `observatory/` (frozen), which names all three through
+// this crate; see `longlook_wire::mode`.
 #[doc(hidden)]
-pub use longlook_wire::{BatchMode, SchedKind};
+pub use longlook_wire::{BatchMode, SchedKind, WireMode};
 pub use packet::{FlowId, NodeId, Packet, Payload, PktClass};
 pub use rng::{current_cell, CellGuard, CellId, IsolationTag, SimRng};
 pub use sched::EventQueue;

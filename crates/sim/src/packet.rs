@@ -1,6 +1,5 @@
 //! Packets and addressing.
 
-use bytes::Bytes;
 use longlook_wire::quic::QuicPacket;
 use longlook_wire::tcp::TcpSegment;
 
@@ -25,43 +24,17 @@ pub enum PktClass {
     Kernel,
 }
 
-/// What a packet carries between endpoints.
-///
-/// The structured variants hand the typed protocol structure to the peer
-/// by value — no serialization, no reparse — while the link layers charge
-/// the same analytic wire sizes either way. `Wire` is the reference
-/// encoded path (`WireMode::Encoded`), kept for differential testing.
-/// Links never look inside: loss and corruption drop whole packets, they
-/// never forge bytes.
+/// What a packet carries between endpoints: the typed protocol structure,
+/// handed to the peer by value. Nothing is serialized; the link layers
+/// charge the analytic wire size the packet was built with. Links never
+/// look inside: loss and corruption drop whole packets, they never forge
+/// bytes.
 #[derive(Debug, Clone)]
 pub enum Payload {
-    /// Encoded protocol control bytes (headers and frames).
-    Wire(Bytes),
     /// A typed QUIC packet carried in memory.
     Quic(QuicPacket),
     /// A typed TCP segment carried in memory.
     Tcp(TcpSegment),
-}
-
-impl Payload {
-    /// An empty encoded payload (control packets in simulator-level tests).
-    pub fn empty() -> Payload {
-        Payload::Wire(Bytes::new())
-    }
-
-    /// The encoded bytes, if this is a `Wire` payload.
-    pub fn as_wire(&self) -> Option<&Bytes> {
-        match self {
-            Payload::Wire(b) => Some(b),
-            _ => None,
-        }
-    }
-}
-
-impl From<Bytes> for Payload {
-    fn from(b: Bytes) -> Payload {
-        Payload::Wire(b)
-    }
 }
 
 impl From<QuicPacket> for Payload {
@@ -78,10 +51,9 @@ impl From<TcpSegment> for Payload {
 
 /// A simulated packet.
 ///
-/// The payload carries the *protocol control information* (typed on the
-/// structured fast path, encoded on the reference path); bulk object data
-/// is synthetic, accounted only by `wire_size`, which is the full
-/// on-the-wire size the link models charge for. This keeps a 210 MB
+/// The payload carries the typed *protocol control information*; bulk
+/// object data is synthetic, accounted only by `wire_size`, which is the
+/// full on-the-wire size the link models charge for. This keeps a 210 MB
 /// download from allocating 210 MB.
 #[derive(Debug, Clone)]
 pub struct Packet {
@@ -95,7 +67,7 @@ pub struct Packet {
     pub class: PktClass,
     /// Total bytes on the wire (headers + control + synthetic payload).
     pub wire_size: u32,
-    /// Protocol control information (typed or encoded).
+    /// Protocol control information.
     pub payload: Payload,
 }
 
@@ -132,13 +104,13 @@ mod tests {
             FlowId(7),
             PktClass::Userspace,
             1350,
-            Bytes::from_static(b"hdr"),
+            TcpSegment::control(3, 0, 0, 100),
         );
         assert_eq!(p.src, NodeId(1));
         assert_eq!(p.dst, NodeId(2));
         assert_eq!(p.flow, FlowId(7));
         assert_eq!(p.wire_size, 1350);
-        assert_eq!(&p.payload.as_wire().expect("wire payload")[..], b"hdr");
+        assert!(matches!(p.payload, Payload::Tcp(s) if s.seq == 3));
     }
 
     #[test]
@@ -152,8 +124,6 @@ mod tests {
         let t = TcpSegment::control(0, 0, 0, 100);
         let p: Payload = t.into();
         assert!(matches!(p, Payload::Tcp(_)));
-        assert!(p.as_wire().is_none());
-        assert_eq!(&Payload::empty().as_wire().expect("wire")[..], b"");
     }
 
     #[test]

@@ -439,7 +439,13 @@ mod tests {
     use super::*;
     use crate::packet::{FlowId, PktClass};
     use crate::time::Dur;
-    use bytes::Bytes;
+    use longlook_wire::tcp::TcpSegment;
+
+    /// What the agents below send: an empty control segment. The world
+    /// never looks inside a payload.
+    fn ctl() -> TcpSegment {
+        TcpSegment::control(0, 0, 0, 0)
+    }
 
     /// Replies to every packet; counts what it sees.
     struct Echo {
@@ -468,7 +474,7 @@ mod tests {
                     pkt.flow,
                     pkt.class,
                     100,
-                    Bytes::new(),
+                    ctl(),
                 ));
             }
         }
@@ -482,7 +488,7 @@ mod tests {
                         FlowId(1),
                         PktClass::Kernel,
                         1000,
-                        Bytes::new(),
+                        ctl(),
                     ));
                 }
             }
@@ -590,7 +596,7 @@ mod tests {
                     FlowId(0),
                     PktClass::Userspace,
                     1200,
-                    Bytes::new(),
+                    ctl(),
                 ));
             }
             fn as_any(&self) -> &dyn Any {
@@ -688,7 +694,7 @@ mod tests {
                     FlowId(0),
                     PktClass::Kernel,
                     100,
-                    Bytes::new(),
+                    ctl(),
                 ));
             }
             fn as_any(&self) -> &dyn Any {

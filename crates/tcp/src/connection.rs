@@ -19,7 +19,7 @@ use crate::wire::{flags, TcpSegment};
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{pool, ExecConfig, PayloadPool, WireMode};
+use longlook_sim::{pool, ExecConfig};
 use longlook_transport::cc::CongestionControl;
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
@@ -77,9 +77,9 @@ pub struct TcpConfig {
     /// `HandshakeTimeout` (Linux `tcp_syn_retries` default). Ignored when
     /// the watchdog is off — the historical model retried forever.
     pub max_syn_retries: u32,
-    /// How this connection executes (wire representation, tracing).
-    /// Never changes protocol behavior; the testbed stamps the scenario's
-    /// value onto both endpoints.
+    /// How this connection executes (tracing). Never changes protocol
+    /// behavior; the experiment runner stamps the scenario's value onto
+    /// both endpoints.
     pub exec: ExecConfig,
 }
 
@@ -177,12 +177,6 @@ pub struct TcpConnection {
     watchdog: Watchdog,
     /// Counters, cwnd log, state trace, event trace, app events.
     tel: ConnTelemetry,
-    /// Recycled payload buffers (encoded path only): encoders take from
-    /// here, spent received payloads are reclaimed in `on_datagram`.
-    pool: PayloadPool,
-    /// Structured (typed segments in memory) vs encoded (serialize +
-    /// reparse) wire path (`cfg.exec.wire`).
-    wire_mode: WireMode,
 }
 
 impl TcpConnection {
@@ -211,11 +205,10 @@ impl TcpConnection {
             (0, 0)
         };
         let cc: Box<dyn CongestionControl> = Box::new(Cubic::new(cfg.cubic.clone(), now));
-        let exec = cfg.exec;
         TcpConnection {
             watchdog: Watchdog::new(now, cfg.watchdog, cfg.handshake_timeout, cfg.idle_timeout),
             recovery: RecoveryTimer::new(false),
-            tel: ConnTelemetry::new(now, exec.trace, cc.as_ref()),
+            tel: ConnTelemetry::new(now, cfg.exec.trace, cc.as_ref()),
             rtt: RttEstimator::new(cfg.initial_rtt),
             receiver: TcpReceiver::new(cfg.recv_buffer),
             mux: H2Mux::new(our_prefix),
@@ -234,8 +227,6 @@ impl TcpConnection {
             next_stream_id: 1,
             tls_established: false,
             app_limited: false,
-            pool: PayloadPool::new(),
-            wire_mode: exec.wire,
         }
     }
 
@@ -328,11 +319,10 @@ impl TcpConnection {
         self.arm_recovery(now);
         let wire_size = seg.wire_size_payload() + TCP_OVERHEAD + 17 * seg.records.len() as u32;
         self.tel.on_sent(now, seq, wire_size, true);
-        let payload = match self.wire_mode {
-            WireMode::Structured => Payload::Tcp(seg),
-            WireMode::Encoded => Payload::Wire(seg.encode_with(&mut self.pool)),
-        };
-        Transmit { payload, wire_size }
+        Transmit {
+            payload: Payload::Tcp(seg),
+            wire_size,
+        }
     }
 
     fn make_control(&mut self, flag_bits: u8, now: Time) -> Transmit {
@@ -352,11 +342,10 @@ impl TcpConnection {
         if seg.is_bare_ack() {
             self.tel.stats.acks_sent += 1;
         }
-        let payload = match self.wire_mode {
-            WireMode::Structured => Payload::Tcp(seg),
-            WireMode::Encoded => Payload::Wire(seg.encode_with(&mut self.pool)),
-        };
-        Transmit { payload, wire_size }
+        Transmit {
+            payload: Payload::Tcp(seg),
+            wire_size,
+        }
     }
 
     fn drain_h2_events(&mut self) {
@@ -392,32 +381,16 @@ impl TcpConnection {
 impl Connection for TcpConnection {
     fn on_datagram(&mut self, payload: Payload, now: Time) {
         self.tel.stats.packets_received += 1;
-        let seg = match payload {
-            // Structured fast path: the typed segment arrives by value.
-            Payload::Tcp(s) => s,
-            Payload::Wire(bytes) => {
-                // Decode borrows the payload so the spent buffer can be
-                // reclaimed into the pool afterwards (sole-owner fast
-                // path — no refcount bump, no clone).
-                let decoded = TcpSegment::decode(&bytes[..]);
-                self.pool.reclaim(bytes);
-                match decoded {
-                    Ok(s) => s,
-                    Err(_) => return,
-                }
-            }
-            // Flow demux never routes a QUIC packet here; treat one like
-            // an undecodable segment.
-            Payload::Quic(_) => return,
+        // Flow demux never routes a QUIC packet here; drop one like an
+        // undecodable segment.
+        let Payload::Tcp(seg) = payload else {
+            return;
         };
         if self.watchdog.gave_up() {
             return;
         }
         self.watchdog.on_progress(now);
         if self.tel.tracer.enabled() {
-            // Recompute the analytic wire size so the record is identical
-            // under both wire modes (proptest-pinned equal to the encoded
-            // length).
             let sz = seg.wire_size_payload() + TCP_OVERHEAD + 17 * seg.records.len() as u32;
             self.tel.tracer.pkt_rx(now.as_nanos(), seg.seq, sz as u64);
         }

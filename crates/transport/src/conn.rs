@@ -42,8 +42,7 @@ pub enum AppEvent {
 /// A datagram/segment ready for the wire.
 #[derive(Debug, Clone)]
 pub struct Transmit {
-    /// Protocol control information: a typed packet on the structured
-    /// fast path, encoded bytes under `WireMode::Encoded`.
+    /// Protocol control information: the typed packet or segment.
     pub payload: Payload,
     /// Total on-the-wire size including framing overhead and synthetic
     /// payload bytes.

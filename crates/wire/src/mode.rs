@@ -1,7 +1,7 @@
-//! Execution mode as a value: [`ExecConfig`] names the wire path and the
-//! trace mode of a run and is passed down from the scenario to the
-//! connections. Also home to the warn-once parser the remaining
-//! `LONGLOOK_*` workload-size knobs share.
+//! Execution mode as a value: [`ExecConfig`] names the trace mode of a
+//! run and is passed down from the scenario to the connections. Also home
+//! to the warn-once parser the remaining `LONGLOOK_*` workload-size knobs
+//! share.
 
 use crate::trace::TraceMode;
 use std::sync::Once;
@@ -52,23 +52,18 @@ impl SchedKind {
     }
 }
 
-/// Which payload representation the transports put on simulated links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// Sole caller: `observatory/` (frozen), which prints it in its header.
+// Links carry typed packets; there is no other representation.
+#[doc(hidden)]
+#[derive(Debug)]
 pub enum WireMode {
-    /// Hand the typed `QuicPacket`/`TcpSegment` to the peer by value,
-    /// charging analytic `encoded_len()` sizes (default).
-    #[default]
     Structured,
-    /// Serialize to `Bytes` and reparse on receipt, the reference path.
-    Encoded,
 }
 
 impl WireMode {
-    // Sole caller: `observatory/` (frozen; it refuses to start under any
-    // `LONGLOOK_*` variable, so the default is what it already observes).
     #[doc(hidden)]
     pub fn from_env() -> WireMode {
-        WireMode::default()
+        WireMode::Structured
     }
 }
 
@@ -87,19 +82,16 @@ impl BatchMode {
     }
 }
 
-/// How one run executes, as a `Copy` value: what the transports put on
-/// the links and whether connections keep a trace.
+/// How one run executes, as a `Copy` value: whether connections keep a
+/// trace.
 ///
 /// Carried by the scenario, stamped onto the protocol configs, and read
 /// by the connections at construction. Nothing in the library reads it
 /// from the process environment, so cells with different configs can run
-/// concurrently. The default is structured payloads with tracing off;
-/// the `path_differential` suite pins the other three values
-/// observationally identical to it.
+/// concurrently. The default is tracing off; the `path_differential`
+/// suite pins the other value observationally identical to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecConfig {
-    /// Payload representation on links.
-    pub wire: WireMode,
     /// Per-connection structured event trace.
     pub trace: TraceMode,
 }
@@ -137,7 +129,6 @@ mod tests {
         assert_eq!(
             ExecConfig::default(),
             ExecConfig {
-                wire: WireMode::Structured,
                 trace: TraceMode::Off,
             }
         );

@@ -1,24 +1,5 @@
-//! Recycled packet storage: payload buffers for the encoded path
-//! ([`PayloadPool`]) and frame / block vectors for the typed packets
-//! themselves ([`take_frames`], [`take_blocks`]).
-//!
-//! Every encoded packet used to allocate a fresh `BytesMut::with_capacity(64)`
-//! and drop it (via `Bytes`) when the packet was consumed — tens of
-//! allocations per simulated round trip, multiplied by thousands of sweep
-//! cells. [`PayloadPool`] closes the loop: encoders
-//! [`take`](PayloadPool::take) a recycled buffer, freeze it into `Bytes`
-//! (zero-copy — the shim backs `Bytes` with `Arc<Vec<u8>>`), and decoders
-//! hand the spent payload back with [`reclaim`](PayloadPool::reclaim), which
-//! recovers the allocation whenever the `Bytes` is the sole owner of its
-//! backing.
-//!
-//! The pool is deliberately dumb: a bounded LIFO of `Vec<u8>`s. No
-//! synchronization (each connection owns its pool, mirroring how each
-//! experiment cell owns its world) and no effect on simulation semantics —
-//! buffer identity never feeds timing, RNG, or wire contents, so pooling is
-//! invisible to determinism. On the structured path
-//! ([`WireMode::Structured`](crate::WireMode)) no bytes are produced at all
-//! and the pool simply idles.
+//! Recycled packet storage: the frame and block vectors of the typed
+//! packets themselves ([`take_frames`], [`take_blocks`]).
 //!
 //! A typed packet's vectors cannot balance per connection: a
 //! `Vec<Frame>` or a block vector is born at the endpoint that builds the
@@ -29,12 +10,11 @@
 //! vector back with [`give_frames`] / [`give_blocks`]. Each list holds at
 //! most [`FREE_LIST_CAP`] empty vectors; a packet the network drops simply
 //! frees its storage. Only capacity is recycled — a taken vector is always
-//! empty — so, like the payload pool, the lists are invisible to
-//! determinism at any worker count. They are emptied at every cell
-//! boundary ([`reset`]), so allocation counts are history-free too.
+//! empty — so the lists are invisible to determinism at any worker
+//! count. They are emptied at every cell boundary ([`reset`]), so
+//! allocation counts are history-free too.
 
 use crate::quic::{AckBlock, Frame};
-use bytes::{Bytes, BytesMut};
 use std::cell::RefCell;
 
 /// Bound on each per-thread free list; beyond it a returned vector is
@@ -129,131 +109,9 @@ pub fn give_blocks(mut blocks: Vec<AckBlock>) {
     BLOCK_VECS.with(|l| l.borrow_mut().give(blocks));
 }
 
-/// Default bound on pooled buffers; beyond this, reclaimed allocations are
-/// simply dropped. A connection has at most a congestion window of packets
-/// in flight, and each in-flight packet holds its buffer, so a small pool
-/// covers the steady state.
-const DEFAULT_CAP: usize = 64;
-
-/// Minimum capacity of a buffer handed out by [`PayloadPool::take`];
-/// matches the old `BytesMut::with_capacity(64)` call sites.
-const MIN_BUF: usize = 64;
-
-/// A bounded free list of packet payload buffers.
-#[derive(Debug, Default)]
-pub struct PayloadPool {
-    free: Vec<Vec<u8>>,
-    cap: usize,
-    /// Buffers handed out.
-    taken: u64,
-    /// `take` calls served from the free list (vs. fresh allocations).
-    recycled: u64,
-    /// Successful reclaims.
-    reclaimed: u64,
-}
-
-impl PayloadPool {
-    /// An empty pool with the default bound.
-    pub fn new() -> Self {
-        PayloadPool::with_cap(DEFAULT_CAP)
-    }
-
-    /// An empty pool holding at most `cap` recycled buffers.
-    pub fn with_cap(cap: usize) -> Self {
-        PayloadPool {
-            free: Vec::new(),
-            cap,
-            taken: 0,
-            recycled: 0,
-            reclaimed: 0,
-        }
-    }
-
-    /// A cleared buffer ready for encoding, recycled when possible.
-    pub fn take(&mut self) -> BytesMut {
-        self.taken += 1;
-        match self.free.pop() {
-            Some(mut v) => {
-                self.recycled += 1;
-                v.clear();
-                BytesMut::from(v)
-            }
-            None => BytesMut::with_capacity(MIN_BUF),
-        }
-    }
-
-    /// Return a spent payload's allocation to the pool. Succeeds (returns
-    /// `true`) only when `b` is the sole owner of its backing buffer;
-    /// shared payloads are just dropped, which is always safe.
-    pub fn reclaim(&mut self, b: Bytes) -> bool {
-        if self.free.len() >= self.cap {
-            return false;
-        }
-        match b.try_into_vec() {
-            Ok(v) => {
-                // Capacity-less vectors (e.g. from `Bytes::new()` windows)
-                // aren't worth parking.
-                if v.capacity() == 0 {
-                    return false;
-                }
-                self.reclaimed += 1;
-                self.free.push(v);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Buffers currently parked in the pool.
-    pub fn available(&self) -> usize {
-        self.free.len()
-    }
-
-    /// `(taken, recycled, reclaimed)` counters since construction.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.taken, self.recycled, self.reclaimed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
-
-    #[test]
-    fn take_encode_reclaim_recycles_allocation() {
-        let mut pool = PayloadPool::new();
-        let mut buf = pool.take();
-        buf.put_u64(0xFEED);
-        let payload = buf.freeze();
-        assert!(pool.reclaim(payload));
-        assert_eq!(pool.available(), 1);
-        let again = pool.take();
-        assert!(again.is_empty());
-        assert!(again.capacity() >= 8, "recycled allocation kept capacity");
-        let (taken, recycled, reclaimed) = pool.stats();
-        assert_eq!((taken, recycled, reclaimed), (2, 1, 1));
-    }
-
-    #[test]
-    fn shared_payload_is_not_reclaimed() {
-        let mut pool = PayloadPool::new();
-        let payload = pool.take().freeze();
-        let held = payload.clone();
-        assert!(!pool.reclaim(payload));
-        assert_eq!(pool.available(), 0);
-        drop(held);
-    }
-
-    #[test]
-    fn pool_respects_cap() {
-        let mut pool = PayloadPool::with_cap(2);
-        for _ in 0..4 {
-            let b = Bytes::from(vec![1u8, 2, 3]);
-            pool.reclaim(b);
-        }
-        assert_eq!(pool.available(), 2);
-    }
 
     #[test]
     fn frame_and_block_vectors_come_back_empty_with_their_capacity() {
@@ -310,12 +168,5 @@ mod tests {
         })
         .join()
         .expect("pool thread");
-    }
-
-    #[test]
-    fn empty_bytes_are_ignored() {
-        let mut pool = PayloadPool::new();
-        assert!(!pool.reclaim(Bytes::new()));
-        assert_eq!(pool.available(), 0);
     }
 }

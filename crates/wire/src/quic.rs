@@ -15,10 +15,10 @@
 //! Sizing comes in two flavors: [`Frame::encoded_len`] is exactly the
 //! number of control bytes [`Frame::encode`] would produce (proptest-pinned
 //! to `encode().len()`), and [`Frame::wire_size`] adds the synthetic
-//! payload bytes the link is charged for. The structured fast path uses
-//! these analytic sizes and never serializes.
+//! payload bytes the link is charged for. The transports use these analytic
+//! sizes and never serialize.
 
-use crate::pool::{self, PayloadPool};
+use crate::pool;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Fixed public header size: 1 flags byte + 8 connection id + 8 packet
@@ -30,8 +30,8 @@ pub const HEADER_SIZE: u32 = 17;
 pub const MAX_PACKET_PAYLOAD: u32 = 1350;
 
 /// Most ack blocks one encoded ack frame can carry (u8 count field).
-/// Senders canonicalize to this cap at frame build time so the structured
-/// path carries exactly what an encode→decode round trip would deliver.
+/// Senders canonicalize to this cap at frame build time so the typed
+/// packet is exactly what an encode→decode round trip would deliver.
 pub const MAX_ACK_BLOCKS: usize = 255;
 
 /// Handshake message kinds (crypto stream stand-ins).
@@ -125,8 +125,7 @@ pub enum Frame {
 impl Frame {
     /// Exact number of control bytes [`Frame::encode`] produces for this
     /// frame, computed without allocating. Pinned to `encode().len()` by
-    /// proptest; the structured path relies on this equality for
-    /// byte-identical link charging.
+    /// proptest; link charging relies on this equality.
     pub fn encoded_len(&self) -> u32 {
         match self {
             Frame::Stream { .. } => 1 + 4 + 8 + 4 + 1,
@@ -332,17 +331,7 @@ impl QuicPacket {
     /// Encode to control bytes. Synthetic stream payload is *not*
     /// materialized; use [`QuicPacket::wire_size`] for link accounting.
     pub fn encode(&self) -> Bytes {
-        self.encode_into(BytesMut::with_capacity(64))
-    }
-
-    /// Encode using a buffer recycled from `pool` (the encoded hot path;
-    /// see [`PayloadPool`]). Wire bytes are identical to
-    /// [`QuicPacket::encode`].
-    pub fn encode_with(&self, pool: &mut PayloadPool) -> Bytes {
-        self.encode_into(pool.take())
-    }
-
-    fn encode_into(&self, mut buf: BytesMut) -> Bytes {
+        let mut buf = BytesMut::with_capacity(64);
         buf.put_u8(0x80); // flags: long-header-style marker
         buf.put_u64(self.conn_id);
         buf.put_u64(self.pn);
@@ -551,7 +540,7 @@ mod tests {
             frames: vec![Frame::Ping],
         };
         let enc = p.encode();
-        // Borrow-based decode: the Bytes stays usable (and reclaimable).
+        // Borrow-based decode: the Bytes stays usable.
         assert_eq!(QuicPacket::decode(&enc[..]).expect("decode"), p);
         assert_eq!(enc.len(), p.encoded_len() as usize);
     }

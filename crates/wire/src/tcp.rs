@@ -10,11 +10,8 @@
 //! contiguous up to them.
 //!
 //! [`TcpSegment::encoded_len`] is the allocation-free analytic size of
-//! [`TcpSegment::encode`]'s output, proptest-pinned to `encode().len()`;
-//! the structured fast path uses it so links are charged byte-identical
-//! sizes without serializing.
+//! [`TcpSegment::encode`]'s output, proptest-pinned to `encode().len()`.
 
-use crate::pool::PayloadPool;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// TCP flag bits.
@@ -88,17 +85,7 @@ impl TcpSegment {
 
     /// Encode control bytes (synthetic payload not materialized).
     pub fn encode(&self) -> Bytes {
-        self.encode_into(BytesMut::with_capacity(64))
-    }
-
-    /// Encode using a buffer recycled from `pool` (the encoded hot path;
-    /// see [`PayloadPool`]). Wire bytes are identical to
-    /// [`TcpSegment::encode`].
-    pub fn encode_with(&self, pool: &mut PayloadPool) -> Bytes {
-        self.encode_into(pool.take())
-    }
-
-    fn encode_into(&self, mut buf: BytesMut) -> Bytes {
+        let mut buf = BytesMut::with_capacity(64);
         buf.put_u64(self.seq);
         buf.put_u64(self.ack);
         buf.put_u8(self.flags);

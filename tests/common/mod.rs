@@ -2,49 +2,32 @@
 //! scenario / fault-plan / bulk-cell tables every axis is checked over.
 //!
 //! An axis is an [`ExecConfig`] that differs from the default in one
-//! field (encoded wire path, tracing on), plus the corner that flips
-//! both. There is one scheduler, one event loop, one sent-packet store
-//! and one recovery timer; the implementations they replaced are held to
-//! them by proptests against oracles under `crates/*/tests/oracle/`, not
-//! by a runtime axis here. Modes are values, so every comparison runs
-//! in-process and the suites using this module need no serialization
-//! against each other.
+//! field; today there is one field, so one row (tracing on). There is one
+//! wire representation, one scheduler, one event loop, one sent-packet
+//! store and one recovery timer; the implementations the last four
+//! replaced are held to them by proptests against oracles under
+//! `crates/*/tests/oracle/`, and the codec is held to live traffic by
+//! `wire_roundtrip`, not by a runtime axis here. Modes are values, so
+//! every comparison runs in-process and the suites using this module need
+//! no serialization against each other.
 
 #![allow(dead_code)] // each test binary uses a subset
 
 use longlook_core::prelude::*;
 use longlook_transport::conn::ConnStats;
 
-/// Every non-default `ExecConfig`, by name: one row per field, then all
-/// of them at once.
-pub fn axes() -> [(&'static str, ExecConfig); 3] {
+/// Every non-default `ExecConfig`, by name: one row per field (and,
+/// once there are two, a last row with all of them at once).
+pub fn axes() -> [(&'static str, ExecConfig); 1] {
     // Exhaustive on purpose: a new `ExecConfig` field fails to compile
     // here, at the table that has to grow a row for it.
-    let ExecConfig { wire, trace } = ExecConfig::default();
-    let (encoded, traced) = (WireMode::Encoded, TraceMode::On);
-    [
-        (
-            "wire=encoded",
-            ExecConfig {
-                wire: encoded,
-                trace,
-            },
-        ),
-        (
-            "trace=on",
-            ExecConfig {
-                wire,
-                trace: traced,
-            },
-        ),
-        (
-            "both",
-            ExecConfig {
-                wire: encoded,
-                trace: traced,
-            },
-        ),
-    ]
+    let ExecConfig { trace: _ } = ExecConfig::default();
+    [(
+        "trace=on",
+        ExecConfig {
+            trace: TraceMode::On,
+        },
+    )]
 }
 
 /// The axis called `name` in [`axes`].
@@ -264,14 +247,13 @@ pub const BULK_SEEDS: [u64; 4] = [7777, 8888, 8899, 9599];
 pub fn bulk_cell(proto: &ProtoConfig, exec: ExecConfig, seed: u64) -> (u64, u64) {
     let net = NetProfile::baseline(20.0);
     let page = PageSpec::single(2 * 1024 * 1024);
-    let mut tb = Testbed::direct_exec(
-        exec,
+    let mut tb = Testbed::direct(
         seed,
         &net,
         DeviceProfile::DESKTOP,
         page.clone(),
         vec![FlowSpec {
-            proto: proto.clone(),
+            proto: proto.clone().with_exec(exec),
             zero_rtt: false,
             app: Box::new(WebClient::new(page)),
         }],

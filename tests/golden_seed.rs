@@ -230,9 +230,8 @@ fn armed_empty_fault_plan_is_invisible() {
 /// The snapshots were blessed on the implementations that have since
 /// been replaced (binary-heap scheduler, per-event loop, map sent-store,
 /// eager timer re-arm), so they pin the survivors to that history. Every
-/// `ExecConfig` — each field alone and both combined (the tests below
-/// cover the default) — must reproduce every one of them bit for bit,
-/// with nothing re-blessed.
+/// non-default `ExecConfig` (the tests below cover the default) must
+/// reproduce every one of them bit for bit, with nothing re-blessed.
 #[test]
 fn goldens_hold_on_every_execution_path() {
     for (axis, exec) in common::axes() {

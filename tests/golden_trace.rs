@@ -166,9 +166,9 @@ fn tcp_blackout_trace_matches_golden() {
 }
 
 /// The trace itself — not just the observables — is path-independent:
-/// sizes are analytic under either wire mode and `TimerArm` is emitted
-/// at the request point (as the eager timer the goldens were blessed on
-/// did), so every `ExecConfig` reproduces the golden bytes.
+/// sizes are analytic and `TimerArm` is emitted at the request point (as
+/// the eager timer the goldens were blessed on did), so every
+/// `ExecConfig` reproduces the golden bytes.
 #[test]
 fn golden_traces_hold_on_every_execution_path() {
     for (axis, exec) in common::axes() {

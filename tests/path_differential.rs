@@ -1,33 +1,29 @@
-//! `ExecConfig` differential referee: each non-default value — and both
-//! at once — against `ExecConfig::default()`.
+//! `ExecConfig` differential referee: each non-default value against
+//! `ExecConfig::default()`.
 //!
-//! The two fields change *how* a cell is carried out, never *what*
-//! happens in it:
+//! A field of `ExecConfig` changes *how* a cell is carried out, never
+//! *what* happens in it. There is one today:
 //!
-//! * **wire** — the structured path hands typed packets to the peer and
-//!   charges links analytic `encoded_len()` sizes; the encoded path
-//!   serializes and reparses. Same wire sizes, same frames after transit
-//!   (links drop whole packets, never forge bytes). This axis is the only
-//!   end-to-end exercise of encode/decode;
 //! * **trace** — every emit point sits after the decision it records and
 //!   the tracer draws no randomness, so it observes and never steers.
 //!
-//! Each is an equivalence-by-construction argument; this suite re-checks
-//! the conclusion end to end, per field and for the corner that sets both
-//! (which pins that they do not interact): bit-identical `RunRecord`s
-//! and `StateTrace`s over clean / lossy / jittered / tiny cells under
+//! That is an equivalence-by-construction argument; this suite re-checks
+//! the conclusion end to end: bit-identical `RunRecord`s and
+//! `StateTrace`s over clean / lossy / jittered / tiny cells under
 //! `Serial` and `Threads(4)` runners and over 120-stream lossy loads,
 //! identical `TraumaRecord`s under fault plans, and identical event
 //! counts and scheduler high-water marks on bulk transfers, for both
 //! protocols.
 //!
-//! The scheduler, the event loop, the QUIC sent-packet store and the
-//! recovery timer are not axes: each has one implementation, held to the
-//! one it replaced by a proptest against an oracle
+//! The wire representation, the scheduler, the event loop, the QUIC
+//! sent-packet store and the recovery timer are not axes: links carry
+//! typed packets and nothing else (`wire_roundtrip` holds the codec to
+//! that traffic), and each of the other four has one implementation, held
+//! to the one it replaced by a proptest against an oracle
 //! (`wheel_matches_heap_under_interleaved_ops`,
 //! `slab_store_equivalent_to_map_store`,
-//! `deferred_rearm_equals_eager_rearm`), and `golden_seed` /
-//! `golden_trace` were blessed on the replaced implementations.
+//! `deferred_rearm_equals_eager_rearm`); `golden_seed` / `golden_trace`
+//! were blessed on the replaced implementations.
 //!
 //! Modes are values carried by the scenario, so each axis is its own
 //! `#[test]` and they run concurrently.
@@ -105,18 +101,8 @@ fn assert_identical_to_default(axis_name: &str) {
 }
 
 #[test]
-fn encoded_wire_path_is_observationally_identical() {
-    assert_identical_to_default("wire=encoded");
-}
-
-#[test]
 fn tracing_on_is_observationally_identical() {
     assert_identical_to_default("trace=on");
-}
-
-#[test]
-fn all_reference_corner_is_observationally_identical() {
-    assert_identical_to_default("both");
 }
 
 /// Tracing is a property of one cell, not of the process: traced and
