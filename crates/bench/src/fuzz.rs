@@ -25,9 +25,9 @@
 //! exactly. Per-mille integer parameters mean the JSON round trip is
 //! lossless.
 
-use crate::json::{self, Json, JsonError};
 use longlook_core::prelude::*;
 use longlook_core::trauma::server_stats_or_zero;
+use longlook_sim::json::{self, Json, JsonError};
 use longlook_sim::SimRng;
 use longlook_transport::{check_trace_legal, cubic_legal_edges};
 
@@ -552,6 +552,23 @@ mod tests {
             let parsed = parse_repro(&render_repro(&case)).expect("parse");
             assert_eq!(parsed, case, "seed {seed}");
         }
+    }
+
+    /// A surrogate-pair escape in a string field is the astral character
+    /// it spells (it read back as two U+FFFD when repro files had a
+    /// reader of their own), and half a pair is an error.
+    #[test]
+    fn astral_escapes_in_a_repro_read_back_exactly() {
+        let doc = |trace: &str| {
+            format!(
+                "{{\"schema\": \"{REPRO_SCHEMA}\", \"seed\": 1, \"canary\": false, \
+                 \"events\": [], \"trace\": \"{trace}\"}}"
+            )
+        };
+        let unit = |cu: u32| format!("\\u{cu:04x}");
+        let crab = parse_repro(&doc(&(unit(0xd83e) + &unit(0xdd80)))).expect("a valid pair");
+        assert_eq!(crab.trace.as_deref(), Some("🦀"));
+        assert!(parse_repro(&doc(&unit(0xd83e))).is_err(), "half a pair");
     }
 
     #[test]

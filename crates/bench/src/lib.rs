@@ -1,20 +1,46 @@
 //! The reproduction harness: one entry point per table and figure of the
-//! paper, returning the regenerated artifact as text (and optionally DOT).
+//! paper, returning the regenerated artifact as text (and optionally DOT),
+//! plus the `traumafuzz` internals ([`fuzz`]). Repro files and traces are
+//! read with the workspace's one JSON codec, `longlook_sim::json`.
 //!
 //! Every experiment is a pure function of its seed; `LONGLOOK_ROUNDS`
 //! overrides the default 10 rounds for quicker smoke runs.
 
 pub mod experiments;
 pub mod fuzz;
-pub mod json;
 
 pub use experiments::{list_experiments, run_experiment};
 
-/// Rounds per measurement (paper: "at least 10"); override with the
-/// `LONGLOOK_ROUNDS` environment variable.
+use std::sync::Once;
+
+/// Rounds per measurement (paper: "at least 10"): `LONGLOOK_ROUNDS` when
+/// it is a positive integer, otherwise 10 (junk and `0` warn once).
 pub fn rounds() -> u64 {
-    std::env::var("LONGLOOK_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
+    static WARNED: Once = Once::new();
+    longlook_sim::env_knob(
+        "LONGLOOK_ROUNDS",
+        "a positive integer",
+        "10 rounds",
+        &WARNED,
+        parse_rounds,
+    )
+    .unwrap_or(10)
+}
+
+fn parse_rounds(v: &str) -> Option<u64> {
+    v.trim().parse::<u64>().ok().filter(|n| *n > 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rounds_knob_takes_positive_integers_only() {
+        assert_eq!(parse_rounds("3"), Some(3));
+        assert_eq!(parse_rounds(" 12\n"), Some(12));
+        for junk in ["0", "", "-2", "2.5", "ten", "3x"] {
+            assert_eq!(parse_rounds(junk), None, "{junk:?}");
+        }
+    }
 }

@@ -3,7 +3,6 @@
 
 mod oracle;
 
-use bytes::Bytes;
 use longlook_quic::recv_ack::AckTracker;
 use longlook_quic::sent::{AckOutcome, SentPacket, SentStore};
 use longlook_quic::streams::{Chunk, RecvStream, SendStream, StreamTable};
@@ -68,14 +67,14 @@ proptest! {
         frames in proptest::collection::vec(arb_frame(), 0..8),
     ) {
         let pkt = QuicPacket { conn_id, pn, frames };
-        let decoded = QuicPacket::decode(pkt.encode()).expect("roundtrip");
+        let decoded = QuicPacket::decode(&pkt.encode()).expect("roundtrip");
         prop_assert_eq!(decoded, pkt);
     }
 
     /// Decoding arbitrary garbage never panics.
     #[test]
     fn decode_garbage_never_panics(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = QuicPacket::decode(Bytes::from(data));
+        let _ = QuicPacket::decode(&data);
     }
 
     /// Stream reassembly delivers exactly the union of received ranges,
@@ -156,7 +155,7 @@ proptest! {
     ) {
         let pkt = QuicPacket { conn_id, pn, frames };
         let bytes = pkt.encode();
-        let reencoded = QuicPacket::decode(bytes.clone()).expect("valid").encode();
+        let reencoded = QuicPacket::decode(&bytes).expect("valid").encode();
         prop_assert_eq!(reencoded.as_slice(), bytes.as_slice());
     }
 
@@ -186,7 +185,7 @@ proptest! {
         let pkt = QuicPacket { conn_id, pn, frames };
         let bytes = pkt.encode();
         let cut = cut.index(bytes.len() + 1);
-        if let Ok(dec) = QuicPacket::decode(bytes.slice(0..cut)) {
+        if let Ok(dec) = QuicPacket::decode(&bytes[..cut]) {
             prop_assert_eq!(dec.conn_id, pkt.conn_id);
             prop_assert_eq!(dec.pn, pkt.pn);
             prop_assert!(dec.frames.len() <= pkt.frames.len());

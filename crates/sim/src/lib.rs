@@ -36,7 +36,10 @@ pub use longlook_wire::pool;
 // so transports and the fault layer can both emit); re-exported here as
 // `longlook_sim::trace` for everything above the simulator.
 pub use longlook_wire::trace;
-pub use longlook_wire::{ExecConfig, TraceMode, TraceRecord, Tracer};
+// The one JSON codec (traces and traumafuzz repro files) and the warn-once
+// knob parser also live in `longlook-wire`.
+pub use longlook_wire::json;
+pub use longlook_wire::{env_knob, ExecConfig, TraceMode, TraceRecord, Tracer};
 // Sole caller: `observatory/` (frozen), which names all three through
 // this crate; see `longlook_wire::mode`.
 #[doc(hidden)]

@@ -3,7 +3,6 @@
 
 mod oracle;
 
-use bytes::Bytes;
 use longlook_sim::time::{Dur, Time};
 use longlook_tcp::h2::{H2Demux, H2Event, H2Mux};
 use longlook_tcp::recv::TcpReceiver;
@@ -56,14 +55,14 @@ proptest! {
                 })
                 .collect(),
         };
-        let dec = TcpSegment::decode(seg.encode()).expect("roundtrip");
+        let dec = TcpSegment::decode(&seg.encode()).expect("roundtrip");
         prop_assert_eq!(dec, seg);
     }
 
     /// Decoding garbage never panics.
     #[test]
     fn decode_garbage_never_panics(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = TcpSegment::decode(Bytes::from(data));
+        let _ = TcpSegment::decode(&data);
     }
 
     /// rcv_nxt always equals the longest contiguous prefix received.
@@ -212,7 +211,7 @@ proptest! {
     #[test]
     fn control_segments_roundtrip(fl in 0u8..8, window in any::<u64>()) {
         let seg = TcpSegment::control(0, 0, fl, window);
-        prop_assert_eq!(TcpSegment::decode(seg.encode()).expect("ok"), seg.clone());
+        prop_assert_eq!(TcpSegment::decode(&seg.encode()).expect("ok"), seg.clone());
         let expect_bare = seg.payload_len == 0 && fl & (flags::SYN | flags::FIN) == 0;
         prop_assert_eq!(seg.is_bare_ack(), expect_bare);
     }
@@ -263,7 +262,7 @@ proptest! {
     #[test]
     fn encoding_is_canonical(seg in arb_segment()) {
         let bytes = seg.encode();
-        let reencoded = TcpSegment::decode(bytes.clone()).expect("valid").encode();
+        let reencoded = TcpSegment::decode(&bytes).expect("valid").encode();
         prop_assert_eq!(reencoded.as_slice(), bytes.as_slice());
     }
 
@@ -286,7 +285,7 @@ proptest! {
     ) {
         let bytes = seg.encode();
         let cut = cut.index(bytes.len());
-        prop_assert!(TcpSegment::decode(bytes.slice(0..cut)).is_err());
+        prop_assert!(TcpSegment::decode(&bytes[..cut]).is_err());
     }
 }
 

@@ -11,9 +11,10 @@ use std::sync::Once;
 /// Returns `None` when the variable is unset, `Some(value)` when `parse`
 /// accepts it, and `None` with a one-time stderr warning (keyed on
 /// `warned`, so each knob warns independently) when it does not. The
-/// workload-size knobs — `LONGLOOK_JOBS`, `LONGLOOK_FLEET_N` — resolve
-/// through this helper, so a misconfigured CI run surfaces the same way
-/// for every knob instead of silently falling back.
+/// workload-size knobs — `LONGLOOK_ROUNDS`, `LONGLOOK_JOBS`,
+/// `LONGLOOK_FLEET_N` — resolve through this helper, so a misconfigured
+/// CI run surfaces the same way for every knob instead of silently
+/// falling back.
 ///
 /// The variable is re-read on every call (never cached).
 pub fn env_knob<T>(

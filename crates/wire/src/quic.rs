@@ -18,8 +18,7 @@
 //! payload bytes the link is charged for. The transports use these analytic
 //! sizes and never serialize.
 
-use crate::pool;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::{pool, Reader};
 
 /// Fixed public header size: 1 flags byte + 8 connection id + 8 packet
 /// number.
@@ -152,7 +151,7 @@ impl Frame {
         self.encoded_len() + synthetic
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Frame::Stream {
                 id,
@@ -160,79 +159,62 @@ impl Frame {
                 len,
                 fin,
             } => {
-                buf.put_u8(0x01);
-                buf.put_u32(*id);
-                buf.put_u64(*offset);
-                buf.put_u32(*len);
-                buf.put_u8(u8::from(*fin));
+                buf.push(0x01);
+                buf.extend(id.to_be_bytes());
+                buf.extend(offset.to_be_bytes());
+                buf.extend(len.to_be_bytes());
+                buf.push(u8::from(*fin));
             }
             Frame::Ack {
                 largest,
                 ack_delay_us,
                 blocks,
             } => {
-                buf.put_u8(0x02);
-                buf.put_u64(*largest);
-                buf.put_u64(*ack_delay_us);
-                buf.put_u8(blocks.len().min(MAX_ACK_BLOCKS) as u8);
+                buf.push(0x02);
+                buf.extend(largest.to_be_bytes());
+                buf.extend(ack_delay_us.to_be_bytes());
+                buf.push(blocks.len().min(MAX_ACK_BLOCKS) as u8);
                 for &(start, end) in blocks.iter().take(MAX_ACK_BLOCKS) {
-                    buf.put_u64(start);
-                    buf.put_u64(end);
+                    buf.extend(start.to_be_bytes());
+                    buf.extend(end.to_be_bytes());
                 }
             }
             Frame::WindowUpdate { stream, max_offset } => {
-                buf.put_u8(0x03);
-                buf.put_u32(*stream);
-                buf.put_u64(*max_offset);
+                buf.push(0x03);
+                buf.extend(stream.to_be_bytes());
+                buf.extend(max_offset.to_be_bytes());
             }
             Frame::Handshake { kind, pad } => {
-                buf.put_u8(0x04);
-                buf.put_u8(kind.code());
-                buf.put_u16(*pad);
+                buf.push(0x04);
+                buf.push(kind.code());
+                buf.extend(pad.to_be_bytes());
             }
-            Frame::Ping => buf.put_u8(0x05),
+            Frame::Ping => buf.push(0x05),
             Frame::Blocked { stream } => {
-                buf.put_u8(0x06);
-                buf.put_u32(*stream);
+                buf.push(0x06);
+                buf.extend(stream.to_be_bytes());
             }
             Frame::Close { code } => {
-                buf.put_u8(0x07);
-                buf.put_u32(*code);
+                buf.push(0x07);
+                buf.extend(code.to_be_bytes());
             }
         }
     }
 
-    fn decode(buf: &mut impl Buf) -> Result<Frame, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::Truncated);
-        }
-        let tag = buf.get_u8();
+    fn decode(r: &mut Reader<'_, WireError>) -> Result<Frame, WireError> {
+        let tag = r.u8()?;
         match tag {
-            0x01 => {
-                if buf.remaining() < 17 {
-                    return Err(WireError::Truncated);
-                }
-                let id = buf.get_u32();
-                let offset = buf.get_u64();
-                let len = buf.get_u32();
-                let fin = buf.get_u8() != 0;
-                Ok(Frame::Stream {
-                    id,
-                    offset,
-                    len,
-                    fin,
-                })
-            }
+            0x01 => Ok(Frame::Stream {
+                id: r.u32()?,
+                offset: r.u64()?,
+                len: r.u32()?,
+                fin: r.u8()? != 0,
+            }),
             0x02 => {
-                if buf.remaining() < 17 {
-                    return Err(WireError::Truncated);
-                }
-                let largest = buf.get_u64();
-                let ack_delay_us = buf.get_u64();
-                let n = buf.get_u8() as usize;
-                if buf.remaining() < n * 16 {
-                    return Err(WireError::Truncated);
-                }
+                let largest = r.u64()?;
+                let ack_delay_us = r.u64()?;
+                let n = r.u8()? as usize;
+                r.need(n * 16)?;
                 let mut blocks = if n == 0 {
                     Vec::new()
                 } else {
@@ -240,8 +222,7 @@ impl Frame {
                 };
                 blocks.reserve(n);
                 for _ in 0..n {
-                    let start = buf.get_u64();
-                    let end = buf.get_u64();
+                    let (start, end) = (r.u64()?, r.u64()?);
                     if start > end {
                         return Err(WireError::Malformed("ack block start > end"));
                     }
@@ -253,41 +234,20 @@ impl Frame {
                     blocks,
                 })
             }
-            0x03 => {
-                if buf.remaining() < 12 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(Frame::WindowUpdate {
-                    stream: buf.get_u32(),
-                    max_offset: buf.get_u64(),
-                })
-            }
+            0x03 => Ok(Frame::WindowUpdate {
+                stream: r.u32()?,
+                max_offset: r.u64()?,
+            }),
             0x04 => {
-                if buf.remaining() < 3 {
-                    return Err(WireError::Truncated);
-                }
-                let kind = HandshakeKind::from_code(buf.get_u8())
-                    .ok_or(WireError::Malformed("handshake kind"))?;
-                let pad = buf.get_u16();
+                // A short frame is truncated before its kind is judged.
+                let (code, pad) = (r.u8()?, r.u16()?);
+                let kind =
+                    HandshakeKind::from_code(code).ok_or(WireError::Malformed("handshake kind"))?;
                 Ok(Frame::Handshake { kind, pad })
             }
             0x05 => Ok(Frame::Ping),
-            0x06 => {
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(Frame::Blocked {
-                    stream: buf.get_u32(),
-                })
-            }
-            0x07 => {
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(Frame::Close {
-                    code: buf.get_u32(),
-                })
-            }
+            0x06 => Ok(Frame::Blocked { stream: r.u32()? }),
+            0x07 => Ok(Frame::Close { code: r.u32()? }),
             _ => Err(WireError::UnknownFrame(tag)),
         }
     }
@@ -330,31 +290,28 @@ impl std::error::Error for WireError {}
 impl QuicPacket {
     /// Encode to control bytes. Synthetic stream payload is *not*
     /// materialized; use [`QuicPacket::wire_size`] for link accounting.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u8(0x80); // flags: long-header-style marker
-        buf.put_u64(self.conn_id);
-        buf.put_u64(self.pn);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len() as usize);
+        buf.push(0x80); // flags: long-header-style marker
+        buf.extend(self.conn_id.to_be_bytes());
+        buf.extend(self.pn.to_be_bytes());
         for f in &self.frames {
             f.encode(&mut buf);
         }
-        buf.freeze()
+        buf
     }
 
-    /// Decode from control bytes (`Bytes` by value or a `&[u8]` borrow).
-    pub fn decode(mut bytes: impl Buf) -> Result<QuicPacket, WireError> {
-        if bytes.remaining() < HEADER_SIZE as usize {
-            return Err(WireError::Truncated);
-        }
-        let flags = bytes.get_u8();
+    /// Decode from control bytes.
+    pub fn decode(bytes: &[u8]) -> Result<QuicPacket, WireError> {
+        let mut r = Reader::new(bytes, WireError::Truncated);
+        // A short header is truncated before its flags are judged.
+        let (flags, conn_id, pn) = (r.u8()?, r.u64()?, r.u64()?);
         if flags != 0x80 {
             return Err(WireError::Malformed("flags"));
         }
-        let conn_id = bytes.get_u64();
-        let pn = bytes.get_u64();
         let mut frames = pool::take_frames();
-        while bytes.has_remaining() {
-            frames.push(Frame::decode(&mut bytes)?);
+        while !r.is_empty() {
+            frames.push(Frame::decode(&mut r)?);
         }
         Ok(QuicPacket {
             conn_id,
@@ -381,7 +338,16 @@ mod tests {
     use super::*;
 
     fn roundtrip(p: &QuicPacket) -> QuicPacket {
-        QuicPacket::decode(p.encode()).expect("roundtrip")
+        QuicPacket::decode(&p.encode()).expect("roundtrip")
+    }
+
+    /// A packet header (flags, connection id 1, packet number `pn`)
+    /// followed by hand-built frame bytes.
+    fn header(flags: u8, pn: u64) -> Vec<u8> {
+        let mut buf = vec![flags];
+        buf.extend(1u64.to_be_bytes());
+        buf.extend(pn.to_be_bytes());
+        buf
     }
 
     #[test]
@@ -512,7 +478,7 @@ mod tests {
         };
         assert_eq!(p.encoded_len() as usize, p.encode().len());
         for f in &p.frames {
-            let mut buf = bytes::BytesMut::new();
+            let mut buf = Vec::new();
             f.encode(&mut buf);
             assert_eq!(f.encoded_len() as usize, buf.len(), "{f:?}");
         }
@@ -525,7 +491,7 @@ mod tests {
             ack_delay_us: 0,
             blocks: (0..300).map(|i| (i * 2, i * 2)).collect(),
         };
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         f.encode(&mut buf);
         assert_eq!(buf.len(), 18 + MAX_ACK_BLOCKS * 16);
         assert_eq!(f.encoded_len() as usize, buf.len());
@@ -539,18 +505,18 @@ mod tests {
             pn: 4,
             frames: vec![Frame::Ping],
         };
-        let enc = p.encode();
-        // Borrow-based decode: the Bytes stays usable.
-        assert_eq!(QuicPacket::decode(&enc[..]).expect("decode"), p);
-        assert_eq!(enc.len(), p.encoded_len() as usize);
+        // The packet sits inside a larger buffer, as in a datagram.
+        let mut dgram = vec![0xEE; 5];
+        dgram.extend(p.encode());
+        assert_eq!(QuicPacket::decode(&dgram[5..]).expect("decode"), p);
+        assert_eq!(dgram.len() - 5, p.encoded_len() as usize);
     }
 
     #[test]
     fn truncated_packets_error() {
-        assert_eq!(
-            QuicPacket::decode(Bytes::from_static(b"\x80\x00")),
-            Err(WireError::Truncated)
-        );
+        assert_eq!(QuicPacket::decode(b"\x80\x00"), Err(WireError::Truncated));
+        // A short header is truncated even when its flags byte is wrong.
+        assert_eq!(QuicPacket::decode(b"\x01"), Err(WireError::Truncated));
         // Valid header, truncated frame.
         let p = QuicPacket {
             conn_id: 1,
@@ -563,49 +529,41 @@ mod tests {
             }],
         };
         let enc = p.encode();
-        let cut = enc.slice(0..enc.len() - 3);
+        let cut = &enc[..enc.len() - 3];
         assert_eq!(QuicPacket::decode(cut), Err(WireError::Truncated));
+        // A handshake frame cut before its padding is truncated, whatever
+        // its kind byte says.
+        let mut bad_kind = header(0x80, 1);
+        bad_kind.extend([0x04, 0x09]);
+        assert_eq!(QuicPacket::decode(&bad_kind), Err(WireError::Truncated));
     }
 
     #[test]
     fn unknown_frame_tag_errors() {
-        let mut bad = BytesMut::new();
-        bad.put_u8(0x80);
-        bad.put_u64(1);
-        bad.put_u64(1);
-        bad.put_u8(0x7F);
-        assert_eq!(
-            QuicPacket::decode(bad.freeze()),
-            Err(WireError::UnknownFrame(0x7F))
-        );
+        let mut bad = header(0x80, 1);
+        bad.push(0x7F);
+        assert_eq!(QuicPacket::decode(&bad), Err(WireError::UnknownFrame(0x7F)));
     }
 
     #[test]
     fn invalid_ack_block_errors() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0x80);
-        buf.put_u64(1);
-        buf.put_u64(2);
-        buf.put_u8(0x02);
-        buf.put_u64(9); // largest
-        buf.put_u64(0); // delay
-        buf.put_u8(1); // one block
-        buf.put_u64(8); // start
-        buf.put_u64(3); // end < start: malformed
+        let mut buf = header(0x80, 2);
+        buf.push(0x02);
+        buf.extend(9u64.to_be_bytes()); // largest
+        buf.extend(0u64.to_be_bytes()); // delay
+        buf.push(1); // one block
+        buf.extend(8u64.to_be_bytes()); // start
+        buf.extend(3u64.to_be_bytes()); // end < start: malformed
         assert_eq!(
-            QuicPacket::decode(buf.freeze()),
+            QuicPacket::decode(&buf),
             Err(WireError::Malformed("ack block start > end"))
         );
     }
 
     #[test]
     fn bad_flags_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0x01);
-        buf.put_u64(1);
-        buf.put_u64(1);
         assert_eq!(
-            QuicPacket::decode(buf.freeze()),
+            QuicPacket::decode(&header(0x01, 1)),
             Err(WireError::Malformed("flags"))
         );
     }

@@ -12,7 +12,7 @@
 //! [`TcpSegment::encoded_len`] is the allocation-free analytic size of
 //! [`TcpSegment::encode`]'s output, proptest-pinned to `encode().len()`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::Reader;
 
 /// TCP flag bits.
 pub mod flags {
@@ -84,64 +84,59 @@ impl TcpSegment {
     }
 
     /// Encode control bytes (synthetic payload not materialized).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u64(self.seq);
-        buf.put_u64(self.ack);
-        buf.put_u8(self.flags);
-        buf.put_u64(self.window);
-        buf.put_u32(self.payload_len);
-        buf.put_u8(u8::from(self.dsack));
-        buf.put_u8(self.sacks.len().min(MAX_SACKS) as u8);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len() as usize);
+        buf.extend(self.seq.to_be_bytes());
+        buf.extend(self.ack.to_be_bytes());
+        buf.push(self.flags);
+        buf.extend(self.window.to_be_bytes());
+        buf.extend(self.payload_len.to_be_bytes());
+        buf.push(u8::from(self.dsack));
+        buf.push(self.sacks.len().min(MAX_SACKS) as u8);
         for &(s, e) in self.sacks.iter().take(MAX_SACKS) {
-            buf.put_u64(s);
-            buf.put_u64(e);
+            buf.extend(s.to_be_bytes());
+            buf.extend(e.to_be_bytes());
         }
-        buf.put_u16(self.records.len().min(MAX_RECORDS) as u16);
+        buf.extend((self.records.len().min(MAX_RECORDS) as u16).to_be_bytes());
         for r in self.records.iter().take(MAX_RECORDS) {
-            buf.put_u64(r.offset);
-            buf.put_u32(r.stream);
-            buf.put_u32(r.len);
-            buf.put_u8(u8::from(r.fin));
+            buf.extend(r.offset.to_be_bytes());
+            buf.extend(r.stream.to_be_bytes());
+            buf.extend(r.len.to_be_bytes());
+            buf.push(u8::from(r.fin));
         }
-        buf.freeze()
+        buf
     }
 
-    /// Decode control bytes (`Bytes` by value or a `&[u8]` borrow).
-    pub fn decode(mut b: impl Buf) -> Result<TcpSegment, TcpWireError> {
-        if b.remaining() < 31 {
-            return Err(TcpWireError::Truncated);
-        }
-        let seq = b.get_u64();
-        let ack = b.get_u64();
-        let flags = b.get_u8();
-        let window = b.get_u64();
-        let payload_len = b.get_u32();
-        let dsack = b.get_u8() != 0;
-        let n_sacks = b.get_u8() as usize;
-        if b.remaining() < n_sacks * 16 + 2 {
-            return Err(TcpWireError::Truncated);
-        }
+    /// Decode control bytes.
+    pub fn decode(bytes: &[u8]) -> Result<TcpSegment, TcpWireError> {
+        let mut r = Reader::new(bytes, TcpWireError::Truncated);
+        let seq = r.u64()?;
+        let ack = r.u64()?;
+        let flags = r.u8()?;
+        let window = r.u64()?;
+        let payload_len = r.u32()?;
+        let dsack = r.u8()? != 0;
+        let n_sacks = r.u8()? as usize;
+        // The blocks and the record count behind them: a segment cut
+        // anywhere there is truncated before a block is judged.
+        r.need(n_sacks * 16 + 2)?;
         let mut sacks = Vec::with_capacity(n_sacks);
         for _ in 0..n_sacks {
-            let s = b.get_u64();
-            let e = b.get_u64();
+            let (s, e) = (r.u64()?, r.u64()?);
             if s >= e {
                 return Err(TcpWireError::Malformed("sack block start >= end"));
             }
             sacks.push((s, e));
         }
-        let n_recs = b.get_u16() as usize;
-        if b.remaining() < n_recs * 17 {
-            return Err(TcpWireError::Truncated);
-        }
+        let n_recs = r.u16()? as usize;
+        r.need(n_recs * 17)?;
         let mut records = Vec::with_capacity(n_recs);
         for _ in 0..n_recs {
             records.push(RecordDesc {
-                offset: b.get_u64(),
-                stream: b.get_u32(),
-                len: b.get_u32(),
-                fin: b.get_u8() != 0,
+                offset: r.u64()?,
+                stream: r.u32()?,
+                len: r.u32()?,
+                fin: r.u8()? != 0,
             });
         }
         Ok(TcpSegment {
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn control_segment_roundtrip() {
         let syn = TcpSegment::control(0, 0, flags::SYN, 65535);
-        let dec = TcpSegment::decode(syn.encode()).unwrap();
+        let dec = TcpSegment::decode(&syn.encode()).unwrap();
         assert_eq!(dec, syn);
         assert!(!syn.is_bare_ack());
     }
@@ -234,7 +229,7 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(TcpSegment::decode(seg.encode()).unwrap(), seg);
+        assert_eq!(TcpSegment::decode(&seg.encode()).unwrap(), seg);
         assert_eq!(seg.encoded_len() as usize, seg.encode().len());
     }
 
@@ -243,7 +238,7 @@ mod tests {
         let mut seg = TcpSegment::control(0, 100, flags::ACK, 1000);
         seg.sacks = vec![(50, 100)];
         seg.dsack = true;
-        let dec = TcpSegment::decode(seg.encode()).unwrap();
+        let dec = TcpSegment::decode(&seg.encode()).unwrap();
         assert!(dec.dsack);
         assert_eq!(dec.sacks, vec![(50, 100)]);
     }
@@ -289,15 +284,17 @@ mod tests {
     #[test]
     fn decode_borrows_a_slice() {
         let seg = TcpSegment::control(5, 6, flags::ACK, 100);
-        let enc = seg.encode();
-        assert_eq!(TcpSegment::decode(&enc[..]).expect("decode"), seg);
-        assert_eq!(enc.len(), seg.encoded_len() as usize);
+        // The segment sits inside a larger buffer, as behind an IP header.
+        let mut frame = vec![0xEE; 5];
+        frame.extend(seg.encode());
+        assert_eq!(TcpSegment::decode(&frame[5..]).expect("decode"), seg);
+        assert_eq!(frame.len() - 5, seg.encoded_len() as usize);
     }
 
     #[test]
     fn truncated_rejected() {
         assert_eq!(
-            TcpSegment::decode(Bytes::from_static(b"\x00\x01")),
+            TcpSegment::decode(b"\x00\x01"),
             Err(TcpWireError::Truncated)
         );
         let seg = TcpSegment {
@@ -305,7 +302,15 @@ mod tests {
             ..TcpSegment::control(0, 0, flags::ACK, 10)
         };
         let enc = seg.encode();
-        let cut = enc.slice(0..enc.len() - 1);
+        let cut = &enc[..enc.len() - 1];
+        assert_eq!(TcpSegment::decode(cut), Err(TcpWireError::Truncated));
+        // A bad block whose record count is cut off is truncated first.
+        let bad = TcpSegment {
+            sacks: vec![(5, 5)],
+            ..TcpSegment::control(0, 0, flags::ACK, 10)
+        }
+        .encode();
+        let cut = &bad[..bad.len() - 2];
         assert_eq!(TcpSegment::decode(cut), Err(TcpWireError::Truncated));
     }
 
@@ -316,7 +321,7 @@ mod tests {
             ..TcpSegment::control(0, 0, flags::ACK, 10)
         };
         assert_eq!(
-            TcpSegment::decode(seg.encode()),
+            TcpSegment::decode(&seg.encode()),
             Err(TcpWireError::Malformed("sack block start >= end"))
         );
     }

@@ -11,18 +11,15 @@
 //! suite holds bit-exactly.
 //!
 //! On disk a trace is qlog-style JSON-SEQ (RFC 7464): each record is an
-//! RS byte (`0x1E`), one minimized-key JSON object, and a newline. The
-//! std-only [`RotatingWriter`] splits the stream into size-capped
-//! segments without ever splitting a record, and
-//! [`parse_seq`] round-trips the concatenated segments back to the typed
-//! event sequence.
+//! RS byte (`0x1E`), one minimized-key JSON object, and a newline.
+//! [`encode_seq`] writes it and [`parse_seq`] reads it back to the typed
+//! event sequence, both through the workspace's one JSON codec
+//! ([`crate::json`]).
+
+use crate::json::{self, Json};
 
 /// RFC 7464 record separator that prefixes every JSON-SEQ record.
 pub const RECORD_SEP: char = '\u{1e}';
-
-/// A per-segment byte cap for [`RotatingWriter::new`] that keeps
-/// segments editor-sized.
-pub const DEFAULT_SEGMENT_CAP: usize = 64 * 1024;
 
 /// Whether a run records per-connection structured traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -319,21 +316,6 @@ pub fn merge_by_time(a: &[TraceRecord], b: &[TraceRecord]) -> Vec<TraceRecord> {
 // JSON-SEQ codec (minimized field names)
 // ---------------------------------------------------------------------------
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Encode one record as RS + minimized-key JSON + newline.
 pub fn encode_record(rec: &TraceRecord) -> String {
     let mut s = String::with_capacity(48);
@@ -356,8 +338,7 @@ pub fn encode_record(rec: &TraceRecord) -> String {
             s.push_str(&format!(",\"k\":\"loss\",\"pn\":{pn}"));
         }
         TraceEvent::CcState { state } => {
-            s.push_str(",\"k\":\"st\",\"s\":");
-            escape_into(&mut s, state);
+            s.push_str(&format!(",\"k\":\"st\",\"s\":\"{}\"", json::escape(state)));
         }
         TraceEvent::Cwnd { bytes } => {
             s.push_str(&format!(",\"k\":\"cw\",\"b\":{bytes}"));
@@ -372,16 +353,18 @@ pub fn encode_record(rec: &TraceRecord) -> String {
             s.push_str(&format!(",\"k\":\"tf\",\"r\":\"{}\"", kind.label()));
         }
         TraceEvent::FaultOn { kind, dir } => {
-            s.push_str(",\"k\":\"f+\",\"f\":");
-            escape_into(&mut s, kind);
-            s.push_str(",\"d\":");
-            escape_into(&mut s, dir);
+            s.push_str(&format!(
+                ",\"k\":\"f+\",\"f\":\"{}\",\"d\":\"{}\"",
+                json::escape(kind),
+                json::escape(dir)
+            ));
         }
         TraceEvent::FaultOff { kind, dir } => {
-            s.push_str(",\"k\":\"f-\",\"f\":");
-            escape_into(&mut s, kind);
-            s.push_str(",\"d\":");
-            escape_into(&mut s, dir);
+            s.push_str(&format!(
+                ",\"k\":\"f-\",\"f\":\"{}\",\"d\":\"{}\"",
+                json::escape(kind),
+                json::escape(dir)
+            ));
         }
     }
     s.push('}');
@@ -398,232 +381,66 @@ pub fn encode_seq(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Flat field value inside one record object.
-enum Field {
-    Num(u64),
-    Str(String),
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            s: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            got => Err(format!(
-                "expected {:?} at byte {}, got {:?}",
-                b as char,
-                self.pos,
-                got.map(|g| g as char)
-            )),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Consume a run of plain UTF-8 bytes at once.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.s[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?,
-            );
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let cp = self.parse_hex4()?;
-                        // Surrogate pairs, for completeness; our encoder
-                        // only escapes control characters.
-                        if (0xD800..0xDC00).contains(&cp) {
-                            self.expect(b'\\')?;
-                            self.expect(b'u')?;
-                            let lo = self.parse_hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(format!(
-                                    "high surrogate \\u{cp:04x} followed by \\u{lo:04x}, \
-                                     not a low surrogate"
-                                ));
-                            }
-                            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                            out.push(char::from_u32(c).ok_or_else(|| "bad surrogate".to_string())?);
-                        } else {
-                            out.push(
-                                char::from_u32(cp).ok_or_else(|| "bad codepoint".to_string())?,
-                            );
-                        }
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                other => return Err(format!("unterminated string ({other:?})")),
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, String> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let b = self.bump().ok_or_else(|| "truncated \\u".to_string())?;
-            let d = (b as char)
-                .to_digit(16)
-                .ok_or_else(|| format!("bad hex digit {:?}", b as char))?;
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn parse_num(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.s[start..self.pos])
-            .unwrap()
-            .parse::<u64>()
-            .map_err(|e| e.to_string())
-    }
-
-    /// Parse one flat `{"key":value,...}` object of numbers and strings.
-    fn parse_object(&mut self) -> Result<Vec<(String, Field)>, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let val = match self.peek() {
-                Some(b'"') => Field::Str(self.parse_string()?),
-                _ => Field::Num(self.parse_num()?),
-            };
-            fields.push((key, val));
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(fields),
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-}
-
-fn field_num(fields: &[(String, Field)], key: &str) -> Result<u64, String> {
-    fields
-        .iter()
-        .find_map(|(k, v)| match v {
-            Field::Num(n) if k == key => Some(*n),
-            _ => None,
-        })
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn field_str<'a>(fields: &'a [(String, Field)], key: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find_map(|(k, v)| match v {
-            Field::Str(s) if k == key => Some(s.as_str()),
-            _ => None,
-        })
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
 /// Parse one JSON-SEQ record line (with or without the RS prefix and
-/// trailing newline) back to the typed record.
+/// trailing newline) back to the typed record. Numeric fields must be
+/// unsigned integer literals and string fields strings.
 pub fn parse_record(line: &str) -> Result<TraceRecord, String> {
-    let line = line.trim_end_matches('\n').trim_start_matches(RECORD_SEP);
-    let mut p = Parser::new(line);
-    let fields = p.parse_object()?;
-    if p.pos != p.s.len() {
-        return Err(format!("trailing bytes after record at {}", p.pos));
-    }
-    let t = field_num(&fields, "t")?;
-    let kind = field_str(&fields, "k")?;
+    let rec = json::parse(line.trim_start_matches(RECORD_SEP)).map_err(|e| e.to_string())?;
+    let num = |key: &str| {
+        rec.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing numeric field '{key}'"))
+    };
+    let text = |key: &str| {
+        rec.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing string field '{key}'"))
+    };
+    let t = num("t")?;
+    let kind = text("k")?;
     let ev = match kind {
         "tx" => TraceEvent::PktTx {
-            pn: field_num(&fields, "pn")?,
-            size: field_num(&fields, "sz")?,
-            elicit: field_num(&fields, "el").unwrap_or(0) != 0,
+            pn: num("pn")?,
+            size: num("sz")?,
+            elicit: num("el").unwrap_or(0) != 0,
         },
         "rx" => TraceEvent::PktRx {
-            pn: field_num(&fields, "pn")?,
-            size: field_num(&fields, "sz")?,
+            pn: num("pn")?,
+            size: num("sz")?,
         },
         "ack" => TraceEvent::AckProcessed {
-            newly_acked: field_num(&fields, "nb")?,
+            newly_acked: num("nb")?,
         },
-        "loss" => TraceEvent::Loss {
-            pn: field_num(&fields, "pn")?,
-        },
+        "loss" => TraceEvent::Loss { pn: num("pn")? },
         "st" => TraceEvent::CcState {
-            state: field_str(&fields, "s")?.to_string(),
+            state: text("s")?.to_string(),
         },
-        "cw" => TraceEvent::Cwnd {
-            bytes: field_num(&fields, "b")?,
-        },
+        "cw" => TraceEvent::Cwnd { bytes: num("b")? },
         "rec" => TraceEvent::Recovery {
-            kind: RecoveryKind::parse(field_str(&fields, "r")?)
+            kind: RecoveryKind::parse(text("r")?)
                 .ok_or_else(|| "unknown recovery kind".to_string())?,
         },
         "ta" => TraceEvent::TimerArm {
-            deadline_ns: field_num(&fields, "at")?,
+            deadline_ns: num("at")?,
         },
         "tf" => TraceEvent::TimerFire {
-            kind: RecoveryKind::parse(field_str(&fields, "r")?)
+            kind: RecoveryKind::parse(text("r")?)
                 .ok_or_else(|| "unknown timer kind".to_string())?,
         },
         "f+" => TraceEvent::FaultOn {
-            kind: field_str(&fields, "f")?.to_string(),
-            dir: field_str(&fields, "d")?.to_string(),
+            kind: text("f")?.to_string(),
+            dir: text("d")?.to_string(),
         },
         "f-" => TraceEvent::FaultOff {
-            kind: field_str(&fields, "f")?.to_string(),
-            dir: field_str(&fields, "d")?.to_string(),
+            kind: text("f")?.to_string(),
+            dir: text("d")?.to_string(),
         },
         other => return Err(format!("unknown event kind '{other}'")),
     };
     Ok(TraceRecord { t, ev })
 }
 
-/// Parse a whole JSON-SEQ stream (e.g. concatenated writer segments).
+/// Parse a whole JSON-SEQ stream.
 pub fn parse_seq(text: &str) -> Result<Vec<TraceRecord>, String> {
     let mut out = Vec::new();
     for chunk in text.split(RECORD_SEP) {
@@ -634,67 +451,6 @@ pub fn parse_seq(text: &str) -> Result<Vec<TraceRecord>, String> {
         out.push(parse_record(chunk)?);
     }
     Ok(out)
-}
-
-/// Std-only rotating JSON-SEQ writer: appends encoded records to an
-/// in-memory segment and starts a new one when the current segment would
-/// exceed the byte cap. A record is never split across segments; a
-/// record larger than the cap gets a segment of its own.
-#[derive(Debug, Clone)]
-pub struct RotatingWriter {
-    cap: usize,
-    segments: Vec<String>,
-}
-
-impl RotatingWriter {
-    /// Writer with a per-segment byte cap (`usize::MAX` = never rotate).
-    pub fn new(cap: usize) -> RotatingWriter {
-        RotatingWriter {
-            cap: cap.max(1),
-            segments: vec![String::new()],
-        }
-    }
-
-    /// Append one record, rotating first if it would overflow the cap.
-    pub fn push(&mut self, rec: &TraceRecord) {
-        let line = encode_record(rec);
-        let cur = self.segments.last_mut().expect("always one segment");
-        if !cur.is_empty() && cur.len() + line.len() > self.cap {
-            self.segments.push(line);
-        } else {
-            cur.push_str(&line);
-        }
-    }
-
-    /// Append a whole record sequence.
-    pub fn push_all(&mut self, records: &[TraceRecord]) {
-        for r in records {
-            self.push(r);
-        }
-    }
-
-    /// The finished segments, in order (the last may be partial; a
-    /// fresh writer has one empty segment).
-    pub fn segments(&self) -> &[String] {
-        &self.segments
-    }
-
-    /// All segments joined back into one JSON-SEQ stream.
-    pub fn concat(&self) -> String {
-        self.segments.concat()
-    }
-
-    /// Write the segments as `trace_NNN.jsonseq` files under `dir`.
-    pub fn write_dir(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut paths = Vec::new();
-        for (i, seg) in self.segments.iter().enumerate() {
-            let path = dir.join(format!("trace_{i:03}.jsonseq"));
-            std::fs::write(&path, seg)?;
-            paths.push(path);
-        }
-        Ok(paths)
-    }
 }
 
 #[cfg(test)]
@@ -888,26 +644,5 @@ mod tests {
             prop_assert_eq!(parsed, records);
         }
 
-        /// Rotation never splits a record and concat(segments) is the
-        /// exact unrotated stream.
-        #[test]
-        fn rotation_never_splits_records(
-            records in arb_records(),
-            cap in 16usize..512,
-        ) {
-            let mut w = RotatingWriter::new(cap);
-            w.push_all(&records);
-            for seg in w.segments() {
-                // Every segment is a whole number of records...
-                let n = parse_seq(seg).expect("segment parses standalone").len();
-                // ...and respects the cap unless a single record exceeds it.
-                if seg.len() > cap {
-                    prop_assert_eq!(n, 1, "oversized segment must hold one record");
-                }
-            }
-            prop_assert_eq!(w.concat(), encode_seq(&records));
-            let round = parse_seq(&w.concat()).expect("concat parses");
-            prop_assert_eq!(round, records);
-        }
     }
 }

@@ -58,7 +58,7 @@ impl Census {
                 let bytes = p.encode();
                 assert_eq!(bytes.len(), p.encoded_len() as usize, "encoded_len: {p:?}");
                 assert_eq!(pkt.wire_size, p.wire_size() + UDP_OVERHEAD, "charge: {p:?}");
-                let back = QuicPacket::decode(bytes).unwrap_or_else(|e| panic!("{e}: {p:?}"));
+                let back = QuicPacket::decode(&bytes).unwrap_or_else(|e| panic!("{e}: {p:?}"));
                 assert_eq!(back, p, "decode(encode(p)) != p");
                 self.quic_packets += 1;
                 for f in &back.frames {
@@ -80,7 +80,7 @@ impl Census {
                 assert_eq!(bytes.len(), s.encoded_len() as usize, "encoded_len: {s:?}");
                 let charge = s.wire_size_payload() + TCP_OVERHEAD + 17 * s.records.len() as u32;
                 assert_eq!(pkt.wire_size, charge, "charge: {s:?}");
-                let back = TcpSegment::decode(bytes).unwrap_or_else(|e| panic!("{e}: {s:?}"));
+                let back = TcpSegment::decode(&bytes).unwrap_or_else(|e| panic!("{e}: {s:?}"));
                 assert_eq!(back, s, "decode(encode(s)) != s");
                 self.tcp_segments += 1;
                 self.records += back.records.len() as u64;
