@@ -18,7 +18,7 @@
 //! summed cell time (achieved speedup), per-worker cells/chunks claimed,
 //! and the slowest cells.
 
-use longlook_bench::{list_experiments, run_experiment};
+use longlook_bench::EXPERIMENTS;
 use longlook_core::runner::{self, Parallelism};
 use std::io::Write as _;
 use std::time::Instant;
@@ -32,7 +32,7 @@ fn usage() -> ! {
     eprintln!("  -j N      shard cells across N threads (or set LONGLOOK_JOBS; 1 = serial)");
     eprintln!("  --timing  print a scheduler report per batch (jobs, chunk, speedup)");
     eprintln!("experiments:");
-    for (id, desc) in list_experiments() {
+    for (id, desc, _) in EXPERIMENTS {
         eprintln!("  {id:<18} {desc}");
     }
     std::process::exit(2);
@@ -76,27 +76,19 @@ fn print_timing(id: &str) {
     }
 }
 
-fn run_one(id: &str, timing: bool) -> bool {
+fn run_one(id: &str, run: fn() -> String, timing: bool) {
     let started = Instant::now();
-    match run_experiment(id) {
-        Some(body) => {
-            println!("==================== {id} ====================");
-            println!("{body}");
-            if timing {
-                print_timing(id);
-            }
-            println!(
-                "[{id} completed in {:.1}s]\n",
-                started.elapsed().as_secs_f64()
-            );
-            save(id, &body);
-            true
-        }
-        None => {
-            eprintln!("unknown experiment: {id}");
-            false
-        }
+    let body = run();
+    println!("==================== {id} ====================");
+    println!("{body}");
+    if timing {
+        print_timing(id);
     }
+    println!(
+        "[{id} completed in {:.1}s]\n",
+        started.elapsed().as_secs_f64()
+    );
+    save(id, &body);
 }
 
 fn main() {
@@ -131,33 +123,10 @@ fn main() {
         None | Some("list") => usage(),
         // `repro trauma` with no file runs the trauma *experiment* (the
         // generic arm below); with a file it replays a shrunk repro.
+        // Replay a shrunk traumafuzz repro file: exit 0 iff the recorded
+        // oracle violation reproduces.
         Some("trauma") if args.len() >= 2 => {
-            // Replay a shrunk traumafuzz repro file: exit 0 iff the
-            // recorded oracle violation reproduces.
-            let path = &args[1];
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            let case = longlook_bench::fuzz::parse_repro(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse {path}: {e}");
-                std::process::exit(2);
-            });
-            println!(
-                "replaying seed {} ({} event(s), canary: {})",
-                case.seed,
-                case.plan.events.len(),
-                case.canary
-            );
-            let violations = longlook_bench::fuzz::replay(&case);
-            if violations.is_empty() {
-                println!("no violation: the repro did NOT reproduce");
-                std::process::exit(1);
-            }
-            for v in &violations {
-                println!("  {v}");
-            }
-            println!("violation reproduced ({} oracle hit(s))", violations.len());
+            std::process::exit(longlook_bench::fuzz::replay_file(&args[1]));
         }
         // Analyze a captured structured trace: either a raw JSON-SEQ
         // `.jsonseq` file or a traumafuzz repro JSON carrying one in its
@@ -192,18 +161,20 @@ fn main() {
         }
         Some("all") => {
             let started = Instant::now();
-            for (id, _) in list_experiments() {
-                run_one(id, timing);
+            for (id, _, run) in EXPERIMENTS {
+                run_one(id, *run, timing);
             }
             println!(
                 "[all experiments completed in {:.1}s]",
                 started.elapsed().as_secs_f64()
             );
         }
-        Some(id) => {
-            if !run_one(id, timing) {
+        Some(id) => match EXPERIMENTS.iter().find(|(known, _, _)| *known == id) {
+            Some((id, _, run)) => run_one(id, *run, timing),
+            None => {
+                eprintln!("unknown experiment: {id}");
                 usage();
             }
-        }
+        },
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Each seed deterministically derives a fault plan, runs a paired
-//! QUIC/TCP trauma cell twice (the second run is the determinism oracle),
+//! QUIC/TCP page load twice (the second run is the determinism oracle),
 //! and checks the invariant oracles. A violating seed is shrunk to a
 //! minimal plan and written as a JSON repro under `results/trauma/`; the
 //! file is immediately parsed back and replayed to prove it still
@@ -19,7 +19,7 @@
 //! most 3 events, and every written repro replayed its violation.
 
 use longlook_bench::fuzz::{
-    capture_trace, fuzz_seed, parse_repro, render_repro, replay, shrink, ReproCase,
+    capture_trace, fuzz_seed, parse_repro, render_repro, replay, replay_file, shrink, ReproCase,
 };
 use std::io::Write as _;
 
@@ -39,39 +39,6 @@ fn parse_range(s: &str) -> Option<(u64, u64)> {
     let lo: u64 = a.parse().ok()?;
     let hi: u64 = b.parse().ok()?;
     (lo < hi).then_some((lo, hi))
-}
-
-fn replay_file(path: &str) -> ! {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let case = match parse_repro(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    println!(
-        "replaying seed {} ({} event(s), canary: {})",
-        case.seed,
-        case.plan.events.len(),
-        case.canary
-    );
-    let violations = replay(&case);
-    if violations.is_empty() {
-        println!("no violation: the repro did NOT reproduce");
-        std::process::exit(1);
-    }
-    for v in &violations {
-        println!("  {v}");
-    }
-    println!("violation reproduced ({} oracle hit(s))", violations.len());
-    std::process::exit(0);
 }
 
 fn save_repro(case: &ReproCase) -> Option<std::path::PathBuf> {
@@ -109,7 +76,7 @@ fn main() {
                 if args.len() < 2 {
                     usage();
                 }
-                replay_file(&args[1]);
+                std::process::exit(replay_file(&args[1]));
             }
             _ => usage(),
         }

@@ -36,7 +36,7 @@ pub fn fleet() -> String {
         ("QUIC", ProtoConfig::Quic(QuicConfig::default())),
         ("TCP", ProtoConfig::Tcp(TcpConfig::default())),
     ] {
-        let m = run_fleet_sharded(&proto, &base, par.jobs(), par);
+        let m = run_fleet_par(&proto, &base, par);
         let _ = write!(
             out,
             "\n{label}: {n} clients flash-crowd over {} links — \

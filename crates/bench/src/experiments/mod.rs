@@ -12,103 +12,135 @@ pub mod timelines;
 pub mod trauma_sweep;
 pub mod video_exp;
 
-/// All experiment ids with one-line descriptions, in paper order.
-pub fn list_experiments() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("table1", "related-work contribution matrix"),
-        ("table2", "test parameter space"),
-        ("table3", "QUIC congestion-control states (Cubic)"),
-        ("fig2", "calibration: default vs GAE vs calibrated servers"),
-        ("greybox", "grey-box parameter search (Sec 4.1)"),
-        ("fig3a", "inferred QUIC Cubic state machine"),
-        ("fig3b", "inferred QUIC BBR state machine"),
-        (
-            "fig4",
-            "fairness throughput timelines (QUIC vs TCP / TCPx2)",
-        ),
-        ("fig5", "congestion windows while competing"),
-        ("table4", "average throughput when competing (10 runs)"),
-        ("fig6a", "PLT heatmap: object size x rate"),
-        ("fig6b", "PLT heatmap: object count x rate"),
-        ("fig7", "QUIC 0-RTT benefit heatmap"),
-        ("fig8", "PLT heatmaps with loss / delay / variable delay"),
-        ("fig9", "cwnd over time at 100 Mbps, 1% loss"),
-        (
-            "fig10",
-            "reordering vs NACK threshold (10MB, 112ms RTT, 10ms jitter)",
-        ),
-        (
-            "fig11",
-            "variable bandwidth throughput (210MB, 50-150 Mbps)",
-        ),
-        ("fig12", "mobile heatmaps (Nexus6, MotoG)"),
-        ("fig13", "state machines: Desktop vs MotoG, 50 Mbps"),
-        (
-            "table5",
-            "cellular network characteristics (emulated vs target)",
-        ),
-        ("fig14", "cellular heatmaps (Verizon/Sprint 3G/LTE)"),
-        ("table6", "video QoE at 100 Mbps + 1% loss"),
-        ("fig15", "QUIC 37 with MACW 430 vs 2000"),
-        ("historical", "PLT across QUIC versions 25-37"),
-        ("fig17", "QUIC vs proxied TCP"),
-        ("fig18", "QUIC direct vs proxied QUIC"),
-        (
-            "ablation_nack",
-            "NACK threshold: fixed vs adaptive vs time-based",
-        ),
-        ("ablation_hystart", "HyStart on/off for many small objects"),
-        ("ablation_pacing", "pacing on/off under loss"),
-        ("ablation_nconn", "N-connection emulation vs fairness"),
-        ("ablation_bbr", "experimental BBR vs Cubic"),
-        (
-            "trauma",
-            "fault-injection sweep: completion and typed errors under trauma",
-        ),
-        (
-            "fleet",
-            "fleet-scale tail latency: arrival profiles x load, QUIC vs TCP p99",
-        ),
-    ]
-}
+/// One registry row: id, one-line description, and the function that
+/// renders the artifact.
+pub type Experiment = (&'static str, &'static str, fn() -> String);
 
-/// Run one experiment by id; returns the rendered artifact.
-pub fn run_experiment(id: &str) -> Option<String> {
-    let out = match id {
-        "table1" => tables::table1(),
-        "table2" => tables::table2(),
-        "table3" => tables::table3(),
-        "table5" => tables::table5(),
-        "fig2" => calib::fig2(),
-        "greybox" => calib::greybox(),
-        "fig3a" => statemachines::fig3a(),
-        "fig3b" => statemachines::fig3b(),
-        "fig13" => statemachines::fig13(),
-        "fig4" => fairness_exp::fig4(),
-        "fig5" => fairness_exp::fig5(),
-        "table4" => fairness_exp::table4(),
-        "fig6a" => heatmaps::fig6a(),
-        "fig6b" => heatmaps::fig6b(),
-        "fig7" => heatmaps::fig7(),
-        "fig8" => heatmaps::fig8(),
-        "fig12" => heatmaps::fig12(),
-        "fig14" => heatmaps::fig14(),
-        "fig15" => heatmaps::fig15(),
-        "fig17" => heatmaps::fig17(),
-        "fig18" => heatmaps::fig18(),
-        "fig9" => timelines::fig9(),
-        "fig10" => timelines::fig10(),
-        "fig11" => timelines::fig11(),
-        "table6" => video_exp::table6(),
-        "historical" => historical::historical(),
-        "ablation_nack" => ablations::nack(),
-        "ablation_hystart" => ablations::hystart(),
-        "ablation_pacing" => ablations::pacing(),
-        "ablation_nconn" => ablations::nconn(),
-        "ablation_bbr" => ablations::bbr(),
-        "trauma" => trauma_sweep::trauma(),
-        "fleet" => fleet_exp::fleet(),
-        _ => return None,
-    };
-    Some(out)
-}
+/// Every experiment, in paper order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", "related-work contribution matrix", tables::table1),
+    ("table2", "test parameter space", tables::table2),
+    (
+        "table3",
+        "QUIC congestion-control states (Cubic)",
+        tables::table3,
+    ),
+    (
+        "fig2",
+        "calibration: default vs GAE vs calibrated servers",
+        calib::fig2,
+    ),
+    (
+        "greybox",
+        "grey-box parameter search (Sec 4.1)",
+        calib::greybox,
+    ),
+    (
+        "fig3a",
+        "inferred QUIC Cubic state machine",
+        statemachines::fig3a,
+    ),
+    (
+        "fig3b",
+        "inferred QUIC BBR state machine",
+        statemachines::fig3b,
+    ),
+    (
+        "fig4",
+        "fairness throughput timelines (QUIC vs TCP / TCPx2)",
+        fairness_exp::fig4,
+    ),
+    (
+        "fig5",
+        "congestion windows while competing",
+        fairness_exp::fig5,
+    ),
+    (
+        "table4",
+        "average throughput when competing (10 runs)",
+        fairness_exp::table4,
+    ),
+    ("fig6a", "PLT heatmap: object size x rate", heatmaps::fig6a),
+    ("fig6b", "PLT heatmap: object count x rate", heatmaps::fig6b),
+    ("fig7", "QUIC 0-RTT benefit heatmap", heatmaps::fig7),
+    (
+        "fig8",
+        "PLT heatmaps with loss / delay / variable delay",
+        heatmaps::fig8,
+    ),
+    (
+        "fig9",
+        "cwnd over time at 100 Mbps, 1% loss",
+        timelines::fig9,
+    ),
+    (
+        "fig10",
+        "reordering vs NACK threshold (10MB, 112ms RTT, 10ms jitter)",
+        timelines::fig10,
+    ),
+    (
+        "fig11",
+        "variable bandwidth throughput (210MB, 50-150 Mbps)",
+        timelines::fig11,
+    ),
+    ("fig12", "mobile heatmaps (Nexus6, MotoG)", heatmaps::fig12),
+    (
+        "fig13",
+        "state machines: Desktop vs MotoG, 50 Mbps",
+        statemachines::fig13,
+    ),
+    (
+        "table5",
+        "cellular network characteristics (emulated vs target)",
+        tables::table5,
+    ),
+    (
+        "fig14",
+        "cellular heatmaps (Verizon/Sprint 3G/LTE)",
+        heatmaps::fig14,
+    ),
+    (
+        "table6",
+        "video QoE at 100 Mbps + 1% loss",
+        video_exp::table6,
+    ),
+    ("fig15", "QUIC 37 with MACW 430 vs 2000", heatmaps::fig15),
+    (
+        "historical",
+        "PLT across QUIC versions 25-37",
+        historical::historical,
+    ),
+    ("fig17", "QUIC vs proxied TCP", heatmaps::fig17),
+    ("fig18", "QUIC direct vs proxied QUIC", heatmaps::fig18),
+    (
+        "ablation_nack",
+        "NACK threshold: fixed vs adaptive vs time-based",
+        ablations::nack,
+    ),
+    (
+        "ablation_hystart",
+        "HyStart on/off for many small objects",
+        ablations::hystart,
+    ),
+    (
+        "ablation_pacing",
+        "pacing on/off under loss",
+        ablations::pacing,
+    ),
+    (
+        "ablation_nconn",
+        "N-connection emulation vs fairness",
+        ablations::nconn,
+    ),
+    ("ablation_bbr", "experimental BBR vs Cubic", ablations::bbr),
+    (
+        "trauma",
+        "fault-injection sweep: completion and typed errors under trauma",
+        trauma_sweep::trauma,
+    ),
+    (
+        "fleet",
+        "fleet-scale tail latency: arrival profiles x load, QUIC vs TCP p99",
+        fleet_exp::fleet,
+    ),
+];

@@ -8,7 +8,6 @@
 
 use crate::rounds;
 use longlook_core::prelude::*;
-use longlook_core::trauma::server_stats_or_zero;
 use std::fmt::Write as _;
 
 fn ev(at_ms: u64, dur_ms: u64, dir: FaultDir, kind: FaultKind) -> FaultEvent {
@@ -139,16 +138,16 @@ pub fn trauma() -> String {
             )
             .with_rounds(rounds())
             .with_seed(9_000);
-            let recs = run_trauma_records_par(proto, &sc, Parallelism::auto());
-            let completed = recs.iter().filter(|r| r.completed).count();
+            let recs = run_records(proto, &sc);
+            let completed = recs.iter().filter(|r| r.completed()).count();
             let mut plt = Summary::new();
             let mut retrans = Summary::new();
             let mut errors: Vec<String> = Vec::new();
             for rec in &recs {
-                if let Some(d) = rec.record.plt {
+                if let Some(d) = rec.plt {
                     plt.add(d.as_millis_f64());
                 }
-                retrans.add(server_stats_or_zero(rec).retransmissions as f64);
+                retrans.add(rec.server_stats.map_or(0, |s| s.retransmissions) as f64);
                 for (side, err) in [("client", rec.client_error), ("server", rec.server_error)] {
                     if let Some(e) = err {
                         let tag = format!("{side}:{}", e.label());

@@ -2,8 +2,8 @@
 //! a greedy shrinker, and self-contained JSON repro files.
 //!
 //! The fuzzer's unit of work is one **seed**: it deterministically derives
-//! a [`FaultPlan`] from the seed, runs a paired QUIC/TCP trauma cell under
-//! that plan, and checks four oracles against each [`TraumaRecord`]:
+//! a [`FaultPlan`] from the seed, runs a paired QUIC/TCP page load under
+//! that plan, and checks four oracles against each [`RunRecord`]:
 //!
 //! 1. **termination** — the world must quiesce (stop or go idle), never
 //!    run to the deadline;
@@ -26,7 +26,6 @@
 //! lossless.
 
 use longlook_core::prelude::*;
-use longlook_core::trauma::server_stats_or_zero;
 use longlook_sim::json::{self, Json, JsonError};
 use longlook_sim::SimRng;
 use longlook_transport::{check_trace_legal, cubic_legal_edges};
@@ -232,7 +231,7 @@ pub fn fuzz_protos(canary: bool) -> Vec<ProtoConfig> {
 }
 
 /// The four per-record oracles. Returns every violated oracle's verdict.
-pub fn check_oracles(rec: &TraumaRecord) -> Vec<String> {
+pub fn check_oracles(rec: &RunRecord) -> Vec<String> {
     let mut v = Vec::new();
     if rec.outcome == RunOutcome::DeadlineReached {
         v.push("termination: world ran to the deadline instead of quiescing".to_string());
@@ -244,7 +243,7 @@ pub fn check_oracles(rec: &TraumaRecord) -> Vec<String> {
                 .to_string(),
         );
     }
-    let sent = server_stats_or_zero(rec).bytes_sent;
+    let sent = rec.server_stats.map_or(0, |s| s.bytes_sent);
     if rec.app_bytes > sent {
         v.push(format!(
             "conservation: client delivered {} app bytes but the server sent only \
@@ -252,7 +251,7 @@ pub fn check_oracles(rec: &TraumaRecord) -> Vec<String> {
             rec.app_bytes, sent
         ));
     }
-    if let Some(trace) = rec.record.server_trace.as_ref() {
+    if let Some(trace) = rec.server_trace.as_ref() {
         if let Err(msg) = check_trace_legal(&trace.labels(), &cubic_legal_edges(), "Init") {
             v.push(format!("cc-legal: {msg}"));
         }
@@ -266,14 +265,14 @@ pub fn run_plan(seed: u64, plan: &FaultPlan, canary: bool) -> Vec<Violation> {
     let sc = fuzz_scenario(seed, plan.clone());
     let mut out = Vec::new();
     for proto in fuzz_protos(canary) {
-        let first = run_trauma_cell(&proto, &sc, 0);
+        let first = run_page_load(&proto, &sc, 0);
         for oracle in check_oracles(&first) {
             out.push(Violation {
                 proto: proto.name(),
                 oracle,
             });
         }
-        let again = run_trauma_cell(&proto, &sc, 0);
+        let again = run_page_load(&proto, &sc, 0);
         if first != again {
             out.push(Violation {
                 proto: proto.name(),
@@ -334,13 +333,50 @@ pub fn replay(case: &ReproCase) -> Vec<Violation> {
     run_plan(case.seed, &case.plan, case.canary)
 }
 
+/// Replay the repro file at `path`, reporting on stdout, and return the
+/// exit code `repro trauma FILE` and `traumafuzz --replay FILE` share: 0
+/// iff the recorded violation reproduces, 1 if it does not, 2 if the
+/// file cannot be read or parsed.
+pub fn replay_file(path: &str) -> i32 {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
+            return 2;
+        }
+    };
+    let case = match parse_repro(&text) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("cannot parse {path}: {e}");
+            return 2;
+        }
+    };
+    println!(
+        "replaying seed {} ({} event(s), canary: {})",
+        case.seed,
+        case.plan.events.len(),
+        case.canary
+    );
+    let violations = replay(&case);
+    if violations.is_empty() {
+        println!("no violation: the repro did NOT reproduce");
+        return 1;
+    }
+    for v in &violations {
+        println!("  {v}");
+    }
+    println!("violation reproduced ({} oracle hit(s))", violations.len());
+    0
+}
+
 /// Capture the structured event trace of a case's QUIC cell (the
 /// protocol under scrutiny) with the fault window edges merged in,
 /// JSON-SEQ encoded for embedding in the repro file.
 pub fn capture_trace(case: &ReproCase) -> String {
     let sc = fuzz_scenario(case.seed, case.plan.clone());
     let proto = fuzz_protos(case.canary).remove(0);
-    let (_, records) = longlook_core::trauma::run_trauma_cell_traced(&proto, &sc, 0);
+    let (_, records) = run_page_load_traced(&proto, &sc, 0);
     longlook_sim::trace::encode_seq(&records)
 }
 

@@ -9,7 +9,7 @@
 pub mod experiments;
 pub mod fuzz;
 
-pub use experiments::{list_experiments, run_experiment};
+pub use experiments::EXPERIMENTS;
 
 use std::sync::Once;
 

@@ -23,10 +23,11 @@ use longlook_http::app::WebClient;
 use longlook_http::host::ProtoConfig;
 use longlook_http::workload::PageSpec;
 use longlook_sim::time::{Dur, Time};
-use longlook_sim::{DeviceProfile, ExecConfig, RunOutcome};
+use longlook_sim::trace::{merge_by_time, TraceRecord};
+use longlook_sim::{DeviceProfile, ExecConfig, FaultPlan, RunOutcome, TraceMode};
 use longlook_stats::{Comparison, Heatmap, HeatmapCell};
 use longlook_transport::ccstate::StateTrace;
-use longlook_transport::conn::ConnStats;
+use longlook_transport::conn::{ConnError, ConnStats};
 
 /// One measurement scenario.
 #[derive(Clone)]
@@ -45,10 +46,6 @@ pub struct Scenario {
     pub zero_rtt: bool,
     /// Simulated-time budget per run.
     pub deadline: Dur,
-    /// Execution mode (tracing) of every cell of this scenario.
-    /// Observables are identical for every value; only the referees and
-    /// trace capture set anything but the default.
-    pub exec: ExecConfig,
 }
 
 impl Scenario {
@@ -62,7 +59,6 @@ impl Scenario {
             base_seed: 1,
             zero_rtt: true,
             deadline: Dur::from_secs(600),
-            exec: ExecConfig::default(),
         }
     }
 
@@ -81,12 +77,6 @@ impl Scenario {
     /// Builder: base seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
-        self
-    }
-
-    /// Builder: execution mode (trace).
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -114,31 +104,73 @@ pub struct RunRecord {
     pub server_cwnd: Vec<(Time, u64)>,
     /// When the run's world clock stopped.
     pub ended_at: Time,
+    /// How the world loop ended.
+    pub outcome: RunOutcome,
+    /// Client connection's terminal error, if it gave up.
+    pub client_error: Option<ConnError>,
+    /// Server connection's terminal error, if it gave up.
+    pub server_error: Option<ConnError>,
+    /// App-level response bytes delivered in order to the client. Unlike
+    /// wire counters this cannot be inflated by duplication faults.
+    pub app_bytes: u64,
+}
+
+impl RunRecord {
+    /// Whether the page load finished. The client starts its clock before
+    /// it can finish, so this is exactly "has a PLT".
+    pub fn completed(&self) -> bool {
+        self.plt.is_some()
+    }
+
+    /// The run terminated cleanly: completed, or surfaced a typed error
+    /// on at least one endpoint before the deadline. The negation is the
+    /// "silent livelock" the fuzzer's oracle hunts.
+    pub fn accounted_for(&self) -> bool {
+        self.completed() || self.client_error.is_some() || self.server_error.is_some()
+    }
 }
 
 /// Load `sc.page` once over `proto` with per-round seed `round`.
 pub fn run_page_load(proto: &ProtoConfig, sc: &Scenario, round: u64) -> RunRecord {
-    collect(&run_cell(proto, sc, round, sc.exec).0)
+    run_cell(proto, sc, round).0
 }
 
-/// Build and run one page-load cell on `exec`: the per-round seed and
-/// network realization, one `WebClient` flow, run to `sc.deadline`.
-/// Shared by [`run_page_load`] and the trauma cells.
-pub(crate) fn run_cell(
+/// [`run_page_load`] with the structured trace layer on for this cell
+/// only, whatever `proto` carries. Returns the record plus the server
+/// connection's event trace merged with the fault plan's window edges, so
+/// the trace explains *when* the network was faulted as well as how the
+/// transport reacted.
+pub fn run_page_load_traced(
     proto: &ProtoConfig,
     sc: &Scenario,
     round: u64,
-    exec: ExecConfig,
-) -> (Testbed, RunOutcome) {
+) -> (RunRecord, Vec<TraceRecord>) {
+    let traced = proto.clone().with_exec(ExecConfig {
+        trace: TraceMode::On,
+    });
+    let (rec, tb) = run_cell(&traced, sc, round);
+    let edges = sc
+        .net
+        .fault
+        .as_ref()
+        .map(FaultPlan::trace_window_edges)
+        .unwrap_or_default();
+    let conn_trace = tb.server_host().conn_trace(tb.flows[0]).unwrap_or_default();
+    (rec, merge_by_time(conn_trace, &edges))
+}
+
+/// Build and run one page-load cell: the per-round seed and network
+/// realization, one `WebClient` flow, run to `sc.deadline`. Returns the
+/// record and the finished testbed.
+fn run_cell(proto: &ProtoConfig, sc: &Scenario, round: u64) -> (RunRecord, Testbed) {
     let seed = sc.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
-    let net = per_round_net(sc, round);
     let mut tb = Testbed::direct(
         seed,
-        &net,
+        &per_round_net(sc, round),
         sc.device,
         sc.page.clone(),
         vec![FlowSpec {
-            proto: proto.clone().with_exec(exec),
+            proto: proto.clone(),
             zero_rtt: sc.zero_rtt,
             app: Box::new(WebClient::new(sc.page.clone())),
         }],
@@ -147,27 +179,12 @@ pub(crate) fn run_cell(
     );
     let outcome = tb.world.run_until(Time::ZERO + sc.deadline);
     crate::runner::note_cell_events(tb.world.events_processed());
-    (tb, outcome)
-}
-
-/// Per-round network realization: the base RTT varies by ±3% from round
-/// to round, modelling the path-latency noise any physical testbed has.
-/// Without this, the deterministic simulator would report sub-percent
-/// differences as maximally significant, which no real measurement could.
-pub(crate) fn per_round_net(sc: &Scenario, round: u64) -> NetProfile {
-    let mut net = sc.net.clone();
-    let u = longlook_sim::rng::hash_unit(sc.base_seed ^ 0xA11CE, round);
-    net.rtt = net.rtt.mul_f64(0.97 + 0.06 * u);
-    net
-}
-
-pub(crate) fn collect(tb: &Testbed) -> RunRecord {
     let now = tb.world.now();
     let host = tb.client_host();
     let app = host.app::<WebClient>(0);
     let flow = tb.flows[0];
     let server = tb.server_host();
-    RunRecord {
+    let rec = RunRecord {
         plt: app.plt(),
         client_stats: host.conn_stats(0),
         server_stats: server.conn_stats(flow),
@@ -177,7 +194,23 @@ pub(crate) fn collect(tb: &Testbed) -> RunRecord {
             .map(<[(Time, u64)]>::to_vec)
             .unwrap_or_default(),
         ended_at: now,
-    }
+        outcome,
+        client_error: host.conn_error(0),
+        server_error: server.conn_error(flow),
+        app_bytes: app.har().iter().map(|r| r.bytes).sum(),
+    };
+    (rec, tb)
+}
+
+/// Per-round network realization: the base RTT varies by ±3% from round
+/// to round, modelling the path-latency noise any physical testbed has.
+/// Without this, the deterministic simulator would report sub-percent
+/// differences as maximally significant, which no real measurement could.
+fn per_round_net(sc: &Scenario, round: u64) -> NetProfile {
+    let mut net = sc.net.clone();
+    let u = longlook_sim::rng::hash_unit(sc.base_seed ^ 0xA11CE, round);
+    net.rtt = net.rtt.mul_f64(0.97 + 0.06 * u);
+    net
 }
 
 /// Load the page through a midpoint proxy.
@@ -193,8 +226,8 @@ pub fn run_page_load_proxied(
         &sc.net,
         sc.device,
         sc.page.clone(),
-        down.clone().with_exec(sc.exec),
-        up.clone().with_exec(sc.exec),
+        down.clone(),
+        up.clone(),
         sc.zero_rtt,
         Box::new(WebClient::new(sc.page.clone())),
     );
@@ -418,7 +451,9 @@ pub fn sweep_heatmap_with_par(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use longlook_http::app::ClientApp;
     use longlook_quic::QuicConfig;
+    use longlook_sim::{FaultDir, FaultEvent, FaultKind};
     use longlook_stats::Verdict;
     use longlook_tcp::TcpConfig;
 
@@ -476,5 +511,102 @@ mod tests {
         let sc =
             Scenario::new(NetProfile::baseline(10.0), PageSpec::single(50 * 1024)).with_rounds(2);
         assert_eq!(plt_samples(&quic(), &sc), plt_samples(&quic(), &sc));
+    }
+
+    fn faulted_scenario(plan: FaultPlan) -> Scenario {
+        Scenario::new(
+            NetProfile::baseline(5.0).with_fault(plan),
+            PageSpec::single(60 * 1024),
+        )
+        .with_rounds(1)
+        .with_seed(4242)
+    }
+
+    fn blackout(at: Time, dur: Dur) -> FaultPlan {
+        FaultPlan::new().with_event(FaultEvent {
+            at,
+            dur,
+            dir: FaultDir::Both,
+            kind: FaultKind::Blackout,
+        })
+    }
+
+    #[test]
+    fn clean_fault_plan_still_completes() {
+        // A plan whose windows sit far past the page load is a no-op.
+        let plan = blackout(Time::ZERO + Dur::from_secs(500), Dur::from_secs(1));
+        for proto in [quic(), tcp()] {
+            let rec = run_page_load(&proto, &faulted_scenario(plan.clone()), 0);
+            assert!(rec.completed(), "{}: load must complete", proto.name());
+            assert!(rec.accounted_for());
+            assert!(rec.app_bytes > 0);
+            assert_eq!(rec.client_error, None);
+        }
+    }
+
+    #[test]
+    fn same_seed_same_trauma_record() {
+        let plan = blackout(Time::ZERO + Dur::from_millis(100), Dur::from_millis(400));
+        let sc = faulted_scenario(plan);
+        assert_eq!(
+            run_page_load(&quic(), &sc, 0),
+            run_page_load(&quic(), &sc, 0)
+        );
+    }
+
+    #[test]
+    fn blackout_past_deadline_surfaces_typed_error() {
+        // A blackout covering the whole run: the handshake can never
+        // complete, so the armed watchdog must surface a typed error and
+        // the world must go idle rather than run to the deadline.
+        let mut sc = faulted_scenario(blackout(Time::ZERO, Dur::from_secs(600)));
+        sc.deadline = Dur::from_secs(120);
+        for proto in [quic(), tcp()] {
+            let rec = run_page_load(&proto, &sc, 0);
+            assert!(!rec.completed(), "{}: nothing can complete", proto.name());
+            // A warm 0-RTT QUIC client is locally "established" from t=0,
+            // so its watchdog reads the dead path as idleness; the TCP
+            // client is still in the SYN handshake.
+            let expect = match &proto {
+                ProtoConfig::Quic(_) => ConnError::IdleTimeout,
+                ProtoConfig::Tcp(_) => ConnError::HandshakeTimeout,
+            };
+            assert_eq!(
+                rec.client_error,
+                Some(expect),
+                "{}: client must give up with a typed error",
+                proto.name()
+            );
+            assert!(rec.accounted_for());
+            assert_ne!(
+                rec.outcome,
+                RunOutcome::DeadlineReached,
+                "{}: the world must quiesce, not spin to the deadline",
+                proto.name()
+            );
+        }
+    }
+
+    /// `completed()` reads the PLT; the client app's own `done()` is what
+    /// it stands for. They agree on loads that finish, on loads a watchdog
+    /// gives up on, and on loads the deadline cuts off mid-transfer.
+    #[test]
+    fn completed_is_the_client_apps_done() {
+        let give_up = faulted_scenario(blackout(Time::ZERO, Dur::from_secs(600)));
+        let mut cut_off = faulted_scenario(FaultPlan::new());
+        cut_off.deadline = Dur::from_millis(60);
+        let cases = [
+            (faulted_scenario(FaultPlan::new()), true),
+            (give_up, false),
+            (cut_off, false),
+        ];
+        for (sc, finishes) in cases {
+            for proto in [quic(), tcp()] {
+                let (rec, tb) = run_cell(&proto, &sc, 0);
+                let done = tb.client_host().app::<WebClient>(0).done();
+                assert_eq!(rec.completed(), done, "{}", proto.name());
+                assert_eq!(done, finishes, "{}", proto.name());
+            }
+        }
     }
 }

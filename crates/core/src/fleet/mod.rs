@@ -15,8 +15,8 @@
 //! * the event loop charges flights against fluid shared-bottleneck
 //!   links ([`world`]) and runs one link at a time, so what is live at
 //!   once is one link's clients, not the fleet's; the links can be dealt
-//!   to worker threads ([`ShardPlan`], [`run_fleet_sharded`]) without
-//!   moving a bit of the result — the path to 10^7 connections per cell.
+//!   to worker threads ([`run_fleet_par`]) without moving a bit of the
+//!   result — the path to 10^7 connections per cell.
 //!
 //! The headline output is [`fleet_heatmap`]: arrival profiles × load
 //! multipliers, QUIC-vs-TCP p99 completion latency, Welch-gated exactly
@@ -30,7 +30,7 @@ pub mod arena;
 pub mod world;
 
 pub use arena::{ConnArena, ConnInit};
-pub use world::{run_fleet, run_fleet_sharded, FleetMetrics, FleetObservables, ShardPlan};
+pub use world::{run_fleet, run_fleet_par, FleetMetrics, FleetObservables};
 
 use std::sync::Once;
 
@@ -170,17 +170,28 @@ impl Default for FleetConfig {
 }
 
 /// Fleet size for interactive runs: `default` unless `LONGLOOK_FLEET_N`
-/// overrides it (warn-once on junk, like every other knob).
+/// overrides it with a population the heatmap can double (warn-once on
+/// anything else, like every other knob).
 pub fn fleet_n(default: usize) -> usize {
     static WARNED: Once = Once::new();
     longlook_wire::env_knob(
         "LONGLOOK_FLEET_N",
-        "a positive integer",
+        "a positive integer up to 2147483647",
         "the experiment default",
         &WARNED,
-        |v| v.trim().parse::<usize>().ok().filter(|n| *n > 0),
+        parse_fleet_n,
     )
     .unwrap_or(default)
+}
+
+/// A `LONGLOOK_FLEET_N` value: a positive integer no larger than half the
+/// 32-bit client id space, because [`fleet_heatmap`]'s 2× load column
+/// doubles it into `FleetConfig::n_conns`.
+fn parse_fleet_n(v: &str) -> Option<usize> {
+    v.trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|n| (1..=u32::MAX as usize / 2).contains(n))
 }
 
 /// Arrival profiles × load multipliers, QUIC vs TCP on p99 completion
@@ -289,5 +300,27 @@ mod tests {
     fn fleet_n_defaults_without_env() {
         // The env var is absent in tests; the default must pass through.
         assert_eq!(fleet_n(1234), 1234);
+    }
+
+    #[test]
+    fn fleet_n_knob_takes_populations_the_heatmap_can_double() {
+        assert_eq!(parse_fleet_n("4000"), Some(4000));
+        assert_eq!(parse_fleet_n(" 1\n"), Some(1));
+        assert_eq!(parse_fleet_n("2147483647"), Some(2_147_483_647));
+        for junk in [
+            "0",
+            "",
+            "-2",
+            "2.5",
+            "many",
+            "3x",
+            "2147483648",
+            "3000000000",
+        ] {
+            assert_eq!(parse_fleet_n(junk), None, "{junk:?}");
+        }
+        // The largest accepted population still fits the 2x column.
+        let most = parse_fleet_n("2147483647").expect("accepted");
+        assert!(u32::try_from(2 * most).is_ok());
     }
 }

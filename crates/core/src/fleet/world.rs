@@ -56,7 +56,7 @@
 //!
 //! # Threads, and what the numbers mean
 //!
-//! [`run_fleet_sharded`] deals contiguous link ranges to the
+//! [`run_fleet_par`] deals contiguous link ranges to the
 //! deterministic runner's workers, each with its own scratch. Per-link
 //! results are scalars and fold in global link order in every mode:
 //! counters sum, `finished_at` is a max, the [`QuantileSketch`] merges
@@ -65,7 +65,7 @@
 //! capacity diagnostics (`scheduled_peak`, `peak_live`,
 //! `arena_bytes_peak`) are the largest over the links, i.e. what the
 //! busiest link needed. All of that is a function of per-link values, so
-//! the whole [`FleetMetrics`] is bit-identical for every `(shards, par)`.
+//! the whole [`FleetMetrics`] is bit-identical for every `par`.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -107,8 +107,7 @@ enum FleetEvent {
 
 /// Everything a fleet run reports. Every field is a function of
 /// per-link values folded in link order, so the whole struct is
-/// bit-identical however [`run_fleet_sharded`] deals the links to
-/// threads.
+/// bit-identical however [`run_fleet_par`] deals the links to threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
     /// Events processed (arrivals + acks + deadline pops), summed over
@@ -187,7 +186,7 @@ impl FleetMetrics {
 
     /// What the cell measured, without the three capacity diagnostics
     /// (`scheduled_peak`, `peak_live`, `arena_bytes_peak`). Both halves
-    /// are invariant under `(shards, par)`; the split is between results
+    /// are invariant under `par`; the split is between results
     /// that only a model change may move and footprint figures a change
     /// to the loop may move. It is what the loop's referee compares with
     /// the single-queue oracle, whose footprint is the population's.
@@ -225,19 +224,21 @@ pub struct FleetObservables {
 }
 
 /// A contiguous, balanced partition of the fleet's link space into
-/// shards: the ranges [`run_fleet_sharded`] deals to worker threads.
-/// Links (and with them connections, `k % n_links`) are the unit
-/// because they are the only state connections share.
+/// shards: the ranges [`run_fleet_par`] deals to worker threads. Links
+/// (and with them connections, `k % n_links`) are the unit because they
+/// are the only state connections share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
+struct ShardPlan {
+    /// Total links being partitioned (at least one).
     n_links: usize,
+    /// Number of shards, in `[1, n_links]`.
     shards: usize,
 }
 
 impl ShardPlan {
     /// Plan `shards` shards over `n_links` links. The shard count is
     /// clamped to `[1, n_links]` — a shard must own at least one link.
-    pub fn new(n_links: usize, shards: usize) -> ShardPlan {
+    fn new(n_links: usize, shards: usize) -> ShardPlan {
         let n_links = n_links.max(1);
         ShardPlan {
             n_links,
@@ -245,22 +246,12 @@ impl ShardPlan {
         }
     }
 
-    /// Number of shards after clamping.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Total links being partitioned.
-    pub fn n_links(&self) -> usize {
-        self.n_links
-    }
-
     /// Global link ids owned by shard `s`: the standard balanced split
     /// `s·L/S .. (s+1)·L/S`, so shard sizes differ by at most one even
     /// when `n_links` is not divisible by the shard count, and
     /// concatenating the ranges in shard order walks the links in global
     /// order (which is what pins the Summary fold).
-    pub fn link_range(&self, s: usize) -> Range<usize> {
+    fn link_range(&self, s: usize) -> Range<usize> {
         assert!(s < self.shards, "shard {s} out of {}", self.shards);
         (s * self.n_links / self.shards)..((s + 1) * self.n_links / self.shards)
     }
@@ -359,7 +350,7 @@ impl<'a> Cell<'a> {
 
 /// What one worker reuses from link to link. Reset, not rebuilt, between
 /// links, so after the first link the loop allocates nothing; owned by
-/// one [`run_fleet_sharded`] call and dropped with it.
+/// one [`run_fleet_par`] call and dropped with it.
 struct Scratch {
     queue: EventQueue<FleetEvent>,
     arena: ConnArena,
@@ -400,7 +391,7 @@ struct LinkRun {
 
 impl FleetMetrics {
     /// Fold the next link's run in. Callers feed links in global link
-    /// order — the one order every `(shards, par)` reproduces — because
+    /// order — the one order every `par` reproduces — because
     /// the Summary merge is float-order-sensitive; everything else here
     /// is a sum or a max.
     fn absorb(&mut self, r: &LinkRun) {
@@ -419,44 +410,37 @@ impl FleetMetrics {
 /// Run one fleet cell to completion on the calling thread, link by
 /// link. Deterministic in `cfg` (including `cfg.seed`) and `proto`;
 /// independent of thread scheduling and everything else environmental —
-/// and bit-identical to any [`run_fleet_sharded`] execution of the same
-/// cell.
+/// and bit-identical to any [`run_fleet_par`] execution of the same cell.
 pub fn run_fleet(proto: &ProtoConfig, cfg: &FleetConfig) -> FleetMetrics {
-    run_fleet_sharded(proto, cfg, 1, Parallelism::Serial)
+    run_fleet_par(proto, cfg, Parallelism::Serial)
 }
 
-/// Run one fleet cell with its links dealt to `par`'s workers as
-/// `shards` contiguous ranges (clamped to the links that have clients).
+/// Run one fleet cell with its links dealt to `par`'s workers as one
+/// contiguous range per worker (clamped to the links that have clients).
 ///
 /// Each range runs link by link on its own scratch and the per-link
 /// results fold in global link order, so the returned [`FleetMetrics`] —
-/// diagnostics included — is bit-identical for every `(shards, par)`;
-/// the two only decide which thread runs which link. With one job (or
-/// one shard) the ranges run back to back on the calling thread, which
-/// is the plain loop over every link.
+/// diagnostics included — is bit-identical for every `par`, which only
+/// decides which thread runs which link. With one job the calling thread
+/// runs the plain loop over every link on one scratch.
 ///
 /// # Panics
 ///
 /// If `cfg.n_conns` exceeds `u32::MAX` (the client id space).
-pub fn run_fleet_sharded(
-    proto: &ProtoConfig,
-    cfg: &FleetConfig,
-    shards: usize,
-    par: Parallelism,
-) -> FleetMetrics {
+pub fn run_fleet_par(proto: &ProtoConfig, cfg: &FleetConfig, par: Parallelism) -> FleetMetrics {
     let cell = Cell::new(proto, cfg);
     // Only links `l < n_conns` have a client (`k % n_links` reaches no
     // other); the rest would never see an event and are not planned.
-    let plan = ShardPlan::new(cell.n_links.min(cfg.n_conns), shards);
+    let plan = ShardPlan::new(cell.n_links.min(cfg.n_conns), par.jobs());
     let mut total = FleetMetrics::empty();
-    if plan.shards() == 1 || par.jobs() == 1 {
+    if plan.shards == 1 {
         let mut scratch = Scratch::new(&cell);
-        for link in 0..plan.n_links() {
+        for link in 0..plan.n_links {
             total.absorb(&run_link(&cell, &mut scratch, link));
         }
         total.latency_sketch = scratch.sketch;
     } else {
-        let parts = run_ordered(par, plan.shards(), |s| {
+        let parts = run_ordered(par, plan.shards, |s| {
             let mut scratch = Scratch::new(&cell);
             let runs: Vec<LinkRun> = plan
                 .link_range(s)
@@ -689,9 +673,9 @@ mod tests {
     fn shard_plan_partitions_the_link_space() {
         for (n_links, shards) in [(1, 1), (4, 4), (5, 3), (7, 2), (666, 4), (3, 9)] {
             let plan = ShardPlan::new(n_links, shards);
-            assert!(plan.shards() >= 1 && plan.shards() <= n_links);
+            assert!(plan.shards >= 1 && plan.shards <= n_links);
             let mut covered = Vec::new();
-            for s in 0..plan.shards() {
+            for s in 0..plan.shards {
                 let r = plan.link_range(s);
                 assert!(!r.is_empty(), "shard {s} of {plan:?} owns no links");
                 covered.extend(r);
@@ -702,9 +686,7 @@ mod tests {
                 "{plan:?} is not a partition"
             );
             // Balanced: sizes differ by at most one.
-            let sizes: Vec<usize> = (0..plan.shards())
-                .map(|s| plan.link_range(s).len())
-                .collect();
+            let sizes: Vec<usize> = (0..plan.shards).map(|s| plan.link_range(s).len()).collect();
             let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             assert!(hi - lo <= 1, "{plan:?} unbalanced: {sizes:?}");
         }
@@ -712,10 +694,10 @@ mod tests {
 
     #[test]
     fn shard_plan_clamps_degenerate_inputs() {
-        assert_eq!(ShardPlan::new(8, 0).shards(), 1);
-        assert_eq!(ShardPlan::new(8, 100).shards(), 8);
-        assert_eq!(ShardPlan::new(0, 4).shards(), 1);
-        assert_eq!(ShardPlan::new(0, 4).n_links(), 1);
+        assert_eq!(ShardPlan::new(8, 0).shards, 1);
+        assert_eq!(ShardPlan::new(8, 100).shards, 8);
+        assert_eq!(ShardPlan::new(0, 4).shards, 1);
+        assert_eq!(ShardPlan::new(0, 4).n_links, 1);
     }
 
     /// Scratch reuse is unobservable: a link reports the same run on a

@@ -47,7 +47,6 @@ pub mod rootcause;
 pub mod runner;
 pub mod testbed;
 pub mod traceview;
-pub mod trauma;
 pub mod versions;
 
 /// Everything a downstream experiment typically needs.
@@ -58,28 +57,30 @@ pub mod prelude {
     pub use crate::cellular::{render_table5, CellProfile, CELL_PROFILES};
     pub use crate::experiment::{
         compare_pair, compare_pair_par, plt_samples, plt_samples_par, run_page_load,
-        run_page_load_proxied, run_records, run_records_par, sweep_heatmap, sweep_heatmap_par,
-        sweep_heatmap_with, sweep_heatmap_with_par, PairResult, RunRecord, Scenario,
+        run_page_load_proxied, run_page_load_traced, run_records, run_records_par, sweep_heatmap,
+        sweep_heatmap_par, sweep_heatmap_with, sweep_heatmap_with_par, PairResult, RunRecord,
+        Scenario,
+    };
+    // Sole caller: `observatory/` (frozen), which names the page-load
+    // entry points by their old trauma-cell names.
+    #[doc(hidden)]
+    pub use crate::experiment::{
+        run_page_load as run_trauma_cell, run_page_load_traced as run_trauma_cell_traced,
     };
     pub use crate::fairness::{
         fairness_net, quic_vs_n_tcp, run_fairness, FairnessRun, FlowThroughput,
     };
     pub use crate::fleet::{
-        fleet_heatmap, fleet_n, run_fleet, run_fleet_sharded, ArrivalProfile, ConnArena, ConnInit,
-        FleetConfig, FleetMetrics, FleetObservables, ShardPlan,
+        fleet_heatmap, fleet_n, run_fleet, run_fleet_par, ArrivalProfile, ConnArena, ConnInit,
+        FleetConfig, FleetMetrics, FleetObservables,
     };
     pub use crate::params::{render_table1, ParameterSpace};
     pub use crate::rootcause::{compare_machines, infer_from_records, infer_from_traces};
-    pub use crate::runner::{
-        run_ordered, run_ordered_chunked, run_ordered_reporting, Parallelism, RunnerReport,
-    };
+    pub use crate::runner::{run_ordered, run_ordered_reporting, Parallelism, RunnerReport};
     pub use crate::testbed::{FlowSpec, NetProfile, ProxyTestbed, Testbed};
     pub use crate::traceview::{
         dwell_table, fault_windows, loss_episodes, render_report, render_timeline, FaultWindow,
         LossEpisode,
-    };
-    pub use crate::trauma::{
-        run_trauma_cell, run_trauma_cell_traced, run_trauma_records_par, TraumaRecord,
     };
     pub use crate::versions::QuicVersion;
     pub use longlook_http::app::{BulkClient, ClientApp, WebClient};

@@ -307,31 +307,13 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_ordered_chunked(par, None, n, f)
-}
-
-/// [`run_ordered_reporting`] with an explicit chunk-size override
-/// (`None` or `Some(0)` = auto-tune). The override exists so the
-/// determinism-equivalence suite can pin chunk sizes.
-pub fn run_ordered_chunked<T, F>(
-    par: Parallelism,
-    chunk: Option<usize>,
-    n: usize,
-    f: F,
-) -> (Vec<T>, RunnerReport)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
     let started = Instant::now();
     let batch = BATCH.fetch_add(1, Ordering::Relaxed);
     let jobs = par.jobs().min(n.max(1));
     if jobs <= 1 {
         return run_serial(batch, n, started, f);
     }
-    let chunk = chunk
-        .filter(|&c| c > 0)
-        .unwrap_or_else(|| chunk_size(n, jobs));
+    let chunk = chunk_size(n, jobs);
 
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<ChunkMsg<T>>();
@@ -453,8 +435,8 @@ where
     F: Fn(usize) -> T,
 {
     // A driver may fan a nested batch out from *inside* an outer cell
-    // (the sharded fleet loop degrades to a serial inner batch when a
-    // shard count or job count resolves to one). The inner batch runs on
+    // (a `_par` entry point called from a cell degrades to a serial inner
+    // batch when its job count resolves to one). The inner batch runs on
     // the calling thread, so save the outer cell's in-progress event
     // count and restore it afterwards — otherwise the inner reset would
     // silently zero the outer cell's tally.
@@ -504,16 +486,19 @@ mod tests {
         }
     }
 
+    /// Chunk sizes from 1 to the cap, each picked by its `(n, jobs)`:
+    /// every one reassembles the serial results and accounts for every
+    /// cell.
     #[test]
     fn explicit_chunk_sizes_are_result_invariant() {
         let f = |i: usize| (i as u64).wrapping_mul(0xD134_2543_DE82_EF95);
-        let (serial, _) = run_ordered_chunked(Parallelism::Serial, None, 97, f);
-        for chunk in [1, 2, 7, 16, 64, 1000] {
-            let (par, rep) = run_ordered_chunked(Parallelism::Threads(4), Some(chunk), 97, f);
-            assert_eq!(serial, par, "chunk {chunk} changed results");
-            assert_eq!(rep.chunk, chunk);
-            assert_eq!(rep.workers.iter().map(|w| w.cells).sum::<usize>(), 97);
-            assert_eq!(rep.cell_wall.len(), 97);
+        let (serial, _) = run_ordered_reporting(Parallelism::Serial, 1100, f);
+        for (n, jobs, chunk) in [(97, 4, 4), (31, 4, 1), (200, 2, 13), (1100, 2, CHUNK_CAP)] {
+            let (par, rep) = run_ordered_reporting(Parallelism::Threads(jobs), n, f);
+            assert_eq!(serial[..n], par, "chunk {chunk} changed results");
+            assert_eq!(rep.chunk, chunk, "n {n}, jobs {jobs}");
+            assert_eq!(rep.workers.iter().map(|w| w.cells).sum::<usize>(), n);
+            assert_eq!(rep.cell_wall.len(), n);
         }
     }
 
@@ -553,7 +538,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "cell 2 exploded")]
     fn panic_mid_chunk_propagates() {
-        let _ = run_ordered_chunked(Parallelism::Threads(2), Some(8), 16, |i| {
+        // 64 cells on 2 workers claim chunks of 4: cell 2 is mid-chunk.
+        assert_eq!(chunk_size(64, 2), 4);
+        let _ = run_ordered(Parallelism::Threads(2), 64, |i| {
             assert!(i != 2, "cell {i} exploded");
             i
         });
@@ -626,10 +613,9 @@ mod tests {
 
     #[test]
     fn nested_serial_batches_preserve_outer_cell_events() {
-        // An outer cell that fans out a nested serial batch (as the
-        // sharded fleet loop does at one shard/job) must keep its own
-        // event tally: the inner batch's per-cell resets are invisible
-        // to it.
+        // An outer cell that fans out a nested serial batch (a `_par`
+        // entry point called at one job) must keep its own event tally:
+        // the inner batch's per-cell resets are invisible to it.
         let (_, rep) = run_ordered_reporting(Parallelism::Serial, 2, |_| {
             note_cell_events(5);
             let inner = run_ordered(Parallelism::Serial, 3, |i| {

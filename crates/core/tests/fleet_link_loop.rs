@@ -61,8 +61,7 @@ proptest! {
         jitter in prop_oneof![Just(0.0), Just(0.5)],
         repeat in prop_oneof![Just(0.0), Just(0.5), Just(1.0)],
         quic in any::<bool>(),
-        shard_pick in 0usize..8,
-        threaded in any::<bool>(),
+        jobs in 1usize..5,
         seed in any::<u64>(),
     ) {
         let mut cfg = FleetConfig::new(n_conns).with_profile(profile).with_seed(seed);
@@ -75,11 +74,8 @@ proptest! {
         cfg.deadline = Dur::from_nanos(deadline_ns.unwrap_or(handshake_ns));
         cfg.rtt_jitter_frac = jitter;
         cfg.repeat_visit_frac = repeat;
-        let shards = 1 + shard_pick % n_links;
-        let par = if threaded { Parallelism::Threads(2) } else { Parallelism::Serial };
-
         let want = run_fleet_global_queue(&proto, &cfg);
-        let got = run_fleet_sharded(&proto, &cfg, shards, par);
+        let got = run_fleet_par(&proto, &cfg, Parallelism::Threads(jobs));
         prop_assert_eq!(got.observables(), want.observables());
         prop_assert_eq!(got.completed + got.timed_out, n_conns as u64);
         prop_assert_eq!(got.stale_deadline_pops, got.completed);
@@ -126,7 +122,7 @@ fn link_and_server_counts_past_u16_do_not_alias() {
     cfg.n_links = 70_000;
     cfg.n_servers = 70_000;
     let proto = proto(true);
-    let m = run_fleet_sharded(&proto, &cfg, 3, Parallelism::Threads(2));
+    let m = run_fleet_par(&proto, &cfg, Parallelism::Threads(3));
     assert_eq!(m.completed + m.timed_out, 71_000);
     assert!(m.completed > 0 && m.timed_out > 0, "{m:?}");
     assert_eq!(

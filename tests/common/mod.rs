@@ -78,6 +78,11 @@ pub fn render(records: &[RunRecord]) -> String {
                 .map_or_else(|| "none".into(), |d| d.as_nanos().to_string()),
             r.ended_at.as_nanos(),
         );
+        let _ = writeln!(
+            out,
+            "  outcome={:?} client_error={:?} server_error={:?} app_bytes={}",
+            r.outcome, r.client_error, r.server_error, r.app_bytes,
+        );
         let _ = writeln!(out, "  client {}", stats_line(&r.client_stats));
         if let Some(s) = &r.server_stats {
             let _ = writeln!(out, "  server {}", stats_line(s));

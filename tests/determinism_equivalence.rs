@@ -237,27 +237,31 @@ fn plt_samples_serial_equals_threads4() {
     }
 }
 
-/// Chunked claiming changes nothing: `Serial`, auto-tuned `Threads(4)`
-/// and `Threads(4)` over a range of explicit chunk sizes (including
-/// chunks larger than the batch) produce field-for-field identical
-/// `RunRecord`s for both protocols in every scenario — chunk size only
-/// regroups which worker claims which cells, reassembly is by cell index
-/// — and the scheduler report accounts for every cell exactly once.
+/// Chunked claiming changes nothing: `Serial` and `Threads` runs whose
+/// `(cells, jobs)` auto-tune to a chunk of 1 and to chunks of 2 produce
+/// field-for-field identical `RunRecord`s for both protocols in every
+/// scenario — chunk size only regroups which worker claims which cells,
+/// reassembly is by cell index — and the scheduler report accounts for
+/// every cell exactly once.
 #[test]
 fn explicit_chunk_sizes_are_record_invariant() {
+    const PAIRS: [(usize, usize, usize); 2] = [(4, 4, 1), (17, 2, 2)];
     for (name, sc) in scenarios() {
         for proto in [quic(), tcp()] {
-            let n = sc.rounds as usize;
             let cell = |k: usize| run_page_load(&proto, &sc, k as u64);
-            let serial = run_records_par(&proto, &sc, Parallelism::Serial);
-            for chunk in [None, Some(1), Some(2), Some(3), Some(7), Some(64)] {
-                let (par, report) = run_ordered_chunked(Parallelism::Threads(4), chunk, n, cell);
-                assert_eq!(serial, par, "{name} / {proto:?}: chunk {chunk:?} diverged");
-                assert_eq!(report.chunk, chunk.unwrap_or(1), "4 cells auto-tune to 1");
+            let serial = run_ordered(Parallelism::Serial, 17, cell);
+            for (n, jobs, chunk) in PAIRS {
+                let (par, report) = run_ordered_reporting(Parallelism::Threads(jobs), n, cell);
+                assert_eq!(
+                    serial[..n],
+                    par,
+                    "{name} / {proto:?}: chunk {chunk} diverged"
+                );
+                assert_eq!(report.chunk, chunk, "{n} cells on {jobs} workers");
                 assert_eq!(
                     report.workers.iter().map(|w| w.cells).sum::<usize>(),
                     n,
-                    "{name} / {proto:?}: chunk {chunk:?} report lost cells"
+                    "{name} / {proto:?}: chunk {chunk} report lost cells"
                 );
             }
         }

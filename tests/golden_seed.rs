@@ -263,16 +263,16 @@ fn goldens_hold_on_every_execution_path() {
         ] {
             check(
                 &format!("{name} ({axis})"),
-                &proto,
-                &sc.with_exec(exec),
+                &proto.with_exec(exec),
+                &sc,
                 golden,
             );
         }
         for (name, proto, sc) in common::many_stream_cells() {
             check(
                 &format!("{name} ({axis})"),
-                &proto,
-                &sc.with_exec(exec),
+                &proto.with_exec(exec),
+                &sc,
                 many_stream_golden(name),
             );
         }

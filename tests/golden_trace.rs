@@ -1,7 +1,7 @@
 //! Golden structured-trace snapshots.
 //!
 //! Pins the exact JSON-SEQ trace (`longlook_sim::trace::encode_seq`) of
-//! two small trauma cells — a clean QUIC transfer and a TCP transfer cut
+//! two small page loads — a clean QUIC transfer and a TCP transfer cut
 //! by a blackout — byte for byte. Any silent drift in the trace layer (a
 //! reordered emit, a changed key, a different analytic packet size, a
 //! missing dedup) or in the transports themselves fails *this named
@@ -43,7 +43,7 @@ fn tcp_blackout_scenario() -> Scenario {
 
 /// Capture the server-side trace of round 0 as JSON-SEQ bytes.
 fn capture(proto: &ProtoConfig, sc: &Scenario) -> String {
-    let (_, records) = run_trauma_cell_traced(proto, sc, 0);
+    let (_, records) = run_page_load_traced(proto, sc, 0);
     encode_seq(&records)
 }
 
@@ -174,14 +174,14 @@ fn golden_traces_hold_on_every_execution_path() {
     for (axis, exec) in common::axes() {
         check(
             &format!("GOLDEN_TRACE_QUIC_CLEAN ({axis})"),
-            &ProtoConfig::Quic(QuicConfig::default()),
-            &quic_clean_scenario().with_exec(exec),
+            &ProtoConfig::Quic(QuicConfig::default()).with_exec(exec),
+            &quic_clean_scenario(),
             GOLDEN_TRACE_QUIC_CLEAN,
         );
         check(
             &format!("GOLDEN_TRACE_TCP_BLACKOUT ({axis})"),
-            &ProtoConfig::Tcp(TcpConfig::default()),
-            &tcp_blackout_scenario().with_exec(exec),
+            &ProtoConfig::Tcp(TcpConfig::default()).with_exec(exec),
+            &tcp_blackout_scenario(),
             GOLDEN_TRACE_TCP_BLACKOUT,
         );
     }

@@ -50,11 +50,14 @@ fn quic_zero_rtt_rejection_falls_back_and_completes() {
         ..QuicConfig::default()
     });
 
-    let ok = run_trauma_cell(&accepting, &sc, 0);
-    let rej = run_trauma_cell(&rejecting, &sc, 0);
+    let ok = run_page_load(&accepting, &sc, 0);
+    let rej = run_page_load(&rejecting, &sc, 0);
 
-    assert!(ok.completed, "accepting baseline must complete");
-    assert!(rej.completed, "rejected 0-RTT must fall back and complete");
+    assert!(ok.completed(), "accepting baseline must complete");
+    assert!(
+        rej.completed(),
+        "rejected 0-RTT must fall back and complete"
+    );
     assert_eq!(rej.client_error, None);
     assert_eq!(rej.server_error, None);
     assert_eq!(
@@ -62,8 +65,8 @@ fn quic_zero_rtt_rejection_falls_back_and_completes() {
         "fallback must deliver the page"
     );
 
-    let plt_ok = ok.record.plt.expect("accepting PLT");
-    let plt_rej = rej.record.plt.expect("rejecting PLT");
+    let plt_ok = ok.plt.expect("accepting PLT");
+    let plt_rej = rej.plt.expect("rejecting PLT");
     assert!(
         plt_rej > plt_ok,
         "a REJ costs at least one extra round trip: {plt_rej:?} vs {plt_ok:?}"
@@ -81,9 +84,9 @@ fn short_blackout_over_first_flight_is_survived_by_retry() {
         ProtoConfig::Quic(QuicConfig::default()),
         ProtoConfig::Tcp(TcpConfig::default()),
     ] {
-        let rec = run_trauma_cell(&proto, &sc, 0);
+        let rec = run_page_load(&proto, &sc, 0);
         assert!(
-            rec.completed,
+            rec.completed(),
             "{}: a 3s outage must be retried through, got client={:?} server={:?}",
             proto.name(),
             rec.client_error,
@@ -130,8 +133,8 @@ fn blackout_outlasting_watchdog_surfaces_typed_handshake_errors() {
         ),
     ];
     for (proto, sc, expect) in cases {
-        let rec = run_trauma_cell(&proto, sc, 0);
-        assert!(!rec.completed, "{}: nothing can complete", proto.name());
+        let rec = run_page_load(&proto, sc, 0);
+        assert!(!rec.completed(), "{}: nothing can complete", proto.name());
         assert_eq!(
             rec.client_error,
             Some(expect),
@@ -159,11 +162,12 @@ fn rejection_plus_short_blackout_still_completes() {
         zero_rtt_accept: false,
         ..QuicConfig::default()
     });
-    let rec = run_trauma_cell(&proto, &sc, 0);
+    let rec = run_page_load(&proto, &sc, 0);
     assert!(
-        rec.completed,
+        rec.completed(),
         "REJ + 2s blackout must still complete, got client={:?} server={:?}",
-        rec.client_error, rec.server_error
+        rec.client_error,
+        rec.server_error
     );
     assert_eq!(rec.client_error, None);
     assert_ne!(rec.outcome, RunOutcome::DeadlineReached);

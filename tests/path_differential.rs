@@ -11,9 +11,9 @@
 //! the conclusion end to end: bit-identical `RunRecord`s and
 //! `StateTrace`s over clean / lossy / jittered / tiny cells under
 //! `Serial` and `Threads(4)` runners and over 120-stream lossy loads,
-//! identical `TraumaRecord`s under fault plans, and identical event
-//! counts and scheduler high-water marks on bulk transfers, for both
-//! protocols.
+//! identical whole `RunRecord`s (outcome and typed errors included) under
+//! fault plans, and identical event counts and scheduler high-water marks
+//! on bulk transfers, for both protocols.
 //!
 //! The wire representation, the scheduler, the event loop, the QUIC
 //! sent-packet store and the recovery timer are not axes: links carry
@@ -25,8 +25,8 @@
 //! `deferred_rearm_equals_eager_rearm`); `golden_seed` / `golden_trace`
 //! were blessed on the replaced implementations.
 //!
-//! Modes are values carried by the scenario, so each axis is its own
-//! `#[test]` and they run concurrently.
+//! Modes are values carried by the protocol configs, so each axis is its
+//! own `#[test]` and they run concurrently.
 
 mod common;
 
@@ -41,9 +41,10 @@ fn assert_identical_to_default(axis_name: &str) {
 
     for par in [Parallelism::Serial, Parallelism::Threads(4)] {
         for (proto_name, proto) in &protos() {
+            let stamped = proto.clone().with_exec(exec);
             for (sc_name, sc) in scenarios() {
                 let want = render(&run_records_par(proto, &sc, par));
-                let got = render(&run_records_par(proto, &sc.with_exec(exec), par));
+                let got = render(&run_records_par(&stamped, &sc, par));
                 assert_eq!(
                     got, want,
                     "{axis_name}: {proto_name}/{sc_name}/{par:?}: RunRecords diverged \
@@ -57,22 +58,23 @@ fn assert_identical_to_default(axis_name: &str) {
     // and the sent-packet store at the depth the object-count sweeps run.
     for (name, proto, sc) in many_stream_cells() {
         let want = render(&run_records(&proto, &sc));
-        let got = render(&run_records(&proto, &sc.with_exec(exec)));
+        let got = render(&run_records(&proto.clone().with_exec(exec), &sc));
         assert_eq!(
             got, want,
             "{axis_name}: {name}: RunRecords diverged from ExecConfig::default()"
         );
     }
 
-    // Faulted cells: the full TraumaRecord (outcome, typed errors,
-    // app-level bytes, record) must match field for field.
+    // Faulted cells: the whole RunRecord (outcome, typed errors,
+    // app-level bytes, counters, traces) must match field for field.
     for (proto_name, proto) in &protos() {
+        let stamped = proto.clone().with_exec(exec);
         for (sc_name, sc) in faulted_scenarios() {
-            let want = run_trauma_cell(proto, &sc, 0);
-            let got = run_trauma_cell(proto, &sc.with_exec(exec), 0);
+            let want = run_page_load(proto, &sc, 0);
+            let got = run_page_load(&stamped, &sc, 0);
             assert_eq!(
                 got, want,
-                "{axis_name}: {proto_name}/{sc_name}: TraumaRecord diverged from \
+                "{axis_name}: {proto_name}/{sc_name}: RunRecord diverged from \
                  ExecConfig::default()"
             );
         }
@@ -112,11 +114,11 @@ fn tracing_on_is_observationally_identical() {
 fn tracing_is_per_cell_under_a_threaded_runner() {
     let quic = ProtoConfig::Quic(QuicConfig::default());
     let sc = faulted_scenarios().swap_remove(0).1;
-    // Even cells are traced trauma cells, odd cells plain default-path
+    // Even cells are traced page loads, odd cells plain default-path
     // testbeds; each reports how many trace records its server kept.
     let lens = run_ordered(Parallelism::Threads(4), 24, |k| {
         if k % 2 == 0 {
-            run_trauma_cell_traced(&quic, &sc, k as u64).1.len()
+            run_page_load_traced(&quic, &sc, k as u64).1.len()
         } else {
             let mut tb = Testbed::direct(
                 k as u64,
