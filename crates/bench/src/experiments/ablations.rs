@@ -58,13 +58,10 @@ pub fn nack() -> String {
         let recs = run_ordered(Parallelism::auto(), rounds() as usize, |k| {
             let k = k as u64;
             let sc = Scenario::new(net.clone(), page.clone())
-                .with_rounds(1)
+                .with_proto(proto.clone())
                 .with_seed(2100 + k);
-            let rec = run_page_load(&proto, &sc, k);
-            (
-                rec.plt.unwrap_or(sc.deadline).as_millis_f64(),
-                rec.server_stats.unwrap_or_default(),
-            )
+            let rec = sc.run(k);
+            (sc.plt_ms(&rec), rec.server_stats.unwrap_or_default())
         });
         for (plt_ms, st) in recs {
             plt.add(plt_ms);
@@ -108,11 +105,11 @@ pub fn hystart() -> String {
         let recs = run_ordered(Parallelism::auto(), rounds().min(5) as usize, |k| {
             let k = k as u64;
             let sc = Scenario::new(deep.clone(), PageSpec::single(20 * 1024 * 1024))
-                .with_rounds(1)
+                .with_proto(proto.clone())
                 .with_seed(2200 + k);
-            let rec = run_page_load(&proto, &sc, k);
+            let rec = sc.run(k);
             (
-                rec.plt.unwrap_or(sc.deadline).as_millis_f64(),
+                sc.plt_ms(&rec),
                 rec.server_stats.unwrap_or_default().losses_detected as f64,
             )
         });
@@ -147,10 +144,11 @@ pub fn hystart() -> String {
                 let mut cfg = QuicConfig::default();
                 cfg.cubic.hystart = hystart_on;
                 let sc = Scenario::new(NetProfile::baseline(rate), page.clone())
+                    .with_proto(ProtoConfig::Quic(cfg))
                     .with_rounds(rounds().min(5))
                     .with_seed(2250);
-                let samples = plt_samples(&ProtoConfig::Quic(cfg), &sc);
-                row.push_str(&format!(" | {:>14.0}", Summary::of(&samples).mean()));
+                let mean = sc.plt_summary(Parallelism::auto()).mean();
+                row.push_str(&format!(" | {mean:>14.0}"));
             }
             let _ = writeln!(out, "{row}");
         }
@@ -188,11 +186,11 @@ pub fn pacing() -> String {
         let recs = run_ordered(Parallelism::auto(), rounds() as usize, |k| {
             let k = k as u64;
             let sc = Scenario::new(net.clone(), page.clone())
-                .with_rounds(1)
+                .with_proto(proto.clone())
                 .with_seed(2300 + k);
-            let rec = run_page_load(&proto, &sc, k);
+            let rec = sc.run(k);
             (
-                rec.plt.unwrap_or(sc.deadline).as_millis_f64(),
+                sc.plt_ms(&rec),
                 rec.server_stats.unwrap_or_default().losses_detected as f64,
             )
         });
@@ -291,10 +289,11 @@ pub fn bbr() -> String {
                 ..QuicConfig::default()
             };
             let sc = Scenario::new(net.clone(), page.clone())
+                .with_proto(ProtoConfig::Quic(cfg))
                 .with_rounds(rounds().min(5))
                 .with_seed(2500);
-            let samples = plt_samples(&ProtoConfig::Quic(cfg), &sc);
-            row.push_str(&format!(" | {:>12.0}", Summary::of(&samples).mean()));
+            let mean = sc.plt_summary(Parallelism::auto()).mean();
+            row.push_str(&format!(" | {mean:>12.0}"));
         }
         let _ = writeln!(out, "{row}");
     }

@@ -51,7 +51,8 @@ pub fn greybox() -> String {
         "Grey-box calibration (Sec 4.1): vary server parameters until the\n\
          performance matches the reference (deployed) servers.\n\n",
     );
-    let reference = reference_plt_ms(rounds().min(5), 21);
+    let par = Parallelism::auto();
+    let reference = reference_plt_ms(rounds().min(5), 21, par);
     let _ = writeln!(
         out,
         "reference 10MB PLT (\"Google's servers\"): {reference:.0} ms\n"
@@ -82,7 +83,7 @@ pub fn greybox() -> String {
             ssthresh_fixed: true,
         },
     ];
-    let (best, err) = grey_box_search(reference, &candidates, rounds().min(5), 21);
+    let (best, err) = grey_box_search(reference, &candidates, rounds().min(5), 21, par);
     for c in candidates {
         let _ = writeln!(
             out,

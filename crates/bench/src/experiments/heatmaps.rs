@@ -13,6 +13,12 @@ fn tcp() -> ProtoConfig {
     ProtoConfig::Tcp(TcpConfig::default())
 }
 
+/// The paper's pair: `sc` as built (calibrated QUIC unless it says
+/// otherwise) against the same cell over TCP.
+fn vs_tcp(sc: Scenario) -> (Scenario, Scenario) {
+    (sc.clone(), sc.with_proto(tcp()))
+}
+
 /// Object sizes used on heatmap columns (Table 2 without the 210 MB bulk
 /// object, which belongs to Fig 11).
 const SIZES: [(u64, &str); 7] = [
@@ -55,16 +61,17 @@ fn count_page(c: usize) -> PageSpec {
 
 /// Fig 6a: QUIC v34 vs TCP across object sizes and rates.
 pub fn fig6a() -> String {
-    let map = sweep_heatmap(
+    let map = sweep(
         "Fig 6a — QUIC vs TCP: object size x rate (RTT 36ms, no impairment)",
         &labels(&RATES),
         &labels(&SIZES),
-        &quic(),
-        &tcp(),
+        Parallelism::auto(),
         |r, c| {
-            Scenario::new(NetProfile::baseline(RATES[r].0), size_page(c))
-                .with_rounds(rounds())
-                .with_seed(600 + r as u64 * 16 + c as u64)
+            vs_tcp(
+                Scenario::new(NetProfile::baseline(RATES[r].0), size_page(c))
+                    .with_rounds(rounds())
+                    .with_seed(600 + r as u64 * 16 + c as u64),
+            )
         },
     );
     map.render_ascii()
@@ -72,16 +79,17 @@ pub fn fig6a() -> String {
 
 /// Fig 6b: QUIC v34 vs TCP across object counts and rates.
 pub fn fig6b() -> String {
-    let map = sweep_heatmap(
+    let map = sweep(
         "Fig 6b — QUIC vs TCP: number of 10KB objects x rate (RTT 36ms)",
         &labels(&RATES),
         &labels(&COUNTS),
-        &quic(),
-        &tcp(),
+        Parallelism::auto(),
         |r, c| {
-            Scenario::new(NetProfile::baseline(RATES[r].0), count_page(c))
-                .with_rounds(rounds())
-                .with_seed(660 + r as u64 * 16 + c as u64)
+            vs_tcp(
+                Scenario::new(NetProfile::baseline(RATES[r].0), count_page(c))
+                    .with_rounds(rounds())
+                    .with_seed(660 + r as u64 * 16 + c as u64),
+            )
         },
     );
     map.render_ascii()
@@ -89,22 +97,16 @@ pub fn fig6b() -> String {
 
 /// Fig 7: QUIC with 0-RTT (candidate) vs QUIC without (baseline).
 pub fn fig7() -> String {
-    let map = sweep_heatmap_with(
+    let map = sweep(
         "Fig 7 — QUIC with vs without 0-RTT (positive = 0-RTT gain)",
         &labels(&RATES),
         &labels(&SIZES),
-        rounds(),
-        |zero_rtt, r, c, k| {
-            let mut sc = Scenario::new(NetProfile::baseline(RATES[r].0), size_page(c))
-                .with_rounds(1)
+        Parallelism::auto(),
+        |r, c| {
+            let warm = Scenario::new(NetProfile::baseline(RATES[r].0), size_page(c))
+                .with_rounds(rounds())
                 .with_seed(700 + r as u64 * 100 + c as u64 * 10);
-            if !zero_rtt {
-                sc = sc.cold();
-            }
-            run_page_load(&quic(), &sc, k)
-                .plt
-                .unwrap_or(sc.deadline)
-                .as_millis_f64()
+            (warm.clone(), warm.cold())
         },
     );
     map.render_ascii()
@@ -126,29 +128,31 @@ pub fn fig8() -> String {
         }),
     ];
     for (pi, (label, imp)) in impairments.iter().enumerate() {
-        let map = sweep_heatmap(
+        let map = sweep(
             &format!("Fig 8 — object sizes, {label}"),
             &labels(&RATES),
             &labels(&SIZES),
-            &quic(),
-            &tcp(),
+            Parallelism::auto(),
             |r, c| {
-                Scenario::new(imp(NetProfile::baseline(RATES[r].0)), size_page(c))
-                    .with_rounds(rounds())
-                    .with_seed(800 + pi as u64 * 1000 + r as u64 * 16 + c as u64)
+                vs_tcp(
+                    Scenario::new(imp(NetProfile::baseline(RATES[r].0)), size_page(c))
+                        .with_rounds(rounds())
+                        .with_seed(800 + pi as u64 * 1000 + r as u64 * 16 + c as u64),
+                )
             },
         );
         let _ = writeln!(out, "{}", map.render_ascii());
-        let map = sweep_heatmap(
+        let map = sweep(
             &format!("Fig 8 — object counts (10KB each), {label}"),
             &labels(&RATES),
             &labels(&COUNTS),
-            &quic(),
-            &tcp(),
+            Parallelism::auto(),
             |r, c| {
-                Scenario::new(imp(NetProfile::baseline(RATES[r].0)), count_page(c))
-                    .with_rounds(rounds())
-                    .with_seed(860 + pi as u64 * 1000 + r as u64 * 16 + c as u64)
+                vs_tcp(
+                    Scenario::new(imp(NetProfile::baseline(RATES[r].0)), count_page(c))
+                        .with_rounds(rounds())
+                        .with_seed(860 + pi as u64 * 1000 + r as u64 * 16 + c as u64),
+                )
             },
         );
         let _ = writeln!(out, "{}", map.render_ascii());
@@ -161,17 +165,18 @@ pub fn fig12() -> String {
     let mut out = String::new();
     let rates = &RATES[..3]; // 5, 10, 50 Mbps
     for device in [DeviceProfile::MOTOG, DeviceProfile::NEXUS6] {
-        let map = sweep_heatmap(
+        let map = sweep(
             &format!("Fig 12 — QUIC vs TCP on {} (object sizes)", device.name),
             &labels(rates),
             &labels(&SIZES),
-            &quic(),
-            &tcp(),
+            Parallelism::auto(),
             |r, c| {
-                Scenario::new(NetProfile::baseline(rates[r].0), size_page(c))
-                    .with_rounds(rounds())
-                    .with_seed(1200 + r as u64 * 16 + c as u64)
-                    .on_device(device)
+                vs_tcp(
+                    Scenario::new(NetProfile::baseline(rates[r].0), size_page(c))
+                        .with_rounds(rounds())
+                        .with_seed(1200 + r as u64 * 16 + c as u64)
+                        .on_device(device),
+                )
             },
         );
         let _ = writeln!(out, "{}", map.render_ascii());
@@ -196,22 +201,19 @@ pub fn fig14() -> String {
     ];
     let rows: Vec<String> = CELL_PROFILES.iter().map(|p| p.name.to_string()).collect();
     let cols: Vec<String> = sizes.iter().map(|&(_, l)| l.to_string()).collect();
-    let map = sweep_heatmap_with(
+    let map = sweep_with(
         "Fig 14 — QUIC vs TCP over emulated cellular networks",
         &rows,
         &cols,
         rounds(),
+        Parallelism::auto(),
         |is_quic, r, c, k| {
             let profile = CELL_PROFILES[r];
             let net = profile.net_profile_for_run(1400 + r as u64 * 100 + k);
             let sc = Scenario::new(net, PageSpec::single(sizes[c].0))
-                .with_rounds(1)
+                .with_proto(if is_quic { quic() } else { tcp() })
                 .with_seed(1400 + r as u64 * 100 + c as u64 * 10);
-            let proto = if is_quic { quic() } else { tcp() };
-            run_page_load(&proto, &sc, k)
-                .plt
-                .unwrap_or(sc.deadline)
-                .as_millis_f64()
+            sc.plt_ms(&sc.run(k))
         },
     );
     let mut out = map.render_ascii();
@@ -240,21 +242,22 @@ pub fn fig15() -> String {
     for (macw, seed) in [(430u64, 1500u64), (2000, 1550)] {
         let mut cfg = QuicConfig::quic37();
         cfg.cubic.max_cwnd_packets = Some(macw);
-        let q = ProtoConfig::Quic(cfg);
-        let map = sweep_heatmap(
+        let map = sweep(
             &format!("Fig 15 — QUIC 37 (MACW={macw}) vs TCP, object sizes"),
             &row_labels,
             &labels(&SIZES),
-            &q,
-            &tcp(),
+            Parallelism::auto(),
             |r, c| {
                 let (_, rate, extra_ms) = rows[r];
-                Scenario::new(
-                    NetProfile::baseline(rate).with_extra_rtt(Dur::from_millis(extra_ms)),
-                    size_page(c),
+                vs_tcp(
+                    Scenario::new(
+                        NetProfile::baseline(rate).with_extra_rtt(Dur::from_millis(extra_ms)),
+                        size_page(c),
+                    )
+                    .with_proto(ProtoConfig::Quic(cfg.clone()))
+                    .with_rounds(rounds())
+                    .with_seed(seed + r as u64 * 16 + c as u64),
                 )
-                .with_rounds(rounds())
-                .with_seed(seed + r as u64 * 16 + c as u64)
             },
         );
         let _ = writeln!(out, "{}", map.render_ascii());
@@ -278,26 +281,17 @@ pub fn fig17() -> String {
         ("+100ms RTT", |n| n.with_extra_rtt(Dur::from_millis(100))),
     ];
     for (pi, (label, imp)) in panels.iter().enumerate() {
-        let map = sweep_heatmap_with(
+        let map = sweep(
             &format!("Fig 17 — QUIC vs proxied TCP, {label}"),
             &labels(&RATES),
             &labels(&SIZES),
-            rounds(),
-            |is_quic_direct, r, c, k| {
-                let net = imp(NetProfile::baseline(RATES[r].0));
-                let sc = Scenario::new(net, size_page(c))
-                    .with_rounds(1)
+            Parallelism::auto(),
+            |r, c| {
+                let direct = Scenario::new(imp(NetProfile::baseline(RATES[r].0)), size_page(c))
+                    .with_rounds(rounds())
                     .with_seed(1700 + pi as u64 * 1000 + r as u64 * 60 + c as u64);
-                if is_quic_direct {
-                    run_page_load(&quic(), &sc, k)
-                        .plt
-                        .unwrap_or(sc.deadline)
-                        .as_millis_f64()
-                } else {
-                    run_page_load_proxied(&tcp(), &tcp(), &sc, k)
-                        .unwrap_or(sc.deadline)
-                        .as_millis_f64()
-                }
+                let proxied = direct.clone().with_proto(tcp()).via_proxy(tcp());
+                (direct, proxied)
             },
         );
         let _ = writeln!(out, "{}", map.render_ascii());
@@ -316,26 +310,16 @@ pub fn fig18() -> String {
     type Panel = (&'static str, fn(NetProfile) -> NetProfile);
     let panels: [Panel; 2] = [("no impairment", |n| n), ("1% loss", |n| n.with_loss(0.01))];
     for (pi, (label, imp)) in panels.iter().enumerate() {
-        let map = sweep_heatmap_with(
+        let map = sweep(
             &format!("Fig 18 — QUIC direct vs proxied QUIC, {label}"),
             &labels(&RATES),
             &labels(&SIZES),
-            rounds(),
-            |is_direct, r, c, k| {
-                let net = imp(NetProfile::baseline(RATES[r].0));
-                let sc = Scenario::new(net, size_page(c))
-                    .with_rounds(1)
+            Parallelism::auto(),
+            |r, c| {
+                let direct = Scenario::new(imp(NetProfile::baseline(RATES[r].0)), size_page(c))
+                    .with_rounds(rounds())
                     .with_seed(1800 + pi as u64 * 1000 + r as u64 * 60 + c as u64);
-                if is_direct {
-                    run_page_load(&quic(), &sc, k)
-                        .plt
-                        .unwrap_or(sc.deadline)
-                        .as_millis_f64()
-                } else {
-                    run_page_load_proxied(&quic(), &quic(), &sc, k)
-                        .unwrap_or(sc.deadline)
-                        .as_millis_f64()
-                }
+                (direct.clone(), direct.via_proxy(quic()))
             },
         );
         let _ = writeln!(out, "{}", map.render_ascii());

@@ -41,10 +41,10 @@ pub fn historical() -> String {
         let _ = write!(out, "Q{:03}    ", v.number());
         for (i, (_, net, page)) in scenarios.iter().enumerate() {
             let sc = Scenario::new(net.clone(), page.clone())
+                .with_proto(proto.clone())
                 .with_rounds(rounds().min(5))
                 .with_seed(2000 + i as u64);
-            let samples = plt_samples(&proto, &sc);
-            let mean = Summary::of(&samples).mean();
+            let mean = sc.plt_summary(Parallelism::auto()).mean();
             let _ = write!(out, " | {mean:>22.0}");
             if v.number() == 34 {
                 v34_vals.push(mean);

@@ -44,7 +44,8 @@ fn machine_for(
 ) -> longlook_statemachine::InferredMachine {
     let mut records = Vec::new();
     for sc in scenarios {
-        records.extend(run_records(proto, sc));
+        let sc = sc.clone().with_proto(proto.clone());
+        records.extend(sc.records(Parallelism::auto()));
     }
     infer_from_records(&records)
 }
@@ -107,15 +108,12 @@ pub fn fig13() -> String {
             .with_rounds(3)
             .with_seed(seed)
     };
-    let quic = ProtoConfig::Quic(QuicConfig::default());
-    let desktop = {
-        let records = run_records(&quic, &base(321));
-        infer_from_records(&records)
-    };
-    let motog = {
-        let records = run_records(&quic, &base(322).on_device(DeviceProfile::MOTOG));
-        infer_from_records(&records)
-    };
+    let desktop = infer_from_records(&base(321).records(Parallelism::auto()));
+    let motog = infer_from_records(
+        &base(322)
+            .on_device(DeviceProfile::MOTOG)
+            .records(Parallelism::auto()),
+    );
     let mut out = String::from(
         "Fig 13 — QUIC state transitions on MotoG vs Desktop (50 Mbps, no\n\
          added loss or delay); fraction of time in each state\n\n",

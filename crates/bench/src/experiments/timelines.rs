@@ -22,10 +22,10 @@ pub fn fig9() -> String {
     );
     let net = NetProfile::baseline(100.0).with_loss(0.01);
     for proto in [quic(), tcp()] {
-        let sc = Scenario::new(net.clone(), PageSpec::single(10 * 1024 * 1024))
-            .with_rounds(1)
-            .with_seed(900);
-        let rec = run_page_load(&proto, &sc, 0);
+        let rec = Scenario::new(net.clone(), PageSpec::single(10 * 1024 * 1024))
+            .with_proto(proto.clone())
+            .with_seed(900)
+            .run(0);
         let mut samples = Vec::new();
         let mut next = Dur::ZERO;
         for &(t, w) in &rec.server_cwnd {
@@ -80,10 +80,10 @@ pub fn fig10() -> String {
         let mut spurious = Summary::new();
         for k in 0..rounds() {
             let sc = Scenario::new(net.clone(), page.clone())
-                .with_rounds(1)
+                .with_proto(proto.clone())
                 .with_seed(1000 + k);
-            let rec = run_page_load(&proto, &sc, k);
-            plt.add(rec.plt.unwrap_or(sc.deadline).as_millis_f64());
+            let rec = sc.run(k);
+            plt.add(sc.plt_ms(&rec));
             let st = rec.server_stats.unwrap_or_default();
             losses.add(st.losses_detected as f64);
             spurious.add(st.spurious_retransmissions as f64);
@@ -103,10 +103,10 @@ pub fn fig10() -> String {
     let mut spurious = Summary::new();
     for k in 0..rounds() {
         let sc = Scenario::new(net.clone(), page.clone())
-            .with_rounds(1)
+            .with_proto(tcp())
             .with_seed(1000 + k);
-        let rec = run_page_load(&tcp(), &sc, k);
-        plt.add(rec.plt.unwrap_or(sc.deadline).as_millis_f64());
+        let rec = sc.run(k);
+        plt.add(sc.plt_ms(&rec));
         let st = rec.server_stats.unwrap_or_default();
         losses.add(st.losses_detected as f64);
         spurious.add(st.spurious_retransmissions as f64);

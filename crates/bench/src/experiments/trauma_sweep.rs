@@ -132,13 +132,14 @@ pub fn trauma() -> String {
     ];
     for (label, plan) in catalogue() {
         for proto in &protos {
-            let sc = Scenario::new(
+            let recs = Scenario::new(
                 NetProfile::baseline(2.0).with_fault(plan.clone()),
                 PageSpec::single(2 * 1024 * 1024),
             )
+            .with_proto(proto.clone())
             .with_rounds(rounds())
-            .with_seed(9_000);
-            let recs = run_records(proto, &sc);
+            .with_seed(9_000)
+            .records(Parallelism::auto());
             let completed = recs.iter().filter(|r| r.completed()).count();
             let mut plt = Summary::new();
             let mut retrans = Summary::new();

@@ -206,28 +206,25 @@ fn random_event(rng: &mut SimRng) -> FaultEvent {
     FaultEvent { at, dur, dir, kind }
 }
 
-/// The fixed fuzz scenario with a given plan composed on.
-pub fn fuzz_scenario(seed: u64, plan: FaultPlan) -> Scenario {
-    Scenario::new(
+/// The pair of cells a fuzz seed runs, QUIC then TCP, on the fixed fuzz
+/// path with `plan` composed on. With `canary` the QUIC watchdog still
+/// gives up but swallows its error — the seeded bug the silent-livelock
+/// oracle exists to catch.
+pub fn fuzz_cells(seed: u64, plan: FaultPlan, canary: bool) -> [Scenario; 2] {
+    let quic = Scenario::new(
         NetProfile::baseline(FUZZ_RATE_MBPS).with_fault(plan),
         PageSpec::single(FUZZ_PAGE_BYTES),
     )
-    .with_rounds(1)
-    .with_seed(seed)
-}
-
-/// The paired protocol configs a fuzz seed runs. With `canary` the QUIC
-/// watchdog still gives up but swallows its error — the seeded bug the
-/// silent-livelock oracle exists to catch.
-pub fn fuzz_protos(canary: bool) -> Vec<ProtoConfig> {
-    let quic = QuicConfig {
+    .with_proto(ProtoConfig::Quic(QuicConfig {
         canary_mute_watchdog: canary,
         ..QuicConfig::default()
-    };
-    vec![
-        ProtoConfig::Quic(quic),
-        ProtoConfig::Tcp(TcpConfig::default()),
-    ]
+    }))
+    .with_rounds(1)
+    .with_seed(seed);
+    let tcp = quic
+        .clone()
+        .with_proto(ProtoConfig::Tcp(TcpConfig::default()));
+    [quic, tcp]
 }
 
 /// The four per-record oracles. Returns every violated oracle's verdict.
@@ -262,20 +259,18 @@ pub fn check_oracles(rec: &RunRecord) -> Vec<String> {
 /// Run one plan through both protocols, twice each (the second run is the
 /// determinism oracle), and collect every violation.
 pub fn run_plan(seed: u64, plan: &FaultPlan, canary: bool) -> Vec<Violation> {
-    let sc = fuzz_scenario(seed, plan.clone());
     let mut out = Vec::new();
-    for proto in fuzz_protos(canary) {
-        let first = run_page_load(&proto, &sc, 0);
+    for sc in fuzz_cells(seed, plan.clone(), canary) {
+        let first = sc.run(0);
         for oracle in check_oracles(&first) {
             out.push(Violation {
-                proto: proto.name(),
+                proto: sc.proto.name(),
                 oracle,
             });
         }
-        let again = run_page_load(&proto, &sc, 0);
-        if first != again {
+        if first != sc.run(0) {
             out.push(Violation {
-                proto: proto.name(),
+                proto: sc.proto.name(),
                 oracle: "determinism: same seed produced a different record on replay".to_string(),
             });
         }
@@ -374,10 +369,8 @@ pub fn replay_file(path: &str) -> i32 {
 /// protocol under scrutiny) with the fault window edges merged in,
 /// JSON-SEQ encoded for embedding in the repro file.
 pub fn capture_trace(case: &ReproCase) -> String {
-    let sc = fuzz_scenario(case.seed, case.plan.clone());
-    let proto = fuzz_protos(case.canary).remove(0);
-    let (_, records) = run_page_load_traced(&proto, &sc, 0);
-    longlook_sim::trace::encode_seq(&records)
+    let [quic, _] = fuzz_cells(case.seed, case.plan.clone(), case.canary);
+    longlook_sim::trace::encode_seq(&quic.run_traced(0).1)
 }
 
 fn render_event(e: &FaultEvent) -> String {

@@ -11,6 +11,7 @@
 //! deployed parameters.
 
 use crate::experiment::Scenario;
+use crate::runner::Parallelism;
 use crate::testbed::{FlowSpec, NetProfile, Testbed};
 use longlook_http::app::WebClient;
 use longlook_http::host::{ProtoConfig, WaitModel};
@@ -144,6 +145,7 @@ pub fn grey_box_search(
     candidates: &[Candidate],
     rounds: u64,
     base_seed: u64,
+    par: Parallelism,
 ) -> (Candidate, f64) {
     let mut net = NetProfile::baseline(100.0);
     net.rtt = Dur::from_millis(12);
@@ -151,10 +153,10 @@ pub fn grey_box_search(
     let mut best: Option<(Candidate, f64)> = None;
     for &cand in candidates {
         let sc = Scenario::new(net.clone(), page.clone())
+            .with_proto(ProtoConfig::Quic(cand.config()))
             .with_rounds(rounds)
             .with_seed(base_seed);
-        let samples = crate::experiment::plt_samples(&ProtoConfig::Quic(cand.config()), &sc);
-        let mean = Summary::of(&samples).mean();
+        let mean = sc.plt_summary(par).mean();
         let err = (mean - reference_plt_ms).abs();
         if best.as_ref().is_none_or(|(_, e)| err < *e) {
             best = Some((cand, err));
@@ -164,14 +166,13 @@ pub fn grey_box_search(
 }
 
 /// Measure the reference ("Google server") PLT for the grey-box demo.
-pub fn reference_plt_ms(rounds: u64, base_seed: u64) -> f64 {
+pub fn reference_plt_ms(rounds: u64, base_seed: u64, par: Parallelism) -> f64 {
     let mut net = NetProfile::baseline(100.0);
     net.rtt = Dur::from_millis(12);
     let sc = Scenario::new(net, PageSpec::single(10 * 1024 * 1024))
         .with_rounds(rounds)
         .with_seed(base_seed ^ 0x600613); // "Google"
-    let samples = crate::experiment::plt_samples(&ProtoConfig::Quic(QuicConfig::default()), &sc);
-    Summary::of(&samples).mean()
+    sc.plt_summary(par).mean()
 }
 
 #[cfg(test)]
@@ -207,7 +208,7 @@ mod tests {
 
     #[test]
     fn grey_box_search_recovers_deployed_parameters() {
-        let reference = reference_plt_ms(2, 3);
+        let reference = reference_plt_ms(2, 3, Parallelism::Serial);
         let candidates = [
             Candidate {
                 macw: 107,
@@ -226,7 +227,7 @@ mod tests {
                 ssthresh_fixed: true,
             },
         ];
-        let (best, err) = grey_box_search(reference, &candidates, 2, 3);
+        let (best, err) = grey_box_search(reference, &candidates, 2, 3, Parallelism::Serial);
         assert_eq!(best.macw, 430);
         assert!(best.ssthresh_fixed);
         assert!(err < reference * 0.05, "match within 5%: err = {err}");

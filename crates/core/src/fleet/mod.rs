@@ -40,7 +40,7 @@ use longlook_sim::time::Dur;
 use longlook_stats::Heatmap;
 use longlook_tcp::TcpConfig;
 
-use crate::experiment::sweep_heatmap_with_par;
+use crate::experiment::sweep_with;
 use crate::runner::Parallelism;
 
 /// How the fleet's clients arrive inside the window.
@@ -197,7 +197,7 @@ fn parse_fleet_n(v: &str) -> Option<usize> {
 /// Arrival profiles × load multipliers, QUIC vs TCP on p99 completion
 /// latency, Welch-gated. Rows are the three [`ArrivalProfile`]s; columns
 /// scale `base.n_conns` by 0.5 / 1 / 2. Runs through the deterministic
-/// parallel runner: bit-identical at any `LONGLOOK_JOBS` setting.
+/// parallel runner: bit-identical at any `par`.
 pub fn fleet_heatmap(
     quic: &QuicConfig,
     tcp: &TcpConfig,
@@ -213,11 +213,12 @@ pub fn fleet_heatmap(
     const LOADS: [f64; 3] = [0.5, 1.0, 2.0];
     let rows: Vec<String> = PROFILES.iter().map(|p| p.label().to_string()).collect();
     let cols: Vec<String> = LOADS.iter().map(|l| format!("{l}x load")).collect();
-    sweep_heatmap_with_par(
+    sweep_with(
         "fleet p99 completion latency: QUIC vs TCP",
         &rows,
         &cols,
         rounds,
+        par,
         |cand, r, c, k| {
             let mut cfg = base.clone().with_profile(PROFILES[r]);
             cfg.n_conns = ((base.n_conns as f64 * LOADS[c]).round() as usize).max(1);
@@ -231,7 +232,6 @@ pub fn fleet_heatmap(
             };
             run_fleet(&proto, &cfg).p99_ms()
         },
-        par,
     )
 }
 

@@ -22,16 +22,14 @@
 //! ```
 //! use longlook_core::prelude::*;
 //!
-//! // Compare QUIC and TCP loading a 100 KB page at 10 Mbps, 36 ms RTT.
-//! let scenario = Scenario::new(
+//! // Compare QUIC and TCP loading a 100 KB page at 10 Mbps, 36 ms RTT:
+//! // two cells that differ only in the protocol they run.
+//! let quic = Scenario::new(
 //!     NetProfile::baseline(10.0),
 //!     PageSpec::single(100 * 1024),
 //! ).with_rounds(5);
-//! let result = compare_pair(
-//!     &ProtoConfig::Quic(QuicConfig::default()),
-//!     &ProtoConfig::Tcp(TcpConfig::default()),
-//!     &scenario,
-//! );
+//! let tcp = quic.clone().with_proto(ProtoConfig::Tcp(TcpConfig::default()));
+//! let result = compare(&quic, &tcp, Parallelism::Serial);
 //! println!("QUIC is {:+.0}% vs TCP (p gate: {:?})",
 //!          result.comparison.percent, result.comparison.verdict);
 //! assert!(result.comparison.percent > 0.0);
@@ -55,17 +53,12 @@ pub mod prelude {
         fig2_measure, grey_box_search, reference_plt_ms, Candidate, ServerProfile,
     };
     pub use crate::cellular::{render_table5, CellProfile, CELL_PROFILES};
-    pub use crate::experiment::{
-        compare_pair, compare_pair_par, plt_samples, plt_samples_par, run_page_load,
-        run_page_load_proxied, run_page_load_traced, run_records, run_records_par, sweep_heatmap,
-        sweep_heatmap_par, sweep_heatmap_with, sweep_heatmap_with_par, PairResult, RunRecord,
-        Scenario,
-    };
-    // Sole caller: `observatory/` (frozen), which names the page-load
-    // entry points by their old trauma-cell names.
+    pub use crate::experiment::{compare, sweep, sweep_with, PairResult, RunRecord, Scenario};
+    // Sole caller: `observatory/` (frozen), which names the runners that
+    // the cell value replaced.
     #[doc(hidden)]
     pub use crate::experiment::{
-        run_page_load as run_trauma_cell, run_page_load_traced as run_trauma_cell_traced,
+        run_page_load, run_page_load as run_trauma_cell, run_trauma_cell_traced, sweep_heatmap_par,
     };
     pub use crate::fairness::{
         fairness_net, quic_vs_n_tcp, run_fairness, FairnessRun, FlowThroughput,

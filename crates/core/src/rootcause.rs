@@ -77,11 +77,10 @@ pub fn compare_machines(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_records, Scenario};
+    use crate::experiment::Scenario;
+    use crate::runner::Parallelism;
     use crate::testbed::NetProfile;
-    use longlook_http::host::ProtoConfig;
     use longlook_http::workload::PageSpec;
-    use longlook_quic::QuicConfig;
 
     #[test]
     fn inference_pipeline_produces_cubic_states() {
@@ -90,7 +89,7 @@ mod tests {
             PageSpec::single(2 * 1024 * 1024),
         )
         .with_rounds(3);
-        let records = run_records(&ProtoConfig::Quic(QuicConfig::default()), &sc);
+        let records = sc.records(Parallelism::Serial);
         let machine = infer_from_records(&records);
         assert!(machine.states.iter().any(|s| s == "Init"));
         assert!(machine.states.iter().any(|s| s == "SlowStart"));
@@ -103,7 +102,7 @@ mod tests {
     fn comparison_report_renders_both_columns() {
         let sc =
             Scenario::new(NetProfile::baseline(10.0), PageSpec::single(200 * 1024)).with_rounds(2);
-        let records = run_records(&ProtoConfig::Quic(QuicConfig::default()), &sc);
+        let records = sc.records(Parallelism::Serial);
         let m = infer_from_records(&records);
         let report = compare_machines("Desktop", &m, "MotoG", &m);
         assert!(report.contains("Desktop"));

@@ -435,11 +435,11 @@ where
     F: Fn(usize) -> T,
 {
     // A driver may fan a nested batch out from *inside* an outer cell
-    // (a `_par` entry point called from a cell degrades to a serial inner
-    // batch when its job count resolves to one). The inner batch runs on
-    // the calling thread, so save the outer cell's in-progress event
-    // count and restore it afterwards — otherwise the inner reset would
-    // silently zero the outer cell's tally.
+    // (a runner called from a cell with `Parallelism::Serial` runs a
+    // serial inner batch). The inner batch runs on the calling thread, so
+    // save the outer cell's in-progress event count and restore it
+    // afterwards — otherwise the inner reset would silently zero the outer
+    // cell's tally.
     let outer_events = CELL_EVENTS.with(Cell::get);
     let mut report = RunnerReport {
         jobs: 1,
@@ -613,8 +613,8 @@ mod tests {
 
     #[test]
     fn nested_serial_batches_preserve_outer_cell_events() {
-        // An outer cell that fans out a nested serial batch (a `_par`
-        // entry point called at one job) must keep its own event tally:
+        // An outer cell that fans out a nested serial batch (a runner
+        // called with `Parallelism::Serial`) must keep its own event tally:
         // the inner batch's per-cell resets are invisible to it.
         let (_, rep) = run_ordered_reporting(Parallelism::Serial, 2, |_| {
             note_cell_events(5);

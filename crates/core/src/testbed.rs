@@ -252,9 +252,14 @@ pub struct ProxyTestbed {
 }
 
 impl ProxyTestbed {
+    /// The origin-side flow of the client's session: the proxy numbers
+    /// its upstream flows from here, clear of client flow ids.
+    pub const ORIGIN_FLOW: FlowId = FlowId(1 << 32);
+
     /// Build with the proxy "located midway between client and server"
     /// (Fig 16): each leg gets half the RTT and the full rate/impairments
-    /// of `net`.
+    /// of `net`. Panics if `net` carries a fault plan: its link views and
+    /// stall windows are defined for one link pair, not for two legs.
     #[allow(clippy::too_many_arguments)]
     pub fn midpoint(
         seed: u64,
@@ -266,13 +271,16 @@ impl ProxyTestbed {
         zero_rtt: bool,
         app: Box<dyn ClientApp>,
     ) -> ProxyTestbed {
+        if net.fault.is_some() {
+            panic!("NetProfile::fault is set, but the proxy testbed cannot apply a fault plan");
+        }
         let mut world = World::new(seed);
         let proxy_id = NodeId(1);
         let origin_id = NodeId(2);
         let mut client = ClientHost::new(proxy_id, true);
         client.add(FlowId(1), &down_proto, zero_rtt, app, Time::ZERO);
         let c = world.add_node(Box::new(client), device);
-        let proxy = ProxyHost::new(origin_id, down_proto, up_proto.clone(), 1 << 32);
+        let proxy = ProxyHost::new(origin_id, down_proto, up_proto.clone(), Self::ORIGIN_FLOW.0);
         let p = world.add_node(Box::new(proxy), DeviceProfile::SERVER);
         debug_assert_eq!(p, proxy_id);
         let origin = ServerHost::new(up_proto, catalog, seed ^ 0x7072_6F78); // "prox"

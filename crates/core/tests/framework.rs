@@ -11,6 +11,11 @@ fn tcp() -> ProtoConfig {
     ProtoConfig::Tcp(TcpConfig::default())
 }
 
+fn plts(sc: &Scenario) -> Vec<f64> {
+    let records = sc.records(Parallelism::auto());
+    records.iter().map(|r| sc.plt_ms(r)).collect()
+}
+
 #[test]
 fn identical_seeds_replay_identically_across_protocols() {
     for proto in [quic(), tcp()] {
@@ -18,11 +23,12 @@ fn identical_seeds_replay_identically_across_protocols() {
             NetProfile::baseline(10.0).with_loss(0.01),
             PageSpec::uniform(3, 100 * 1024),
         )
+        .with_proto(proto)
         .with_rounds(3)
         .with_seed(77);
-        let a = plt_samples(&proto, &sc);
-        let b = plt_samples(&proto, &sc);
-        assert_eq!(a, b, "{} replay mismatch", proto.name());
+        let a = plts(&sc);
+        let b = plts(&sc);
+        assert_eq!(a, b, "{} replay mismatch", sc.proto.name());
     }
 }
 
@@ -35,24 +41,42 @@ fn different_base_seeds_differ_under_loss() {
     .with_rounds(2)
     .with_seed(1);
     let sc2 = sc1.clone().with_seed(2);
-    assert_ne!(plt_samples(&quic(), &sc1), plt_samples(&quic(), &sc2));
+    assert_ne!(plts(&sc1), plts(&sc2));
 }
 
 #[test]
 fn rounds_vary_within_one_scenario() {
     // Per-round RTT noise means even a clean path's rounds differ.
     let sc = Scenario::new(NetProfile::baseline(10.0), PageSpec::single(100 * 1024)).with_rounds(4);
-    let samples = plt_samples(&quic(), &sc);
+    let samples = plts(&sc);
     let all_same = samples.windows(2).all(|w| w[0] == w[1]);
     assert!(!all_same, "rounds should not be identical: {samples:?}");
+}
+
+#[test]
+fn proxied_rounds_vary_within_one_scenario() {
+    // A proxied cell draws the same per-round RTT noise as a direct one:
+    // a clean path's proxied rounds differ too, for either protocol.
+    for proto in [quic(), tcp()] {
+        let sc = Scenario::new(NetProfile::baseline(50.0), PageSpec::single(500 * 1024))
+            .with_proto(proto.clone())
+            .via_proxy(proto)
+            .with_rounds(6);
+        let samples = plts(&sc);
+        let all_same = samples.windows(2).all(|w| w[0] == w[1]);
+        assert!(
+            !all_same,
+            "proxied rounds should not be identical: {samples:?}"
+        );
+    }
 }
 
 #[test]
 fn cold_scenario_disables_zero_rtt() {
     let warm = Scenario::new(NetProfile::baseline(10.0), PageSpec::single(5 * 1024)).with_rounds(3);
     let cold = warm.clone().cold();
-    let w = Summary::of(&plt_samples(&quic(), &warm));
-    let c = Summary::of(&plt_samples(&quic(), &cold));
+    let w = warm.plt_summary(Parallelism::auto());
+    let c = cold.plt_summary(Parallelism::auto());
     assert!(
         c.mean() > w.mean() + 20.0,
         "cold start must pay ~1 RTT more: {} vs {}",
@@ -68,7 +92,7 @@ fn run_record_exposes_server_side_instrumentation() {
         PageSpec::single(2 * 1024 * 1024),
     )
     .with_rounds(1);
-    let rec = run_page_load(&quic(), &sc, 0);
+    let rec = sc.run(0);
     let trace = rec.server_trace.expect("trace");
     // The instrumented server must have visited the loss-recovery states.
     let labels = trace.labels();
@@ -82,9 +106,10 @@ fn run_record_exposes_server_side_instrumentation() {
 fn versions_share_results_below_37() {
     let page = PageSpec::single(1024 * 1024);
     let sc = Scenario::new(NetProfile::baseline(10.0), page).with_rounds(2);
-    let base = plt_samples(&ProtoConfig::Quic(QuicVersion::V25.config()), &sc);
+    let version = |v: QuicVersion| plts(&sc.clone().with_proto(ProtoConfig::Quic(v.config())));
+    let base = version(QuicVersion::V25);
     for v in [QuicVersion::V29, QuicVersion::V34, QuicVersion::V36] {
-        let s = plt_samples(&ProtoConfig::Quic(v.config()), &sc);
+        let s = version(v);
         assert_eq!(s, base, "{v:?} must match V25 given identical config");
     }
 }
@@ -94,8 +119,8 @@ fn proxied_run_matches_direct_topology_semantics() {
     // A QUIC-through-proxy load completes and takes at least as long as a
     // direct one with warm 0-RTT (the proxy cannot use 0-RTT upstream).
     let sc = Scenario::new(NetProfile::baseline(10.0), PageSpec::single(50 * 1024)).with_rounds(1);
-    let direct = run_page_load(&quic(), &sc, 0).plt.expect("direct");
-    let proxied = run_page_load_proxied(&quic(), &quic(), &sc, 0).expect("proxied");
+    let direct = sc.run(0).plt.expect("direct");
+    let proxied = sc.via_proxy(quic()).run(0).plt.expect("proxied");
     assert!(
         proxied.as_millis_f64() > direct.as_millis_f64(),
         "proxy adds handshake latency for small objects: {proxied} <= {direct}"
@@ -121,8 +146,10 @@ fn heatmap_sweep_is_deterministic() {
     let rows = vec!["10Mbps".to_string()];
     let cols = vec!["50KB".to_string()];
     let build = || {
-        sweep_heatmap("det", &rows, &cols, &quic(), &tcp(), |_r, _c| {
-            Scenario::new(NetProfile::baseline(10.0), PageSpec::single(50 * 1024)).with_rounds(3)
+        sweep("det", &rows, &cols, Parallelism::auto(), |_r, _c| {
+            let sc = Scenario::new(NetProfile::baseline(10.0), PageSpec::single(50 * 1024))
+                .with_rounds(3);
+            (sc.clone(), sc.with_proto(tcp()))
         })
     };
     let a = build();
@@ -133,9 +160,7 @@ fn heatmap_sweep_is_deterministic() {
 #[test]
 fn cellular_profiles_run_end_to_end() {
     for p in CELL_PROFILES {
-        let sc =
-            Scenario::new(p.net_profile_for_run(9), PageSpec::single(50 * 1024)).with_rounds(1);
-        let rec = run_page_load(&quic(), &sc, 0);
+        let rec = Scenario::new(p.net_profile_for_run(9), PageSpec::single(50 * 1024)).run(0);
         assert!(rec.plt.is_some(), "{} load incomplete", p.name);
     }
 }

@@ -51,7 +51,7 @@ impl HeatmapCell {
 }
 
 /// A labelled matrix of comparison cells.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Heatmap {
     /// Figure-style title, e.g. "QUIC v34 vs TCP, 1% loss".
     pub title: String,

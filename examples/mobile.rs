@@ -11,8 +11,6 @@ use longlook_core::rootcause::infer_from_records;
 
 fn main() {
     let page = PageSpec::single(10 * 1024 * 1024);
-    let quic = ProtoConfig::Quic(QuicConfig::default());
-    let tcp = ProtoConfig::Tcp(TcpConfig::default());
 
     println!("10 MB download at 50 Mbps (36 ms RTT) per device:\n");
     println!(
@@ -24,10 +22,13 @@ fn main() {
         DeviceProfile::NEXUS6,
         DeviceProfile::MOTOG,
     ] {
-        let sc = Scenario::new(NetProfile::baseline(50.0), page.clone())
+        let quic = Scenario::new(NetProfile::baseline(50.0), page.clone())
             .with_rounds(5)
             .on_device(device);
-        let pair = compare_pair(&quic, &tcp, &sc);
+        let tcp = quic
+            .clone()
+            .with_proto(ProtoConfig::Tcp(TcpConfig::default()));
+        let pair = compare(&quic, &tcp, Parallelism::auto());
         println!(
             "{:<10} {:>12.0} {:>12.0} {:>9.0}%",
             device.name,
@@ -40,10 +41,10 @@ fn main() {
     // Root cause: time spent Application-Limited (Fig 13).
     println!("\ninferred state machines (server side):");
     for device in [DeviceProfile::DESKTOP, DeviceProfile::MOTOG] {
-        let sc = Scenario::new(NetProfile::baseline(50.0), page.clone())
+        let records = Scenario::new(NetProfile::baseline(50.0), page.clone())
             .with_rounds(3)
-            .on_device(device);
-        let records = run_records(&quic, &sc);
+            .on_device(device)
+            .records(Parallelism::auto());
         let machine = infer_from_records(&records);
         println!(
             "  {:<8}: ApplicationLimited {:>4.0}% | SlowStart {:>4.0}% | CA+Maxed {:>4.0}%",

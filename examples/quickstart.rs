@@ -8,16 +8,18 @@
 use longlook_core::prelude::*;
 
 fn main() {
-    // A 100 KB page over a 10 Mbps, 36 ms RTT emulated path.
-    let scenario =
+    // A 100 KB page over a 10 Mbps, 36 ms RTT emulated path: one cell
+    // over calibrated QUIC (the default) and the same cell over TCP.
+    let quic =
         Scenario::new(NetProfile::baseline(10.0), PageSpec::single(100 * 1024)).with_rounds(10);
+    let tcp = quic
+        .clone()
+        .with_proto(ProtoConfig::Tcp(TcpConfig::default()));
 
-    let quic = ProtoConfig::Quic(QuicConfig::default());
-    let tcp = ProtoConfig::Tcp(TcpConfig::default());
-
-    let result = compare_pair(&quic, &tcp, &scenario);
-    println!("QUIC PLTs (ms): {:?}", result.quic_ms);
-    println!("TCP  PLTs (ms): {:?}", result.tcp_ms);
+    // Shard the rounds over every hardware thread (or `LONGLOOK_JOBS`).
+    let result = compare(&quic, &tcp, Parallelism::auto());
+    println!("QUIC PLTs (ms): {:?}", result.cand_ms);
+    println!("TCP  PLTs (ms): {:?}", result.base_ms);
     println!(
         "QUIC vs TCP: {:+.1}% ({:?}, p = {})",
         result.comparison.percent,
@@ -29,7 +31,7 @@ fn main() {
     );
 
     // Root-cause peek: the server's congestion-control state machine.
-    let rec = run_page_load(&quic, &scenario, 0);
+    let rec = quic.run(0);
     let trace = rec.server_trace.expect("server trace");
     println!("\nserver state visits: {:?}", trace.labels());
     println!(

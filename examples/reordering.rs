@@ -26,8 +26,9 @@ fn main() {
             nack_threshold: threshold,
             ..QuicConfig::default()
         };
-        let sc = Scenario::new(net.clone(), page.clone()).with_rounds(1);
-        let rec = run_page_load(&ProtoConfig::Quic(cfg), &sc, 0);
+        let rec = Scenario::new(net.clone(), page.clone())
+            .with_proto(ProtoConfig::Quic(cfg))
+            .run(0);
         let st = rec.server_stats.unwrap_or_default();
         println!(
             "{:<28} {:>10.0} {:>12} {:>12}",
@@ -38,8 +39,9 @@ fn main() {
         );
     }
 
-    let sc = Scenario::new(net.clone(), page.clone()).with_rounds(1);
-    let rec = run_page_load(&ProtoConfig::Tcp(TcpConfig::default()), &sc, 0);
+    let rec = Scenario::new(net, page)
+        .with_proto(ProtoConfig::Tcp(TcpConfig::default()))
+        .run(0);
     let st = rec.server_stats.unwrap_or_default();
     println!(
         "{:<28} {:>10.0} {:>12} {:>12}",

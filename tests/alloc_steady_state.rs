@@ -185,10 +185,8 @@ fn fleet_heap_does_not_grow_with_links() {
 fn warm_free_lists_do_not_change_a_cell() {
     use longlook_sim::pool;
     let cell = || {
-        let (_, proto, sc) = common::many_stream_cells().swap_remove(0);
-        let records: Vec<RunRecord> = (0..sc.rounds)
-            .map(|k| run_page_load(&proto, &sc, k))
-            .collect();
+        let (_, sc) = common::many_stream_cells().swap_remove(0);
+        let records: Vec<RunRecord> = (0..sc.rounds).map(|k| sc.run(k)).collect();
         common::render(&records)
     };
     let cold = std::thread::spawn(cell)
@@ -197,7 +195,7 @@ fn warm_free_lists_do_not_change_a_cell() {
     let warm = std::thread::spawn(move || {
         for (_, sc) in common::scenarios().into_iter().take(5) {
             for (_, proto) in common::protos() {
-                run_page_load(&proto, &sc, 0);
+                sc.clone().with_proto(proto).run(0);
             }
         }
         for k in 1..=pool::FREE_LIST_CAP {

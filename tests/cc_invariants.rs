@@ -54,10 +54,9 @@ fn quic_with(cc: CcKind) -> ProtoConfig {
 }
 
 fn records_for(cc: CcKind) -> Vec<RunRecord> {
-    let proto = quic_with(cc);
     scenarios()
-        .iter()
-        .flat_map(|sc| run_records(&proto, sc))
+        .into_iter()
+        .flat_map(|sc| sc.with_proto(quic_with(cc)).records(Parallelism::auto()))
         .collect()
 }
 

@@ -152,7 +152,7 @@ pub fn scenarios() -> Vec<(String, Scenario)> {
 /// so the sender spends the load with a hundred streams holding fresh
 /// data the connection window will not admit while retransmissions and
 /// FINs still go out.
-pub fn many_stream_cells() -> Vec<(&'static str, ProtoConfig, Scenario)> {
+pub fn many_stream_cells() -> Vec<(&'static str, Scenario)> {
     let page = PageSpec::uniform(120, 10 * 1024);
     let net = NetProfile::baseline(10.0).with_loss(0.01);
     let blocked = QuicConfig {
@@ -163,17 +163,23 @@ pub fn many_stream_cells() -> Vec<(&'static str, ProtoConfig, Scenario)> {
     vec![
         (
             "many_streams",
-            ProtoConfig::Quic(QuicConfig::default()),
             Scenario::new(net.clone(), page.clone())
                 .with_rounds(2)
                 .with_seed(9003),
         ),
         (
             "many_streams_conn_blocked",
-            ProtoConfig::Quic(blocked),
-            Scenario::new(net, page).with_rounds(2).with_seed(9005),
+            Scenario::new(net, page)
+                .with_proto(ProtoConfig::Quic(blocked))
+                .with_rounds(2)
+                .with_seed(9005),
         ),
     ]
+}
+
+/// `sc` with `exec` stamped on the protocol it runs.
+pub fn with_exec(sc: &Scenario, exec: ExecConfig) -> Scenario {
+    sc.clone().with_proto(sc.proto.clone().with_exec(exec))
 }
 
 fn fev(at_ms: u64, dur_ms: u64, kind: FaultKind) -> FaultEvent {

@@ -89,10 +89,14 @@ fn tcp() -> ProtoConfig {
 #[test]
 fn run_records_serial_equals_threads4() {
     for (name, sc) in scenarios() {
-        for proto in [quic(), tcp()] {
-            let serial = run_records_par(&proto, &sc, Parallelism::Serial);
-            let par = run_records_par(&proto, &sc, Parallelism::Threads(4));
-            assert_eq!(serial, par, "RunRecords diverged for {name} / {proto:?}");
+        for sc in [sc.clone(), sc.with_proto(tcp())] {
+            let serial = sc.records(Parallelism::Serial);
+            let par = sc.records(Parallelism::Threads(4));
+            assert_eq!(
+                serial, par,
+                "RunRecords diverged for {name} / {:?}",
+                sc.proto
+            );
         }
     }
 }
@@ -103,8 +107,8 @@ fn run_records_serial_equals_threads4() {
 #[test]
 fn state_traces_serial_equals_threads4() {
     for (name, sc) in scenarios() {
-        let serial = run_records_par(&quic(), &sc, Parallelism::Serial);
-        let par = run_records_par(&quic(), &sc, Parallelism::Threads(4));
+        let serial = sc.records(Parallelism::Serial);
+        let par = sc.records(Parallelism::Threads(4));
         for (k, (s, p)) in serial.iter().zip(&par).enumerate() {
             let st = s.server_trace.as_ref().expect("serial trace");
             let pt = p.server_trace.as_ref().expect("parallel trace");
@@ -125,10 +129,11 @@ fn state_traces_serial_equals_threads4() {
 #[test]
 fn compare_pair_serial_equals_threads4() {
     for (name, sc) in scenarios() {
-        let serial = compare_pair_par(&quic(), &tcp(), &sc, Parallelism::Serial);
-        let par = compare_pair_par(&quic(), &tcp(), &sc, Parallelism::Threads(4));
-        assert_eq!(serial.quic_ms, par.quic_ms, "{name}: QUIC samples");
-        assert_eq!(serial.tcp_ms, par.tcp_ms, "{name}: TCP samples");
+        let base = sc.clone().with_proto(tcp());
+        let serial = compare(&sc, &base, Parallelism::Serial);
+        let par = compare(&sc, &base, Parallelism::Threads(4));
+        assert_eq!(serial.cand_ms, par.cand_ms, "{name}: QUIC samples");
+        assert_eq!(serial.base_ms, par.base_ms, "{name}: TCP samples");
         assert_eq!(
             serial.comparison.percent, par.comparison.percent,
             "{name}: percent difference"
@@ -149,30 +154,45 @@ fn heatmap_cells_serial_equals_threads4() {
     let rates = [5.0, 20.0];
     let sizes = [10 * 1024, 100 * 1024];
     let make = |r: usize, c: usize| {
-        Scenario::new(NetProfile::baseline(rates[r]), PageSpec::single(sizes[c]))
+        let sc = Scenario::new(NetProfile::baseline(rates[r]), PageSpec::single(sizes[c]))
             .with_rounds(3)
-            .with_seed(7100 + (r * 2 + c) as u64)
+            .with_seed(7100 + (r * 2 + c) as u64);
+        (sc.clone(), sc.with_proto(tcp()))
     };
-    let serial = sweep_heatmap_par(
-        "det",
-        &rows,
-        &cols,
-        &quic(),
-        &tcp(),
-        make,
-        Parallelism::Serial,
-    );
-    let par = sweep_heatmap_par(
-        "det",
-        &rows,
-        &cols,
-        &quic(),
-        &tcp(),
-        make,
-        Parallelism::Threads(4),
-    );
+    let serial = sweep("det", &rows, &cols, Parallelism::Serial, make);
+    let par = sweep("det", &rows, &cols, Parallelism::Threads(4), make);
     assert_eq!(serial.cells, par.cells, "heatmap cells diverged");
     assert_eq!(serial.verdict_counts(), par.verdict_counts());
+}
+
+/// The benchmark measures the product: the frozen observatory times
+/// `sweep_heatmap_par`, and its heatmap must be the one [`sweep`] renders
+/// for the same cells as QUIC-vs-TCP pairs, serial and threaded.
+#[test]
+fn observatory_sweep_shim_equals_sweep() {
+    let rows = vec!["10Mbps".to_string(), "50Mbps".to_string()];
+    let cols = vec!["100KB".to_string(), "5x10KB".to_string()];
+    let pages = [
+        PageSpec::single(100 * 1024),
+        PageSpec::uniform(5, 10 * 1024),
+    ];
+    let rates = [10.0, 50.0];
+    let make = |r: usize, c: usize| {
+        Scenario::new(
+            NetProfile::baseline(rates[r]).with_loss(0.01),
+            pages[c].clone(),
+        )
+        .with_rounds(3)
+        .with_seed(7150 + (r * 2 + c) as u64)
+    };
+    for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+        let shim = sweep_heatmap_par("obs", &rows, &cols, &quic(), &tcp(), make, par);
+        let product = sweep("obs", &rows, &cols, par, |r, c| {
+            let sc = make(r, c);
+            (sc.clone().with_proto(quic()), sc.with_proto(tcp()))
+        });
+        assert_eq!(shim, product, "{par:?}: the shim's heatmap is not sweep's");
+    }
 }
 
 /// Seed stability: constructing and running the very same scenario twice
@@ -188,10 +208,10 @@ fn same_seed_same_world() {
     .with_rounds(3)
     .with_seed(7200);
 
-    for proto in [quic(), tcp()] {
-        let a = run_records(&proto, &sc);
-        let b = run_records(&proto, &sc);
-        assert_eq!(a, b, "repeat run diverged for {proto:?}");
+    for sc in [sc.clone(), sc.clone().with_proto(tcp())] {
+        let a = sc.records(Parallelism::auto());
+        let b = sc.records(Parallelism::auto());
+        assert_eq!(a, b, "repeat run diverged for {:?}", sc.proto);
     }
 
     // Event-count check needs direct World access, so drive a Testbed by
@@ -225,14 +245,15 @@ fn same_seed_same_world() {
 }
 
 /// `LONGLOOK_JOBS`-driven `Parallelism::auto` resolution is exercised in
-/// the runner's own unit tests; here we only confirm the explicit knob on
-/// every public `*_par` entry point agrees with the serial path for PLT
-/// sampling (the most common call).
+/// the runner's own unit tests; here we only confirm that the PLT samples
+/// (the most common reading of a cell) agree with the serial path.
 #[test]
 fn plt_samples_serial_equals_threads4() {
+    let plts =
+        |sc: &Scenario, par| -> Vec<f64> { sc.records(par).iter().map(|r| sc.plt_ms(r)).collect() };
     for (name, sc) in scenarios() {
-        let serial = plt_samples_par(&quic(), &sc, Parallelism::Serial);
-        let par = plt_samples_par(&quic(), &sc, Parallelism::Threads(4));
+        let serial = plts(&sc, Parallelism::Serial);
+        let par = plts(&sc, Parallelism::Threads(4));
         assert_eq!(serial, par, "{name}: PLT samples diverged");
     }
 }
@@ -247,8 +268,9 @@ fn plt_samples_serial_equals_threads4() {
 fn explicit_chunk_sizes_are_record_invariant() {
     const PAIRS: [(usize, usize, usize); 2] = [(4, 4, 1), (17, 2, 2)];
     for (name, sc) in scenarios() {
-        for proto in [quic(), tcp()] {
-            let cell = |k: usize| run_page_load(&proto, &sc, k as u64);
+        for sc in [sc.clone(), sc.with_proto(tcp())] {
+            let proto = &sc.proto;
+            let cell = |k: usize| sc.run(k as u64);
             let serial = run_ordered(Parallelism::Serial, 17, cell);
             for (n, jobs, chunk) in PAIRS {
                 let (par, report) = run_ordered_reporting(Parallelism::Threads(jobs), n, cell);
@@ -269,7 +291,7 @@ fn explicit_chunk_sizes_are_record_invariant() {
 }
 
 /// Wall-clock sanity (release builds only): 4 workers complete a 5x5
-/// `sweep_heatmap` faster than a serial run. Skipped on machines with
+/// `sweep` faster than a serial run. Skipped on machines with
 /// fewer than 2 hardware threads.
 #[cfg(not(debug_assertions))]
 #[test]
@@ -292,33 +314,18 @@ fn threads4_beats_serial_on_5x5_sweep() {
     let rates = [5.0, 10.0, 20.0, 50.0, 100.0];
     let sizes = [10 * 1024, 50 * 1024, 100 * 1024, 200 * 1024, 500 * 1024];
     let make = |r: usize, c: usize| {
-        Scenario::new(NetProfile::baseline(rates[r]), PageSpec::single(sizes[c]))
+        let sc = Scenario::new(NetProfile::baseline(rates[r]), PageSpec::single(sizes[c]))
             .with_rounds(2)
-            .with_seed(7300 + (r * 5 + c) as u64)
+            .with_seed(7300 + (r * 5 + c) as u64);
+        (sc.clone(), sc.with_proto(tcp()))
     };
 
     let t0 = Instant::now();
-    let serial = sweep_heatmap_par(
-        "wc",
-        &rows,
-        &cols,
-        &quic(),
-        &tcp(),
-        make,
-        Parallelism::Serial,
-    );
+    let serial = sweep("wc", &rows, &cols, Parallelism::Serial, make);
     let serial_elapsed = t0.elapsed();
 
     let t1 = Instant::now();
-    let par = sweep_heatmap_par(
-        "wc",
-        &rows,
-        &cols,
-        &quic(),
-        &tcp(),
-        make,
-        Parallelism::Threads(4),
-    );
+    let par = sweep("wc", &rows, &cols, Parallelism::Threads(4), make);
     let par_elapsed = t1.elapsed();
 
     assert_eq!(

@@ -4,18 +4,24 @@
 
 use longlook_core::prelude::*;
 
-fn quic() -> ProtoConfig {
-    ProtoConfig::Quic(QuicConfig::default())
-}
-
 fn tcp() -> ProtoConfig {
     ProtoConfig::Tcp(TcpConfig::default())
+}
+
+/// `sc` (calibrated QUIC) against the same cell over TCP.
+fn quic_vs_tcp(sc: &Scenario) -> PairResult {
+    compare(sc, &sc.clone().with_proto(tcp()), Parallelism::auto())
+}
+
+fn plts(sc: &Scenario) -> Vec<f64> {
+    let records = sc.records(Parallelism::auto());
+    records.iter().map(|r| sc.plt_ms(r)).collect()
 }
 
 #[test]
 fn quic_wins_small_objects_via_zero_rtt() {
     let sc = Scenario::new(NetProfile::baseline(10.0), PageSpec::single(10 * 1024)).with_rounds(6);
-    let pair = compare_pair(&quic(), &tcp(), &sc);
+    let pair = quic_vs_tcp(&sc);
     assert_eq!(pair.comparison.verdict, Verdict::CandidateWins);
     assert!(
         pair.comparison.percent > 40.0,
@@ -31,7 +37,7 @@ fn quic_wins_under_loss() {
         PageSpec::single(5 * 1024 * 1024),
     )
     .with_rounds(6);
-    let pair = compare_pair(&quic(), &tcp(), &sc);
+    let pair = quic_vs_tcp(&sc);
     assert_eq!(
         pair.comparison.verdict,
         Verdict::CandidateWins,
@@ -48,7 +54,7 @@ fn quic_loses_under_deep_reordering() {
         .with_extra_rtt(Dur::from_millis(76))
         .with_jitter(Dur::from_millis(10));
     let sc = Scenario::new(net, PageSpec::single(10 * 1024 * 1024)).with_rounds(6);
-    let pair = compare_pair(&quic(), &tcp(), &sc);
+    let pair = quic_vs_tcp(&sc);
     assert!(
         pair.comparison.percent < 0.0,
         "QUIC should lose under reordering: {:+.0}%",
@@ -62,12 +68,14 @@ fn raising_nack_threshold_rescues_quic_from_reordering() {
         .with_extra_rtt(Dur::from_millis(76))
         .with_jitter(Dur::from_millis(10));
     let sc = Scenario::new(net, PageSpec::single(10 * 1024 * 1024)).with_rounds(4);
-    let strict = Summary::of(&plt_samples(&quic(), &sc));
+    let strict = sc.plt_summary(Parallelism::auto());
     let cfg = QuicConfig {
         nack_threshold: 50,
         ..QuicConfig::default()
     };
-    let tolerant = Summary::of(&plt_samples(&ProtoConfig::Quic(cfg), &sc));
+    let tolerant = sc
+        .with_proto(ProtoConfig::Quic(cfg))
+        .plt_summary(Parallelism::auto());
     assert!(
         tolerant.mean() < strict.mean() * 0.8,
         "threshold 50 must beat threshold 3: {:.0} vs {:.0} ms",
@@ -83,7 +91,7 @@ fn quic_loses_for_many_small_objects_at_high_bandwidth() {
         PageSpec::uniform(200, 10 * 1024),
     )
     .with_rounds(5);
-    let pair = compare_pair(&quic(), &tcp(), &sc);
+    let pair = quic_vs_tcp(&sc);
     assert!(
         pair.comparison.percent < 0.0,
         "200 small objects serialize behind the toy QUIC server: {:+.0}%",
@@ -94,14 +102,9 @@ fn quic_loses_for_many_small_objects_at_high_bandwidth() {
 #[test]
 fn mobile_diminishes_quic_gains() {
     let page = PageSpec::single(5 * 1024 * 1024);
-    let desktop = compare_pair(
-        &quic(),
-        &tcp(),
-        &Scenario::new(NetProfile::baseline(50.0), page.clone()).with_rounds(4),
-    );
-    let motog = compare_pair(
-        &quic(),
-        &tcp(),
+    let desktop =
+        quic_vs_tcp(&Scenario::new(NetProfile::baseline(50.0), page.clone()).with_rounds(4));
+    let motog = quic_vs_tcp(
         &Scenario::new(NetProfile::baseline(50.0), page)
             .with_rounds(4)
             .on_device(DeviceProfile::MOTOG),
@@ -123,8 +126,8 @@ fn welch_gate_reports_inconclusive_for_noisy_ties() {
         PageSpec::single(500 * 1024),
     )
     .with_rounds(8);
-    let a = plt_samples(&quic(), &sc);
-    let b = plt_samples(&quic(), &sc.clone().with_seed(999));
+    let a = plts(&sc);
+    let b = plts(&sc.clone().with_seed(999));
     let cmp = Comparison::lower_is_better(&a, &b);
     assert_eq!(cmp.verdict, Verdict::Inconclusive, "{:?}", cmp.percent);
 }
@@ -138,7 +141,7 @@ fn deadline_miss_is_reported_not_hung() {
     )
     .with_rounds(1);
     sc.deadline = Dur::from_millis(100);
-    let rec = run_page_load(&quic(), &sc, 0);
+    let rec = sc.run(0);
     assert!(rec.plt.is_none());
     assert!(rec.ended_at <= Time::ZERO + Dur::from_millis(150));
 }

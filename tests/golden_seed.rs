@@ -103,8 +103,8 @@ fn render_records(records: &[RunRecord]) -> String {
     out
 }
 
-fn check(name: &str, proto: &ProtoConfig, sc: &Scenario, golden: &str) {
-    let rendered = render_records(&run_records(proto, sc));
+fn check(name: &str, sc: &Scenario, golden: &str) {
+    let rendered = render_records(&sc.records(Parallelism::auto()));
     if std::env::var("LONGLOOK_BLESS").is_ok() {
         eprintln!("=== {name} ===\n{rendered}");
         return;
@@ -209,19 +209,20 @@ fn many_stream_golden(name: &str) -> &'static str {
 /// surface as a blessed-snapshot change.
 #[test]
 fn armed_empty_fault_plan_is_invisible() {
-    for (name, sc) in [("clean", clean_scenario()), ("lossy", lossy_scenario())] {
-        let mut armed = sc.clone();
-        armed.net = armed.net.clone().with_fault(FaultPlan::new());
-        for proto in [
-            ProtoConfig::Quic(QuicConfig::default()),
-            ProtoConfig::Tcp(TcpConfig::default()),
-        ] {
-            let off = render_records(&run_records(&proto, &sc));
-            let on = render_records(&run_records(&proto, &armed));
+    for (name, quic) in [("clean", clean_scenario()), ("lossy", lossy_scenario())] {
+        let tcp = quic
+            .clone()
+            .with_proto(ProtoConfig::Tcp(TcpConfig::default()));
+        for sc in [quic, tcp] {
+            let mut armed = sc.clone();
+            armed.net = armed.net.clone().with_fault(FaultPlan::new());
+            let off = render_records(&sc.records(Parallelism::auto()));
+            let on = render_records(&armed.records(Parallelism::auto()));
             assert_eq!(
                 off, on,
-                "{name} / {proto:?}: an empty fault plan changed the record \
-                 (the fault layer is not zero-cost when idle)"
+                "{name} / {:?}: an empty fault plan changed the record \
+                 (the fault layer is not zero-cost when idle)",
+                sc.proto
             );
         }
     }
@@ -263,16 +264,14 @@ fn goldens_hold_on_every_execution_path() {
         ] {
             check(
                 &format!("{name} ({axis})"),
-                &proto.with_exec(exec),
-                &sc,
+                &sc.with_proto(proto.with_exec(exec)),
                 golden,
             );
         }
-        for (name, proto, sc) in common::many_stream_cells() {
+        for (name, sc) in common::many_stream_cells() {
             check(
                 &format!("{name} ({axis})"),
-                &proto.with_exec(exec),
-                &sc,
+                &common::with_exec(&sc, exec),
                 many_stream_golden(name),
             );
         }
@@ -283,37 +282,26 @@ fn goldens_hold_on_every_execution_path() {
 /// the full every-stream scan that the ready index replaced).
 #[test]
 fn quic_many_streams_match_golden() {
-    for (name, proto, sc) in common::many_stream_cells() {
-        check(name, &proto, &sc, many_stream_golden(name));
+    for (name, sc) in common::many_stream_cells() {
+        check(name, &sc, many_stream_golden(name));
     }
 }
 
 #[test]
 fn quic_clean_matches_golden() {
-    check(
-        "GOLDEN_QUIC_CLEAN",
-        &ProtoConfig::Quic(QuicConfig::default()),
-        &clean_scenario(),
-        GOLDEN_QUIC_CLEAN,
-    );
+    check("GOLDEN_QUIC_CLEAN", &clean_scenario(), GOLDEN_QUIC_CLEAN);
 }
 
 #[test]
 fn quic_lossy_matches_golden() {
-    check(
-        "GOLDEN_QUIC_LOSSY",
-        &ProtoConfig::Quic(QuicConfig::default()),
-        &lossy_scenario(),
-        GOLDEN_QUIC_LOSSY,
-    );
+    check("GOLDEN_QUIC_LOSSY", &lossy_scenario(), GOLDEN_QUIC_LOSSY);
 }
 
 #[test]
 fn tcp_clean_matches_golden() {
     check(
         "GOLDEN_TCP_CLEAN",
-        &ProtoConfig::Tcp(TcpConfig::default()),
-        &clean_scenario(),
+        &clean_scenario().with_proto(ProtoConfig::Tcp(TcpConfig::default())),
         GOLDEN_TCP_CLEAN,
     );
 }
@@ -322,8 +310,7 @@ fn tcp_clean_matches_golden() {
 fn tcp_lossy_matches_golden() {
     check(
         "GOLDEN_TCP_LOSSY",
-        &ProtoConfig::Tcp(TcpConfig::default()),
-        &lossy_scenario(),
+        &lossy_scenario().with_proto(ProtoConfig::Tcp(TcpConfig::default())),
         GOLDEN_TCP_LOSSY,
     );
 }

@@ -37,14 +37,14 @@ fn tcp_blackout_scenario() -> Scenario {
         NetProfile::baseline(5.0).with_fault(plan),
         PageSpec::single(8 * 1024),
     )
+    .with_proto(ProtoConfig::Tcp(TcpConfig::default()))
     .with_rounds(1)
     .with_seed(9602)
 }
 
 /// Capture the server-side trace of round 0 as JSON-SEQ bytes.
-fn capture(proto: &ProtoConfig, sc: &Scenario) -> String {
-    let (_, records) = run_page_load_traced(proto, sc, 0);
-    encode_seq(&records)
+fn capture(sc: &Scenario) -> String {
+    encode_seq(&sc.run_traced(0).1)
 }
 
 /// Re-frame a printable golden (one JSON text per line) as JSON-SEQ.
@@ -56,11 +56,11 @@ fn frame(golden: &str) -> String {
         .collect()
 }
 
-fn check(name: &str, proto: &ProtoConfig, sc: &Scenario, golden: &str) {
-    let encoded = capture(proto, sc);
+fn check(name: &str, sc: &Scenario, golden: &str) {
+    let encoded = capture(sc);
     // Same-seed replay must be byte-identical before anything else: a
     // golden is meaningless if capture itself is unstable.
-    let replay = capture(proto, sc);
+    let replay = capture(sc);
     assert_eq!(
         encoded, replay,
         "{name}: same-seed trace capture is not byte-stable"
@@ -149,7 +149,6 @@ const GOLDEN_TRACE_TCP_BLACKOUT: &str = r#"
 fn quic_clean_trace_matches_golden() {
     check(
         "GOLDEN_TRACE_QUIC_CLEAN",
-        &ProtoConfig::Quic(QuicConfig::default()),
         &quic_clean_scenario(),
         GOLDEN_TRACE_QUIC_CLEAN,
     );
@@ -159,7 +158,6 @@ fn quic_clean_trace_matches_golden() {
 fn tcp_blackout_trace_matches_golden() {
     check(
         "GOLDEN_TRACE_TCP_BLACKOUT",
-        &ProtoConfig::Tcp(TcpConfig::default()),
         &tcp_blackout_scenario(),
         GOLDEN_TRACE_TCP_BLACKOUT,
     );
@@ -174,14 +172,12 @@ fn golden_traces_hold_on_every_execution_path() {
     for (axis, exec) in common::axes() {
         check(
             &format!("GOLDEN_TRACE_QUIC_CLEAN ({axis})"),
-            &ProtoConfig::Quic(QuicConfig::default()).with_exec(exec),
-            &quic_clean_scenario(),
+            &common::with_exec(&quic_clean_scenario(), exec),
             GOLDEN_TRACE_QUIC_CLEAN,
         );
         check(
             &format!("GOLDEN_TRACE_TCP_BLACKOUT ({axis})"),
-            &ProtoConfig::Tcp(TcpConfig::default()).with_exec(exec),
-            &tcp_blackout_scenario(),
+            &common::with_exec(&tcp_blackout_scenario(), exec),
             GOLDEN_TRACE_TCP_BLACKOUT,
         );
     }

@@ -50,8 +50,8 @@ fn quic_zero_rtt_rejection_falls_back_and_completes() {
         ..QuicConfig::default()
     });
 
-    let ok = run_page_load(&accepting, &sc, 0);
-    let rej = run_page_load(&rejecting, &sc, 0);
+    let ok = sc.clone().with_proto(accepting).run(0);
+    let rej = sc.with_proto(rejecting).run(0);
 
     assert!(ok.completed(), "accepting baseline must complete");
     assert!(
@@ -84,7 +84,7 @@ fn short_blackout_over_first_flight_is_survived_by_retry() {
         ProtoConfig::Quic(QuicConfig::default()),
         ProtoConfig::Tcp(TcpConfig::default()),
     ] {
-        let rec = run_page_load(&proto, &sc, 0);
+        let rec = sc.clone().with_proto(proto.clone()).run(0);
         assert!(
             rec.completed(),
             "{}: a 3s outage must be retried through, got client={:?} server={:?}",
@@ -133,7 +133,7 @@ fn blackout_outlasting_watchdog_surfaces_typed_handshake_errors() {
         ),
     ];
     for (proto, sc, expect) in cases {
-        let rec = run_page_load(&proto, sc, 0);
+        let rec = sc.clone().with_proto(proto.clone()).run(0);
         assert!(!rec.completed(), "{}: nothing can complete", proto.name());
         assert_eq!(
             rec.client_error,
@@ -162,7 +162,7 @@ fn rejection_plus_short_blackout_still_completes() {
         zero_rtt_accept: false,
         ..QuicConfig::default()
     });
-    let rec = run_page_load(&proto, &sc, 0);
+    let rec = sc.with_proto(proto).run(0);
     assert!(
         rec.completed(),
         "REJ + 2s blackout must still complete, got client={:?} server={:?}",

@@ -10,7 +10,6 @@ use proptest::prelude::*;
 
 #[test]
 fn cubic_machine_covers_expected_states_under_stress() {
-    let quic = ProtoConfig::Quic(QuicConfig::default());
     let mut records = Vec::new();
     // Clean, lossy, and jittery runs to visit many states.
     for (seed, net) in [
@@ -26,7 +25,7 @@ fn cubic_machine_covers_expected_states_under_stress() {
         let sc = Scenario::new(net, PageSpec::single(3 * 1024 * 1024))
             .with_rounds(2)
             .with_seed(seed);
-        records.extend(run_records(&quic, &sc));
+        records.extend(sc.records(Parallelism::auto()));
     }
     let m = infer_from_records(&records);
     for expected in ["Init", "SlowStart", "CongestionAvoidance", "Recovery"] {
@@ -58,12 +57,13 @@ fn bbr_machine_uses_bbr_states_only() {
         cc: CcKind::Bbr,
         ..QuicConfig::default()
     };
-    let sc = Scenario::new(
+    let records = Scenario::new(
         NetProfile::baseline(20.0),
         PageSpec::single(10 * 1024 * 1024),
     )
-    .with_rounds(2);
-    let records = run_records(&ProtoConfig::Quic(cfg), &sc);
+    .with_proto(ProtoConfig::Quic(cfg))
+    .with_rounds(2)
+    .records(Parallelism::auto());
     let m = infer_from_records(&records);
     for s in &m.states {
         assert!(
@@ -76,18 +76,14 @@ fn bbr_machine_uses_bbr_states_only() {
 
 #[test]
 fn motog_is_application_limited_far_more_than_desktop() {
-    let quic = ProtoConfig::Quic(QuicConfig::default());
-    let page = PageSpec::single(10 * 1024 * 1024);
-    let desktop = {
-        let sc = Scenario::new(NetProfile::baseline(50.0), page.clone()).with_rounds(2);
-        infer_from_records(&run_records(&quic, &sc))
-    };
-    let motog = {
-        let sc = Scenario::new(NetProfile::baseline(50.0), page)
-            .with_rounds(2)
-            .on_device(DeviceProfile::MOTOG);
-        infer_from_records(&run_records(&quic, &sc))
-    };
+    let desktop = Scenario::new(
+        NetProfile::baseline(50.0),
+        PageSpec::single(10 * 1024 * 1024),
+    )
+    .with_rounds(2);
+    let motog = desktop.clone().on_device(DeviceProfile::MOTOG);
+    let desktop = infer_from_records(&desktop.records(Parallelism::auto()));
+    let motog = infer_from_records(&motog.records(Parallelism::auto()));
     let d = desktop.time_fraction("ApplicationLimited");
     let m = motog.time_fraction("ApplicationLimited");
     assert!(

@@ -89,16 +89,44 @@ fn readme_rows() -> BTreeSet<String> {
         .collect()
 }
 
-#[test]
-fn env_reads_match_the_readme_table() {
-    let root = repo_root();
+/// Every `.rs` file under `crates/*/src`, skipping the crates named.
+fn crate_sources(skip: &[&str]) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
-        let src = krate.expect("directory entry").path().join("src");
-        if src.is_dir() {
+    for krate in fs::read_dir(repo_root().join("crates")).expect("crates/") {
+        let krate = krate.expect("directory entry").path();
+        let src = krate.join("src");
+        if src.is_dir() && !skip.iter().any(|s| krate.ends_with(s)) {
             rust_files(&src, true, &mut files);
         }
     }
+    files
+}
+
+/// `LONGLOOK_JOBS` is a knob of the `repro` harness, not of the library:
+/// every library runner takes its `Parallelism` from the caller, so only
+/// `crates/bench` resolves the session default.
+#[test]
+fn only_the_harness_resolves_parallelism_from_the_environment() {
+    let mut callers = Vec::new();
+    for file in crate_sources(&["bench"]) {
+        let text = fs::read_to_string(&file).expect("readable source file");
+        for (n, line) in text.lines().enumerate() {
+            if !line.trim_start().starts_with("//") && line.contains("Parallelism::auto") {
+                callers.push(format!("{}:{}", file.display(), n + 1));
+            }
+        }
+    }
+    assert!(
+        callers.is_empty(),
+        "library code resolves Parallelism::auto() itself instead of taking \
+         `par` from its caller: {callers:?}"
+    );
+}
+
+#[test]
+fn env_reads_match_the_readme_table() {
+    let root = repo_root();
+    let mut files = crate_sources(&[]);
     rust_files(&root.join("tests"), false, &mut files);
     let mut found = BTreeSet::new();
     for file in &files {

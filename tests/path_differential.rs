@@ -31,7 +31,8 @@
 mod common;
 
 use common::{
-    axis, bulk_cell, faulted_scenarios, many_stream_cells, protos, render, scenarios, BULK_SEEDS,
+    axis, bulk_cell, faulted_scenarios, many_stream_cells, protos, render, scenarios, with_exec,
+    BULK_SEEDS,
 };
 use longlook_core::prelude::*;
 
@@ -41,10 +42,10 @@ fn assert_identical_to_default(axis_name: &str) {
 
     for par in [Parallelism::Serial, Parallelism::Threads(4)] {
         for (proto_name, proto) in &protos() {
-            let stamped = proto.clone().with_exec(exec);
             for (sc_name, sc) in scenarios() {
-                let want = render(&run_records_par(proto, &sc, par));
-                let got = render(&run_records_par(&stamped, &sc, par));
+                let sc = sc.with_proto(proto.clone());
+                let want = render(&sc.records(par));
+                let got = render(&with_exec(&sc, exec).records(par));
                 assert_eq!(
                     got, want,
                     "{axis_name}: {proto_name}/{sc_name}/{par:?}: RunRecords diverged \
@@ -56,9 +57,9 @@ fn assert_identical_to_default(axis_name: &str) {
 
     // 120-stream loads, flow-control-bound and not: the send scheduler
     // and the sent-packet store at the depth the object-count sweeps run.
-    for (name, proto, sc) in many_stream_cells() {
-        let want = render(&run_records(&proto, &sc));
-        let got = render(&run_records(&proto.clone().with_exec(exec), &sc));
+    for (name, sc) in many_stream_cells() {
+        let want = render(&sc.records(Parallelism::auto()));
+        let got = render(&with_exec(&sc, exec).records(Parallelism::auto()));
         assert_eq!(
             got, want,
             "{axis_name}: {name}: RunRecords diverged from ExecConfig::default()"
@@ -68,10 +69,10 @@ fn assert_identical_to_default(axis_name: &str) {
     // Faulted cells: the whole RunRecord (outcome, typed errors,
     // app-level bytes, counters, traces) must match field for field.
     for (proto_name, proto) in &protos() {
-        let stamped = proto.clone().with_exec(exec);
         for (sc_name, sc) in faulted_scenarios() {
-            let want = run_page_load(proto, &sc, 0);
-            let got = run_page_load(&stamped, &sc, 0);
+            let sc = sc.with_proto(proto.clone());
+            let want = sc.run(0);
+            let got = with_exec(&sc, exec).run(0);
             assert_eq!(
                 got, want,
                 "{axis_name}: {proto_name}/{sc_name}: RunRecord diverged from \
@@ -112,13 +113,12 @@ fn tracing_on_is_observationally_identical() {
 /// exactly the mode they asked for.
 #[test]
 fn tracing_is_per_cell_under_a_threaded_runner() {
-    let quic = ProtoConfig::Quic(QuicConfig::default());
     let sc = faulted_scenarios().swap_remove(0).1;
     // Even cells are traced page loads, odd cells plain default-path
     // testbeds; each reports how many trace records its server kept.
     let lens = run_ordered(Parallelism::Threads(4), 24, |k| {
         if k % 2 == 0 {
-            run_page_load_traced(&quic, &sc, k as u64).1.len()
+            sc.run_traced(k as u64).1.len()
         } else {
             let mut tb = Testbed::direct(
                 k as u64,
@@ -126,7 +126,7 @@ fn tracing_is_per_cell_under_a_threaded_runner() {
                 sc.device,
                 sc.page.clone(),
                 vec![FlowSpec {
-                    proto: quic.clone(),
+                    proto: sc.proto.clone(),
                     zero_rtt: false,
                     app: Box::new(WebClient::new(sc.page.clone())),
                 }],
@@ -169,11 +169,13 @@ fn a_stall_that_never_opens_changes_nothing() {
         sc.net = sc.net.with_fault(plan.clone());
         sc
     };
+    let records = |sc: &Scenario| render(&sc.records(Parallelism::auto()));
     for (proto_name, proto) in &protos() {
         for (sc_name, sc) in scenarios() {
-            let plain = render(&run_records(proto, &sc));
-            let empty = render(&run_records(proto, &with_plan(&sc, &FaultPlan::new())));
-            let stalled = render(&run_records(proto, &with_plan(&sc, &never)));
+            let sc = sc.with_proto(proto.clone());
+            let plain = records(&sc);
+            let empty = records(&with_plan(&sc, &FaultPlan::new()));
+            let stalled = records(&with_plan(&sc, &never));
             assert_eq!(
                 empty, plain,
                 "{proto_name}/{sc_name}: an empty fault plan changed the record"
@@ -184,9 +186,9 @@ fn a_stall_that_never_opens_changes_nothing() {
             );
         }
     }
-    for (name, proto, sc) in many_stream_cells() {
-        let empty = render(&run_records(&proto, &with_plan(&sc, &FaultPlan::new())));
-        let stalled = render(&run_records(&proto, &with_plan(&sc, &never)));
+    for (name, sc) in many_stream_cells() {
+        let empty = records(&with_plan(&sc, &FaultPlan::new()));
+        let stalled = records(&with_plan(&sc, &never));
         assert_eq!(
             stalled, empty,
             "{name}: a stall window that never opens changed the record"

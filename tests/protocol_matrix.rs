@@ -85,10 +85,10 @@ fn mobile_devices_complete_all_protocols() {
     let page = PageSpec::single(1024 * 1024);
     for (pname, proto) in protocols() {
         for device in [DeviceProfile::NEXUS6, DeviceProfile::MOTOG] {
-            let sc = Scenario::new(NetProfile::baseline(50.0), page.clone())
-                .with_rounds(1)
-                .on_device(device);
-            let rec = run_page_load(&proto, &sc, 0);
+            let rec = Scenario::new(NetProfile::baseline(50.0), page.clone())
+                .with_proto(proto.clone())
+                .on_device(device)
+                .run(0);
             assert!(
                 rec.plt.is_some(),
                 "{pname} on {} did not finish",
@@ -119,10 +119,11 @@ fn proxied_combinations_complete() {
         ),
     ];
     for (name, down, up) in combos {
-        let sc =
-            Scenario::new(NetProfile::baseline(10.0).with_loss(0.005), page.clone()).with_rounds(1);
-        let plt = run_page_load_proxied(&down, &up, &sc, 0);
-        assert!(plt.is_some(), "{name} proxied load incomplete");
+        let rec = Scenario::new(NetProfile::baseline(10.0).with_loss(0.005), page.clone())
+            .with_proto(down)
+            .via_proxy(up)
+            .run(0);
+        assert!(rec.completed(), "{name} proxied load incomplete");
     }
 }
 
@@ -133,12 +134,12 @@ fn bbr_and_cubic_both_fill_a_fat_pipe() {
             cc,
             ..QuicConfig::default()
         };
-        let sc = Scenario::new(
+        let rec = Scenario::new(
             NetProfile::baseline(100.0),
             PageSpec::single(20 * 1024 * 1024),
         )
-        .with_rounds(1);
-        let rec = run_page_load(&ProtoConfig::Quic(cfg), &sc, 0);
+        .with_proto(ProtoConfig::Quic(cfg))
+        .run(0);
         let plt = rec.plt.expect("finished").as_secs_f64();
         // 20MB at 100Mbps is 1.68s of serialization; allow generous startup.
         assert!(plt < 6.0, "{cc:?}: plt = {plt:.2}s");
