@@ -2,32 +2,24 @@
 
 use crate::rounds;
 use longlook_core::prelude::*;
-use longlook_core::testbed::NetProfile;
-use longlook_http::host::{ClientHost, ServerHost};
-use longlook_sim::world::World;
-use longlook_sim::{FlowId, NodeId};
 use std::fmt::Write as _;
 
 fn run_video(proto: &ProtoConfig, cfg: &VideoConfig, seed: u64) -> QoeMetrics {
-    let net = NetProfile::baseline(100.0).with_loss(0.01);
-    let mut world = World::new(seed);
-    let server_id = NodeId(1);
-    let mut client = ClientHost::new(server_id, false);
-    client.add(
-        FlowId(1),
-        proto,
-        true,
-        Box::new(VideoClient::new(cfg.clone())),
-        Time::ZERO,
+    let mut tb = Testbed::direct(
+        seed,
+        &NetProfile::baseline(100.0).with_loss(0.01),
+        DeviceProfile::DESKTOP,
+        cfg.catalog(),
+        vec![FlowSpec {
+            proto: proto.clone(),
+            zero_rtt: true,
+            app: Box::new(VideoClient::new(cfg.clone())),
+        }],
+        None,
+        false,
     );
-    let c = world.add_node(Box::new(client), DeviceProfile::DESKTOP);
-    let server = ServerHost::new(proto.clone(), cfg.catalog(), seed ^ 0x1DE0);
-    world.add_node(Box::new(server), DeviceProfile::SERVER);
-    world.connect(c, server_id, net.link(), net.link());
-    world.kick(c);
-    world.run_until(Time::ZERO + cfg.watch_time + Dur::from_secs(5));
-    world
-        .agent::<ClientHost>(c)
+    tb.run(cfg.watch_time + Dur::from_secs(5));
+    tb.client_host()
         .app::<VideoClient>(0)
         .qoe()
         .expect("watch window elapsed")

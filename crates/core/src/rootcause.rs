@@ -7,7 +7,6 @@ use longlook_sim::trace::TraceRecord;
 use longlook_statemachine::{
     infer, trace_from_records, trace_from_transport, InferredMachine, Trace,
 };
-use longlook_transport::ccstate::StateTrace;
 use std::fmt::Write as _;
 
 /// Infer a machine from server-side state traces of finished runs.
@@ -17,7 +16,7 @@ pub fn infer_from_records(records: &[RunRecord]) -> InferredMachine {
         .filter_map(|r| {
             r.server_trace
                 .as_ref()
-                .map(|t| transport_trace(t, r.ended_at))
+                .map(|t| trace_from_transport(t, r.ended_at))
         })
         .collect();
     infer(&traces)
@@ -37,11 +36,6 @@ pub fn infer_from_traces(traces: &[Vec<TraceRecord>]) -> InferredMachine {
         })
         .collect();
     infer(&traces)
-}
-
-/// Convert one transport trace.
-pub fn transport_trace(t: &StateTrace, end: Time) -> Trace {
-    trace_from_transport(t, end)
 }
 
 /// Fig 13-style comparison: two inferred machines (e.g. Desktop vs MotoG)

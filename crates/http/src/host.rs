@@ -17,7 +17,7 @@ use longlook_tcp::{TcpConfig, TcpConnection};
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::conn::{AppEvent, ConnError, ConnStats, Connection, StreamId};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Protocol selection plus configuration.
 #[derive(Debug, Clone)]
@@ -89,7 +89,13 @@ impl ProtoConfig {
 }
 
 /// Pump a connection's transmissions into the world and re-arm its timer.
-fn pump(conn: &mut dyn Connection, ctx: &mut Ctx<'_>, peer: NodeId, flow: FlowId, class: PktClass) {
+pub fn pump(
+    conn: &mut dyn Connection,
+    ctx: &mut Ctx<'_>,
+    peer: NodeId,
+    flow: FlowId,
+    class: PktClass,
+) {
     let now = ctx.now;
     while let Some(tx) = conn.poll_transmit(now) {
         ctx.send(Packet::new(
@@ -277,7 +283,7 @@ pub struct WaitModel {
 /// requests (100-200 objects) serialize behind one core on the QUIC side.
 /// This is part of why large numbers of small objects are QUIC's worst
 /// case (Sec 5.2).
-fn default_request_cost(class: PktClass) -> Dur {
+fn request_cost(class: PktClass) -> Dur {
     match class {
         // The standalone quic_server from the Chromium tree — the code
         // Google itself labels "not performant, for integration testing".
@@ -295,28 +301,22 @@ struct ServerSlot {
     request_bytes: BTreeMap<StreamId, u64>,
 }
 
-/// A server host: accepts connections, serves the catalog.
+/// A server host: accepts connections, serves the catalog. Connections
+/// are serviced and pumped in flow-id order, so a world with several
+/// flows on one server replays identically.
 pub struct ServerHost {
     proto: ProtoConfig,
     /// Per-flow protocol overrides (mixed-protocol experiments, e.g. the
     /// fairness tests where QUIC and TCP flows share one bottleneck).
-    flow_protos: HashMap<FlowId, ProtoConfig>,
+    flow_protos: BTreeMap<FlowId, ProtoConfig>,
     catalog: PageSpec,
-    conns: HashMap<FlowId, ServerSlot>,
+    conns: BTreeMap<FlowId, ServerSlot>,
     wait: Option<WaitModel>,
-    /// Serialized request-handling cost override (None = per-protocol
-    /// default, see [`default_request_cost`]).
-    request_cost: Option<Dur>,
     /// When the single application worker frees up.
     app_cpu_free: Time,
     rng: SimRng,
     /// Deferred responses: (due, flow, stream, object).
     pending: Vec<(Time, FlowId, StreamId, usize)>,
-    /// Reused per-service scratch (hot path: `service` runs on every
-    /// delivered packet; these keep it allocation-free in steady state).
-    scratch_due: Vec<(Time, FlowId, StreamId, usize)>,
-    scratch_flows: Vec<FlowId>,
-    scratch_completed: Vec<(StreamId, u64)>,
 }
 
 impl ServerHost {
@@ -324,24 +324,14 @@ impl ServerHost {
     pub fn new(proto: ProtoConfig, catalog: PageSpec, seed: u64) -> Self {
         ServerHost {
             proto,
-            flow_protos: HashMap::new(),
+            flow_protos: BTreeMap::new(),
             catalog,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             wait: None,
-            request_cost: None,
             app_cpu_free: Time::ZERO,
             rng: SimRng::new(seed),
             pending: Vec::new(),
-            scratch_due: Vec::new(),
-            scratch_flows: Vec::new(),
-            scratch_completed: Vec::new(),
         }
-    }
-
-    /// Override the per-request application processing cost.
-    pub fn with_request_cost(mut self, cost: Dur) -> Self {
-        self.request_cost = Some(cost);
-        self
     }
 
     /// Add a GAE-style variable wait before each response.
@@ -381,104 +371,62 @@ impl ServerHost {
         self.conns.get(&flow).map(|s| s.conn.trace_records())
     }
 
-    fn respond(&mut self, flow: FlowId, stream: StreamId, object: usize, now: Time) {
-        let size = self
-            .catalog
-            .objects
-            .get(object)
-            .copied()
-            .unwrap_or(10 * 1024);
-        if let Some(slot) = self.conns.get_mut(&flow) {
-            slot.conn
-                .stream_send(now, stream, RESPONSE_HEADER + size, true);
-        }
-    }
-
     fn service(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now;
-        // Fire deferred responses. Split ready/later into a reused scratch
-        // buffer — same ordering as the old drain+partition, no per-event
-        // allocation.
-        if !self.pending.is_empty() {
-            let mut due = std::mem::take(&mut self.scratch_due);
-            debug_assert!(due.is_empty());
-            self.pending.retain(|&e| {
-                if e.0 <= now {
-                    due.push(e);
-                    false
-                } else {
-                    true
-                }
-            });
-            for &(_, flow, stream, object) in &due {
-                self.respond(flow, stream, object, now);
+        let ServerHost {
+            catalog,
+            conns,
+            wait,
+            app_cpu_free,
+            rng,
+            pending,
+            ..
+        } = self;
+        // Fire deferred responses that are due, in the order they were
+        // scheduled.
+        pending.retain(|&(due, flow, stream, object)| {
+            if due > now {
+                return true;
             }
-            due.clear();
-            self.scratch_due = due;
-        }
-        // Drain events on every connection (keys snapshotted into a reused
-        // buffer so responses can mutate the map mid-walk).
-        let mut flows = std::mem::take(&mut self.scratch_flows);
-        flows.clear();
-        flows.extend(self.conns.keys().copied());
-        for &flow in &flows {
-            let mut completed = std::mem::take(&mut self.scratch_completed);
-            debug_assert!(completed.is_empty());
-            {
-                let slot = self.conns.get_mut(&flow).expect("iterating keys");
-                while let Some(ev) = slot.conn.poll_event() {
-                    match ev {
-                        AppEvent::StreamOpened(id) => {
-                            slot.request_bytes.insert(id, 0);
-                        }
-                        AppEvent::StreamData { id, bytes } => {
-                            *slot.request_bytes.entry(id).or_insert(0) += bytes;
-                        }
-                        AppEvent::StreamFin(id) => {
-                            let len = slot.request_bytes.remove(&id).unwrap_or(0);
-                            completed.push((id, len));
-                        }
-                        AppEvent::HandshakeDone => {}
+            let size = catalog.objects.get(object).copied().unwrap_or(10 * 1024);
+            if let Some(slot) = conns.get_mut(&flow) {
+                slot.conn
+                    .stream_send(now, stream, RESPONSE_HEADER + size, true);
+            }
+            false
+        });
+        // Collect requests; each completed one queues behind the single
+        // application worker (and the optional wait), so it is always
+        // answered from `pending` at a later wakeup.
+        for (&flow, slot) in conns.iter_mut() {
+            while let Some(ev) = slot.conn.poll_event() {
+                let (stream, request_len) = match ev {
+                    AppEvent::StreamOpened(id) => {
+                        slot.request_bytes.insert(id, 0);
+                        continue;
                     }
-                }
-            }
-            for &(stream, request_len) in &completed {
+                    AppEvent::StreamData { id, bytes } => {
+                        *slot.request_bytes.entry(id).or_insert(0) += bytes;
+                        continue;
+                    }
+                    AppEvent::StreamFin(id) => (id, slot.request_bytes.remove(&id).unwrap_or(0)),
+                    AppEvent::HandshakeDone => continue,
+                };
                 let Some(object) = PageSpec::decode_request(request_len) else {
                     continue;
                 };
-                // Serialized application worker: each request costs CPU.
-                let class = self
-                    .flow_protos
-                    .get(&flow)
-                    .unwrap_or(&self.proto)
-                    .pkt_class();
-                let cost = self.request_cost.unwrap_or(default_request_cost(class));
-                let start = if self.app_cpu_free > now {
-                    self.app_cpu_free
-                } else {
-                    now
-                };
-                let mut due = start + cost;
-                self.app_cpu_free = due;
-                if let Some(w) = &self.wait {
+                let mut due = (*app_cpu_free).max(now) + request_cost(slot.class);
+                *app_cpu_free = due;
+                if let Some(w) = wait {
                     let span = w.max.saturating_sub(w.min).as_nanos();
-                    let extra = Dur::from_nanos(self.rng.uniform_u64(0, span.max(1)));
-                    due += w.min + extra;
+                    due += w.min + Dur::from_nanos(rng.uniform_u64(0, span.max(1)));
                 }
-                if due <= now {
-                    self.respond(flow, stream, object, now);
-                } else {
-                    self.pending.push((due, flow, stream, object));
-                    ctx.wake_at(due);
-                }
+                pending.push((due, flow, stream, object));
+                ctx.wake_at(due);
             }
-            completed.clear();
-            self.scratch_completed = completed;
         }
-        self.scratch_flows = flows;
-        // Pump transmissions.
-        for (flow, slot) in self.conns.iter_mut() {
-            pump(slot.conn.as_mut(), ctx, slot.peer, *flow, slot.class);
+        for (&flow, slot) in conns.iter_mut() {
+            pump(slot.conn.as_mut(), ctx, slot.peer, flow, slot.class);
         }
     }
 }

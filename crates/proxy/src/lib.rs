@@ -13,12 +13,13 @@
 //! 0-RTT"), which is why it *hurts* small objects while helping large
 //! transfers under loss.
 
-use longlook_http::host::ProtoConfig;
+use longlook_http::host::{pump, ProtoConfig};
+use longlook_sim::time::Time;
 use longlook_sim::world::{Agent, Ctx};
-use longlook_sim::{FlowId, NodeId, Packet, PktClass};
+use longlook_sim::{FlowId, NodeId, Packet};
 use longlook_transport::conn::{AppEvent, Connection, StreamId};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One proxied session: a client-side (downstream) connection and an
 /// origin-side (upstream) connection, with stream mappings.
@@ -37,16 +38,36 @@ struct Session {
     up_established: bool,
 }
 
+impl Session {
+    /// Forward `bytes` (and `fin`) of downstream stream `id` to the
+    /// origin, opening and mapping its upstream stream on first use; held
+    /// back until the upstream leg is established.
+    fn forward_up(&mut self, now: Time, id: StreamId, bytes: u64, fin: bool) {
+        if !self.up_established {
+            self.pending_up.push((id, bytes, fin));
+            return;
+        }
+        let up = self.up.as_mut();
+        let up_id = *self
+            .map_up
+            .entry(id)
+            .or_insert_with(|| up.open_stream(now).expect("upstream"));
+        self.map_down.insert(up_id, id);
+        self.up.stream_send(now, up_id, bytes, fin);
+    }
+}
+
 /// A transparent split-connection proxy between clients and one origin.
+/// Sessions are serviced in downstream flow-id order.
 pub struct ProxyHost {
     origin: NodeId,
     /// Protocol used on the client-facing leg.
     down_proto: ProtoConfig,
     /// Protocol used on the origin-facing leg.
     up_proto: ProtoConfig,
-    sessions: HashMap<FlowId, Session>,
+    sessions: BTreeMap<FlowId, Session>,
     /// Upstream flow -> session key (downstream flow).
-    up_index: HashMap<FlowId, FlowId>,
+    up_index: BTreeMap<FlowId, FlowId>,
     next_up_flow: u64,
 }
 
@@ -63,114 +84,51 @@ impl ProxyHost {
             origin,
             down_proto,
             up_proto,
-            sessions: HashMap::new(),
-            up_index: HashMap::new(),
+            sessions: BTreeMap::new(),
+            up_index: BTreeMap::new(),
             next_up_flow: base_flow,
-        }
-    }
-
-    fn pump_conn(
-        conn: &mut dyn Connection,
-        ctx: &mut Ctx<'_>,
-        peer: NodeId,
-        flow: FlowId,
-        class: PktClass,
-    ) {
-        let now = ctx.now;
-        while let Some(tx) = conn.poll_transmit(now) {
-            ctx.send(Packet::new(
-                ctx.node(),
-                peer,
-                flow,
-                class,
-                tx.wire_size,
-                tx.payload,
-            ));
-        }
-        if let Some(w) = conn.next_wakeup() {
-            ctx.wake_at(w);
         }
     }
 
     fn service(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now;
-        let keys: Vec<FlowId> = self.sessions.keys().copied().collect();
-        for key in keys {
-            let sess = self.sessions.get_mut(&key).expect("iterating keys");
+        let down_class = self.down_proto.pkt_class();
+        let up_class = self.up_proto.pkt_class();
+        for sess in self.sessions.values_mut() {
             // Downstream -> upstream forwarding.
             while let Some(ev) = sess.down.poll_event() {
                 match ev {
+                    AppEvent::StreamData { id, bytes } => sess.forward_up(now, id, bytes, false),
+                    AppEvent::StreamFin(id) => sess.forward_up(now, id, 0, true),
                     AppEvent::StreamOpened(_) | AppEvent::HandshakeDone => {}
-                    AppEvent::StreamData { id, bytes } => {
-                        if sess.up_established {
-                            let up = sess.up.as_mut();
-                            let up_id = *sess
-                                .map_up
-                                .entry(id)
-                                .or_insert_with(|| up.open_stream(now).expect("upstream"));
-                            sess.map_down.insert(up_id, id);
-                            sess.up.stream_send(now, up_id, bytes, false);
-                        } else {
-                            sess.pending_up.push((id, bytes, false));
-                        }
-                    }
-                    AppEvent::StreamFin(id) => {
-                        if sess.up_established {
-                            let up = sess.up.as_mut();
-                            let up_id = *sess
-                                .map_up
-                                .entry(id)
-                                .or_insert_with(|| up.open_stream(now).expect("upstream"));
-                            sess.map_down.insert(up_id, id);
-                            sess.up.stream_send(now, up_id, 0, true);
-                        } else {
-                            sess.pending_up.push((id, 0, true));
-                        }
-                    }
                 }
             }
             // Upstream -> downstream forwarding.
             while let Some(ev) = sess.up.poll_event() {
-                match ev {
+                let (id, bytes, fin) = match ev {
                     AppEvent::HandshakeDone => {
                         sess.up_established = true;
                         for (id, bytes, fin) in std::mem::take(&mut sess.pending_up) {
-                            let up = sess.up.as_mut();
-                            let up_id = *sess
-                                .map_up
-                                .entry(id)
-                                .or_insert_with(|| up.open_stream(now).expect("upstream"));
-                            sess.map_down.insert(up_id, id);
-                            sess.up.stream_send(now, up_id, bytes, fin);
+                            sess.forward_up(now, id, bytes, fin);
                         }
+                        continue;
                     }
-                    AppEvent::StreamOpened(_) => {}
-                    AppEvent::StreamData { id, bytes } => {
-                        if let Some(&down_id) = sess.map_down.get(&id) {
-                            sess.down.stream_send(now, down_id, bytes, false);
-                        }
-                    }
-                    AppEvent::StreamFin(id) => {
-                        if let Some(&down_id) = sess.map_down.get(&id) {
-                            sess.down.stream_send(now, down_id, 0, true);
-                        }
-                    }
+                    AppEvent::StreamOpened(_) => continue,
+                    AppEvent::StreamData { id, bytes } => (id, bytes, false),
+                    AppEvent::StreamFin(id) => (id, 0, true),
+                };
+                if let Some(&down_id) = sess.map_down.get(&id) {
+                    sess.down.stream_send(now, down_id, bytes, fin);
                 }
             }
-            Self::pump_conn(
+            pump(
                 sess.down.as_mut(),
                 ctx,
                 sess.client,
                 sess.down_flow,
-                self.down_proto.pkt_class(),
+                down_class,
             );
-            Self::pump_conn(
-                sess.up.as_mut(),
-                ctx,
-                self.origin,
-                sess.up_flow,
-                self.up_proto.pkt_class(),
-            );
+            pump(sess.up.as_mut(), ctx, self.origin, sess.up_flow, up_class);
         }
     }
 }
@@ -185,7 +143,7 @@ impl Agent for ProxyHost {
             }
         } else {
             // From a client: find or create the session.
-            if !self.sessions.contains_key(&pkt.flow) {
+            let sess = self.sessions.entry(pkt.flow).or_insert_with(|| {
                 let down = self.down_proto.server_conn(pkt.flow, now);
                 // The proxy's upstream leg never has cached 0-RTT state
                 // (the paper's observed limitation).
@@ -193,22 +151,18 @@ impl Agent for ProxyHost {
                 self.next_up_flow += 1;
                 let up = self.up_proto.client_conn(up_flow, false, now);
                 self.up_index.insert(up_flow, pkt.flow);
-                self.sessions.insert(
-                    pkt.flow,
-                    Session {
-                        down,
-                        up,
-                        client: pkt.src,
-                        down_flow: pkt.flow,
-                        up_flow,
-                        map_up: BTreeMap::new(),
-                        map_down: BTreeMap::new(),
-                        pending_up: Vec::new(),
-                        up_established: false,
-                    },
-                );
-            }
-            let sess = self.sessions.get_mut(&pkt.flow).expect("ensured above");
+                Session {
+                    down,
+                    up,
+                    client: pkt.src,
+                    down_flow: pkt.flow,
+                    up_flow,
+                    map_up: BTreeMap::new(),
+                    map_down: BTreeMap::new(),
+                    pending_up: Vec::new(),
+                    up_established: false,
+                }
+            });
             sess.down.on_datagram(pkt.payload, now);
         }
         self.service(ctx);

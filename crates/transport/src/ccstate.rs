@@ -8,7 +8,7 @@
 //! [`StateTrace`] feeds `longlook-statemachine` directly.
 
 use longlook_sim::time::{Dur, Time};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// QUIC congestion-control states, exactly Table 3 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,7 +121,7 @@ pub struct StateTrace {
     /// Ordered `(time, state)` visit log, starting with the initial state.
     pub visits: Vec<(Time, &'static str)>,
     /// Total time spent per state label.
-    pub time_in: HashMap<&'static str, Dur>,
+    pub time_in: BTreeMap<&'static str, Dur>,
     /// Total observation span.
     pub span: Dur,
 }
@@ -237,7 +237,7 @@ pub struct StateTracker {
     entered_at: Time,
     started_at: Time,
     visits: Vec<(Time, &'static str)>,
-    time_in: HashMap<&'static str, Dur>,
+    time_in: BTreeMap<&'static str, Dur>,
 }
 
 impl StateTracker {
@@ -248,7 +248,7 @@ impl StateTracker {
             entered_at: now,
             started_at: now,
             visits: vec![(now, initial)],
-            time_in: HashMap::new(),
+            time_in: BTreeMap::new(),
         }
     }
 

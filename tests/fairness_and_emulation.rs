@@ -130,8 +130,55 @@ fn variable_bandwidth_favors_quic() {
 fn fairness_results_are_deterministic() {
     let quic = ProtoConfig::Quic(QuicConfig::default());
     let tcp = ProtoConfig::Tcp(TcpConfig::default());
-    let a = quic_vs_n_tcp(&quic, &tcp, 1, Dur::from_secs(20), 9);
-    let b = quic_vs_n_tcp(&quic, &tcp, 1, Dur::from_secs(20), 9);
-    assert_eq!(a.flows[0].timeline_mbps, b.flows[0].timeline_mbps);
-    assert_eq!(a.flows[1].timeline_mbps, b.flows[1].timeline_mbps);
+    for n in [1, 4] {
+        let a = quic_vs_n_tcp(&quic, &tcp, n, Dur::from_secs(20), 9);
+        let b = quic_vs_n_tcp(&quic, &tcp, n, Dur::from_secs(20), 9);
+        assert_eq!(a.flows.len(), n + 1);
+        for (fa, fb) in a.flows.iter().zip(&b.flows) {
+            assert_eq!(
+                fa.timeline_mbps, fb.timeline_mbps,
+                "{} vs {n} TCP",
+                fa.label
+            );
+        }
+    }
+}
+
+/// Table 4's 5-flow cell (QUIC against four TCP flows on one server)
+/// gives one answer no matter which thread runs it. Each run gets a
+/// fresh thread because `std` hash maps seed their keys per thread: a
+/// host that walked its connections in hash order would differ here.
+#[test]
+fn many_flow_world_is_the_same_on_every_thread() {
+    let quic = ProtoConfig::Quic(QuicConfig::default());
+    let tcp = ProtoConfig::Tcp(TcpConfig::default());
+    for seed in [41, 42] {
+        let runs: Vec<Vec<Vec<f64>>> = (0..8)
+            .map(|_| {
+                let (quic, tcp) = (quic.clone(), tcp.clone());
+                std::thread::spawn(move || {
+                    quic_vs_n_tcp(&quic, &tcp, 4, Dur::from_secs(60), seed)
+                        .flows
+                        .into_iter()
+                        .map(|f| f.timeline_mbps)
+                        .collect()
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("run thread"))
+            .collect();
+        let mut distinct: Vec<&Vec<Vec<f64>>> = Vec::new();
+        for run in &runs {
+            if !distinct.contains(&run) {
+                distinct.push(run);
+            }
+        }
+        assert_eq!(
+            distinct.len(),
+            1,
+            "seed {seed}: 8 runs of one cell gave {} distinct per-flow timelines",
+            distinct.len()
+        );
+    }
 }
