@@ -20,7 +20,7 @@
 
 use longlook_bench::EXPERIMENTS;
 use longlook_core::runner::{self, Parallelism};
-use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -38,31 +38,23 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn save(id: &str, body: &str) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
+/// Save an experiment's render to `dir/<id>.txt` and each Graphviz DOT
+/// block in it to `dir/<id>_<n>.dot`. An error names the path that could
+/// not be written.
+fn save(dir: &Path, id: &str, body: &str) -> Result<(), (PathBuf, std::io::Error)> {
+    let write = |path: PathBuf, text: &str| std::fs::write(&path, text).map_err(|e| (path, e));
+    std::fs::create_dir_all(dir).map_err(|e| (dir.to_path_buf(), e))?;
+    write(dir.join(format!("{id}.txt")), body)?;
+    let mut rest = body;
+    let mut count = 0;
+    while let Some(start) = rest.find("digraph") {
+        let tail = &rest[start..];
+        let Some(end) = tail.find("\n}") else { break };
+        write(dir.join(format!("{id}_{count}.dot")), &tail[..end + 2])?;
+        count += 1;
+        rest = &tail[end + 2..];
     }
-    let path = dir.join(format!("{id}.txt"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(body.as_bytes());
-    }
-    // Extract DOT blocks into .dot files for Graphviz users.
-    if body.contains("digraph") {
-        let mut count = 0;
-        let mut rest = body;
-        while let Some(start) = rest.find("digraph") {
-            let tail = &rest[start..];
-            let Some(end) = tail.find("\n}") else { break };
-            let dot = &tail[..end + 2];
-            let path = dir.join(format!("{id}_{count}.dot"));
-            if let Ok(mut f) = std::fs::File::create(&path) {
-                let _ = f.write_all(dot.as_bytes());
-            }
-            count += 1;
-            rest = &tail[end + 2..];
-        }
-    }
+    Ok(())
 }
 
 fn print_timing(id: &str) {
@@ -88,7 +80,10 @@ fn run_one(id: &str, run: fn() -> String, timing: bool) {
         "[{id} completed in {:.1}s]\n",
         started.elapsed().as_secs_f64()
     );
-    save(id, &body);
+    if let Err((path, e)) = save(Path::new("results"), id, &body) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -176,5 +171,33 @@ fn main() {
                 usage();
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn save_writes_the_render_and_its_dot_blocks() {
+        let dir = std::env::temp_dir().join(format!("repro-save-ok-{}", std::process::id()));
+        let body = "head\ndigraph \"a\" {\n  x;\n}\nmid\ndigraph \"b\" {\n}\n";
+        save(&dir, "fig", body).expect("save succeeds");
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        assert_eq!(read("fig.txt"), body);
+        assert_eq!(read("fig_0.dot"), "digraph \"a\" {\n  x;\n}");
+        assert_eq!(read("fig_1.dot"), "digraph \"b\" {\n}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn save_fails_with_the_path_when_results_is_a_file() {
+        let root = std::env::temp_dir().join(format!("repro-save-err-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let results = root.join("results");
+        std::fs::write(&results, "a regular file").unwrap();
+        let (path, _) = save(&results, "fig6a", "body\n").expect_err("results is not a directory");
+        assert_eq!(path, results);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -19,44 +19,31 @@ fn vs_tcp(sc: Scenario) -> (Scenario, Scenario) {
     (sc.clone(), sc.with_proto(tcp()))
 }
 
-/// Object sizes used on heatmap columns (Table 2 without the 210 MB bulk
-/// object, which belongs to Fig 11).
-const SIZES: [(u64, &str); 7] = [
-    (5 * 1024, "5KB"),
-    (10 * 1024, "10KB"),
-    (100 * 1024, "100KB"),
-    (200 * 1024, "200KB"),
-    (500 * 1024, "500KB"),
-    (1024 * 1024, "1MB"),
-    (10 * 1024 * 1024, "10MB"),
-];
+/// Heatmap labels for Table 2's object sizes, without the 210 MB bulk
+/// object, which belongs to Fig 11 (values: `table2::OBJECT_SIZES`).
+const SIZES: [&str; table2::OBJECT_SIZES.len()] =
+    ["5KB", "10KB", "100KB", "200KB", "500KB", "1MB", "10MB"];
 
-const COUNTS: [(usize, &str); 6] = [
-    (1, "1"),
-    (2, "2"),
-    (5, "5"),
-    (10, "10"),
-    (100, "100"),
-    (200, "200"),
-];
+/// Heatmap labels for Table 2's object counts (`table2::OBJECT_COUNTS`).
+const COUNTS: [&str; table2::OBJECT_COUNTS.len()] = ["1", "2", "5", "10", "100", "200"];
 
-const RATES: [(f64, &str); 4] = [
-    (5.0, "5Mbps"),
-    (10.0, "10Mbps"),
-    (50.0, "50Mbps"),
-    (100.0, "100Mbps"),
-];
+/// Heatmap labels for Table 2's rates (`table2::RATES_MBPS`).
+const RATES: [&str; table2::RATES_MBPS.len()] = ["5Mbps", "10Mbps", "50Mbps", "100Mbps"];
 
-fn labels<T: Copy>(axis: &[(T, &str)]) -> Vec<String> {
-    axis.iter().map(|&(_, l)| l.to_string()).collect()
+fn labels(axis: &[&str]) -> Vec<String> {
+    axis.iter().map(|l| l.to_string()).collect()
+}
+
+fn rate(r: usize) -> NetProfile {
+    NetProfile::baseline(table2::RATES_MBPS[r])
 }
 
 fn size_page(c: usize) -> PageSpec {
-    PageSpec::single(SIZES[c].0)
+    PageSpec::single(table2::OBJECT_SIZES[c])
 }
 
 fn count_page(c: usize) -> PageSpec {
-    PageSpec::uniform(COUNTS[c].0, 10 * 1024)
+    PageSpec::uniform(table2::OBJECT_COUNTS[c], 10 * 1024)
 }
 
 /// Fig 6a: QUIC v34 vs TCP across object sizes and rates.
@@ -68,7 +55,7 @@ pub fn fig6a() -> String {
         Parallelism::auto(),
         |r, c| {
             vs_tcp(
-                Scenario::new(NetProfile::baseline(RATES[r].0), size_page(c))
+                Scenario::new(rate(r), size_page(c))
                     .with_rounds(rounds())
                     .with_seed(600 + r as u64 * 16 + c as u64),
             )
@@ -86,7 +73,7 @@ pub fn fig6b() -> String {
         Parallelism::auto(),
         |r, c| {
             vs_tcp(
-                Scenario::new(NetProfile::baseline(RATES[r].0), count_page(c))
+                Scenario::new(rate(r), count_page(c))
                     .with_rounds(rounds())
                     .with_seed(660 + r as u64 * 16 + c as u64),
             )
@@ -103,7 +90,7 @@ pub fn fig7() -> String {
         &labels(&SIZES),
         Parallelism::auto(),
         |r, c| {
-            let warm = Scenario::new(NetProfile::baseline(RATES[r].0), size_page(c))
+            let warm = Scenario::new(rate(r), size_page(c))
                 .with_rounds(rounds())
                 .with_seed(700 + r as u64 * 100 + c as u64 * 10);
             (warm.clone(), warm.cold())
@@ -135,7 +122,7 @@ pub fn fig8() -> String {
             Parallelism::auto(),
             |r, c| {
                 vs_tcp(
-                    Scenario::new(imp(NetProfile::baseline(RATES[r].0)), size_page(c))
+                    Scenario::new(imp(rate(r)), size_page(c))
                         .with_rounds(rounds())
                         .with_seed(800 + pi as u64 * 1000 + r as u64 * 16 + c as u64),
                 )
@@ -149,7 +136,7 @@ pub fn fig8() -> String {
             Parallelism::auto(),
             |r, c| {
                 vs_tcp(
-                    Scenario::new(imp(NetProfile::baseline(RATES[r].0)), count_page(c))
+                    Scenario::new(imp(rate(r)), count_page(c))
                         .with_rounds(rounds())
                         .with_seed(860 + pi as u64 * 1000 + r as u64 * 16 + c as u64),
                 )
@@ -163,16 +150,15 @@ pub fn fig8() -> String {
 /// Fig 12: mobile devices (WiFi rates up to 50 Mbps per the paper).
 pub fn fig12() -> String {
     let mut out = String::new();
-    let rates = &RATES[..3]; // 5, 10, 50 Mbps
     for device in [DeviceProfile::MOTOG, DeviceProfile::NEXUS6] {
         let map = sweep(
             &format!("Fig 12 — QUIC vs TCP on {} (object sizes)", device.name),
-            &labels(rates),
+            &labels(&RATES[..3]), // 5, 10, 50 Mbps
             &labels(&SIZES),
             Parallelism::auto(),
             |r, c| {
                 vs_tcp(
-                    Scenario::new(NetProfile::baseline(rates[r].0), size_page(c))
+                    Scenario::new(rate(r), size_page(c))
                         .with_rounds(rounds())
                         .with_seed(1200 + r as u64 * 16 + c as u64)
                         .on_device(device),
@@ -287,7 +273,7 @@ pub fn fig17() -> String {
             &labels(&SIZES),
             Parallelism::auto(),
             |r, c| {
-                let direct = Scenario::new(imp(NetProfile::baseline(RATES[r].0)), size_page(c))
+                let direct = Scenario::new(imp(rate(r)), size_page(c))
                     .with_rounds(rounds())
                     .with_seed(1700 + pi as u64 * 1000 + r as u64 * 60 + c as u64);
                 let proxied = direct.clone().with_proto(tcp()).via_proxy(tcp());
@@ -316,7 +302,7 @@ pub fn fig18() -> String {
             &labels(&SIZES),
             Parallelism::auto(),
             |r, c| {
-                let direct = Scenario::new(imp(NetProfile::baseline(RATES[r].0)), size_page(c))
+                let direct = Scenario::new(imp(rate(r)), size_page(c))
                     .with_rounds(rounds())
                     .with_seed(1800 + pi as u64 * 1000 + r as u64 * 60 + c as u64);
                 (direct.clone(), direct.via_proxy(quic()))

@@ -249,7 +249,7 @@ pub fn check_oracles(rec: &RunRecord) -> Vec<String> {
         ));
     }
     if let Some(trace) = rec.server_trace.as_ref() {
-        if let Err(msg) = check_trace_legal(&trace.labels(), &cubic_legal_edges(), "Init") {
+        if let Err(msg) = check_trace_legal(trace, &cubic_legal_edges(), "Init") {
             v.push(format!("cc-legal: {msg}"));
         }
     }

@@ -245,7 +245,7 @@ pub struct RunRecord {
     /// the origin's when proxied).
     pub server_stats: Option<ConnStats>,
     /// Server-side congestion-control state trace.
-    pub server_trace: Option<StateTrace>,
+    pub server_trace: Option<StateTrace<'static>>,
     /// Server congestion window timeline.
     pub server_cwnd: Vec<(Time, u64)>,
     /// When the run's world clock stopped.

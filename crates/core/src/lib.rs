@@ -68,7 +68,7 @@ pub mod prelude {
         FleetConfig, FleetMetrics, FleetObservables,
     };
     pub use crate::params::{render_table1, ParameterSpace};
-    pub use crate::rootcause::{compare_machines, infer_from_records, infer_from_traces};
+    pub use crate::rootcause::{compare_machines, infer_from_records};
     pub use crate::runner::{run_ordered, run_ordered_reporting, Parallelism, RunnerReport};
     pub use crate::testbed::{FlowSpec, NetProfile, ProxyTestbed, Testbed};
     pub use crate::traceview::{

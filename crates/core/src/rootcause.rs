@@ -2,38 +2,14 @@
 //! machines and side-by-side reports (paper Figs 3 and 13).
 
 use crate::experiment::RunRecord;
-use longlook_sim::time::Time;
-use longlook_sim::trace::TraceRecord;
-use longlook_statemachine::{
-    infer, trace_from_records, trace_from_transport, InferredMachine, Trace,
-};
+use longlook_statemachine::{infer, InferredMachine};
 use std::fmt::Write as _;
 
 /// Infer a machine from server-side state traces of finished runs.
 pub fn infer_from_records(records: &[RunRecord]) -> InferredMachine {
-    let traces: Vec<Trace> = records
+    let traces: Vec<_> = records
         .iter()
-        .filter_map(|r| {
-            r.server_trace
-                .as_ref()
-                .map(|t| trace_from_transport(t, r.ended_at))
-        })
-        .collect();
-    infer(&traces)
-}
-
-/// Infer a machine from captured structured event traces (`repro trace`
-/// evidence): each trace's `CcState` events are the state-visit
-/// sequence, observed until its last record.
-/// Empty traces contribute nothing.
-pub fn infer_from_traces(traces: &[Vec<TraceRecord>]) -> InferredMachine {
-    let traces: Vec<Trace> = traces
-        .iter()
-        .filter(|t| !t.is_empty())
-        .map(|t| {
-            let end = Time::from_nanos(t.last().map(|r| r.t).unwrap_or(0));
-            trace_from_records(t, end)
-        })
+        .filter_map(|r| r.server_trace.as_ref())
         .collect();
     infer(&traces)
 }

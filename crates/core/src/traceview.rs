@@ -11,6 +11,7 @@
 
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::{TraceEvent, TraceRecord};
+use longlook_transport::ccstate::StateTrace;
 use std::fmt::Write as _;
 
 /// A burst of declared losses, grouped by proximity in virtual time.
@@ -113,37 +114,8 @@ pub fn loss_episodes(records: &[TraceRecord]) -> Vec<LossEpisode> {
 /// Per-state dwell fractions from the trace's `CcState` events:
 /// `(state, dwell, fraction_of_span)`, in order of first entry, summed
 /// over repeat visits. Observation ends at the trace's last record.
-pub fn dwell_table(records: &[TraceRecord]) -> Vec<(String, Dur, f64)> {
-    let end = match records.last() {
-        Some(r) => Time::from_nanos(r.t),
-        None => return Vec::new(),
-    };
-    let visits: Vec<(Time, &str)> = records
-        .iter()
-        .filter_map(|r| match &r.ev {
-            TraceEvent::CcState { state } => Some((Time::from_nanos(r.t), state.as_str())),
-            _ => None,
-        })
-        .collect();
-    let mut out: Vec<(String, Dur, f64)> = Vec::new();
-    for (i, &(t, s)) in visits.iter().enumerate() {
-        let next = visits.get(i + 1).map(|&(t, _)| t).unwrap_or(end);
-        let dwell = next.saturating_since(t);
-        match out.iter_mut().find(|(name, _, _)| name == s) {
-            Some(row) => row.1 += dwell,
-            None => out.push((s.to_string(), dwell, 0.0)),
-        }
-    }
-    let span = match visits.first() {
-        Some(&(t0, _)) => end.saturating_since(t0),
-        None => Dur::ZERO,
-    };
-    if span > Dur::ZERO {
-        for row in &mut out {
-            row.2 = row.1 / span;
-        }
-    }
-    out
+pub fn dwell_table(records: &[TraceRecord]) -> Vec<(&str, Dur, f64)> {
+    StateTrace::from_records(records).dwell_table()
 }
 
 /// One human-readable line per event (the qlog "sequence diagram" view).

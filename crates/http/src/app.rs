@@ -372,7 +372,7 @@ mod tests {
         fn cwnd_timeline(&self) -> &[(Time, u64)] {
             &[]
         }
-        fn state_trace(&self, _now: Time) -> StateTrace {
+        fn state_trace(&self, _now: Time) -> StateTrace<'static> {
             StateTrace::default()
         }
         fn srtt(&self) -> Dur {

@@ -181,7 +181,7 @@ impl ClientHost {
     }
 
     /// State trace of the `index`-th connection.
-    pub fn state_trace(&self, index: usize, now: Time) -> StateTrace {
+    pub fn state_trace(&self, index: usize, now: Time) -> StateTrace<'static> {
         self.slots[index].conn.state_trace(now)
     }
 
@@ -346,7 +346,7 @@ impl ServerHost {
     }
 
     /// State trace of the connection for `flow`, if any.
-    pub fn state_trace(&self, flow: FlowId, now: Time) -> Option<StateTrace> {
+    pub fn state_trace(&self, flow: FlowId, now: Time) -> Option<StateTrace<'static>> {
         self.conns.get(&flow).map(|s| s.conn.state_trace(now))
     }
 

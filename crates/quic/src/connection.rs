@@ -886,7 +886,7 @@ impl Connection for QuicConnection {
         self.tel.cwnd_timeline()
     }
 
-    fn state_trace(&self, now: Time) -> StateTrace {
+    fn state_trace(&self, now: Time) -> StateTrace<'static> {
         self.tel.state_trace(now)
     }
 

@@ -9,8 +9,8 @@
 //! * `a NeverFollowedBy b` — no occurrence of `a` is ever followed by `b`;
 //! * `a AlwaysPrecedes b` — every occurrence of `b` has some earlier `a`.
 
-use crate::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
+use longlook_transport::ccstate::StateTrace;
+use std::collections::BTreeMap;
 
 /// One mined invariant.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,69 +37,46 @@ impl std::fmt::Display for Invariant {
 ///
 /// Only label pairs where both labels actually occur somewhere are
 /// considered (vacuous invariants over absent labels are uninteresting).
-pub fn mine(traces: &[Trace]) -> Vec<Invariant> {
-    let mut alphabet: BTreeSet<String> = BTreeSet::new();
-    for t in traces {
-        for (_, s) in &t.visits {
-            alphabet.insert(s.clone());
-        }
-    }
-    let labels: Vec<String> = alphabet.into_iter().collect();
-
-    // Per-pair counters across all traces.
-    // followed[a][b]: in how many a-occurrences was b seen later?
+pub fn mine(traces: &[&StateTrace<'_>]) -> Vec<Invariant> {
+    // Per label, its occurrences; per pair `(a, b)`, how many occurrences
+    // of `a` see `b` later in their trace, and how many occurrences of `b`
+    // see `a` earlier.
     let mut occurrences: BTreeMap<&str, u64> = BTreeMap::new();
     let mut followed: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-    let mut b_occurrences: BTreeMap<&str, u64> = BTreeMap::new();
     let mut preceded: BTreeMap<(&str, &str), u64> = BTreeMap::new();
 
     for t in traces {
-        let seq = t.labels();
-        for (i, &a) in seq.iter().enumerate() {
-            // Register against the global alphabet keys.
-            let a_key = labels
-                .iter()
-                .find(|l| l.as_str() == a)
-                .expect("in alphabet");
-            *occurrences.entry(a_key).or_insert(0) += 1;
-            let after: BTreeSet<&str> = seq[i + 1..].iter().copied().collect();
-            for b in &labels {
-                if after.contains(b.as_str()) {
-                    *followed.entry((a_key, b)).or_insert(0) += 1;
-                }
+        // A label occurs after position `i` iff its last index exceeds
+        // `i`, and before it iff its first index is below `i`.
+        let mut first: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut last: BTreeMap<&str, usize> = BTreeMap::new();
+        for (i, &(_, s)) in t.visits.iter().enumerate() {
+            first.entry(s).or_insert(i);
+            last.insert(s, i);
+        }
+        for (i, &(_, a)) in t.visits.iter().enumerate() {
+            *occurrences.entry(a).or_insert(0) += 1;
+            for (&b, _) in last.iter().filter(|&(_, &j)| j > i) {
+                *followed.entry((a, b)).or_insert(0) += 1;
             }
-            let before: BTreeSet<&str> = seq[..i].iter().copied().collect();
-            *b_occurrences.entry(a_key).or_insert(0) += 1;
-            for b in &labels {
-                if before.contains(b.as_str()) {
-                    *preceded.entry((b, a_key)).or_insert(0) += 1;
-                }
+            for (&b, _) in first.iter().filter(|&(_, &j)| j < i) {
+                *preceded.entry((b, a)).or_insert(0) += 1;
             }
         }
     }
 
     let mut out = Vec::new();
-    for a in &labels {
-        for b in &labels {
-            let occ_a = occurrences.get(a.as_str()).copied().unwrap_or(0);
-            let fol = followed
-                .get(&(a.as_str(), b.as_str()))
-                .copied()
-                .unwrap_or(0);
-            if occ_a > 0 {
-                if fol == occ_a {
-                    out.push(Invariant::AlwaysFollowedBy(a.clone(), b.clone()));
-                } else if fol == 0 {
-                    out.push(Invariant::NeverFollowedBy(a.clone(), b.clone()));
-                }
+    for (&a, &occ_a) in &occurrences {
+        for (&b, &occ_b) in &occurrences {
+            let fol = followed.get(&(a, b)).copied().unwrap_or(0);
+            if fol == occ_a {
+                out.push(Invariant::AlwaysFollowedBy(a.into(), b.into()));
+            } else if fol == 0 {
+                out.push(Invariant::NeverFollowedBy(a.into(), b.into()));
             }
-            let occ_b = b_occurrences.get(b.as_str()).copied().unwrap_or(0);
-            let prec = preceded
-                .get(&(a.as_str(), b.as_str()))
-                .copied()
-                .unwrap_or(0);
-            if occ_b > 0 && prec == occ_b && a != b {
-                out.push(Invariant::AlwaysPrecedes(a.clone(), b.clone()));
+            let prec = preceded.get(&(a, b)).copied().unwrap_or(0);
+            if prec == occ_b && a != b {
+                out.push(Invariant::AlwaysPrecedes(a.into(), b.into()));
             }
         }
     }
@@ -108,7 +85,7 @@ pub fn mine(traces: &[Trace]) -> Vec<Invariant> {
 }
 
 /// Check a single trace against an invariant (for counterexample search).
-pub fn holds(inv: &Invariant, trace: &Trace) -> bool {
+pub fn holds(inv: &Invariant, trace: &StateTrace<'_>) -> bool {
     let seq = trace.labels();
     match inv {
         Invariant::AlwaysFollowedBy(a, b) => seq
@@ -138,13 +115,20 @@ mod tests {
         Time::ZERO + Dur::from_millis(ms)
     }
 
-    fn trace(labels: &[&str]) -> Trace {
-        let visits: Vec<(Time, &str)> = labels
+    fn trace(labels: &[&'static str]) -> StateTrace<'static> {
+        let visits = labels
             .iter()
             .enumerate()
             .map(|(i, &s)| (t(i as u64 * 10), s))
             .collect();
-        Trace::from_labels(&visits, t(labels.len() as u64 * 10))
+        StateTrace {
+            visits,
+            span: Dur::from_millis(labels.len() as u64 * 10),
+        }
+    }
+
+    fn mine_all(traces: &[StateTrace<'static>]) -> Vec<Invariant> {
+        mine(&traces.iter().collect::<Vec<_>>())
     }
 
     #[test]
@@ -153,7 +137,7 @@ mod tests {
             trace(&["Init", "SlowStart", "CA"]),
             trace(&["Init", "SlowStart"]),
         ];
-        let invs = mine(&traces);
+        let invs = mine_all(&traces);
         assert!(invs.contains(&Invariant::AlwaysFollowedBy(
             "Init".into(),
             "SlowStart".into()
@@ -168,7 +152,7 @@ mod tests {
     #[test]
     fn mines_never_followed_by() {
         let traces = vec![trace(&["Init", "SlowStart", "CA"])];
-        let invs = mine(&traces);
+        let invs = mine_all(&traces);
         assert!(invs.contains(&Invariant::NeverFollowedBy("CA".into(), "Init".into())));
         assert!(invs.contains(&Invariant::NeverFollowedBy(
             "SlowStart".into(),
@@ -182,7 +166,7 @@ mod tests {
             trace(&["Init", "SlowStart", "CA", "Recovery", "CA"]),
             trace(&["Init", "SlowStart", "CA"]),
         ];
-        let invs = mine(&traces);
+        let invs = mine_all(&traces);
         assert!(invs.contains(&Invariant::AlwaysPrecedes("Init".into(), "Recovery".into())));
         assert!(invs.contains(&Invariant::AlwaysPrecedes("Init".into(), "CA".into())));
     }
@@ -209,7 +193,7 @@ mod tests {
             trace(&["Init", "SlowStart", "AppLimited", "SlowStart", "CA"]),
             trace(&["Init", "SlowStart"]),
         ];
-        for inv in mine(&traces) {
+        for inv in mine_all(&traces) {
             for tr in &traces {
                 assert!(holds(&inv, tr), "{inv} violated");
             }

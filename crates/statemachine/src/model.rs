@@ -3,8 +3,8 @@
 //! Figures 3 and 13 (red time fractions, black transition probabilities).
 
 use crate::invariants::{mine, Invariant};
-use crate::trace::Trace;
 use longlook_sim::time::Dur;
+use longlook_transport::ccstate::StateTrace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -31,36 +31,34 @@ pub struct InferredMachine {
 }
 
 /// Infer a machine from execution traces.
-pub fn infer(traces: &[Trace]) -> InferredMachine {
-    let mut transitions: BTreeMap<(String, String), u64> = BTreeMap::new();
-    let mut time_in: BTreeMap<String, Dur> = BTreeMap::new();
-    let mut states: BTreeMap<String, ()> = BTreeMap::new();
+pub fn infer(traces: &[&StateTrace<'_>]) -> InferredMachine {
+    let mut transitions: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    let mut time_in: BTreeMap<&str, Dur> = BTreeMap::new();
     let mut total_span = Dur::ZERO;
 
     for tr in traces {
-        let labels = tr.labels();
-        total_span += tr.span();
-        for (i, &s) in labels.iter().enumerate() {
-            states.insert(s.to_string(), ());
-            *time_in.entry(s.to_string()).or_insert(Dur::ZERO) += tr.dwell(i);
-            let from = if i == 0 {
-                INITIAL.to_string()
-            } else {
-                labels[i - 1].to_string()
-            };
-            *transitions.entry((from, s.to_string())).or_insert(0) += 1;
+        total_span += tr.span;
+        let mut from = INITIAL;
+        for (s, dwell) in tr.dwells() {
+            *time_in.entry(s).or_insert(Dur::ZERO) += dwell;
+            *transitions.entry((from, s)).or_insert(0) += 1;
+            from = s;
         }
-        if let Some(&last) = labels.last() {
-            *transitions
-                .entry((last.to_string(), TERMINAL.to_string()))
-                .or_insert(0) += 1;
+        if !tr.visits.is_empty() {
+            *transitions.entry((from, TERMINAL)).or_insert(0) += 1;
         }
     }
 
     InferredMachine {
-        states: states.into_keys().collect(),
-        transitions,
-        time_in,
+        states: time_in.keys().map(|s| s.to_string()).collect(),
+        transitions: transitions
+            .into_iter()
+            .map(|((from, to), n)| ((from.to_string(), to.to_string()), n))
+            .collect(),
+        time_in: time_in
+            .into_iter()
+            .map(|(s, d)| (s.to_string(), d))
+            .collect(),
         total_span,
         trace_count: traces.len(),
         invariants: mine(traces),
@@ -94,7 +92,7 @@ impl InferredMachine {
         }
         self.time_in
             .get(state)
-            .map_or(0.0, |d| d.as_secs_f64() / self.total_span.as_secs_f64())
+            .map_or(0.0, |&d| d / self.total_span)
     }
 
     /// Number of times `state` was visited.
@@ -180,24 +178,23 @@ mod tests {
     use super::*;
     use longlook_sim::time::Time;
 
-    fn t(ms: u64) -> Time {
-        Time::ZERO + Dur::from_millis(ms)
-    }
-
-    fn trace(labels: &[&str], step_ms: u64) -> Trace {
-        let visits: Vec<(Time, &str)> = labels
+    fn trace(labels: &[&'static str], step_ms: u64) -> StateTrace<'static> {
+        let visits = labels
             .iter()
             .enumerate()
-            .map(|(i, &s)| (t(i as u64 * step_ms), s))
+            .map(|(i, &s)| (Time::ZERO + Dur::from_millis(i as u64 * step_ms), s))
             .collect();
-        Trace::from_labels(&visits, t(labels.len() as u64 * step_ms))
+        StateTrace {
+            visits,
+            span: Dur::from_millis(labels.len() as u64 * step_ms),
+        }
     }
 
     #[test]
     fn infers_states_and_transitions() {
         let m = infer(&[
-            trace(&["Init", "SlowStart", "CA"], 10),
-            trace(&["Init", "SlowStart", "Recovery", "CA"], 10),
+            &trace(&["Init", "SlowStart", "CA"], 10),
+            &trace(&["Init", "SlowStart", "Recovery", "CA"], 10),
         ]);
         assert_eq!(m.states, vec!["CA", "Init", "Recovery", "SlowStart"]);
         assert_eq!(m.transitions[&("INITIAL".into(), "Init".into())], 2);
@@ -209,9 +206,9 @@ mod tests {
     #[test]
     fn transition_probabilities_sum_to_one() {
         let m = infer(&[
-            trace(&["A", "B"], 10),
-            trace(&["A", "C"], 10),
-            trace(&["A", "B"], 10),
+            &trace(&["A", "B"], 10),
+            &trace(&["A", "C"], 10),
+            &trace(&["A", "B"], 10),
         ]);
         let p_b = m.transition_probability("A", "B");
         let p_c = m.transition_probability("A", "C");
@@ -223,21 +220,21 @@ mod tests {
     #[test]
     fn time_fractions_aggregate_across_traces() {
         // Trace 1: A for 10ms, B for 10ms. Trace 2: A for 20ms.
-        let m = infer(&[trace(&["A", "B"], 10), trace(&["A"], 20)]);
+        let m = infer(&[&trace(&["A", "B"], 10), &trace(&["A"], 20)]);
         assert!((m.time_fraction("A") - 0.75).abs() < 1e-9);
         assert!((m.time_fraction("B") - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn visit_counts() {
-        let m = infer(&[trace(&["A", "B", "A", "B"], 5)]);
+        let m = infer(&[&trace(&["A", "B", "A", "B"], 5)]);
         assert_eq!(m.visit_count("A"), 2);
         assert_eq!(m.visit_count("B"), 2); // the terminal edge is from B
     }
 
     #[test]
     fn dot_output_is_wellformed() {
-        let m = infer(&[trace(&["Init", "SlowStart"], 10)]);
+        let m = infer(&[&trace(&["Init", "SlowStart"], 10)]);
         let dot = m.to_dot("QUIC Cubic");
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("\"Init\" -> \"SlowStart\""));
@@ -248,7 +245,7 @@ mod tests {
 
     #[test]
     fn text_rendering_mentions_all_states() {
-        let m = infer(&[trace(&["Init", "SlowStart", "CA"], 10)]);
+        let m = infer(&[&trace(&["Init", "SlowStart", "CA"], 10)]);
         let text = m.render_text();
         for s in ["Init", "SlowStart", "CA"] {
             assert!(text.contains(s));
@@ -257,7 +254,7 @@ mod tests {
 
     #[test]
     fn invariants_included() {
-        let m = infer(&[trace(&["Init", "SlowStart"], 10)]);
+        let m = infer(&[&trace(&["Init", "SlowStart"], 10)]);
         assert!(m.invariants.contains(&Invariant::AlwaysPrecedes(
             "Init".into(),
             "SlowStart".into()

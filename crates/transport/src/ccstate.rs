@@ -1,14 +1,14 @@
-//! Congestion-control states (paper Table 3) and the transition tracker
-//! that produces the execution traces the paper's state-machine inference
-//! consumes.
+//! Congestion-control states (paper Table 3) and the state history that
+//! the paper's state-machine inference consumes.
 //!
 //! The paper instrumented gQUIC with 23 lines of logging across 5 files to
 //! capture state transitions; here the instrumentation is a first-class
-//! citizen: every connection owns a [`StateTracker`] and the resulting
-//! [`StateTrace`] feeds `longlook-statemachine` directly.
+//! citizen: every connection appends to a [`StateTrace`], which feeds
+//! `longlook-statemachine` directly.
 
 use longlook_sim::time::{Dur, Time};
-use std::collections::{BTreeMap, BTreeSet};
+use longlook_sim::trace::{TraceEvent, TraceRecord};
+use std::collections::BTreeSet;
 
 /// QUIC congestion-control states, exactly Table 3 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,42 +103,102 @@ impl BbrState {
     }
 }
 
-/// One observed transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transition {
-    /// State left.
-    pub from: &'static str,
-    /// State entered.
-    pub to: &'static str,
-    /// When.
-    pub at: Time,
-}
-
-/// A completed state trace: the ordered transition log plus time spent in
-/// each state. This is the artifact the Synoptic-style inference ingests.
+/// One connection's Fig-3 state history: the ordered visit log and how
+/// long it was observed. It is the one value that carries a history from
+/// a live connection (labels `&'static str`) or a parsed trace file
+/// (labels borrowed from its records) to inference, and every dwell time
+/// is derived from it by [`StateTrace::dwells`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct StateTrace {
+pub struct StateTrace<'a> {
     /// Ordered `(time, state)` visit log, starting with the initial state.
-    pub visits: Vec<(Time, &'static str)>,
-    /// Total time spent per state label.
-    pub time_in: BTreeMap<&'static str, Dur>,
-    /// Total observation span.
+    pub visits: Vec<(Time, &'a str)>,
+    /// Total observation span, from the first visit.
     pub span: Dur,
 }
 
-impl StateTrace {
-    /// Fraction of observed time in `label`, in `[0, 1]`.
-    pub fn fraction_in(&self, label: &str) -> f64 {
-        if self.span == Dur::ZERO {
-            return 0.0;
+impl<'a> StateTrace<'a> {
+    /// A history that starts in `initial` at `now`.
+    pub fn new(now: Time, initial: &'a str) -> Self {
+        StateTrace {
+            visits: vec![(now, initial)],
+            span: Dur::ZERO,
         }
-        self.time_in
-            .get(label)
-            .map_or(0.0, |d| d.as_secs_f64() / self.span.as_secs_f64())
     }
 
-    /// Just the state-label sequence (for inference).
-    pub fn labels(&self) -> Vec<&'static str> {
+    /// The history a structured event trace carries in its `CcState`
+    /// records, observed until its last record.
+    pub fn from_records(records: &'a [TraceRecord]) -> Self {
+        let visits = records
+            .iter()
+            .filter_map(|r| match &r.ev {
+                TraceEvent::CcState { state } => Some((Time::from_nanos(r.t), state.as_str())),
+                _ => None,
+            })
+            .collect();
+        let end = records.last().map_or(Time::ZERO, |r| Time::from_nanos(r.t));
+        StateTrace {
+            visits,
+            span: Dur::ZERO,
+        }
+        .ended_at(end)
+    }
+
+    /// Record a (possibly unchanged) state observation; a visit is logged
+    /// only when the state actually changes.
+    pub fn enter(&mut self, now: Time, state: &'a str) {
+        if self.visits.last().map(|&(_, s)| s) != Some(state) {
+            self.visits.push((now, state));
+        }
+    }
+
+    /// This history, observed until `end`.
+    pub fn ended_at(mut self, end: Time) -> Self {
+        self.span = self
+            .visits
+            .first()
+            .map_or(Dur::ZERO, |&(t0, _)| end.saturating_since(t0));
+        self
+    }
+
+    /// Each visit's state and dwell: until the next visit, the last one
+    /// until the end of the span.
+    pub fn dwells(&self) -> impl Iterator<Item = (&'a str, Dur)> + '_ {
+        let end = self.visits.first().map(|&(t0, _)| t0 + self.span);
+        let next = self.visits.iter().skip(1).map(|&(t, _)| t).chain(end);
+        self.visits
+            .iter()
+            .zip(next)
+            .map(|(&(t, s), next)| (s, next.saturating_since(t)))
+    }
+
+    /// `(state, dwell, share of span)` per state, summed over repeat
+    /// visits, in order of first entry.
+    pub fn dwell_table(&self) -> Vec<(&'a str, Dur, f64)> {
+        let mut out: Vec<(&'a str, Dur, f64)> = Vec::new();
+        for (s, dwell) in self.dwells() {
+            match out.iter_mut().find(|row| row.0 == s) {
+                Some(row) => row.1 += dwell,
+                None => out.push((s, dwell, 0.0)),
+            }
+        }
+        if self.span > Dur::ZERO {
+            for row in &mut out {
+                row.2 = row.1 / self.span;
+            }
+        }
+        out
+    }
+
+    /// Fraction of observed time in `label`, in `[0, 1]`.
+    pub fn fraction_in(&self, label: &str) -> f64 {
+        self.dwell_table()
+            .into_iter()
+            .find(|row| row.0 == label)
+            .map_or(0.0, |row| row.2)
+    }
+
+    /// Just the state-label sequence.
+    pub fn labels(&self) -> Vec<&'a str> {
         self.visits.iter().map(|&(_, s)| s).collect()
     }
 }
@@ -158,8 +218,8 @@ pub fn cubic_legal_edges() -> BTreeSet<(&'static str, &'static str)> {
     const TLP: &str = "TailLossProbe";
     let mut edges = BTreeSet::new();
     edges.insert(("Init", SS));
-    // Established states interleave freely (the tracker samples the
-    // connection's flags each tick), except no state ever returns to Init
+    // Established states interleave freely (the connection samples its
+    // flags each tick), except no state ever returns to Init
     // and loss states only appear with loss evidence (checked separately).
     for from in [SS, CA, CAM, AL, REC, RTO, TLP] {
         for to in [SS, CA, CAM, AL, REC, RTO, TLP] {
@@ -190,27 +250,24 @@ pub fn bbr_legal_edges() -> BTreeSet<(&'static str, &'static str)> {
     .collect()
 }
 
-/// Check one visit sequence against a legal graph: the trace must be
+/// Check one state history against a legal graph: the trace must be
 /// non-empty, start in `initial`, never re-enter `initial`, and every
 /// state change must be an edge of `legal`. Returns a human-readable
 /// description of the first violation, if any — shared by the invariant
 /// test suite and the fault-injection fuzzer's CC oracle.
 pub fn check_trace_legal(
-    labels: &[&'static str],
-    legal: &BTreeSet<(&'static str, &'static str)>,
+    trace: &StateTrace<'_>,
+    legal: &BTreeSet<(&str, &str)>,
     initial: &str,
 ) -> Result<(), String> {
-    if labels.is_empty() {
+    let Some(&(_, first)) = trace.visits.first() else {
         return Err("empty trace".to_string());
+    };
+    if first != initial {
+        return Err(format!("trace starts in {first} instead of {initial}"));
     }
-    if labels[0] != initial {
-        return Err(format!(
-            "trace starts in {} instead of {initial}",
-            labels[0]
-        ));
-    }
-    for pair in labels.windows(2) {
-        let (from, to) = (pair[0], pair[1]);
+    for pair in trace.visits.windows(2) {
+        let (from, to) = (pair[0].1, pair[1].1);
         if from == to {
             continue; // re-logged same state: not a transition
         }
@@ -221,70 +278,14 @@ pub fn check_trace_legal(
             ));
         }
     }
-    if labels
+    if trace
+        .visits
         .windows(2)
-        .any(|pair| pair[0] != initial && pair[1] == initial)
+        .any(|pair| pair[0].1 != initial && pair[1].1 == initial)
     {
         return Err(format!("re-entered initial state {initial}"));
     }
     Ok(())
-}
-
-/// Live tracker a connection drives as its state evolves.
-#[derive(Debug, Clone)]
-pub struct StateTracker {
-    current: &'static str,
-    entered_at: Time,
-    started_at: Time,
-    visits: Vec<(Time, &'static str)>,
-    time_in: BTreeMap<&'static str, Dur>,
-}
-
-impl StateTracker {
-    /// Start tracking in `initial` at time `now`.
-    pub fn new(now: Time, initial: &'static str) -> Self {
-        StateTracker {
-            current: initial,
-            entered_at: now,
-            started_at: now,
-            visits: vec![(now, initial)],
-            time_in: BTreeMap::new(),
-        }
-    }
-
-    /// The current state label.
-    pub fn current(&self) -> &'static str {
-        self.current
-    }
-
-    /// Record a (possibly unchanged) state observation; transitions are
-    /// logged only when the state actually changes.
-    pub fn set(&mut self, now: Time, state: &'static str) {
-        if state == self.current {
-            return;
-        }
-        let dwell = now.saturating_since(self.entered_at);
-        *self.time_in.entry(self.current).or_insert(Dur::ZERO) += dwell;
-        self.current = state;
-        self.entered_at = now;
-        self.visits.push((now, state));
-    }
-
-    /// Number of transitions so far (visits minus the initial state).
-    pub fn transition_count(&self) -> usize {
-        self.visits.len().saturating_sub(1)
-    }
-
-    /// Finalize at `now`, producing the trace.
-    pub fn finish(&self, now: Time) -> StateTrace {
-        let mut time_in = self.time_in.clone();
-        *time_in.entry(self.current).or_insert(Dur::ZERO) += now.saturating_since(self.entered_at);
-        StateTrace {
-            visits: self.visits.clone(),
-            time_in,
-            span: now.saturating_since(self.started_at),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -293,6 +294,15 @@ mod tests {
 
     fn t(ms: u64) -> Time {
         Time::ZERO + Dur::from_millis(ms)
+    }
+
+    /// A history visiting `labels` one millisecond apart.
+    fn trace(labels: &[&'static str]) -> StateTrace<'static> {
+        let visits = (0..).map(t).zip(labels.iter().copied()).collect();
+        StateTrace {
+            visits,
+            span: Dur::from_millis(labels.len() as u64),
+        }
     }
 
     #[test]
@@ -306,58 +316,115 @@ mod tests {
 
     #[test]
     fn tracker_ignores_no_op_sets() {
-        let mut tr = StateTracker::new(t(0), CcState::Init.label());
-        tr.set(t(1), CcState::Init.label());
-        tr.set(t(2), CcState::Init.label());
-        assert_eq!(tr.transition_count(), 0);
+        let mut tr = StateTrace::new(t(0), CcState::Init.label());
+        tr.enter(t(1), CcState::Init.label());
+        tr.enter(t(2), CcState::Init.label());
+        assert_eq!(tr.visits, [(t(0), "Init")]);
     }
 
     #[test]
     fn tracker_records_transitions_and_dwell() {
-        let mut tr = StateTracker::new(t(0), "Init");
-        tr.set(t(10), "SlowStart");
-        tr.set(t(40), "CongestionAvoidance");
-        tr.set(t(100), "Recovery");
-        let trace = tr.finish(t(130));
+        let mut tr = StateTrace::new(t(0), "Init");
+        tr.enter(t(10), "SlowStart");
+        tr.enter(t(40), "CongestionAvoidance");
+        tr.enter(t(100), "Recovery");
+        let trace = tr.ended_at(t(130));
         assert_eq!(
             trace.labels(),
             vec!["Init", "SlowStart", "CongestionAvoidance", "Recovery"]
         );
-        assert_eq!(trace.time_in["Init"], Dur::from_millis(10));
-        assert_eq!(trace.time_in["SlowStart"], Dur::from_millis(30));
-        assert_eq!(trace.time_in["CongestionAvoidance"], Dur::from_millis(60));
-        assert_eq!(trace.time_in["Recovery"], Dur::from_millis(30));
-        assert_eq!(trace.span, Dur::from_millis(130));
+        let ms = Dur::from_millis;
+        assert_eq!(
+            trace.dwells().collect::<Vec<_>>(),
+            [
+                ("Init", ms(10)),
+                ("SlowStart", ms(30)),
+                ("CongestionAvoidance", ms(60)),
+                ("Recovery", ms(30)),
+            ]
+        );
+        assert_eq!(trace.span, ms(130));
     }
 
     #[test]
     fn fractions_sum_to_one() {
-        let mut tr = StateTracker::new(t(0), "A");
-        tr.set(t(25), "B");
-        tr.set(t(75), "A");
-        let trace = tr.finish(t(100));
+        let mut tr = StateTrace::new(t(0), "A");
+        tr.enter(t(25), "B");
+        tr.enter(t(75), "A");
+        let trace = tr.ended_at(t(100));
         let total = trace.fraction_in("A") + trace.fraction_in("B");
         assert!((total - 1.0).abs() < 1e-9);
         assert!((trace.fraction_in("A") - 0.5).abs() < 1e-9);
+        assert_eq!(trace.fraction_in("C"), 0.0);
     }
 
     #[test]
     fn revisits_accumulate() {
-        let mut tr = StateTracker::new(t(0), "A");
-        tr.set(t(10), "B");
-        tr.set(t(20), "A");
-        tr.set(t(50), "B");
-        let trace = tr.finish(t(60));
-        assert_eq!(trace.time_in["A"], Dur::from_millis(40));
-        assert_eq!(trace.time_in["B"], Dur::from_millis(20));
+        let mut tr = StateTrace::new(t(0), "A");
+        tr.enter(t(10), "B");
+        tr.enter(t(20), "A");
+        tr.enter(t(50), "B");
+        let trace = tr.ended_at(t(60));
+        assert_eq!(
+            trace.dwell_table(),
+            [
+                ("A", Dur::from_millis(40), 40.0 / 60.0),
+                ("B", Dur::from_millis(20), 20.0 / 60.0)
+            ]
+        );
         assert_eq!(trace.labels(), vec!["A", "B", "A", "B"]);
     }
 
     #[test]
     fn empty_trace_fraction_is_zero() {
-        let tr = StateTracker::new(t(0), "A");
-        let trace = tr.finish(t(0));
+        let trace = StateTrace::new(t(0), "A").ended_at(t(0));
         assert_eq!(trace.fraction_in("A"), 0.0);
+        assert_eq!(trace.dwell_table(), [("A", Dur::ZERO, 0.0)]);
+    }
+
+    #[test]
+    fn labels_and_dwells() {
+        let mut trace = StateTrace::new(t(0), "A");
+        trace.enter(t(10), "B");
+        trace.enter(t(30), "A");
+        let trace = trace.ended_at(t(100));
+        assert_eq!(trace.labels(), vec!["A", "B", "A"]);
+        let dwells: Vec<Dur> = trace.dwells().map(|(_, d)| d).collect();
+        assert_eq!(dwells, [10, 20, 70].map(Dur::from_millis));
+        assert_eq!(trace.span, Dur::from_millis(100));
+    }
+
+    #[test]
+    fn empty_trace_span_is_zero() {
+        let trace = StateTrace::default().ended_at(t(50));
+        assert_eq!(trace.span, Dur::ZERO);
+        assert!(trace.labels().is_empty());
+        assert_eq!(trace.dwells().count(), 0);
+        assert!(trace.dwell_table().is_empty());
+    }
+
+    #[test]
+    fn from_records_reads_state_records_until_the_last_record() {
+        let rec = |ms: u64, ev| TraceRecord {
+            t: ms * 1_000_000,
+            ev,
+        };
+        let state = |s: &str| TraceEvent::CcState { state: s.into() };
+        let records = [
+            rec(5, TraceEvent::Cwnd { bytes: 1 }),
+            rec(10, state("A")),
+            rec(20, TraceEvent::Loss { pn: 3 }),
+            rec(30, state("B")),
+            rec(110, TraceEvent::Cwnd { bytes: 2 }),
+        ];
+        let trace = StateTrace::from_records(&records);
+        assert_eq!(trace.visits, [(t(10), "A"), (t(30), "B")]);
+        assert_eq!(trace.span, Dur::from_millis(100));
+        assert_eq!(
+            StateTrace::from_records(&records[..1]),
+            StateTrace::default()
+        );
+        assert_eq!(StateTrace::from_records(&[]), StateTrace::default());
     }
 
     #[test]
@@ -370,14 +437,14 @@ mod tests {
     fn legal_graph_accepts_canonical_traces() {
         let cubic = cubic_legal_edges();
         check_trace_legal(
-            &["Init", "SlowStart", "CongestionAvoidance", "Recovery"],
+            &trace(&["Init", "SlowStart", "CongestionAvoidance", "Recovery"]),
             &cubic,
             "Init",
         )
         .expect("canonical cubic trace must be legal");
         let bbr = bbr_legal_edges();
         check_trace_legal(
-            &["Startup", "Drain", "ProbeBW", "ProbeRTT", "ProbeBW"],
+            &trace(&["Startup", "Drain", "ProbeBW", "ProbeRTT", "ProbeBW"]),
             &bbr,
             "Startup",
         )
@@ -388,30 +455,32 @@ mod tests {
     fn legal_graph_rejects_violations() {
         let cubic = cubic_legal_edges();
         // Re-entering Init is forbidden.
-        let err = check_trace_legal(&["Init", "SlowStart", "Init"], &cubic, "Init")
+        let err = check_trace_legal(&trace(&["Init", "SlowStart", "Init"]), &cubic, "Init")
             .expect_err("Init re-entry must be illegal");
         assert!(err.contains("Init"), "unexpected message: {err}");
         // CA -> SlowStart is explicitly removed from the graph.
         let err = check_trace_legal(
-            &["Init", "SlowStart", "CongestionAvoidance", "SlowStart"],
+            &trace(&["Init", "SlowStart", "CongestionAvoidance", "SlowStart"]),
             &cubic,
             "Init",
         )
         .expect_err("CA -> SlowStart must be illegal");
         assert!(err.contains("illegal transition"), "{err}");
         // Wrong initial state and empty traces are violations too.
-        assert!(check_trace_legal(&["SlowStart"], &cubic, "Init").is_err());
-        assert!(check_trace_legal(&[], &cubic, "Init").is_err());
+        assert!(check_trace_legal(&trace(&["SlowStart"]), &cubic, "Init").is_err());
+        assert!(check_trace_legal(&trace(&[]), &cubic, "Init").is_err());
         // BBR never re-enters Startup.
         let bbr = bbr_legal_edges();
-        assert!(check_trace_legal(&["Startup", "Drain", "Startup"], &bbr, "Startup").is_err());
+        assert!(
+            check_trace_legal(&trace(&["Startup", "Drain", "Startup"]), &bbr, "Startup").is_err()
+        );
     }
 
     #[test]
     fn self_loops_are_not_transitions() {
         let bbr = bbr_legal_edges();
         check_trace_legal(
-            &["Startup", "Startup", "Drain", "Drain", "ProbeBW"],
+            &trace(&["Startup", "Startup", "Drain", "Drain", "ProbeBW"]),
             &bbr,
             "Startup",
         )

@@ -5,7 +5,7 @@
 //! ("is anything outstanding", "is the handshake done").
 
 use crate::cc::CongestionControl;
-use crate::ccstate::{CcState, StateTrace, StateTracker};
+use crate::ccstate::{CcState, StateTrace};
 use crate::conn::{AppEvent, ConnError, ConnStats};
 use crate::rtt::RttEstimator;
 use longlook_sim::time::{Dur, Time};
@@ -231,7 +231,7 @@ pub struct ConnTelemetry {
     /// Events awaiting `Connection::poll_event`.
     pub events: VecDeque<AppEvent>,
     cwnd_log: Vec<(Time, u64)>,
-    tracker: StateTracker,
+    states: StateTrace<'static>,
 }
 
 impl ConnTelemetry {
@@ -250,7 +250,7 @@ impl ConnTelemetry {
             tracer,
             events: VecDeque::new(),
             cwnd_log: vec![(now, 0)],
-            tracker: StateTracker::new(now, initial),
+            states: StateTrace::new(now, initial),
         }
     }
 
@@ -298,7 +298,7 @@ impl ConnTelemetry {
                 cc_label
             }
         };
-        self.tracker.set(now, label);
+        self.states.enter(now, label);
         self.tracer.cc_state(now.as_nanos(), label);
     }
 
@@ -307,9 +307,9 @@ impl ConnTelemetry {
         &self.cwnd_log
     }
 
-    /// The state trace, finalized at `now`.
-    pub fn state_trace(&self, now: Time) -> StateTrace {
-        self.tracker.finish(now)
+    /// The state trace, observed until `now`.
+    pub fn state_trace(&self, now: Time) -> StateTrace<'static> {
+        self.states.clone().ended_at(now)
     }
 }
 

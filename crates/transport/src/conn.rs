@@ -143,7 +143,7 @@ pub trait Connection {
     fn cwnd_timeline(&self) -> &[(Time, u64)];
 
     /// Finalize and return the congestion-control state trace.
-    fn state_trace(&self, now: Time) -> StateTrace;
+    fn state_trace(&self, now: Time) -> StateTrace<'static>;
 
     /// Current smoothed RTT estimate (for reporting).
     fn srtt(&self) -> longlook_sim::time::Dur;

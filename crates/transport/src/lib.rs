@@ -12,8 +12,8 @@
 //!   the two controllers the paper studies;
 //! * [`hystart`] / [`prr`] / [`pacing`] — Hybrid Slow Start, proportional
 //!   rate reduction, and packet pacing;
-//! * [`ccstate`] — Table 3's state vocabulary and the transition tracker
-//!   whose traces feed state-machine inference;
+//! * [`ccstate`] — Table 3's state vocabulary and the state history
+//!   (`StateTrace`) that feeds state-machine inference;
 //! * [`chassis`] — the watchdog, TLP/RTO timer and telemetry bundle both
 //!   connection models embed instead of keeping twins.
 
@@ -32,7 +32,6 @@ pub use bbr::Bbr;
 pub use cc::{CcPhase, CongestionControl};
 pub use ccstate::{
     bbr_legal_edges, check_trace_legal, cubic_legal_edges, BbrState, CcState, StateTrace,
-    StateTracker, Transition,
 };
 pub use chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
 pub use conn::{

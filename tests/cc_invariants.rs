@@ -72,7 +72,7 @@ fn assert_trace_legal(
             .server_trace
             .as_ref()
             .unwrap_or_else(|| panic!("{cc:?} record {k} lost its server trace"));
-        if let Err(msg) = check_trace_legal(&trace.labels(), legal, initial) {
+        if let Err(msg) = check_trace_legal(trace, legal, initial) {
             panic!("{cc:?} record {k}: {msg}");
         }
         traces += 1;

@@ -112,12 +112,7 @@ fn state_traces_serial_equals_threads4() {
         for (k, (s, p)) in serial.iter().zip(&par).enumerate() {
             let st = s.server_trace.as_ref().expect("serial trace");
             let pt = p.server_trace.as_ref().expect("parallel trace");
-            assert_eq!(st.visits, pt.visits, "{name} round {k}: visit sequence");
-            assert_eq!(
-                st.time_in, pt.time_in,
-                "{name} round {k}: state dwell times"
-            );
-            assert_eq!(st.span, pt.span, "{name} round {k}: trace span");
+            assert_eq!(st, pt, "{name} round {k}: state trace (visits and span)");
         }
     }
 }

@@ -5,7 +5,9 @@
 use longlook_core::prelude::*;
 use longlook_core::rootcause::infer_from_records;
 use longlook_sim::time::Time as STime;
-use longlook_statemachine::{holds, infer, Trace};
+use longlook_sim::trace::{encode_seq, parse_seq};
+use longlook_statemachine::{holds, infer};
+use longlook_transport::ccstate::StateTrace;
 use proptest::prelude::*;
 
 #[test]
@@ -94,6 +96,68 @@ fn motog_is_application_limited_far_more_than_desktop() {
     );
 }
 
+/// The tracer's change-only `CcState` stream and the connection's own
+/// state history agree: the history read back from a run's captured trace
+/// file has exactly the visits of its `server_trace`, for each controller
+/// vocabulary, clean and under loss.
+#[test]
+fn captured_trace_carries_the_connection_state_history() {
+    let bbr = QuicConfig {
+        cc: CcKind::Bbr,
+        ..QuicConfig::default()
+    };
+    let cells = [
+        ("QUIC-Cubic", ProtoConfig::Quic(QuicConfig::default())),
+        ("QUIC-BBR", ProtoConfig::Quic(bbr)),
+        ("TCP", ProtoConfig::Tcp(TcpConfig::default())),
+    ];
+    for (name, proto) in cells {
+        for loss in [0.0, 0.01] {
+            let sc = Scenario::new(
+                NetProfile::baseline(20.0).with_loss(loss),
+                PageSpec::single(2 * 1024 * 1024),
+            )
+            .with_proto(proto.clone())
+            .with_seed(34);
+            let (rec, records) = sc.run_traced(0);
+            let parsed = parse_seq(&encode_seq(&records)).expect("captured trace parses");
+            let live = rec.server_trace.expect("server trace");
+            assert!(
+                live.visits.len() > 1,
+                "{name} at loss {loss}: no transitions"
+            );
+            assert_eq!(
+                StateTrace::from_records(&parsed).visits,
+                live.visits,
+                "{name} at loss {loss}"
+            );
+        }
+    }
+}
+
+/// Histories of the given label-index sequences, one visit every `step_ms`.
+fn state_traces(
+    seqs: &[Vec<usize>],
+    labels: &[&'static str],
+    step_ms: u64,
+) -> Vec<StateTrace<'static>> {
+    seqs.iter()
+        .map(|seq| StateTrace {
+            visits: seq
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| {
+                    (
+                        STime::ZERO + Dur::from_millis(i as u64 * step_ms),
+                        labels[s],
+                    )
+                })
+                .collect(),
+            span: Dur::from_millis(seq.len() as u64 * step_ms),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -105,24 +169,8 @@ proptest! {
             1..6,
         )
     ) {
-        let labels = ["A", "B", "C", "D", "E"];
-        let traces: Vec<Trace> = traces
-            .iter()
-            .map(|seq| {
-                let visits: Vec<(STime, String)> = seq
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| {
-                        (
-                            STime::ZERO + Dur::from_millis(i as u64 * 10),
-                            labels[s].to_string(),
-                        )
-                    })
-                    .collect();
-                Trace::new(visits, STime::ZERO + Dur::from_millis(seq.len() as u64 * 10))
-            })
-            .collect();
-        let machine = infer(&traces);
+        let traces = state_traces(&traces, &["A", "B", "C", "D", "E"], 10);
+        let machine = infer(&traces.iter().collect::<Vec<_>>());
         for inv in &machine.invariants {
             for tr in &traces {
                 prop_assert!(holds(inv, tr), "{inv} violated");
@@ -143,19 +191,8 @@ proptest! {
     fn transition_counts_are_consistent(
         seq in proptest::collection::vec(0usize..3, 1..20)
     ) {
-        let labels = ["X", "Y", "Z"];
-        let visits: Vec<(STime, String)> = seq
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                (
-                    STime::ZERO + Dur::from_millis(i as u64),
-                    labels[s].to_string(),
-                )
-            })
-            .collect();
-        let trace = Trace::new(visits, STime::ZERO + Dur::from_millis(seq.len() as u64));
-        let machine = infer(std::slice::from_ref(&trace));
+        let trace = state_traces(std::slice::from_ref(&seq), &["X", "Y", "Z"], 1);
+        let machine = infer(&[&trace[0]]);
         let total: u64 = machine.transitions.values().sum();
         // n-1 internal edges + INITIAL edge + TERMINAL edge.
         prop_assert_eq!(total, seq.len() as u64 + 1);
