@@ -14,26 +14,45 @@
 //!
 //! # Wheel layout
 //!
-//! The timeline is quantized into ticks of `2^SLOT_SHIFT` ns (128 µs) and
-//! the wheel covers a ring of [`SLOTS`] consecutive ticks (~67 ms). With the
-//! baseline 36 ms RTT of the testbed's cellular profiles, almost every
-//! retransmission timer, pacing wake, and link-transit completion lands
-//! inside the ring; only idle timeouts and `Time::MAX`-style "never" wakes
-//! overflow.
+//! Every pending event lives in one slab, a `Vec` of nodes: its payload is
+//! written there once, at push, and read out once, at pop. Free nodes chain
+//! through a `u32` link, so a freed node is the next push's. Everything
+//! else holds `(at, seq, index)` keys or `u32` node links, never a payload.
+//! The price is locality: a queue far deeper than the caches (10^5 events
+//! held for seconds) pays a cache miss per long-lived event. The world and
+//! the fleet's link loop hold a few hundred.
 //!
-//! * Events whose tick equals the cursor's current tick live in `active`,
-//!   a vector sorted **descending** by `(at, seq)` so the next event pops
-//!   from the end in O(1).
-//! * Events in `(cursor, cursor + SLOTS)` ticks live in their slot's FIFO
-//!   vector; a 512-bit occupancy bitmap finds the next non-empty slot with
-//!   a handful of `trailing_zeros` scans.
-//! * Events at `>= cursor + SLOTS` ticks go to the overflow heap.
+//! The timeline is quantized into ticks of `2^SLOT_SHIFT` ns (128 µs) and
+//! the wheel covers a ring of [`SLOTS`] consecutive ticks (~268 ms). With
+//! the testbed's 36–54 ms RTTs, retransmission timers, pacing wakes,
+//! link-transit completions, the fleet's acks (queueing, serialisation,
+//! an RTT and server time) and TCP's 3-RTT handshakes all land inside the
+//! ring; only idle timeouts and `Time::MAX`-style "never" wakes overflow.
+//!
+//! * Events whose tick equals the cursor's current tick have their keys in
+//!   `active`, a vector sorted **descending** by `(at, seq)` so the next
+//!   event pops from the end in O(1).
+//! * Events in `(cursor, cursor + SLOTS)` ticks sit on their slot's list:
+//!   the slot is a `u32` head, and its nodes chain through the same link
+//!   the free list uses, in no particular order. A 2048-bit occupancy
+//!   bitmap finds the next non-empty slot with `trailing_zeros` scans.
+//! * Events at `>= cursor + SLOTS` ticks have their keys in the overflow
+//!   heap.
 //!
 //! Advancing the cursor jumps straight to `min(next occupied slot tick,
-//! overflow peek tick)`, drains newly-in-horizon overflow entries into
-//! their slots, moves the target slot into `active`, and sorts it (exact:
-//! `(at, seq)` keys are unique). Emptied slot vectors are recycled through
-//! a free list, so steady-state scheduling performs no allocation.
+//! overflow peek tick)`, drains newly-in-horizon overflow keys into their
+//! slots, walks the target slot's list into `active`, and sorts it (exact:
+//! `(at, seq)` keys are unique). Sorting, inserting and sifting move
+//! 24-byte keys, whatever the payload's size.
+//!
+//! # Allocation
+//!
+//! The queue owns four buffers: the slab, `active`, the overflow heap's
+//! vector and the ring of slot heads. The ring is allocated once; the other
+//! three grow by doubling to the high-water mark of what they held, so a
+//! queue allocates O(log peak) times over its life, however many slots it
+//! touches. [`EventQueue::reset`] keeps every buffer, so a reset queue that
+//! replays what it held before does not allocate at all.
 //!
 //! # Why the order is exact
 //!
@@ -48,7 +67,8 @@
 //!    nothing in overflow can precede anything in the ring; the `min` in
 //!    the advance target is defensive.
 //! 4. Within a tick, `sort_unstable` over unique `(at, seq)` keys yields
-//!    the same order the heap would.
+//!    the same order the heap would, whatever order the slot's list held
+//!    them in; the slab index in a key never decides a comparison.
 
 use crate::time::Time;
 use longlook_wire::SchedKind;
@@ -59,49 +79,29 @@ use std::mem;
 /// log2 of the wheel slot width in nanoseconds (2^17 ns = 131.072 µs).
 const SLOT_SHIFT: u32 = 17;
 /// Number of ring slots; the wheel horizon is `SLOTS << SLOT_SHIFT` ns
-/// (~67 ms).
-const SLOTS: usize = 512;
+/// (~268 ms).
+const SLOTS: usize = 2048;
 /// Occupancy bitmap words (64 slots per word).
 const WORDS: usize = SLOTS / 64;
+/// The end of a node list: an empty slot, or the free list's last node.
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn tick_of(at: Time) -> u64 {
     at.tick(SLOT_SHIFT)
 }
 
-/// A scheduled event: payload plus its total-order key.
-struct Entry<T> {
+/// An event's total-order key `(at, seq)` and its node's slab index.
+type Key = (Time, u64, u32);
+
+/// A slab node: a pending event, or a free node on the free list.
+struct Node<T> {
     at: Time,
     seq: u64,
-    item: T,
-}
-
-impl<T> Entry<T> {
-    #[inline]
-    fn key(&self) -> (Time, u64) {
-        (self.at, self.seq)
-    }
-}
-
-/// Heap adapter giving `Entry<T>` the `(at, seq)` order without requiring
-/// `T: Ord`.
-struct HeapEntry<T>(Entry<T>);
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.key().cmp(&other.0.key())
-    }
+    /// Next node on the same slot's list or on the free list.
+    next: u32,
+    /// `None` exactly while the node is free.
+    item: Option<T>,
 }
 
 /// Hierarchical timing-wheel scheduler. See the module docs for layout and
@@ -109,17 +109,19 @@ impl<T> Ord for HeapEntry<T> {
 pub struct EventQueue<T> {
     /// Tick currently being drained; lower bound on every live tick.
     cursor: u64,
-    /// Events of the cursor tick (plus defensively any pushed-in-the-past
+    /// Keys of the cursor tick (plus defensively any pushed-in-the-past
     /// event), sorted descending by `(at, seq)` — next event at the end.
-    active: Vec<Entry<T>>,
-    /// Ring of per-tick FIFO vectors for ticks in `(cursor, cursor+SLOTS)`.
-    slots: Vec<Vec<Entry<T>>>,
-    /// One bit per slot: set iff the slot vector is non-empty.
+    active: Vec<Key>,
+    /// Ring of per-tick list heads for ticks in `(cursor, cursor+SLOTS)`.
+    heads: Box<[u32]>,
+    /// One bit per slot: set iff the slot's list is non-empty.
     occ: [u64; WORDS],
-    /// Events at ticks `>= cursor + SLOTS`.
-    overflow: BinaryHeap<Reverse<HeapEntry<T>>>,
-    /// Recycled slot vectors (drained slots park their allocation here).
-    free: Vec<Vec<Entry<T>>>,
+    /// Keys of events at ticks `>= cursor + SLOTS`.
+    overflow: BinaryHeap<Reverse<Key>>,
+    /// Every pending event's payload, and the free nodes between them.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list threaded through `nodes`.
+    free: u32,
     seq: u64,
     len: usize,
     peak: usize,
@@ -128,15 +130,14 @@ pub struct EventQueue<T> {
 impl<T> Default for EventQueue<T> {
     /// An empty wheel with the cursor at the origin.
     fn default() -> Self {
-        let mut slots = Vec::with_capacity(SLOTS);
-        slots.resize_with(SLOTS, Vec::new);
         EventQueue {
             cursor: 0,
             active: Vec::new(),
-            slots,
+            heads: vec![NIL; SLOTS].into_boxed_slice(),
             occ: [0; WORDS],
             overflow: BinaryHeap::new(),
-            free: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
             seq: 0,
             len: 0,
             peak: 0,
@@ -157,62 +158,59 @@ impl<T> EventQueue<T> {
         self.seq += 1;
         self.len += 1;
         self.peak = self.peak.max(self.len);
-        let e = Entry {
+        let node = Node {
             at,
             seq: self.seq,
-            item,
+            next: NIL,
+            item: Some(item),
         };
+        let idx = if self.free == NIL {
+            assert!(
+                self.nodes.len() < NIL as usize,
+                "the slab holds at most 2^32 - 1 events"
+            );
+            let idx = self.nodes.len() as u32;
+            self.nodes.push(node);
+            idx
+        } else {
+            let idx = self.free;
+            self.free = mem::replace(&mut self.nodes[idx as usize], node).next;
+            idx
+        };
+        let key = (at, self.seq, idx);
         let t = tick_of(at);
         if t <= self.cursor {
             // Cursor tick (or a defensive past push): keep `active` sorted
             // by inserting at the descending-order position. Same-key
             // events can't exist (seq is unique), so the position is exact.
-            let pos = self.active.partition_point(|x| x.key() > e.key());
-            self.active.insert(pos, e);
+            let pos = self.active.partition_point(|&k| k > key);
+            self.active.insert(pos, key);
         } else if t < self.cursor + SLOTS as u64 {
-            self.slot_insert(t, e);
+            self.link(t, idx);
         } else {
-            self.overflow.push(Reverse(HeapEntry(e)));
+            self.overflow.push(Reverse(key));
         }
     }
 
     /// Remove and return the earliest event (FIFO among equal times).
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        if self.active.is_empty() && !self.advance() {
-            return None;
-        }
-        let e = self.active.pop().expect("advance loaded events");
-        self.len -= 1;
-        Some((e.at, e.item))
+        self.front()?;
+        Some(self.take_front())
     }
 
     /// Pop the earliest event iff it is at or before `deadline`: the
     /// world's event loop in one front check.
     pub fn pop_at_most(&mut self, deadline: Time) -> Option<(Time, T)> {
-        if self.active.is_empty() && !self.advance() {
-            return None;
-        }
-        if self.active.last().expect("advance loaded events").at > deadline {
-            return None;
-        }
-        let e = self.active.pop().expect("checked above");
-        self.len -= 1;
-        Some((e.at, e.item))
+        let (at, _, _) = self.front()?;
+        (at <= deadline).then(|| self.take_front())
     }
 
     /// Pop the earliest event iff `pred` approves it; the fleet loop
     /// takes a queue event only if it is due before the next deadline.
     pub fn pop_if(&mut self, pred: impl FnOnce(Time, &T) -> bool) -> Option<(Time, T)> {
-        if self.active.is_empty() && !self.advance() {
-            return None;
-        }
-        let front = self.active.last().expect("advance loaded events");
-        if !pred(front.at, &front.item) {
-            return None;
-        }
-        let e = self.active.pop().expect("checked above");
-        self.len -= 1;
-        Some((e.at, e.item))
+        let (at, _, idx) = self.front()?;
+        let item = self.nodes[idx as usize].item.as_ref().expect("live node");
+        pred(at, item).then(|| self.take_front())
     }
 
     /// Outstanding event count.
@@ -232,18 +230,18 @@ impl<T> EventQueue<T> {
 
     /// Return to the just-constructed state — cursor at the origin,
     /// sequence counter and peak rewound, every event discarded — while
-    /// keeping all allocations (slot ring capacities, free list, overflow
-    /// heap). A reset wheel is observationally identical to a fresh one —
-    /// same pop order, same tie-breaks, same peak accounting — which is
-    /// what lets the fleet run link after link through one queue and
-    /// still match a threaded shard's fresh one.
+    /// keeping all allocations (slab, `active`, overflow heap, ring). A
+    /// reset wheel is observationally identical to a fresh one — same pop
+    /// order, same tie-breaks, same peak accounting — which is what lets
+    /// the fleet run link after link through one queue and still match a
+    /// threaded shard's fresh one.
     pub fn reset(&mut self) {
         self.active.clear();
-        for v in &mut self.slots {
-            v.clear();
-        }
+        self.heads.fill(NIL);
         self.occ = [0; WORDS];
         self.overflow.clear();
+        self.nodes.clear();
+        self.free = NIL;
         self.cursor = 0;
         self.seq = 0;
         self.len = 0;
@@ -254,31 +252,44 @@ impl<T> EventQueue<T> {
     /// events (a hint; the queue grows on demand regardless).
     pub fn reserve_hint(&mut self, n: usize) {
         self.active.reserve(n.min(64));
-        // Park pre-sized vectors in the free list so the first bursts of
-        // slot traffic don't allocate.
-        let want = (n / 4).clamp(1, 32);
-        while self.free.len() < want {
-            self.free.push(Vec::with_capacity(8));
-        }
+        self.nodes.reserve(n.saturating_sub(self.nodes.len()));
     }
 
-    fn slot_insert(&mut self, t: u64, e: Entry<T>) {
+    /// The earliest event's key, loading the next live tick into `active`
+    /// first if the cursor tick is spent.
+    #[inline]
+    fn front(&mut self) -> Option<Key> {
+        if self.active.is_empty() && !self.advance() {
+            return None;
+        }
+        self.active.last().copied()
+    }
+
+    /// Pop the front key and hand its node to the free list.
+    #[inline]
+    fn take_front(&mut self) -> (Time, T) {
+        let (at, _, idx) = self.active.pop().expect("front loaded an event");
+        let node = &mut self.nodes[idx as usize];
+        let item = node.item.take().expect("live node");
+        node.next = self.free;
+        self.free = idx;
+        self.len -= 1;
+        (at, item)
+    }
+
+    /// Put node `idx`, due at tick `t`, on its ring slot's list.
+    fn link(&mut self, t: u64, idx: u32) {
         debug_assert!(t > self.cursor && t < self.cursor + SLOTS as u64);
-        let idx = (t % SLOTS as u64) as usize;
-        let v = &mut self.slots[idx];
+        let slot = (t % SLOTS as u64) as usize;
+        let head = mem::replace(&mut self.heads[slot], idx);
         debug_assert!(
-            v.first().is_none_or(|f| tick_of(f.at) == t),
+            head == NIL || tick_of(self.nodes[head as usize].at) == t,
             "slot holds two rotations"
         );
-        if v.is_empty() {
-            if v.capacity() == 0 {
-                if let Some(recycled) = self.free.pop() {
-                    *v = recycled;
-                }
-            }
-            self.occ[idx / 64] |= 1 << (idx % 64);
+        if head == NIL {
+            self.occ[slot / 64] |= 1 << (slot % 64);
         }
-        v.push(e);
+        self.nodes[idx as usize].next = head;
     }
 
     /// Move the cursor to the next live tick and load its events into
@@ -286,10 +297,7 @@ impl<T> EventQueue<T> {
     fn advance(&mut self) -> bool {
         debug_assert!(self.active.is_empty());
         let wheel_next = self.next_occupied_tick();
-        let over_next = self
-            .overflow
-            .peek()
-            .map(|Reverse(HeapEntry(e))| tick_of(e.at));
+        let over_next = self.overflow.peek().map(|Reverse((at, _, _))| tick_of(*at));
         // Overflow ticks are always >= cursor + SLOTS (see module docs), so
         // when the ring is non-empty the ring wins; the `min` is defensive.
         let target = match (wheel_next, over_next) {
@@ -300,35 +308,31 @@ impl<T> EventQueue<T> {
         };
         self.cursor = target;
         if wheel_next == Some(target) {
-            let idx = (target % SLOTS as u64) as usize;
-            self.occ[idx / 64] &= !(1 << (idx % 64));
-            // `active` is empty here, so the slot vector becomes the new
-            // `active` wholesale — no entry copies — and the old `active`
-            // allocation parks in the free list.
-            let old = mem::replace(&mut self.active, mem::take(&mut self.slots[idx]));
-            if self.free.len() < SLOTS && old.capacity() > 0 {
-                self.free.push(old);
+            let slot = (target % SLOTS as u64) as usize;
+            self.occ[slot / 64] &= !(1 << (slot % 64));
+            let mut idx = mem::replace(&mut self.heads[slot], NIL);
+            while idx != NIL {
+                let node = &self.nodes[idx as usize];
+                self.active.push((node.at, node.seq, idx));
+                idx = node.next;
             }
         }
-        // The horizon moved: drain newly coverable overflow entries. Ticks
+        // The horizon moved: drain newly coverable overflow keys. Ticks
         // equal to the new cursor go straight to `active`.
-        while let Some(Reverse(HeapEntry(e))) = self.overflow.peek() {
-            let t = tick_of(e.at);
+        while let Some(&Reverse(key)) = self.overflow.peek() {
+            let t = tick_of(key.0);
             if t >= target + SLOTS as u64 {
                 break;
             }
-            let Some(Reverse(HeapEntry(e))) = self.overflow.pop() else {
-                unreachable!()
-            };
+            self.overflow.pop();
             if t == target {
-                self.active.push(e);
+                self.active.push(key);
             } else {
-                self.slot_insert(t, e);
+                self.link(t, key.2);
             }
         }
         // Exact total order: keys are unique, so unstable sort is fine.
-        self.active
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        self.active.sort_unstable_by(|a, b| b.cmp(a));
         debug_assert!(!self.active.is_empty(), "advance picked an empty tick");
         true
     }
@@ -388,7 +392,7 @@ mod tests {
         // Same-instant events pushed before and after intervening pops that
         // advance the cursor across slot boundaries and drain overflow.
         let mut q = EventQueue::default();
-        let far = Time::from_nanos((1000u64) << SLOT_SHIFT); // overflow tick
+        let far = Time::from_nanos((2 * SLOTS as u64) << SLOT_SHIFT); // overflow tick
         q.push(far, 0u32);
         q.push(far, 1);
         q.push(Time::from_nanos(100), 2); // near event forces an early advance
@@ -427,11 +431,11 @@ mod tests {
     #[test]
     fn overflow_refills_wheel_in_order() {
         let mut q = EventQueue::default();
-        // Spread events far past the initial horizon; every refill must
-        // preserve global order.
-        let times: Vec<u64> = (0..40)
-            .map(|i| (i * 97) << (SLOT_SHIFT - 1)) // straddles slot widths
-            .collect();
+        // Spread events over eight horizons; every refill must preserve
+        // global order. The stride is an odd number of half-ticks, so the
+        // events straddle slot widths.
+        let stride = 2 * SLOTS as u64 / 5;
+        let times: Vec<u64> = (0..40).map(|i| (i * stride) << (SLOT_SHIFT - 1)).collect();
         // Push in reverse so push order disagrees with time order.
         for (i, &ns) in times.iter().enumerate().rev() {
             q.push(Time::from_nanos(ns), i);
@@ -478,7 +482,7 @@ mod tests {
             q.push(Time::from_nanos(40 << SLOT_SHIFT), 0); // far slot
             q.push(Time::from_nanos(5), 1);
             q.push(Time::from_nanos(5), 2); // FIFO tie with 1
-            q.push(Time::from_nanos((1000u64) << SLOT_SHIFT), 3); // overflow
+            q.push(Time::from_nanos((2 * SLOTS as u64) << SLOT_SHIFT), 3); // overflow
             let order: Vec<(Time, u32)> = drain(q);
             (order, q.scheduled_peak())
         };
@@ -500,7 +504,7 @@ mod tests {
         q.push(Time::from_nanos(3), 'a');
         q.push(Time::from_nanos(3), 'b');
         q.push(Time::from_nanos(9 << SLOT_SHIFT), 'c');
-        q.push(Time::from_nanos((2000u64) << SLOT_SHIFT), 'd');
+        q.push(Time::from_nanos((4 * SLOTS as u64) << SLOT_SHIFT), 'd');
         assert_eq!(q.pop(), Some((Time::from_nanos(3), 'a'))); // loads active
         q.reset();
         assert_eq!(q.len(), 0);

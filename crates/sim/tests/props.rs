@@ -230,7 +230,7 @@ proptest! {
 /// The wheel's slot width and horizon (`sched::SLOT_SHIFT`, `SLOTS`): the
 /// generator below aims at their boundaries.
 const TICK: u64 = 1 << 17;
-const RING: u64 = 512 * TICK;
+const RING: u64 = 2048 * TICK;
 
 /// A delay from one of the classes the wheel files differently.
 fn delay(class: u8, x: u64) -> u64 {
@@ -240,7 +240,7 @@ fn delay(class: u8, x: u64) -> u64 {
         // Inside the tick being drained, or just past it.
         1 => x % TICK,
         2 => (x % 4) * TICK + x % 2,
-        // Anywhere in the ring (< 67 ms).
+        // Anywhere in the ring (< 268 ms).
         3 => x % RING,
         // A coarse grid, so distinct pushes share ticks and instants.
         4 => (x % 600) * TICK + x % 3,

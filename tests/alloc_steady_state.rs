@@ -13,11 +13,14 @@
 //! reaches nothing observable. The third holds the fleet loop to "nothing
 //! is per link on the heap": the same allocator also tracks live bytes, and
 //! twice the links at the same clients per link must cost neither more
-//! allocations nor a higher peak.
+//! allocations nor a higher peak. The fourth holds the event queue to the
+//! same rule one level down: its allocations follow how many events it
+//! held at once, not how many wheel slots they touched.
 
 mod common;
 
 use longlook_core::prelude::*;
+use longlook_sim::EventQueue;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -155,9 +158,10 @@ fn fleet(n_links: usize) -> (u64, i64) {
 
 /// The fleet loop runs one link at a time through scratch it resets, so
 /// nothing on the heap is per link: twice the links (and clients) cost at
-/// most a small constant more allocations (a busier link may touch a
-/// wheel slot or double a column the earlier ones did not) and no higher
-/// a peak. With one arena and one queue for the population, both doubled.
+/// most a small constant more allocations (a busier link may set a new
+/// high-water mark and double a queue buffer or a column the earlier ones
+/// did not) and no higher a peak. With one arena and one queue for the
+/// population, both doubled.
 #[test]
 fn fleet_heap_does_not_grow_with_links() {
     fleet(2);
@@ -174,6 +178,43 @@ fn fleet_heap_does_not_grow_with_links() {
         peak_8 <= peak_4 + peak_4 / 4,
         "peak live heap grew with the link count: {peak_4} B at 4 links, {peak_8} B at 8"
     );
+}
+
+/// Every pending event sits in one slab and every ring slot is a `u32`
+/// list head, so an event in each of the wheel's 2048 slots (`sched::SLOTS`
+/// of 2^17 ns) plus a few past its horizon costs a handful of allocations
+/// for each doubling of the peak, not one per slot touched; and a reset
+/// queue that replays the same events allocates nothing.
+#[test]
+fn wheel_allocations_follow_its_peak_not_its_slots() {
+    const TICK: u64 = 1 << 17;
+    const SLOTS: u64 = 2048;
+    let replay = |q: &mut EventQueue<u64>| {
+        let before = ALLOCS.with(Cell::get);
+        for i in 0..SLOTS + 8 {
+            q.push(Time::from_nanos(i * TICK + i % 7), i);
+        }
+        let mut popped = 0;
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, SLOTS + 8);
+        ALLOCS.with(Cell::get) - before
+    };
+    let mut q = EventQueue::default();
+    let fresh = replay(&mut q);
+    let doublings = u64::from(usize::BITS - q.scheduled_peak().leading_zeros());
+    println!(
+        "wheel: {fresh} allocations for a peak of {} events",
+        q.scheduled_peak()
+    );
+    assert!(
+        fresh <= 2 * doublings + 8,
+        "{fresh} allocations for a peak of {} events ({doublings} doublings)",
+        q.scheduled_peak()
+    );
+    q.reset();
+    assert_eq!(replay(&mut q), 0, "a reset queue allocated again");
 }
 
 /// A lossy 120-stream cell gives bit-identical records on a fresh thread
