@@ -18,6 +18,7 @@
 //! summed cell time (achieved speedup), per-worker cells/chunks claimed,
 //! and the slowest cells.
 
+use longlook_bench::report::Report;
 use longlook_bench::EXPERIMENTS;
 use longlook_core::runner::{self, Parallelism};
 use std::path::{Path, PathBuf};
@@ -38,21 +39,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Save an experiment's render to `dir/<id>.txt` and each Graphviz DOT
-/// block in it to `dir/<id>_<n>.dot`. An error names the path that could
-/// not be written.
-fn save(dir: &Path, id: &str, body: &str) -> Result<(), (PathBuf, std::io::Error)> {
+/// Save a report's render (`body`) to `dir/<id>.txt` and each of its
+/// machines' DOT graphs to `dir/<id>_<n>.dot`. An error names the path
+/// that could not be written.
+fn save(dir: &Path, report: &Report, body: &str) -> Result<(), (PathBuf, std::io::Error)> {
     let write = |path: PathBuf, text: &str| std::fs::write(&path, text).map_err(|e| (path, e));
+    let id = report.id;
     std::fs::create_dir_all(dir).map_err(|e| (dir.to_path_buf(), e))?;
     write(dir.join(format!("{id}.txt")), body)?;
-    let mut rest = body;
-    let mut count = 0;
-    while let Some(start) = rest.find("digraph") {
-        let tail = &rest[start..];
-        let Some(end) = tail.find("\n}") else { break };
-        write(dir.join(format!("{id}_{count}.dot")), &tail[..end + 2])?;
-        count += 1;
-        rest = &tail[end + 2..];
+    for (n, dot) in report.dots().iter().enumerate() {
+        write(dir.join(format!("{id}_{n}.dot")), dot)?;
     }
     Ok(())
 }
@@ -68,9 +64,10 @@ fn print_timing(id: &str) {
     }
 }
 
-fn run_one(id: &str, run: fn() -> String, timing: bool) {
+fn run_one(run: fn() -> Report, timing: bool) {
     let started = Instant::now();
-    let body = run();
+    let report = run();
+    let (id, body) = (report.id, report.to_string());
     println!("==================== {id} ====================");
     println!("{body}");
     if timing {
@@ -80,7 +77,7 @@ fn run_one(id: &str, run: fn() -> String, timing: bool) {
         "[{id} completed in {:.1}s]\n",
         started.elapsed().as_secs_f64()
     );
-    if let Err((path, e)) = save(Path::new("results"), id, &body) {
+    if let Err((path, e)) = save(Path::new("results"), &report, &body) {
         eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
@@ -156,8 +153,8 @@ fn main() {
         }
         Some("all") => {
             let started = Instant::now();
-            for (id, _, run) in EXPERIMENTS {
-                run_one(id, *run, timing);
+            for (_, _, run) in EXPERIMENTS {
+                run_one(*run, timing);
             }
             println!(
                 "[all experiments completed in {:.1}s]",
@@ -165,7 +162,7 @@ fn main() {
             );
         }
         Some(id) => match EXPERIMENTS.iter().find(|(known, _, _)| *known == id) {
-            Some((id, _, run)) => run_one(id, *run, timing),
+            Some((_, _, run)) => run_one(*run, timing),
             None => {
                 eprintln!("unknown experiment: {id}");
                 usage();
@@ -177,16 +174,55 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use longlook_bench::report::Machine;
+    use longlook_sim::time::{Dur, Time};
+    use longlook_statemachine::InferredMachine;
+    use longlook_transport::ccstate::StateTrace;
+
+    /// A machine inferred from one `Init -> SlowStart` trace.
+    fn machine() -> InferredMachine {
+        let trace = StateTrace {
+            visits: vec![
+                (Time::ZERO, "Init"),
+                (Time::ZERO + Dur::from_millis(5), "SlowStart"),
+            ],
+            span: Dur::from_millis(10),
+        };
+        longlook_statemachine::infer(&[&trace])
+    }
 
     #[test]
     fn save_writes_the_render_and_its_dot_blocks() {
         let dir = std::env::temp_dir().join(format!("repro-save-ok-{}", std::process::id()));
-        let body = "head\ndigraph \"a\" {\n  x;\n}\nmid\ndigraph \"b\" {\n}\n";
-        save(&dir, "fig", body).expect("save succeeds");
+        let mut report = Report::new("fig");
+        report.note("head\n");
+        for (title, summary) in [("a", Some(0)), ("b", None), ("c", None)] {
+            report.note("mid\n");
+            let machine = machine();
+            report.push(Machine {
+                title,
+                machine,
+                summary,
+            });
+        }
+        let body = report.to_string();
+        save(&dir, &report, &body).expect("save succeeds");
         let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
         assert_eq!(read("fig.txt"), body);
-        assert_eq!(read("fig_0.dot"), "digraph \"a\" {\n  x;\n}");
-        assert_eq!(read("fig_1.dot"), "digraph \"b\" {\n}");
+        for (n, title) in ["a", "b", "c"].iter().enumerate() {
+            let dot = read(&format!("fig_{n}.dot"));
+            assert!(
+                dot.starts_with(&format!("digraph \"{title}\" {{\n")),
+                "{dot}"
+            );
+            assert!(dot.ends_with("\n}"), "{dot}");
+            assert!(
+                body.contains(&format!("{dot}\n")),
+                "fig_{n}.dot is in the render"
+            );
+        }
+        assert!(body.contains("also written to results/fig_0.dot"));
+        assert!(!dir.join("fig_3.dot").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -196,7 +232,8 @@ mod tests {
         std::fs::create_dir_all(&root).unwrap();
         let results = root.join("results");
         std::fs::write(&results, "a regular file").unwrap();
-        let (path, _) = save(&results, "fig6a", "body\n").expect_err("results is not a directory");
+        let report = Report::new("fig6a");
+        let (path, _) = save(&results, &report, "body\n").expect_err("results is not a directory");
         assert_eq!(path, results);
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -1,22 +1,20 @@
 //! Ablation benches for the design choices DESIGN.md calls out: NACK
 //! threshold policy, HyStart, pacing, and N-connection emulation.
 
+use super::{recovery, reordering};
+use crate::report::{Cell, Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
-use std::fmt::Write as _;
 
 /// NACK policy under reordering: fixed 3 vs fixed 25 vs adaptive
 /// (DSACK-like doubling) vs time-based loss detection.
-pub fn nack() -> String {
-    let mut out = String::from(
+pub fn nack() -> Report {
+    let mut r = Report::new("ablation_nack");
+    r.note(
         "Ablation — loss-detection policy under ±10 ms jitter reordering\n\
          (10 MB, 112 ms RTT, 50 Mbps; mean over rounds)\n\n",
     );
-    let net = NetProfile::baseline(50.0)
-        .with_extra_rtt(Dur::from_millis(76))
-        .with_jitter(Dur::from_millis(10));
-    let page = PageSpec::single(10 * 1024 * 1024);
-    let variants: Vec<(&str, QuicConfig)> = vec![
+    let senders = [
         ("fixed threshold 3", QuicConfig::default()),
         (
             "fixed threshold 25",
@@ -42,96 +40,66 @@ pub fn nack() -> String {
             },
         ),
     ];
-    let _ = writeln!(
-        out,
-        "{:<24} | {:>16} | {:>10} | {:>12}",
-        "Policy", "PLT ms (std)", "losses", "spurious"
-    );
-    for (label, cfg) in variants {
-        let proto = ProtoConfig::Quic(cfg);
-        let mut plt = Summary::new();
-        let mut losses = Summary::new();
-        let mut spurious = Summary::new();
-        // Rounds are independent worlds: shard them, then fold the
-        // summaries in round order so the printed stats are identical to
-        // a serial sweep.
-        let recs = run_ordered(Parallelism::auto(), rounds() as usize, |k| {
-            let k = k as u64;
-            let sc = Scenario::new(net.clone(), page.clone())
-                .with_proto(proto.clone())
-                .with_seed(2100 + k);
-            let rec = sc.run(k);
-            (sc.plt_ms(&rec), rec.server_stats.unwrap_or_default())
-        });
-        for (plt_ms, st) in recs {
-            plt.add(plt_ms);
-            losses.add(st.losses_detected as f64);
-            spurious.add(st.spurious_retransmissions as f64);
-        }
-        let _ = writeln!(
-            out,
-            "{:<24} | {:>16} | {:>10.0} | {:>12.0}",
-            label,
-            plt.mean_std(),
-            losses.mean(),
-            spurious.mean(),
-        );
-    }
-    out
+    let senders = senders
+        .into_iter()
+        .map(|(label, cfg)| (label.to_string(), ProtoConfig::Quic(cfg)))
+        .collect();
+    let columns = vec![
+        Column::label("Policy", 24),
+        Column::num("PLT ms (std)", 16, 2),
+        Column::num("losses", 10, 0),
+        Column::num("spurious", 12, 0),
+    ];
+    r.push(reordering(columns, senders, 2100));
+    r
 }
 
 /// HyStart on/off: where the delay-based slow-start exit matters.
-pub fn hystart() -> String {
-    let mut out = String::from(
+pub fn hystart() -> Report {
+    let mut r = Report::new("ablation_hystart");
+    r.note(
         "Ablation — Hybrid Slow Start (mean over rounds, 36 ms RTT)\n\n\
          (a) Deep-buffered link: without HyStart, slow start overshoots the\n\
          BDP and dumps a burst of drop-tail losses; HyStart exits on the\n\
          rising round-trip before the cliff.\n\n",
     );
-    let _ = writeln!(
-        out,
-        "{:<28} | {:>14} | {:>14} | {:>10}",
-        "Scenario", "HyStart", "PLT ms", "losses"
-    );
+    let mut deep_table = Table::new(vec![
+        Column::label("Scenario", 28),
+        Column::num("HyStart", 14, 0),
+        Column::num("PLT ms", 14, 0),
+        Column::num("losses", 10, 0),
+    ]);
     // 20 MB at 50 Mbps through a 2-BDP buffer (450 KB); MACW 2000 so the
     // window cap doesn't mask the overshoot.
     let deep = NetProfile::baseline(50.0).with_buffer(450 * 1024);
     for hystart_on in [true, false] {
         let mut cfg = QuicConfig::quic37();
         cfg.cubic.hystart = hystart_on;
-        let proto = ProtoConfig::Quic(cfg);
-        let mut plt = Summary::new();
-        let mut losses = Summary::new();
-        let recs = run_ordered(Parallelism::auto(), rounds().min(5) as usize, |k| {
-            let k = k as u64;
-            let sc = Scenario::new(deep.clone(), PageSpec::single(20 * 1024 * 1024))
-                .with_proto(proto.clone())
-                .with_seed(2200 + k);
-            let rec = sc.run(k);
-            (
-                sc.plt_ms(&rec),
-                rec.server_stats.unwrap_or_default().losses_detected as f64,
-            )
-        });
-        for (plt_ms, lost) in recs {
-            plt.add(plt_ms);
-            losses.add(lost);
-        }
-        let _ = writeln!(
-            out,
-            "{:<28} | {:>14} | {:>14.0} | {:>10.0}",
-            "20MB @50Mbps, 2-BDP buffer",
-            if hystart_on { "on" } else { "off" },
-            plt.mean(),
-            losses.mean(),
-        );
+        let sc = Scenario::new(deep.clone(), PageSpec::single(20 * 1024 * 1024))
+            .with_proto(ProtoConfig::Quic(cfg));
+        let [plt, losses, _] = recovery(sc, rounds().min(5), 2200);
+        deep_table.row(vec![
+            "20MB @50Mbps, 2-BDP buffer".into(),
+            (if hystart_on { "on" } else { "off" }).into(),
+            plt.mean().into(),
+            losses.mean().into(),
+        ]);
     }
-    out.push_str("\n(b) Many small objects (the paper's Sec 5.2 pathology):\n\n");
-    let _ = writeln!(
-        out,
-        "{:<12} | {:>10} | {:>14} | {:>14}",
-        "Page", "rate", "HyStart on", "HyStart off"
-    );
+    r.push(deep_table);
+    r.note("\n(b) Many small objects (the paper's Sec 5.2 pathology):\n\n");
+    // The rate cells run one wider than their heading.
+    r.push(Table::new(vec![
+        Column::label("Page", 12),
+        Column::num("rate", 10, 0),
+        Column::num("HyStart on", 14, 0),
+        Column::num("HyStart off", 14, 0),
+    ]));
+    let mut pages_table = Table::new(vec![
+        Column::label("", 12),
+        Column::num("", 7, 0),
+        Column::num("", 14, 0).after("Mbps | "),
+        Column::num("", 14, 0),
+    ]);
     let pages = [
         ("1 x 1MB", PageSpec::single(1024 * 1024)),
         ("100 x 10KB", PageSpec::uniform(100, 10 * 1024)),
@@ -139,7 +107,7 @@ pub fn hystart() -> String {
     ];
     for rate in [10.0, 100.0] {
         for (label, page) in &pages {
-            let mut row = format!("{label:<12} | {rate:>7}Mbps");
+            let mut row: Vec<Cell> = vec![(*label).into(), rate.into()];
             for hystart_on in [true, false] {
                 let mut cfg = QuicConfig::default();
                 cfg.cubic.hystart = hystart_on;
@@ -147,13 +115,13 @@ pub fn hystart() -> String {
                     .with_proto(ProtoConfig::Quic(cfg))
                     .with_rounds(rounds().min(5))
                     .with_seed(2250);
-                let mean = sc.plt_summary(Parallelism::auto()).mean();
-                row.push_str(&format!(" | {mean:>14.0}"));
+                row.push(sc.plt_summary(Parallelism::auto()).mean().into());
             }
-            let _ = writeln!(out, "{row}");
+            pages_table.row(row);
         }
     }
-    out.push_str(
+    r.push(pages_table);
+    r.note(
         "\nnote: the paper attributes the many-small-objects pathology to an\n\
          unexplained min-RTT jump triggering HyStart (they leave the cause\n\
          to future work). That jump does not arise in this testbed; here\n\
@@ -161,71 +129,56 @@ pub fn hystart() -> String {
          server serializing request handling (see DESIGN.md), so HyStart\n\
          on/off is neutral in panel (b) and decisive in panel (a).\n",
     );
-    out
+    r
 }
 
 /// Pacing on/off under loss at high bandwidth.
-pub fn pacing() -> String {
-    let mut out =
-        String::from("Ablation — pacing and bursty losses (10 MB @ 100 Mbps, small buffer)\n\n");
+pub fn pacing() -> Report {
+    let mut r = Report::new("ablation_pacing");
+    r.note("Ablation — pacing and bursty losses (10 MB @ 100 Mbps, small buffer)\n\n");
     let net = NetProfile::baseline(100.0).with_buffer(64 * 1024);
     let page = PageSpec::single(10 * 1024 * 1024);
-    let _ = writeln!(
-        out,
-        "{:<12} | {:>16} | {:>16}",
-        "Pacing", "PLT ms (std)", "losses (mean)"
-    );
+    let mut t = Table::new(vec![
+        Column::label("Pacing", 12),
+        Column::num("PLT ms (std)", 16, 2),
+        Column::num("losses (mean)", 16, 1),
+    ]);
     for pacing_on in [true, false] {
         let cfg = QuicConfig {
             pacing: pacing_on,
             ..QuicConfig::default()
         };
-        let proto = ProtoConfig::Quic(cfg);
-        let mut plt = Summary::new();
-        let mut losses = Summary::new();
-        let recs = run_ordered(Parallelism::auto(), rounds() as usize, |k| {
-            let k = k as u64;
-            let sc = Scenario::new(net.clone(), page.clone())
-                .with_proto(proto.clone())
-                .with_seed(2300 + k);
-            let rec = sc.run(k);
-            (
-                sc.plt_ms(&rec),
-                rec.server_stats.unwrap_or_default().losses_detected as f64,
-            )
-        });
-        for (plt_ms, lost) in recs {
-            plt.add(plt_ms);
-            losses.add(lost);
-        }
-        let _ = writeln!(
-            out,
-            "{:<12} | {:>16} | {:>16.1}",
-            if pacing_on { "on" } else { "off" },
-            plt.mean_std(),
-            losses.mean(),
-        );
+        let sc = Scenario::new(net.clone(), page.clone()).with_proto(ProtoConfig::Quic(cfg));
+        let [plt, losses, _] = recovery(sc, rounds(), 2300);
+        t.row(vec![
+            (if pacing_on { "on" } else { "off" }).into(),
+            plt.into(),
+            losses.mean().into(),
+        ]);
     }
-    out.push_str("\nexpected: pacing reduces drop-tail losses from slow-start bursts.\n");
-    out
+    r.push(t);
+    r.note("\nexpected: pacing reduces drop-tail losses from slow-start bursts.\n");
+    r
 }
 
 /// N-connection emulation's effect on fairness.
-pub fn nconn() -> String {
-    let mut out = String::from(
+pub fn nconn() -> Report {
+    let mut r = Report::new("ablation_nconn");
+    r.note(
         "Ablation — N-connection emulation vs fairness (QUIC vs 1 TCP flow,\n\
          5 Mbps shared link, 30 s)\n\n",
     );
-    let _ = writeln!(
-        out,
-        "{:<6} | {:>12} | {:>12} | {:>8}",
-        "N", "QUIC Mbps", "TCP Mbps", "ratio"
-    );
+    let mut t = Table::new(vec![
+        Column::label("N", 6),
+        Column::num("QUIC Mbps", 12, 2),
+        Column::num("TCP Mbps", 12, 2),
+        Column::num("ratio", 8, 2),
+    ]);
     for n in [1u32, 2] {
         let mut cfg = QuicConfig::default();
         cfg.cubic.num_connections = n;
         let mut q = Summary::new();
-        let mut t = Summary::new();
+        let mut tcp = Summary::new();
         let runs = run_ordered(Parallelism::auto(), rounds().min(5) as usize, |k| {
             quic_vs_n_tcp(
                 &ProtoConfig::Quic(cfg.clone()),
@@ -237,29 +190,29 @@ pub fn nconn() -> String {
         });
         for run in &runs {
             q.add(run.flows[0].mean_mbps);
-            t.add(run.flows[1].mean_mbps);
+            tcp.add(run.flows[1].mean_mbps);
         }
-        let _ = writeln!(
-            out,
-            "{:<6} | {:>12.2} | {:>12.2} | {:>8.2}",
-            n,
-            q.mean(),
-            t.mean(),
-            q.mean() / t.mean().max(1e-9),
-        );
+        t.row(vec![
+            n.to_string().into(),
+            q.mean().into(),
+            tcp.mean().into(),
+            (q.mean() / tcp.mean().max(1e-9)).into(),
+        ]);
     }
-    out.push_str(
+    r.push(t);
+    r.note(
         "\npaper: \"we found that N had little impact on fairness\" — QUIC\n\
          overtakes TCP even with N=1, because per-ack window updates and\n\
          faster recovery matter more than the Cubic constants.\n",
     );
-    out
+    r
 }
 
 /// Experimental BBR vs Cubic (Sec 5.4: Google reported BBR was "not yet
 /// performing as well as Cubic in our deployment tests").
-pub fn bbr() -> String {
-    let mut out = String::from(
+pub fn bbr() -> Report {
+    let mut r = Report::new("ablation_bbr");
+    r.note(
         "Ablation — experimental BBR vs Cubic (QUIC 34 transport, mean PLT\n\
          ms over rounds)\n\n",
     );
@@ -280,9 +233,13 @@ pub fn bbr() -> String {
             PageSpec::single(1024 * 1024),
         ),
     ];
-    let _ = writeln!(out, "{:<22} | {:>12} | {:>12}", "Scenario", "Cubic", "BBR");
+    let mut t = Table::new(vec![
+        Column::label("Scenario", 22),
+        Column::num("Cubic", 12, 0),
+        Column::num("BBR", 12, 0),
+    ]);
     for (label, net, page) in scenarios {
-        let mut row = format!("{label:<22}");
+        let mut row: Vec<Cell> = vec![label.into()];
         for cc in [CcKind::Cubic, CcKind::Bbr] {
             let cfg = QuicConfig {
                 cc,
@@ -292,15 +249,15 @@ pub fn bbr() -> String {
                 .with_proto(ProtoConfig::Quic(cfg))
                 .with_rounds(rounds().min(5))
                 .with_seed(2500);
-            let mean = sc.plt_summary(Parallelism::auto()).mean();
-            row.push_str(&format!(" | {mean:>12.0}"));
+            row.push(sc.plt_summary(Parallelism::auto()).mean().into());
         }
-        let _ = writeln!(out, "{row}");
+        t.row(row);
     }
-    out.push_str(
+    r.push(t);
+    r.note(
         "\npaper context: BBR was experimental and not yet deployed; Google\n\
          told the authors it did not yet match Cubic. Our simplified BBR v1\n\
          is likewise a state-machine-fidelity model, not a tuned controller.\n",
     );
-    out
+    r
 }

@@ -1,20 +1,22 @@
 //! Fig 2 and the grey-box calibration search (Sec 4.1).
 
+use crate::report::{Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
-use std::fmt::Write as _;
 
 /// Fig 2: wait vs download split for the three server profiles.
-pub fn fig2() -> String {
-    let mut out = String::from(
+pub fn fig2() -> Report {
+    let mut r = Report::new("fig2");
+    r.note(
         "Fig 2 — GAE vs our QUIC servers on EC2 before and after configuring them\n\
          (10 MB image over a 100 Mbps link, 12 ms RTT; mean over rounds)\n\n",
     );
-    let _ = writeln!(
-        out,
-        "{:<16} | {:>16} | {:>18} | {:>10}",
-        "Server", "wait ms (std)", "download ms (std)", "total ms"
-    );
+    let mut t = Table::new(vec![
+        Column::label("Server", 16),
+        Column::num("wait ms (std)", 16, 2),
+        Column::num("download ms (std)", 18, 2),
+        Column::num("total ms", 10, 0),
+    ]);
     let profiles = [
         ServerProfile::PublicDefault,
         ServerProfile::GaeLike,
@@ -24,39 +26,33 @@ pub fn fig2() -> String {
     for p in profiles {
         let split = fig2_measure(p, rounds(), 11);
         let total = split.wait_ms.mean() + split.download_ms.mean();
-        let _ = writeln!(
-            out,
-            "{:<16} | {:>16} | {:>18} | {:>10.0}",
-            split.profile,
-            split.wait_ms.mean_std(),
-            split.download_ms.mean_std(),
-            total,
-        );
-        totals.push((split.profile, total));
+        t.row(vec![
+            split.profile.into(),
+            split.wait_ms.into(),
+            split.download_ms.into(),
+            total.into(),
+        ]);
+        totals.push(total);
     }
-    let default_total = totals[0].1;
-    let calibrated_total = totals[2].1;
-    let _ = writeln!(
-        out,
+    r.push(t);
+    r.note(format!(
         "\npaper shape: the public default takes ~2x the calibrated config \
-         (here: {:.2}x); GAE shows a large, highly variable wait.",
-        default_total / calibrated_total
-    );
-    out
+         (here: {:.2}x); GAE shows a large, highly variable wait.\n",
+        totals[0] / totals[2]
+    ));
+    r
 }
 
 /// The grey-box search demo.
-pub fn greybox() -> String {
-    let mut out = String::from(
-        "Grey-box calibration (Sec 4.1): vary server parameters until the\n\
-         performance matches the reference (deployed) servers.\n\n",
-    );
+pub fn greybox() -> Report {
+    let mut r = Report::new("greybox");
     let par = Parallelism::auto();
     let reference = reference_plt_ms(rounds().min(5), 21, par);
-    let _ = writeln!(
-        out,
-        "reference 10MB PLT (\"Google's servers\"): {reference:.0} ms\n"
-    );
+    r.note(format!(
+        "Grey-box calibration (Sec 4.1): vary server parameters until the\n\
+         performance matches the reference (deployed) servers.\n\n\
+         reference 10MB PLT (\"Google's servers\"): {reference:.0} ms\n\n"
+    ));
     let candidates = [
         Candidate {
             macw: 107,
@@ -84,24 +80,24 @@ pub fn greybox() -> String {
         },
     ];
     let (best, err) = grey_box_search(reference, &candidates, rounds().min(5), 21, par);
+    let mut t = Table::new(vec![
+        Column::label("", 4).after("  candidate MACW="),
+        Column::label("", 5).after(" ssthresh_fixed="),
+        Column::label("", 0).after(""),
+    ]);
     for c in candidates {
-        let _ = writeln!(
-            out,
-            "  candidate MACW={:<4} ssthresh_fixed={:<5}{}",
-            c.macw,
-            c.ssthresh_fixed,
-            if c.macw == best.macw && c.ssthresh_fixed == best.ssthresh_fixed {
-                "   <- selected"
-            } else {
-                ""
-            }
-        );
+        let selected = c.macw == best.macw && c.ssthresh_fixed == best.ssthresh_fixed;
+        t.row(vec![
+            c.macw.to_string().into(),
+            c.ssthresh_fixed.to_string().into(),
+            (if selected { "   <- selected" } else { "" }).into(),
+        ]);
     }
-    let _ = writeln!(
-        out,
+    r.push(t);
+    r.note(format!(
         "\nselected MACW={} ssthresh_fixed={} (|PLT - reference| = {err:.1} ms)\n\
-         paper: the deployed configuration is MACW=430 with the ssthresh fix.",
+         paper: the deployed configuration is MACW=430 with the ssthresh fix.\n",
         best.macw, best.ssthresh_fixed
-    );
-    out
+    ));
+    r
 }

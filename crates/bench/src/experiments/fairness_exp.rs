@@ -1,52 +1,46 @@
 //! Fairness artifacts: Fig 4 (throughput timelines), Fig 5 (congestion
 //! windows while competing), Table 4 (average allocations over 10 runs).
 
+use super::{cwnd_kb, quic, tcp};
+use crate::report::{Cell, Column, Report, Series, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
 use longlook_core::testbed::{FlowSpec, Testbed};
-use std::fmt::Write as _;
-
-fn quic() -> ProtoConfig {
-    ProtoConfig::Quic(QuicConfig::default())
-}
-
-fn tcp() -> ProtoConfig {
-    ProtoConfig::Tcp(TcpConfig::default())
-}
 
 const RUN_SECS: u64 = 60;
 
 /// Fig 4: throughput timelines for QUIC vs TCP and QUIC vs 2 TCP.
-pub fn fig4() -> String {
-    let mut out = String::from(
+pub fn fig4() -> Report {
+    let mut r = Report::new("fig4");
+    r.note(
         "Fig 4 — timeline showing unfairness between QUIC and TCP over the same\n\
          5 Mbps bottleneck (RTT=36ms, buffer=30KB); Mbps per second\n",
     );
     for (title, n) in [("(a) QUIC vs TCP", 1usize), ("(b) QUIC vs TCPx2", 2)] {
         let run = quic_vs_n_tcp(&quic(), &tcp(), n, Dur::from_secs(RUN_SECS), 31);
-        let _ = writeln!(out, "\n{title}");
+        r.note(format!("\n{title}\n"));
+        let mut series = Series::new(
+            vec![
+                Column::label("", 7).after("  "),
+                Column::num("", 4, 2).after(" mean "),
+            ],
+            " Mbps | ",
+            4,
+            1,
+        );
         for f in &run.flows {
-            let series: Vec<String> = f
-                .timeline_mbps
-                .iter()
-                .step_by(4)
-                .map(|v| format!("{v:4.1}"))
-                .collect();
-            let _ = writeln!(
-                out,
-                "  {:<7} mean {:4.2} Mbps | {}",
-                f.label,
-                f.mean_mbps,
-                series.join(" ")
-            );
+            let points = f.timeline_mbps.iter().step_by(4).copied().collect();
+            series.line(vec![f.label.as_str().into(), f.mean_mbps.into()], points);
         }
+        r.push(series);
     }
-    out
+    r
 }
 
 /// Fig 5: congestion windows of the competing flows.
-pub fn fig5() -> String {
-    let mut out = String::from(
+pub fn fig5() -> Report {
+    let mut r = Report::new("fig5");
+    r.note(
         "Fig 5 — congestion window sizes for QUIC and TCP sharing a 5 Mbps link\n\
          (KB, sampled every 2 s)\n\n",
     );
@@ -74,39 +68,31 @@ pub fn fig5() -> String {
     );
     tb.world.run_until(Time::ZERO + Dur::from_secs(RUN_SECS));
     let server = tb.server_host();
+    let mut series = Series::new(vec![Column::label("", 0).after("  ")], ": ", 3, 0);
     for (flow, label) in tb.flows.iter().zip(["QUIC", "TCP "]) {
         let Some(tl) = server.cwnd_timeline(*flow) else {
             continue;
         };
-        // Sample every 2 simulated seconds.
-        let mut samples = Vec::new();
-        let mut next = Dur::ZERO;
-        for &(t, w) in tl {
-            let since = t.saturating_since(Time::ZERO);
-            if since >= next {
-                samples.push(format!("{:3}", w / 1024));
-                next += Dur::from_secs(2);
-            }
-        }
-        let _ = writeln!(out, "  {label}: {}", samples.join(" "));
+        series.line(vec![Cell::from(label)], cwnd_kb(tl, Dur::from_secs(2)));
     }
-    out.push_str(
+    r.push(series);
+    r.note(
         "\npaper shape: QUIC's window grows more aggressively (steeper slope,\n\
          more frequent increases) so it holds a larger share of the pipe.\n",
     );
-    out
+    r
 }
 
 /// Table 4: average throughputs over 10 runs for the three scenarios.
-pub fn table4() -> String {
-    let mut out =
-        String::from("Table 4 — average throughput (5 Mbps link, buffer=30KB) when competing\n\n");
-    let _ = writeln!(
-        out,
-        "{:<16} | {:<7} | {:>22}",
-        "Scenario", "Flow", "Avg Mbps (std)"
-    );
-    let _ = writeln!(out, "{}-+---------+-----------------------", "-".repeat(16));
+pub fn table4() -> Report {
+    let mut r = Report::new("table4");
+    r.note("Table 4 — average throughput (5 Mbps link, buffer=30KB) when competing\n\n");
+    let mut t = Table::new(vec![
+        Column::label("Scenario", 16),
+        Column::label("Flow", 7),
+        Column::num("Avg Mbps (std)", 22, 2),
+    ])
+    .ruled();
     let scenarios: [(&str, usize); 3] = [
         ("QUIC vs TCP", 1),
         ("QUIC vs TCPx2", 2),
@@ -128,19 +114,19 @@ pub fn table4() -> String {
         let labels: Vec<String> = std::iter::once("QUIC".to_string())
             .chain((1..=n).map(|k| format!("TCP {k}")))
             .collect();
-        for (label, s) in labels.iter().zip(&per_flow) {
-            let _ = writeln!(out, "{:<16} | {:<7} | {:>22}", name, label, s.mean_std());
+        for (label, s) in labels.into_iter().zip(&per_flow) {
+            t.row(vec![name.into(), label.into(), (*s).into()]);
         }
         let tcp_total: f64 = per_flow[1..].iter().map(Summary::mean).sum();
         quic_share_sum += per_flow[0].mean() / (per_flow[0].mean() + tcp_total);
-        let _ = writeln!(out);
+        t.row(Vec::new());
     }
-    let _ = writeln!(
-        out,
+    r.push(t);
+    r.note(format!(
         "QUIC's mean share of the bottleneck across scenarios: {:.0}%\n\
          paper: QUIC consumes more than half the bottleneck even against 2\n\
-         and 4 competing TCP flows (e.g. 2.71 vs 1.62 Mbps one-on-one).",
+         and 4 competing TCP flows (e.g. 2.71 vs 1.62 Mbps one-on-one).\n",
         quic_share_sum / 3.0 * 100.0
-    );
-    out
+    ));
+    r
 }

@@ -10,12 +10,12 @@
 //! `fleet_shard_differential` referee pins that), it only spreads one
 //! big cell across cores.
 
+use crate::report::Report;
 use crate::rounds;
 use longlook_core::prelude::*;
-use std::fmt::Write as _;
 
 /// The fleet tail-latency heatmap plus a one-fleet metrics appendix.
-pub fn fleet() -> String {
+pub fn fleet() -> Report {
     let n = fleet_n(2_000);
     let base = FleetConfig::new(n);
     let map = fleet_heatmap(
@@ -25,7 +25,8 @@ pub fn fleet() -> String {
         rounds(),
         Parallelism::auto(),
     );
-    let mut out = map.render_ascii();
+    let mut r = Report::new("fleet");
+    r.push(map);
 
     // One representative flash-crowd fleet per protocol, for the numbers
     // the heatmap compresses away: completion rate, tails, arena cost.
@@ -37,8 +38,7 @@ pub fn fleet() -> String {
         ("TCP", ProtoConfig::Tcp(TcpConfig::default())),
     ] {
         let m = run_fleet_par(&proto, &base, par);
-        let _ = write!(
-            out,
+        r.note(format!(
             "\n{label}: {n} clients flash-crowd over {} links — \
              {} completed, {} timed out; \
              latency p50/p99/p999 = {:.0}/{:.0}/{:.0} ms (mean {}); \
@@ -55,8 +55,8 @@ pub fn fleet() -> String {
             m.scheduled_peak,
             m.peak_live,
             m.bytes_per_conn(),
-        );
+        ));
     }
-    out.push('\n');
-    out
+    r.note("\n");
+    r
 }

@@ -1,17 +1,10 @@
 //! All heatmap figures: 6a/6b (desktop), 7 (0-RTT), 8 (impairments),
 //! 12 (mobile), 14 (cellular), 15 (MACW), 17/18 (proxying).
 
+use super::{quic, tcp};
+use crate::report::Report;
 use crate::rounds;
 use longlook_core::prelude::*;
-use std::fmt::Write as _;
-
-fn quic() -> ProtoConfig {
-    ProtoConfig::Quic(QuicConfig::default())
-}
-
-fn tcp() -> ProtoConfig {
-    ProtoConfig::Tcp(TcpConfig::default())
-}
 
 /// The paper's pair: `sc` as built (calibrated QUIC unless it says
 /// otherwise) against the same cell over TCP.
@@ -46,13 +39,25 @@ fn count_page(c: usize) -> PageSpec {
     PageSpec::uniform(table2::OBJECT_COUNTS[c], 10 * 1024)
 }
 
-/// Fig 6a: QUIC v34 vs TCP across object sizes and rates.
-pub fn fig6a() -> String {
-    let map = sweep(
-        "Fig 6a — QUIC vs TCP: object size x rate (RTT 36ms, no impairment)",
+/// A heatmap of `cell(rate, size)` pairs over Table 2's rates and sizes.
+fn by_rate_and_size(
+    title: &str,
+    cell: impl FnMut(usize, usize) -> (Scenario, Scenario),
+) -> Heatmap {
+    sweep(
+        title,
         &labels(&RATES),
         &labels(&SIZES),
         Parallelism::auto(),
+        cell,
+    )
+}
+
+/// Fig 6a: QUIC v34 vs TCP across object sizes and rates.
+pub fn fig6a() -> Report {
+    let mut report = Report::new("fig6a");
+    report.push(by_rate_and_size(
+        "Fig 6a — QUIC vs TCP: object size x rate (RTT 36ms, no impairment)",
         |r, c| {
             vs_tcp(
                 Scenario::new(rate(r), size_page(c))
@@ -60,13 +65,14 @@ pub fn fig6a() -> String {
                     .with_seed(600 + r as u64 * 16 + c as u64),
             )
         },
-    );
-    map.render_ascii()
+    ));
+    report
 }
 
 /// Fig 6b: QUIC v34 vs TCP across object counts and rates.
-pub fn fig6b() -> String {
-    let map = sweep(
+pub fn fig6b() -> Report {
+    let mut report = Report::new("fig6b");
+    report.push(sweep(
         "Fig 6b — QUIC vs TCP: number of 10KB objects x rate (RTT 36ms)",
         &labels(&RATES),
         &labels(&COUNTS),
@@ -78,31 +84,29 @@ pub fn fig6b() -> String {
                     .with_seed(660 + r as u64 * 16 + c as u64),
             )
         },
-    );
-    map.render_ascii()
+    ));
+    report
 }
 
 /// Fig 7: QUIC with 0-RTT (candidate) vs QUIC without (baseline).
-pub fn fig7() -> String {
-    let map = sweep(
+pub fn fig7() -> Report {
+    let mut report = Report::new("fig7");
+    report.push(by_rate_and_size(
         "Fig 7 — QUIC with vs without 0-RTT (positive = 0-RTT gain)",
-        &labels(&RATES),
-        &labels(&SIZES),
-        Parallelism::auto(),
         |r, c| {
             let warm = Scenario::new(rate(r), size_page(c))
                 .with_rounds(rounds())
                 .with_seed(700 + r as u64 * 100 + c as u64 * 10);
             (warm.clone(), warm.cold())
         },
-    );
-    map.render_ascii()
+    ));
+    report
 }
 
 /// Fig 8: impairment panels (loss, extra delay, jitter) for sizes and
 /// counts.
-pub fn fig8() -> String {
-    let mut out = String::new();
+pub fn fig8() -> Report {
+    let mut report = Report::new("fig8");
     type Impair = (&'static str, fn(NetProfile) -> NetProfile);
     let impairments: [Impair; 5] = [
         ("0.1% loss", |n| n.with_loss(0.001)),
@@ -115,20 +119,15 @@ pub fn fig8() -> String {
         }),
     ];
     for (pi, (label, imp)) in impairments.iter().enumerate() {
-        let map = sweep(
-            &format!("Fig 8 — object sizes, {label}"),
-            &labels(&RATES),
-            &labels(&SIZES),
-            Parallelism::auto(),
-            |r, c| {
-                vs_tcp(
-                    Scenario::new(imp(rate(r)), size_page(c))
-                        .with_rounds(rounds())
-                        .with_seed(800 + pi as u64 * 1000 + r as u64 * 16 + c as u64),
-                )
-            },
-        );
-        let _ = writeln!(out, "{}", map.render_ascii());
+        let map = by_rate_and_size(&format!("Fig 8 — object sizes, {label}"), |r, c| {
+            vs_tcp(
+                Scenario::new(imp(rate(r)), size_page(c))
+                    .with_rounds(rounds())
+                    .with_seed(800 + pi as u64 * 1000 + r as u64 * 16 + c as u64),
+            )
+        });
+        report.push(map);
+        report.note("\n");
         let map = sweep(
             &format!("Fig 8 — object counts (10KB each), {label}"),
             &labels(&RATES),
@@ -142,14 +141,15 @@ pub fn fig8() -> String {
                 )
             },
         );
-        let _ = writeln!(out, "{}", map.render_ascii());
+        report.push(map);
+        report.note("\n");
     }
-    out
+    report
 }
 
 /// Fig 12: mobile devices (WiFi rates up to 50 Mbps per the paper).
-pub fn fig12() -> String {
-    let mut out = String::new();
+pub fn fig12() -> Report {
+    let mut report = Report::new("fig12");
     for device in [DeviceProfile::MOTOG, DeviceProfile::NEXUS6] {
         let map = sweep(
             &format!("Fig 12 — QUIC vs TCP on {} (object sizes)", device.name),
@@ -165,20 +165,21 @@ pub fn fig12() -> String {
                 )
             },
         );
-        let _ = writeln!(out, "{}", map.render_ascii());
+        report.push(map);
+        report.note("\n");
     }
-    out.push_str(
+    report.note(
         "paper shape: QUIC still mostly wins on phones, but by far less than\n\
          on the desktop (compare with fig6a) — userspace packet processing\n\
          leaves the sender Application-Limited (see fig13).\n",
     );
-    out
+    report
 }
 
 /// Fig 14: cellular networks. The base RTT is redrawn per round from the
 /// measured (mean, std), reproducing the run-to-run variance that made
 /// many 3G cells statistically insignificant.
-pub fn fig14() -> String {
+pub fn fig14() -> Report {
     let sizes: [(u64, &str); 4] = [
         (10 * 1024, "10KB"),
         (100 * 1024, "100KB"),
@@ -202,20 +203,21 @@ pub fn fig14() -> String {
             sc.plt_ms(&sc.run(k))
         },
     );
-    let mut out = map.render_ascii();
-    out.push_str(
+    let mut report = Report::new("fig14");
+    report.push(map);
+    report.note(
         "\npaper shape: LTE looks like a low-bandwidth desktop (QUIC wins,\n\
          larger 0-RTT benefit); on 3G the benefits diminish and variance\n\
          produces white (insignificant) cells.\n",
     );
-    out
+    report
 }
 
 /// Fig 15: QUIC 37 with MACW 430 vs MACW 2000 (against TCP). The MACW
 /// binds when the path BDP approaches 430 x 1350 B = 580 KB, so the sweep
 /// includes high-BDP rows (extra 100 ms of RTT).
-pub fn fig15() -> String {
-    let mut out = String::new();
+pub fn fig15() -> Report {
+    let mut report = Report::new("fig15");
     let rows: [(&str, f64, u64); 6] = [
         ("10Mbps", 10.0, 0),
         ("50Mbps", 50.0, 0),
@@ -246,20 +248,21 @@ pub fn fig15() -> String {
                 )
             },
         );
-        let _ = writeln!(out, "{}", map.render_ascii());
+        report.push(map);
+        report.note("\n");
     }
-    out.push_str(
+    report.note(
         "paper shape: MACW=2000 improves the large-transfer cells wherever\n\
          the path BDP exceeds 430 packets (the high-RTT rows here);\n\
          MACW=430 reproduces QUIC 34 (compare with fig6a).\n",
     );
-    out
+    report
 }
 
 /// Fig 17: QUIC direct (candidate) vs TCP through a midpoint proxy
 /// (baseline); red = QUIC still better.
-pub fn fig17() -> String {
-    let mut out = String::new();
+pub fn fig17() -> Report {
+    let mut report = Report::new("fig17");
     type Panel = (&'static str, fn(NetProfile) -> NetProfile);
     let panels: [Panel; 3] = [
         ("no impairment", |n| n),
@@ -267,11 +270,8 @@ pub fn fig17() -> String {
         ("+100ms RTT", |n| n.with_extra_rtt(Dur::from_millis(100))),
     ];
     for (pi, (label, imp)) in panels.iter().enumerate() {
-        let map = sweep(
+        let map = by_rate_and_size(
             &format!("Fig 17 — QUIC vs proxied TCP, {label}"),
-            &labels(&RATES),
-            &labels(&SIZES),
-            Parallelism::auto(),
             |r, c| {
                 let direct = Scenario::new(imp(rate(r)), size_page(c))
                     .with_rounds(rounds())
@@ -280,27 +280,25 @@ pub fn fig17() -> String {
                 (direct, proxied)
             },
         );
-        let _ = writeln!(out, "{}", map.render_ascii());
+        report.push(map);
+        report.note("\n");
     }
-    out.push_str(
+    report.note(
         "paper shape: a TCP proxy erases much of QUIC's edge in low-latency\n\
          and lossy cells, but QUIC keeps winning when delay is high (0-RTT).\n",
     );
-    out
+    report
 }
 
 /// Fig 18: QUIC direct (candidate) vs QUIC through a proxy (baseline);
 /// red = direct better, blue = the proxy helps.
-pub fn fig18() -> String {
-    let mut out = String::new();
+pub fn fig18() -> Report {
+    let mut report = Report::new("fig18");
     type Panel = (&'static str, fn(NetProfile) -> NetProfile);
     let panels: [Panel; 2] = [("no impairment", |n| n), ("1% loss", |n| n.with_loss(0.01))];
     for (pi, (label, imp)) in panels.iter().enumerate() {
-        let map = sweep(
+        let map = by_rate_and_size(
             &format!("Fig 18 — QUIC direct vs proxied QUIC, {label}"),
-            &labels(&RATES),
-            &labels(&SIZES),
-            Parallelism::auto(),
             |r, c| {
                 let direct = Scenario::new(imp(rate(r)), size_page(c))
                     .with_rounds(rounds())
@@ -308,11 +306,12 @@ pub fn fig18() -> String {
                 (direct.clone(), direct.via_proxy(quic()))
             },
         );
-        let _ = writeln!(out, "{}", map.render_ascii());
+        report.push(map);
+        report.note("\n");
     }
-    out.push_str(
+    report.note(
         "paper shape: the QUIC proxy hurts small objects (no 0-RTT through\n\
          it) but helps large transfers under loss (local recovery).\n",
     );
-    out
+    report
 }

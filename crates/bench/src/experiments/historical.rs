@@ -1,14 +1,15 @@
 //! Historical comparison (Sec 5.4): PLT across QUIC versions 25-37 with a
 //! fixed Chrome-side configuration.
 
+use crate::report::{Cell, Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
-use std::fmt::Write as _;
 
 /// Versions 25-36 should be indistinguishable; 37 should win for large
 /// transfers at high bandwidth (MACW 2000).
-pub fn historical() -> String {
-    let mut out = String::from(
+pub fn historical() -> Report {
+    let mut r = Report::new("historical");
+    r.note(
         "Sec 5.4 — historical comparison, mean PLT (ms) with the same\n\
          configuration across QUIC versions\n\n",
     );
@@ -29,23 +30,26 @@ pub fn historical() -> String {
             PageSpec::single(10 * 1024 * 1024),
         ),
     ];
-    let _ = write!(out, "{:<8}", "version");
-    for (label, _, _) in &scenarios {
-        let _ = write!(out, " | {label:>22}");
-    }
-    let _ = writeln!(out);
+    let mut columns = vec![Column::label("version", 8)];
+    columns.extend(
+        scenarios
+            .iter()
+            .map(|(label, _, _)| Column::num(label, 22, 0)),
+    );
+    columns.push(Column::label("", 0).after("   "));
+    let mut t = Table::new(columns);
     let mut v34_vals: Vec<f64> = Vec::new();
     let mut v37_vals: Vec<f64> = Vec::new();
     for v in QuicVersion::all() {
         let proto = ProtoConfig::Quic(v.config());
-        let _ = write!(out, "Q{:03}    ", v.number());
+        let mut row: Vec<Cell> = vec![v.name().into()];
         for (i, (_, net, page)) in scenarios.iter().enumerate() {
             let sc = Scenario::new(net.clone(), page.clone())
                 .with_proto(proto.clone())
                 .with_rounds(rounds().min(5))
                 .with_seed(2000 + i as u64);
             let mean = sc.plt_summary(Parallelism::auto()).mean();
-            let _ = write!(out, " | {mean:>22.0}");
+            row.push(mean.into());
             if v.number() == 34 {
                 v34_vals.push(mean);
             }
@@ -53,16 +57,17 @@ pub fn historical() -> String {
                 v37_vals.push(mean);
             }
         }
-        let _ = writeln!(out, "   ({})", v.changelog());
+        row.push(format!("({})", v.changelog()).into());
+        t.row(row);
     }
-    let _ = writeln!(
-        out,
+    r.push(t);
+    r.note(format!(
         "\npaper shape: versions 25-36 are indistinguishable under the same\n\
          configuration; Q037's larger MACW (2000) helps big transfers in\n\
          high-delay/high-bandwidth paths (v34 {:.0}ms vs v37 {:.0}ms on the\n\
-         last column).",
+         last column).\n",
         v34_vals.last().copied().unwrap_or(f64::NAN),
         v37_vals.last().copied().unwrap_or(f64::NAN),
-    );
-    out
+    ));
+    r
 }

@@ -12,9 +12,78 @@ pub mod timelines;
 pub mod trauma_sweep;
 pub mod video_exp;
 
+use crate::report::{Column, Report, Table};
+use crate::rounds;
+use longlook_core::prelude::*;
+
+/// Calibrated QUIC, the paper's candidate.
+fn quic() -> ProtoConfig {
+    ProtoConfig::Quic(QuicConfig::default())
+}
+
+/// TCP+TLS+HTTP/2, the paper's baseline.
+fn tcp() -> ProtoConfig {
+    ProtoConfig::Tcp(TcpConfig::default())
+}
+
+/// A congestion-window timeline in KB, sampled at the first change at or
+/// after each multiple of `every`.
+fn cwnd_kb(timeline: &[(Time, u64)], every: Dur) -> Vec<f64> {
+    let mut next = Dur::ZERO;
+    let mut samples = Vec::new();
+    for &(t, w) in timeline {
+        if t.saturating_since(Time::ZERO) >= next {
+            samples.push((w / 1024) as f64);
+            next += every;
+        }
+    }
+    samples
+}
+
+/// Page load time (ms), losses detected and spurious retransmissions over
+/// `n` rounds of `sc`, round `k` reseeded to `seed + k`. Rounds are
+/// independent worlds: they are sharded, then folded in round order, so
+/// the summaries equal a serial sweep's.
+fn recovery(sc: Scenario, n: u64, seed: u64) -> [Summary; 3] {
+    let runs = run_ordered(Parallelism::auto(), n as usize, |k| {
+        let k = k as u64;
+        let sc = sc.clone().with_seed(seed + k);
+        let rec = sc.run(k);
+        let st = rec.server_stats.unwrap_or_default();
+        let (losses, spurious) = (st.losses_detected, st.spurious_retransmissions);
+        [sc.plt_ms(&rec), losses as f64, spurious as f64]
+    });
+    let mut out = [Summary::new(); 3];
+    for run in runs {
+        out.iter_mut().zip(run).for_each(|(s, x)| s.add(x));
+    }
+    out
+}
+
+/// One row per sender downloading 10 MB at 50 Mbps while ±10 ms of jitter
+/// reorders packets (112 ms RTT): mean (std) PLT, then the mean losses
+/// detected and spurious retransmissions (fig10, ablation_nack).
+fn reordering(columns: Vec<Column>, senders: Vec<(String, ProtoConfig)>, seed: u64) -> Table {
+    let net = NetProfile::baseline(50.0)
+        .with_extra_rtt(Dur::from_millis(76))
+        .with_jitter(Dur::from_millis(10));
+    let mut t = Table::new(columns);
+    for (label, proto) in senders {
+        let sc = Scenario::new(net.clone(), PageSpec::single(10 * 1024 * 1024)).with_proto(proto);
+        let [plt, losses, spurious] = recovery(sc, rounds(), seed);
+        t.row(vec![
+            label.into(),
+            plt.into(),
+            losses.mean().into(),
+            spurious.mean().into(),
+        ]);
+    }
+    t
+}
+
 /// One registry row: id, one-line description, and the function that
-/// renders the artifact.
-pub type Experiment = (&'static str, &'static str, fn() -> String);
+/// measures the artifact.
+pub type Experiment = (&'static str, &'static str, fn() -> Report);
 
 /// Every experiment, in paper order.
 pub const EXPERIMENTS: &[Experiment] = &[

@@ -1,24 +1,29 @@
 //! Timeline figures: 9 (cwnd under loss), 10 (NACK threshold vs
 //! reordering), 11 (variable bandwidth).
 
+use super::{cwnd_kb, quic, reordering, tcp};
+use crate::report::{Cell, Column, Report, Series};
 use crate::rounds;
 use longlook_core::prelude::*;
 use longlook_core::testbed::{FlowSpec, Testbed};
-use std::fmt::Write as _;
-
-fn quic() -> ProtoConfig {
-    ProtoConfig::Quic(QuicConfig::default())
-}
-
-fn tcp() -> ProtoConfig {
-    ProtoConfig::Tcp(TcpConfig::default())
-}
 
 /// Fig 9: congestion window over time at 100 Mbps with 1% loss.
-pub fn fig9() -> String {
-    let mut out = String::from(
+pub fn fig9() -> Report {
+    let mut r = Report::new("fig9");
+    r.note(
         "Fig 9 — congestion window over time, 100 Mbps, 1% loss (KB, sampled\n\
          every 250 ms while downloading a 10 MB object)\n\n",
+    );
+    let mut series = Series::new(
+        vec![
+            Column::label("", 5),
+            Column::num("", 6, 0).after(" plt="),
+            Column::label("", 4).after("ms losses="),
+            Column::label("", 4).after(" rtx="),
+        ],
+        " | ",
+        4,
+        0,
     );
     let net = NetProfile::baseline(100.0).with_loss(0.01);
     for proto in [quic(), tcp()] {
@@ -26,114 +31,71 @@ pub fn fig9() -> String {
             .with_proto(proto.clone())
             .with_seed(900)
             .run(0);
-        let mut samples = Vec::new();
-        let mut next = Dur::ZERO;
-        for &(t, w) in &rec.server_cwnd {
-            let since = t.saturating_since(Time::ZERO);
-            if since >= next {
-                samples.push(format!("{:4}", w / 1024));
-                next += Dur::from_millis(250);
-            }
-        }
+        let samples = cwnd_kb(&rec.server_cwnd, Dur::from_millis(250));
         let stats = rec.server_stats.unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{:<5} plt={:>6.0}ms losses={:<4} rtx={:<4} | {}",
-            proto.name(),
-            rec.plt.map_or(f64::NAN, |d| d.as_millis_f64()),
-            stats.losses_detected,
-            stats.retransmissions,
-            samples.join(" ")
+        series.line(
+            vec![
+                proto.name().into(),
+                rec.plt.map_or(f64::NAN, |d| d.as_millis_f64()).into(),
+                stats.losses_detected.to_string().into(),
+                stats.retransmissions.to_string().into(),
+            ],
+            samples,
         );
     }
-    out.push_str(
+    r.push(series);
+    r.note(
         "\npaper shape: under the same loss, QUIC recovers faster and holds a\n\
          larger window on average than TCP.\n",
     );
-    out
+    r
 }
 
 /// Fig 10: larger NACK thresholds rescue QUIC from jitter-induced
 /// reordering (10 MB, 112 ms RTT, ±10 ms jitter).
-pub fn fig10() -> String {
-    let mut out = String::from(
+pub fn fig10() -> Report {
+    let mut r = Report::new("fig10");
+    r.note(
         "Fig 10 — QUIC vs TCP downloading 10 MB (112 ms RTT, ±10 ms jitter\n\
          causing packet reordering), mean PLT over rounds\n\n",
     );
-    let net = NetProfile::baseline(50.0)
-        .with_extra_rtt(Dur::from_millis(76))
-        .with_jitter(Dur::from_millis(10));
-    let page = PageSpec::single(10 * 1024 * 1024);
-    let _ = writeln!(
-        out,
-        "{:<24} | {:>14} | {:>10} | {:>12}",
-        "Sender", "PLT ms (std)", "false loss", "spurious rtx"
-    );
-    for threshold in [3u32, 10, 25, 50] {
+    let quic_at = |nack_threshold| {
         let cfg = QuicConfig {
-            nack_threshold: threshold,
+            nack_threshold,
             ..QuicConfig::default()
         };
-        let proto = ProtoConfig::Quic(cfg);
-        let mut plt = Summary::new();
-        let mut losses = Summary::new();
-        let mut spurious = Summary::new();
-        for k in 0..rounds() {
-            let sc = Scenario::new(net.clone(), page.clone())
-                .with_proto(proto.clone())
-                .with_seed(1000 + k);
-            let rec = sc.run(k);
-            plt.add(sc.plt_ms(&rec));
-            let st = rec.server_stats.unwrap_or_default();
-            losses.add(st.losses_detected as f64);
-            spurious.add(st.spurious_retransmissions as f64);
-        }
-        let _ = writeln!(
-            out,
-            "{:<24} | {:>14} | {:>10.0} | {:>12.0}",
-            format!("QUIC thresh={threshold}"),
-            plt.mean_std(),
-            losses.mean(),
-            spurious.mean(),
-        );
-    }
+        ProtoConfig::Quic(cfg)
+    };
+    let mut senders: Vec<(String, ProtoConfig)> = [3, 10, 25, 50]
+        .into_iter()
+        .map(|n| (format!("QUIC thresh={n}"), quic_at(n)))
+        .collect();
     // TCP baseline with DSACK adaptation.
-    let mut plt = Summary::new();
-    let mut losses = Summary::new();
-    let mut spurious = Summary::new();
-    for k in 0..rounds() {
-        let sc = Scenario::new(net.clone(), page.clone())
-            .with_proto(tcp())
-            .with_seed(1000 + k);
-        let rec = sc.run(k);
-        plt.add(sc.plt_ms(&rec));
-        let st = rec.server_stats.unwrap_or_default();
-        losses.add(st.losses_detected as f64);
-        spurious.add(st.spurious_retransmissions as f64);
-    }
-    let _ = writeln!(
-        out,
-        "{:<24} | {:>14} | {:>10.0} | {:>12.0}",
-        "TCP (DSACK-adaptive)",
-        plt.mean_std(),
-        losses.mean(),
-        spurious.mean(),
-    );
-    out.push_str(
+    senders.push(("TCP (DSACK-adaptive)".into(), tcp()));
+    let columns = vec![
+        Column::label("Sender", 24),
+        Column::num("PLT ms (std)", 14, 2),
+        Column::num("false loss", 10, 0),
+        Column::num("spurious rtx", 12, 0),
+    ];
+    r.push(reordering(columns, senders, 1000));
+    r.note(
         "\npaper shape: at the default threshold (3) reordering is misread as\n\
          loss and QUIC is much slower than TCP; raising the threshold\n\
          restores QUIC's performance.\n",
     );
-    out
+    r
 }
 
 /// Fig 11: variable bandwidth (210 MB, rate redrawn from [50, 150] Mbps
 /// every second).
-pub fn fig11() -> String {
-    let mut out = String::from(
+pub fn fig11() -> Report {
+    let mut r = Report::new("fig11");
+    r.note(
         "Fig 11 — downloading 210 MB while the bottleneck rate is redrawn\n\
          uniformly from [50, 150] Mbps every second\n\n",
     );
+    let mut series = Series::new(vec![Column::label("", 5)], " Mbps/s: ", 3, 0);
     let run_secs = 20u64;
     let mut q_mean = Summary::new();
     let mut t_mean = Summary::new();
@@ -169,19 +131,18 @@ pub fn fig11() -> String {
             };
             acc.add(mean);
             if k == 0 {
-                let series: Vec<String> = tl.iter().map(|v| format!("{v:3.0}")).collect();
-                let _ = writeln!(out, "{:<5} Mbps/s: {}", proto.name(), series.join(" "));
+                series.line(vec![Cell::from(proto.name())], tl.to_vec());
             }
         }
     }
-    let _ = writeln!(
-        out,
+    r.push(series);
+    r.note(format!(
         "\nQUIC mean throughput: {} Mbps\nTCP  mean throughput: {} Mbps\n\
          \npaper shape: QUIC tracks the fluctuating rate better (79 vs 46 Mbps\n\
          in the paper's testbed) thanks to unambiguous acks and faster\n\
-         window recovery.",
+         window recovery.\n",
         q_mean.mean_std(),
         t_mean.mean_std()
-    );
-    out
+    ));
+    r
 }

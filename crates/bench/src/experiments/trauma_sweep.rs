@@ -6,9 +6,9 @@
 //! where completion is impossible and both protocols must give up with a
 //! typed error instead of hanging.
 
+use crate::report::{Cell, Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
-use std::fmt::Write as _;
 
 fn ev(at_ms: u64, dur_ms: u64, dir: FaultDir, kind: FaultKind) -> FaultEvent {
     FaultEvent {
@@ -116,16 +116,30 @@ fn catalogue() -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The trauma sweep table.
-pub fn trauma() -> String {
-    let mut out = String::from(
+pub fn trauma() -> Report {
+    let mut r = Report::new("trauma");
+    r.note(
         "Fault-injection sweep — 2 MB page at 2 Mbps, 36 ms RTT\n\
          (watchdog armed: handshake 30 s, idle 60 s; mean over rounds)\n\n",
     );
-    let _ = writeln!(
-        out,
-        "{:<26} | {:<5} | {:>9} | {:>11} | {:>9} | errors",
-        "Fault plan", "Proto", "completed", "PLT ms", "retrans"
-    );
+    // The "completed" heading spans the count and its "/rounds".
+    r.push(Table::new(vec![
+        Column::label("Fault plan", 26),
+        Column::label("Proto", 5),
+        Column::num("completed", 9, 0),
+        Column::num("PLT ms", 11, 0),
+        Column::num("retrans", 9, 0),
+        Column::label("errors", 0),
+    ]));
+    let mut t = Table::new(vec![
+        Column::label("", 26),
+        Column::label("", 5),
+        Column::num("", 6, 0),
+        Column::label("", 2).after("/"),
+        Column::num("", 11, 0),
+        Column::num("", 9, 1),
+        Column::label("", 0),
+    ]);
     let protos = [
         ProtoConfig::Quic(QuicConfig::default()),
         ProtoConfig::Tcp(TcpConfig::default()),
@@ -158,32 +172,30 @@ pub fn trauma() -> String {
                     }
                 }
             }
-            let plt_cell = if plt.count() > 0 {
-                format!("{:.0}", plt.mean())
-            } else {
-                "-".to_string()
-            };
-            let _ = writeln!(
-                out,
-                "{:<26} | {:<5} | {:>6}/{:<2} | {:>11} | {:>9.1} | {}",
-                label,
-                proto.name(),
-                completed,
-                recs.len(),
-                plt_cell,
-                retrans.mean(),
-                if errors.is_empty() {
-                    "-".to_string()
+            t.row(vec![
+                label.into(),
+                proto.name().into(),
+                (completed as f64).into(),
+                recs.len().to_string().into(),
+                if plt.count() > 0 {
+                    plt.mean().into()
                 } else {
-                    errors.join(", ")
+                    "-".into()
                 },
-            );
+                retrans.mean().into(),
+                if errors.is_empty() {
+                    "-".into()
+                } else {
+                    Cell::Text(errors.join(", "))
+                },
+            ]);
         }
     }
-    out.push_str(
+    r.push(t);
+    r.note(
         "\nEvery round must be accounted for: completed, or a typed error on an\n\
          endpoint. The 75 s blackout row demonstrates the watchdog give-up path;\n\
          shorter traumas are survived via RTO backoff and retransmission.\n",
     );
-    out
+    r
 }

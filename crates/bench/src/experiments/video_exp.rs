@@ -1,8 +1,8 @@
 //! Table 6: video QoE at 100 Mbps + 1% loss across the quality ladder.
 
+use crate::report::{Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
-use std::fmt::Write as _;
 
 fn run_video(proto: &ProtoConfig, cfg: &VideoConfig, seed: u64) -> QoeMetrics {
     let mut tb = Testbed::direct(
@@ -26,22 +26,21 @@ fn run_video(proto: &ProtoConfig, cfg: &VideoConfig, seed: u64) -> QoeMetrics {
 }
 
 /// Table 6: QoE metrics per quality for QUIC and TCP.
-pub fn table6() -> String {
-    let mut out = String::from(
+pub fn table6() -> Report {
+    let mut r = Report::new("table6");
+    r.note(
         "Table 6 — video QoE (1-hour video, 100 Mbps + 1% loss, 60 s plays,\n\
          mean (std) over rounds)\n\n",
     );
-    let _ = writeln!(
-        out,
-        "{:<8} {:<5} | {:>16} | {:>14} | {:>16} | {:>12} | {:>16}",
-        "Quality",
-        "Proto",
-        "start (s)",
-        "loaded (%)",
-        "buffer/play (%)",
-        "#rebuffers",
-        "rebuf/play-sec"
-    );
+    let mut t = Table::new(vec![
+        Column::label("Quality", 8),
+        Column::label("Proto", 5).after(" "),
+        Column::num("start (s)", 16, 2),
+        Column::num("loaded (%)", 14, 2),
+        Column::num("buffer/play (%)", 16, 2),
+        Column::num("#rebuffers", 12, 2),
+        Column::num("rebuf/play-sec", 16, 3),
+    ]);
     for q in QUALITIES {
         let cfg = VideoConfig::table6(q);
         for (name, proto) in [
@@ -64,24 +63,23 @@ pub fn table6() -> String {
                 rebuf.add(m.rebuffer_count as f64);
                 rps.add(m.rebuffers_per_playing_sec());
             }
-            let _ = writeln!(
-                out,
-                "{:<8} {:<5} | {:>16} | {:>14} | {:>16} | {:>12} | {:>16}",
-                q.name,
-                name,
-                start.mean_std(),
-                loaded.mean_std(),
-                ratio.mean_std(),
-                rebuf.mean_std(),
-                format!("{:.3} ({:.3})", rps.mean(), rps.sample_std_dev()),
-            );
+            t.row(vec![
+                q.name.into(),
+                name.into(),
+                start.into(),
+                loaded.into(),
+                ratio.into(),
+                rebuf.into(),
+                rps.into(),
+            ]);
         }
-        let _ = writeln!(out);
+        t.row(Vec::new());
     }
-    out.push_str(
+    r.push(t);
+    r.note(
         "paper shape: no meaningful differences at tiny/medium/hd720; at\n\
          hd2160 QUIC loads a larger fraction of the video, spends a smaller\n\
          share of time buffering, and has fewer rebuffers per played second.\n",
     );
-    out
+    r
 }

@@ -1,13 +1,26 @@
 //! The reproduction harness: one entry point per table and figure of the
-//! paper, returning the regenerated artifact as text (and optionally DOT),
-//! plus the `traumafuzz` internals ([`fuzz`]). Repro files and traces are
-//! read with the workspace's one JSON codec, `longlook_sim::json`.
+//! paper, plus the `traumafuzz` internals ([`fuzz`]). Repro files and
+//! traces are read with the workspace's one JSON codec,
+//! `longlook_sim::json`.
+//!
+//! An experiment returns a [`report::Report`]: its id and typed sections
+//! (heatmaps whose cells keep both sides' `Summary`, tables of labels and
+//! typed numbers, inferred state machines, timelines, notes). Its
+//! `Display` is the one layout of every table; `repro` saves that text as
+//! `results/<id>.txt` and each machine's DOT graph as
+//! `results/<id>_<n>.dot`.
+//!
+//! The checked-in `results/` are goldens: CI reruns `repro -j 2 all` at
+//! default rounds and fails on any byte that differs, or on a render that
+//! is not committed. A change that moves a render on purpose reruns that
+//! command and commits the new files with it.
 //!
 //! Every experiment is a pure function of its seed; `LONGLOOK_ROUNDS`
 //! overrides the default 10 rounds for quicker smoke runs.
 
 pub mod experiments;
 pub mod fuzz;
+pub mod report;
 
 pub use experiments::EXPERIMENTS;
 

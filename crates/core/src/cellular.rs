@@ -113,25 +113,6 @@ impl CellProfile {
     }
 }
 
-/// Render Table 5.
-pub fn render_table5() -> String {
-    let mut out =
-        String::from("Network      | Thrghpt (Mbps) | RTT ms (std) | Reordering (%) | Loss (%)\n");
-    out.push_str("-------------+----------------+--------------+----------------+---------\n");
-    for p in CELL_PROFILES {
-        out.push_str(&format!(
-            "{:<12} | {:>14.2} | {:>7} ({:>2}) | {:>14.2} | {:.2}\n",
-            p.name,
-            p.throughput_mbps,
-            p.rtt_ms,
-            p.rtt_std_ms,
-            p.reordering * 100.0,
-            p.loss * 100.0,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,12 +145,5 @@ mod tests {
             assert_eq!(net.loss, p.loss);
             assert_eq!(net.reorder.is_some(), p.reordering > 0.0);
         }
-    }
-
-    #[test]
-    fn table_renders() {
-        let t = render_table5();
-        assert!(t.contains("Verizon-3G"));
-        assert!(t.contains("Sprint-LTE"));
     }
 }

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::calibration::{
         fig2_measure, grey_box_search, reference_plt_ms, Candidate, ServerProfile,
     };
-    pub use crate::cellular::{render_table5, CellProfile, CELL_PROFILES};
+    pub use crate::cellular::{CellProfile, CELL_PROFILES};
     pub use crate::experiment::{compare, sweep, sweep_with, PairResult, RunRecord, Scenario};
     // Sole caller: `observatory/` (frozen), which names the runners that
     // the cell value replaced.
@@ -67,8 +67,8 @@ pub mod prelude {
         fleet_heatmap, fleet_n, run_fleet, run_fleet_par, ArrivalProfile, ConnArena, ConnInit,
         FleetConfig, FleetMetrics, FleetObservables,
     };
-    pub use crate::params::{render_table1, ParameterSpace};
-    pub use crate::rootcause::{compare_machines, infer_from_records};
+    pub use crate::params::ParameterSpace;
+    pub use crate::rootcause::infer_from_records;
     pub use crate::runner::{run_ordered, run_ordered_reporting, Parallelism, RunnerReport};
     pub use crate::testbed::{FlowSpec, NetProfile, ProxyTestbed, Testbed};
     pub use crate::traceview::{

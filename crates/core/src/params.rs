@@ -36,46 +36,6 @@ impl ParameterSpace {
             video_qualities: vec!["tiny", "medium", "hd720", "hd2160"],
         }
     }
-
-    /// Render as the paper's two-column table.
-    pub fn render(&self) -> String {
-        let fmt_f = |v: &[f64]| {
-            v.iter()
-                .map(|x| format!("{x}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let fmt_u = |v: &[u64]| {
-            v.iter()
-                .map(|x| format!("{x}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        format!(
-            "Parameter            | Values tested\n\
-             ---------------------+--------------------------------------------\n\
-             Rate limits (Mbps)   | {}\n\
-             Extra Delay (RTT ms) | {}\n\
-             Extra Loss           | {}\n\
-             Number of objects    | {}\n\
-             Object sizes (KB)    | {}\n\
-             Proxy                | {}\n\
-             Clients              | {}\n\
-             Video qualities      | {}\n",
-            fmt_f(&self.rate_limits_mbps),
-            fmt_u(&self.extra_delay_ms),
-            fmt_f(&self.extra_loss),
-            self.num_objects
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            fmt_u(&self.object_sizes_kb),
-            self.proxies.join(", "),
-            self.clients.join(", "),
-            self.video_qualities.join(", "),
-        )
-    }
 }
 
 /// Table 1 — one row of the related-work comparison.
@@ -183,35 +143,6 @@ pub fn table1() -> Vec<RelatedWorkRow> {
     ]
 }
 
-/// Render Table 1 as text.
-pub fn render_table1() -> String {
-    let mut out = String::from(
-        "Study         | QUIC | Calib | RCA | Pages | Scen. | Net | Dev | Fair | QoE | Reord | Proxy\n",
-    );
-    out.push_str(
-        "--------------+------+-------+-----+-------+-------+-----+-----+------+-----+-------+------\n",
-    );
-    let b = |v: bool| if v { "yes" } else { "no" };
-    for r in table1() {
-        out.push_str(&format!(
-            "{:<13} | {:<4} | {:<5} | {:<3} | {:<5} | {:<5} | {:<3} | {:<3} | {:<4} | {:<3} | {:<5} | {}\n",
-            r.study,
-            r.quic_version,
-            b(r.calibration),
-            b(r.root_cause),
-            r.tested_pages,
-            r.emulated_scenarios,
-            r.networks,
-            r.devices,
-            b(r.fairness),
-            b(r.video_qoe),
-            b(r.reordering),
-            b(r.proxying),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,9 +153,6 @@ mod tests {
         assert_eq!(p.rate_limits_mbps, vec![5.0, 10.0, 50.0, 100.0]);
         assert_eq!(p.object_sizes_kb.last(), Some(&210_000));
         assert_eq!(p.num_objects, vec![1, 2, 5, 10, 100, 200]);
-        let text = p.render();
-        assert!(text.contains("Rate limits"));
-        assert!(text.contains("210000"));
     }
 
     #[test]
@@ -234,6 +162,5 @@ mod tests {
         let this = rows.last().expect("present");
         assert!(this.calibration && this.root_cause && this.video_qoe && this.proxying);
         assert!(rows[..4].iter().all(|r| !r.calibration && !r.root_cause));
-        assert!(render_table1().contains("This work"));
     }
 }

@@ -1,9 +1,8 @@
 //! Root-cause analysis: turning execution traces into inferred state
-//! machines and side-by-side reports (paper Figs 3 and 13).
+//! machines (paper Figs 3 and 13).
 
 use crate::experiment::RunRecord;
 use longlook_statemachine::{infer, InferredMachine};
-use std::fmt::Write as _;
 
 /// Infer a machine from server-side state traces of finished runs.
 pub fn infer_from_records(records: &[RunRecord]) -> InferredMachine {
@@ -12,36 +11,6 @@ pub fn infer_from_records(records: &[RunRecord]) -> InferredMachine {
         .filter_map(|r| r.server_trace.as_ref())
         .collect();
     infer(&traces)
-}
-
-/// Fig 13-style comparison: two inferred machines (e.g. Desktop vs MotoG)
-/// with their time-in-state fractions side by side.
-pub fn compare_machines(
-    label_a: &str,
-    a: &InferredMachine,
-    label_b: &str,
-    b: &InferredMachine,
-) -> String {
-    let mut states: Vec<&str> = a
-        .states
-        .iter()
-        .chain(b.states.iter())
-        .map(String::as_str)
-        .collect();
-    states.sort_unstable();
-    states.dedup();
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<26} {:>10} {:>10}", "state", label_a, label_b);
-    for s in states {
-        let _ = writeln!(
-            out,
-            "{:<26} {:>9.1}% {:>9.1}%",
-            s,
-            a.time_fraction(s) * 100.0,
-            b.time_fraction(s) * 100.0,
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -66,17 +35,5 @@ mod tests {
         assert!(machine.trace_count == 3);
         let dot = machine.to_dot("fig3a test");
         assert!(dot.contains("SlowStart"));
-    }
-
-    #[test]
-    fn comparison_report_renders_both_columns() {
-        let sc =
-            Scenario::new(NetProfile::baseline(10.0), PageSpec::single(200 * 1024)).with_rounds(2);
-        let records = sc.records(Parallelism::Serial);
-        let m = infer_from_records(&records);
-        let report = compare_machines("Desktop", &m, "MotoG", &m);
-        assert!(report.contains("Desktop"));
-        assert!(report.contains("MotoG"));
-        assert!(report.contains("SlowStart"));
     }
 }

@@ -72,6 +72,11 @@ impl QuicVersion {
         }
     }
 
+    /// Chromium's name for the version, e.g. `Q034`.
+    pub fn name(self) -> String {
+        format!("Q{:03}", self.number())
+    }
+
     /// The transport configuration this version deploys with (calibrated
     /// per Sec 4.1 — i.e. matching Google's servers, not the public
     /// defaults).

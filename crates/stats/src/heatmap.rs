@@ -6,13 +6,19 @@
 //! gate.
 
 use crate::compare::{Comparison, Verdict};
+use crate::summary::Summary;
 use std::fmt::Write as _;
 
-/// One heatmap cell. `PartialEq` compares the exact percent, p-value and
-/// verdict — the determinism-equivalence suite uses it to check that a
-/// parallel sweep reproduces a serial sweep bit-for-bit.
+/// One heatmap cell. `PartialEq` compares both sides' summaries and the
+/// exact percent, p-value and verdict — the determinism-equivalence suite
+/// uses it to check that a parallel sweep reproduces a serial sweep
+/// bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeatmapCell {
+    /// Candidate (QUIC) samples: n, mean, variance, extrema.
+    pub candidate: Summary,
+    /// Baseline (TCP) samples.
+    pub baseline: Summary,
     /// Percent difference (positive = candidate better).
     pub percent: f64,
     /// p-value of the Welch test, if computable.
@@ -25,6 +31,8 @@ impl HeatmapCell {
     /// Build a cell from a finished comparison.
     pub fn from_comparison(c: &Comparison) -> Self {
         HeatmapCell {
+            candidate: c.candidate,
+            baseline: c.baseline,
             percent: c.percent,
             p_value: c.welch.map(|w| w.p),
             verdict: c.verdict,
@@ -34,6 +42,8 @@ impl HeatmapCell {
     /// An empty/unmeasured cell.
     pub fn empty() -> Self {
         HeatmapCell {
+            candidate: Summary::new(),
+            baseline: Summary::new(),
             percent: 0.0,
             p_value: None,
             verdict: Verdict::Inconclusive,
@@ -174,25 +184,6 @@ impl Heatmap {
         );
         out
     }
-
-    /// Render as CSV (`row,col,percent,p,verdict`).
-    pub fn render_csv(&self) -> String {
-        let mut out = String::from("row,col,percent,p_value,verdict\n");
-        for (r, rl) in self.row_labels.iter().enumerate() {
-            for (c, cl) in self.col_labels.iter().enumerate() {
-                let cell = &self.cells[r][c];
-                let _ = writeln!(
-                    out,
-                    "{rl},{cl},{:.2},{},{}",
-                    cell.percent,
-                    cell.p_value
-                        .map_or(String::from("NA"), |p| format!("{p:.4}")),
-                    cell.verdict.glyph()
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -212,6 +203,7 @@ mod tests {
                 percent: 40.0,
                 p_value: Some(0.001),
                 verdict: Verdict::CandidateWins,
+                ..HeatmapCell::empty()
             },
         );
         h.set(
@@ -221,6 +213,7 @@ mod tests {
                 percent: -12.0,
                 p_value: Some(0.002),
                 verdict: Verdict::BaselineWins,
+                ..HeatmapCell::empty()
             },
         );
         h.set(
@@ -230,6 +223,7 @@ mod tests {
                 percent: 3.0,
                 p_value: Some(0.4),
                 verdict: Verdict::Inconclusive,
+                ..HeatmapCell::empty()
             },
         );
         h
@@ -276,11 +270,14 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering() {
-        let csv = sample_map().render_csv();
-        assert!(csv.starts_with("row,col,percent"));
-        assert!(csv.contains("100Mbps,5KB,40.00,0.0010,R"));
-        assert!(csv.contains("5Mbps,10MB,0.00,NA,."));
+    fn cell_keeps_both_sides_summaries() {
+        let cmp = Comparison::lower_is_better(&[10.0, 12.0, 11.0], &[20.0, 22.0]);
+        let cell = HeatmapCell::from_comparison(&cmp);
+        assert_eq!(cell.candidate.count(), 3);
+        assert_eq!(cell.candidate.mean(), 11.0);
+        assert_eq!(cell.baseline.count(), 2);
+        assert_eq!(cell.baseline.sample_variance(), 2.0);
+        assert_eq!(cell.percent, cmp.percent);
     }
 
     #[test]
@@ -289,6 +286,7 @@ mod tests {
             percent: 33.0,
             p_value: Some(0.5),
             verdict: Verdict::Inconclusive,
+            ..HeatmapCell::empty()
         };
         assert!(cell.label().contains('.'));
         assert!(!cell.label().contains("33"));
