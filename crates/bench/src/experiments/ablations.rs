@@ -1,8 +1,8 @@
 //! Ablation benches for the design choices DESIGN.md calls out: NACK
 //! threshold policy, HyStart, pacing, and N-connection emulation.
 
-use super::{recovery, reordering};
-use crate::report::{Cell, Column, Report, Table};
+use super::{recovery, reordering, summaries, tcp};
+use crate::report::{Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
 
@@ -72,18 +72,19 @@ pub fn hystart() -> Report {
     // 20 MB at 50 Mbps through a 2-BDP buffer (450 KB); MACW 2000 so the
     // window cap doesn't mask the overshoot.
     let deep = NetProfile::baseline(50.0).with_buffer(450 * 1024);
-    for hystart_on in [true, false] {
-        let mut cfg = QuicConfig::quic37();
-        cfg.cubic.hystart = hystart_on;
-        let sc = Scenario::new(deep.clone(), PageSpec::single(20 * 1024 * 1024))
-            .with_proto(ProtoConfig::Quic(cfg));
-        let [plt, losses, _] = recovery(sc, rounds().min(5), 2200);
-        deep_table.row(vec![
-            "20MB @50Mbps, 2-BDP buffer".into(),
-            (if hystart_on { "on" } else { "off" }).into(),
-            plt.mean().into(),
-            losses.mean().into(),
-        ]);
+    let hystart = |mut cfg: QuicConfig, on| {
+        cfg.cubic.hystart = on;
+        ProtoConfig::Quic(cfg)
+    };
+    let cells = [true, false].map(|on| {
+        Scenario::new(deep.clone(), PageSpec::single(20 * 1024 * 1024))
+            .with_proto(hystart(QuicConfig::quic37(), on))
+    });
+    let label = "20MB @50Mbps, 2-BDP buffer";
+    let deep_runs = recovery(&cells, rounds().min(5), 2200);
+    for (on, [plt, losses, _]) in ["on", "off"].into_iter().zip(deep_runs) {
+        let (plt, losses) = (plt.mean(), losses.mean());
+        deep_table.row(vec![label.into(), on.into(), plt.into(), losses.into()]);
     }
     r.push(deep_table);
     r.note("\n(b) Many small objects (the paper's Sec 5.2 pathology):\n\n");
@@ -105,20 +106,23 @@ pub fn hystart() -> Report {
         ("100 x 10KB", PageSpec::uniform(100, 10 * 1024)),
         ("200 x 10KB", PageSpec::uniform(200, 10 * 1024)),
     ];
-    for rate in [10.0, 100.0] {
-        for (label, page) in &pages {
-            let mut row: Vec<Cell> = vec![(*label).into(), rate.into()];
-            for hystart_on in [true, false] {
-                let mut cfg = QuicConfig::default();
-                cfg.cubic.hystart = hystart_on;
-                let sc = Scenario::new(NetProfile::baseline(rate), page.clone())
-                    .with_proto(ProtoConfig::Quic(cfg))
+    let rows = [10.0, 100.0]
+        .into_iter()
+        .flat_map(|rate| pages.iter().map(move |(label, page)| (rate, *label, page)));
+    let cells: Vec<Scenario> = (rows.clone())
+        .flat_map(|(rate, _, page)| {
+            [true, false].map(|on| {
+                Scenario::new(NetProfile::baseline(rate), page.clone())
+                    .with_proto(hystart(QuicConfig::default(), on))
                     .with_rounds(rounds().min(5))
-                    .with_seed(2250);
-                row.push(sc.plt_summary(Parallelism::auto()).mean().into());
-            }
-            pages_table.row(row);
-        }
+                    .with_seed(2250)
+            })
+        })
+        .collect();
+    let plts = plt_summaries(&cells, Parallelism::auto());
+    for ((rate, label, _), plt) in rows.zip(plts.chunks(2)) {
+        let [on, off] = [&plt[0], &plt[1]].map(Summary::mean);
+        pages_table.row(vec![label.into(), rate.into(), on.into(), off.into()]);
     }
     r.push(pages_table);
     r.note(
@@ -143,18 +147,16 @@ pub fn pacing() -> Report {
         Column::num("PLT ms (std)", 16, 2),
         Column::num("losses (mean)", 16, 1),
     ]);
-    for pacing_on in [true, false] {
+    let cells = [true, false].map(|pacing| {
         let cfg = QuicConfig {
-            pacing: pacing_on,
+            pacing,
             ..QuicConfig::default()
         };
-        let sc = Scenario::new(net.clone(), page.clone()).with_proto(ProtoConfig::Quic(cfg));
-        let [plt, losses, _] = recovery(sc, rounds(), 2300);
-        t.row(vec![
-            (if pacing_on { "on" } else { "off" }).into(),
-            plt.into(),
-            losses.mean().into(),
-        ]);
+        Scenario::new(net.clone(), page.clone()).with_proto(ProtoConfig::Quic(cfg))
+    });
+    let results = recovery(&cells, rounds(), 2300);
+    for (on, [plt, losses, _]) in ["on", "off"].into_iter().zip(results) {
+        t.row(vec![on.into(), plt.into(), losses.mean().into()]);
     }
     r.push(t);
     r.note("\nexpected: pacing reduces drop-tail losses from slow-start bursts.\n");
@@ -174,24 +176,16 @@ pub fn nconn() -> Report {
         Column::num("TCP Mbps", 12, 2),
         Column::num("ratio", 8, 2),
     ]);
-    for n in [1u32, 2] {
+    let ns = [1u32, 2];
+    let runs = sample(Parallelism::auto(), [rounds().min(5); 2], |i, k| {
         let mut cfg = QuicConfig::default();
-        cfg.cubic.num_connections = n;
-        let mut q = Summary::new();
-        let mut tcp = Summary::new();
-        let runs = run_ordered(Parallelism::auto(), rounds().min(5) as usize, |k| {
-            quic_vs_n_tcp(
-                &ProtoConfig::Quic(cfg.clone()),
-                &ProtoConfig::Tcp(TcpConfig::default()),
-                1,
-                Dur::from_secs(30),
-                2400 + k as u64,
-            )
-        });
-        for run in &runs {
-            q.add(run.flows[0].mean_mbps);
-            tcp.add(run.flows[1].mean_mbps);
-        }
+        cfg.cubic.num_connections = ns[i];
+        let proto = ProtoConfig::Quic(cfg);
+        let run = quic_vs_n_tcp(&proto, &tcp(), 1, Dur::from_secs(30), 2400 + k);
+        [run.flows[0].mean_mbps, run.flows[1].mean_mbps]
+    });
+    for (n, runs) in ns.into_iter().zip(runs) {
+        let [q, tcp] = summaries(&runs);
         t.row(vec![
             n.to_string().into(),
             q.mean().into(),
@@ -238,20 +232,28 @@ pub fn bbr() -> Report {
         Column::num("Cubic", 12, 0),
         Column::num("BBR", 12, 0),
     ]);
-    for (label, net, page) in scenarios {
-        let mut row: Vec<Cell> = vec![label.into()];
-        for cc in [CcKind::Cubic, CcKind::Bbr] {
-            let cfg = QuicConfig {
-                cc,
-                ..QuicConfig::default()
-            };
-            let sc = Scenario::new(net.clone(), page.clone())
-                .with_proto(ProtoConfig::Quic(cfg))
-                .with_rounds(rounds().min(5))
-                .with_seed(2500);
-            row.push(sc.plt_summary(Parallelism::auto()).mean().into());
-        }
-        t.row(row);
+    let cells: Vec<Scenario> = scenarios
+        .iter()
+        .flat_map(|(_, net, page)| {
+            [CcKind::Cubic, CcKind::Bbr].map(|cc| {
+                let cfg = QuicConfig {
+                    cc,
+                    ..QuicConfig::default()
+                };
+                Scenario::new(net.clone(), page.clone())
+                    .with_proto(ProtoConfig::Quic(cfg))
+                    .with_rounds(rounds().min(5))
+                    .with_seed(2500)
+            })
+        })
+        .collect();
+    let plts = plt_summaries(&cells, Parallelism::auto());
+    for ((label, _, _), plt) in scenarios.iter().zip(plts.chunks(2)) {
+        t.row(vec![
+            (*label).into(),
+            plt[0].mean().into(),
+            plt[1].mean().into(),
+        ]);
     }
     r.push(t);
     r.note(

@@ -23,8 +23,7 @@ pub fn fig2() -> Report {
         ServerProfile::Calibrated,
     ];
     let mut totals = Vec::new();
-    for p in profiles {
-        let split = fig2_measure(p, rounds(), 11);
+    for split in fig2_measure(&profiles, rounds(), 11, Parallelism::auto()) {
         let total = split.wait_ms.mean() + split.download_ms.mean();
         t.row(vec![
             split.profile.into(),
@@ -46,13 +45,6 @@ pub fn fig2() -> Report {
 /// The grey-box search demo.
 pub fn greybox() -> Report {
     let mut r = Report::new("greybox");
-    let par = Parallelism::auto();
-    let reference = reference_plt_ms(rounds().min(5), 21, par);
-    r.note(format!(
-        "Grey-box calibration (Sec 4.1): vary server parameters until the\n\
-         performance matches the reference (deployed) servers.\n\n\
-         reference 10MB PLT (\"Google's servers\"): {reference:.0} ms\n\n"
-    ));
     let candidates = [
         Candidate {
             macw: 107,
@@ -79,7 +71,13 @@ pub fn greybox() -> Report {
             ssthresh_fixed: true,
         },
     ];
-    let (best, err) = grey_box_search(reference, &candidates, rounds().min(5), 21, par);
+    let par = Parallelism::auto();
+    let (reference, best, err) = grey_box_search(&candidates, rounds().min(5), 21, par);
+    r.note(format!(
+        "Grey-box calibration (Sec 4.1): vary server parameters until the\n\
+         performance matches the reference (deployed) servers.\n\n\
+         reference 10MB PLT (\"Google's servers\"): {reference:.0} ms\n\n"
+    ));
     let mut t = Table::new(vec![
         Column::label("", 4).after("  candidate MACW="),
         Column::label("", 5).after(" ssthresh_fixed="),

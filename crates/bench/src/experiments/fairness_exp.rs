@@ -2,7 +2,7 @@
 //! windows while competing), Table 4 (average allocations over 10 runs).
 
 use super::{cwnd_kb, quic, tcp};
-use crate::report::{Cell, Column, Report, Series, Table};
+use crate::report::{Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
 use longlook_core::testbed::{FlowSpec, Testbed};
@@ -19,20 +19,16 @@ pub fn fig4() -> Report {
     for (title, n) in [("(a) QUIC vs TCP", 1usize), ("(b) QUIC vs TCPx2", 2)] {
         let run = quic_vs_n_tcp(&quic(), &tcp(), n, Dur::from_secs(RUN_SECS), 31);
         r.note(format!("\n{title}\n"));
-        let mut series = Series::new(
-            vec![
-                Column::label("", 7).after("  "),
-                Column::num("", 4, 2).after(" mean "),
-            ],
-            " Mbps | ",
-            4,
-            1,
-        );
-        for f in &run.flows {
-            let points = f.timeline_mbps.iter().step_by(4).copied().collect();
-            series.line(vec![f.label.as_str().into(), f.mean_mbps.into()], points);
+        let mut t = Table::new(vec![
+            Column::label("", 7).after("  "),
+            Column::num("", 4, 2).after(" mean "),
+            Column::num("", 4, 1).after(" Mbps | "),
+        ]);
+        for f in run.flows {
+            let points: Vec<f64> = f.timeline_mbps.into_iter().step_by(4).collect();
+            t.row(vec![f.label.into(), f.mean_mbps.into(), points.into()]);
         }
-        r.push(series);
+        r.push(t);
     }
     r
 }
@@ -68,14 +64,17 @@ pub fn fig5() -> Report {
     );
     tb.world.run_until(Time::ZERO + Dur::from_secs(RUN_SECS));
     let server = tb.server_host();
-    let mut series = Series::new(vec![Column::label("", 0).after("  ")], ": ", 3, 0);
+    let mut t = Table::new(vec![
+        Column::label("", 0).after("  "),
+        Column::num("", 3, 0).after(": "),
+    ]);
     for (flow, label) in tb.flows.iter().zip(["QUIC", "TCP "]) {
         let Some(tl) = server.cwnd_timeline(*flow) else {
             continue;
         };
-        series.line(vec![Cell::from(label)], cwnd_kb(tl, Dur::from_secs(2)));
+        t.row(vec![label.into(), cwnd_kb(tl, Dur::from_secs(2)).into()]);
     }
-    r.push(series);
+    r.push(t);
     r.note(
         "\npaper shape: QUIC's window grows more aggressively (steeper slope,\n\
          more frequent increases) so it holds a larger share of the pipe.\n",
@@ -99,23 +98,17 @@ pub fn table4() -> Report {
         ("QUIC vs TCPx4", 4),
     ];
     let mut quic_share_sum = 0.0;
-    for (name, n) in scenarios {
-        // Each round is an independent world: shard rounds, then
-        // aggregate in round order (identical output to a serial sweep).
-        let mut per_flow: Vec<Summary> = vec![Summary::new(); n + 1];
-        let runs = run_ordered(Parallelism::auto(), rounds() as usize, |k| {
-            quic_vs_n_tcp(&quic(), &tcp(), n, Dur::from_secs(RUN_SECS), 41 + k as u64)
-        });
-        for run in &runs {
-            for (i, f) in run.flows.iter().enumerate() {
-                per_flow[i].add(f.mean_mbps);
-            }
-        }
-        let labels: Vec<String> = std::iter::once("QUIC".to_string())
-            .chain((1..=n).map(|k| format!("TCP {k}")))
+    let secs = Dur::from_secs(RUN_SECS);
+    let runs = sample(Parallelism::auto(), [rounds(); 3], |i, k| {
+        quic_vs_n_tcp(&quic(), &tcp(), scenarios[i].1, secs, 41 + k)
+    });
+    for ((name, n), runs) in scenarios.into_iter().zip(runs) {
+        // Each flow's throughput over the rounds, in round order.
+        let per_flow: Vec<Summary> = (0..=n)
+            .map(|f| runs.iter().map(|run| run.flows[f].mean_mbps).collect())
             .collect();
-        for (label, s) in labels.into_iter().zip(&per_flow) {
-            t.row(vec![name.into(), label.into(), (*s).into()]);
+        for (flow, s) in runs[0].flows.iter().zip(&per_flow) {
+            t.row(vec![name.into(), flow.label.as_str().into(), (*s).into()]);
         }
         let tcp_total: f64 = per_flow[1..].iter().map(Summary::mean).sum();
         quic_share_sum += per_flow[0].mean() / (per_flow[0].mean() + tcp_total);

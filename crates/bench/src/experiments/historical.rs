@@ -38,36 +38,39 @@ pub fn historical() -> Report {
     );
     columns.push(Column::label("", 0).after("   "));
     let mut t = Table::new(columns);
-    let mut v34_vals: Vec<f64> = Vec::new();
-    let mut v37_vals: Vec<f64> = Vec::new();
-    for v in QuicVersion::all() {
-        let proto = ProtoConfig::Quic(v.config());
+    let versions = QuicVersion::all();
+    let cells: Vec<Scenario> = versions
+        .iter()
+        .flat_map(|v| {
+            scenarios.iter().enumerate().map(|(i, (_, net, page))| {
+                Scenario::new(net.clone(), page.clone())
+                    .with_proto(ProtoConfig::Quic(v.config()))
+                    .with_rounds(rounds().min(5))
+                    .with_seed(2000 + i as u64)
+            })
+        })
+        .collect();
+    let plts = plt_summaries(&cells, Parallelism::auto());
+    let per_version: Vec<&[Summary]> = plts.chunks(scenarios.len()).collect();
+    for (v, plts) in versions.iter().zip(&per_version) {
         let mut row: Vec<Cell> = vec![v.name().into()];
-        for (i, (_, net, page)) in scenarios.iter().enumerate() {
-            let sc = Scenario::new(net.clone(), page.clone())
-                .with_proto(proto.clone())
-                .with_rounds(rounds().min(5))
-                .with_seed(2000 + i as u64);
-            let mean = sc.plt_summary(Parallelism::auto()).mean();
-            row.push(mean.into());
-            if v.number() == 34 {
-                v34_vals.push(mean);
-            }
-            if v.number() == 37 {
-                v37_vals.push(mean);
-            }
-        }
+        row.extend(plts.iter().map(|plt| plt.mean().into()));
         row.push(format!("({})", v.changelog()).into());
         t.row(row);
     }
+    // The last column's mean for version `n`.
+    let last = |n| {
+        let v = versions.iter().position(|v| v.number() == n);
+        v.map_or(f64::NAN, |v| per_version[v][scenarios.len() - 1].mean())
+    };
     r.push(t);
     r.note(format!(
         "\npaper shape: versions 25-36 are indistinguishable under the same\n\
          configuration; Q037's larger MACW (2000) helps big transfers in\n\
          high-delay/high-bandwidth paths (v34 {:.0}ms vs v37 {:.0}ms on the\n\
          last column).\n",
-        v34_vals.last().copied().unwrap_or(f64::NAN),
-        v37_vals.last().copied().unwrap_or(f64::NAN),
+        last(34),
+        last(37),
     ));
     r
 }

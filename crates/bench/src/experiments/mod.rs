@@ -26,38 +26,49 @@ fn tcp() -> ProtoConfig {
     ProtoConfig::Tcp(TcpConfig::default())
 }
 
-/// A congestion-window timeline in KB, sampled at the first change at or
-/// after each multiple of `every`.
+/// A congestion-window timeline in KB, one sample per interval of
+/// `every`: the first change at or after the interval's start when the
+/// interval holds one, otherwise the window in effect across it (the log
+/// records only changes). The samples stop at the last change.
 fn cwnd_kb(timeline: &[(Time, u64)], every: Dur) -> Vec<f64> {
     let mut next = Dur::ZERO;
+    let mut in_effect = None;
     let mut samples = Vec::new();
     for &(t, w) in timeline {
-        if t.saturating_since(Time::ZERO) >= next {
-            samples.push((w / 1024) as f64);
+        let at = t.saturating_since(Time::ZERO);
+        while at >= next {
+            let held = in_effect.filter(|_| at >= next + every).unwrap_or(w);
+            samples.push((held / 1024) as f64);
             next += every;
         }
+        in_effect = Some(w);
     }
     samples
 }
 
+/// Each cell's records, every cell's rounds in one [`sample`] batch.
+fn records(cells: &[Scenario]) -> Vec<Vec<RunRecord>> {
+    let rounds = cells.iter().map(|c| c.rounds);
+    sample(Parallelism::auto(), rounds, |i, k| cells[i].run(k))
+}
+
 /// Page load time (ms), losses detected and spurious retransmissions over
-/// `n` rounds of `sc`, round `k` reseeded to `seed + k`. Rounds are
-/// independent worlds: they are sharded, then folded in round order, so
-/// the summaries equal a serial sweep's.
-fn recovery(sc: Scenario, n: u64, seed: u64) -> [Summary; 3] {
-    let runs = run_ordered(Parallelism::auto(), n as usize, |k| {
-        let k = k as u64;
-        let sc = sc.clone().with_seed(seed + k);
+/// `n` rounds of each of `cells`, round `k` reseeded to `seed + k`. Every
+/// cell's rounds are one [`sample`] batch, folded in round order.
+fn recovery(cells: &[Scenario], n: u64, seed: u64) -> Vec<[Summary; 3]> {
+    let runs = sample(Parallelism::auto(), vec![n; cells.len()], |i, k| {
+        let sc = cells[i].clone().with_seed(seed + k);
         let rec = sc.run(k);
         let st = rec.server_stats.unwrap_or_default();
         let (losses, spurious) = (st.losses_detected, st.spurious_retransmissions);
         [sc.plt_ms(&rec), losses as f64, spurious as f64]
     });
-    let mut out = [Summary::new(); 3];
-    for run in runs {
-        out.iter_mut().zip(run).for_each(|(s, x)| s.add(x));
-    }
-    out
+    runs.iter().map(|runs| summaries(runs)).collect()
+}
+
+/// Each of a cell's `M` measures over its runs, in round order.
+fn summaries<const M: usize>(runs: &[[f64; M]]) -> [Summary; M] {
+    std::array::from_fn(|m| runs.iter().map(|r| r[m]).collect())
 }
 
 /// One row per sender downloading 10 MB at 50 Mbps while ±10 ms of jitter
@@ -67,10 +78,14 @@ fn reordering(columns: Vec<Column>, senders: Vec<(String, ProtoConfig)>, seed: u
     let net = NetProfile::baseline(50.0)
         .with_extra_rtt(Dur::from_millis(76))
         .with_jitter(Dur::from_millis(10));
+    let page = PageSpec::single(10 * 1024 * 1024);
+    let cells: Vec<Scenario> = senders
+        .iter()
+        .map(|(_, proto)| Scenario::new(net.clone(), page.clone()).with_proto(proto.clone()))
+        .collect();
+    let results = recovery(&cells, rounds(), seed);
     let mut t = Table::new(columns);
-    for (label, proto) in senders {
-        let sc = Scenario::new(net.clone(), PageSpec::single(10 * 1024 * 1024)).with_proto(proto);
-        let [plt, losses, spurious] = recovery(sc, rounds(), seed);
+    for ((label, _), [plt, losses, spurious]) in senders.into_iter().zip(results) {
         t.row(vec![
             label.into(),
             plt.into(),
@@ -213,3 +228,25 @@ pub const EXPERIMENTS: &[Experiment] = &[
         fleet_exp::fleet,
     ),
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The log records only changes: an interval without one repeats the
+    /// window in effect, so later points keep their place in time.
+    #[test]
+    fn cwnd_kb_holds_the_window_across_an_interval_without_a_change() {
+        let at = |ms| Time::ZERO + Dur::from_millis(ms);
+        let timeline = [
+            (at(0), 10 * 1024),
+            (at(100), 20 * 1024),
+            (at(1_000), 30 * 1024),
+            (at(1_100), 40 * 1024),
+        ];
+        assert_eq!(
+            cwnd_kb(&timeline, Dur::from_millis(250)),
+            [10.0, 20.0, 20.0, 20.0, 30.0]
+        );
+    }
+}

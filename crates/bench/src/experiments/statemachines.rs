@@ -1,5 +1,6 @@
 //! State-machine figures: 3a (Cubic), 3b (BBR), 13 (Desktop vs MotoG).
 
+use super::records;
 use crate::report::{Column, Machine, Report, Table};
 use longlook_core::prelude::*;
 use longlook_core::rootcause::infer_from_records;
@@ -39,21 +40,14 @@ fn trace_scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn machine_for(proto: &ProtoConfig, scenarios: &[Scenario]) -> InferredMachine {
-    let mut records = Vec::new();
-    for sc in scenarios {
-        let sc = sc.clone().with_proto(proto.clone());
-        records.extend(sc.records(Parallelism::auto()));
-    }
-    infer_from_records(&records)
+/// The machine inferred from every round of every cell, one batch.
+fn machine_for(cells: &[Scenario]) -> InferredMachine {
+    infer_from_records(&records(cells).concat())
 }
 
 /// Fig 3a: the inferred Cubic state machine across all configurations.
 pub fn fig3a() -> Report {
-    let machine = machine_for(
-        &ProtoConfig::Quic(QuicConfig::default()),
-        &trace_scenarios(),
-    );
+    let machine = machine_for(&trace_scenarios());
     let mut r = Report::new("fig3a");
     r.note("Fig 3a — QUIC (Cubic) state machine inferred from execution traces\n\n");
     r.push(Machine {
@@ -66,25 +60,27 @@ pub fn fig3a() -> Report {
 
 /// Fig 3b: the experimental BBR implementation's state machine.
 pub fn fig3b() -> Report {
-    let cfg = QuicConfig {
+    let bbr = ProtoConfig::Quic(QuicConfig {
         cc: CcKind::Bbr,
         ..QuicConfig::default()
-    };
-    let scenarios = vec![
+    });
+    let cells = [
         Scenario::new(
             NetProfile::baseline(10.0),
             PageSpec::single(5 * 1024 * 1024),
         )
+        .with_proto(bbr.clone())
         .with_rounds(2)
         .with_seed(311),
         Scenario::new(
             NetProfile::baseline(50.0).with_loss(0.005),
             PageSpec::single(20 * 1024 * 1024),
         )
+        .with_proto(bbr)
         .with_rounds(2)
         .with_seed(312),
     ];
-    let machine = machine_for(&ProtoConfig::Quic(cfg), &scenarios);
+    let machine = machine_for(&cells);
     let mut r = Report::new("fig3b");
     r.note("Fig 3b — QUIC (experimental BBR) state machine inferred from traces\n\n");
     r.push(Machine {
@@ -103,12 +99,9 @@ pub fn fig13() -> Report {
             .with_rounds(3)
             .with_seed(seed)
     };
-    let desktop = infer_from_records(&base(321).records(Parallelism::auto()));
-    let motog = infer_from_records(
-        &base(322)
-            .on_device(DeviceProfile::MOTOG)
-            .records(Parallelism::auto()),
-    );
+    let cells = [base(321), base(322).on_device(DeviceProfile::MOTOG)];
+    let recs = records(&cells);
+    let [desktop, motog] = [0, 1].map(|i| infer_from_records(&recs[i]));
     let mut r = Report::new("fig13");
     r.note(
         "Fig 13 — QUIC state transitions on MotoG vs Desktop (50 Mbps, no\n\

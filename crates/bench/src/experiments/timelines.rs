@@ -2,7 +2,7 @@
 //! reordering), 11 (variable bandwidth).
 
 use super::{cwnd_kb, quic, reordering, tcp};
-use crate::report::{Cell, Column, Report, Series};
+use crate::report::{Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
 use longlook_core::testbed::{FlowSpec, Testbed};
@@ -14,17 +14,13 @@ pub fn fig9() -> Report {
         "Fig 9 — congestion window over time, 100 Mbps, 1% loss (KB, sampled\n\
          every 250 ms while downloading a 10 MB object)\n\n",
     );
-    let mut series = Series::new(
-        vec![
-            Column::label("", 5),
-            Column::num("", 6, 0).after(" plt="),
-            Column::label("", 4).after("ms losses="),
-            Column::label("", 4).after(" rtx="),
-        ],
-        " | ",
-        4,
-        0,
-    );
+    let mut t = Table::new(vec![
+        Column::label("", 5),
+        Column::num("", 6, 0).after(" plt="),
+        Column::label("", 4).after("ms losses="),
+        Column::label("", 4).after(" rtx="),
+        Column::num("", 4, 0).after(" | "),
+    ]);
     let net = NetProfile::baseline(100.0).with_loss(0.01);
     for proto in [quic(), tcp()] {
         let rec = Scenario::new(net.clone(), PageSpec::single(10 * 1024 * 1024))
@@ -33,17 +29,15 @@ pub fn fig9() -> Report {
             .run(0);
         let samples = cwnd_kb(&rec.server_cwnd, Dur::from_millis(250));
         let stats = rec.server_stats.unwrap_or_default();
-        series.line(
-            vec![
-                proto.name().into(),
-                rec.plt.map_or(f64::NAN, |d| d.as_millis_f64()).into(),
-                stats.losses_detected.to_string().into(),
-                stats.retransmissions.to_string().into(),
-            ],
-            samples,
-        );
+        t.row(vec![
+            proto.name().into(),
+            rec.plt.map_or(f64::NAN, |d| d.as_millis_f64()).into(),
+            stats.losses_detected.to_string().into(),
+            stats.retransmissions.to_string().into(),
+            samples.into(),
+        ]);
     }
-    r.push(series);
+    r.push(t);
     r.note(
         "\npaper shape: under the same loss, QUIC recovers faster and holds a\n\
          larger window on average than TCP.\n",
@@ -95,47 +89,51 @@ pub fn fig11() -> Report {
         "Fig 11 — downloading 210 MB while the bottleneck rate is redrawn\n\
          uniformly from [50, 150] Mbps every second\n\n",
     );
-    let mut series = Series::new(vec![Column::label("", 5)], " Mbps/s: ", 3, 0);
+    let mut t = Table::new(vec![
+        Column::label("", 5),
+        Column::num("", 3, 0).after(" Mbps/s: "),
+    ]);
     let run_secs = 20u64;
-    let mut q_mean = Summary::new();
-    let mut t_mean = Summary::new();
-    for k in 0..rounds().min(5) {
-        for (proto, acc) in [(quic(), &mut q_mean), (tcp(), &mut t_mean)] {
-            // A home-router-sized buffer (the paper's OpenWRT testbed):
-            // down-shifts in rate overflow it, and recovery speed decides
-            // the average throughput.
-            let mut net = NetProfile::baseline(100.0).with_buffer(100 * 1024);
-            net.rate = RateSchedule::random_hold_mbps(50.0, 150.0, Dur::from_secs(1), 1100 + k);
-            let catalog = PageSpec::single(210 * 1024 * 1024);
-            let mut tb = Testbed::direct(
-                1100 + k,
-                &net,
-                DeviceProfile::DESKTOP,
-                catalog,
-                vec![FlowSpec {
-                    proto: proto.clone(),
-                    zero_rtt: true,
-                    app: Box::new(BulkClient::new(0, Dur::from_secs(1))),
-                }],
-                None,
-                false,
-            );
-            tb.world.run_until(Time::ZERO + Dur::from_secs(run_secs));
-            let app = tb.client_host().app::<BulkClient>(0);
-            let tl = app.throughput_mbps();
-            let steady = &tl[2.min(tl.len())..];
-            let mean = if steady.is_empty() {
-                0.0
-            } else {
-                steady.iter().sum::<f64>() / steady.len() as f64
-            };
-            acc.add(mean);
-            if k == 0 {
-                series.line(vec![Cell::from(proto.name())], tl.to_vec());
-            }
+    let protos = [quic(), tcp()];
+    // Each run's per-second throughput timeline.
+    let runs = sample(Parallelism::auto(), [rounds().min(5); 2], |i, k| {
+        // A home-router-sized buffer (the paper's OpenWRT testbed):
+        // down-shifts in rate overflow it, and recovery speed decides
+        // the average throughput.
+        let mut net = NetProfile::baseline(100.0).with_buffer(100 * 1024);
+        net.rate = RateSchedule::random_hold_mbps(50.0, 150.0, Dur::from_secs(1), 1100 + k);
+        let catalog = PageSpec::single(210 * 1024 * 1024);
+        let mut tb = Testbed::direct(
+            1100 + k,
+            &net,
+            DeviceProfile::DESKTOP,
+            catalog,
+            vec![FlowSpec {
+                proto: protos[i].clone(),
+                zero_rtt: true,
+                app: Box::new(BulkClient::new(0, Dur::from_secs(1))),
+            }],
+            None,
+            false,
+        );
+        tb.world.run_until(Time::ZERO + Dur::from_secs(run_secs));
+        tb.client_host()
+            .app::<BulkClient>(0)
+            .throughput_mbps()
+            .to_vec()
+    });
+    let steady_mean = |tl: &Vec<f64>| {
+        let steady = &tl[2.min(tl.len())..];
+        match steady.len() {
+            0 => 0.0,
+            n => steady.iter().sum::<f64>() / n as f64,
         }
+    };
+    let [q_mean, t_mean]: [Summary; 2] = [0, 1].map(|i| runs[i].iter().map(steady_mean).collect());
+    for (proto, runs) in protos.iter().zip(&runs) {
+        t.row(vec![proto.name().into(), runs[0].clone().into()]);
     }
-    r.push(series);
+    r.push(t);
     r.note(format!(
         "\nQUIC mean throughput: {} Mbps\nTCP  mean throughput: {} Mbps\n\
          \npaper shape: QUIC tracks the fluctuating rate better (79 vs 46 Mbps\n\

@@ -6,6 +6,7 @@
 //! where completion is impossible and both protocols must give up with a
 //! typed error instead of hanging.
 
+use super::{quic, records, tcp};
 use crate::report::{Cell, Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
@@ -140,56 +141,55 @@ pub fn trauma() -> Report {
         Column::num("", 9, 1),
         Column::label("", 0),
     ]);
-    let protos = [
-        ProtoConfig::Quic(QuicConfig::default()),
-        ProtoConfig::Tcp(TcpConfig::default()),
-    ];
-    for (label, plan) in catalogue() {
-        for proto in &protos {
-            let recs = Scenario::new(
-                NetProfile::baseline(2.0).with_fault(plan.clone()),
-                PageSpec::single(2 * 1024 * 1024),
-            )
-            .with_proto(proto.clone())
-            .with_rounds(rounds())
-            .with_seed(9_000)
-            .records(Parallelism::auto());
-            let completed = recs.iter().filter(|r| r.completed()).count();
-            let mut plt = Summary::new();
-            let mut retrans = Summary::new();
-            let mut errors: Vec<String> = Vec::new();
-            for rec in &recs {
-                if let Some(d) = rec.plt {
-                    plt.add(d.as_millis_f64());
-                }
-                retrans.add(rec.server_stats.map_or(0, |s| s.retransmissions) as f64);
-                for (side, err) in [("client", rec.client_error), ("server", rec.server_error)] {
-                    if let Some(e) = err {
-                        let tag = format!("{side}:{}", e.label());
-                        if !errors.contains(&tag) {
-                            errors.push(tag);
-                        }
+    let protos = [quic(), tcp()];
+    let catalogue = catalogue();
+    let page = PageSpec::single(2 * 1024 * 1024);
+    // Cell `2p + q` runs plan `p` over protocol `q`.
+    let cells: Vec<Scenario> = (catalogue.iter())
+        .flat_map(|(_, plan)| protos.iter().map(move |proto| (plan, proto)))
+        .map(|(plan, proto)| {
+            let net = NetProfile::baseline(2.0).with_fault(plan.clone());
+            let sc = Scenario::new(net, page.clone()).with_proto(proto.clone());
+            sc.with_rounds(rounds()).with_seed(9_000)
+        })
+        .collect();
+    for (i, recs) in records(&cells).iter().enumerate() {
+        let (label, proto) = (catalogue[i / 2].0, &protos[i % 2]);
+        let completed = recs.iter().filter(|r| r.completed()).count();
+        let plt: Summary = (recs.iter())
+            .filter_map(|r| Some(r.plt?.as_millis_f64()))
+            .collect();
+        let retrans: Summary = (recs.iter())
+            .map(|r| r.server_stats.map_or(0, |s| s.retransmissions) as f64)
+            .collect();
+        let mut errors: Vec<String> = Vec::new();
+        for rec in recs {
+            for (side, err) in [("client", rec.client_error), ("server", rec.server_error)] {
+                if let Some(e) = err {
+                    let tag = format!("{side}:{}", e.label());
+                    if !errors.contains(&tag) {
+                        errors.push(tag);
                     }
                 }
             }
-            t.row(vec![
-                label.into(),
-                proto.name().into(),
-                (completed as f64).into(),
-                recs.len().to_string().into(),
-                if plt.count() > 0 {
-                    plt.mean().into()
-                } else {
-                    "-".into()
-                },
-                retrans.mean().into(),
-                if errors.is_empty() {
-                    "-".into()
-                } else {
-                    Cell::Text(errors.join(", "))
-                },
-            ]);
         }
+        t.row(vec![
+            label.into(),
+            proto.name().into(),
+            (completed as f64).into(),
+            recs.len().to_string().into(),
+            if plt.count() > 0 {
+                plt.mean().into()
+            } else {
+                "-".into()
+            },
+            retrans.mean().into(),
+            if errors.is_empty() {
+                "-".into()
+            } else {
+                Cell::Text(errors.join(", "))
+            },
+        ]);
     }
     r.push(t);
     r.note(

@@ -1,6 +1,7 @@
 //! Table 6: video QoE at 100 Mbps + 1% loss across the quality ladder.
 
-use crate::report::{Column, Report, Table};
+use super::{quic, summaries, tcp};
+use crate::report::{Cell, Column, Report, Table};
 use crate::rounds;
 use longlook_core::prelude::*;
 
@@ -41,39 +42,25 @@ pub fn table6() -> Report {
         Column::num("#rebuffers", 12, 2),
         Column::num("rebuf/play-sec", 16, 3),
     ]);
-    for q in QUALITIES {
-        let cfg = VideoConfig::table6(q);
-        for (name, proto) in [
-            ("QUIC", ProtoConfig::Quic(QuicConfig::default())),
-            ("TCP", ProtoConfig::Tcp(TcpConfig::default())),
-        ] {
-            let mut start = Summary::new();
-            let mut loaded = Summary::new();
-            let mut ratio = Summary::new();
-            let mut rebuf = Summary::new();
-            let mut rps = Summary::new();
-            for k in 0..rounds() {
-                let m = run_video(&proto, &cfg, 1600 + k);
-                start.add(
-                    m.time_to_start
-                        .map_or(cfg.watch_time.as_secs_f64(), |d| d.as_secs_f64()),
-                );
-                loaded.add(m.loaded_pct(cfg.video_secs));
-                ratio.add(m.buffer_play_ratio_pct());
-                rebuf.add(m.rebuffer_count as f64);
-                rps.add(m.rebuffers_per_playing_sec());
-            }
-            t.row(vec![
-                q.name.into(),
-                name.into(),
-                start.into(),
-                loaded.into(),
-                ratio.into(),
-                rebuf.into(),
-                rps.into(),
-            ]);
+    let protos = [("QUIC", quic()), ("TCP", tcp())];
+    // Cell `2q + p` plays quality `q` over protocol `p`.
+    const CELLS: usize = 2 * QUALITIES.len();
+    let runs = sample(Parallelism::auto(), [rounds(); CELLS], |i, k| {
+        let cfg = VideoConfig::table6(QUALITIES[i / 2]);
+        let m = run_video(&protos[i % 2].1, &cfg, 1600 + k);
+        let start = m.time_to_start.unwrap_or(cfg.watch_time).as_secs_f64();
+        let loaded = m.loaded_pct(cfg.video_secs);
+        let rebuffers = m.rebuffer_count as f64;
+        let rps = m.rebuffers_per_playing_sec();
+        [start, loaded, m.buffer_play_ratio_pct(), rebuffers, rps]
+    });
+    for (i, runs) in runs.iter().enumerate() {
+        let mut row = vec![QUALITIES[i / 2].name.into(), protos[i % 2].0.into()];
+        row.extend(summaries(runs).map(Cell::from));
+        t.row(row);
+        if i % 2 == 1 {
+            t.row(Vec::new());
         }
-        t.row(Vec::new());
     }
     r.push(t);
     r.note(

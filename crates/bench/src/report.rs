@@ -1,16 +1,17 @@
 //! What an experiment found, as a value. A [`Report`] is the experiment's
 //! id and an ordered list of [`Section`]s from a closed set: heatmaps
 //! whose cells keep both sides' `Summary`, tables of labels and typed
-//! numbers, inferred state machines, timelines, and notes.
+//! numbers (a timeline is a table whose last column holds its points),
+//! inferred state machines, and notes.
 //!
 //! Experiments measure and fill in numbers; `Display` is the one place
 //! that lays them out. `repro` prints that text and saves it as
 //! `results/<id>.txt`, and saves [`Report::dots`] as `results/<id>_<n>.dot`.
 
+pub use longlook_core::table::{Cell, Column, Table};
 use longlook_statemachine::InferredMachine;
-use longlook_stats::{Heatmap, Summary};
-use std::borrow::Cow;
-use std::fmt::{self, Formatter, Write as _};
+use longlook_stats::Heatmap;
+use std::fmt::{self, Formatter};
 
 /// One experiment's result.
 #[derive(Debug, Clone)]
@@ -30,36 +31,21 @@ pub enum Section {
     Table(Table),
     /// An inferred state machine and its DOT graph.
     Machine(Machine),
-    /// Sampled timelines, one line per flow.
-    Series(Series),
     /// Prose, including the "paper shape" lines, printed as is.
     Note(String),
 }
 
-/// One table cell.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Cell {
-    /// Text as is.
-    Text(String),
-    /// A number at its column's precision.
-    Num(f64),
-    /// `mean (std)` at its column's precision (sample standard deviation).
-    Stat(Summary),
-}
-
 macro_rules! from {
-    ($($t:ty => $e:ident::$v:ident),*) => {$(
-        impl From<$t> for $e {
+    ($($t:ty => $v:ident),*) => {$(
+        impl From<$t> for Section {
             fn from(x: $t) -> Self {
-                $e::$v(x.into())
+                Section::$v(x)
             }
         }
     )*};
 }
 
-from!(Heatmap => Section::Heatmap, Table => Section::Table, Machine => Section::Machine,
-    Series => Section::Series, &str => Cell::Text, String => Cell::Text, f64 => Cell::Num,
-    Summary => Cell::Stat);
+from!(Heatmap => Heatmap, Table => Table, Machine => Machine);
 
 impl Report {
     /// An empty report.
@@ -104,182 +90,8 @@ impl fmt::Display for Report {
                     m.render(f, self.id, dots)?;
                     dots += 1;
                 }
-                Section::Series(series) => series.fmt(f)?,
                 Section::Note(text) => f.write_str(text)?,
             }
-        }
-        Ok(())
-    }
-}
-
-/// One column: what precedes its cells, its heading, its minimum width
-/// (wider text is never cut) and its kind.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Column {
-    /// `None` is `" | "`, or nothing before the first column.
-    pub lead: Option<&'static str>,
-    /// `""` for none.
-    pub head: &'static str,
-    /// Minimum width.
-    pub width: usize,
-    /// `None`: a left-aligned label. `Some(p)`: right-aligned, numbers
-    /// at `p` decimals.
-    pub prec: Option<usize>,
-}
-
-impl Column {
-    /// A left-aligned label column.
-    pub fn label(head: &'static str, width: usize) -> Self {
-        Column {
-            lead: None,
-            head,
-            width,
-            prec: None,
-        }
-    }
-
-    /// A right-aligned number column at `prec` decimals.
-    pub fn num(head: &'static str, width: usize, prec: usize) -> Self {
-        Column {
-            prec: Some(prec),
-            ..Column::label(head, width)
-        }
-    }
-
-    /// The same column with `lead` before its cells.
-    pub fn after(self, lead: &'static str) -> Self {
-        Column {
-            lead: Some(lead),
-            ..self
-        }
-    }
-
-    fn text<'a>(&self, cell: &'a Cell) -> Cow<'a, str> {
-        let p = self.prec.unwrap_or(0);
-        match cell {
-            Cell::Text(s) => Cow::Borrowed(s),
-            Cell::Num(x) => format!("{x:.p$}").into(),
-            Cell::Stat(s) => format!("{:.p$} ({:.p$})", s.mean(), s.sample_std_dev()).into(),
-        }
-    }
-}
-
-/// Lay out one line under `columns`. A table line never ends in padding,
-/// so unless `pad_last` its last label column is not padded.
-fn line<'a>(
-    f: &mut Formatter<'_>,
-    columns: &[Column],
-    texts: impl Iterator<Item = Cow<'a, str>>,
-    pad_last: bool,
-) -> fmt::Result {
-    for (i, (col, text)) in columns.iter().zip(texts).enumerate() {
-        f.write_str(col.lead.unwrap_or(if i == 0 { "" } else { " | " }))?;
-        let w = col.width;
-        match col.prec {
-            None if i + 1 == columns.len() && !pad_last => f.write_str(&text)?,
-            None => write!(f, "{text:<w$}")?,
-            Some(_) => write!(f, "{text:>w$}")?,
-        }
-    }
-    Ok(())
-}
-
-/// Rows under typed columns. The heading line is printed when a column
-/// has a heading and stops at the last one that has; an empty row is a
-/// blank line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table {
-    /// Columns, left to right.
-    pub columns: Vec<Column>,
-    /// A `-+-` rule under the heading line.
-    pub rule: bool,
-    /// One cell per column.
-    pub rows: Vec<Vec<Cell>>,
-}
-
-impl Table {
-    /// A table with no rows and no rule.
-    pub fn new(columns: Vec<Column>) -> Self {
-        Table {
-            columns,
-            rule: false,
-            rows: Vec::new(),
-        }
-    }
-
-    /// The same table with a rule under its heading.
-    pub fn ruled(self) -> Self {
-        Table { rule: true, ..self }
-    }
-
-    /// Append a row.
-    pub fn row(&mut self, cells: Vec<Cell>) {
-        self.rows.push(cells);
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
-        if let Some(last) = self.columns.iter().rposition(|c| !c.head.is_empty()) {
-            let headed = &self.columns[..=last];
-            line(f, headed, headed.iter().map(|c| c.head.into()), false)?;
-            f.write_char('\n')?;
-        }
-        if self.rule {
-            let dashes: Vec<String> = self.columns.iter().map(|c| "-".repeat(c.width)).collect();
-            writeln!(f, "{}", dashes.join("-+-"))?;
-        }
-        for row in &self.rows {
-            let texts = self.columns.iter().zip(row).map(|(c, cell)| c.text(cell));
-            line(f, &self.columns, texts, false)?;
-            f.write_char('\n')?;
-        }
-        Ok(())
-    }
-}
-
-/// Timelines: per line a head laid out under `columns` (every column
-/// padded), then `sep`, then the points at `width` and `prec` decimals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Series {
-    /// The head of every line.
-    pub columns: Vec<Column>,
-    /// Between a line's head and its points.
-    pub sep: &'static str,
-    /// Width of every point.
-    pub width: usize,
-    /// Decimals of every point.
-    pub prec: usize,
-    /// Each line's head cells and points.
-    pub lines: Vec<(Vec<Cell>, Vec<f64>)>,
-}
-
-impl Series {
-    /// A series with no lines.
-    pub fn new(columns: Vec<Column>, sep: &'static str, width: usize, prec: usize) -> Self {
-        Series {
-            columns,
-            sep,
-            width,
-            prec,
-            lines: Vec::new(),
-        }
-    }
-
-    /// Append a line.
-    pub fn line(&mut self, head: Vec<Cell>, points: Vec<f64>) {
-        self.lines.push((head, points));
-    }
-}
-
-impl fmt::Display for Series {
-    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
-        let (w, p) = (self.width, self.prec);
-        for (head, points) in &self.lines {
-            let texts = self.columns.iter().zip(head).map(|(c, cell)| c.text(cell));
-            line(f, &self.columns, texts, true)?;
-            let points: Vec<String> = points.iter().map(|x| format!("{x:w$.p$}")).collect();
-            writeln!(f, "{}{}", self.sep, points.join(" "))?;
         }
         Ok(())
     }
@@ -326,6 +138,7 @@ impl Machine {
 mod tests {
     use super::*;
     use longlook_sim::time::{Dur, Time};
+    use longlook_stats::Summary;
     use longlook_transport::ccstate::StateTrace;
 
     fn render(table: Table) -> String {
@@ -403,18 +216,24 @@ mod tests {
         );
     }
 
+    /// A timeline is a table whose last column holds its points: the
+    /// head is padded, every point takes the column's width and
+    /// precision, and an empty point list adds nothing after its lead.
     #[test]
-    fn series_pads_its_head_and_lays_out_points() {
-        let mut s = Series::new(
-            vec![Column::label("", 5), Column::num("", 6, 0).after(" plt=")],
-            " | ",
-            4,
-            1,
-        );
-        s.line(vec!["QUIC".into(), 8209.0.into()], vec![0.0, 3.25, 141.0]);
-        s.line(vec!["TCP".into(), 13971.0.into()], Vec::new());
+    fn timeline_pads_its_head_and_lays_out_points() {
+        let mut t = Table::new(vec![
+            Column::label("", 5),
+            Column::num("", 6, 0).after(" plt="),
+            Column::num("", 4, 1).after(" | "),
+        ]);
+        t.row(vec![
+            "QUIC".into(),
+            8209.0.into(),
+            vec![0.0, 3.25, 141.0].into(),
+        ]);
+        t.row(vec!["TCP".into(), 13971.0.into(), Vec::new().into()]);
         assert_eq!(
-            s.to_string(),
+            render(t),
             "QUIC  plt=  8209 |  0.0  3.2 141.0\n\
              TCP   plt= 13971 | \n"
         );

@@ -10,7 +10,7 @@
 //! all three server profiles and the grey-box search that recovers the
 //! deployed parameters.
 
-use crate::experiment::Scenario;
+use crate::experiment::{plt_summaries, sample, Scenario};
 use crate::runner::Parallelism;
 use crate::testbed::{FlowSpec, NetProfile, Testbed};
 use longlook_http::app::WebClient;
@@ -76,18 +76,21 @@ pub struct WaitDownloadSplit {
     pub download_ms: Summary,
 }
 
-/// Run the Fig 2 measurement: a 10 MB image over a 100 Mbps link with the
-/// paper's 12 ms empirical RTT, 10 rounds.
-pub fn fig2_measure(profile: ServerProfile, rounds: u64, base_seed: u64) -> WaitDownloadSplit {
-    let mut net = NetProfile::baseline(100.0);
-    net.rtt = Dur::from_millis(12);
+/// Run the Fig 2 measurement for each of `profiles`: a 10 MB image over
+/// a 100 Mbps link with the paper's 12 ms empirical RTT, `rounds` rounds
+/// each, every profile's rounds in one [`sample`] batch.
+pub fn fig2_measure(
+    profiles: &[ServerProfile],
+    rounds: u64,
+    base_seed: u64,
+    par: Parallelism,
+) -> Vec<WaitDownloadSplit> {
+    let net = fig2_net();
     let page = PageSpec::single(10 * 1024 * 1024);
-    let mut wait = Summary::new();
-    let mut download = Summary::new();
-    for k in 0..rounds {
-        let seed = base_seed.wrapping_mul(7_919).wrapping_add(k);
+    let runs = sample(par, vec![rounds; profiles.len()], |i, k| {
+        let profile = &profiles[i];
         let mut tb = Testbed::direct(
-            seed,
+            base_seed.wrapping_mul(7_919).wrapping_add(k),
             &net,
             DeviceProfile::DESKTOP,
             page.clone(),
@@ -100,22 +103,30 @@ pub fn fig2_measure(profile: ServerProfile, rounds: u64, base_seed: u64) -> Wait
             true,
         );
         tb.run(Dur::from_secs(120));
-        let app = tb.client_host().app::<WebClient>(0);
-        let rt = app.har()[0];
-        let (Some(first), Some(fin)) = (rt.first_byte, rt.finished) else {
-            continue;
-        };
+        let rt = tb.client_host().app::<WebClient>(0).har()[0];
+        let (first, fin) = (rt.first_byte?, rt.finished?);
         // Wait = first-byte latency minus one path RTT (request up +
         // response down).
         let fb_ms = first.saturating_since(rt.started).as_millis_f64();
-        wait.add((fb_ms - net.rtt.as_millis_f64()).max(0.0));
-        download.add(fin.saturating_since(first).as_millis_f64());
-    }
-    WaitDownloadSplit {
-        profile: profile.label(),
-        wait_ms: wait,
-        download_ms: download,
-    }
+        let wait = (fb_ms - net.rtt.as_millis_f64()).max(0.0);
+        Some((wait, fin.saturating_since(first).as_millis_f64()))
+    });
+    let split = |(profile, runs): (&ServerProfile, Vec<_>)| {
+        let done = runs.into_iter().flatten();
+        WaitDownloadSplit {
+            profile: profile.label(),
+            wait_ms: done.clone().map(|(wait, _)| wait).collect(),
+            download_ms: done.map(|(_, download)| download).collect(),
+        }
+    };
+    profiles.iter().zip(runs).map(split).collect()
+}
+
+/// Fig 2's path: 100 Mbps at the paper's 12 ms empirical RTT.
+fn fig2_net() -> NetProfile {
+    let mut net = NetProfile::baseline(100.0);
+    net.rtt = Dur::from_millis(12);
+    net
 }
 
 /// One grey-box calibration candidate.
@@ -137,42 +148,36 @@ impl Candidate {
 }
 
 /// Grey-box calibration (Sec 4.1): "we vary server-side parameters until
-/// we obtain performance that matches QUIC from Google servers." The
-/// reference PLT plays the role of the measurement against Google; the
-/// search sweeps the candidate grid and returns the closest match.
+/// we obtain performance that matches QUIC from Google servers." A
+/// reference cell (the calibrated server on its own seed) plays the
+/// measurement against Google. It and every candidate run as one batch,
+/// and the search returns the reference PLT (ms), the closest candidate
+/// (the first, on a tie) and its distance from the reference (ms).
 pub fn grey_box_search(
-    reference_plt_ms: f64,
     candidates: &[Candidate],
     rounds: u64,
     base_seed: u64,
     par: Parallelism,
-) -> (Candidate, f64) {
-    let mut net = NetProfile::baseline(100.0);
-    net.rtt = Dur::from_millis(12);
-    let page = PageSpec::single(10 * 1024 * 1024);
-    let mut best: Option<(Candidate, f64)> = None;
-    for &cand in candidates {
-        let sc = Scenario::new(net.clone(), page.clone())
-            .with_proto(ProtoConfig::Quic(cand.config()))
+) -> (f64, Candidate, f64) {
+    let cell = |cfg: QuicConfig, seed| {
+        Scenario::new(fig2_net(), PageSpec::single(10 * 1024 * 1024))
+            .with_proto(ProtoConfig::Quic(cfg))
             .with_rounds(rounds)
-            .with_seed(base_seed);
-        let mean = sc.plt_summary(par).mean();
-        let err = (mean - reference_plt_ms).abs();
-        if best.as_ref().is_none_or(|(_, e)| err < *e) {
-            best = Some((cand, err));
-        }
-    }
-    best.expect("non-empty candidate list")
-}
-
-/// Measure the reference ("Google server") PLT for the grey-box demo.
-pub fn reference_plt_ms(rounds: u64, base_seed: u64, par: Parallelism) -> f64 {
-    let mut net = NetProfile::baseline(100.0);
-    net.rtt = Dur::from_millis(12);
-    let sc = Scenario::new(net, PageSpec::single(10 * 1024 * 1024))
-        .with_rounds(rounds)
-        .with_seed(base_seed ^ 0x600613); // "Google"
-    sc.plt_summary(par).mean()
+            .with_seed(seed)
+    };
+    let reference = cell(QuicConfig::default(), base_seed ^ 0x600613); // "Google"
+    let cells: Vec<Scenario> = std::iter::once(reference)
+        .chain(candidates.iter().map(|c| cell(c.config(), base_seed)))
+        .collect();
+    let plts = plt_summaries(&cells, par);
+    let reference_ms = plts[0].mean();
+    let errs = plts[1..]
+        .iter()
+        .map(|plt| (plt.mean() - reference_ms).abs());
+    let (best, err) = (candidates.iter().copied().zip(errs))
+        .reduce(|best, c| if c.1 < best.1 { c } else { best })
+        .expect("non-empty candidate list");
+    (reference_ms, best, err)
 }
 
 #[cfg(test)]
@@ -181,8 +186,8 @@ mod tests {
 
     #[test]
     fn uncalibrated_server_is_much_slower() {
-        let cal = fig2_measure(ServerProfile::Calibrated, 3, 1);
-        let def = fig2_measure(ServerProfile::PublicDefault, 3, 1);
+        let [cal, def] = [ServerProfile::Calibrated, ServerProfile::PublicDefault]
+            .map(|p| fig2_measure(&[p], 3, 1, Parallelism::Serial).remove(0));
         let ratio = def.download_ms.mean() / cal.download_ms.mean();
         assert!(
             ratio > 1.5,
@@ -192,8 +197,10 @@ mod tests {
 
     #[test]
     fn gae_has_large_variable_wait() {
-        let cal = fig2_measure(ServerProfile::Calibrated, 4, 2);
-        let gae = fig2_measure(ServerProfile::GaeLike, 4, 2);
+        let profiles = [ServerProfile::Calibrated, ServerProfile::GaeLike];
+        let [cal, gae]: [WaitDownloadSplit; 2] = fig2_measure(&profiles, 4, 2, Parallelism::Serial)
+            .try_into()
+            .expect("two profiles");
         assert!(
             gae.wait_ms.mean() > cal.wait_ms.mean() + 100.0,
             "GAE wait {} vs calibrated {}",
@@ -208,7 +215,6 @@ mod tests {
 
     #[test]
     fn grey_box_search_recovers_deployed_parameters() {
-        let reference = reference_plt_ms(2, 3, Parallelism::Serial);
         let candidates = [
             Candidate {
                 macw: 107,
@@ -227,7 +233,7 @@ mod tests {
                 ssthresh_fixed: true,
             },
         ];
-        let (best, err) = grey_box_search(reference, &candidates, 2, 3, Parallelism::Serial);
+        let (reference, best, err) = grey_box_search(&candidates, 2, 3, Parallelism::Serial);
         assert_eq!(best.macw, 430);
         assert!(best.ssthresh_fixed);
         assert!(err < reference * 0.05, "match within 5%: err = {err}");

@@ -11,12 +11,12 @@
 //! seed — the identical network realization — which is a paired design
 //! stronger than the paper's wall-clock adjacency.
 //!
-//! [`Scenario::records`], [`compare`], [`sweep`] and [`sweep_with`] shard
-//! their `(cell, round)` runs through [`run_ordered`] under the caller's
-//! [`Parallelism`]: results are reassembled in cell order regardless of
-//! worker count, and in debug builds the runner wraps each run in a
-//! `CellGuard` so a closure that leaked a `SimRng` or `World` across runs
-//! panics naming both instead of silently correlating rounds.
+//! Every round goes through [`sample`], a table's `(cell, round)` runs as
+//! one [`run_ordered`] batch under the caller's [`Parallelism`];
+//! [`Scenario::records`], [`compare`], [`sweep`] and [`sweep_with`] are
+//! thin uses of it. Results come back in cell order at any worker count,
+//! and in debug builds a closure that leaks a `SimRng` or `World` across
+//! runs panics naming both instead of silently correlating rounds.
 
 use crate::runner::{run_ordered, Parallelism};
 use crate::testbed::{FlowSpec, NetProfile, ProxyTestbed, Testbed};
@@ -127,7 +127,7 @@ impl Scenario {
 
     /// Every round's record, in round order, sharded under `par`.
     pub fn records(&self, par: Parallelism) -> Vec<RunRecord> {
-        run_ordered(par, self.rounds as usize, |k| self.run(k as u64))
+        sample(par, [self.rounds], |_, k| self.run(k)).remove(0)
     }
 
     /// A record's PLT in milliseconds; a deadline miss counts as the
@@ -138,7 +138,7 @@ impl Scenario {
 
     /// Every round's [`Scenario::plt_ms`], folded in round order.
     pub fn plt_summary(&self, par: Parallelism) -> Summary {
-        self.records(par).iter().map(|r| self.plt_ms(r)).collect()
+        plt_summaries(std::slice::from_ref(self), par).remove(0)
     }
 
     /// Build and run one round: the per-round seed and network
@@ -291,13 +291,11 @@ pub struct PairResult {
 /// runs are much slower.
 pub fn compare(cand: &Scenario, base: &Scenario, par: Parallelism) -> PairResult {
     let cells = [cand, base];
-    let mut cand_ms = sample(
-        par,
-        2,
-        |i| cells[i].rounds,
-        |i, k| cells[i].plt_ms(&cells[i].run(k)),
-    );
-    let base_ms = cand_ms.split_off(cand.rounds as usize);
+    let [cand_ms, base_ms]: [Vec<f64>; 2] = sample(par, [cand.rounds, base.rounds], |i, k| {
+        cells[i].plt_ms(&cells[i].run(k))
+    })
+    .try_into()
+    .expect("two cells");
     PairResult {
         comparison: Comparison::lower_is_better(&cand_ms, &base_ms),
         cand_ms,
@@ -317,12 +315,9 @@ pub fn sweep(
     mut cell: impl FnMut(usize, usize) -> (Scenario, Scenario),
 ) -> Heatmap {
     let ncols = col_labels.len();
-    let mut pairs = Vec::with_capacity(row_labels.len() * ncols);
-    for r in 0..row_labels.len() {
-        for c in 0..ncols {
-            pairs.push(cell(r, c));
-        }
-    }
+    let pairs: Vec<(Scenario, Scenario)> = (0..row_labels.len() * ncols)
+        .map(|s| cell(s / ncols, s % ncols))
+        .collect();
     let side = |i: usize| match i % 2 {
         0 => &pairs[i / 2].0,
         _ => &pairs[i / 2].1,
@@ -362,9 +357,8 @@ pub fn sweep_with(
 
 /// The core both sweeps share. Side `2s` is the candidate and `2s + 1`
 /// the baseline of row-major heatmap cell `s`; every side's samples come
-/// from one [`sample`] batch, so a single slow cell cannot straggle behind
-/// a per-cell partition, and are cut back into per-cell slices before the
-/// Welch gate runs — bit-identical to a serial sweep.
+/// from one [`sample`] batch before the Welch gate runs — bit-identical
+/// to a serial sweep.
 fn heatmap(
     title: &str,
     row_labels: &[String],
@@ -375,36 +369,40 @@ fn heatmap(
 ) -> Heatmap {
     let ncols = col_labels.len();
     let ncells = row_labels.len() * ncols;
-    let samples = sample(par, 2 * ncells, &rounds, run);
+    let samples = sample(par, (0..2 * ncells).map(rounds), run);
     let mut map = Heatmap::new(title, row_labels.to_vec(), col_labels.to_vec());
-    let mut pos = 0;
-    for s in 0..ncells {
-        let (nc, nb) = (rounds(2 * s) as usize, rounds(2 * s + 1) as usize);
-        let cand = &samples[pos..pos + nc];
-        let base = &samples[pos + nc..pos + nc + nb];
-        pos += nc + nb;
-        let cmp = Comparison::lower_is_better(cand, base);
+    for (s, pair) in samples.chunks(2).enumerate() {
+        let cmp = Comparison::lower_is_better(&pair[0], &pair[1]);
         map.set(s / ncols, s % ncols, HeatmapCell::from_comparison(&cmp));
     }
     map
 }
 
-/// `rounds(i)` samples of each of `sides` samplers through one
-/// [`run_ordered`] batch of `(side, round)` runs: side after side, each
-/// in round order.
-fn sample(
+/// The one round path: cell `i`'s `rounds[i]` runs, every cell's, as one
+/// [`run_ordered`] batch of `(cell, round)` runs, so a single slow cell
+/// cannot straggle behind a per-cell partition. Returns each cell's
+/// `run(i, k)` results in round order.
+pub fn sample<T: Send>(
     par: Parallelism,
-    sides: usize,
-    rounds: impl Fn(usize) -> u64,
-    run: impl Fn(usize, u64) -> f64 + Sync,
-) -> Vec<f64> {
-    let mut work = Vec::new();
-    for i in 0..sides {
-        for k in 0..rounds(i) {
-            work.push((i, k));
-        }
-    }
-    run_ordered(par, work.len(), |j| run(work[j].0, work[j].1))
+    rounds: impl IntoIterator<Item = u64>,
+    run: impl Fn(usize, u64) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let rounds: Vec<u64> = rounds.into_iter().collect();
+    let work: Vec<(usize, u64)> = (rounds.iter().enumerate())
+        .flat_map(|(i, &n)| (0..n).map(move |k| (i, k)))
+        .collect();
+    let mut runs = run_ordered(par, work.len(), |j| run(work[j].0, work[j].1)).into_iter();
+    (rounds.iter())
+        .map(|&n| runs.by_ref().take(n as usize).collect())
+        .collect()
+}
+
+/// Each cell's [`Scenario::plt_ms`] summary, every cell's rounds in one
+/// [`sample`] batch.
+pub fn plt_summaries(cells: &[Scenario], par: Parallelism) -> Vec<Summary> {
+    let rounds = cells.iter().map(|c| c.rounds);
+    let plts = sample(par, rounds, |i, k| cells[i].plt_ms(&cells[i].run(k)));
+    plts.iter().map(|p| p.iter().copied().collect()).collect()
 }
 
 // Sole caller: `observatory/` (frozen), which names the runners that the

@@ -43,17 +43,18 @@ pub mod fleet;
 pub mod params;
 pub mod rootcause;
 pub mod runner;
+pub mod table;
 pub mod testbed;
 pub mod traceview;
 pub mod versions;
 
 /// Everything a downstream experiment typically needs.
 pub mod prelude {
-    pub use crate::calibration::{
-        fig2_measure, grey_box_search, reference_plt_ms, Candidate, ServerProfile,
-    };
+    pub use crate::calibration::{fig2_measure, grey_box_search, Candidate, ServerProfile};
     pub use crate::cellular::{CellProfile, CELL_PROFILES};
-    pub use crate::experiment::{compare, sweep, sweep_with, PairResult, RunRecord, Scenario};
+    pub use crate::experiment::{
+        compare, plt_summaries, sample, sweep, sweep_with, PairResult, RunRecord, Scenario,
+    };
     // Sole caller: `observatory/` (frozen), which names the runners that
     // the cell value replaced.
     #[doc(hidden)]
@@ -72,9 +73,11 @@ pub mod prelude {
     pub use crate::runner::{run_ordered, run_ordered_reporting, Parallelism, RunnerReport};
     pub use crate::testbed::{FlowSpec, NetProfile, ProxyTestbed, Testbed};
     pub use crate::traceview::{
-        dwell_table, fault_windows, loss_episodes, render_report, render_timeline, FaultWindow,
-        LossEpisode,
+        dwell_table, fault_windows, loss_episodes, FaultWindow, LossEpisode,
     };
+    // Sole caller: `observatory/` (frozen); `repro trace` uses the path.
+    #[doc(hidden)]
+    pub use crate::traceview::render_report;
     pub use crate::versions::QuicVersion;
     pub use longlook_http::app::{BulkClient, ClientApp, WebClient};
     pub use longlook_http::host::{ClientHost, ProtoConfig, ServerHost, WaitModel};

@@ -1,5 +1,5 @@
 //! Chunked work-stealing parallel execution of independent experiment
-//! cells (runner v2).
+//! cells.
 //!
 //! The experiment matrix of Sec 3.3 — `(scenario, protocol, round)` cells,
 //! ≥ 10 rounds per scenario, swept over bandwidth × loss × RTT grids — is
@@ -14,25 +14,21 @@
 //! the moment an experiment closure shares a `SimRng` or `World` across
 //! cells.
 //!
-//! Scheduling is dynamic self-scheduling over **chunks**: each worker
-//! claims a contiguous run of cell indices from a shared atomic cursor
-//! (auto-tuned size, see [`chunk_size`]), so long cells do
-//! not straggle behind a static partition while the cursor stops
-//! ping-ponging between cores on large heatmap sweeps. Finished chunks
-//! travel back over the mpsc channel as one message each and are placed
-//! into their slots before any `longlook-stats` aggregation (Welch tests,
-//! heatmap cells) runs. [`run_ordered_reporting`] additionally returns a
-//! [`RunnerReport`] with per-cell wall-clock and per-worker claim
-//! counters, so chunking wins are measurable (`repro --timing`) rather
-//! than asserted.
-//!
-//! No external crates: `std::thread`, `std::sync::atomic`, and
-//! `std::sync::mpsc` only (the build environment has no crate registry).
+//! There is one worker loop: claim a contiguous run of cell indices from
+//! a shared atomic cursor (auto-tuned size, see [`chunk_size`]) until
+//! none is left, so long cells do not straggle behind a static partition
+//! and the cursor does not ping-pong between cores on large sweeps. With
+//! one job it runs on the calling thread over one chunk; otherwise on
+//! scoped threads, and joining each yields its cells or re-raises its
+//! panic with the original payload. Cells are put back in index order
+//! before any `longlook-stats` aggregation runs. [`run_ordered_reporting`]
+//! also returns a [`RunnerReport`] (per-cell wall-clock, per-worker claim
+//! counters) so chunking wins are measured (`repro --timing`).
 
 use longlook_sim::{CellGuard, CellId};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, Once};
+use std::sync::{Mutex, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -264,27 +260,13 @@ pub fn take_timing_reports() -> Vec<RunnerReport> {
 /// guard can name the offending pair exactly.
 static BATCH: AtomicU64 = AtomicU64::new(0);
 
-/// One worker→collector message: a finished chunk. Carrying whole chunks
-/// (rather than one message per cell) is what lets large sweeps scale —
-/// channel traffic drops by the chunk factor alongside cursor traffic.
-struct ChunkMsg<T> {
-    worker: usize,
-    start: usize,
-    values: Vec<T>,
-    walls: Vec<Duration>,
-    /// Simulation events each cell deposited via [`note_cell_events`].
-    events: Vec<u64>,
-    /// Panic payload of cell `start + values.len()`, if that cell blew up.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
 /// Execute `f(0..n)` under `par` and return results **in index order**.
 ///
 /// `f` must be a pure function of its index for the determinism guarantee
 /// to hold (every experiment cell in this workspace is: the cell derives
 /// its own seed and builds its own `World` — and the debug-build RNG
-/// isolation guard enforces exactly that). Worker panics propagate to the
-/// caller once all workers have drained.
+/// isolation guard enforces exactly that). A cell's panic reaches the
+/// caller with its original payload once every worker has stopped.
 pub fn run_ordered<T, F>(par: Parallelism, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -310,165 +292,80 @@ where
     let started = Instant::now();
     let batch = BATCH.fetch_add(1, Ordering::Relaxed);
     let jobs = par.jobs().min(n.max(1));
-    if jobs <= 1 {
-        return run_serial(batch, n, started, f);
-    }
-    let chunk = chunk_size(n, jobs);
-
+    // One job claims the whole batch as one chunk.
+    let chunk = match jobs {
+        1 => n.max(1),
+        _ => chunk_size(n, jobs),
+    };
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<ChunkMsg<T>>();
+    // The one worker loop: claim the next unclaimed run of `chunk` cells
+    // in one atomic op (dynamic self-scheduling) until none is left, and
+    // run each under its RNG-isolation guard. Each computed cell is its
+    // index, value, wall-clock and deposited simulation events.
+    let work = || {
+        let (mut stats, mut cells) = (WorkerStats::default(), Vec::new());
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                return (stats, cells);
+            }
+            stats.chunks += 1;
+            for index in start..(start + chunk).min(n) {
+                reset_cell_events();
+                let t0 = Instant::now();
+                let guard = CellGuard::enter(CellId {
+                    batch,
+                    index: index as u64,
+                });
+                let value = f(index);
+                drop(guard);
+                cells.push((index, value, t0.elapsed(), take_cell_events()));
+                stats.cells += 1;
+            }
+        }
+    };
+    let parts = if jobs == 1 {
+        // A driver may fan a nested batch out from *inside* an outer cell
+        // (a runner called from a cell with `Parallelism::Serial`). It runs
+        // on this thread, so keep the outer cell's in-progress event count
+        // from the inner batch's per-cell resets.
+        let outer_events = CELL_EVENTS.with(Cell::get);
+        let part = work();
+        CELL_EVENTS.with(|c| c.set(outer_events));
+        vec![part]
+    } else {
+        let joined: Vec<thread::Result<_>> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..jobs).map(|_| scope.spawn(work)).collect();
+            workers.into_iter().map(|w| w.join()).collect()
+        });
+        let resume = |payload| std::panic::resume_unwind(payload);
+        joined
+            .into_iter()
+            .map(|p| p.unwrap_or_else(resume))
+            .collect()
+    };
+
     let mut report = RunnerReport {
         jobs,
         chunk,
         elapsed: Duration::ZERO,
         cell_wall: vec![Duration::ZERO; n],
         cell_events: vec![0; n],
-        workers: vec![WorkerStats::default(); jobs],
+        workers: Vec::with_capacity(jobs),
     };
-    let mut slots: Vec<Option<T>> = thread::scope(|scope| {
-        for worker in 0..jobs {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Dynamic self-scheduling: claim the next unclaimed run of
-                // `chunk` cells in one atomic op.
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                // Buffer the whole chunk locally; the channel carries one
-                // message per chunk, not per cell.
-                let mut values = Vec::with_capacity(end - start);
-                let mut walls = Vec::with_capacity(end - start);
-                let mut events = Vec::with_capacity(end - start);
-                let mut panic = None;
-                for i in start..end {
-                    let cell = CellId {
-                        batch,
-                        index: i as u64,
-                    };
-                    reset_cell_events();
-                    let t0 = Instant::now();
-                    // Catch a cell's panic so its original payload reaches
-                    // the caller (a bare scoped-thread panic would be
-                    // replaced by "a scoped thread panicked"). The guard
-                    // drops (restoring the scope) during unwinding too.
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let _guard = CellGuard::enter(cell);
-                        f(i)
-                    })) {
-                        Ok(v) => {
-                            walls.push(t0.elapsed());
-                            events.push(take_cell_events());
-                            values.push(v);
-                        }
-                        Err(payload) => {
-                            panic = Some(payload);
-                            break;
-                        }
-                    }
-                }
-                let failed = panic.is_some();
-                let msg = ChunkMsg {
-                    worker,
-                    start,
-                    values,
-                    walls,
-                    events,
-                    panic,
-                };
-                // A send error means the collector is gone; just stop.
-                if tx.send(msg).is_err() || failed {
-                    break;
-                }
-            });
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (stats, cells) in parts {
+        report.workers.push(stats);
+        for (i, value, wall, events) in cells {
+            slots[i] = Some(value);
+            report.cell_wall[i] = wall;
+            report.cell_events[i] = events;
         }
-        drop(tx);
-        // Reassemble in deterministic index order. The iterator ends when
-        // every worker has exited (all senders dropped).
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut panic_payload = None;
-        for msg in rx {
-            let stats = &mut report.workers[msg.worker];
-            stats.chunks += 1;
-            stats.cells += msg.values.len();
-            for (j, (value, (wall, events))) in msg
-                .values
-                .into_iter()
-                .zip(msg.walls.into_iter().zip(msg.events))
-                .enumerate()
-            {
-                slots[msg.start + j] = Some(value);
-                report.cell_wall[msg.start + j] = wall;
-                report.cell_events[msg.start + j] = events;
-            }
-            if let Some(payload) = msg.panic {
-                panic_payload.get_or_insert(payload);
-            }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-        slots
-    });
-
-    slots
-        .iter()
-        .for_each(|s| debug_assert!(s.is_some(), "worker skipped a cell"));
-    report.elapsed = started.elapsed();
-    (
-        slots
-            .drain(..)
-            .map(|s| s.expect("every cell index was claimed and computed"))
-            .collect(),
-        report,
-    )
-}
-
-/// Serial path: the calling thread claims the whole batch as one chunk.
-/// Cells still run under per-cell guards, so the RNG isolation check is
-/// exactly as strict at `-j 1` as it is threaded.
-fn run_serial<T, F>(batch: u64, n: usize, started: Instant, f: F) -> (Vec<T>, RunnerReport)
-where
-    F: Fn(usize) -> T,
-{
-    // A driver may fan a nested batch out from *inside* an outer cell
-    // (a runner called from a cell with `Parallelism::Serial` runs a
-    // serial inner batch). The inner batch runs on the calling thread, so
-    // save the outer cell's in-progress event count and restore it
-    // afterwards — otherwise the inner reset would silently zero the outer
-    // cell's tally.
-    let outer_events = CELL_EVENTS.with(Cell::get);
-    let mut report = RunnerReport {
-        jobs: 1,
-        chunk: n.max(1),
-        elapsed: Duration::ZERO,
-        cell_wall: Vec::with_capacity(n),
-        cell_events: Vec::with_capacity(n),
-        workers: vec![WorkerStats {
-            cells: n,
-            chunks: usize::from(n > 0),
-        }],
-    };
-    let values = (0..n)
-        .map(|i| {
-            let cell = CellId {
-                batch,
-                index: i as u64,
-            };
-            reset_cell_events();
-            let t0 = Instant::now();
-            let _guard = CellGuard::enter(cell);
-            let v = f(i);
-            drop(_guard);
-            report.cell_wall.push(t0.elapsed());
-            report.cell_events.push(take_cell_events());
-            v
-        })
+    }
+    let values = slots
+        .into_iter()
+        .map(|s| s.expect("every cell index was claimed and computed"))
         .collect();
-    CELL_EVENTS.with(|c| c.set(outer_events));
     report.elapsed = started.elapsed();
     (values, report)
 }
@@ -544,6 +441,22 @@ mod tests {
             assert!(i != 2, "cell {i} exploded");
             i
         });
+    }
+
+    /// A panic in a one-job batch, which runs on the calling thread,
+    /// reaches the caller with its own payload, as a worker's does.
+    #[test]
+    fn one_job_panic_reaches_the_caller_with_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Exploded(usize);
+        let payload = std::panic::catch_unwind(|| {
+            run_ordered(Parallelism::Serial, 8, |i| match i {
+                3 => std::panic::panic_any(Exploded(i)),
+                _ => i,
+            })
+        })
+        .expect_err("cell 3 panics");
+        assert_eq!(payload.downcast_ref::<Exploded>(), Some(&Exploded(3)));
     }
 
     #[test]

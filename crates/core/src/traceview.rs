@@ -5,10 +5,12 @@
 //!
 //! This is the read side of the trace layer: `repro trace FILE` parses a
 //! `.jsonseq` file (e.g. the trace a shrunk trauma repro carries) and
-//! renders [`render_report`], which is designed to *explain* a failure —
+//! prints [`render_report`], which is designed to *explain* a failure —
 //! the dwell table names the state the connection stalled in, and the
-//! loss-episode extraction locates the injected fault window.
+//! loss-episode extraction locates the injected fault window. Its parts
+//! are laid out by the one table layout, [`crate::table`].
 
+use crate::table::{Column, Table};
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::{TraceEvent, TraceRecord};
 use longlook_transport::ccstate::StateTrace;
@@ -118,10 +120,9 @@ pub fn dwell_table(records: &[TraceRecord]) -> Vec<(&str, Dur, f64)> {
     StateTrace::from_records(records).dwell_table()
 }
 
-/// One human-readable line per event (the qlog "sequence diagram" view).
-fn event_line(r: &TraceRecord) -> String {
-    let t = Time::from_nanos(r.t);
-    let body = match &r.ev {
+/// What one event says, in the qlog "sequence diagram" view.
+fn event_text(ev: &TraceEvent) -> String {
+    match ev {
         TraceEvent::PktTx { pn, size, elicit } => {
             format!(
                 "tx    pn={pn} size={size}{}",
@@ -140,123 +141,97 @@ fn event_line(r: &TraceRecord) -> String {
         TraceEvent::TimerFire { kind } => format!("timer fire {}", kind.label()),
         TraceEvent::FaultOn { kind, dir } => format!("FAULT on  {kind}/{dir}"),
         TraceEvent::FaultOff { kind, dir } => format!("FAULT off {kind}/{dir}"),
+    }
+}
+
+/// The event timeline, one row per event, its middle elided when the
+/// trace exceeds `max_lines` (the head and tail carry the handshake and
+/// the failure).
+fn timeline(records: &[TraceRecord], max_lines: usize) -> Table {
+    let mut t = Table::new(vec![Column::label("", 0), Column::label("", 0).after("  ")]);
+    let line = |r: &TraceRecord| {
+        let at = Time::from_nanos(r.t).to_string();
+        vec![at.into(), event_text(&r.ev).into()]
     };
-    format!("{t:>14}  {body}")
+    let elided = records.len().saturating_sub(max_lines);
+    let head = if elided > 0 {
+        max_lines / 2
+    } else {
+        records.len()
+    };
+    records[..head].iter().for_each(|r| t.row(line(r)));
+    if elided > 0 {
+        t.row(vec![format!("  ... {elided} events elided ...").into()]);
+    }
+    records[head + elided..].iter().for_each(|r| t.row(line(r)));
+    t
 }
 
-/// Render the event timeline, eliding the middle when the trace exceeds
-/// `max_lines` (the head and tail carry the handshake and the failure).
-pub fn render_timeline(records: &[TraceRecord], max_lines: usize) -> String {
-    let mut out = String::new();
-    if records.len() <= max_lines {
-        for r in records {
-            let _ = writeln!(out, "{}", event_line(r));
-        }
-        return out;
-    }
-    let head = max_lines / 2;
-    let tail = max_lines - head;
-    for r in &records[..head] {
-        let _ = writeln!(out, "{}", event_line(r));
-    }
-    let _ = writeln!(out, "  ... {} events elided ...", records.len() - max_lines);
-    for r in &records[records.len() - tail..] {
-        let _ = writeln!(out, "{}", event_line(r));
-    }
-    out
-}
-
-/// Render the per-state dwell table.
-pub fn render_dwell_table(records: &[TraceRecord]) -> String {
-    let rows = dwell_table(records);
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<26} {:>12} {:>8}", "state", "dwell", "share");
-    for (state, dwell, frac) in rows {
-        let _ = writeln!(
-            out,
-            "{:<26} {:>12} {:>7.1}%",
-            state,
-            format!("{dwell}"),
-            frac * 100.0
-        );
-    }
-    out
-}
-
-/// Render the loss-episode report with fault attribution.
-pub fn render_loss_episodes(records: &[TraceRecord]) -> String {
-    let episodes = loss_episodes(records);
-    let mut out = String::new();
-    if episodes.is_empty() {
-        let _ = writeln!(out, "no losses declared");
-        return out;
-    }
-    for (i, ep) in episodes.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "episode {}: {} losses in [{} .. {}]{}",
-            i + 1,
-            ep.losses,
-            ep.start,
-            ep.end,
-            match &ep.fault {
-                Some(f) => format!("  <- fault window {f}"),
-                None => String::new(),
-            },
-        );
-    }
-    out
-}
-
-/// The full analyzer report: summary counters, fault windows, the dwell
-/// table, loss episodes, and an elided timeline.
+/// The analyzer's report: summary counters, fault windows, the per-state
+/// dwell table, loss episodes with their fault attribution, and the event
+/// timeline (40 lines at most). Every part is laid out as a [`Table`].
 pub fn render_report(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    let n_tx = records
-        .iter()
-        .filter(|r| matches!(r.ev, TraceEvent::PktTx { .. }))
-        .count();
-    let n_rx = records
-        .iter()
-        .filter(|r| matches!(r.ev, TraceEvent::PktRx { .. }))
-        .count();
-    let n_loss = records
-        .iter()
-        .filter(|r| matches!(r.ev, TraceEvent::Loss { .. }))
-        .count();
+    let count = |f: fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.ev)).count();
+    let n_tx = count(|e| matches!(e, TraceEvent::PktTx { .. }));
+    let n_rx = count(|e| matches!(e, TraceEvent::PktRx { .. }));
+    let n_loss = count(|e| matches!(e, TraceEvent::Loss { .. }));
     let span = match (records.first(), records.last()) {
         (Some(a), Some(b)) => Time::from_nanos(b.t).saturating_since(Time::from_nanos(a.t)),
         _ => Dur::ZERO,
     };
-    let _ = writeln!(
-        out,
-        "trace: {} events over {span}  (tx {n_tx}, rx {n_rx}, losses {n_loss})",
+    let mut out = format!(
+        "trace: {} events over {span}  (tx {n_tx}, rx {n_rx}, losses {n_loss})\n",
         records.len(),
     );
     let windows = fault_windows(records);
     if !windows.is_empty() {
-        let _ = writeln!(out, "\nfault windows:");
-        for w in &windows {
-            let off = if w.off == Time::MAX {
-                "end-of-trace".to_string()
-            } else {
-                format!("{}", w.off)
+        let mut t = Table::new(vec![
+            Column::label("", 20).after("  "),
+            Column::label("", 0).after(" "),
+        ]);
+        for w in windows {
+            let off = match w.off {
+                Time::MAX => "end-of-trace".to_string(),
+                off => off.to_string(),
             };
-            let _ = writeln!(out, "  {:<20} [{} .. {}]", w.label, w.on, off);
+            t.row(vec![w.label.into(), format!("[{} .. {off}]", w.on).into()]);
         }
+        let _ = write!(out, "\nfault windows:\n{t}");
     }
-    let _ = writeln!(out, "\nper-state dwell:");
-    out.push_str(&render_dwell_table(records));
-    let _ = writeln!(out, "\nloss episodes:");
-    out.push_str(&render_loss_episodes(records));
-    let _ = writeln!(out, "\ntimeline:");
-    out.push_str(&render_timeline(records, 40));
+    let mut dwell = Table::new(vec![
+        Column::label("state", 26),
+        Column::num("dwell", 12, 0).after(" "),
+        Column::num("share", 8, 0).after(" "),
+    ]);
+    for (state, time, frac) in dwell_table(records) {
+        let share = format!("{:.1}%", frac * 100.0);
+        dwell.row(vec![state.into(), time.to_string().into(), share.into()]);
+    }
+    let _ = write!(out, "\nper-state dwell:\n{dwell}\nloss episodes:\n");
+    let episodes = loss_episodes(records);
+    if episodes.is_empty() {
+        out.push_str("no losses declared\n");
+    }
+    let leads = ["episode ", ": ", " losses in [", " .. ", "]"];
+    let mut t = Table::new(leads.map(|l| Column::label("", 0).after(l)).to_vec());
+    for (i, ep) in episodes.into_iter().enumerate() {
+        let fault = ep.fault.map(|f| format!("  <- fault window {f}"));
+        t.row(vec![
+            (i + 1).to_string().into(),
+            ep.losses.to_string().into(),
+            ep.start.to_string().into(),
+            ep.end.to_string().into(),
+            fault.unwrap_or_default().into(),
+        ]);
+    }
+    let _ = write!(out, "{t}\ntimeline:\n{}", timeline(records, 40));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use longlook_sim::trace::RecoveryKind;
 
     fn rec(t_ms: u64, ev: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -378,12 +353,155 @@ mod tests {
         assert!(report.contains("0 events"));
     }
 
+    /// A trace with every kind of event: a closed and an unclosed fault
+    /// window, two loss episodes, repeat state visits and 48 events, so
+    /// the timeline elides its middle.
+    fn eventful_trace() -> Vec<TraceRecord> {
+        let fault = |on: bool, kind: &str, dir: &str| {
+            let (kind, dir) = (kind.into(), dir.into());
+            match on {
+                true => TraceEvent::FaultOn { kind, dir },
+                false => TraceEvent::FaultOff { kind, dir },
+            }
+        };
+        let state = |s: &str| TraceEvent::CcState { state: s.into() };
+        let mut recs = vec![rec(0, state("Init")), rec(1, state("SlowStart"))];
+        for pn in 0..12 {
+            recs.push(rec(
+                2 + pn * 10,
+                TraceEvent::PktTx {
+                    pn,
+                    size: 1200,
+                    elicit: pn % 5 != 4,
+                },
+            ));
+            recs.push(rec(7 + pn * 10, TraceEvent::PktRx { pn, size: 60 }));
+        }
+        recs.extend([
+            rec(150, fault(true, "blackout", "both")),
+            rec(160, TraceEvent::AckProcessed { newly_acked: 4800 }),
+            rec(170, TraceEvent::Cwnd { bytes: 48_000 }),
+            rec(
+                180,
+                TraceEvent::TimerArm {
+                    deadline_ns: 400_000_000,
+                },
+            ),
+            rec(
+                400,
+                TraceEvent::TimerFire {
+                    kind: RecoveryKind::Tlp,
+                },
+            ),
+            rec(410, TraceEvent::Loss { pn: 9 }),
+            rec(420, TraceEvent::Loss { pn: 10 }),
+            rec(
+                430,
+                TraceEvent::Recovery {
+                    kind: RecoveryKind::FastRetx,
+                },
+            ),
+            rec(440, state("Recovery")),
+            rec(450, fault(false, "blackout", "both")),
+            rec(900, state("CongestionAvoidance")),
+            rec(1_000, fault(true, "stall", "down")),
+            rec(1_700, TraceEvent::Loss { pn: 30 }),
+            rec(
+                1_710,
+                TraceEvent::Recovery {
+                    kind: RecoveryKind::Rto,
+                },
+            ),
+            rec(1_720, state("Recovery")),
+            rec(1_800, TraceEvent::Cwnd { bytes: 2_400 }),
+            rec(1_900, TraceEvent::AckProcessed { newly_acked: 1200 }),
+            rec(
+                2_000,
+                TraceEvent::Recovery {
+                    kind: RecoveryKind::GiveUp,
+                },
+            ),
+            rec(2_100, state("CongestionAvoidance")),
+            rec(2_200, TraceEvent::Cwnd { bytes: 3_600 }),
+        ]);
+        recs
+    }
+
+    /// The analyzer's whole text for [`eventful_trace`].
+    const EVENTFUL_REPORT: &str = "trace: 46 events over 2.200s  (tx 12, rx 12, losses 3)
+
+fault windows:
+  blackout/both        [0.150000s .. 0.450000s]
+  stall/down           [1.000000s .. end-of-trace]
+
+per-state dwell:
+state                             dwell    share
+Init                            1.000ms     0.0%
+SlowStart                     439.000ms    20.0%
+Recovery                      840.000ms    38.2%
+CongestionAvoidance           920.000ms    41.8%
+
+loss episodes:
+episode 1: 2 losses in [0.410000s .. 0.420000s]  <- fault window blackout/both
+episode 2: 1 losses in [1.700000s .. 1.700000s]  <- fault window stall/down
+
+timeline:
+0.000000s  state -> Init
+0.001000s  state -> SlowStart
+0.002000s  tx    pn=0 size=1200
+0.007000s  rx    pn=0 size=60
+0.012000s  tx    pn=1 size=1200
+0.017000s  rx    pn=1 size=60
+0.022000s  tx    pn=2 size=1200
+0.027000s  rx    pn=2 size=60
+0.032000s  tx    pn=3 size=1200
+0.037000s  rx    pn=3 size=60
+0.042000s  tx    pn=4 size=1200 (ctrl)
+0.047000s  rx    pn=4 size=60
+0.052000s  tx    pn=5 size=1200
+0.057000s  rx    pn=5 size=60
+0.062000s  tx    pn=6 size=1200
+0.067000s  rx    pn=6 size=60
+0.072000s  tx    pn=7 size=1200
+0.077000s  rx    pn=7 size=60
+0.082000s  tx    pn=8 size=1200
+0.087000s  rx    pn=8 size=60
+  ... 6 events elided ...
+0.150000s  FAULT on  blackout/both
+0.160000s  ack   newly_acked=4800
+0.170000s  cwnd  48000
+0.180000s  timer arm -> 0.400000s
+0.400000s  timer fire tlp
+0.410000s  loss  pn=9
+0.420000s  loss  pn=10
+0.430000s  recov fr
+0.440000s  state -> Recovery
+0.450000s  FAULT off blackout/both
+0.900000s  state -> CongestionAvoidance
+1.000000s  FAULT on  stall/down
+1.700000s  loss  pn=30
+1.710000s  recov rto
+1.720000s  state -> Recovery
+1.800000s  cwnd  2400
+1.900000s  ack   newly_acked=1200
+2.000000s  recov gu
+2.100000s  state -> CongestionAvoidance
+2.200000s  cwnd  3600
+";
+
+    #[test]
+    fn report_lays_out_every_part_of_an_eventful_trace() {
+        let recs = eventful_trace();
+        assert!(recs.len() > 40);
+        assert_eq!(render_report(&recs), EVENTFUL_REPORT);
+    }
+
     #[test]
     fn timeline_elides_middle() {
         let recs: Vec<TraceRecord> = (0..100)
             .map(|i| rec(i, TraceEvent::Cwnd { bytes: i }))
             .collect();
-        let text = render_timeline(&recs, 10);
+        let text = timeline(&recs, 10).to_string();
         assert!(text.contains("90 events elided"));
         assert_eq!(text.lines().count(), 11);
     }

@@ -129,9 +129,14 @@ fn proxied_run_matches_direct_topology_semantics() {
 
 #[test]
 fn server_profiles_order_as_figure2() {
-    let cal = fig2_measure(ServerProfile::Calibrated, 3, 5);
-    let gae = fig2_measure(ServerProfile::GaeLike, 3, 5);
-    let def = fig2_measure(ServerProfile::PublicDefault, 3, 5);
+    let profiles = [
+        ServerProfile::Calibrated,
+        ServerProfile::GaeLike,
+        ServerProfile::PublicDefault,
+    ];
+    let [cal, gae, def]: [_; 3] = fig2_measure(&profiles, 3, 5, Parallelism::Serial)
+        .try_into()
+        .expect("three profiles");
     let total =
         |s: &longlook_core::calibration::WaitDownloadSplit| s.wait_ms.mean() + s.download_ms.mean();
     assert!(

@@ -190,6 +190,27 @@ fn observatory_sweep_shim_equals_sweep() {
     }
 }
 
+/// The one round path: one `sample` batch of three cells with unequal
+/// rounds hands each cell back exactly its own `records`, field for
+/// field, whether the batch runs serially or on three workers.
+#[test]
+fn one_batch_of_unequal_cells_equals_each_cells_records() {
+    let cells: Vec<Scenario> = scenarios()
+        .into_iter()
+        .zip([(2, quic()), (5, tcp()), (3, quic())])
+        .map(|((_, sc), (rounds, proto))| sc.with_rounds(rounds).with_proto(proto))
+        .collect();
+    let own: Vec<Vec<RunRecord>> = cells
+        .iter()
+        .map(|sc| sc.records(Parallelism::Serial))
+        .collect();
+    for par in [Parallelism::Serial, Parallelism::Threads(3)] {
+        let rounds = cells.iter().map(|sc| sc.rounds);
+        let batch = sample(par, rounds, |i, k| cells[i].run(k));
+        assert_eq!(batch, own, "{par:?}: a cell's runs differ inside one batch");
+    }
+}
+
 /// Seed stability: constructing and running the very same scenario twice
 /// gives identical `RunRecord`s **and** an identical number of simulator
 /// events processed — i.e. not just matching summaries but the same
