@@ -274,7 +274,7 @@ mod tests {
         assert_eq!(q.completed + q.timed_out, 400);
         assert_eq!(t.completed + t.timed_out, 400);
         assert!(q.completed > 380, "QUIC completed only {}", q.completed);
-        // Same seed, same arrival draws: the handshake gap (0/1 RTT vs 3)
+        // Same seed, same arrival draws: the handshake gap (0/1 RTT vs 2)
         // must show up in the medians.
         assert!(
             q.p50_ms() < t.p50_ms(),

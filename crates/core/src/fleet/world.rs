@@ -8,7 +8,7 @@
 //! gap between "now" and the horizon, and a flight that would wait longer
 //! than the buffer drains is marked lost). Handshakes are charged as
 //! whole RTTs from the protocol configs' `handshake_rtts` — QUIC's 0/1
-//! RTT versus TCP+TLS's 3 — which is exactly the asymmetry the paper's
+//! RTT versus TCP+TLS's 2 — which is exactly the asymmetry the paper's
 //! Fig 7 isolates, scaled up to a population.
 //!
 //! # The link is the loop

@@ -26,7 +26,7 @@
 //! the wheel covers a ring of [`SLOTS`] consecutive ticks (~268 ms). With
 //! the testbed's 36–54 ms RTTs, retransmission timers, pacing wakes,
 //! link-transit completions, the fleet's acks (queueing, serialisation,
-//! an RTT and server time) and TCP's 3-RTT handshakes all land inside the
+//! an RTT and server time) and TCP's 2-RTT handshakes all land inside the
 //! ring; only idle timeouts and `Time::MAX`-style "never" wakes overflow.
 //!
 //! * Events whose tick equals the cursor's current tick have their keys in

@@ -105,15 +105,16 @@ impl Default for TcpConfig {
 
 impl TcpConfig {
     /// Round trips spent on connection establishment before request data
-    /// can flow: 1 for the SYN exchange, plus 2 for the TLS 1.2 handshake
-    /// when `tls` is set — the 3-RTT total the paper contrasts with
-    /// QUIC's 0/1-RTT setup.
+    /// can flow: 1 for the SYN exchange, plus 1 for the TLS 1.2 handshake
+    /// when `tls` is set (the request leaves with the client's Finished,
+    /// TLS False Start) — 2 RTTs against QUIC's 0/1-RTT setup.
     ///
     /// Used by the fleet world's flight-granular model, where handshakes
-    /// are charged as whole RTTs rather than simulated packet by packet.
+    /// are charged as whole RTTs rather than simulated packet by packet;
+    /// the `fleet_handshake` referee holds it to the packet-level model.
     pub fn handshake_rtts(&self) -> u32 {
         if self.tls {
-            3
+            2
         } else {
             1
         }
