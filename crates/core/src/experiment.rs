@@ -26,7 +26,7 @@ use longlook_http::workload::PageSpec;
 use longlook_quic::QuicConfig;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::{merge_by_time, TraceRecord};
-use longlook_sim::{DeviceProfile, ExecConfig, FaultPlan, RunOutcome, TraceMode};
+use longlook_sim::{DeviceProfile, FaultPlan, RunOutcome, TraceMode};
 use longlook_stats::{Comparison, Heatmap, HeatmapCell, Summary};
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::conn::{ConnError, ConnStats};
@@ -146,13 +146,14 @@ impl Scenario {
     /// to `self.deadline`. The trace is empty unless `trace`.
     fn run_cell(&self, round: u64, trace: bool) -> (RunRecord, Vec<TraceRecord>) {
         let stamp = |proto: &ProtoConfig| match trace {
-            true => proto.clone().with_exec(ExecConfig {
-                trace: TraceMode::On,
-            }),
+            true => proto.clone().with_trace(TraceMode::On),
             false => proto.clone(),
         };
         let seed = self.base_seed.wrapping_mul(1_000_003).wrapping_add(round);
-        let net = per_round_net(self, round);
+        let net = self
+            .net
+            .clone()
+            .with_rtt_draw(self.base_seed ^ 0xA11CE, round);
         let app = Box::new(WebClient::new(self.page.clone()));
         let (mut world, client, server, flow) = match &self.proxy {
             None => {
@@ -219,17 +220,6 @@ impl Scenario {
         let conn_trace = server.conn_trace(flow).unwrap_or_default();
         (rec, merge_by_time(conn_trace, &edges))
     }
-}
-
-/// Per-round network realization: the base RTT varies by ±3% from round
-/// to round, modelling the path-latency noise any physical testbed has.
-/// Without this, the deterministic simulator would report sub-percent
-/// differences as maximally significant, which no real measurement could.
-fn per_round_net(sc: &Scenario, round: u64) -> NetProfile {
-    let mut net = sc.net.clone();
-    let u = longlook_sim::rng::hash_unit(sc.base_seed ^ 0xA11CE, round);
-    net.rtt = net.rtt.mul_f64(0.97 + 0.06 * u);
-    net
 }
 
 /// Everything one run produces. `PartialEq` compares every field, which

@@ -63,10 +63,7 @@ pub fn run_fairness(
     seed: u64,
 ) -> FairnessRun {
     // Per-run path-latency noise, as in the PLT experiments.
-    let mut net = net.clone();
-    let u = longlook_sim::rng::hash_unit(seed ^ 0xFA1A, 0);
-    net.rtt = net.rtt.mul_f64(0.97 + 0.06 * u);
-    let net = &net;
+    let net = &net.clone().with_rtt_draw(seed ^ 0xFA1A, 0);
     // The server must have a huge object: 210 MB (catalog entry 0).
     let catalog = PageSpec::single(210 * 1024 * 1024);
     // Stagger flow starts by 200 ms each so handshakes don't collide in

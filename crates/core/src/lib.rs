@@ -85,8 +85,8 @@ pub mod prelude {
     pub use longlook_quic::{CcKind, QuicConfig};
     pub use longlook_sim::time::{Dur, Time};
     pub use longlook_sim::{
-        DeviceProfile, ExecConfig, FaultDir, FaultEvent, FaultKind, FaultPlan, GeParams, Jitter,
-        PeerSide, RateSchedule, ReorderSpec, RunOutcome, TraceMode,
+        DeviceProfile, FaultDir, FaultEvent, FaultKind, FaultPlan, GeParams, Jitter, PeerSide,
+        RateSchedule, ReorderSpec, RunOutcome, TraceMode,
     };
     pub use longlook_stats::{Comparison, Heatmap, HeatmapCell, Summary, Verdict};
     pub use longlook_tcp::TcpConfig;

@@ -10,11 +10,16 @@ use longlook_http::app::ClientApp;
 use longlook_http::host::{ClientHost, ProtoConfig, ServerHost, WaitModel};
 use longlook_http::workload::PageSpec;
 use longlook_proxy::ProxyHost;
+use longlook_quic::{CONN_RECV_WINDOW_MAX, STREAM_RECV_WINDOW_MAX};
 use longlook_sim::link::{Jitter, LinkConfig, ReorderSpec};
 use longlook_sim::schedule::RateSchedule;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::world::World;
 use longlook_sim::{DeviceProfile, FaultPlan, FlowId, NodeId, PeerSide};
+
+/// Half-width of the per-run RTT draw: each run's base RTT is the path's
+/// times a factor in `[1 - RTT_DRAW, 1 + RTT_DRAW)`.
+const RTT_DRAW: f64 = 0.03;
 
 /// A network environment: everything `tc`/`netem` controlled on the
 /// paper's router.
@@ -90,6 +95,18 @@ impl NetProfile {
         self
     }
 
+    /// This path as one run realizes it: the base RTT scaled by a factor
+    /// within ±[`RTT_DRAW`], drawn as a pure hash of `(key, index)`. It
+    /// models the path-latency noise any physical testbed has; without
+    /// it the deterministic simulator would report sub-percent
+    /// differences as maximally significant, which no real measurement
+    /// could.
+    pub(crate) fn with_rtt_draw(mut self, key: u64, index: u64) -> Self {
+        let u = longlook_sim::rng::hash_unit(key, index);
+        self.rtt = self.rtt.mul_f64((1.0 - RTT_DRAW) + 2.0 * RTT_DRAW * u);
+        self
+    }
+
     /// One direction's link configuration.
     pub fn link(&self) -> LinkConfig {
         let owd = Dur::from_nanos(self.rtt.as_nanos() / 2);
@@ -130,8 +147,8 @@ pub struct Testbed {
 
 impl Testbed {
     /// Build the Fig 1 topology with the given flows sharing one link.
-    /// Each flow's connections run on the `ExecConfig` its protocol
-    /// config carries.
+    /// Each flow's connections trace as its protocol config's `trace`
+    /// says.
     pub fn direct(
         seed: u64,
         net: &NetProfile,
@@ -176,8 +193,8 @@ impl Testbed {
             let client_proto = match (&spec.proto, device.quic_recv_window_cap) {
                 (ProtoConfig::Quic(cfg), Some(cap)) => {
                     let mut c = cfg.clone();
-                    c.conn_recv_window = cap.min(c.conn_recv_window_max);
-                    c.stream_recv_window = (cap * 2 / 3).min(c.stream_recv_window_max);
+                    c.conn_recv_window = cap.min(CONN_RECV_WINDOW_MAX);
+                    c.stream_recv_window = (cap * 2 / 3).min(STREAM_RECV_WINDOW_MAX);
                     c.flow_auto_tune = false;
                     ProtoConfig::Quic(c)
                 }

@@ -16,6 +16,7 @@
 use longlook_core::fleet::{FleetConfig, FleetMetrics};
 use longlook_http::host::ProtoConfig;
 use longlook_http::workload::fleet_object_bytes;
+use longlook_quic::CONN_RECV_WINDOW_MAX;
 use longlook_sim::rng::hash_unit;
 use longlook_sim::sched::EventQueue;
 use longlook_sim::time::{Dur, Time};
@@ -120,34 +121,28 @@ struct ProtoModel {
 
 impl ProtoModel {
     fn of(proto: &ProtoConfig) -> ProtoModel {
-        match proto {
-            ProtoConfig::Quic(q) => {
-                let mss = q.mss as u32;
-                ProtoModel {
-                    mss,
-                    init_cwnd: q.cubic.initial_cwnd_packets as u32 * mss,
-                    max_cwnd: q
-                        .cubic
-                        .max_cwnd_packets
-                        .map_or(q.conn_recv_window_max, |p| p * q.mss)
-                        as u32,
-                    hs_cold: q.handshake_rtts(false),
-                    hs_repeat: q.handshake_rtts(true),
-                }
-            }
-            ProtoConfig::Tcp(t) => {
-                let mss = t.mss as u32;
-                ProtoModel {
-                    mss,
-                    init_cwnd: t.cubic.initial_cwnd_packets as u32 * mss,
-                    max_cwnd: t
-                        .cubic
-                        .max_cwnd_packets
-                        .map_or(t.recv_buffer, |p| p * t.mss) as u32,
-                    hs_cold: t.handshake_rtts(),
-                    hs_repeat: t.handshake_rtts(),
-                }
-            }
+        // Without a MACW clamp the window is bounded by the receiver's.
+        let (cubic, recv_window, hs_cold, hs_repeat) = match proto {
+            ProtoConfig::Quic(q) => (
+                &q.cubic,
+                CONN_RECV_WINDOW_MAX,
+                q.handshake_rtts(false),
+                q.handshake_rtts(true),
+            ),
+            ProtoConfig::Tcp(t) => (
+                &t.cubic,
+                t.recv_buffer,
+                t.handshake_rtts(),
+                t.handshake_rtts(),
+            ),
+        };
+        let mss = cubic.mss;
+        ProtoModel {
+            mss: mss as u32,
+            init_cwnd: (cubic.initial_cwnd_packets * mss) as u32,
+            max_cwnd: cubic.max_cwnd_packets.map_or(recv_window, |p| p * mss) as u32,
+            hs_cold,
+            hs_repeat,
         }
     }
 }

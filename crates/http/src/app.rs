@@ -242,15 +242,6 @@ impl BulkClient {
             .map(|&b| b as f64 * 8.0 / 1e6 / secs)
             .collect()
     }
-
-    /// Mean throughput over the active period, Mbps.
-    pub fn mean_throughput_mbps(&self) -> f64 {
-        if self.buckets.is_empty() {
-            return 0.0;
-        }
-        let tl = self.throughput_mbps();
-        tl.iter().sum::<f64>() / tl.len() as f64
-    }
 }
 
 impl ClientApp for BulkClient {

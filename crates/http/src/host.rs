@@ -12,7 +12,7 @@ use longlook_quic::{QuicConfig, QuicConnection};
 use longlook_sim::rng::SimRng;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::world::{Agent, Ctx};
-use longlook_sim::{ExecConfig, FlowId, NodeId, Packet, PktClass};
+use longlook_sim::{FlowId, NodeId, Packet, PktClass, TraceMode};
 use longlook_tcp::{TcpConfig, TcpConnection};
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::conn::{AppEvent, ConnError, ConnStats, Connection, StreamId};
@@ -67,14 +67,14 @@ impl ProtoConfig {
         self
     }
 
-    /// Stamp the execution mode (tracing) both endpoints' connections
-    /// run on. The experiment runner stamps the scenario's [`ExecConfig`]
-    /// on the protocol configs it hands the testbed, so a cell's mode is
-    /// a value it carries rather than process state.
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+    /// Stamp the trace mode both endpoints' connections run with. The
+    /// experiment runner stamps it on the protocol configs it hands the
+    /// testbed, so whether a cell traces is a value it carries rather
+    /// than process state.
+    pub fn with_trace(mut self, trace: TraceMode) -> Self {
         match &mut self {
-            ProtoConfig::Quic(cfg) => cfg.exec = exec,
-            ProtoConfig::Tcp(cfg) => cfg.exec = exec,
+            ProtoConfig::Quic(cfg) => cfg.trace = trace,
+            ProtoConfig::Tcp(cfg) => cfg.trace = trace,
         }
         self
     }
@@ -191,7 +191,7 @@ impl ClientHost {
     }
 
     /// Structured trace records of the `index`-th connection
-    /// (`ExecConfig::trace`); empty when tracing is off.
+    /// (its config's `trace`); empty when tracing is off.
     pub fn conn_trace(&self, index: usize) -> &[longlook_sim::trace::TraceRecord] {
         self.slots[index].conn.trace_records()
     }
@@ -366,7 +366,7 @@ impl ServerHost {
     }
 
     /// Structured trace records of the connection for `flow`
-    /// (`ExecConfig::trace`); empty when tracing is off.
+    /// (its config's `trace`); empty when tracing is off.
     pub fn conn_trace(&self, flow: FlowId) -> Option<&[longlook_sim::trace::TraceRecord]> {
         self.conns.get(&flow).map(|s| s.conn.trace_records())
     }

@@ -81,20 +81,17 @@ mod world_tests {
         ProtoConfig::Tcp(TcpConfig::default())
     }
 
-    /// `with_exec` reaches the connection: the stamped trace mode picks
+    /// `with_trace` reaches the connection: the stamped trace mode picks
     /// the tracer, for both protocols and both roles.
     #[test]
-    fn with_exec_selects_the_connections_paths() {
-        use longlook_sim::{ExecConfig, TraceMode};
-        let traced = ExecConfig {
-            trace: TraceMode::On,
-        };
+    fn with_trace_selects_the_connections_paths() {
+        use longlook_sim::TraceMode;
         for proto in [quic(), tcp()] {
             let mut plain = proto.client_conn(FlowId(1), false, Time::ZERO);
             plain.poll_transmit(Time::ZERO).expect("first flight");
             assert!(plain.trace_records().is_empty());
 
-            let stamped = proto.with_exec(traced);
+            let stamped = proto.with_trace(TraceMode::On);
             let mut client = stamped.client_conn(FlowId(1), false, Time::ZERO);
             client.poll_transmit(Time::ZERO).expect("first flight");
             assert!(!client.trace_records().is_empty());

@@ -5,10 +5,23 @@
 //! 0-RTT (Fig 7), pacing, HyStart, and the choice of congestion
 //! controller (Fig 3b). `longlook-core`'s version model maps QUIC versions
 //! 25-37 onto instances of this struct.
+//!
+//! What no experiment varies is a constant, not a field: the flow-control
+//! auto-tune ceilings below, the ack decimation count
+//! ([`connection`](crate::connection)), the RTT seed
+//! ([`longlook_transport::rtt::INITIAL_RTT`]) and the watchdog deadlines
+//! ([`longlook_transport::chassis`]). The segment size is `cubic.mss`, and
+//! a client with cached server state always attempts 0-RTT; the server
+//! side's `zero_rtt_accept` decides whether it succeeds.
 
 use longlook_sim::time::Dur;
-use longlook_sim::ExecConfig;
+use longlook_sim::TraceMode;
 use longlook_transport::cubic::CubicConfig;
+
+/// Auto-tune ceiling for the connection-level receive window.
+pub const CONN_RECV_WINDOW_MAX: u64 = 15 * 1024 * 1024;
+/// Auto-tune ceiling for stream-level receive windows.
+pub const STREAM_RECV_WINDOW_MAX: u64 = 6 * 1024 * 1024;
 
 /// Which congestion controller to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,11 +35,11 @@ pub enum CcKind {
 /// QUIC connection configuration.
 #[derive(Debug, Clone)]
 pub struct QuicConfig {
-    /// Sender maximum segment size (stream payload budget per packet).
-    pub mss: u64,
     /// Congestion controller selection.
     pub cc: CcKind,
     /// Cubic parameters (MACW, N-connection emulation, HyStart, ...).
+    /// Its `mss` is the connection's stream payload budget per packet,
+    /// whichever controller runs.
     pub cubic: CubicConfig,
     /// Consecutive-NACK threshold for fast retransmit (gQUIC default 3).
     /// The fixed threshold is why QUIC misreads deep reordering as loss
@@ -46,28 +59,20 @@ pub struct QuicConfig {
     /// Maximum concurrent streams per connection (MSPC, default 100).
     pub max_streams: u32,
     /// Initial connection-level receive window (bytes). gQUIC auto-tunes
-    /// this upward (doubling) while the receiver consumes fast enough.
+    /// this upward (doubling, up to [`CONN_RECV_WINDOW_MAX`]) while the
+    /// receiver consumes fast enough.
     pub conn_recv_window: u64,
-    /// Initial per-stream receive window (bytes).
+    /// Initial per-stream receive window (bytes); auto-tuning grows it up
+    /// to [`STREAM_RECV_WINDOW_MAX`].
     pub stream_recv_window: u64,
-    /// Auto-tune ceiling for the connection window.
-    pub conn_recv_window_max: u64,
-    /// Auto-tune ceiling for stream windows.
-    pub stream_recv_window_max: u64,
     /// Enable receive-window auto-tuning (double the window whenever two
     /// consecutive window updates are less than 2 x sRTT apart). This is
     /// the mechanism behind the paper's mobile finding: a phone that
     /// cannot consume packets in userspace never grows its windows, so
     /// the sender ends up Application-Limited (Fig 13).
     pub flow_auto_tune: bool,
-    /// Send an ack after this many unacked data packets.
-    pub ack_every: u32,
     /// Delayed-ack timer.
     pub delayed_ack: Dur,
-    /// RTT assumed before the first sample.
-    pub initial_rtt: Dur,
-    /// Whether the client may attempt 0-RTT when it has cached state.
-    pub zero_rtt_enabled: bool,
     /// Whether the server accepts 0-RTT data before the full handshake
     /// (real servers reject when the cached server config expired). When
     /// `false`, a 0-RTT attempt draws a REJ: the client falls back to a
@@ -75,37 +80,31 @@ pub struct QuicConfig {
     pub zero_rtt_accept: bool,
     /// Arm the connection watchdog: give up with a typed
     /// [`longlook_transport::ConnError`] when the handshake exceeds
-    /// `handshake_timeout` or an established connection sits idle with
-    /// outstanding work past `idle_timeout`. Off by default so unfaulted
-    /// runs schedule no extra timers; the testbed flips it on whenever a
-    /// fault plan is attached.
+    /// [`HANDSHAKE_TIMEOUT`](longlook_transport::chassis::HANDSHAKE_TIMEOUT)
+    /// or an established connection sits idle with outstanding work past
+    /// [`IDLE_TIMEOUT`](longlook_transport::chassis::IDLE_TIMEOUT). Off by
+    /// default so unfaulted runs schedule no extra timers; the testbed
+    /// flips it on whenever a fault plan is attached.
     pub watchdog: bool,
-    /// Handshake deadline when the watchdog is armed.
-    pub handshake_timeout: Dur,
-    /// Idle deadline (no forward progress with work outstanding) when the
-    /// watchdog is armed.
-    pub idle_timeout: Dur,
     /// Test-only canary: swallow watchdog expiry without surfacing the
     /// typed error, leaving the connection incomplete and silent. Exists
     /// so the fuzzer's no-silent-livelock oracle has a real bug to catch
     /// and shrink; never set outside the fuzz harness.
     #[doc(hidden)]
     pub canary_mute_watchdog: bool,
-    /// How this connection executes (tracing). Never changes protocol
-    /// behavior; the experiment runner stamps the scenario's value onto
-    /// both endpoints.
-    pub exec: ExecConfig,
+    /// Whether this connection keeps an event trace. Never changes
+    /// protocol behavior; the experiment runner stamps the scenario's
+    /// value onto both endpoints.
+    pub trace: TraceMode,
 }
 
 impl Default for QuicConfig {
     /// QUIC 34 as calibrated by the paper against Google's servers:
     /// MACW = 430, N = 2, NACK threshold 3, MSPC 100, 0-RTT on.
     fn default() -> Self {
-        let mss = 1350;
         QuicConfig {
-            mss,
             cc: CcKind::Cubic,
-            cubic: CubicConfig::quic34(mss),
+            cubic: CubicConfig::quic34(1350),
             nack_threshold: 3,
             adaptive_nack: false,
             time_loss_detection: false,
@@ -116,19 +115,12 @@ impl Default for QuicConfig {
             // them toward the ceilings on fast consumers.
             conn_recv_window: 192 * 1024,
             stream_recv_window: 128 * 1024,
-            conn_recv_window_max: 15 * 1024 * 1024,
-            stream_recv_window_max: 6 * 1024 * 1024,
             flow_auto_tune: true,
-            ack_every: 2,
             delayed_ack: Dur::from_millis(25),
-            initial_rtt: Dur::from_millis(100),
-            zero_rtt_enabled: true,
             zero_rtt_accept: true,
             watchdog: false,
-            handshake_timeout: Dur::from_secs(30),
-            idle_timeout: Dur::from_secs(60),
             canary_mute_watchdog: false,
-            exec: ExecConfig::default(),
+            trace: TraceMode::Off,
         }
     }
 }
@@ -161,7 +153,7 @@ impl QuicConfig {
     /// Used by the fleet world's flight-granular model, where handshakes
     /// are charged as whole RTTs rather than simulated packet by packet.
     pub fn handshake_rtts(&self, zero_rtt_available: bool) -> u32 {
-        if zero_rtt_available && self.zero_rtt_enabled && self.zero_rtt_accept {
+        if zero_rtt_available && self.zero_rtt_accept {
             0
         } else {
             1
@@ -180,7 +172,7 @@ mod tests {
         assert_eq!(c.cubic.num_connections, 2);
         assert_eq!(c.nack_threshold, 3);
         assert_eq!(c.max_streams, 100);
-        assert!(c.zero_rtt_enabled);
+        assert!(c.zero_rtt_accept);
         assert!(c.pacing);
     }
 

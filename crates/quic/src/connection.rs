@@ -6,7 +6,7 @@
 //! detection, tail loss probes, RTO with backoff, Cubic or BBR congestion
 //! control, pacing, and the Table 3 state instrumentation.
 
-use crate::config::{CcKind, QuicConfig};
+use crate::config::{CcKind, QuicConfig, CONN_RECV_WINDOW_MAX, STREAM_RECV_WINDOW_MAX};
 use crate::recv_ack::AckTracker;
 use crate::sent::{SentPacket, SentStore};
 use crate::streams::{Chunk, StreamTable};
@@ -23,9 +23,13 @@ use longlook_transport::conn::{
 };
 use longlook_transport::cubic::Cubic;
 use longlook_transport::pacing::Pacer;
-use longlook_transport::rtt::RttEstimator;
+use longlook_transport::rtt::{RttEstimator, INITIAL_RTT};
 use longlook_transport::Bbr;
 use std::collections::VecDeque;
+
+/// Ack after this many unacked retransmittable packets (gQUIC's ack
+/// decimation), or when the delayed-ack timer fires first.
+const ACK_EVERY: u32 = 2;
 
 /// Which end of the connection we are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,9 +116,8 @@ impl QuicConnection {
     /// Client connection. `zero_rtt` = the caller holds a cached server
     /// config for this destination.
     pub fn client(cfg: QuicConfig, conn_id: u64, zero_rtt: bool, now: Time) -> Self {
-        let use_zero_rtt = zero_rtt && cfg.zero_rtt_enabled;
         let mut c = Self::new_common(cfg, conn_id, Role::Client, now);
-        if use_zero_rtt {
+        if zero_rtt {
             c.establish(now);
             c.used_zero_rtt = true;
             c.hs_queue.push_back(HandshakeKind::FullChlo);
@@ -146,10 +149,10 @@ impl QuicConnection {
     fn new_common(cfg: QuicConfig, conn_id: u64, role: Role, now: Time) -> Self {
         let cc: Box<dyn CongestionControl> = match cfg.cc {
             CcKind::Cubic => Box::new(Cubic::new(cfg.cubic.clone(), now)),
-            CcKind::Bbr => Box::new(Bbr::new(cfg.mss, now)),
+            CcKind::Bbr => Box::new(Bbr::new(cfg.cubic.mss, now)),
         };
         let pacer = if cfg.pacing {
-            Pacer::new(10 * cfg.mss)
+            Pacer::new(10 * cfg.cubic.mss)
         } else {
             Pacer::disabled()
         };
@@ -158,10 +161,10 @@ impl QuicConnection {
             Role::Server => 2,
         };
         QuicConnection {
-            watchdog: Watchdog::new(now, cfg.watchdog, cfg.handshake_timeout, cfg.idle_timeout),
+            watchdog: Watchdog::new(now, cfg.watchdog),
             recovery: RecoveryTimer::new(cfg.tlp),
-            tel: ConnTelemetry::new(now, cfg.exec.trace, cc.as_ref()),
-            rtt: RttEstimator::new(cfg.initial_rtt),
+            tel: ConnTelemetry::new(now, cfg.trace, cc.as_ref()),
+            rtt: RttEstimator::new(INITIAL_RTT),
             nack_threshold: cfg.nack_threshold,
             conn_send_limit: cfg.conn_recv_window,
             conn_advertised: cfg.conn_recv_window,
@@ -318,7 +321,7 @@ impl QuicConnection {
             let target = self.conn_delivered + self.conn_window;
             if target.saturating_sub(self.conn_advertised) >= self.conn_window / 2 {
                 if self.cfg.flow_auto_tune && fast(self.last_conn_update) {
-                    self.conn_window = (self.conn_window * 2).min(self.cfg.conn_recv_window_max);
+                    self.conn_window = (self.conn_window * 2).min(CONN_RECV_WINDOW_MAX);
                 }
                 self.last_conn_update = Some(now);
                 let target = self.conn_delivered + self.conn_window;
@@ -331,8 +334,7 @@ impl QuicConnection {
             let target = delivered + self.stream_window;
             if target.saturating_sub(*adv) >= self.stream_window / 2 {
                 if self.cfg.flow_auto_tune && fast(self.last_stream_update) {
-                    self.stream_window =
-                        (self.stream_window * 2).min(self.cfg.stream_recv_window_max);
+                    self.stream_window = (self.stream_window * 2).min(STREAM_RECV_WINDOW_MAX);
                 }
                 self.last_stream_update = Some(now);
                 let target = delivered + self.stream_window;
@@ -572,7 +574,7 @@ impl Connection for QuicConnection {
             pkt.pn,
             now,
             retransmittable,
-            self.cfg.ack_every,
+            ACK_EVERY,
             self.cfg.delayed_ack,
         );
         let mut frames = pkt.frames;
@@ -636,7 +638,7 @@ impl Connection for QuicConnection {
         }
 
         // 2. Ack if due.
-        if self.acks.ack_due(now, self.cfg.ack_every) {
+        if self.acks.ack_due(now, ACK_EVERY) {
             if let Some((largest, delay, mut blocks)) = self.acks.build_ack(now) {
                 // Canonicalize to the wire's block cap at build time so the
                 // typed packet is exactly what an encode→decode round
@@ -711,7 +713,7 @@ impl Connection for QuicConnection {
                     }
                     if !self.cc.can_send(
                         self.sent.bytes_in_flight(),
-                        budget.min(self.cfg.mss as u32) as u64,
+                        budget.min(self.cfg.cubic.mss as u32) as u64,
                     ) {
                         break;
                     }
@@ -724,7 +726,7 @@ impl Connection for QuicConnection {
                             r
                         }
                     };
-                    let ready = self.pacer.earliest_send(now, self.cfg.mss, rate);
+                    let ready = self.pacer.earliest_send(now, self.cfg.cubic.mss, rate);
                     if ready > now {
                         self.pacing_deadline = Some(ready);
                         pacing_blocked = true;
@@ -763,7 +765,9 @@ impl Connection for QuicConnection {
                 self.app_limited = !sent_any_data
                     && !data_was_available
                     && !pacing_blocked
-                    && self.cc.can_send(self.sent.bytes_in_flight(), self.cfg.mss)
+                    && self
+                        .cc
+                        .can_send(self.sent.bytes_in_flight(), self.cfg.cubic.mss)
                     && self.sent.bytes_in_flight() < self.cc.cwnd();
                 if sent_any_data {
                     self.app_limited = false;

@@ -16,7 +16,7 @@ pub mod sent;
 pub mod streams;
 pub mod wire;
 
-pub use config::{CcKind, QuicConfig};
+pub use config::{CcKind, QuicConfig, CONN_RECV_WINDOW_MAX, STREAM_RECV_WINDOW_MAX};
 pub use connection::{QuicConnection, Role};
 pub use wire::{Frame, HandshakeKind, QuicPacket, WireError, MAX_ACK_BLOCKS, MAX_PACKET_PAYLOAD};
 

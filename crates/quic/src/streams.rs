@@ -170,11 +170,6 @@ impl SendStream {
             && self.retransmit.is_empty()
             && (!self.fin_queued || self.fin_sent)
     }
-
-    /// Total bytes queued by the application so far.
-    pub fn queued_total(&self) -> u64 {
-        self.queued
-    }
 }
 
 /// Receiver side of one stream: interval reassembly.

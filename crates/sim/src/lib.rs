@@ -39,7 +39,7 @@ pub use longlook_wire::trace;
 // The one JSON codec (traces and traumafuzz repro files) and the warn-once
 // knob parser also live in `longlook-wire`.
 pub use longlook_wire::json;
-pub use longlook_wire::{env_knob, ExecConfig, TraceMode, TraceRecord, Tracer};
+pub use longlook_wire::{env_knob, TraceMode, TraceRecord, Tracer};
 // Sole caller: `observatory/` (frozen), which names all three through
 // this crate; see `longlook_wire::mode`.
 #[doc(hidden)]

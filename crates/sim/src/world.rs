@@ -6,7 +6,7 @@
 //! threads, no wall clock — a seeded world replays identically.
 
 use crate::device::{DeviceCpu, DeviceProfile};
-use crate::link::{LinkConfig, LinkDir, LinkStats, Verdict};
+use crate::link::{LinkConfig, LinkDir, Verdict};
 use crate::packet::{NodeId, Packet};
 use crate::rng::{IsolationTag, SimRng};
 use crate::sched::EventQueue;
@@ -223,24 +223,6 @@ impl World {
         self.queue.scheduled_peak() as u64
     }
 
-    /// Whether an agent requested a stop.
-    pub fn stop_requested(&self) -> bool {
-        self.stop
-    }
-
-    /// Clear a previous stop request (to continue a multi-phase run).
-    pub fn clear_stop(&mut self) {
-        self.stop = false;
-    }
-
-    /// Statistics for the `a -> b` link direction.
-    pub fn link_stats(&self, a: NodeId, b: NodeId) -> Option<&LinkStats> {
-        self.links
-            .iter()
-            .find(|(k, _)| *k == (a, b))
-            .map(|(_, l)| l.stats())
-    }
-
     /// Immutable access to an agent, downcast to its concrete type.
     pub fn agent<T: 'static>(&self, id: NodeId) -> &T {
         self.nodes[id.0 as usize]
@@ -249,17 +231,6 @@ impl World {
             .expect("agent is being dispatched")
             .as_any()
             .downcast_ref::<T>()
-            .expect("agent type mismatch")
-    }
-
-    /// Mutable access to an agent, downcast to its concrete type.
-    pub fn agent_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.nodes[id.0 as usize]
-            .agent
-            .as_mut()
-            .expect("agent is being dispatched")
-            .as_any_mut()
-            .downcast_mut::<T>()
             .expect("agent type mismatch")
     }
 

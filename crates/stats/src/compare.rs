@@ -1,7 +1,7 @@
 //! Paired protocol comparison: percent difference + significance verdict.
 
 use crate::summary::Summary;
-use crate::welch::{welch_t_test, WelchResult, DEFAULT_ALPHA};
+use crate::welch::{welch_t_test, WelchResult};
 
 /// Who wins a comparison cell, in the paper's color language.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,49 +53,15 @@ pub fn percent_difference(candidate_mean: f64, baseline_mean: f64) -> f64 {
 }
 
 impl Comparison {
-    /// Compare lower-is-better metric samples (e.g. PLT in ms).
+    /// Compare lower-is-better metric samples (e.g. PLT in ms), gated at
+    /// the paper's `p < 0.01`.
     pub fn lower_is_better(candidate: &[f64], baseline: &[f64]) -> Self {
-        Self::with_alpha(candidate, baseline, DEFAULT_ALPHA)
-    }
-
-    /// Same as [`Comparison::lower_is_better`] with an explicit alpha.
-    pub fn with_alpha(candidate: &[f64], baseline: &[f64], alpha: f64) -> Self {
         let c = Summary::of(candidate);
         let b = Summary::of(baseline);
         let percent = percent_difference(c.mean(), b.mean());
         let welch = welch_t_test(candidate, baseline);
         let verdict = match welch {
-            Some(w) if w.significant_at(alpha) => {
-                if percent > 0.0 {
-                    Verdict::CandidateWins
-                } else {
-                    Verdict::BaselineWins
-                }
-            }
-            _ => Verdict::Inconclusive,
-        };
-        Comparison {
-            candidate: c,
-            baseline: b,
-            percent,
-            welch,
-            verdict,
-        }
-    }
-
-    /// Compare higher-is-better samples (e.g. throughput). The candidate
-    /// wins when its mean is significantly *larger*.
-    pub fn higher_is_better(candidate: &[f64], baseline: &[f64]) -> Self {
-        let c = Summary::of(candidate);
-        let b = Summary::of(baseline);
-        let percent = if b.mean() == 0.0 {
-            0.0
-        } else {
-            (c.mean() - b.mean()) / b.mean() * 100.0
-        };
-        let welch = welch_t_test(candidate, baseline);
-        let verdict = match welch {
-            Some(w) if w.significant_at(DEFAULT_ALPHA) => {
+            Some(w) if w.significant() => {
                 if percent > 0.0 {
                     Verdict::CandidateWins
                 } else {
@@ -151,19 +117,6 @@ mod tests {
         let tcp = [105.0, 135.0, 92.0, 128.0, 99.0];
         let c = Comparison::lower_is_better(&quic, &tcp);
         assert_eq!(c.verdict, Verdict::Inconclusive);
-    }
-
-    #[test]
-    fn higher_is_better_flips_direction() {
-        let quic_tput = [79.0, 80.0, 78.0, 80.5, 79.2];
-        let tcp_tput = [46.0, 45.0, 47.0, 46.5, 45.8];
-        let c = Comparison::higher_is_better(&quic_tput, &tcp_tput);
-        assert_eq!(c.verdict, Verdict::CandidateWins);
-        assert!(
-            c.percent > 60.0,
-            "QUIC ~72% more throughput, got {}",
-            c.percent
-        );
     }
 
     #[test]

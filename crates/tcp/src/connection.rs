@@ -19,7 +19,7 @@ use crate::wire::{flags, TcpSegment};
 use longlook_sim::packet::Payload;
 use longlook_sim::time::{Dur, Time};
 use longlook_sim::trace::RecoveryKind;
-use longlook_sim::{pool, ExecConfig};
+use longlook_sim::{pool, TraceMode};
 use longlook_transport::cc::CongestionControl;
 use longlook_transport::ccstate::StateTrace;
 use longlook_transport::chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
@@ -27,7 +27,7 @@ use longlook_transport::conn::{
     AppEvent, ConnError, ConnStats, Connection, StreamId, Transmit, TCP_OVERHEAD,
 };
 use longlook_transport::cubic::{Cubic, CubicConfig};
-use longlook_transport::rtt::RttEstimator;
+use longlook_transport::rtt::{RttEstimator, INITIAL_RTT};
 
 /// TLS 1.2 handshake message sizes in stream bytes.
 mod tls {
@@ -45,60 +45,50 @@ mod tls {
     pub const SERVER_PREFIX: u64 = SERVER_HELLO + SERVER_FINISHED;
 }
 
+/// SYN retransmission timeout, armed each time a SYN goes out.
+const SYN_RTO: Dur = Dur::from_secs(1);
+/// SYN retransmission budget before the armed watchdog declares
+/// `HandshakeTimeout` (Linux `tcp_syn_retries` default). An unarmed
+/// connection retries forever.
+const MAX_SYN_RETRIES: u32 = 6;
+
 /// TCP configuration.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum segment payload size.
-    pub mss: u64,
-    /// Cubic parameters (Linux defaults).
+    /// Cubic parameters (Linux defaults); its `mss` is the maximum
+    /// segment payload size.
     pub cubic: CubicConfig,
     /// Receive buffer / advertised window.
     pub recv_buffer: u64,
     /// Delayed-ack timeout (Linux delack min).
     pub delayed_ack: Dur,
-    /// RTT assumed before the first sample.
-    pub initial_rtt: Dur,
-    /// Initial SYN retransmission timeout.
-    pub syn_rto: Dur,
     /// Model TLS on top (HTTPS); disable for a raw-TCP proxy leg.
     pub tls: bool,
     /// Arm the connection watchdog: give up with a typed
     /// [`longlook_transport::ConnError`] when the handshake (SYN + TLS)
-    /// exceeds `handshake_timeout`, the SYN retry budget is exhausted, or
-    /// an established connection sits idle with outstanding work past
-    /// `idle_timeout`. Off by default so unfaulted runs behave exactly as
-    /// before; the testbed arms it whenever a fault plan is attached.
+    /// exceeds
+    /// [`HANDSHAKE_TIMEOUT`](longlook_transport::chassis::HANDSHAKE_TIMEOUT),
+    /// the SYN retry budget is exhausted, or an established connection
+    /// sits idle with outstanding work past
+    /// [`IDLE_TIMEOUT`](longlook_transport::chassis::IDLE_TIMEOUT). Off by
+    /// default so unfaulted runs behave exactly as before; the testbed
+    /// arms it whenever a fault plan is attached.
     pub watchdog: bool,
-    /// Handshake deadline when the watchdog is armed.
-    pub handshake_timeout: Dur,
-    /// Idle deadline when the watchdog is armed.
-    pub idle_timeout: Dur,
-    /// SYN retransmission budget before the armed watchdog declares
-    /// `HandshakeTimeout` (Linux `tcp_syn_retries` default). Ignored when
-    /// the watchdog is off — the historical model retried forever.
-    pub max_syn_retries: u32,
-    /// How this connection executes (tracing). Never changes protocol
-    /// behavior; the experiment runner stamps the scenario's value onto
-    /// both endpoints.
-    pub exec: ExecConfig,
+    /// Whether this connection keeps an event trace. Never changes
+    /// protocol behavior; the experiment runner stamps the scenario's
+    /// value onto both endpoints.
+    pub trace: TraceMode,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
-        let mss = 1400;
         TcpConfig {
-            mss,
-            cubic: CubicConfig::linux_tcp(mss),
+            cubic: CubicConfig::linux_tcp(1400),
             recv_buffer: 6 * 1024 * 1024,
             delayed_ack: Dur::from_millis(40),
-            initial_rtt: Dur::from_millis(100),
-            syn_rto: Dur::from_secs(1),
             tls: true,
             watchdog: false,
-            handshake_timeout: Dur::from_secs(30),
-            idle_timeout: Dur::from_secs(60),
-            max_syn_retries: 6,
-            exec: ExecConfig::default(),
+            trace: TraceMode::Off,
         }
     }
 }
@@ -207,10 +197,10 @@ impl TcpConnection {
         };
         let cc: Box<dyn CongestionControl> = Box::new(Cubic::new(cfg.cubic.clone(), now));
         TcpConnection {
-            watchdog: Watchdog::new(now, cfg.watchdog, cfg.handshake_timeout, cfg.idle_timeout),
+            watchdog: Watchdog::new(now, cfg.watchdog),
             recovery: RecoveryTimer::new(false),
-            tel: ConnTelemetry::new(now, cfg.exec.trace, cc.as_ref()),
-            rtt: RttEstimator::new(cfg.initial_rtt),
+            tel: ConnTelemetry::new(now, cfg.trace, cc.as_ref()),
+            rtt: RttEstimator::new(INITIAL_RTT),
             receiver: TcpReceiver::new(cfg.recv_buffer),
             mux: H2Mux::new(our_prefix),
             demux: H2Demux::new(peer_prefix),
@@ -493,7 +483,7 @@ impl Connection for TcpConnection {
         // 1. TCP handshake control segments.
         if self.syn_pending {
             self.syn_pending = false;
-            self.syn_deadline = Some(now + self.cfg.syn_rto);
+            self.syn_deadline = Some(now + SYN_RTO);
             return Some(self.make_control(flags::SYN, now));
         }
         if self.synack_pending {
@@ -517,7 +507,7 @@ impl Connection for TcpConnection {
         let rwnd_edge = self.scoreboard.snd_una() + self.peer_window;
         if self.snd_nxt < limit && self.snd_nxt < rwnd_edge {
             let len = (limit - self.snd_nxt)
-                .min(self.cfg.mss)
+                .min(self.cfg.cubic.mss)
                 .min(rwnd_edge - self.snd_nxt) as u32;
             if len > 0 && self.cc.can_send(self.scoreboard.pipe(), len as u64) {
                 let seq = self.snd_nxt;
@@ -532,7 +522,7 @@ impl Connection for TcpConnection {
         let have_data = self.snd_nxt < self.mux.stream_len().min(self.sendable_limit());
         self.app_limited = self.tls_established
             && !have_data
-            && self.cc.can_send(self.scoreboard.pipe(), self.cfg.mss)
+            && self.cc.can_send(self.scoreboard.pipe(), self.cfg.cubic.mss)
             && self.scoreboard.pipe() < self.cc.cwnd();
 
         // 4. Bare ack if one is due.
@@ -574,14 +564,14 @@ impl Connection for TcpConnection {
         }
         if let Some(d) = self.syn_deadline {
             if now >= d && self.state == TcpState::SynSent {
-                if self.cfg.watchdog && self.syn_retries >= self.cfg.max_syn_retries {
+                if self.cfg.watchdog && self.syn_retries >= MAX_SYN_RETRIES {
                     // SYN retry budget exhausted: give up rather than
                     // back off forever into a blackout.
                     return self.give_up(ConnError::HandshakeTimeout, now);
                 }
                 self.syn_pending = true;
                 self.syn_retries += 1;
-                self.syn_deadline = Some(now + self.cfg.syn_rto.saturating_mul(2));
+                self.syn_deadline = Some(now + SYN_RTO.saturating_mul(2));
             }
         }
         let outstanding = self.scoreboard.has_outstanding();

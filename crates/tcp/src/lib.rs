@@ -264,7 +264,7 @@ mod loopback_tests {
             Time::ZERO,
             Time::ZERO + Dur::from_secs(5),
         );
-        assert!(c.is_established(), "SYN retransmitted after syn_rto");
+        assert!(c.is_established(), "SYN retransmitted after SYN_RTO");
     }
 
     #[test]

@@ -13,12 +13,17 @@ use longlook_sim::trace::RecoveryKind;
 use longlook_sim::{TraceMode, Tracer};
 use std::collections::VecDeque;
 
+/// How long an armed watchdog lets a handshake run before giving up.
+pub const HANDSHAKE_TIMEOUT: Dur = Dur::from_secs(30);
+/// How long an armed watchdog lets an established connection go without
+/// inbound progress while work is outstanding.
+pub const IDLE_TIMEOUT: Dur = Dur::from_secs(60);
+
 /// Gives a connection up with a typed [`ConnError`] instead of letting it
 /// retry forever into a blackout.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
-    /// `(handshake, idle)` timeouts; `None` when disarmed.
-    timeouts: Option<(Dur, Dur)>,
+    armed: bool,
     started_at: Time,
     last_progress: Time,
     gave_up: bool,
@@ -28,9 +33,9 @@ pub struct Watchdog {
 impl Watchdog {
     /// A watchdog for a connection constructed at `now`; never trips on
     /// its own unless `armed`.
-    pub fn new(now: Time, armed: bool, handshake_timeout: Dur, idle_timeout: Dur) -> Self {
+    pub fn new(now: Time, armed: bool) -> Self {
         Watchdog {
-            timeouts: armed.then_some((handshake_timeout, idle_timeout)),
+            armed,
             started_at: now,
             last_progress: now,
             gave_up: false,
@@ -43,13 +48,12 @@ impl Watchdog {
     /// inbound silence, but only while work is outstanding (`quiescent`
     /// is consulted lazily), so unfaulted runs still end idle.
     pub fn deadline(&self, established: bool, quiescent: impl FnOnce() -> bool) -> Option<Time> {
-        let (handshake, idle) = self.timeouts?;
-        if self.gave_up {
+        if !self.armed || self.gave_up {
             None
         } else if !established {
-            Some(self.started_at + handshake)
+            Some(self.started_at + HANDSHAKE_TIMEOUT)
         } else if !quiescent() {
-            Some(self.last_progress + idle)
+            Some(self.last_progress + IDLE_TIMEOUT)
         } else {
             None
         }
@@ -321,15 +325,12 @@ mod tests {
     use longlook_sim::trace::{TraceEvent, TraceRecord};
     use proptest::prelude::*;
 
-    const HANDSHAKE: Dur = Dur::from_secs(30);
-    const IDLE: Dur = Dur::from_secs(60);
-
     fn t(ms: u64) -> Time {
         Time::ZERO + Dur::from_millis(ms)
     }
 
     fn armed_watchdog(now: Time) -> Watchdog {
-        Watchdog::new(now, true, HANDSHAKE, IDLE)
+        Watchdog::new(now, true)
     }
 
     #[test]
@@ -337,7 +338,7 @@ mod tests {
         let mut w = armed_watchdog(t(500));
         // Inbound traffic does not extend the handshake budget.
         w.on_progress(t(20_000));
-        assert_eq!(w.deadline(false, || true), Some(t(500) + HANDSHAKE));
+        assert_eq!(w.deadline(false, || true), Some(t(500) + HANDSHAKE_TIMEOUT));
         assert_eq!(w.check(t(30_499), false, || true), None);
         assert_eq!(
             w.check(t(30_500), false, || true),
@@ -349,7 +350,7 @@ mod tests {
     fn idle_deadline_follows_progress_and_needs_outstanding_work() {
         let mut w = armed_watchdog(t(0));
         w.on_progress(t(7_000));
-        assert_eq!(w.deadline(true, || false), Some(t(7_000) + IDLE));
+        assert_eq!(w.deadline(true, || false), Some(t(7_000) + IDLE_TIMEOUT));
         assert_eq!(w.check(t(66_999), true, || false), None);
         assert_eq!(
             w.check(t(67_000), true, || false),
@@ -363,7 +364,7 @@ mod tests {
 
     #[test]
     fn disarmed_watchdog_is_silent_and_never_asks_for_quiescence() {
-        let w = Watchdog::new(t(0), false, HANDSHAKE, IDLE);
+        let w = Watchdog::new(t(0), false);
         let unasked = || -> bool { panic!("a disarmed watchdog must not evaluate quiescence") };
         assert_eq!(w.deadline(false, unasked), None);
         assert_eq!(w.deadline(true, unasked), None);

@@ -10,7 +10,8 @@
 //!   (107 → 430 → 2000 packets) drives the calibration story (Sec 4.1,
 //!   Fig 15). The clamp surfaces as the `CongestionAvoidanceMaxed` state.
 //! * **Hybrid Slow Start** — early exit on delay increase (Sec 5.2).
-//! * **PRR fast recovery** — proportional rate reduction (Table 3).
+//! * **PRR fast recovery** — proportional rate reduction (Table 3), always
+//!   on, as is fast convergence (a lower W_max after repeated losses).
 //! * **the Chromium-52 ssthresh bug** — optionally start with a small
 //!   fixed ssthresh instead of deriving it from the receiver window,
 //!   reproducing the miscalibrated public build of Fig 2.
@@ -43,10 +44,6 @@ pub struct CubicConfig {
     pub num_connections: u32,
     /// Enable Hybrid Slow Start.
     pub hystart: bool,
-    /// Enable PRR recovery pacing.
-    pub prr: bool,
-    /// Fast convergence on repeated losses.
-    pub fast_convergence: bool,
     /// Initial ssthresh in packets; `None` = unlimited. `Some(small)`
     /// reproduces the Chromium 52 bug where the slow-start threshold was
     /// never raised to the receiver-advertised buffer.
@@ -63,8 +60,6 @@ impl CubicConfig {
             max_cwnd_packets: Some(430),
             num_connections: 2,
             hystart: true,
-            prr: true,
-            fast_convergence: true,
             initial_ssthresh_packets: None,
         }
     }
@@ -77,8 +72,6 @@ impl CubicConfig {
             max_cwnd_packets: None,
             num_connections: 1,
             hystart: false,
-            prr: true,
-            fast_convergence: true,
             initial_ssthresh_packets: None,
         }
     }
@@ -279,7 +272,9 @@ impl CongestionControl for Cubic {
             return; // Already reacted this epoch.
         }
         let cwnd_packets = self.cwnd as f64 / self.cfg.mss as f64;
-        if self.cfg.fast_convergence && cwnd_packets < self.w_max_packets {
+        // Fast convergence: a loss below the last W_max releases bandwidth
+        // to newer flows by remembering a lower maximum.
+        if cwnd_packets < self.w_max_packets {
             self.w_max_packets = cwnd_packets * (1.0 + self.cfg.beta()) / 2.0;
         } else {
             self.w_max_packets = cwnd_packets;
@@ -290,9 +285,7 @@ impl CongestionControl for Cubic {
         self.epoch_start = None;
         self.recovery_start = Some(now);
         self.in_recovery_now = true;
-        if self.cfg.prr {
-            self.prr.enter(in_flight, self.ssthresh);
-        }
+        self.prr.enter(in_flight, self.ssthresh);
     }
 
     fn on_rto(&mut self, now: Time) {
@@ -315,7 +308,7 @@ impl CongestionControl for Cubic {
     }
 
     fn can_send(&self, in_flight: u64, bytes: u64) -> bool {
-        if self.in_recovery_now && self.cfg.prr {
+        if self.in_recovery_now {
             return self.prr.can_send(in_flight, self.cfg.mss);
         }
         in_flight + bytes <= self.cwnd
@@ -439,7 +432,6 @@ mod tests {
     fn loss_multiplies_window_by_beta() {
         let mut cfg = CubicConfig::quic34(MSS);
         cfg.hystart = false;
-        cfg.prr = false;
         let mut c = Cubic::new(cfg, t(0));
         let before = c.cwnd();
         c.on_congestion_event(t(100), t(90), MSS, before);
@@ -477,7 +469,6 @@ mod tests {
     fn cubic_growth_resumes_toward_wmax() {
         let mut cfg = CubicConfig::quic34(MSS);
         cfg.hystart = false;
-        cfg.prr = false;
         cfg.max_cwnd_packets = None;
         let mut c = Cubic::new(cfg, t(0));
         let rtt = rtt36();

@@ -11,7 +11,14 @@
 //!   sample — whereas the TCP model obeys Karn's algorithm and discards
 //!   samples for retransmitted sequences (see `longlook-tcp`).
 
-use longlook_sim::time::{Dur, Time};
+use longlook_sim::time::Dur;
+
+/// RTT both protocol models assume before their first sample.
+pub const INITIAL_RTT: Dur = Dur::from_millis(100);
+/// Lower clamp for the RTO.
+const MIN_RTO: Dur = Dur::from_millis(200);
+/// Upper clamp for the RTO.
+const MAX_RTO: Dur = Dur::from_secs(60);
 
 /// Smoothed RTT state for one connection.
 #[derive(Debug, Clone)]
@@ -20,12 +27,6 @@ pub struct RttEstimator {
     rttvar: Dur,
     min_rtt: Dur,
     latest: Dur,
-    /// Samples accepted so far.
-    samples: u64,
-    /// Lower clamp for the RTO.
-    min_rto: Dur,
-    /// Upper clamp for the RTO.
-    max_rto: Dur,
     /// Default RTT assumed before the first sample.
     initial_rtt: Dur,
 }
@@ -38,9 +39,6 @@ impl RttEstimator {
             rttvar: Dur::ZERO,
             min_rtt: Dur::MAX,
             latest: initial_rtt,
-            samples: 0,
-            min_rto: Dur::from_millis(200),
-            max_rto: Dur::from_secs(60),
             initial_rtt,
         }
     }
@@ -59,7 +57,6 @@ impl RttEstimator {
             measured
         };
         self.latest = adjusted;
-        self.samples += 1;
         match self.srtt {
             None => {
                 self.srtt = Some(adjusted);
@@ -105,26 +102,16 @@ impl RttEstimator {
         self.rttvar
     }
 
-    /// Number of accepted samples.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
-    }
-
     /// Retransmission timeout: `srtt + max(4*rttvar, 1ms)`, clamped.
     pub fn rto(&self) -> Dur {
         let var_term = (self.rttvar * 4).max(Dur::from_millis(1));
-        (self.srtt() + var_term).max(self.min_rto).min(self.max_rto)
+        (self.srtt() + var_term).clamp(MIN_RTO, MAX_RTO)
     }
 
     /// Tail-loss-probe delay: `max(2*srtt, 10ms)` (simplified from the TLP
     /// draft the paper cites).
     pub fn tlp_timeout(&self) -> Dur {
         (self.srtt() * 2).max(Dur::from_millis(10))
-    }
-
-    /// Deadline helper: the instant `timeout` from `now`.
-    pub fn deadline(&self, now: Time, timeout: Dur) -> Time {
-        now + timeout
     }
 }
 

@@ -1,9 +1,8 @@
-//! Execution mode as a value: [`ExecConfig`] names the trace mode of a
-//! run and is passed down from the scenario to the connections. Also home
-//! to the warn-once parser the remaining `LONGLOOK_*` workload-size knobs
-//! share.
+//! The warn-once parser the remaining `LONGLOOK_*` workload-size knobs
+//! share, and the one-value mode names the frozen benchmark prints. How a
+//! run executes is a value, not process state: the one choice left is
+//! the [`TraceMode`](crate::TraceMode) each protocol config carries.
 
-use crate::trace::TraceMode;
 use std::sync::Once;
 
 /// Read the environment knob `var` and parse it with `parse`.
@@ -83,20 +82,6 @@ impl BatchMode {
     }
 }
 
-/// How one run executes, as a `Copy` value: whether connections keep a
-/// trace.
-///
-/// Carried by the scenario, stamped onto the protocol configs, and read
-/// by the connections at construction. Nothing in the library reads it
-/// from the process environment, so cells with different configs can run
-/// concurrently. The default is tracing off; the `path_differential`
-/// suite pins the other value observationally identical to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecConfig {
-    /// Per-connection structured event trace.
-    pub trace: TraceMode,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,15 +108,5 @@ mod tests {
             Some(v) => std::env::set_var(VAR, v),
             None => std::env::remove_var(VAR),
         }
-    }
-
-    #[test]
-    fn default_exec_is_the_fast_path_with_tracing_off() {
-        assert_eq!(
-            ExecConfig::default(),
-            ExecConfig {
-                trace: TraceMode::Off,
-            }
-        );
     }
 }

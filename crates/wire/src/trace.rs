@@ -4,8 +4,8 @@
 //! [`TraceRecord`]s — packet tx/rx, ack processing, loss declarations,
 //! congestion-control state and cwnd changes, recovery decisions, timer
 //! arms/fires — while the fault layer contributes window-edge records
-//! synthesized from the plan. Tracing is selected per run by the
-//! [`TraceMode`] in its `ExecConfig` (off by default); when off every
+//! synthesized from the plan. Tracing is selected per connection by the
+//! [`TraceMode`] its protocol config carries (off by default); when off every
 //! emit method is an inlined early-return on one bool, draws zero RNG,
 //! and perturbs nothing — a promise the `path_differential` referee
 //! suite holds bit-exactly.

@@ -1,8 +1,8 @@
-//! Shared referee harness: the table of `ExecConfig` axes and the
+//! Shared referee harness: the table of execution axes and the
 //! scenario / fault-plan / bulk-cell tables every axis is checked over.
 //!
-//! An axis is an [`ExecConfig`] that differs from the default in one
-//! field; today there is one field, so one row (tracing on). There is one
+//! An axis is a non-default [`TraceMode`], the one execution choice a
+//! protocol config carries; today that is one row (tracing on). There is one
 //! wire representation, one scheduler, one event loop, one sent-packet
 //! store and one recovery timer; the implementations the last four
 //! replaced are held to them by proptests against oracles under
@@ -16,22 +16,18 @@
 use longlook_core::prelude::*;
 use longlook_transport::conn::ConnStats;
 
-/// Every non-default `ExecConfig`, by name: one row per field (and,
-/// once there are two, a last row with all of them at once).
-pub fn axes() -> [(&'static str, ExecConfig); 1] {
-    // Exhaustive on purpose: a new `ExecConfig` field fails to compile
+/// Every non-default `TraceMode`, by name.
+pub fn axes() -> [(&'static str, TraceMode); 1] {
+    // Exhaustive on purpose: a new `TraceMode` variant fails to compile
     // here, at the table that has to grow a row for it.
-    let ExecConfig { trace: _ } = ExecConfig::default();
-    [(
-        "trace=on",
-        ExecConfig {
-            trace: TraceMode::On,
-        },
-    )]
+    match TraceMode::default() {
+        TraceMode::Off | TraceMode::On => {}
+    }
+    [("trace=on", TraceMode::On)]
 }
 
 /// The axis called `name` in [`axes`].
-pub fn axis(name: &str) -> ExecConfig {
+pub fn axis(name: &str) -> TraceMode {
     axes()
         .into_iter()
         .find(|(n, _)| *n == name)
@@ -177,9 +173,9 @@ pub fn many_stream_cells() -> Vec<(&'static str, Scenario)> {
     ]
 }
 
-/// `sc` with `exec` stamped on the protocol it runs.
-pub fn with_exec(sc: &Scenario, exec: ExecConfig) -> Scenario {
-    sc.clone().with_proto(sc.proto.clone().with_exec(exec))
+/// `sc` with `trace` stamped on the protocol it runs.
+pub fn with_trace(sc: &Scenario, trace: TraceMode) -> Scenario {
+    sc.clone().with_proto(sc.proto.clone().with_trace(trace))
 }
 
 fn fev(at_ms: u64, dur_ms: u64, kind: FaultKind) -> FaultEvent {
@@ -253,9 +249,9 @@ pub fn faulted_scenarios() -> Vec<(String, Scenario)> {
 
 pub const BULK_SEEDS: [u64; 4] = [7777, 8888, 8899, 9599];
 
-/// One 2 MiB page load under `exec`; returns `(events_processed,
+/// One 2 MiB page load under `trace`; returns `(events_processed,
 /// scheduled_peak)`.
-pub fn bulk_cell(proto: &ProtoConfig, exec: ExecConfig, seed: u64) -> (u64, u64) {
+pub fn bulk_cell(proto: &ProtoConfig, trace: TraceMode, seed: u64) -> (u64, u64) {
     let net = NetProfile::baseline(20.0);
     let page = PageSpec::single(2 * 1024 * 1024);
     let mut tb = Testbed::direct(
@@ -264,7 +260,7 @@ pub fn bulk_cell(proto: &ProtoConfig, exec: ExecConfig, seed: u64) -> (u64, u64)
         DeviceProfile::DESKTOP,
         page.clone(),
         vec![FlowSpec {
-            proto: proto.clone().with_exec(exec),
+            proto: proto.clone().with_trace(trace),
             zero_rtt: false,
             app: Box::new(WebClient::new(page)),
         }],

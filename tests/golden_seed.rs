@@ -231,11 +231,11 @@ fn armed_empty_fault_plan_is_invisible() {
 /// The snapshots were blessed on the implementations that have since
 /// been replaced (binary-heap scheduler, per-event loop, map sent-store,
 /// eager timer re-arm), so they pin the survivors to that history. Every
-/// non-default `ExecConfig` (the tests below cover the default) must
+/// non-default `TraceMode` (the tests below cover the default) must
 /// reproduce every one of them bit for bit, with nothing re-blessed.
 #[test]
 fn goldens_hold_on_every_execution_path() {
-    for (axis, exec) in common::axes() {
+    for (axis, trace) in common::axes() {
         for (name, proto, sc, golden) in [
             (
                 "GOLDEN_QUIC_CLEAN",
@@ -264,14 +264,14 @@ fn goldens_hold_on_every_execution_path() {
         ] {
             check(
                 &format!("{name} ({axis})"),
-                &sc.with_proto(proto.with_exec(exec)),
+                &sc.with_proto(proto.with_trace(trace)),
                 golden,
             );
         }
         for (name, sc) in common::many_stream_cells() {
             check(
                 &format!("{name} ({axis})"),
-                &common::with_exec(&sc, exec),
+                &common::with_trace(&sc, trace),
                 many_stream_golden(name),
             );
         }

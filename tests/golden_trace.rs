@@ -166,18 +166,18 @@ fn tcp_blackout_trace_matches_golden() {
 /// The trace itself — not just the observables — is path-independent:
 /// sizes are analytic and `TimerArm` is emitted at the request point (as
 /// the eager timer the goldens were blessed on did), so every
-/// `ExecConfig` reproduces the golden bytes.
+/// `TraceMode` reproduces the golden bytes.
 #[test]
 fn golden_traces_hold_on_every_execution_path() {
-    for (axis, exec) in common::axes() {
+    for (axis, trace) in common::axes() {
         check(
             &format!("GOLDEN_TRACE_QUIC_CLEAN ({axis})"),
-            &common::with_exec(&quic_clean_scenario(), exec),
+            &common::with_trace(&quic_clean_scenario(), trace),
             GOLDEN_TRACE_QUIC_CLEAN,
         );
         check(
             &format!("GOLDEN_TRACE_TCP_BLACKOUT ({axis})"),
-            &common::with_exec(&tcp_blackout_scenario(), exec),
+            &common::with_trace(&tcp_blackout_scenario(), trace),
             GOLDEN_TRACE_TCP_BLACKOUT,
         );
     }

@@ -1,11 +1,10 @@
-//! `ExecConfig` differential referee: each non-default value against
-//! `ExecConfig::default()`.
+//! Execution-path differential referee: each non-default `TraceMode`
+//! against `TraceMode::default()`.
 //!
-//! A field of `ExecConfig` changes *how* a cell is carried out, never
-//! *what* happens in it. There is one today:
-//!
-//! * **trace** — every emit point sits after the decision it records and
-//!   the tracer draws no randomness, so it observes and never steers.
+//! The trace mode a protocol config carries changes *how* a cell is
+//! carried out, never *what* happens in it: every emit point sits after
+//! the decision it records and the tracer draws no randomness, so it
+//! observes and never steers.
 //!
 //! That is an equivalence-by-construction argument; this suite re-checks
 //! the conclusion end to end: bit-identical `RunRecord`s and
@@ -31,25 +30,25 @@
 mod common;
 
 use common::{
-    axis, bulk_cell, faulted_scenarios, many_stream_cells, protos, render, scenarios, with_exec,
+    axis, bulk_cell, faulted_scenarios, many_stream_cells, protos, render, scenarios, with_trace,
     BULK_SEEDS,
 };
 use longlook_core::prelude::*;
 
 fn assert_identical_to_default(axis_name: &str) {
-    let exec = axis(axis_name);
-    let default = ExecConfig::default();
+    let trace = axis(axis_name);
+    let default = TraceMode::default();
 
     for par in [Parallelism::Serial, Parallelism::Threads(4)] {
         for (proto_name, proto) in &protos() {
             for (sc_name, sc) in scenarios() {
                 let sc = sc.with_proto(proto.clone());
                 let want = render(&sc.records(par));
-                let got = render(&with_exec(&sc, exec).records(par));
+                let got = render(&with_trace(&sc, trace).records(par));
                 assert_eq!(
                     got, want,
                     "{axis_name}: {proto_name}/{sc_name}/{par:?}: RunRecords diverged \
-                     from ExecConfig::default()"
+                     from TraceMode::default()"
                 );
             }
         }
@@ -59,10 +58,10 @@ fn assert_identical_to_default(axis_name: &str) {
     // and the sent-packet store at the depth the object-count sweeps run.
     for (name, sc) in many_stream_cells() {
         let want = render(&sc.records(Parallelism::auto()));
-        let got = render(&with_exec(&sc, exec).records(Parallelism::auto()));
+        let got = render(&with_trace(&sc, trace).records(Parallelism::auto()));
         assert_eq!(
             got, want,
-            "{axis_name}: {name}: RunRecords diverged from ExecConfig::default()"
+            "{axis_name}: {name}: RunRecords diverged from TraceMode::default()"
         );
     }
 
@@ -72,11 +71,11 @@ fn assert_identical_to_default(axis_name: &str) {
         for (sc_name, sc) in faulted_scenarios() {
             let sc = sc.with_proto(proto.clone());
             let want = sc.run(0);
-            let got = with_exec(&sc, exec).run(0);
+            let got = with_trace(&sc, trace).run(0);
             assert_eq!(
                 got, want,
                 "{axis_name}: {proto_name}/{sc_name}: RunRecord diverged from \
-                 ExecConfig::default()"
+                 TraceMode::default()"
             );
         }
     }
@@ -86,7 +85,7 @@ fn assert_identical_to_default(axis_name: &str) {
     for (proto_name, proto) in &protos() {
         for seed in BULK_SEEDS {
             let (ev_want, peak_want) = bulk_cell(proto, default, seed);
-            let (ev_got, peak_got) = bulk_cell(proto, exec, seed);
+            let (ev_got, peak_got) = bulk_cell(proto, trace, seed);
             assert_eq!(
                 ev_got, ev_want,
                 "{axis_name}: {proto_name}/bulk@{seed}: events_processed diverged"
