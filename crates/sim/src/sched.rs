@@ -69,6 +69,15 @@
 //! 4. Within a tick, `sort_unstable` over unique `(at, seq)` keys yields
 //!    the same order the heap would, whatever order the slot's list held
 //!    them in; the slab index in a key never decides a comparison.
+//! 5. [`EventQueue::quiet_through`] reads without advancing: by 1–3, a
+//!    non-empty `active` holds the earliest event at its end; when it is
+//!    empty, nothing is due at or before `t` if `t`'s tick is the cursor's
+//!    or earlier, or if the nearest occupied ring slot lies past `t`'s
+//!    tick and the overflow's earliest key is later than `t`. An occupied
+//!    slot in `t`'s own tick answers `false` without looking inside, so
+//!    `true` is exact and `false` may be conservative. Leaving the cursor
+//!    alone keeps the horizon, and with it where the next pushes land,
+//!    exactly where a pop-only caller would leave it.
 
 use crate::time::Time;
 use longlook_wire::SchedKind;
@@ -211,6 +220,21 @@ impl<T> EventQueue<T> {
         let (at, _, idx) = self.front()?;
         let item = self.nodes[idx as usize].item.as_ref().expect("live node");
         pred(at, item).then(|| self.take_front())
+    }
+
+    /// Whether no pending event is due at or before `t`, answered without
+    /// moving the cursor. `true` is exact; `false` may be conservative:
+    /// an occupied slot in `t`'s own tick answers `false` even when all
+    /// its events are later than `t`.
+    pub fn quiet_through(&self, t: Time) -> bool {
+        if let Some(&(at, _, _)) = self.active.last() {
+            // `active` is non-empty only while it holds the earliest event.
+            return at > t;
+        }
+        let tick = tick_of(t);
+        tick <= self.cursor
+            || (self.next_occupied_tick().is_none_or(|w| w > tick)
+                && self.overflow.peek().is_none_or(|Reverse(k)| k.0 > t))
     }
 
     /// Outstanding event count.

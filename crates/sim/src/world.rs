@@ -238,20 +238,24 @@ impl World {
         self.queue.push(at, ev);
     }
 
-    /// Process one event. Returns `false` when the queue is exhausted.
+    /// Process one queued event. Returns `false` when the queue is
+    /// exhausted. It never fuses: a packet costs two steps, its link exit
+    /// and its delivery, whatever else is queued.
     pub fn step(&mut self) -> bool {
         self.tag.check("World");
         let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
-        self.step_ev(at, ev);
+        self.step_ev(at, ev, None);
         true
     }
 
-    /// Dispatch one already-popped event (shared by `step` and the fused
+    /// Dispatch one already-popped event (shared by `step` and the
     /// `run_until` loop; both check the isolation tag *before* popping so
-    /// a misused World is caught even with an empty queue).
-    fn step_ev(&mut self, at: Time, ev: Ev) {
+    /// a misused World is caught even with an empty queue). A link exit
+    /// delivers in the same call when `fuse_by` is `Some(deadline)` and
+    /// the delivery would pop next anyway (see `LinkOut` below).
+    fn step_ev(&mut self, at: Time, ev: Ev, fuse_by: Option<Time>) {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.events_processed += 1;
@@ -283,10 +287,21 @@ impl World {
                 let done = self.nodes[pkt.dst.0 as usize]
                     .cpu
                     .process(self.now, pkt.class);
-                if done > self.now {
-                    self.push(done, Ev::Deliver(pkt));
-                } else {
+                if done <= self.now {
                     self.dispatch(pkt.dst, Some(pkt));
+                } else if fuse_by.is_some_and(|d| done <= d)
+                    && self.stalls.is_empty()
+                    && self.queue.quiet_through(done)
+                {
+                    // The Deliver pushed here would take a seq above every
+                    // queued event, so it pops next iff nothing queued is
+                    // due at or before `done`: deliver now as that pop
+                    // would, one event, without the round trip.
+                    self.now = done;
+                    self.events_processed += 1;
+                    self.dispatch(pkt.dst, Some(pkt));
+                } else {
+                    self.push(done, Ev::Deliver(pkt));
                 }
             }
             Ev::Deliver(pkt) => self.dispatch(pkt.dst, Some(pkt)),
@@ -314,7 +329,7 @@ impl World {
             // deadline, so a beyond-deadline event stays queued exactly as
             // the peek-then-step loop left it.
             match self.queue.pop_at_most(deadline) {
-                Some((at, ev)) => self.step_ev(at, ev),
+                Some((at, ev)) => self.step_ev(at, ev, Some(deadline)),
                 None => {
                     return if self.queue.is_empty() {
                         RunOutcome::Idle
@@ -650,6 +665,144 @@ mod tests {
         // a woke and sent normally; b has processed nothing yet.
         assert_eq!(w.agent::<Echo>(a).wakes, 1);
         assert!(w.agent::<Echo>(b).received.is_empty());
+    }
+
+    /// Logs every callback as `(now, 'w' | 'p')`. Its first wakeup sends
+    /// one 1200-byte userspace packet to `dst` if it has one, and asks for
+    /// a wake at `wake` if given.
+    struct Probe {
+        dst: Option<NodeId>,
+        wake: Option<Time>,
+        log: Vec<(Time, char)>,
+    }
+
+    impl Agent for Probe {
+        fn on_packet(&mut self, _p: Packet, ctx: &mut Ctx<'_>) {
+            self.log.push((ctx.now, 'p'));
+        }
+        fn on_wakeup(&mut self, ctx: &mut Ctx<'_>) {
+            let first = self.log.iter().all(|&(_, c)| c != 'w');
+            self.log.push((ctx.now, 'w'));
+            if !first {
+                return;
+            }
+            if let Some(dst) = self.dst {
+                ctx.send(Packet::new(
+                    ctx.node(),
+                    dst,
+                    FlowId(0),
+                    PktClass::Userspace,
+                    1200,
+                    ctl(),
+                ));
+            }
+            if let Some(t) = self.wake {
+                ctx.wake_at(t);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// One-way delay of the probe world's link, and the instant its packet
+    /// clears the MotoG sink's CPU (userspace cost 400 µs).
+    const ARRIVAL: Time = Time::from_nanos(5_000_000);
+    const DONE: Time = Time::from_nanos(5_400_000);
+
+    /// A SERVER source kicked at zero sends one packet over a 5 ms ideal
+    /// link to a MotoG sink that, when kicked, asks for a wake at `wake`.
+    fn probe_world(wake: Option<Time>) -> (World, NodeId) {
+        let mut w = World::new(11);
+        let sink = w.add_node(
+            Box::new(Probe {
+                dst: None,
+                wake,
+                log: Vec::new(),
+            }),
+            DeviceProfile::MOTOG,
+        );
+        let src = w.add_node(
+            Box::new(Probe {
+                dst: Some(sink),
+                wake: None,
+                log: Vec::new(),
+            }),
+            DeviceProfile::SERVER,
+        );
+        let delay = ARRIVAL - Time::ZERO;
+        w.connect(
+            src,
+            sink,
+            LinkConfig::ideal(delay),
+            LinkConfig::ideal(delay),
+        );
+        w.kick(src);
+        (w, sink)
+    }
+
+    #[test]
+    fn wake_due_at_done_runs_before_the_packet() {
+        let (mut w, sink) = probe_world(Some(DONE));
+        w.kick(sink);
+        w.run_until(Time::MAX);
+        let log = &w.agent::<Probe>(sink).log;
+        assert_eq!(
+            log,
+            &vec![(Time::ZERO, 'w'), (DONE, 'w'), (DONE, 'p')],
+            "the wake was queued first, so it pops before the delivery"
+        );
+        // Kicks and wake (3), link exit, and the delivery that fell back.
+        assert_eq!(w.events_processed(), 5);
+    }
+
+    #[test]
+    fn stall_covering_done_defers_the_packet_to_its_end() {
+        let (mut w, sink) = probe_world(None);
+        let until = Time::from_nanos(6_000_000);
+        // Opens after the packet leaves the link, closes after it clears
+        // the CPU: only the delivery falls in the window.
+        w.stall_node(sink, Time::from_nanos(5_100_000), until);
+        w.run_until(Time::MAX);
+        assert_eq!(w.agent::<Probe>(sink).log, vec![(until, 'p')]);
+    }
+
+    #[test]
+    fn deadline_between_arrival_and_done_leaves_the_packet_queued() {
+        let (mut w, sink) = probe_world(None);
+        let before = Time::from_nanos(4_999_999);
+        assert_eq!(w.run_until(before), RunOutcome::DeadlineReached);
+        assert_eq!(w.events_processed(), 1);
+        let deadline = Time::from_nanos(5_200_000);
+        assert_eq!(w.run_until(deadline), RunOutcome::DeadlineReached);
+        assert_eq!(w.events_processed(), 2, "the link exit alone");
+        assert_eq!(w.now(), ARRIVAL);
+        assert!(w.agent::<Probe>(sink).log.is_empty());
+        assert_eq!(w.run_until(Time::MAX), RunOutcome::Idle);
+        assert_eq!(w.events_processed(), 3);
+        assert_eq!(w.agent::<Probe>(sink).log, vec![(DONE, 'p')]);
+    }
+
+    #[test]
+    fn step_takes_two_steps_per_packet() {
+        let (mut w, sink) = probe_world(None);
+        assert!(w.step(), "source wake");
+        assert!(w.step(), "link exit");
+        assert_eq!(w.now(), ARRIVAL);
+        assert!(w.agent::<Probe>(sink).log.is_empty());
+        assert!(w.step(), "delivery");
+        assert_eq!(w.agent::<Probe>(sink).log, vec![(DONE, 'p')]);
+        assert!(!w.step());
+        assert_eq!(w.events_processed(), 3);
+        // `run_until` delivers straight from the link exit, and counts the
+        // delivery as the event it replaces.
+        let (mut fused, sink) = probe_world(None);
+        assert_eq!(fused.run_until(Time::MAX), RunOutcome::Idle);
+        assert_eq!(fused.agent::<Probe>(sink).log, vec![(DONE, 'p')]);
+        assert_eq!(fused.events_processed(), 3);
     }
 
     #[test]

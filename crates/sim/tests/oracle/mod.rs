@@ -2,7 +2,8 @@
 //! reference backend of `longlook_sim::sched::EventQueue`: a
 //! `BinaryHeap` ordered by `(time, push sequence)`. The oracle of
 //! `wheel_matches_heap_under_interleaved_ops` and
-//! `randomized_wheel_matches_heap`.
+//! `randomized_wheel_matches_heap`; `earliest` is what
+//! `EventQueue::quiet_through` is held to.
 
 use longlook_sim::time::Time;
 use std::cmp::{Ordering, Reverse};
@@ -90,6 +91,11 @@ impl<T> HeapSched<T> {
             Some(Reverse(e)) if pred(e.at, &e.item) => self.pop(),
             _ => None,
         }
+    }
+
+    /// When the earliest event is due.
+    pub fn earliest(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
     /// Outstanding event count.

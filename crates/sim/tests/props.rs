@@ -1,15 +1,21 @@
-//! Property-based tests for the link emulation and time arithmetic, and
-//! the event queue against its binary-heap oracle.
+//! Property-based tests for the link emulation and time arithmetic, the
+//! event queue against its binary-heap oracle, and the world's
+//! `run_until` loop against stepping one event at a time.
 
 mod oracle;
 
 use longlook_sim::link::{Jitter, LinkConfig, LinkDir, Verdict};
 use longlook_sim::schedule::RateSchedule;
 use longlook_sim::time::{transmission_delay, Dur, Time};
-use longlook_sim::EventQueue;
 use longlook_sim::SimRng;
+use longlook_sim::{Agent, Ctx, DeviceProfile, FlowId, NodeId, Packet, PktClass, World};
+use longlook_sim::{EventQueue, FaultDir, FaultEvent, FaultKind, LinkFault, RunOutcome};
+use longlook_wire::tcp::TcpSegment;
 use oracle::HeapSched;
 use proptest::prelude::*;
+use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 proptest! {
     /// Without jitter/reordering, deliveries never invert: arrival times
@@ -288,14 +294,17 @@ proptest! {
     /// in the ring, past the horizon and next to `Time::MAX`; plain pops;
     /// `pop_at_most` with deadlines that admit and that refuse; `pop_if`
     /// with a predicate that may refuse on the time or on the item (and
-    /// must then consume nothing); `reserve_hint`; and `reset` in
+    /// must then consume nothing); `quiet_through`, whose `true` must
+    /// mean the heap holds nothing at or before the instant asked about,
+    /// and which must answer `true` whenever the heap's earliest event
+    /// lies in a later tick; `reserve_hint`; and `reset` in
     /// mid-sequence, after which the same queue starts over at time
     /// zero. A refusal leaves "now" behind the wheel's cursor, so the
     /// pushes that follow it land in the past of the loaded tick. After
     /// every step `len`, `is_empty` and `scheduled_peak` agree.
     #[test]
     fn wheel_matches_heap_under_interleaved_ops(
-        ops in proptest::collection::vec((0u8..32, any::<u8>(), any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..36, any::<u8>(), any::<u64>()), 1..400),
     ) {
         let mut wheel: EventQueue<u64> = EventQueue::default();
         let mut heap: HeapSched<u64> = HeapSched::new();
@@ -344,6 +353,21 @@ proptest! {
                 29..=30 => {
                     wheel.reserve_hint(x as usize % 2048);
                     heap.reserve_hint(x as usize % 2048);
+                    None
+                }
+                31..=34 => {
+                    let t = Time::from_nanos(now.saturating_add(delay(class, x)));
+                    let quiet = wheel.quiet_through(t);
+                    let earliest = heap.earliest();
+                    if quiet {
+                        prop_assert!(
+                            earliest.is_none_or(|at| at > t),
+                            "quiet through {t:?}, yet {earliest:?} is due"
+                        );
+                    }
+                    if earliest.is_none_or(|at| at.as_nanos() / TICK > t.as_nanos() / TICK) {
+                        prop_assert!(quiet, "nothing due in {t:?}'s tick, yet not quiet");
+                    }
                     None
                 }
                 _ => {
@@ -413,6 +437,252 @@ fn randomized_wheel_matches_heap() {
                 break;
             }
         }
+    }
+}
+
+/// Every callback of a differential world, in dispatch order across its
+/// nodes: `(now, node, packet id)`, with [`WAKE`] for a wakeup.
+type Log = Rc<RefCell<Vec<(Time, u32, u64)>>>;
+const WAKE: u64 = u64::MAX;
+
+/// An agent that logs each callback and answers it from a script: a
+/// wakeup sends to a scripted peer, a packet is answered to its sender,
+/// one or two packets back to back, userspace or kernel class, and some
+/// answers ask for a wake. Each answer spends one of `budget`, so every
+/// world runs dry.
+struct Chatter {
+    log: Log,
+    /// Each peer, with the one-way delay towards it and its device.
+    peers: Vec<(NodeId, Dur, DeviceProfile)>,
+    own: DeviceProfile,
+    script: Rc<Vec<u8>>,
+    turn: usize,
+    budget: u32,
+    sent: u64,
+}
+
+impl Chatter {
+    fn answer(&mut self, ctx: &mut Ctx<'_>, to: Option<NodeId>) {
+        if self.budget == 0 {
+            return;
+        }
+        self.budget -= 1;
+        let b = self.script[self.turn % self.script.len()];
+        self.turn += 1;
+        let me = ctx.node();
+        let (peer, delay, device) = match to {
+            Some(src) => *self.peers.iter().find(|p| p.0 == src).expect("a peer"),
+            None => self.peers[b as usize % self.peers.len()],
+        };
+        let class = if b & 1 == 0 {
+            PktClass::Userspace
+        } else {
+            PktClass::Kernel
+        };
+        for _ in 0..=(b >> 7) {
+            self.sent += 1;
+            let id = u64::from(me.0) << 32 | self.sent;
+            let size = 80 + u32::from(b % 16) * 90;
+            let seg = TcpSegment::control(0, 0, 0, 0);
+            ctx.send(Packet::new(me, peer, FlowId(id), class, size, seg));
+        }
+        match (b >> 1) % 4 {
+            // The instant this packet clears the peer's CPU when the link
+            // is unshaped and unjittered and the CPU idle.
+            0 => ctx.wake_at(ctx.now + delay + device.cost(class)),
+            // The instant a packet queued behind one clearing this node's
+            // CPU now would clear it.
+            1 => ctx.wake_at(ctx.now + self.own.cost(class)),
+            2 => ctx.wake_at(ctx.now + Dur::from_micros(u64::from(b) * 13)),
+            _ => {}
+        }
+    }
+}
+
+impl Agent for Chatter {
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        self.log
+            .borrow_mut()
+            .push((ctx.now, ctx.node().0, pkt.flow.0));
+        self.answer(ctx, Some(pkt.src));
+    }
+    fn on_wakeup(&mut self, ctx: &mut Ctx<'_>) {
+        self.log.borrow_mut().push((ctx.now, ctx.node().0, WAKE));
+        self.answer(ctx, None);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A world of 2–3 fully connected `Chatter`s decoded from `shape` (at
+/// least 28 bytes): devices from DESKTOP, MOTOG and SERVER (0.5–400 µs
+/// per packet), links ideal or shaped with 0–5 ms delay, jitter, loss and
+/// duplication, and the given stall windows. Every node is kicked.
+fn chatter_world(
+    seed: u64,
+    shape: &[u8],
+    script: &Rc<Vec<u8>>,
+    log: &Log,
+    stalls: &[(NodeId, Time, Time)],
+) -> World {
+    const DEVICES: [DeviceProfile; 3] = [
+        DeviceProfile::DESKTOP,
+        DeviceProfile::MOTOG,
+        DeviceProfile::SERVER,
+    ];
+    let n = 2 + usize::from(shape[0] % 2);
+    let devices: Vec<DeviceProfile> = (0..n)
+        .map(|i| DEVICES[usize::from(shape[1 + i] % 3)])
+        .collect();
+    let pairs: &[(usize, usize)] = if n == 2 {
+        &[(0, 1)]
+    } else {
+        &[(0, 1), (1, 2), (0, 2)]
+    };
+    // Four bytes per direction: delay, rate, jitter, loss and duplication.
+    let direction = |k: usize| {
+        let b = &shape[4 + 4 * k..8 + 4 * k];
+        let delay = Dur::from_micros(u64::from(b[0]) * 20);
+        let mut cfg = if b[1] & 1 == 0 {
+            LinkConfig::ideal(delay)
+        } else {
+            let rate = RateSchedule::fixed_mbps(1.0 + f64::from(b[1] >> 1));
+            LinkConfig::shaped(rate, delay, Dur::from_millis(20))
+        };
+        let spread = Dur::from_micros(u64::from(b[2]) * 4);
+        cfg.jitter = match b[2] % 3 {
+            0 => Jitter::None,
+            1 => Jitter::Uniform(spread),
+            _ => Jitter::Normal(spread),
+        };
+        cfg.loss = f64::from(b[3] % 4) * 0.05;
+        let prob_pm = u32::from(b[3] >> 2) * 10;
+        cfg.fault = (prob_pm > 0).then(|| {
+            LinkFault::from_events(vec![FaultEvent {
+                at: Time::ZERO,
+                dur: Dur::from_secs(3600),
+                dir: FaultDir::Both,
+                kind: FaultKind::Duplicate { prob_pm },
+            }])
+        });
+        cfg
+    };
+    let links: Vec<(usize, usize, LinkConfig, LinkConfig)> = pairs
+        .iter()
+        .enumerate()
+        .map(|(k, &(a, b))| (a, b, direction(2 * k), direction(2 * k + 1)))
+        .collect();
+    let mut world = World::new(seed);
+    for (i, &own) in devices.iter().enumerate() {
+        let mut peers = Vec::new();
+        for (a, b, ab, ba) in &links {
+            if *a == i {
+                peers.push((NodeId(*b as u32), ab.delay, devices[*b]));
+            } else if *b == i {
+                peers.push((NodeId(*a as u32), ba.delay, devices[*a]));
+            }
+        }
+        let agent = Chatter {
+            log: log.clone(),
+            peers,
+            own,
+            script: script.clone(),
+            turn: i,
+            budget: 12 + u32::from(shape[1 + i] % 32),
+            sent: 0,
+        };
+        world.add_node(Box::new(agent), own);
+    }
+    for (a, b, ab, ba) in links {
+        world.connect(NodeId(a as u32), NodeId(b as u32), ab, ba);
+    }
+    for &(node, from, until) in stalls {
+        world.stall_node(node, from, until);
+    }
+    for i in 0..n {
+        world.kick(NodeId(i as u32));
+    }
+    world
+}
+
+/// Up to three stall windows from `shape[28..34]`, each opening at a
+/// delivery in `log` (a run without windows) on the node it reached: a
+/// window that opens while a packet clears the CPU covers its delivery
+/// but not its link exit.
+fn stall_windows(shape: &[u8], log: &[(Time, u32, u64)]) -> Vec<(NodeId, Time, Time)> {
+    let deliveries: Vec<(Time, u32)> = log
+        .iter()
+        .filter(|e| e.2 != WAKE)
+        .map(|&(at, node, _)| (at, node))
+        .collect();
+    if deliveries.is_empty() {
+        return Vec::new();
+    }
+    shape[28..34]
+        .chunks(2)
+        .take(usize::from(shape[2] % 4))
+        .map(|w| {
+            let (at, node) = deliveries[usize::from(w[0]) % deliveries.len()];
+            (
+                NodeId(node),
+                at,
+                at + Dur::from_micros(20 + u64::from(w[1]) * 10),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `run_until` delivers a packet straight from its link exit when
+    /// nothing queued, no stall window and no deadline can come between;
+    /// `step` never does. Run in random deadline slices, the first must
+    /// dispatch exactly what the second does one event at a time: after
+    /// each slice its log is the step run's log up to the deadline, and
+    /// at the end the logs, `events_processed`, `scheduled_peak` and
+    /// `now` are equal. Three worlds in four get stall windows, placed
+    /// from a run without them.
+    #[test]
+    fn run_until_matches_step(
+        seed in any::<u64>(),
+        shape in proptest::collection::vec(any::<u8>(), 34..35),
+        script in proptest::collection::vec(any::<u8>(), 1..48),
+        slices in proptest::collection::vec(0u64..1_500_000, 0..60),
+    ) {
+        let script = Rc::new(script);
+        let unstalled_log = Log::default();
+        let mut unstalled = chatter_world(seed, &shape, &script, &unstalled_log, &[]);
+        while unstalled.step() {}
+        let stalls = stall_windows(&shape, &unstalled_log.borrow());
+
+        let stepped_log = Log::default();
+        let mut stepped = chatter_world(seed, &shape, &script, &stepped_log, &stalls);
+        while stepped.step() {}
+        let want = stepped_log.borrow().clone();
+
+        let fused_log = Log::default();
+        let mut fused = chatter_world(seed, &shape, &script, &fused_log, &stalls);
+        let mut deadline = Time::ZERO;
+        for &ns in &slices {
+            deadline += Dur::from_nanos(ns);
+            let outcome = fused.run_until(deadline);
+            prop_assert!(fused.now() <= deadline, "ran past {deadline:?}");
+            let upto = want.partition_point(|&(t, _, _)| t <= deadline);
+            prop_assert_eq!(&fused_log.borrow()[..], &want[..upto], "at {:?}", deadline);
+            if outcome == RunOutcome::Idle {
+                break;
+            }
+        }
+        prop_assert_eq!(fused.run_until(Time::MAX), RunOutcome::Idle);
+        prop_assert_eq!(&fused_log.borrow()[..], &want[..]);
+        prop_assert_eq!(fused.events_processed(), stepped.events_processed());
+        prop_assert_eq!(fused.scheduled_peak(), stepped.scheduled_peak());
+        prop_assert_eq!(fused.now(), stepped.now());
     }
 }
 
