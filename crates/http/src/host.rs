@@ -315,8 +315,51 @@ pub struct ServerHost {
     /// When the single application worker frees up.
     app_cpu_free: Time,
     rng: SimRng,
-    /// Deferred responses: (due, flow, stream, object).
-    pending: Vec<(Time, FlowId, StreamId, usize)>,
+    /// Deferred responses: (flow, stream, object).
+    pending: Deferred<(FlowId, StreamId, usize)>,
+}
+
+/// Items due at given times, fired in the order they were pushed. Due
+/// times are not in push order (a [`WaitModel`] adds a random wait after
+/// the serialized request cost), and a due-ordered heap would reorder
+/// responses that fall due together; so the entries stay in a `Vec`, and
+/// the earliest due time rides beside them to skip the scan while
+/// nothing is due.
+struct Deferred<T> {
+    entries: Vec<(Time, T)>,
+    /// The earliest due time among `entries`; `Time::MAX` when empty.
+    earliest: Time,
+}
+
+impl<T: Copy> Deferred<T> {
+    fn new() -> Self {
+        Deferred {
+            entries: Vec::new(),
+            earliest: Time::MAX,
+        }
+    }
+
+    fn push(&mut self, due: Time, item: T) {
+        self.earliest = self.earliest.min(due);
+        self.entries.push((due, item));
+    }
+
+    /// Hand every item due at `now` to `fire`, in push order.
+    fn fire_due(&mut self, now: Time, mut fire: impl FnMut(T)) {
+        if self.earliest > now {
+            return;
+        }
+        let mut earliest = Time::MAX;
+        self.entries.retain(|&(due, item)| {
+            if due > now {
+                earliest = earliest.min(due);
+                return true;
+            }
+            fire(item);
+            false
+        });
+        self.earliest = earliest;
+    }
 }
 
 impl ServerHost {
@@ -330,7 +373,7 @@ impl ServerHost {
             wait: None,
             app_cpu_free: Time::ZERO,
             rng: SimRng::new(seed),
-            pending: Vec::new(),
+            pending: Deferred::new(),
         }
     }
 
@@ -384,16 +427,12 @@ impl ServerHost {
         } = self;
         // Fire deferred responses that are due, in the order they were
         // scheduled.
-        pending.retain(|&(due, flow, stream, object)| {
-            if due > now {
-                return true;
-            }
+        pending.fire_due(now, |(flow, stream, object)| {
             let size = catalog.objects.get(object).copied().unwrap_or(10 * 1024);
             if let Some(slot) = conns.get_mut(&flow) {
                 slot.conn
                     .stream_send(now, stream, RESPONSE_HEADER + size, true);
             }
-            false
         });
         // Collect requests; each completed one queues behind the single
         // application worker (and the optional wait), so it is always
@@ -421,7 +460,7 @@ impl ServerHost {
                     let span = w.max.saturating_sub(w.min).as_nanos();
                     due += w.min + Dur::from_nanos(rng.uniform_u64(0, span.max(1)));
                 }
-                pending.push((due, flow, stream, object));
+                pending.push(due, (flow, stream, object));
                 ctx.wake_at(due);
             }
         }
@@ -459,5 +498,72 @@ impl Agent for ServerHost {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `Vec::retain` scan `Deferred` replaced: every pass looks at
+    /// every entry.
+    fn scan_all(pending: &mut Vec<(Time, u32)>, now: Time, fired: &mut Vec<u32>) {
+        pending.retain(|&(due, item)| {
+            if due > now {
+                return true;
+            }
+            fired.push(item);
+            false
+        });
+    }
+
+    #[test]
+    fn deferred_fires_due_items_in_push_order_under_a_wait_model() {
+        // Requests queued the way `ServerHost::service` queues them: a
+        // serialized 4 ms cost, then a GAE-style wait drawn from `wait`,
+        // so due times leave push order.
+        let wait = WaitModel {
+            min: Dur::from_millis(1),
+            max: Dur::from_millis(30),
+        };
+        let mut rng = SimRng::new(42);
+        let mut cpu_free = Time::ZERO;
+        let mut deferred = Deferred::new();
+        let mut oracle = Vec::new();
+        let mut dues = Vec::new();
+        for item in 0..40u32 {
+            let now = Time::ZERO + Dur::from_millis(u64::from(item / 8));
+            let mut due = cpu_free.max(now) + request_cost(PktClass::Userspace);
+            cpu_free = due;
+            let span = wait.max.saturating_sub(wait.min).as_nanos();
+            due += wait.min + Dur::from_nanos(rng.uniform_u64(0, span.max(1)));
+            // Ties: two requests falling due at one instant.
+            if item % 10 == 9 {
+                due = dues[item as usize - 3];
+            }
+            deferred.push(due, item);
+            oracle.push((due, item));
+            dues.push(due);
+        }
+        assert!(dues.windows(2).any(|w| w[1] < w[0]), "dues out of order");
+        // Service at every due instant and in between, as packets arrive.
+        let mut instants: Vec<Time> = dues
+            .iter()
+            .flat_map(|&d| [d, d + Dur::from_micros(1)])
+            .collect();
+        instants.push(Time::ZERO);
+        instants.sort();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for now in instants {
+            deferred.fire_due(now, |item| got.push(item));
+            scan_all(&mut oracle, now, &mut want);
+            assert_eq!(got, want, "at {now:?}");
+            assert_eq!(deferred.entries, oracle);
+        }
+        assert_eq!(got.len(), 40);
+        assert_eq!(deferred.earliest, Time::MAX);
+        // Tied items fire in push order, not due order.
+        let tied = got.iter().position(|&i| i == 9).unwrap();
+        assert!(got.iter().position(|&i| i == 6).unwrap() < tied);
     }
 }

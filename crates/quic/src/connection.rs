@@ -31,6 +31,15 @@ use std::collections::VecDeque;
 /// decimation), or when the delayed-ack timer fires first.
 const ACK_EVERY: u32 = 2;
 
+/// The first stream id an endpoint opens; it opens every second id after
+/// it. Stream 0 is the connection-level window.
+fn first_own_stream(role: Role) -> u32 {
+    match role {
+        Role::Client => 3,
+        Role::Server => 2,
+    }
+}
+
 /// Which end of the connection we are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -156,14 +165,11 @@ impl QuicConnection {
         } else {
             Pacer::disabled()
         };
-        let next_stream_id = match role {
-            Role::Client => 3,
-            Role::Server => 2,
-        };
+        let next_stream_id = first_own_stream(role);
         QuicConnection {
             watchdog: Watchdog::new(now, cfg.watchdog),
             recovery: RecoveryTimer::new(cfg.tlp),
-            tel: ConnTelemetry::new(now, cfg.trace, cc.as_ref()),
+            tel: ConnTelemetry::new(now, cfg.trace, cc.state()),
             rtt: RttEstimator::new(INITIAL_RTT),
             nack_threshold: cfg.nack_threshold,
             conn_send_limit: cfg.conn_recv_window,
@@ -286,6 +292,14 @@ impl QuicConnection {
             }
             _ => {} // Ignore nonsensical combinations.
         }
+    }
+
+    /// Whether `id` has our parity but names a stream we never opened: a
+    /// legal peer never sends a frame for one, and acting on it would
+    /// create a record the app never asked for.
+    fn unopened_own_stream(&self, id: u32) -> bool {
+        id % 2 == self.next_stream_id % 2
+            && !(first_own_stream(self.role)..self.next_stream_id).contains(&id)
     }
 
     fn on_stream_frame(&mut self, id: u32, offset: u64, len: u32, fin: bool, now: Time) {
@@ -443,7 +457,7 @@ impl QuicConnection {
     fn update_state(&mut self, now: Time) {
         self.tel.update_state(
             now,
-            self.cc.as_ref(),
+            self.cc.state(),
             self.is_established(),
             &self.recovery,
             self.app_limited,
@@ -477,7 +491,10 @@ impl QuicConnection {
     }
 
     /// Assemble and account one outgoing packet from `frames`;
-    /// `wu_streams` names the window updates among them.
+    /// `wu_streams` names the window updates among them. `rate` is the
+    /// pacing rate if this poll already computed it: no controller's
+    /// `on_packet_sent` moves it.
+    #[allow(clippy::too_many_arguments)]
     fn finalize_packet(
         &mut self,
         frames: Vec<Frame>,
@@ -485,6 +502,7 @@ impl QuicConnection {
         wu_streams: Vec<u32>,
         handshake: Option<HandshakeKind>,
         retransmittable: bool,
+        rate: Option<f64>,
         now: Time,
     ) -> Transmit {
         let pn = self.next_pn;
@@ -512,7 +530,12 @@ impl QuicConnection {
         if retransmittable {
             self.cc
                 .on_packet_sent(now, wire_size as u64, self.sent.bytes_in_flight());
-            let rate = self.cc.pacing_rate_bps(&self.rtt);
+            let rate = rate.unwrap_or_else(|| self.cc.pacing_rate_bps(&self.rtt));
+            debug_assert_eq!(
+                rate.to_bits(),
+                self.cc.pacing_rate_bps(&self.rtt).to_bits(),
+                "on_packet_sent moved the pacing rate"
+            );
             self.pacer.on_sent(now, wire_size as u64, rate);
             self.arm_recovery(now);
         }
@@ -580,6 +603,7 @@ impl Connection for QuicConnection {
         let mut frames = pkt.frames;
         for frame in frames.drain(..) {
             match frame {
+                Frame::Stream { id, .. } if self.unopened_own_stream(id) => {}
                 Frame::Stream {
                     id,
                     offset,
@@ -597,7 +621,7 @@ impl Connection for QuicConnection {
                 Frame::WindowUpdate { stream, max_offset } => {
                     if stream == 0 {
                         self.conn_send_limit = self.conn_send_limit.max(max_offset);
-                    } else {
+                    } else if !self.unopened_own_stream(stream) {
                         self.streams.on_window_update(stream, max_offset);
                     }
                 }
@@ -620,6 +644,9 @@ impl Connection for QuicConnection {
         debug_assert!(chunks.is_empty());
         let mut used = 0u32;
         let mut retransmittable = false;
+        // cc state is constant within one poll, so the pacing rate is too;
+        // compute it at most once (identical f64 value).
+        let mut rate: Option<f64> = None;
 
         // 1. Handshake messages (highest priority, not pacing/cc gated —
         //    they are few and must flow for anything else to work).
@@ -703,9 +730,6 @@ impl Connection for QuicConnection {
                 let mut sent_any_data = false;
                 let mut data_was_available = false;
                 let mut pacing_blocked = false;
-                // cc state is constant within one poll, so the pacing rate
-                // is too; compute it at most once (identical f64 value).
-                let mut cached_rate: Option<f64> = None;
                 loop {
                     let budget = Self::frame_budget(used).saturating_sub(18);
                     if budget < 16 {
@@ -718,14 +742,7 @@ impl Connection for QuicConnection {
                         break;
                     }
                     // Pacing gate applies to data only.
-                    let rate = match cached_rate {
-                        Some(r) => r,
-                        None => {
-                            let r = self.cc.pacing_rate_bps(&self.rtt);
-                            cached_rate = Some(r);
-                            r
-                        }
-                    };
+                    let rate = *rate.get_or_insert_with(|| self.cc.pacing_rate_bps(&self.rtt));
                     let ready = self.pacer.earliest_send(now, self.cfg.cubic.mss, rate);
                     if ready > now {
                         self.pacing_deadline = Some(ready);
@@ -781,7 +798,15 @@ impl Connection for QuicConnection {
             self.sent.give_spare_chunks(chunks);
             return None;
         }
-        Some(self.finalize_packet(frames, chunks, wu_streams, handshake, retransmittable, now))
+        Some(self.finalize_packet(
+            frames,
+            chunks,
+            wu_streams,
+            handshake,
+            retransmittable,
+            rate,
+            now,
+        ))
     }
 
     fn next_wakeup(&self) -> Option<Time> {
@@ -904,5 +929,77 @@ impl Connection for QuicConnection {
 
     fn error(&self) -> Option<ConnError> {
         self.watchdog.error()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A packet from the peer carrying `frames`.
+    fn packet(pn: u64, frames: Vec<Frame>) -> Payload {
+        Payload::Quic(QuicPacket {
+            conn_id: 7,
+            pn,
+            frames,
+        })
+    }
+
+    #[test]
+    fn frames_for_unopened_own_streams_are_dropped() {
+        let now = Time::ZERO;
+        let mut c = QuicConnection::client(QuicConfig::default(), 7, true, now);
+        let opened = c.open_stream(now).expect("stream slot");
+        assert_eq!(opened, StreamId(3));
+        while c.poll_event().is_some() {}
+        // Ours but never opened: below the first own id, and at or above
+        // the next one.
+        for (pn, id) in [(1, 1), (2, 5), (3, 9)] {
+            let frames = vec![
+                Frame::Stream {
+                    id,
+                    offset: 0,
+                    len: 500,
+                    fin: true,
+                },
+                Frame::WindowUpdate {
+                    stream: id + 4,
+                    max_offset: 1 << 20,
+                },
+            ];
+            c.on_datagram(packet(pn, frames), now);
+            assert!(c.streams.get(id).is_none(), "stream {id}");
+            assert!(c.streams.get(id + 4).is_none(), "stream {}", id + 4);
+            assert_eq!(c.poll_event(), None);
+        }
+        // The stream we opened, the peer's streams and the connection
+        // window are served as before.
+        let frames = vec![
+            Frame::Stream {
+                id: 2,
+                offset: 0,
+                len: 500,
+                fin: false,
+            },
+            Frame::WindowUpdate {
+                stream: 3,
+                max_offset: 1 << 20,
+            },
+            Frame::WindowUpdate {
+                stream: 0,
+                max_offset: 1 << 30,
+            },
+        ];
+        c.on_datagram(packet(4, frames), now);
+        assert_eq!(c.poll_event(), Some(AppEvent::StreamOpened(StreamId(2))));
+        assert_eq!(
+            c.poll_event(),
+            Some(AppEvent::StreamData {
+                id: StreamId(2),
+                bytes: 500
+            })
+        );
+        assert_eq!(c.poll_event(), None);
+        assert_eq!(c.conn_send_limit, 1 << 30);
     }
 }

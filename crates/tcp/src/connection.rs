@@ -146,7 +146,9 @@ pub struct TcpConnection {
     scoreboard: Scoreboard,
     receiver: TcpReceiver,
     rtt: RttEstimator,
-    cc: Box<dyn CongestionControl>,
+    /// Always Cubic (the Linux default), so its calls, the Fig-3 state
+    /// sample on every packet included, are direct.
+    cc: Cubic,
 
     mux: H2Mux,
     demux: H2Demux,
@@ -195,11 +197,11 @@ impl TcpConnection {
         } else {
             (0, 0)
         };
-        let cc: Box<dyn CongestionControl> = Box::new(Cubic::new(cfg.cubic.clone(), now));
+        let cc = Cubic::new(cfg.cubic.clone(), now);
         TcpConnection {
             watchdog: Watchdog::new(now, cfg.watchdog),
             recovery: RecoveryTimer::new(false),
-            tel: ConnTelemetry::new(now, cfg.trace, cc.as_ref()),
+            tel: ConnTelemetry::new(now, cfg.trace, cc.state()),
             rtt: RttEstimator::new(INITIAL_RTT),
             receiver: TcpReceiver::new(cfg.recv_buffer),
             mux: H2Mux::new(our_prefix),
@@ -274,7 +276,7 @@ impl TcpConnection {
     fn update_state(&mut self, now: Time) {
         self.tel.update_state(
             now,
-            self.cc.as_ref(),
+            self.cc.state(),
             self.tls_established,
             &self.recovery,
             self.app_limited,

@@ -9,8 +9,8 @@
 //! production controller (Google told the authors BBR was "not yet
 //! performing as well as Cubic" at the time).
 
-use crate::cc::{CcPhase, CongestionControl};
-use crate::ccstate::BbrState;
+use crate::cc::CongestionControl;
+use crate::ccstate::{BbrState, Fig3State};
 use crate::rtt::RttEstimator;
 use longlook_sim::time::{Dur, Time};
 
@@ -217,13 +217,6 @@ impl CongestionControl for Bbr {
         matches!(self.recovery_start, Some(start) if sent_at <= start)
     }
 
-    fn phase(&self, _now: Time) -> CcPhase {
-        match self.state {
-            BbrState::Startup => CcPhase::SlowStart,
-            _ => CcPhase::CongestionAvoidance,
-        }
-    }
-
     fn pacing_rate_bps(&self, rtt: &RttEstimator) -> f64 {
         let bw = self.max_bw();
         let base = if bw > 0.0 {
@@ -234,12 +227,8 @@ impl CongestionControl for Bbr {
         base * self.pacing_gain()
     }
 
-    fn state_label(&self, _now: Time) -> &'static str {
-        self.state.label()
-    }
-
-    fn overlay_connection_states(&self) -> bool {
-        false
+    fn state(&self) -> Fig3State {
+        Fig3State::Bbr(self.state)
     }
 
     fn name(&self) -> &'static str {
@@ -282,8 +271,7 @@ mod tests {
     fn starts_in_startup() {
         let b = Bbr::new(MSS, t(0));
         assert_eq!(b.bbr_state(), BbrState::Startup);
-        assert_eq!(b.state_label(t(0)), "Startup");
-        assert!(!b.overlay_connection_states());
+        assert_eq!(b.state(), Fig3State::Bbr(BbrState::Startup));
     }
 
     #[test]

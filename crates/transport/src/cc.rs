@@ -5,22 +5,14 @@
 //! QUIC and TCP connection models drive it identically and differences
 //! between the protocols come from *their* machinery (ack ambiguity, loss
 //! detection, delayed acks), not from divergent CC plumbing.
+//!
+//! A controller reports its Fig-3 state through one method returning a
+//! `Copy` [`Fig3State`], which connections sample on every packet and
+//! compare as an enum; the label string is written only on a change.
 
+use crate::ccstate::Fig3State;
 use crate::rtt::RttEstimator;
 use longlook_sim::time::Time;
-
-/// Coarse phase used for state-trace labelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcPhase {
-    /// Exponential growth below ssthresh.
-    SlowStart,
-    /// Cubic/Reno window growth.
-    CongestionAvoidance,
-    /// Clamped at the maximum allowed congestion window (QUIC's MACW).
-    CaMaxed,
-    /// Fast recovery (PRR) in progress.
-    Recovery,
-}
 
 /// A pluggable congestion controller.
 pub trait CongestionControl: std::fmt::Debug + Send {
@@ -69,23 +61,13 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     /// epoch (losses there don't trigger another reduction).
     fn in_recovery(&self, sent_at: Time) -> bool;
 
-    /// Current phase for state labelling.
-    fn phase(&self, now: Time) -> CcPhase;
-
     /// Pacing rate in bits/sec (callers may ignore if pacing disabled).
     fn pacing_rate_bps(&self, rtt: &RttEstimator) -> f64;
 
-    /// Human-readable label of the current state for trace logging. For
-    /// Cubic this maps phases onto the paper's Table 3 labels; BBR reports
-    /// its own four states (Fig 3b).
-    fn state_label(&self, now: Time) -> &'static str;
-
-    /// Whether the connection should overlay its own states (Init,
-    /// ApplicationLimited, RTO, TailLossProbe) on top of the controller's
-    /// labels. True for Cubic (Fig 3a), false for BBR (Fig 3b).
-    fn overlay_connection_states(&self) -> bool {
-        true
-    }
+    /// The current Fig-3 state: a Table 3 phase the connection overlays
+    /// with its own states (Cubic, Fig 3a), or the controller's own
+    /// vocabulary, reported as is (BBR, Fig 3b).
+    fn state(&self) -> Fig3State;
 
     /// Controller name for reports.
     fn name(&self) -> &'static str;

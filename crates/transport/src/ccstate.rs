@@ -103,6 +103,28 @@ impl BbrState {
     }
 }
 
+/// A state of either Fig-3 machine: Cubic's Table 3 vocabulary (Fig 3a),
+/// which connections overlay with their own states, or BBR's (Fig 3b),
+/// reported as is. Connections sample it on every packet and write its
+/// [`label`](Self::label) only when it changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Fig3State {
+    /// A Table 3 state.
+    Cubic(CcState),
+    /// A BBR state.
+    Bbr(BbrState),
+}
+
+impl Fig3State {
+    /// The state's stable trace label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fig3State::Cubic(s) => s.label(),
+            Fig3State::Bbr(s) => s.label(),
+        }
+    }
+}
+
 /// One connection's Fig-3 state history: the ordered visit log and how
 /// long it was observed. It is the one value that carries a history from
 /// a live connection (labels `&'static str`) or a parsed trace file

@@ -4,8 +4,7 @@
 //! knows which protocol it serves: the connections pass in what differs
 //! ("is anything outstanding", "is the handshake done").
 
-use crate::cc::CongestionControl;
-use crate::ccstate::{CcState, StateTrace};
+use crate::ccstate::{CcState, Fig3State, StateTrace};
 use crate::conn::{AppEvent, ConnError, ConnStats};
 use crate::rtt::RttEstimator;
 use longlook_sim::time::{Dur, Time};
@@ -236,25 +235,28 @@ pub struct ConnTelemetry {
     pub events: VecDeque<AppEvent>,
     cwnd_log: Vec<(Time, u64)>,
     states: StateTrace<'static>,
+    /// The state `states` and the tracer last logged.
+    state: Fig3State,
 }
 
 impl ConnTelemetry {
-    /// Telemetry for a connection constructed at `now`, starting in `Init`
-    /// unless the controller reports its own vocabulary (BBR, Fig 3b).
-    pub fn new(now: Time, trace: TraceMode, cc: &dyn CongestionControl) -> Self {
-        let initial = if cc.overlay_connection_states() {
-            CcState::Init.label()
-        } else {
-            cc.state_label(now)
+    /// Telemetry for a connection constructed at `now` whose controller
+    /// reports `cc_state`: it starts in `Init` unless the controller has
+    /// its own vocabulary (BBR, Fig 3b).
+    pub fn new(now: Time, trace: TraceMode, cc_state: Fig3State) -> Self {
+        let state = match cc_state {
+            Fig3State::Cubic(_) => Fig3State::Cubic(CcState::Init),
+            own => own,
         };
         let mut tracer = Tracer::new(trace.is_on());
-        tracer.cc_state(now.as_nanos(), initial);
+        tracer.cc_state(now.as_nanos(), state.label());
         ConnTelemetry {
             stats: ConnStats::default(),
             tracer,
             events: VecDeque::new(),
             cwnd_log: vec![(now, 0)],
-            states: StateTrace::new(now, initial),
+            states: StateTrace::new(now, state.label()),
+            state,
         }
     }
 
@@ -275,35 +277,46 @@ impl ConnTelemetry {
         }
     }
 
-    /// Record the current Fig-3 state. Connection states overlay the
-    /// controller's label in the order Init, RTO, TLP, Recovery,
-    /// ApplicationLimited; a controller that opts out is reported as is.
+    /// Sample the current Fig-3 state, given the controller's `cc_state`;
+    /// its label is logged only when it changes. Connection states overlay
+    /// a Table 3 phase in the order Init, RTO, TLP, Recovery,
+    /// ApplicationLimited; a controller with its own vocabulary is
+    /// reported as is.
+    #[inline]
     pub fn update_state(
         &mut self,
         now: Time,
-        cc: &dyn CongestionControl,
+        cc_state: Fig3State,
         established: bool,
         timer: &RecoveryTimer,
         app_limited: bool,
     ) {
-        let label = if !cc.overlay_connection_states() {
-            cc.state_label(now)
-        } else if !established {
-            CcState::Init.label()
-        } else if timer.in_rto {
-            CcState::RetransmissionTimeout.label()
-        } else if timer.in_tlp {
-            CcState::TailLossProbe.label()
-        } else {
-            let cc_label = cc.state_label(now);
-            if app_limited && cc_label != CcState::Recovery.label() {
-                CcState::ApplicationLimited.label()
+        let state = match cc_state {
+            Fig3State::Cubic(phase) => Fig3State::Cubic(if !established {
+                CcState::Init
+            } else if timer.in_rto {
+                CcState::RetransmissionTimeout
+            } else if timer.in_tlp {
+                CcState::TailLossProbe
+            } else if app_limited && phase != CcState::Recovery {
+                CcState::ApplicationLimited
             } else {
-                cc_label
-            }
+                phase
+            }),
+            own => own,
         };
-        self.states.enter(now, label);
-        self.tracer.cc_state(now.as_nanos(), label);
+        if state != self.state {
+            self.enter(now, state);
+        }
+    }
+
+    /// Log a state change: rare next to the samples, kept out of line.
+    #[cold]
+    #[inline(never)]
+    fn enter(&mut self, now: Time, state: Fig3State) {
+        self.state = state;
+        self.states.enter(now, state.label());
+        self.tracer.cc_state(now.as_nanos(), state.label());
     }
 
     /// Congestion window over time, one entry per change.
@@ -321,6 +334,7 @@ impl ConnTelemetry {
 mod tests {
     use super::*;
     use crate::bbr::Bbr;
+    use crate::cc::CongestionControl;
     use crate::cubic::{Cubic, CubicConfig};
     use longlook_sim::trace::{TraceEvent, TraceRecord};
     use proptest::prelude::*;
@@ -591,7 +605,7 @@ mod tests {
     #[test]
     fn overlay_precedence_is_init_rto_tlp_recovery_app_limited_cc() {
         let mut cubic = Cubic::new(CubicConfig::quic34(1350), t(0));
-        let mut tel = ConnTelemetry::new(t(0), TraceMode::Off, &cubic);
+        let mut tel = ConnTelemetry::new(t(0), TraceMode::Off, cubic.state());
         assert_eq!(current_label(&tel, t(0)), "Init");
         // (established, in_rto, in_tlp, app_limited) -> label, with the
         // controller in slow start.
@@ -604,23 +618,23 @@ mod tests {
         ];
         for (k, ((est, rto, tlp, app), want)) in table.into_iter().enumerate() {
             let now = t(1 + k as u64);
-            tel.update_state(now, &cubic, est, &timer_in(rto, tlp), app);
+            tel.update_state(now, cubic.state(), est, &timer_in(rto, tlp), app);
             assert_eq!(current_label(&tel, now), want, "row {k}");
         }
         // Recovery outranks ApplicationLimited but not the timer labels.
         cubic.on_congestion_event(t(10), t(9), 1350, 20 * 1350);
-        tel.update_state(t(10), &cubic, true, &timer_in(false, false), true);
+        tel.update_state(t(10), cubic.state(), true, &timer_in(false, false), true);
         assert_eq!(current_label(&tel, t(10)), "Recovery");
-        tel.update_state(t(11), &cubic, true, &timer_in(false, true), true);
+        tel.update_state(t(11), cubic.state(), true, &timer_in(false, true), true);
         assert_eq!(current_label(&tel, t(11)), "TailLossProbe");
     }
 
     #[test]
     fn bbr_bypasses_the_overlay_from_the_first_instant() {
         let bbr = Bbr::new(1350, t(0));
-        let mut tel = ConnTelemetry::new(t(0), TraceMode::On, &bbr);
-        tel.update_state(t(1), &bbr, false, &timer_in(true, true), true);
-        tel.update_state(t(2), &bbr, true, &timer_in(true, true), true);
+        let mut tel = ConnTelemetry::new(t(0), TraceMode::On, bbr.state());
+        tel.update_state(t(1), bbr.state(), false, &timer_in(true, true), true);
+        tel.update_state(t(2), bbr.state(), true, &timer_in(true, true), true);
         assert_eq!(tel.state_trace(t(3)).labels(), vec!["Startup"]);
         assert!(matches!(
             tel.tracer.records(),
@@ -634,7 +648,7 @@ mod tests {
     #[test]
     fn cwnd_log_records_changes_only_and_tracks_the_maximum() {
         let cubic = Cubic::new(CubicConfig::quic34(1350), t(0));
-        let mut tel = ConnTelemetry::new(t(0), TraceMode::On, &cubic);
+        let mut tel = ConnTelemetry::new(t(0), TraceMode::On, cubic.state());
         for (ms, cwnd) in [(1, 10), (2, 10), (3, 30), (4, 30), (5, 20), (6, 20)] {
             tel.log_cwnd(t(ms), cwnd);
         }

@@ -16,8 +16,8 @@
 //!   fixed ssthresh instead of deriving it from the receiver window,
 //!   reproducing the miscalibrated public build of Fig 2.
 
-use crate::cc::{CcPhase, CongestionControl};
-use crate::ccstate::CcState;
+use crate::cc::CongestionControl;
+use crate::ccstate::{CcState, Fig3State};
 use crate::hystart::HyStart;
 use crate::prr::Prr;
 use crate::rtt::RttEstimator;
@@ -321,18 +321,18 @@ impl CongestionControl for Cubic {
         }
     }
 
-    fn phase(&self, _now: Time) -> CcPhase {
-        if self.in_recovery_now {
-            CcPhase::Recovery
+    fn state(&self) -> Fig3State {
+        Fig3State::Cubic(if self.in_recovery_now {
+            CcState::Recovery
         } else if self.cwnd >= self.max_cwnd_bytes() {
             // The MACW clamp dominates: the window cannot grow regardless
             // of the slow-start threshold.
-            CcPhase::CaMaxed
+            CcState::CaMaxed
         } else if self.cwnd < self.ssthresh {
-            CcPhase::SlowStart
+            CcState::SlowStart
         } else {
-            CcPhase::CongestionAvoidance
-        }
+            CcState::CongestionAvoidance
+        })
     }
 
     fn pacing_rate_bps(&self, rtt: &RttEstimator) -> f64 {
@@ -341,15 +341,6 @@ impl CongestionControl for Cubic {
             2.0 * bw
         } else {
             1.25 * bw
-        }
-    }
-
-    fn state_label(&self, now: Time) -> &'static str {
-        match self.phase(now) {
-            CcPhase::SlowStart => CcState::SlowStart.label(),
-            CcPhase::CongestionAvoidance => CcState::CongestionAvoidance.label(),
-            CcPhase::CaMaxed => CcState::CaMaxed.label(),
-            CcPhase::Recovery => CcState::Recovery.label(),
         }
     }
 
@@ -424,8 +415,8 @@ mod tests {
             c.on_ack(t(36 + i), t(0), MSS, &rtt, c.cwnd(), false);
         }
         assert_eq!(c.cwnd(), 40 * MSS);
-        assert_eq!(c.phase(t(200)), CcPhase::CaMaxed);
-        assert_eq!(c.state_label(t(200)), "CongestionAvoidanceMaxed");
+        assert_eq!(c.state(), Fig3State::Cubic(CcState::CaMaxed));
+        assert_eq!(c.state().label(), "CongestionAvoidanceMaxed");
     }
 
     #[test]
@@ -437,7 +428,7 @@ mod tests {
         c.on_congestion_event(t(100), t(90), MSS, before);
         let expect = (before as f64 * 0.85) as u64;
         assert_eq!(c.cwnd(), expect);
-        assert_eq!(c.phase(t(100)), CcPhase::Recovery);
+        assert_eq!(c.state(), Fig3State::Cubic(CcState::Recovery));
     }
 
     #[test]
@@ -459,10 +450,10 @@ mod tests {
         let mut c = Cubic::new(CubicConfig::quic34(MSS), t(0));
         let rtt = rtt36();
         c.on_congestion_event(t(100), t(90), MSS, c.cwnd());
-        assert_eq!(c.phase(t(100)), CcPhase::Recovery);
+        assert_eq!(c.state(), Fig3State::Cubic(CcState::Recovery));
         // Ack data sent during recovery.
         c.on_ack(t(150), t(120), MSS, &rtt, c.cwnd() / 2, false);
-        assert_ne!(c.phase(t(150)), CcPhase::Recovery);
+        assert_ne!(c.state(), Fig3State::Cubic(CcState::Recovery));
     }
 
     #[test]
@@ -517,7 +508,7 @@ mod tests {
             c.on_ack(t(36 + i), t(0), MSS, &rtt, c.cwnd(), false);
         }
         // Already in CA even though we've acked only ~40 packets.
-        assert_eq!(c.phase(t(100)), CcPhase::CongestionAvoidance);
+        assert_eq!(c.state(), Fig3State::Cubic(CcState::CongestionAvoidance));
         assert!(c.cwnd() < 50 * MSS);
     }
 

@@ -29,9 +29,9 @@ pub mod prr;
 pub mod rtt;
 
 pub use bbr::Bbr;
-pub use cc::{CcPhase, CongestionControl};
+pub use cc::CongestionControl;
 pub use ccstate::{
-    bbr_legal_edges, check_trace_legal, cubic_legal_edges, BbrState, CcState, StateTrace,
+    bbr_legal_edges, check_trace_legal, cubic_legal_edges, BbrState, CcState, Fig3State, StateTrace,
 };
 pub use chassis::{ConnTelemetry, RecoveryTimer, Watchdog};
 pub use conn::{

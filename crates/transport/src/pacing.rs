@@ -45,7 +45,13 @@ impl Pacer {
         self.enabled
     }
 
+    /// Credit the tokens earned since the last refill. A second refill at
+    /// one instant would add exactly nothing (tokens never exceed the
+    /// burst), so it returns at once.
     fn refill(&mut self, now: Time, rate_bps: f64) {
+        if now == self.last_refill {
+            return;
+        }
         let elapsed = now.saturating_since(self.last_refill).as_secs_f64();
         self.tokens = (self.tokens + elapsed * rate_bps / 8.0).min(self.burst);
         self.last_refill = now;
@@ -80,6 +86,7 @@ impl Pacer {
 mod tests {
     use super::*;
     use longlook_sim::time::Dur;
+    use proptest::prelude::*;
 
     const RATE: f64 = 8e6; // 1 MB/s: 1000 bytes per ms
 
@@ -128,6 +135,78 @@ mod tests {
         // Now in debt by 500: next packet waits 0.5ms then serialization.
         let ready = p.earliest_send(t(10_000_000), 1000, RATE);
         assert_eq!(ready, t(10_001_500));
+    }
+
+    /// The pacer as it was before `refill` skipped a repeated instant:
+    /// the same token bucket, refilled on every call.
+    struct EveryCallPacer {
+        burst: f64,
+        tokens: f64,
+        last_refill: Time,
+    }
+
+    impl EveryCallPacer {
+        fn refill(&mut self, now: Time, rate_bps: f64) {
+            let elapsed = now.saturating_since(self.last_refill).as_secs_f64();
+            self.tokens = (self.tokens + elapsed * rate_bps / 8.0).min(self.burst);
+            self.last_refill = now;
+        }
+
+        fn earliest_send(&mut self, now: Time, bytes: u64, rate_bps: f64) -> Time {
+            self.refill(now, rate_bps);
+            if self.tokens >= bytes as f64 {
+                now
+            } else {
+                let deficit = bytes as f64 - self.tokens;
+                now + transmission_delay(deficit.ceil() as u64, rate_bps.max(1.0))
+            }
+        }
+
+        fn on_sent(&mut self, now: Time, bytes: u64, rate_bps: f64) {
+            self.refill(now, rate_bps);
+            self.tokens -= bytes as f64;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Refilling once per instant is indistinguishable from refilling
+        /// on every call: the same `earliest_send` answers and
+        /// bit-identical tokens over non-decreasing times with repeats,
+        /// the rate changing between calls as a controller's does.
+        #[test]
+        fn refill_once_per_instant_matches_refill_every_call(
+            burst in 0u64..20_000,
+            ops in proptest::collection::vec((0u8..3, 0u64..4, 1u64..3000, 1e5f64..1e10), 1..200),
+        ) {
+            let mut pacer = Pacer::new(burst);
+            let mut model = EveryCallPacer {
+                burst: burst as f64,
+                tokens: burst as f64,
+                last_refill: Time::ZERO,
+            };
+            let mut now = Time::ZERO;
+            for (op, step, bytes, rate) in ops {
+                // Half the calls repeat the previous instant; a quarter
+                // come within a microsecond of it.
+                now += Dur::from_nanos(match step {
+                    0 | 1 => 0,
+                    2 => bytes % 1000 + 1,
+                    _ => bytes * 997,
+                });
+                if op == 0 {
+                    pacer.on_sent(now, bytes, rate);
+                    model.on_sent(now, bytes, rate);
+                } else {
+                    prop_assert_eq!(
+                        pacer.earliest_send(now, bytes, rate),
+                        model.earliest_send(now, bytes, rate)
+                    );
+                }
+                prop_assert_eq!(pacer.tokens.to_bits(), model.tokens.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,19 @@
 //! Property-based tests for congestion control and RTT estimation
-//! invariants.
+//! invariants, and the typed Fig-3 state sampler against the label
+//! sampler it replaced.
+
+mod oracle;
 
 use longlook_sim::time::{Dur, Time};
+use longlook_sim::trace::{RecoveryKind, TraceEvent};
+use longlook_sim::{TraceMode, Tracer};
 use longlook_transport::cc::CongestionControl;
+use longlook_transport::ccstate::{BbrState, CcState, Fig3State};
+use longlook_transport::chassis::{ConnTelemetry, RecoveryTimer};
 use longlook_transport::cubic::{Cubic, CubicConfig};
 use longlook_transport::prr::Prr;
 use longlook_transport::rtt::RttEstimator;
+use oracle::LabelSampler;
 use proptest::prelude::*;
 
 fn t(ms: u64) -> Time {
@@ -127,6 +135,96 @@ proptest! {
         for &(raw, delay) in &pairs {
             est.on_sample(Dur::from_millis(raw), Dur::from_millis(delay));
             prop_assert!(est.latest() >= est.min_rtt());
+        }
+    }
+}
+
+/// The four states a controller of each kind reports: Cubic's Table 3
+/// phases, BBR's Fig 3b states.
+fn controller_state(bbr: bool, i: u64) -> Fig3State {
+    if bbr {
+        let s = [
+            BbrState::Startup,
+            BbrState::Drain,
+            BbrState::ProbeBw,
+            BbrState::ProbeRtt,
+        ];
+        Fig3State::Bbr(s[i as usize % 4])
+    } else {
+        let s = [
+            CcState::SlowStart,
+            CcState::CongestionAvoidance,
+            CcState::CaMaxed,
+            CcState::Recovery,
+        ];
+        Fig3State::Cubic(s[i as usize % 4])
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Sampling the typed state and logging its label only on change
+    /// gives exactly what comparing label strings on every sample gave:
+    /// the same `StateTrace` visits and the same `CcState` trace records
+    /// after every sample, over random controller states (Cubic's four
+    /// phases or BBR's four states), handshake, sticky RTO/TLP labels from
+    /// a real `RecoveryTimer`, and app-limited flags, at non-decreasing
+    /// times with repeats.
+    #[test]
+    fn typed_state_sampling_matches_label_sampling(
+        bbr in any::<bool>(),
+        tlp in any::<bool>(),
+        first in 0u64..4,
+        ops in proptest::collection::vec((0u8..6, 0u64..8, 1u64..4), 1..150),
+    ) {
+        let mut now = Time::ZERO + Dur::from_millis(first);
+        let mut cc = controller_state(bbr, first);
+        let mut typed = ConnTelemetry::new(now, TraceMode::On, cc);
+        let mut labels = LabelSampler::new(now, cc);
+        let mut timer = RecoveryTimer::new(tlp);
+        let mut timer_log = Tracer::new(false);
+        let mut rtt = RttEstimator::new(Dur::from_millis(100));
+        rtt.on_sample(Dur::from_millis(40), Dur::ZERO);
+        let (mut established, mut app_limited) = (false, false);
+        let (mut in_rto, mut in_tlp) = (false, false);
+        for (op, x, samples) in ops {
+            match op {
+                0 | 1 => cc = controller_state(bbr, x),
+                2 => established = x % 4 != 0,
+                3 => app_limited = x % 2 == 0,
+                // The timer fires at its deadline: a probe while TLPs
+                // remain, then timeouts.
+                4 if x % 3 != 0 => {
+                    timer.rearm(now, true, &rtt, &mut timer_log);
+                    now = timer.deadline(true, &rtt).expect("armed").max(now);
+                    match timer.expire(now, true, &rtt, &mut timer_log) {
+                        Some(RecoveryKind::Tlp) => in_tlp = true,
+                        Some(_) => in_rto = true,
+                        None => prop_assert!(false, "an armed timer fires at its deadline"),
+                    }
+                }
+                // New data acked: the sticky labels clear.
+                _ => {
+                    timer.on_new_data_acked();
+                    in_rto = false;
+                    in_tlp = false;
+                }
+            }
+            for k in 0..samples {
+                // Half the samples repeat the previous instant.
+                now += Dur::from_micros((x + k) % 2 * (1 + x * 250));
+                typed.update_state(now, cc, established, &timer, app_limited);
+                labels.update(now, cc, established, in_rto, in_tlp, app_limited);
+                prop_assert_eq!(&typed.state_trace(now).visits[..], labels.visits());
+                let typed_states: Vec<_> = typed
+                    .tracer
+                    .records()
+                    .iter()
+                    .filter(|r| matches!(r.ev, TraceEvent::CcState { .. }))
+                    .collect();
+                prop_assert_eq!(typed_states, labels.records().iter().collect::<Vec<_>>());
+            }
         }
     }
 }
