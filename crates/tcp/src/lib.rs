@@ -27,7 +27,8 @@ mod loopback_tests {
     use crate::{TcpConfig, TcpConnection};
     use longlook_sim::packet::Payload;
     use longlook_sim::time::{Dur, Time};
-    use longlook_transport::conn::{AppEvent, Connection, StreamId};
+    use longlook_transport::chassis::HANDSHAKE_TIMEOUT;
+    use longlook_transport::conn::{AppEvent, ConnError, Connection, StreamId};
     use std::collections::VecDeque;
 
     const OWD: Dur = Dur::from_millis(18); // 36ms RTT
@@ -265,6 +266,57 @@ mod loopback_tests {
             Time::ZERO + Dur::from_secs(5),
         );
         assert!(c.is_established(), "SYN retransmitted after SYN_RTO");
+    }
+
+    #[test]
+    fn syn_retries_back_off_exponentially() {
+        // Linux doubles from 1 s: retries at 1, 3, 7 and 15 s, each
+        // establishing TCP + TLS two 36 ms RTTs later.
+        for (lost, retry_at_s) in [(1, 1), (2, 3), (3, 7), (4, 15)] {
+            let (mut c, mut s) = pair();
+            let mut pipe = Pipe::new();
+            pipe.drop_a_to_b = (0..lost).collect();
+            let retry_at = Time::ZERO + Dur::from_secs(retry_at_s);
+            let (early, late) = (retry_at + OWD * 2, retry_at + OWD * 6);
+            run(&mut c, &mut s, &mut pipe, Time::ZERO, early);
+            assert!(!c.is_established(), "{lost} lost: established by {early}");
+            run(&mut c, &mut s, &mut pipe, early, late);
+            assert!(c.is_established(), "{lost} lost: not established by {late}");
+        }
+    }
+
+    #[test]
+    fn an_armed_watchdog_gives_up_on_a_lost_syn_at_the_handshake_deadline() {
+        let cfg = TcpConfig {
+            watchdog: true,
+            ..TcpConfig::default()
+        };
+        let mut c = TcpConnection::client(cfg.clone(), Time::ZERO);
+        let mut s = TcpConnection::server(cfg, Time::ZERO);
+        let mut pipe = Pipe::new();
+        pipe.drop_a_to_b = (0..100).collect();
+        let deadline = Time::ZERO + HANDSHAKE_TIMEOUT;
+        run(
+            &mut c,
+            &mut s,
+            &mut pipe,
+            Time::ZERO,
+            deadline - Dur::from_millis(1),
+        );
+        assert_eq!(c.error(), None);
+        assert_eq!(
+            pipe.sent_ab, 5,
+            "the first SYN and retries at 1, 3, 7, 15 s"
+        );
+        run(
+            &mut c,
+            &mut s,
+            &mut pipe,
+            deadline - Dur::from_millis(1),
+            deadline,
+        );
+        assert_eq!(c.error(), Some(ConnError::HandshakeTimeout));
+        assert_eq!(pipe.sent_ab, 5, "the 31 s retry never goes out");
     }
 
     #[test]
