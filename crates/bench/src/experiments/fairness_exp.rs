@@ -40,7 +40,7 @@ pub fn fig5() -> Report {
         "Fig 5 — congestion window sizes for QUIC and TCP sharing a 5 Mbps link\n\
          (KB, sampled every 2 s)\n\n",
     );
-    // Build the mixed world manually so we can read server-side cwnd.
+    // Build the mixed world manually, traced, to read server-side cwnd.
     let catalog = PageSpec::single(210 * 1024 * 1024);
     let mut tb = Testbed::direct(
         33,
@@ -49,12 +49,12 @@ pub fn fig5() -> Report {
         catalog,
         vec![
             FlowSpec {
-                proto: quic(),
+                proto: quic().with_trace(TraceMode::On),
                 zero_rtt: true,
                 app: Box::new(BulkClient::new(0, Dur::from_secs(1))),
             },
             FlowSpec {
-                proto: tcp(),
+                proto: tcp().with_trace(TraceMode::On),
                 zero_rtt: false,
                 app: Box::new(BulkClient::new(0, Dur::from_secs(1))),
             },
@@ -69,10 +69,11 @@ pub fn fig5() -> Report {
         Column::num("", 3, 0).after(": "),
     ]);
     for (flow, label) in tb.flows.iter().zip(["QUIC", "TCP "]) {
-        let Some(tl) = server.cwnd_timeline(*flow) else {
+        let Some(trace) = server.conn_trace(*flow) else {
             continue;
         };
-        t.row(vec![label.into(), cwnd_kb(tl, Dur::from_secs(2)).into()]);
+        let kb = cwnd_kb(&cwnd_timeline(trace), Dur::from_secs(2));
+        t.row(vec![label.into(), kb.into()]);
     }
     r.push(t);
     r.note(

@@ -23,11 +23,11 @@ pub fn fig9() -> Report {
     ]);
     let net = NetProfile::baseline(100.0).with_loss(0.01);
     for proto in [quic(), tcp()] {
-        let rec = Scenario::new(net.clone(), PageSpec::single(10 * 1024 * 1024))
+        let (rec, trace) = Scenario::new(net.clone(), PageSpec::single(10 * 1024 * 1024))
             .with_proto(proto.clone())
             .with_seed(900)
-            .run(0);
-        let samples = cwnd_kb(&rec.server_cwnd, Dur::from_millis(250));
+            .run_traced(0);
+        let samples = cwnd_kb(&cwnd_timeline(&trace), Dur::from_millis(250));
         let stats = rec.server_stats.unwrap_or_default();
         t.row(vec![
             proto.name().into(),

@@ -198,10 +198,6 @@ impl Scenario {
             client_stats: host.conn_stats(0),
             server_stats: server.conn_stats(flow),
             server_trace: server.state_trace(flow, now),
-            server_cwnd: server
-                .cwnd_timeline(flow)
-                .map(<[(Time, u64)]>::to_vec)
-                .unwrap_or_default(),
             ended_at: now,
             outcome,
             client_error: host.conn_error(0),
@@ -224,7 +220,9 @@ impl Scenario {
 
 /// Everything one run produces. `PartialEq` compares every field, which
 /// is what the determinism-equivalence suite relies on: two runs are
-/// "identical" only if every counter, trace visit, and cwnd sample agrees.
+/// "identical" only if every counter and state-trace visit agrees. The
+/// server's cwnd timeline is not kept here: it is read from a traced run
+/// ([`Scenario::run_traced`], [`crate::traceview::cwnd_timeline`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// Page load time; `None` if the deadline expired first.
@@ -236,8 +234,6 @@ pub struct RunRecord {
     pub server_stats: Option<ConnStats>,
     /// Server-side congestion-control state trace.
     pub server_trace: Option<StateTrace<'static>>,
-    /// Server congestion window timeline.
-    pub server_cwnd: Vec<(Time, u64)>,
     /// When the run's world clock stopped.
     pub ended_at: Time,
     /// How the world loop ended.
@@ -450,7 +446,6 @@ mod tests {
         assert!(srv.packets_sent > 0);
         let trace = rec.server_trace.expect("trace");
         assert!(!trace.visits.is_empty());
-        assert!(!rec.server_cwnd.is_empty());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::runner::{run_ordered, run_ordered_reporting, Parallelism, RunnerReport};
     pub use crate::testbed::{FlowSpec, NetProfile, ProxyTestbed, Testbed};
     pub use crate::traceview::{
-        dwell_table, fault_windows, loss_episodes, FaultWindow, LossEpisode,
+        cwnd_timeline, dwell_table, fault_windows, loss_episodes, FaultWindow, LossEpisode,
     };
     // Sole caller: `observatory/` (frozen); `repro trace` uses the path.
     #[doc(hidden)]

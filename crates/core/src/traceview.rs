@@ -120,6 +120,22 @@ pub fn dwell_table(records: &[TraceRecord]) -> Vec<(&str, Dur, f64)> {
     StateTrace::from_records(records).dwell_table()
 }
 
+/// A connection's congestion window over time, one entry per change,
+/// rebuilt from its trace: `(creation, 0)` at its first `CcState` record
+/// (written as it is built), then every `Cwnd` record. Empty untraced.
+pub fn cwnd_timeline(records: &[TraceRecord]) -> Vec<(Time, u64)> {
+    let mut timeline = Vec::new();
+    for r in records {
+        let at = Time::from_nanos(r.t);
+        match r.ev {
+            TraceEvent::CcState { .. } if timeline.is_empty() => timeline.push((at, 0)),
+            TraceEvent::Cwnd { bytes } => timeline.push((at, bytes)),
+            _ => {}
+        }
+    }
+    timeline
+}
+
 /// What one event says, in the qlog "sequence diagram" view.
 fn event_text(ev: &TraceEvent) -> String {
     match ev {

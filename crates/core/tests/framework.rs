@@ -92,12 +92,12 @@ fn run_record_exposes_server_side_instrumentation() {
         PageSpec::single(2 * 1024 * 1024),
     )
     .with_rounds(1);
-    let rec = sc.run(0);
+    let (rec, records) = sc.run_traced(0);
     let trace = rec.server_trace.expect("trace");
     // The instrumented server must have visited the loss-recovery states.
     let labels = trace.labels();
     assert!(labels.contains(&"Recovery") || labels.contains(&"RetransmissionTimeout"));
-    assert!(rec.server_cwnd.len() > 5, "cwnd timeline populated");
+    assert!(cwnd_timeline(&records).len() > 5, "cwnd timeline populated");
     let st = rec.server_stats.expect("stats");
     assert!(st.losses_detected > 0 || st.rto_count > 0);
 }

@@ -360,9 +360,6 @@ mod tests {
         fn stats(&self) -> ConnStats {
             ConnStats::default()
         }
-        fn cwnd_timeline(&self) -> &[(Time, u64)] {
-            &[]
-        }
         fn state_trace(&self, _now: Time) -> StateTrace<'static> {
             StateTrace::default()
         }

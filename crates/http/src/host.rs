@@ -175,11 +175,6 @@ impl ClientHost {
         self.slots[index].conn.stats()
     }
 
-    /// Congestion window timeline of the `index`-th connection.
-    pub fn cwnd_timeline(&self, index: usize) -> &[(Time, u64)] {
-        self.slots[index].conn.cwnd_timeline()
-    }
-
     /// State trace of the `index`-th connection.
     pub fn state_trace(&self, index: usize, now: Time) -> StateTrace<'static> {
         self.slots[index].conn.state_trace(now)
@@ -396,11 +391,6 @@ impl ServerHost {
     /// Stats of the connection for `flow`.
     pub fn conn_stats(&self, flow: FlowId) -> Option<ConnStats> {
         self.conns.get(&flow).map(|s| s.conn.stats())
-    }
-
-    /// Congestion window timeline for `flow`.
-    pub fn cwnd_timeline(&self, flow: FlowId) -> Option<&[(Time, u64)]> {
-        self.conns.get(&flow).map(|s| s.conn.cwnd_timeline())
     }
 
     /// Terminal error of the connection for `flow`, if it gave up.

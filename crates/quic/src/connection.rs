@@ -117,7 +117,7 @@ pub struct QuicConnection {
     pacing_deadline: Option<Time>,
     app_limited: bool,
 
-    /// Counters, cwnd log, state trace, event trace, app events.
+    /// Counters, last window, state trace, event trace, app events.
     tel: ConnTelemetry,
 }
 
@@ -909,10 +909,6 @@ impl Connection for QuicConnection {
 
     fn stats(&self) -> ConnStats {
         self.tel.stats
-    }
-
-    fn cwnd_timeline(&self) -> &[(Time, u64)] {
-        self.tel.cwnd_timeline()
     }
 
     fn state_trace(&self, now: Time) -> StateTrace<'static> {

@@ -29,6 +29,8 @@ mod loopback_tests {
     use crate::{QuicConfig, QuicConnection};
     use longlook_sim::packet::Payload;
     use longlook_sim::time::{Dur, Time};
+    use longlook_sim::trace::TraceEvent;
+    use longlook_sim::TraceMode;
     use longlook_transport::conn::{AppEvent, Connection, StreamId};
     use std::collections::VecDeque;
 
@@ -356,16 +358,27 @@ mod loopback_tests {
 
     #[test]
     fn cwnd_timeline_grows_during_transfer() {
-        let (mut c, mut s) = pair(true);
+        let cfg = QuicConfig {
+            trace: TraceMode::On,
+            ..QuicConfig::default()
+        };
+        let mut c = QuicConnection::client(cfg.clone(), 7, true, Time::ZERO);
+        let mut s = QuicConnection::server(cfg, 7, Time::ZERO);
         let now = Time::ZERO;
         let id = c.open_stream(now).expect("stream");
         c.stream_send(now, id, 1_000_000, true);
         let mut pipe = Pipe::new();
         run(&mut c, &mut s, &mut pipe, now + Dur::from_secs(10));
-        let tl = c.cwnd_timeline();
-        assert!(tl.len() > 3);
-        let max = tl.iter().map(|&(_, w)| w).max().unwrap_or(0);
+        let windows: Vec<u64> = (c.trace_records().iter())
+            .filter_map(|r| match r.ev {
+                TraceEvent::Cwnd { bytes } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert!(windows.len() > 3);
+        let max = windows.iter().copied().max().unwrap_or(0);
         assert!(max > 32 * 1350, "window grew past initial: {max}");
+        assert_eq!(max, c.stats().max_cwnd);
     }
 
     #[test]

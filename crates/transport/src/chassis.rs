@@ -223,8 +223,8 @@ impl RecoveryTimer {
     }
 }
 
-/// What a connection reports about itself: counters, cwnd timeline,
-/// Fig-3 state trace, structured event trace and the app-event queue.
+/// What a connection reports about itself: counters, Fig-3 state trace,
+/// structured event trace (its only cwnd history) and app-event queue.
 #[derive(Debug)]
 pub struct ConnTelemetry {
     /// Counters.
@@ -233,7 +233,8 @@ pub struct ConnTelemetry {
     pub tracer: Tracer,
     /// Events awaiting `Connection::poll_event`.
     pub events: VecDeque<AppEvent>,
-    cwnd_log: Vec<(Time, u64)>,
+    /// The window `log_cwnd` last saw (0 before the first).
+    last_cwnd: u64,
     states: StateTrace<'static>,
     /// The state `states` and the tracer last logged.
     state: Fig3State,
@@ -254,7 +255,7 @@ impl ConnTelemetry {
             stats: ConnStats::default(),
             tracer,
             events: VecDeque::new(),
-            cwnd_log: vec![(now, 0)],
+            last_cwnd: 0,
             states: StateTrace::new(now, state.label()),
             state,
         }
@@ -268,11 +269,12 @@ impl ConnTelemetry {
             .pkt_tx(now.as_nanos(), pn, wire_size as u64, elicit);
     }
 
-    /// Record `cwnd` if it changed since the last entry.
+    /// Track the window's maximum, and trace `cwnd` if it changed since
+    /// the last call.
     pub fn log_cwnd(&mut self, now: Time, cwnd: u64) {
         self.stats.max_cwnd = self.stats.max_cwnd.max(cwnd);
-        if self.cwnd_log.last().map(|&(_, c)| c) != Some(cwnd) {
-            self.cwnd_log.push((now, cwnd));
+        if cwnd != self.last_cwnd {
+            self.last_cwnd = cwnd;
             self.tracer.cwnd(now.as_nanos(), cwnd);
         }
     }
@@ -317,11 +319,6 @@ impl ConnTelemetry {
         self.state = state;
         self.states.enter(now, state.label());
         self.tracer.cc_state(now.as_nanos(), state.label());
-    }
-
-    /// Congestion window over time, one entry per change.
-    pub fn cwnd_timeline(&self) -> &[(Time, u64)] {
-        &self.cwnd_log
     }
 
     /// The state trace, observed until `now`.
@@ -652,18 +649,19 @@ mod tests {
         for (ms, cwnd) in [(1, 10), (2, 10), (3, 30), (4, 30), (5, 20), (6, 20)] {
             tel.log_cwnd(t(ms), cwnd);
         }
-        assert_eq!(
-            tel.cwnd_timeline(),
-            [(t(0), 0), (t(1), 10), (t(3), 30), (t(5), 20)]
-        );
         assert_eq!(tel.stats.max_cwnd, 30);
-        let traced = tel
-            .tracer
-            .records()
-            .iter()
-            .filter(|r| matches!(r.ev, TraceEvent::Cwnd { .. }))
-            .count();
-        assert_eq!(traced, 3, "one cwnd record per change");
+        let traced: Vec<(u64, u64)> = (tel.tracer.records().iter())
+            .filter_map(|r| match r.ev {
+                TraceEvent::Cwnd { bytes } => Some((r.t, bytes)),
+                _ => None,
+            })
+            .collect();
+        let ms = |k: u64| t(k).as_nanos();
+        assert_eq!(
+            traced,
+            [(ms(1), 10), (ms(3), 30), (ms(5), 20)],
+            "one record per change"
+        );
         tel.on_sent(t(7), 1, 1392, true);
         tel.on_sent(t(8), 2, 100, false);
         assert_eq!((tel.stats.packets_sent, tel.stats.bytes_sent), (2, 1492));

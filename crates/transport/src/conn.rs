@@ -139,9 +139,6 @@ pub trait Connection {
     /// Counters.
     fn stats(&self) -> ConnStats;
 
-    /// Congestion window over time, `(t, cwnd_bytes)` per change.
-    fn cwnd_timeline(&self) -> &[(Time, u64)];
-
     /// Finalize and return the congestion-control state trace.
     fn state_trace(&self, now: Time) -> StateTrace<'static>;
 

@@ -1,7 +1,7 @@
 //! Allocation guard, no timing: once a transfer is under way the packet
 //! path must not call the allocator, on either transport.
 //!
-//! A counting `#[global_allocator]` (per-thread cells, so the other test
+//! A counting `#[global_allocator]` (per-thread cells, so the other tests
 //! in this binary cannot leak into a count) measures a clean 8 MiB and a
 //! clean 32 MiB transfer through [`Testbed::direct`]. Set-up, handshake and
 //! slow start cost the same in both, so the difference is what the extra
@@ -9,13 +9,16 @@
 //! packets. Before the scoreboard ring, the h2 event sink and the
 //! frame / block free lists QUIC measured 0.67 per packet here.
 //!
-//! The second test checks that what the free lists hold when a cell starts
-//! reaches nothing observable. The third holds the fleet loop to "nothing
-//! is per link on the heap": the same allocator also tracks live bytes, and
-//! twice the links at the same clients per link must cost neither more
-//! allocations nor a higher peak. The fourth holds the event queue to the
-//! same rule one level down: its allocations follow how many events it
-//! held at once, not how many wheel slots they touched.
+//! The same allocator also tracks live bytes, so the same pair of loads,
+//! on a 10 Mbps path, holds a transfer's peak heap flat in its length:
+//! nothing a connection keeps (a cwnd history, say) may grow with the
+//! bytes it carries. The third test checks that what the free lists hold
+//! when a cell starts reaches nothing observable. The fourth holds the
+//! fleet loop to "nothing is per link on the heap": twice the links at the
+//! same clients per link must cost neither more allocations nor a higher
+//! peak. The fifth holds the event queue to the same rule one level down:
+//! its allocations follow how many events it held at once, not how many
+//! wheel slots they touched.
 
 mod common;
 
@@ -83,14 +86,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// One clean `mib`-MiB page load, build to teardown: `(allocations,
-/// packets both endpoints sent)`.
-fn transfer(proto: &ProtoConfig, mib: u64) -> (u64, u64) {
+/// One clean `mib`-MiB page load over a `mbps` path, build to teardown:
+/// `(allocations, packets both endpoints sent, peak bytes live above what
+/// was live when it began)`.
+fn transfer(proto: &ProtoConfig, mbps: f64, mib: u64) -> (u64, u64, i64) {
     let page = PageSpec::single(mib * 1024 * 1024);
     let before = ALLOCS.with(Cell::get);
+    let floor = LIVE.with(Cell::get);
+    PEAK.with(|c| c.set(floor));
     let mut tb = Testbed::direct(
         4242,
-        &NetProfile::baseline(100.0),
+        &NetProfile::baseline(mbps),
         DeviceProfile::DESKTOP,
         page.clone(),
         vec![FlowSpec {
@@ -113,16 +119,20 @@ fn transfer(proto: &ProtoConfig, mib: u64) -> (u64, u64) {
         .expect("server accepted the flow");
     let packets = tb.client_host().conn_stats(0).packets_sent + server.packets_sent;
     drop(tb);
-    (ALLOCS.with(Cell::get) - before, packets)
+    (
+        ALLOCS.with(Cell::get) - before,
+        packets,
+        PEAK.with(Cell::get) - floor,
+    )
 }
 
 #[test]
 fn steady_state_packets_do_not_allocate() {
     for (name, proto) in common::protos() {
         // Warm the thread's free lists the way any earlier cell would.
-        transfer(&proto, 1);
-        let (small_allocs, small_pkts) = transfer(&proto, 8);
-        let (large_allocs, large_pkts) = transfer(&proto, 32);
+        transfer(&proto, 100.0, 1);
+        let (small_allocs, small_pkts, _) = transfer(&proto, 100.0, 8);
+        let (large_allocs, large_pkts, _) = transfer(&proto, 100.0, 32);
         let extra_pkts = large_pkts - small_pkts;
         assert!(
             extra_pkts > 15_000,
@@ -135,6 +145,24 @@ fn steady_state_packets_do_not_allocate() {
             per_packet <= 0.1,
             "{name}: {extra_allocs} allocations for {extra_pkts} extra packets \
              ({per_packet:.3} per packet; 8 MiB {small_allocs}, 32 MiB {large_allocs})"
+        );
+    }
+}
+
+/// Four times the bytes must not raise a transfer's peak live heap by
+/// more than 16 KiB. The path is 10 Mbps because at 100 Mbps QUIC's
+/// window sits at its cap for most of the load and stops changing, so a
+/// per-change history would stop growing there and pass unseen.
+#[test]
+fn transfer_heap_does_not_grow_with_length() {
+    for (name, proto) in common::protos() {
+        let (_, _, small) = transfer(&proto, 10.0, 8);
+        let (_, _, large) = transfer(&proto, 10.0, 32);
+        println!("{name}: peak heap {small} B at 8 MiB, {large} B at 32 MiB");
+        assert!(
+            large - small <= 16 * 1024,
+            "{name}: peak live heap grew with the transfer: {small} B at 8 MiB, \
+             {large} B at 32 MiB"
         );
     }
 }

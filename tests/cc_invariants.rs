@@ -8,6 +8,8 @@
 //! diffs can stay plausible while the state machine silently goes wrong,
 //! so the machine itself is pinned here.
 
+mod common;
+
 use longlook_core::prelude::*;
 use longlook_transport::ccstate::{bbr_legal_edges, check_trace_legal, cubic_legal_edges};
 use std::collections::BTreeSet;
@@ -162,4 +164,33 @@ fn battery_reaches_recovery_states() {
         visits("ApplicationLimited") > 0,
         "no trace ever reached ApplicationLimited"
     );
+}
+
+/// The cwnd timeline `fig5` and `fig9` plot, rebuilt from a traced run,
+/// on every shared scenario and both protocols: it opens at the server
+/// connection's creation (the instant its state trace starts) with a
+/// window of 0, its times never decrease, each entry is a change, and
+/// its peak is the `max_cwnd` counter.
+#[test]
+fn rebuilt_cwnd_timeline_is_well_formed() {
+    for (name, sc) in common::scenarios() {
+        for (proto_name, proto) in common::protos() {
+            let sc = sc.clone().with_proto(proto);
+            for k in 0..sc.rounds {
+                let at = format!("{name}/{proto_name} round {k}");
+                let (rec, trace) = sc.run_traced(k);
+                let timeline = cwnd_timeline(&trace);
+                let created = rec.server_trace.expect("server connection").visits[0].0;
+                assert_eq!(timeline.first(), Some(&(created, 0)), "{at}");
+                for pair in timeline.windows(2) {
+                    let [(t0, w0), (t1, w1)] = [pair[0], pair[1]];
+                    assert!(t0 <= t1, "{at}: time went back, {t0} then {t1}");
+                    assert_ne!(w0, w1, "{at}: an entry at {t1} repeats the window");
+                }
+                let peak = timeline.iter().map(|&(_, w)| w).max();
+                let max_cwnd = rec.server_stats.expect("server connection").max_cwnd;
+                assert_eq!(peak, Some(max_cwnd), "{at}");
+            }
+        }
+    }
 }

@@ -42,9 +42,10 @@ pub fn protos() -> [(&'static str, ProtoConfig); 2] {
     ]
 }
 
-/// Exhaustive deterministic rendering of a record set — every counter,
-/// the full state trace, and the complete cwnd timeline as exact
-/// integers, so equality is bit-for-bit.
+/// Exhaustive deterministic rendering of a record set — every counter
+/// and the full state trace as exact integers, so equality is
+/// bit-for-bit. A record carries no cwnd timeline: that lives in a
+/// traced run's trace.
 pub fn render(records: &[RunRecord]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -90,9 +91,6 @@ pub fn render(records: &[RunRecord]) -> String {
                 t.labels().join(">"),
                 t.span.as_nanos()
             );
-        }
-        for &(t, w) in &r.server_cwnd {
-            let _ = writeln!(out, "  cwnd {} {}", t.as_nanos(), w);
         }
     }
     out

@@ -33,12 +33,19 @@ fn lossy_scenario() -> Scenario {
     .with_seed(9002)
 }
 
-/// Deterministic full-fidelity text rendering of a record set: exact
-/// integers only, so equality is bit-for-bit.
-fn render_records(records: &[RunRecord]) -> String {
+/// Deterministic full-fidelity text rendering of every round of `sc`:
+/// exact integers only, so equality is bit-for-bit. `cwnd_points` is the
+/// length of the server's cwnd timeline, rebuilt from a traced run of
+/// the same round (a record carries no timeline).
+fn render_records(sc: &Scenario) -> String {
     use std::fmt::Write as _;
+    let records = sc.records(Parallelism::auto());
+    let cwnd_points = sample(Parallelism::auto(), [sc.rounds], |_, k| {
+        cwnd_timeline(&sc.run_traced(k).1).len()
+    })
+    .remove(0);
     let mut out = String::new();
-    for (k, r) in records.iter().enumerate() {
+    for (k, (r, points)) in records.iter().zip(cwnd_points).enumerate() {
         let _ = writeln!(
             out,
             "round {k}: plt_ns={} ended_ns={}",
@@ -98,13 +105,13 @@ fn render_records(records: &[RunRecord]) -> String {
             };
             let _ = writeln!(out, "  trace: {shown} span_ns={}", t.span.as_nanos());
         }
-        let _ = writeln!(out, "  cwnd_points={}", r.server_cwnd.len());
+        let _ = writeln!(out, "  cwnd_points={points}");
     }
     out
 }
 
 fn check(name: &str, sc: &Scenario, golden: &str) {
-    let rendered = render_records(&sc.records(Parallelism::auto()));
+    let rendered = render_records(sc);
     if std::env::var("LONGLOOK_BLESS").is_ok() {
         eprintln!("=== {name} ===\n{rendered}");
         return;
@@ -216,8 +223,8 @@ fn armed_empty_fault_plan_is_invisible() {
         for sc in [quic, tcp] {
             let mut armed = sc.clone();
             armed.net = armed.net.clone().with_fault(FaultPlan::new());
-            let off = render_records(&sc.records(Parallelism::auto()));
-            let on = render_records(&armed.records(Parallelism::auto()));
+            let off = render_records(&sc);
+            let on = render_records(&armed);
             assert_eq!(
                 off, on,
                 "{name} / {:?}: an empty fault plan changed the record \
