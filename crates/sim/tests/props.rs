@@ -118,6 +118,15 @@ proptest! {
         prop_assert_eq!((t + d).saturating_since(t), d);
     }
 
+    /// A duration below 2^51 ns (26 days) survives the trip through f64
+    /// seconds exactly, so a link whose delay is not jittered can skip it.
+    /// The width is drawn first, so every scale is covered.
+    #[test]
+    fn dur_roundtrips_through_f64_seconds(bits in 0u32..52, raw in any::<u64>()) {
+        let d = Dur::from_nanos(raw & ((1u64 << bits) - 1));
+        prop_assert_eq!(Dur::from_secs_f64(d.as_secs_f64()), d);
+    }
+
     /// RandomHold schedules are pure and respect bounds.
     #[test]
     fn random_hold_bounds(seed in any::<u64>(), queries in proptest::collection::vec(0u64..120_000, 1..64)) {
