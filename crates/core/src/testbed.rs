@@ -200,6 +200,10 @@ impl Testbed {
                 }
                 _ => spec.proto.clone(),
             };
+            if let (ProtoConfig::Quic(c), ProtoConfig::Quic(s)) = (&client_proto, &spec.proto) {
+                // Each end bounds its peer's stream ids by its own limit.
+                assert_eq!(c.max_streams, s.max_streams, "both ends run one MSPC");
+            }
             server.expect_flow(flow, install(spec.proto.clone()));
             client.add(
                 flow,

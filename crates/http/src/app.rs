@@ -4,7 +4,6 @@ use crate::workload::PageSpec;
 use longlook_sim::time::{Dur, Time};
 use longlook_transport::conn::{AppEvent, Connection, StreamId};
 use std::any::Any;
-use std::collections::BTreeMap;
 
 /// A client application running over one connection.
 pub trait ClientApp: Any {
@@ -54,8 +53,10 @@ pub struct WebClient {
     finished_at: Option<Time>,
     /// Object indices not yet requested (MSPC may defer them).
     next_object: usize,
-    /// stream -> object index.
-    inflight: BTreeMap<StreamId, usize>,
+    /// The stream each requested object went out on: object `i` on
+    /// `streams[i]`. Ids ascend, so a stream's object is found by binary
+    /// search; it is in flight until its `finished` time is set.
+    streams: Vec<StreamId>,
     timings: Vec<ResourceTiming>,
     completed: usize,
     established: bool,
@@ -64,7 +65,7 @@ pub struct WebClient {
 impl WebClient {
     /// New fetcher for `page`.
     pub fn new(page: PageSpec) -> Self {
-        let timings = (0..page.len())
+        let timings: Vec<ResourceTiming> = (0..page.len())
             .map(|i| ResourceTiming {
                 object: i,
                 started: Time::ZERO,
@@ -78,7 +79,7 @@ impl WebClient {
             started_at: None,
             finished_at: None,
             next_object: 0,
-            inflight: BTreeMap::new(),
+            streams: Vec::with_capacity(timings.len()),
             timings,
             completed: 0,
             established: false,
@@ -92,7 +93,8 @@ impl WebClient {
             };
             let i = self.next_object;
             self.next_object += 1;
-            self.inflight.insert(id, i);
+            debug_assert!(self.streams.last().is_none_or(|&last| last < id));
+            self.streams.push(id);
             self.timings[i].started = now;
             conn.stream_send(now, id, PageSpec::request_len(i), true);
         }
@@ -109,6 +111,13 @@ impl WebClient {
     /// HAR-style per-object timings.
     pub fn har(&self) -> &[ResourceTiming] {
         &self.timings
+    }
+
+    /// The object whose request went out on `id`, while its response is
+    /// still in flight.
+    fn inflight(&self, id: StreamId) -> Option<usize> {
+        let obj = self.streams.binary_search(&id).ok()?;
+        self.timings[obj].finished.is_none().then_some(obj)
     }
 
     /// When the load began.
@@ -137,7 +146,7 @@ impl ClientApp for WebClient {
                 }
             }
             AppEvent::StreamData { id, bytes } => {
-                if let Some(&obj) = self.inflight.get(&id) {
+                if let Some(obj) = self.inflight(id) {
                     let t = &mut self.timings[obj];
                     if t.first_byte.is_none() {
                         t.first_byte = Some(now);
@@ -146,7 +155,7 @@ impl ClientApp for WebClient {
                 }
             }
             AppEvent::StreamFin(id) => {
-                if let Some(obj) = self.inflight.remove(&id) {
+                if let Some(obj) = self.inflight(id) {
                     self.timings[obj].finished = Some(now);
                     self.completed += 1;
                     if self.completed == self.page.len() {

@@ -289,11 +289,21 @@ fn request_cost(class: PktClass) -> Dur {
 }
 
 struct ServerSlot {
+    flow: FlowId,
     conn: Box<dyn Connection>,
     peer: NodeId,
     class: PktClass,
-    /// Request bytes accumulated per stream.
-    request_bytes: BTreeMap<StreamId, u64>,
+    /// Request bytes accumulated per open request stream. A request is
+    /// one small record or chunk, so a stream leaves soon after it enters
+    /// and the list stays short.
+    request_bytes: Vec<(StreamId, u64)>,
+}
+
+impl ServerSlot {
+    /// Where `id`'s request bytes sit in `request_bytes`.
+    fn request(&self, id: StreamId) -> Option<usize> {
+        self.request_bytes.iter().rposition(|&(s, _)| s == id)
+    }
 }
 
 /// A server host: accepts connections, serves the catalog. Connections
@@ -305,7 +315,8 @@ pub struct ServerHost {
     /// fairness tests where QUIC and TCP flows share one bottleneck).
     flow_protos: BTreeMap<FlowId, ProtoConfig>,
     catalog: PageSpec,
-    conns: BTreeMap<FlowId, ServerSlot>,
+    /// One slot per flow, ascending by flow id.
+    conns: Vec<ServerSlot>,
     wait: Option<WaitModel>,
     /// When the single application worker frees up.
     app_cpu_free: Time,
@@ -364,7 +375,7 @@ impl ServerHost {
             proto,
             flow_protos: BTreeMap::new(),
             catalog,
-            conns: BTreeMap::new(),
+            conns: Vec::new(),
             wait: None,
             app_cpu_free: Time::ZERO,
             rng: SimRng::new(seed),
@@ -383,25 +394,34 @@ impl ServerHost {
         self.flow_protos.insert(flow, proto);
     }
 
+    /// Where `flow`'s slot is in `conns`, or where it would go.
+    fn find(conns: &[ServerSlot], flow: FlowId) -> Result<usize, usize> {
+        conns.binary_search_by_key(&flow, |s| s.flow)
+    }
+
+    fn slot(&self, flow: FlowId) -> Option<&ServerSlot> {
+        Self::find(&self.conns, flow).ok().map(|at| &self.conns[at])
+    }
+
     /// State trace of the connection for `flow`, if any.
     pub fn state_trace(&self, flow: FlowId, now: Time) -> Option<StateTrace<'static>> {
-        self.conns.get(&flow).map(|s| s.conn.state_trace(now))
+        self.slot(flow).map(|s| s.conn.state_trace(now))
     }
 
     /// Stats of the connection for `flow`.
     pub fn conn_stats(&self, flow: FlowId) -> Option<ConnStats> {
-        self.conns.get(&flow).map(|s| s.conn.stats())
+        self.slot(flow).map(|s| s.conn.stats())
     }
 
     /// Terminal error of the connection for `flow`, if it gave up.
     pub fn conn_error(&self, flow: FlowId) -> Option<ConnError> {
-        self.conns.get(&flow).and_then(|s| s.conn.error())
+        self.slot(flow).and_then(|s| s.conn.error())
     }
 
     /// Structured trace records of the connection for `flow`
     /// (its config's `trace`); empty when tracing is off.
     pub fn conn_trace(&self, flow: FlowId) -> Option<&[longlook_sim::trace::TraceRecord]> {
-        self.conns.get(&flow).map(|s| s.conn.trace_records())
+        self.slot(flow).map(|s| s.conn.trace_records())
     }
 
     fn service(&mut self, ctx: &mut Ctx<'_>) {
@@ -419,26 +439,36 @@ impl ServerHost {
         // scheduled.
         pending.fire_due(now, |(flow, stream, object)| {
             let size = catalog.objects.get(object).copied().unwrap_or(10 * 1024);
-            if let Some(slot) = conns.get_mut(&flow) {
-                slot.conn
+            if let Ok(at) = Self::find(conns, flow) {
+                conns[at]
+                    .conn
                     .stream_send(now, stream, RESPONSE_HEADER + size, true);
             }
         });
         // Collect requests; each completed one queues behind the single
         // application worker (and the optional wait), so it is always
         // answered from `pending` at a later wakeup.
-        for (&flow, slot) in conns.iter_mut() {
+        for slot in conns.iter_mut() {
             while let Some(ev) = slot.conn.poll_event() {
                 let (stream, request_len) = match ev {
                     AppEvent::StreamOpened(id) => {
-                        slot.request_bytes.insert(id, 0);
+                        match slot.request(id) {
+                            Some(at) => slot.request_bytes[at].1 = 0,
+                            None => slot.request_bytes.push((id, 0)),
+                        }
                         continue;
                     }
                     AppEvent::StreamData { id, bytes } => {
-                        *slot.request_bytes.entry(id).or_insert(0) += bytes;
+                        match slot.request(id) {
+                            Some(at) => slot.request_bytes[at].1 += bytes,
+                            None => slot.request_bytes.push((id, bytes)),
+                        }
                         continue;
                     }
-                    AppEvent::StreamFin(id) => (id, slot.request_bytes.remove(&id).unwrap_or(0)),
+                    AppEvent::StreamFin(id) => {
+                        let at = slot.request(id);
+                        (id, at.map_or(0, |at| slot.request_bytes.swap_remove(at).1))
+                    }
                     AppEvent::HandshakeDone => continue,
                 };
                 let Some(object) = PageSpec::decode_request(request_len) else {
@@ -450,12 +480,12 @@ impl ServerHost {
                     let span = w.max.saturating_sub(w.min).as_nanos();
                     due += w.min + Dur::from_nanos(rng.uniform_u64(0, span.max(1)));
                 }
-                pending.push(due, (flow, stream, object));
+                pending.push(due, (slot.flow, stream, object));
                 ctx.wake_at(due);
             }
         }
-        for (&flow, slot) in conns.iter_mut() {
-            pump(slot.conn.as_mut(), ctx, slot.peer, flow, slot.class);
+        for slot in conns.iter_mut() {
+            pump(slot.conn.as_mut(), ctx, slot.peer, slot.flow, slot.class);
         }
     }
 }
@@ -463,20 +493,25 @@ impl ServerHost {
 impl Agent for ServerHost {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         let now = ctx.now;
-        let proto = self.flow_protos.get(&pkt.flow).unwrap_or(&self.proto);
-        let slot = self.conns.entry(pkt.flow).or_insert_with(|| ServerSlot {
-            conn: proto.server_conn(pkt.flow, now),
-            peer: pkt.src,
-            class: proto.pkt_class(),
-            request_bytes: BTreeMap::new(),
+        let at = Self::find(&self.conns, pkt.flow).unwrap_or_else(|at| {
+            let proto = self.flow_protos.get(&pkt.flow).unwrap_or(&self.proto);
+            let slot = ServerSlot {
+                flow: pkt.flow,
+                conn: proto.server_conn(pkt.flow, now),
+                peer: pkt.src,
+                class: proto.pkt_class(),
+                request_bytes: Vec::new(),
+            };
+            self.conns.insert(at, slot);
+            at
         });
-        slot.conn.on_datagram(pkt.payload, now);
+        self.conns[at].conn.on_datagram(pkt.payload, now);
         self.service(ctx);
     }
 
     fn on_wakeup(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now;
-        for slot in self.conns.values_mut() {
+        for slot in &mut self.conns {
             slot.conn.on_wakeup(now);
         }
         self.service(ctx);

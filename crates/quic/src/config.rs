@@ -57,6 +57,11 @@ pub struct QuicConfig {
     /// Enable packet pacing.
     pub pacing: bool,
     /// Maximum concurrent streams per connection (MSPC, default 100).
+    /// Each end also bounds the stream ids its peer may open by its own
+    /// value (a legal peer opens at most this many past the largest id we
+    /// have seen), so both ends must run the same limit: a peer with a
+    /// larger one would have legal frames dropped. Every testbed builds
+    /// both ends from one `QuicConfig` and holds them to this.
     pub max_streams: u32,
     /// Initial connection-level receive window (bytes). gQUIC auto-tunes
     /// this upward (doubling, up to [`CONN_RECV_WINDOW_MAX`]) while the

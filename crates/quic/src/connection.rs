@@ -49,6 +49,15 @@ pub enum Role {
     Server,
 }
 
+impl Role {
+    fn peer(self) -> Role {
+        match self {
+            Role::Client => Role::Server,
+            Role::Server => Role::Client,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Handshake {
     /// Client sent an inchoate CHLO and awaits the REJ (1-RTT path).
@@ -92,6 +101,9 @@ pub struct QuicConnection {
     next_stream_id: u32,
     /// Streams we opened that the peer has not finished yet (MSPC gate).
     open_initiated: u32,
+    /// The largest peer-initiated stream id a frame has named (the first
+    /// peer id − 2 before any has): the base of the peer id bound.
+    largest_peer_stream: u32,
 
     // Connection-level flow control.
     conn_send_limit: u64,
@@ -193,6 +205,7 @@ impl QuicConnection {
             pacer,
             next_stream_id,
             open_initiated: 0,
+            largest_peer_stream: first_own_stream(role.peer()) - 2,
             conn_fresh_sent: 0,
             conn_delivered: 0,
             last_conn_update: None,
@@ -294,12 +307,27 @@ impl QuicConnection {
         }
     }
 
-    /// Whether `id` has our parity but names a stream we never opened: a
-    /// legal peer never sends a frame for one, and acting on it would
-    /// create a record the app never asked for.
-    fn unopened_own_stream(&self, id: u32) -> bool {
-        id % 2 == self.next_stream_id % 2
-            && !(first_own_stream(self.role)..self.next_stream_id).contains(&id)
+    /// Whether a STREAM or WINDOW_UPDATE frame for `id` may reach the
+    /// stream table. Refused, before any record exists, are the ids no
+    /// legal peer could send a frame for:
+    /// - an id of our parity that we never opened;
+    /// - a peer id past `largest_peer_stream + 2 × max_streams`. The peer
+    ///   opens a new id only while fewer than `max_streams` of its streams
+    ///   lack our FIN, and every peer id above the largest we have seen is
+    ///   such a stream, so a legal peer never reaches past the bound. Both
+    ///   ends must run the same `max_streams` for this to hold (see
+    ///   [`QuicConfig::max_streams`]).
+    ///
+    /// An admitted peer id raises `largest_peer_stream`.
+    fn admit_stream(&mut self, id: u32) -> bool {
+        if id % 2 == self.next_stream_id % 2 {
+            return (first_own_stream(self.role)..self.next_stream_id).contains(&id);
+        }
+        if id as u64 > self.largest_peer_stream as u64 + 2 * self.cfg.max_streams as u64 {
+            return false;
+        }
+        self.largest_peer_stream = self.largest_peer_stream.max(id);
+        true
     }
 
     fn on_stream_frame(&mut self, id: u32, offset: u64, len: u32, fin: bool, now: Time) {
@@ -603,13 +631,16 @@ impl Connection for QuicConnection {
         let mut frames = pkt.frames;
         for frame in frames.drain(..) {
             match frame {
-                Frame::Stream { id, .. } if self.unopened_own_stream(id) => {}
                 Frame::Stream {
                     id,
                     offset,
                     len,
                     fin,
-                } => self.on_stream_frame(id, offset, len, fin, now),
+                } => {
+                    if self.admit_stream(id) {
+                        self.on_stream_frame(id, offset, len, fin, now);
+                    }
+                }
                 Frame::Ack {
                     largest,
                     ack_delay_us,
@@ -621,7 +652,7 @@ impl Connection for QuicConnection {
                 Frame::WindowUpdate { stream, max_offset } => {
                     if stream == 0 {
                         self.conn_send_limit = self.conn_send_limit.max(max_offset);
-                    } else if !self.unopened_own_stream(stream) {
+                    } else if self.admit_stream(stream) {
                         self.streams.on_window_update(stream, max_offset);
                     }
                 }
@@ -939,6 +970,63 @@ mod tests {
             pn,
             frames,
         })
+    }
+
+    #[test]
+    fn hostile_peer_stream_ids_create_no_record() {
+        let now = Time::ZERO;
+        let cfg = QuicConfig::default();
+        let max = cfg.max_streams;
+        for role in [Role::Client, Role::Server] {
+            let mut c = match role {
+                Role::Client => QuicConnection::client(cfg.clone(), 7, true, now),
+                Role::Server => QuicConnection::server(cfg.clone(), 7, now),
+            };
+            while c.poll_event().is_some() {}
+            // No peer id seen yet: the bound counts from the first peer
+            // id − 2 (0 at the client, 1 at the server).
+            let bound = first_own_stream(role.peer()) - 2 + 2 * max;
+            let slots = c.streams.slots();
+            for (pn, id) in [(1, bound + 2), (2, u32::MAX - 1), (3, u32::MAX)] {
+                let frames = vec![
+                    Frame::Stream {
+                        id,
+                        offset: 0,
+                        len: 500,
+                        fin: true,
+                    },
+                    Frame::WindowUpdate {
+                        stream: id,
+                        max_offset: 1 << 20,
+                    },
+                ];
+                c.on_datagram(packet(pn, frames), now);
+                assert!(c.streams.get(id).is_none(), "{role:?}: stream {id}");
+                assert_eq!(c.streams.slots(), slots, "{role:?}: stream {id}");
+                while let Some(ev) = c.poll_event() {
+                    assert_eq!(ev, AppEvent::HandshakeDone, "{role:?}: stream {id}");
+                }
+            }
+            // A window update and a stream frame exactly at the bound are
+            // served.
+            let frames = vec![
+                Frame::WindowUpdate {
+                    stream: bound,
+                    max_offset: 1 << 20,
+                },
+                Frame::Stream {
+                    id: bound,
+                    offset: 0,
+                    len: 500,
+                    fin: false,
+                },
+            ];
+            c.on_datagram(packet(4, frames), now);
+            assert!(c.streams.get(bound).is_some(), "{role:?}");
+            let opened =
+                std::iter::from_fn(|| c.poll_event()).find(|ev| *ev != AppEvent::HandshakeDone);
+            assert_eq!(opened, Some(AppEvent::StreamOpened(StreamId(bound as u64))));
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct Chunk {
 }
 
 /// Sender side of one stream.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SendStream {
     id: u32,
     /// Next fresh byte to transmit.
@@ -173,7 +173,7 @@ impl SendStream {
 }
 
 /// Receiver side of one stream: interval reassembly.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct RecvStream {
     /// Received intervals (start -> end), non-overlapping, non-adjacent.
     segments: BTreeMap<u64, u64>,
@@ -283,6 +283,14 @@ pub struct StreamRec {
     pub advertised: Option<u64>,
 }
 
+impl StreamRec {
+    /// The send side, read-only (for the oracle proptest).
+    #[doc(hidden)]
+    pub fn send(&self) -> &SendStream {
+        &self.send
+    }
+}
+
 /// What [`StreamTable::next_chunk`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pull {
@@ -308,9 +316,16 @@ pub struct Pull {
 /// test — a stream it alone blocks stays indexed and is passed over — so
 /// one pull costs the streams ahead of the first sendable one, not every
 /// stream the connection ever opened.
+///
+/// Records are found by index, not by search. Each end opens every second
+/// id from its first one, so the ids of one parity are dense: stream `id`
+/// lives in `recs[id & 1]` at slot `id >> 1`, and a table is as long as
+/// the largest id in use. That makes bounding the ids the caller's job:
+/// the connection drops any frame whose id no legal peer could send
+/// before it reaches the table.
 #[derive(Debug)]
 pub struct StreamTable {
-    recs: BTreeMap<u32, StreamRec>,
+    recs: [Vec<Option<StreamRec>>; 2],
     ready: VecDeque<u32>,
     /// Send limit a stream starts with (the peer's initial window).
     initial_window: u64,
@@ -324,7 +339,7 @@ impl StreamTable {
     /// send credit.
     pub fn new(initial_window: u64) -> Self {
         StreamTable {
-            recs: BTreeMap::new(),
+            recs: [Vec::new(), Vec::new()],
             ready: VecDeque::new(),
             initial_window,
             #[cfg(test)]
@@ -332,13 +347,24 @@ impl StreamTable {
         }
     }
 
-    fn entry(recs: &mut BTreeMap<u32, StreamRec>, window: u64, id: u32) -> &mut StreamRec {
-        recs.entry(id).or_insert_with(|| StreamRec {
+    fn entry(recs: &mut [Vec<Option<StreamRec>>; 2], window: u64, id: u32) -> &mut StreamRec {
+        let (parity, slot) = ((id & 1) as usize, (id >> 1) as usize);
+        let table = &mut recs[parity];
+        if table.len() <= slot {
+            table.resize_with(slot + 1, || None);
+        }
+        table[slot].get_or_insert_with(|| StreamRec {
             send: SendStream::new(id, window),
             recv: RecvStream::default(),
             announced: false,
             advertised: None,
         })
+    }
+
+    fn existing(recs: &mut [Vec<Option<StreamRec>>; 2], id: u32) -> Option<&mut StreamRec> {
+        recs[(id & 1) as usize]
+            .get_mut((id >> 1) as usize)
+            .and_then(Option::as_mut)
     }
 
     /// The record for `id`, created on first use.
@@ -348,7 +374,15 @@ impl StreamTable {
 
     /// The record for `id`, if the stream was ever touched.
     pub fn get(&self, id: u32) -> Option<&StreamRec> {
-        self.recs.get(&id)
+        self.recs[(id & 1) as usize]
+            .get((id >> 1) as usize)
+            .and_then(Option::as_ref)
+    }
+
+    /// Slots allocated across both parities.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.recs[0].len() + self.recs[1].len()
     }
 
     /// Enter `send`'s stream in the ready index if it has something to
@@ -386,7 +420,7 @@ impl StreamTable {
     /// A chunk was declared lost: queue it for retransmission (or re-arm
     /// a bare FIN).
     pub fn on_chunk_lost(&mut self, chunk: &Chunk) {
-        if let Some(rec) = self.recs.get_mut(&chunk.id) {
+        if let Some(rec) = Self::existing(&mut self.recs, chunk.id) {
             rec.send.on_chunk_lost(chunk);
             Self::index_if_ready(&mut self.ready, &rec.send);
         }
@@ -404,9 +438,7 @@ impl StreamTable {
         let mut data_was_available = false;
         for at in 0..self.ready.len() {
             let id = self.ready[at];
-            let s = &mut self
-                .recs
-                .get_mut(&id)
+            let s = &mut Self::existing(&mut self.recs, id)
                 .expect("indexed stream has a record")
                 .send;
             #[cfg(test)]

@@ -1,7 +1,10 @@
 //! The `BTreeMap` sent-packet tracker, verbatim from when it was the
 //! per-event reference path behind `longlook_quic::sent::SentStore`: the
 //! oracle of `slab_store_equivalent_to_map_store` and
-//! `ack_outcome_depends_only_on_covered_set`.
+//! `ack_outcome_depends_only_on_covered_set`. The `BTreeMap` stream table
+//! is in [`streams`].
+
+pub mod streams;
 
 use longlook_quic::sent::{AckOutcome, SentPacket};
 use longlook_quic::wire::AckBlock;

@@ -1,13 +1,15 @@
 //! Property-based tests for the QUIC wire format and reassembly
-//! structures, and the sent-packet store against its `BTreeMap` oracle.
+//! structures, and the sent-packet store and the stream table against
+//! their `BTreeMap` oracles.
 
 mod oracle;
 
 use longlook_quic::recv_ack::AckTracker;
 use longlook_quic::sent::{AckOutcome, SentPacket, SentStore};
-use longlook_quic::streams::{Chunk, RecvStream, SendStream, StreamTable};
+use longlook_quic::streams::{Chunk, RecvStream, SendStream, StreamRec, StreamTable};
 use longlook_quic::wire::{AckBlock, Frame, HandshakeKind, QuicPacket};
 use longlook_sim::time::{Dur, Time};
+use oracle::streams::{MapRec, MapStreamTable};
 use oracle::SentTracker;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -658,6 +660,167 @@ proptest! {
                 .collect();
             prop_assert_eq!(table.ready_ids().collect::<Vec<_>>(), wanting);
             prop_assert_eq!(table.any_ready(), oracle.values().any(SendStream::wants_to_send));
+        }
+    }
+}
+
+/// One step applied to both the dense [`StreamTable`] and the map oracle.
+/// Stream ids span both parities, so ids `2k` and `2k + 1` share a slot
+/// number in their parity's vector.
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// The application writes to `id` (ignored once its FIN is queued).
+    Write { id: u8, bytes: u16, fin: bool },
+    /// The peer raises `id`'s flow-control limit by `delta`.
+    StreamWindow { id: u8, delta: u16 },
+    /// The peer raises the connection flow-control limit by `delta`.
+    ConnWindow { delta: u16 },
+    /// One of the chunks pulled so far is declared lost.
+    Lose { pick: u8 },
+    /// Pull chunks until one pull comes back empty or `max` were taken.
+    Pull { budget: u16, max: u8 },
+    /// Receive a chunk on `id` and update its announcement state, through
+    /// `rec_mut`.
+    Recv {
+        id: u8,
+        offset: u16,
+        len: u16,
+        fin: bool,
+        announce: bool,
+    },
+}
+
+/// Ids 0..24: both parities, a dozen slots each.
+const TABLE_IDS: u8 = 24;
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (
+            0..TABLE_IDS,
+            prop_oneof![Just(0u16), 0u16..6_000],
+            any::<bool>()
+        )
+            .prop_map(|(id, bytes, fin)| TableOp::Write { id, bytes, fin }),
+        (0..TABLE_IDS, 0u16..4_000).prop_map(|(id, delta)| TableOp::StreamWindow { id, delta }),
+        (0u16..8_000).prop_map(|delta| TableOp::ConnWindow { delta }),
+        any::<u8>().prop_map(|pick| TableOp::Lose { pick }),
+        (0u16..1_400, 1u8..6).prop_map(|(budget, max)| TableOp::Pull { budget, max }),
+        (
+            0..TABLE_IDS,
+            0u16..3_000,
+            0u16..1_500,
+            any::<bool>(),
+            any::<bool>()
+        )
+            .prop_map(|(id, offset, len, fin, announce)| TableOp::Recv {
+                id,
+                offset,
+                len,
+                fin,
+                announce,
+            }),
+    ]
+}
+
+/// Whether the dense record and the oracle's hold the same state.
+fn same_rec(dense: Option<&StreamRec>, map: Option<&MapRec>) -> bool {
+    match (dense, map) {
+        (None, None) => true,
+        (Some(d), Some(m)) => {
+            *d.send() == m.send
+                && d.recv == m.recv
+                && d.announced == m.announced
+                && d.advertised == m.advertised
+        }
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Finding a record by parity and slot instead of by tree changes
+    /// nothing a caller sees: over random writes, window updates, losses,
+    /// pulls and receive-side updates on ids of both parities, the dense
+    /// table returns the oracle's `Pull`s, keeps its ready index, and
+    /// holds the same record, or none, for every id.
+    #[test]
+    fn stream_table_equivalent_to_map_table(
+        ops in proptest::collection::vec(arb_table_op(), 1..120),
+    ) {
+        const INITIAL_WINDOW: u64 = 3_000;
+        let mut dense = StreamTable::new(INITIAL_WINDOW);
+        let mut map = MapStreamTable::new(INITIAL_WINDOW);
+        let mut stream_limit: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut finished: Vec<u32> = Vec::new();
+        let mut conn_limit = 5_000u64;
+        let mut conn_fresh_sent = 0u64;
+        let mut pulled: Vec<Chunk> = Vec::new();
+        for op in ops {
+            match op {
+                TableOp::Write { id, bytes, fin } => {
+                    let id = id as u32;
+                    if finished.contains(&id) {
+                        continue;
+                    }
+                    if fin {
+                        finished.push(id);
+                    }
+                    dense.write(id, bytes as u64, fin);
+                    map.write(id, bytes as u64, fin);
+                }
+                TableOp::StreamWindow { id, delta } => {
+                    let id = id as u32;
+                    let limit = stream_limit.entry(id).or_insert(INITIAL_WINDOW);
+                    *limit += delta as u64;
+                    dense.on_window_update(id, *limit);
+                    map.on_window_update(id, *limit);
+                }
+                TableOp::ConnWindow { delta } => conn_limit += delta as u64,
+                TableOp::Lose { pick } => {
+                    if pulled.is_empty() {
+                        continue;
+                    }
+                    let chunk = pulled.swap_remove(pick as usize % pulled.len());
+                    dense.on_chunk_lost(&chunk);
+                    map.on_chunk_lost(&chunk);
+                }
+                TableOp::Pull { budget, max } => {
+                    for _ in 0..max {
+                        let conn_room = conn_limit.saturating_sub(conn_fresh_sent);
+                        let got = dense.next_chunk(budget as u32, conn_room);
+                        prop_assert_eq!(got, map.next_chunk(budget as u32, conn_room));
+                        let Some(chunk) = got.chunk else { break };
+                        if got.fresh {
+                            conn_fresh_sent += chunk.len as u64;
+                        }
+                        pulled.push(chunk);
+                    }
+                }
+                TableOp::Recv { id, offset, len, fin, announce } => {
+                    let id = id as u32;
+                    let (d, m) = (dense.rec_mut(id), map.rec_mut(id));
+                    prop_assert_eq!(
+                        d.recv.on_chunk(offset as u64, len as u32, fin),
+                        m.recv.on_chunk(offset as u64, len as u32, fin)
+                    );
+                    prop_assert_eq!(d.recv.take_fin(), m.recv.take_fin());
+                    if announce && !d.announced {
+                        d.announced = true;
+                        m.announced = true;
+                        d.advertised = Some(d.recv.delivered() + INITIAL_WINDOW);
+                        m.advertised = Some(m.recv.delivered() + INITIAL_WINDOW);
+                    }
+                }
+            }
+            prop_assert_eq!(
+                dense.ready_ids().collect::<Vec<_>>(),
+                map.ready_ids().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(dense.any_ready(), map.ready_ids().next().is_some());
+            for id in 0..TABLE_IDS as u32 {
+                prop_assert!(same_rec(dense.get(id), map.get(id)), "stream {}", id);
+            }
         }
     }
 }

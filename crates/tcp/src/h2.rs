@@ -10,15 +10,50 @@
 //! bolted on.
 
 use crate::wire::RecordDesc;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// HTTP/2 frame header size in stream bytes.
 pub const RECORD_HEADER: u64 = 9;
 
+/// Record descriptors sorted by offset, at most one per offset. Records
+/// are laid out in offset order and mostly announced in it, so an insert
+/// is almost always a push at the back and the entries a reader wants sit
+/// at the front.
+#[derive(Debug, Default)]
+struct RecordIndex(VecDeque<RecordDesc>);
+
+impl RecordIndex {
+    /// Insert `d`, replacing any descriptor at its offset.
+    fn insert(&mut self, d: RecordDesc) {
+        match self.0.back() {
+            Some(last) if last.offset >= d.offset => {
+                match self.0.binary_search_by_key(&d.offset, |r| r.offset) {
+                    Ok(at) => self.0[at] = d,
+                    Err(at) => self.0.insert(at, d),
+                }
+            }
+            _ => self.0.push_back(d),
+        }
+    }
+
+    /// Descriptors whose offset lies in `[start, end)`, ascending.
+    fn range(&self, start: u64, end: u64) -> impl Iterator<Item = &RecordDesc> {
+        let from = self.0.partition_point(|r| r.offset < start);
+        self.0.range(from..).take_while(move |r| r.offset < end)
+    }
+
+    /// Drop leading descriptors while `dead` holds for them.
+    fn drop_front_while(&mut self, mut dead: impl FnMut(&RecordDesc) -> bool) {
+        while self.0.front().is_some_and(&mut dead) {
+            self.0.pop_front();
+        }
+    }
+}
+
 /// Sender-side record index.
 #[derive(Debug)]
 pub struct H2Mux {
-    records: BTreeMap<u64, RecordDesc>,
+    records: RecordIndex,
     write_ptr: u64,
 }
 
@@ -27,7 +62,7 @@ impl H2Mux {
     /// base belong to the TLS handshake).
     pub fn new(base: u64) -> Self {
         H2Mux {
-            records: BTreeMap::new(),
+            records: RecordIndex::default(),
             write_ptr: base,
         }
     }
@@ -35,15 +70,12 @@ impl H2Mux {
     /// Append a record; returns the stream-byte range it occupies.
     pub fn push_record(&mut self, stream: u32, len: u32, fin: bool) -> (u64, u64) {
         let offset = self.write_ptr;
-        self.records.insert(
+        self.records.insert(RecordDesc {
             offset,
-            RecordDesc {
-                offset,
-                stream,
-                len,
-                fin,
-            },
-        );
+            stream,
+            len,
+            fin,
+        });
         self.write_ptr += RECORD_HEADER + len as u64;
         (offset, self.write_ptr)
     }
@@ -56,20 +88,15 @@ impl H2Mux {
     /// Descriptors of records starting inside `[start, end)` — attached to
     /// the segment carrying those bytes (original or retransmission).
     pub fn descs_in(&self, start: u64, end: u64) -> Vec<RecordDesc> {
-        self.records.range(start..end).map(|(_, &d)| d).collect()
+        self.records.range(start, end).copied().collect()
     }
 
     /// Drop index entries fully below `below` (cumulatively acked).
     pub fn prune(&mut self, below: u64) {
         // Records lie back to back, so the fully acked ones are a prefix;
         // keep any record whose span may still be retransmitted.
-        while let Some(first) = self.records.first_entry() {
-            let d = first.get();
-            if d.offset + RECORD_HEADER + d.len as u64 > below {
-                break;
-            }
-            first.remove();
-        }
+        self.records
+            .drop_front_while(|d| d.offset + RECORD_HEADER + d.len as u64 <= below);
     }
 }
 
@@ -92,12 +119,15 @@ pub enum H2Event {
 /// Receiver-side record parser over the in-order byte stream.
 #[derive(Debug)]
 pub struct H2Demux {
-    descs: BTreeMap<u64, RecordDesc>,
+    /// Descriptors at or above `parse_ptr`: nothing below it is read
+    /// again, so none is kept there.
+    descs: RecordIndex,
     /// Byte pointer: everything below is fully parsed.
     parse_ptr: u64,
     /// Record currently being consumed and payload bytes already taken.
     current: Option<(RecordDesc, u64)>,
-    seen_streams: BTreeMap<u32, ()>,
+    /// Streams a record header has opened, ascending.
+    seen_streams: Vec<u32>,
 }
 
 impl H2Demux {
@@ -105,19 +135,47 @@ impl H2Demux {
     /// prefix length).
     pub fn new(base: u64) -> Self {
         H2Demux {
-            descs: BTreeMap::new(),
+            descs: RecordIndex::default(),
             parse_ptr: base,
             current: None,
-            seen_streams: BTreeMap::new(),
+            seen_streams: Vec::new(),
         }
     }
 
     /// Store descriptors from an arriving segment (may be out of order or
-    /// duplicates — idempotent).
+    /// duplicates — idempotent). A descriptor below the parse pointer, the
+    /// start of a record already parsed that a retransmission carried
+    /// again, is dropped.
     pub fn on_descs(&mut self, descs: &[RecordDesc]) {
         for d in descs {
-            self.descs.insert(d.offset, *d);
+            if d.offset >= self.parse_ptr {
+                self.descs.insert(*d);
+            }
         }
+    }
+
+    /// Whether `stream`'s first record header is being parsed now.
+    fn opens(&mut self, stream: u32) -> bool {
+        match self.seen_streams.last() {
+            Some(&last) if last >= stream => match self.seen_streams.binary_search(&stream) {
+                Ok(_) => false,
+                Err(at) => {
+                    self.seen_streams.insert(at, stream);
+                    true
+                }
+            },
+            _ => {
+                self.seen_streams.push(stream);
+                true
+            }
+        }
+    }
+
+    /// Move the parse pointer to `to` and drop the descriptors it passed.
+    fn parsed_to(&mut self, to: u64) {
+        self.parse_ptr = to;
+        self.current = None;
+        self.descs.drop_front_while(|d| d.offset < to);
     }
 
     /// Advance parsing up to the receiver's in-order point `rcv_nxt`,
@@ -131,7 +189,7 @@ impl H2Demux {
                 // Look up the descriptor for the record at parse_ptr. Its
                 // bytes have arrived in order, so the segment carrying the
                 // record start arrived, so the descriptor is known.
-                let Some(&d) = self.descs.get(&self.parse_ptr) else {
+                let Some(&d) = self.descs.0.front().filter(|d| d.offset == self.parse_ptr) else {
                     break; // TLS prefix or not yet announced: wait
                 };
                 self.current = Some((d, 0));
@@ -145,20 +203,19 @@ impl H2Demux {
             if readable_to <= payload_start {
                 if readable_to == rec_end && d.len == 0 {
                     // Zero-length record fully consumed by its header.
-                    if self.seen_streams.insert(d.stream, ()).is_none() {
+                    if self.opens(d.stream) {
                         emit(H2Event::StreamOpened(d.stream));
                     }
                     if d.fin {
                         emit(H2Event::StreamFin(d.stream));
                     }
-                    self.parse_ptr = rec_end;
-                    self.current = None;
+                    self.parsed_to(rec_end);
                     continue;
                 }
                 break; // header partially arrived: wait for more bytes
             }
             // The full record header is readable: the stream is now open.
-            if self.seen_streams.insert(d.stream, ()).is_none() {
+            if self.opens(d.stream) {
                 emit(H2Event::StreamOpened(d.stream));
             }
             let new_taken = readable_to - payload_start;
@@ -173,9 +230,7 @@ impl H2Demux {
                 if d.fin {
                     emit(H2Event::StreamFin(d.stream));
                 }
-                self.parse_ptr = rec_end;
-                self.descs.remove(&rec_start);
-                self.current = None;
+                self.parsed_to(rec_end);
             } else {
                 self.current = Some((d, new_taken));
                 break; // consumed all available bytes
@@ -186,6 +241,11 @@ impl H2Demux {
     /// The parse pointer (diagnostics).
     pub fn parse_ptr(&self) -> u64 {
         self.parse_ptr
+    }
+
+    /// The descriptors held, ascending by offset (diagnostics).
+    pub fn held_descs(&self) -> impl Iterator<Item = &RecordDesc> {
+        self.descs.0.iter()
     }
 }
 

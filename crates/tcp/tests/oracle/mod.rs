@@ -2,7 +2,9 @@
 //! `longlook_tcp::scoreboard::Scoreboard` became a sequence-ordered ring:
 //! the oracle of `ring_scoreboard_equivalent_to_map_scoreboard`. Only the
 //! allocating `lost_ranges()` scan, which nothing outside the unit tests
-//! called, is left out.
+//! called, is left out. The `BTreeMap` h2 record indexes are in [`h2`].
+
+pub mod h2;
 
 use longlook_sim::time::Time;
 use longlook_tcp::scoreboard::TcpAckOutcome;

@@ -1,5 +1,6 @@
 //! Property-based tests for the TCP wire format, receive reassembly, the
-//! h2 record layer, and the SACK scoreboard against its `BTreeMap` oracle.
+//! h2 record layer, and the SACK scoreboard and the h2 record indexes
+//! against their `BTreeMap` oracles.
 
 mod oracle;
 
@@ -8,6 +9,7 @@ use longlook_tcp::h2::{H2Demux, H2Event, H2Mux};
 use longlook_tcp::recv::TcpReceiver;
 use longlook_tcp::scoreboard::{Scoreboard, TcpAckOutcome};
 use longlook_tcp::wire::{flags, RecordDesc, TcpSegment};
+use oracle::h2::{MapH2Demux, MapH2Mux};
 use oracle::MapScoreboard;
 use proptest::prelude::*;
 
@@ -534,5 +536,165 @@ proptest! {
             prop_assert_eq!(ring.oldest_unsacked(), map.oldest_unsacked());
             prop_assert_eq!(ring.has_outstanding(), map.has_outstanding());
         }
+    }
+}
+
+/// One step applied to both the flat h2 indexes and the map oracles.
+#[derive(Debug, Clone)]
+enum H2Op {
+    /// Both muxes append a record.
+    Push { stream: u8, len: u16, fin: bool },
+    /// A segment covering `width` bytes from a point `at` picks arrives:
+    /// the descriptors the mux attaches to it reach both demuxes. `lie`
+    /// may rewrite the first one in place (same offset, other record) or
+    /// add a stray one at no record start.
+    Announce { at: u16, width: u16, lie: u8 },
+    /// The in-order point moves forward by `delta`.
+    Advance { delta: u16 },
+    /// Both muxes drop records fully below a point `at` picks.
+    Prune { at: u16 },
+}
+
+fn arb_h2_op() -> impl Strategy<Value = H2Op> {
+    prop_oneof![
+        (0u8..12, 0u16..3_000, any::<bool>()).prop_map(|(stream, len, fin)| H2Op::Push {
+            stream,
+            len,
+            fin
+        }),
+        (0u8..12, prop_oneof![Just(0u16), 0u16..3_000], any::<bool>())
+            .prop_map(|(stream, len, fin)| H2Op::Push { stream, len, fin }),
+        (any::<u16>(), 1u16..4_000, any::<u8>()).prop_map(|(at, width, lie)| H2Op::Announce {
+            at,
+            width,
+            lie
+        }),
+        (any::<u16>(), 1u16..4_000, any::<u8>()).prop_map(|(at, width, lie)| H2Op::Announce {
+            at,
+            width,
+            lie
+        }),
+        (0u16..2_500).prop_map(|delta| H2Op::Advance { delta }),
+        any::<u16>().prop_map(|at| H2Op::Prune { at }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The offset-sorted deques are observationally identical to the
+    /// `BTreeMap`s they replaced. The muxes lay out the same records and
+    /// attach the same descriptors to any byte range, before and after
+    /// pruning. The demuxes, fed the same descriptors out of order,
+    /// twice, below the parse pointer, rewritten at a taken offset (the
+    /// last one written wins) or at no record start, release the same
+    /// events at the same parse pointer; the flat demux holds exactly the
+    /// oracle's descriptors at or above it.
+    #[test]
+    fn h2_flat_index_equivalent_to_map_index(
+        base in 0u64..600,
+        ops in proptest::collection::vec(arb_h2_op(), 1..80),
+    ) {
+        let (mut mux, mut map_mux) = (H2Mux::new(base), MapH2Mux::new(base));
+        let (mut demux, mut map_demux) = (H2Demux::new(base), MapH2Demux::new(base));
+        let mut rcv_nxt = base;
+        for op in ops {
+            let span = mux.stream_len() + 1;
+            match op {
+                H2Op::Push { stream, len, fin } => {
+                    let stream = 2 * stream as u32 + 1;
+                    prop_assert_eq!(
+                        mux.push_record(stream, len as u32, fin),
+                        map_mux.push_record(stream, len as u32, fin)
+                    );
+                }
+                H2Op::Announce { at, width, lie } => {
+                    let start = at as u64 % span;
+                    let end = start + width as u64;
+                    let mut descs = mux.descs_in(start, end);
+                    prop_assert_eq!(&descs, &map_mux.descs_in(start, end));
+                    match (lie % 4, descs.first_mut()) {
+                        (0, Some(d)) => {
+                            d.stream += 2;
+                            d.len = d.len / 2 + lie as u32;
+                            d.fin = !d.fin;
+                        }
+                        (1, _) => descs.push(RecordDesc {
+                            offset: start + lie as u64,
+                            stream: lie as u32,
+                            len: lie as u32 * 7,
+                            fin: lie % 8 == 1,
+                        }),
+                        _ => {}
+                    }
+                    demux.on_descs(&descs);
+                    map_demux.on_descs(&descs);
+                }
+                H2Op::Advance { delta } => {
+                    rcv_nxt += delta as u64;
+                    let got = advance(&mut demux, rcv_nxt);
+                    let mut want = Vec::new();
+                    map_demux.advance(rcv_nxt, |e| want.push(e));
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(demux.parse_ptr(), map_demux.parse_ptr());
+                }
+                H2Op::Prune { at } => {
+                    let below = at as u64 % span;
+                    mux.prune(below);
+                    map_mux.prune(below);
+                    prop_assert_eq!(mux.descs_in(0, u64::MAX), map_mux.descs_in(0, u64::MAX));
+                }
+            }
+            let parse_ptr = map_demux.parse_ptr();
+            let live: Vec<RecordDesc> = map_demux
+                .held_descs()
+                .filter(|d| d.offset >= parse_ptr)
+                .copied()
+                .collect();
+            prop_assert_eq!(demux.held_descs().copied().collect::<Vec<_>>(), live);
+        }
+    }
+
+    /// A retransmitted segment carries the descriptors of the records
+    /// starting inside it again, after those records may have been parsed.
+    /// Nothing reads below the parse pointer, so the demux keeps no
+    /// descriptor there: its index does not grow with retransmissions.
+    #[test]
+    fn replayed_segments_leave_no_descriptor_below_parse_ptr(
+        base in 0u64..600,
+        recs in proptest::collection::vec((0u32..8, 0u32..3_000, any::<bool>()), 1..30),
+        mss in 200u64..1_500,
+        ops in proptest::collection::vec((any::<bool>(), any::<u8>()), 1..80),
+    ) {
+        let mut mux = H2Mux::new(base);
+        for &(stream, len, fin) in &recs {
+            mux.push_record(2 * stream + 1, len, fin);
+        }
+        let total = mux.stream_len();
+        let segments: Vec<(u64, u64)> = (0..total)
+            .step_by(mss as usize)
+            .map(|s| (s, (s + mss).min(total)))
+            .collect();
+        let mut demux = H2Demux::new(base);
+        let mut delivered = 0usize;
+        let mut rcv_nxt = 0u64;
+        let steps = ops.into_iter().chain(std::iter::repeat_n((false, 0), segments.len()));
+        for (replay, pick) in steps {
+            let (start, end) = if replay && delivered > 0 {
+                segments[pick as usize % delivered]
+            } else if delivered < segments.len() {
+                delivered += 1;
+                segments[delivered - 1]
+            } else {
+                continue;
+            };
+            rcv_nxt = rcv_nxt.max(end);
+            demux.on_descs(&mux.descs_in(start, end));
+            advance(&mut demux, rcv_nxt);
+            let below = demux.held_descs().find(|d| d.offset < demux.parse_ptr()).copied();
+            prop_assert_eq!(below, None, "parse_ptr {}", demux.parse_ptr());
+        }
+        prop_assert_eq!(demux.parse_ptr(), total);
+        prop_assert_eq!(demux.held_descs().count(), 0);
     }
 }

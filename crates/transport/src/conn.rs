@@ -121,6 +121,7 @@ pub trait Connection {
 
     /// Open a new application stream; `None` if the concurrent-stream
     /// limit is reached (QUIC's MSPC) or the connection is not ready.
+    /// Each id is larger than every id opened before it.
     fn open_stream(&mut self, now: Time) -> Option<StreamId>;
 
     /// Queue `bytes` of application data (synthetic) on a stream,
