@@ -5,33 +5,35 @@
 //! repro fig6a           # run one experiment, print + save to results/
 //! repro all             # run everything
 //! repro -j 4 fig6a      # shard experiment cells across 4 threads
+//! repro --rounds 3 fig8  # 3 rounds per measurement: a quick smoke run
 //! repro -j 4 --timing fig6a   # also print per-batch scheduler reports
 //! repro trauma results/trauma/repro_17.json   # replay a traumafuzz repro
 //! ```
 //!
-//! Set `LONGLOOK_ROUNDS` to lower the per-measurement rounds (default 10)
-//! for quicker smoke runs. Experiment cells are sharded across worker
-//! threads (`LONGLOOK_JOBS` or `-j N`; default: all hardware threads) in
+//! The flags build one [`RunConfig`], handed to every experiment.
+//! `--rounds N` sets the rounds per measurement (default 10, the paper's
+//! "at least 10"). Experiment cells are sharded across `-j N` worker
+//! threads (default: all hardware threads; `0` or `1` run serially) in
 //! auto-tuned chunks — results are bit-identical to a serial run at any
-//! worker count. With
-//! `--timing`, every scheduler batch prints a `RunnerReport`: elapsed vs
-//! summed cell time (achieved speedup), per-worker cells/chunks claimed,
-//! and the slowest cells.
+//! worker count. With `--timing`, every scheduler batch prints a
+//! `RunnerReport`: elapsed vs summed cell time (achieved speedup),
+//! per-worker cells/chunks claimed, and the slowest cells.
 
 use longlook_bench::report::Report;
-use longlook_bench::EXPERIMENTS;
+use longlook_bench::{RunConfig, EXPERIMENTS};
 use longlook_core::runner::{self, Parallelism};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 fn usage() -> ! {
-    eprintln!("usage: repro [-j N] [--timing] <experiment-id>|list|all");
+    eprintln!("usage: repro [-j N] [--rounds N] [--timing] <experiment-id>|list|all");
     eprintln!("       repro trauma <repro.json>   # replay a traumafuzz repro file");
     eprintln!("       repro trace <file>          # analyze a trace (.jsonseq or a repro");
     eprintln!("                                   # file with an embedded trace): timeline,");
     eprintln!("                                   # per-state dwell, loss episodes");
-    eprintln!("  -j N      shard cells across N threads (or set LONGLOOK_JOBS; 1 = serial)");
-    eprintln!("  --timing  print a scheduler report per batch (jobs, chunk, speedup)");
+    eprintln!("  -j N        shard cells across N threads (0 or 1 = serial)");
+    eprintln!("  --rounds N  rounds per measurement (default 10)");
+    eprintln!("  --timing    print a scheduler report per batch (jobs, chunk, speedup)");
     eprintln!("experiments:");
     for (id, desc, _) in EXPERIMENTS {
         eprintln!("  {id:<18} {desc}");
@@ -64,9 +66,64 @@ fn print_timing(id: &str) {
     }
 }
 
-fn run_one(run: fn() -> Report, timing: bool) {
+/// What the flags before the command set, and the arguments after them.
+struct Flags<'a> {
+    cfg: RunConfig,
+    timing: bool,
+    rest: &'a [String],
+}
+
+/// Read the flags, in any order, before the command. `hardware` is the
+/// worker count without `-j`. A flag without its value, a junk value or
+/// `--rounds 0` is an error naming the flag.
+fn parse_flags(args: &[String], hardware: Parallelism) -> Result<Flags<'_>, String> {
+    let mut flags = Flags {
+        cfg: RunConfig {
+            par: hardware,
+            rounds: RunConfig::DEFAULT_ROUNDS,
+        },
+        timing: false,
+        rest: args,
+    };
+    while let Some(flag) = flags.rest.first() {
+        let value = || {
+            flags
+                .rest
+                .get(1)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "-j" => {
+                let v = value()?;
+                flags.cfg.par = match v.parse::<usize>() {
+                    Ok(0 | 1) => Parallelism::Serial,
+                    Ok(n) => Parallelism::Threads(n),
+                    Err(_) => return Err(format!("-j takes a thread count, not {v:?}")),
+                };
+                flags.rest = &flags.rest[2..];
+            }
+            "--rounds" => {
+                let v = value()?;
+                flags.cfg.rounds = v
+                    .parse::<u64>()
+                    .ok()
+                    .filter(|n| *n > 0)
+                    .ok_or_else(|| format!("--rounds takes a positive integer, not {v:?}"))?;
+                flags.rest = &flags.rest[2..];
+            }
+            "--timing" => {
+                flags.timing = true;
+                flags.rest = &flags.rest[1..];
+            }
+            _ => break,
+        }
+    }
+    Ok(flags)
+}
+
+fn run_one(run: fn(&RunConfig) -> Report, cfg: &RunConfig, timing: bool) {
     let started = Instant::now();
-    let report = run();
+    let report = run(cfg);
     let (id, body) = (report.id, report.to_string());
     println!("==================== {id} ====================");
     println!("{body}");
@@ -84,32 +141,19 @@ fn run_one(run: fn() -> Report, timing: bool) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut timing = false;
-    // Flags may appear in any order before the experiment id. `-j N` sets
-    // the worker count for this process (same knob as LONGLOOK_JOBS).
-    loop {
-        match args.first().map(String::as_str) {
-            Some("-j") => {
-                if args.len() < 2 {
-                    usage();
-                }
-                let n: usize = args[1].parse().unwrap_or_else(|_| usage());
-                std::env::set_var(Parallelism::JOBS_ENV, n.to_string());
-                args.drain(..2);
-            }
-            Some("--timing") => {
-                timing = true;
-                runner::set_timing(true);
-                args.remove(0);
-            }
-            _ => break,
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Flags {
+        cfg,
+        timing,
+        rest: args,
+    } = parse_flags(&args, Parallelism::auto()).unwrap_or_else(|msg| {
+        eprintln!("repro: {msg}");
+        usage()
+    });
+    runner::set_timing(timing);
     eprintln!(
-        "[parallelism: {} worker thread(s); override with -j N or {}=N]",
-        Parallelism::auto().jobs(),
-        Parallelism::JOBS_ENV,
+        "[parallelism: {} worker thread(s); override with -j N]",
+        cfg.par.jobs(),
     );
     match args.first().map(String::as_str) {
         None | Some("list") => usage(),
@@ -154,7 +198,7 @@ fn main() {
         Some("all") => {
             let started = Instant::now();
             for (_, _, run) in EXPERIMENTS {
-                run_one(*run, timing);
+                run_one(*run, &cfg, timing);
             }
             println!(
                 "[all experiments completed in {:.1}s]",
@@ -162,7 +206,7 @@ fn main() {
             );
         }
         Some(id) => match EXPERIMENTS.iter().find(|(known, _, _)| *known == id) {
-            Some((_, _, run)) => run_one(*run, timing),
+            Some((_, _, run)) => run_one(*run, &cfg, timing),
             None => {
                 eprintln!("unknown experiment: {id}");
                 usage();
@@ -189,6 +233,59 @@ mod tests {
             span: Dur::from_millis(10),
         };
         longlook_statemachine::infer(&[&trace])
+    }
+
+    /// `parse_flags` on a host with 8 hardware threads: the run's
+    /// settings, `--timing`, and the arguments left after the flags.
+    fn parse(args: &[&str]) -> Result<(RunConfig, bool, Vec<String>), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let f = parse_flags(&args, Parallelism::Threads(8))?;
+        Ok((f.cfg, f.timing, f.rest.to_vec()))
+    }
+
+    #[test]
+    fn flags_build_one_run_config_and_leave_the_command() {
+        let cfg = |par, rounds| RunConfig { par, rounds };
+        assert_eq!(
+            parse(&["--rounds", "3", "-j", "2", "--timing", "fig8", "-j"]),
+            Ok((
+                cfg(Parallelism::Threads(2), 3),
+                true,
+                vec!["fig8".into(), "-j".into()]
+            ))
+        );
+        assert_eq!(
+            parse(&["list"]),
+            Ok((cfg(Parallelism::Threads(8), 10), false, vec!["list".into()]))
+        );
+    }
+
+    #[test]
+    fn zero_or_one_jobs_run_serially() {
+        for n in ["0", "1"] {
+            assert_eq!(parse(&["-j", n, "all"]).unwrap().0.par, Parallelism::Serial);
+        }
+    }
+
+    #[test]
+    fn rounds_must_be_a_positive_integer() {
+        for junk in ["0", "", "-2", "2.5", "ten", "3x", " 3"] {
+            let err = parse(&["--rounds", junk, "fig8"]).unwrap_err();
+            assert!(err.starts_with("--rounds"), "{junk:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn junk_jobs_and_missing_values_are_usage_errors() {
+        for args in [
+            &["-j", "x", "all"][..],
+            &["-j", "-1", "all"],
+            &["-j"],
+            &["--rounds"],
+            &["--timing", "-j"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?}");
+        }
     }
 
     #[test]

@@ -3,12 +3,12 @@
 
 use super::{recovery, reordering, summaries, tcp};
 use crate::report::{Column, Report, Table};
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 
 /// NACK policy under reordering: fixed 3 vs fixed 25 vs adaptive
 /// (DSACK-like doubling) vs time-based loss detection.
-pub fn nack() -> Report {
+pub fn nack(cfg: &RunConfig) -> Report {
     let mut r = Report::new("ablation_nack");
     r.note(
         "Ablation — loss-detection policy under ±10 ms jitter reordering\n\
@@ -42,7 +42,7 @@ pub fn nack() -> Report {
     ];
     let senders = senders
         .into_iter()
-        .map(|(label, cfg)| (label.to_string(), ProtoConfig::Quic(cfg)))
+        .map(|(label, quic_cfg)| (label.to_string(), ProtoConfig::Quic(quic_cfg)))
         .collect();
     let columns = vec![
         Column::label("Policy", 24),
@@ -50,12 +50,12 @@ pub fn nack() -> Report {
         Column::num("losses", 10, 0),
         Column::num("spurious", 12, 0),
     ];
-    r.push(reordering(columns, senders, 2100));
+    r.push(reordering(cfg, columns, senders, 2100));
     r
 }
 
 /// HyStart on/off: where the delay-based slow-start exit matters.
-pub fn hystart() -> Report {
+pub fn hystart(cfg: &RunConfig) -> Report {
     let mut r = Report::new("ablation_hystart");
     r.note(
         "Ablation — Hybrid Slow Start (mean over rounds, 36 ms RTT)\n\n\
@@ -72,16 +72,16 @@ pub fn hystart() -> Report {
     // 20 MB at 50 Mbps through a 2-BDP buffer (450 KB); MACW 2000 so the
     // window cap doesn't mask the overshoot.
     let deep = NetProfile::baseline(50.0).with_buffer(450 * 1024);
-    let hystart = |mut cfg: QuicConfig, on| {
-        cfg.cubic.hystart = on;
-        ProtoConfig::Quic(cfg)
+    let hystart = |mut quic_cfg: QuicConfig, on| {
+        quic_cfg.cubic.hystart = on;
+        ProtoConfig::Quic(quic_cfg)
     };
     let cells = [true, false].map(|on| {
         Scenario::new(deep.clone(), PageSpec::single(20 * 1024 * 1024))
             .with_proto(hystart(QuicConfig::quic37(), on))
     });
     let label = "20MB @50Mbps, 2-BDP buffer";
-    let deep_runs = recovery(&cells, rounds().min(5), 2200);
+    let deep_runs = recovery(cfg, &cells, cfg.rounds.min(5), 2200);
     for (on, [plt, losses, _]) in ["on", "off"].into_iter().zip(deep_runs) {
         let (plt, losses) = (plt.mean(), losses.mean());
         deep_table.row(vec![label.into(), on.into(), plt.into(), losses.into()]);
@@ -114,12 +114,12 @@ pub fn hystart() -> Report {
             [true, false].map(|on| {
                 Scenario::new(NetProfile::baseline(rate), page.clone())
                     .with_proto(hystart(QuicConfig::default(), on))
-                    .with_rounds(rounds().min(5))
+                    .with_rounds(cfg.rounds.min(5))
                     .with_seed(2250)
             })
         })
         .collect();
-    let plts = plt_summaries(&cells, Parallelism::auto());
+    let plts = plt_summaries(&cells, cfg.par);
     for ((rate, label, _), plt) in rows.zip(plts.chunks(2)) {
         let [on, off] = [&plt[0], &plt[1]].map(Summary::mean);
         pages_table.row(vec![label.into(), rate.into(), on.into(), off.into()]);
@@ -137,7 +137,7 @@ pub fn hystart() -> Report {
 }
 
 /// Pacing on/off under loss at high bandwidth.
-pub fn pacing() -> Report {
+pub fn pacing(cfg: &RunConfig) -> Report {
     let mut r = Report::new("ablation_pacing");
     r.note("Ablation — pacing and bursty losses (10 MB @ 100 Mbps, small buffer)\n\n");
     let net = NetProfile::baseline(100.0).with_buffer(64 * 1024);
@@ -148,13 +148,13 @@ pub fn pacing() -> Report {
         Column::num("losses (mean)", 16, 1),
     ]);
     let cells = [true, false].map(|pacing| {
-        let cfg = QuicConfig {
+        let quic_cfg = QuicConfig {
             pacing,
             ..QuicConfig::default()
         };
-        Scenario::new(net.clone(), page.clone()).with_proto(ProtoConfig::Quic(cfg))
+        Scenario::new(net.clone(), page.clone()).with_proto(ProtoConfig::Quic(quic_cfg))
     });
-    let results = recovery(&cells, rounds(), 2300);
+    let results = recovery(cfg, &cells, cfg.rounds, 2300);
     for (on, [plt, losses, _]) in ["on", "off"].into_iter().zip(results) {
         t.row(vec![on.into(), plt.into(), losses.mean().into()]);
     }
@@ -164,7 +164,7 @@ pub fn pacing() -> Report {
 }
 
 /// N-connection emulation's effect on fairness.
-pub fn nconn() -> Report {
+pub fn nconn(cfg: &RunConfig) -> Report {
     let mut r = Report::new("ablation_nconn");
     r.note(
         "Ablation — N-connection emulation vs fairness (QUIC vs 1 TCP flow,\n\
@@ -177,10 +177,10 @@ pub fn nconn() -> Report {
         Column::num("ratio", 8, 2),
     ]);
     let ns = [1u32, 2];
-    let runs = sample(Parallelism::auto(), [rounds().min(5); 2], |i, k| {
-        let mut cfg = QuicConfig::default();
-        cfg.cubic.num_connections = ns[i];
-        let proto = ProtoConfig::Quic(cfg);
+    let runs = sample(cfg.par, [cfg.rounds.min(5); 2], |i, k| {
+        let mut quic_cfg = QuicConfig::default();
+        quic_cfg.cubic.num_connections = ns[i];
+        let proto = ProtoConfig::Quic(quic_cfg);
         let run = quic_vs_n_tcp(&proto, &tcp(), 1, Dur::from_secs(30), 2400 + k);
         [run.flows[0].mean_mbps, run.flows[1].mean_mbps]
     });
@@ -204,7 +204,7 @@ pub fn nconn() -> Report {
 
 /// Experimental BBR vs Cubic (Sec 5.4: Google reported BBR was "not yet
 /// performing as well as Cubic in our deployment tests").
-pub fn bbr() -> Report {
+pub fn bbr(cfg: &RunConfig) -> Report {
     let mut r = Report::new("ablation_bbr");
     r.note(
         "Ablation — experimental BBR vs Cubic (QUIC 34 transport, mean PLT\n\
@@ -236,18 +236,18 @@ pub fn bbr() -> Report {
         .iter()
         .flat_map(|(_, net, page)| {
             [CcKind::Cubic, CcKind::Bbr].map(|cc| {
-                let cfg = QuicConfig {
+                let quic_cfg = QuicConfig {
                     cc,
                     ..QuicConfig::default()
                 };
                 Scenario::new(net.clone(), page.clone())
-                    .with_proto(ProtoConfig::Quic(cfg))
-                    .with_rounds(rounds().min(5))
+                    .with_proto(ProtoConfig::Quic(quic_cfg))
+                    .with_rounds(cfg.rounds.min(5))
                     .with_seed(2500)
             })
         })
         .collect();
-    let plts = plt_summaries(&cells, Parallelism::auto());
+    let plts = plt_summaries(&cells, cfg.par);
     for ((label, _, _), plt) in scenarios.iter().zip(plts.chunks(2)) {
         t.row(vec![
             (*label).into(),

@@ -1,11 +1,11 @@
 //! Fig 2 and the grey-box calibration search (Sec 4.1).
 
 use crate::report::{Column, Report, Table};
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 
 /// Fig 2: wait vs download split for the three server profiles.
-pub fn fig2() -> Report {
+pub fn fig2(cfg: &RunConfig) -> Report {
     let mut r = Report::new("fig2");
     r.note(
         "Fig 2 — GAE vs our QUIC servers on EC2 before and after configuring them\n\
@@ -23,7 +23,7 @@ pub fn fig2() -> Report {
         ServerProfile::Calibrated,
     ];
     let mut totals = Vec::new();
-    for split in fig2_measure(&profiles, rounds(), 11, Parallelism::auto()) {
+    for split in fig2_measure(&profiles, cfg.rounds, 11, cfg.par) {
         let total = split.wait_ms.mean() + split.download_ms.mean();
         t.row(vec![
             split.profile.into(),
@@ -43,7 +43,7 @@ pub fn fig2() -> Report {
 }
 
 /// The grey-box search demo.
-pub fn greybox() -> Report {
+pub fn greybox(cfg: &RunConfig) -> Report {
     let mut r = Report::new("greybox");
     let candidates = [
         Candidate {
@@ -71,8 +71,7 @@ pub fn greybox() -> Report {
             ssthresh_fixed: true,
         },
     ];
-    let par = Parallelism::auto();
-    let (reference, best, err) = grey_box_search(&candidates, rounds().min(5), 21, par);
+    let (reference, best, err) = grey_box_search(&candidates, cfg.rounds.min(5), 21, cfg.par);
     r.note(format!(
         "Grey-box calibration (Sec 4.1): vary server parameters until the\n\
          performance matches the reference (deployed) servers.\n\n\

@@ -3,14 +3,14 @@
 
 use super::{cwnd_kb, quic, tcp};
 use crate::report::{Column, Report, Table};
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 use longlook_core::testbed::{FlowSpec, Testbed};
 
 const RUN_SECS: u64 = 60;
 
 /// Fig 4: throughput timelines for QUIC vs TCP and QUIC vs 2 TCP.
-pub fn fig4() -> Report {
+pub fn fig4(_: &RunConfig) -> Report {
     let mut r = Report::new("fig4");
     r.note(
         "Fig 4 — timeline showing unfairness between QUIC and TCP over the same\n\
@@ -34,7 +34,7 @@ pub fn fig4() -> Report {
 }
 
 /// Fig 5: congestion windows of the competing flows.
-pub fn fig5() -> Report {
+pub fn fig5(_: &RunConfig) -> Report {
     let mut r = Report::new("fig5");
     r.note(
         "Fig 5 — congestion window sizes for QUIC and TCP sharing a 5 Mbps link\n\
@@ -84,7 +84,7 @@ pub fn fig5() -> Report {
 }
 
 /// Table 4: average throughputs over 10 runs for the three scenarios.
-pub fn table4() -> Report {
+pub fn table4(cfg: &RunConfig) -> Report {
     let mut r = Report::new("table4");
     r.note("Table 4 — average throughput (5 Mbps link, buffer=30KB) when competing\n\n");
     let mut t = Table::new(vec![
@@ -100,7 +100,7 @@ pub fn table4() -> Report {
     ];
     let mut quic_share_sum = 0.0;
     let secs = Dur::from_secs(RUN_SECS);
-    let runs = sample(Parallelism::auto(), [rounds(); 3], |i, k| {
+    let runs = sample(cfg.par, [cfg.rounds; 3], |i, k| {
         quic_vs_n_tcp(&quic(), &tcp(), scenarios[i].1, secs, 41 + k)
     });
     for ((name, n), runs) in scenarios.into_iter().zip(runs) {

@@ -2,28 +2,29 @@
 //!
 //! Arrival profiles (poisson / flash-crowd / diurnal) × load multipliers
 //! (0.5x / 1x / 2x of the base fleet), compared on p99 completion latency
-//! with the usual Welch gate. The base fleet size defaults to 2 000
-//! clients and is overridable with `LONGLOOK_FLEET_N`; rounds come from
-//! `LONGLOOK_ROUNDS` like every other experiment. The representative
-//! appendix fleets deal their links to the runner's worker threads, one
-//! range per worker — which never changes a reported number (the
+//! with the usual Welch gate. The base fleet is 2 000 clients; rounds
+//! come from the [`RunConfig`] like every other experiment. The
+//! representative appendix fleets deal their links to the runner's worker
+//! threads, one range per worker — which never changes a reported number (the
 //! `fleet_shard_differential` referee pins that), it only spreads one
 //! big cell across cores.
 
 use crate::report::Report;
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 
+/// Clients in the base fleet (the 1x load column).
+const CLIENTS: usize = 2_000;
+
 /// The fleet tail-latency heatmap plus a one-fleet metrics appendix.
-pub fn fleet() -> Report {
-    let n = fleet_n(2_000);
-    let base = FleetConfig::new(n);
+pub fn fleet(cfg: &RunConfig) -> Report {
+    let base = FleetConfig::new(CLIENTS);
     let map = fleet_heatmap(
         &QuicConfig::default(),
         &TcpConfig::default(),
         &base,
-        rounds(),
-        Parallelism::auto(),
+        cfg.rounds,
+        cfg.par,
     );
     let mut r = Report::new("fleet");
     r.push(map);
@@ -32,14 +33,13 @@ pub fn fleet() -> Report {
     // the heatmap compresses away: completion rate, tails, arena cost.
     // One link range per worker thread, so big interactive fleets use
     // the cores the heatmap cells above have left idle by now.
-    let par = Parallelism::auto();
     for (label, proto) in [
         ("QUIC", ProtoConfig::Quic(QuicConfig::default())),
         ("TCP", ProtoConfig::Tcp(TcpConfig::default())),
     ] {
-        let m = run_fleet_par(&proto, &base, par);
+        let m = run_fleet_par(&proto, &base, cfg.par);
         r.note(format!(
-            "\n{label}: {n} clients flash-crowd over {} links — \
+            "\n{label}: {CLIENTS} clients flash-crowd over {} links — \
              {} completed, {} timed out; \
              latency p50/p99/p999 = {:.0}/{:.0}/{:.0} ms (mean {}); \
              {} events; on the busiest link: peak {} scheduled, \

@@ -3,7 +3,7 @@
 
 use super::{quic, tcp};
 use crate::report::Report;
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 
 /// The paper's pair: `sc` as built (calibrated QUIC unless it says
@@ -41,27 +41,23 @@ fn count_page(c: usize) -> PageSpec {
 
 /// A heatmap of `cell(rate, size)` pairs over Table 2's rates and sizes.
 fn by_rate_and_size(
+    cfg: &RunConfig,
     title: &str,
     cell: impl FnMut(usize, usize) -> (Scenario, Scenario),
 ) -> Heatmap {
-    sweep(
-        title,
-        &labels(&RATES),
-        &labels(&SIZES),
-        Parallelism::auto(),
-        cell,
-    )
+    sweep(title, &labels(&RATES), &labels(&SIZES), cfg.par, cell)
 }
 
 /// Fig 6a: QUIC v34 vs TCP across object sizes and rates.
-pub fn fig6a() -> Report {
+pub fn fig6a(cfg: &RunConfig) -> Report {
     let mut report = Report::new("fig6a");
     report.push(by_rate_and_size(
+        cfg,
         "Fig 6a — QUIC vs TCP: object size x rate (RTT 36ms, no impairment)",
         |r, c| {
             vs_tcp(
                 Scenario::new(rate(r), size_page(c))
-                    .with_rounds(rounds())
+                    .with_rounds(cfg.rounds)
                     .with_seed(600 + r as u64 * 16 + c as u64),
             )
         },
@@ -70,17 +66,17 @@ pub fn fig6a() -> Report {
 }
 
 /// Fig 6b: QUIC v34 vs TCP across object counts and rates.
-pub fn fig6b() -> Report {
+pub fn fig6b(cfg: &RunConfig) -> Report {
     let mut report = Report::new("fig6b");
     report.push(sweep(
         "Fig 6b — QUIC vs TCP: number of 10KB objects x rate (RTT 36ms)",
         &labels(&RATES),
         &labels(&COUNTS),
-        Parallelism::auto(),
+        cfg.par,
         |r, c| {
             vs_tcp(
                 Scenario::new(rate(r), count_page(c))
-                    .with_rounds(rounds())
+                    .with_rounds(cfg.rounds)
                     .with_seed(660 + r as u64 * 16 + c as u64),
             )
         },
@@ -89,13 +85,14 @@ pub fn fig6b() -> Report {
 }
 
 /// Fig 7: QUIC with 0-RTT (candidate) vs QUIC without (baseline).
-pub fn fig7() -> Report {
+pub fn fig7(cfg: &RunConfig) -> Report {
     let mut report = Report::new("fig7");
     report.push(by_rate_and_size(
+        cfg,
         "Fig 7 — QUIC with vs without 0-RTT (positive = 0-RTT gain)",
         |r, c| {
             let warm = Scenario::new(rate(r), size_page(c))
-                .with_rounds(rounds())
+                .with_rounds(cfg.rounds)
                 .with_seed(700 + r as u64 * 100 + c as u64 * 10);
             (warm.clone(), warm.cold())
         },
@@ -105,7 +102,7 @@ pub fn fig7() -> Report {
 
 /// Fig 8: impairment panels (loss, extra delay, jitter) for sizes and
 /// counts.
-pub fn fig8() -> Report {
+pub fn fig8(cfg: &RunConfig) -> Report {
     let mut report = Report::new("fig8");
     type Impair = (&'static str, fn(NetProfile) -> NetProfile);
     let impairments: [Impair; 5] = [
@@ -119,10 +116,10 @@ pub fn fig8() -> Report {
         }),
     ];
     for (pi, (label, imp)) in impairments.iter().enumerate() {
-        let map = by_rate_and_size(&format!("Fig 8 — object sizes, {label}"), |r, c| {
+        let map = by_rate_and_size(cfg, &format!("Fig 8 — object sizes, {label}"), |r, c| {
             vs_tcp(
                 Scenario::new(imp(rate(r)), size_page(c))
-                    .with_rounds(rounds())
+                    .with_rounds(cfg.rounds)
                     .with_seed(800 + pi as u64 * 1000 + r as u64 * 16 + c as u64),
             )
         });
@@ -132,11 +129,11 @@ pub fn fig8() -> Report {
             &format!("Fig 8 — object counts (10KB each), {label}"),
             &labels(&RATES),
             &labels(&COUNTS),
-            Parallelism::auto(),
+            cfg.par,
             |r, c| {
                 vs_tcp(
                     Scenario::new(imp(rate(r)), count_page(c))
-                        .with_rounds(rounds())
+                        .with_rounds(cfg.rounds)
                         .with_seed(860 + pi as u64 * 1000 + r as u64 * 16 + c as u64),
                 )
             },
@@ -148,18 +145,18 @@ pub fn fig8() -> Report {
 }
 
 /// Fig 12: mobile devices (WiFi rates up to 50 Mbps per the paper).
-pub fn fig12() -> Report {
+pub fn fig12(cfg: &RunConfig) -> Report {
     let mut report = Report::new("fig12");
     for device in [DeviceProfile::MOTOG, DeviceProfile::NEXUS6] {
         let map = sweep(
             &format!("Fig 12 — QUIC vs TCP on {} (object sizes)", device.name),
             &labels(&RATES[..3]), // 5, 10, 50 Mbps
             &labels(&SIZES),
-            Parallelism::auto(),
+            cfg.par,
             |r, c| {
                 vs_tcp(
                     Scenario::new(rate(r), size_page(c))
-                        .with_rounds(rounds())
+                        .with_rounds(cfg.rounds)
                         .with_seed(1200 + r as u64 * 16 + c as u64)
                         .on_device(device),
                 )
@@ -179,7 +176,7 @@ pub fn fig12() -> Report {
 /// Fig 14: cellular networks. The base RTT is redrawn per round from the
 /// measured (mean, std), reproducing the run-to-run variance that made
 /// many 3G cells statistically insignificant.
-pub fn fig14() -> Report {
+pub fn fig14(cfg: &RunConfig) -> Report {
     let sizes: [(u64, &str); 4] = [
         (10 * 1024, "10KB"),
         (100 * 1024, "100KB"),
@@ -192,8 +189,8 @@ pub fn fig14() -> Report {
         "Fig 14 — QUIC vs TCP over emulated cellular networks",
         &rows,
         &cols,
-        rounds(),
-        Parallelism::auto(),
+        cfg.rounds,
+        cfg.par,
         |is_quic, r, c, k| {
             let profile = CELL_PROFILES[r];
             let net = profile.net_profile_for_run(1400 + r as u64 * 100 + k);
@@ -216,7 +213,7 @@ pub fn fig14() -> Report {
 /// Fig 15: QUIC 37 with MACW 430 vs MACW 2000 (against TCP). The MACW
 /// binds when the path BDP approaches 430 x 1350 B = 580 KB, so the sweep
 /// includes high-BDP rows (extra 100 ms of RTT).
-pub fn fig15() -> Report {
+pub fn fig15(cfg: &RunConfig) -> Report {
     let mut report = Report::new("fig15");
     let rows: [(&str, f64, u64); 6] = [
         ("10Mbps", 10.0, 0),
@@ -228,13 +225,13 @@ pub fn fig15() -> Report {
     ];
     let row_labels: Vec<String> = rows.iter().map(|&(l, _, _)| l.to_string()).collect();
     for (macw, seed) in [(430u64, 1500u64), (2000, 1550)] {
-        let mut cfg = QuicConfig::quic37();
-        cfg.cubic.max_cwnd_packets = Some(macw);
+        let mut quic_cfg = QuicConfig::quic37();
+        quic_cfg.cubic.max_cwnd_packets = Some(macw);
         let map = sweep(
             &format!("Fig 15 — QUIC 37 (MACW={macw}) vs TCP, object sizes"),
             &row_labels,
             &labels(&SIZES),
-            Parallelism::auto(),
+            cfg.par,
             |r, c| {
                 let (_, rate, extra_ms) = rows[r];
                 vs_tcp(
@@ -242,8 +239,8 @@ pub fn fig15() -> Report {
                         NetProfile::baseline(rate).with_extra_rtt(Dur::from_millis(extra_ms)),
                         size_page(c),
                     )
-                    .with_proto(ProtoConfig::Quic(cfg.clone()))
-                    .with_rounds(rounds())
+                    .with_proto(ProtoConfig::Quic(quic_cfg.clone()))
+                    .with_rounds(cfg.rounds)
                     .with_seed(seed + r as u64 * 16 + c as u64),
                 )
             },
@@ -261,7 +258,7 @@ pub fn fig15() -> Report {
 
 /// Fig 17: QUIC direct (candidate) vs TCP through a midpoint proxy
 /// (baseline); red = QUIC still better.
-pub fn fig17() -> Report {
+pub fn fig17(cfg: &RunConfig) -> Report {
     let mut report = Report::new("fig17");
     type Panel = (&'static str, fn(NetProfile) -> NetProfile);
     let panels: [Panel; 3] = [
@@ -271,10 +268,11 @@ pub fn fig17() -> Report {
     ];
     for (pi, (label, imp)) in panels.iter().enumerate() {
         let map = by_rate_and_size(
+            cfg,
             &format!("Fig 17 — QUIC vs proxied TCP, {label}"),
             |r, c| {
                 let direct = Scenario::new(imp(rate(r)), size_page(c))
-                    .with_rounds(rounds())
+                    .with_rounds(cfg.rounds)
                     .with_seed(1700 + pi as u64 * 1000 + r as u64 * 60 + c as u64);
                 let proxied = direct.clone().with_proto(tcp()).via_proxy(tcp());
                 (direct, proxied)
@@ -292,16 +290,17 @@ pub fn fig17() -> Report {
 
 /// Fig 18: QUIC direct (candidate) vs QUIC through a proxy (baseline);
 /// red = direct better, blue = the proxy helps.
-pub fn fig18() -> Report {
+pub fn fig18(cfg: &RunConfig) -> Report {
     let mut report = Report::new("fig18");
     type Panel = (&'static str, fn(NetProfile) -> NetProfile);
     let panels: [Panel; 2] = [("no impairment", |n| n), ("1% loss", |n| n.with_loss(0.01))];
     for (pi, (label, imp)) in panels.iter().enumerate() {
         let map = by_rate_and_size(
+            cfg,
             &format!("Fig 18 — QUIC direct vs proxied QUIC, {label}"),
             |r, c| {
                 let direct = Scenario::new(imp(rate(r)), size_page(c))
-                    .with_rounds(rounds())
+                    .with_rounds(cfg.rounds)
                     .with_seed(1800 + pi as u64 * 1000 + r as u64 * 60 + c as u64);
                 (direct.clone(), direct.via_proxy(quic()))
             },

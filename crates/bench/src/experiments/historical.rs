@@ -2,12 +2,12 @@
 //! fixed Chrome-side configuration.
 
 use crate::report::{Cell, Column, Report, Table};
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 
 /// Versions 25-36 should be indistinguishable; 37 should win for large
 /// transfers at high bandwidth (MACW 2000).
-pub fn historical() -> Report {
+pub fn historical(cfg: &RunConfig) -> Report {
     let mut r = Report::new("historical");
     r.note(
         "Sec 5.4 — historical comparison, mean PLT (ms) with the same\n\
@@ -45,12 +45,12 @@ pub fn historical() -> Report {
             scenarios.iter().enumerate().map(|(i, (_, net, page))| {
                 Scenario::new(net.clone(), page.clone())
                     .with_proto(ProtoConfig::Quic(v.config()))
-                    .with_rounds(rounds().min(5))
+                    .with_rounds(cfg.rounds.min(5))
                     .with_seed(2000 + i as u64)
             })
         })
         .collect();
-    let plts = plt_summaries(&cells, Parallelism::auto());
+    let plts = plt_summaries(&cells, cfg.par);
     let per_version: Vec<&[Summary]> = plts.chunks(scenarios.len()).collect();
     for (v, plts) in versions.iter().zip(&per_version) {
         let mut row: Vec<Cell> = vec![v.name().into()];

@@ -13,7 +13,7 @@ pub mod trauma_sweep;
 pub mod video_exp;
 
 use crate::report::{Column, Report, Table};
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 
 /// Calibrated QUIC, the paper's candidate.
@@ -47,16 +47,16 @@ fn cwnd_kb(timeline: &[(Time, u64)], every: Dur) -> Vec<f64> {
 }
 
 /// Each cell's records, every cell's rounds in one [`sample`] batch.
-fn records(cells: &[Scenario]) -> Vec<Vec<RunRecord>> {
+fn records(cfg: &RunConfig, cells: &[Scenario]) -> Vec<Vec<RunRecord>> {
     let rounds = cells.iter().map(|c| c.rounds);
-    sample(Parallelism::auto(), rounds, |i, k| cells[i].run(k))
+    sample(cfg.par, rounds, |i, k| cells[i].run(k))
 }
 
 /// Page load time (ms), losses detected and spurious retransmissions over
 /// `n` rounds of each of `cells`, round `k` reseeded to `seed + k`. Every
 /// cell's rounds are one [`sample`] batch, folded in round order.
-fn recovery(cells: &[Scenario], n: u64, seed: u64) -> Vec<[Summary; 3]> {
-    let runs = sample(Parallelism::auto(), vec![n; cells.len()], |i, k| {
+fn recovery(cfg: &RunConfig, cells: &[Scenario], n: u64, seed: u64) -> Vec<[Summary; 3]> {
+    let runs = sample(cfg.par, vec![n; cells.len()], |i, k| {
         let sc = cells[i].clone().with_seed(seed + k);
         let rec = sc.run(k);
         let st = rec.server_stats.unwrap_or_default();
@@ -74,7 +74,12 @@ fn summaries<const M: usize>(runs: &[[f64; M]]) -> [Summary; M] {
 /// One row per sender downloading 10 MB at 50 Mbps while ±10 ms of jitter
 /// reorders packets (112 ms RTT): mean (std) PLT, then the mean losses
 /// detected and spurious retransmissions (fig10, ablation_nack).
-fn reordering(columns: Vec<Column>, senders: Vec<(String, ProtoConfig)>, seed: u64) -> Table {
+fn reordering(
+    cfg: &RunConfig,
+    columns: Vec<Column>,
+    senders: Vec<(String, ProtoConfig)>,
+    seed: u64,
+) -> Table {
     let net = NetProfile::baseline(50.0)
         .with_extra_rtt(Dur::from_millis(76))
         .with_jitter(Dur::from_millis(10));
@@ -83,7 +88,7 @@ fn reordering(columns: Vec<Column>, senders: Vec<(String, ProtoConfig)>, seed: u
         .iter()
         .map(|(_, proto)| Scenario::new(net.clone(), page.clone()).with_proto(proto.clone()))
         .collect();
-    let results = recovery(&cells, rounds(), seed);
+    let results = recovery(cfg, &cells, cfg.rounds, seed);
     let mut t = Table::new(columns);
     for ((label, _), [plt, losses, spurious]) in senders.into_iter().zip(results) {
         t.row(vec![
@@ -98,7 +103,7 @@ fn reordering(columns: Vec<Column>, senders: Vec<(String, ProtoConfig)>, seed: u
 
 /// One registry row: id, one-line description, and the function that
 /// measures the artifact.
-pub type Experiment = (&'static str, &'static str, fn() -> Report);
+pub type Experiment = (&'static str, &'static str, fn(&RunConfig) -> Report);
 
 /// Every experiment, in paper order.
 pub const EXPERIMENTS: &[Experiment] = &[

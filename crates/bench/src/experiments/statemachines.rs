@@ -2,6 +2,7 @@
 
 use super::records;
 use crate::report::{Column, Machine, Report, Table};
+use crate::RunConfig;
 use longlook_core::prelude::*;
 use longlook_core::rootcause::infer_from_records;
 use longlook_statemachine::InferredMachine;
@@ -41,13 +42,13 @@ fn trace_scenarios() -> Vec<Scenario> {
 }
 
 /// The machine inferred from every round of every cell, one batch.
-fn machine_for(cells: &[Scenario]) -> InferredMachine {
-    infer_from_records(&records(cells).concat())
+fn machine_for(cfg: &RunConfig, cells: &[Scenario]) -> InferredMachine {
+    infer_from_records(&records(cfg, cells).concat())
 }
 
 /// Fig 3a: the inferred Cubic state machine across all configurations.
-pub fn fig3a() -> Report {
-    let machine = machine_for(&trace_scenarios());
+pub fn fig3a(cfg: &RunConfig) -> Report {
+    let machine = machine_for(cfg, &trace_scenarios());
     let mut r = Report::new("fig3a");
     r.note("Fig 3a — QUIC (Cubic) state machine inferred from execution traces\n\n");
     r.push(Machine {
@@ -59,7 +60,7 @@ pub fn fig3a() -> Report {
 }
 
 /// Fig 3b: the experimental BBR implementation's state machine.
-pub fn fig3b() -> Report {
+pub fn fig3b(cfg: &RunConfig) -> Report {
     let bbr = ProtoConfig::Quic(QuicConfig {
         cc: CcKind::Bbr,
         ..QuicConfig::default()
@@ -80,7 +81,7 @@ pub fn fig3b() -> Report {
         .with_rounds(2)
         .with_seed(312),
     ];
-    let machine = machine_for(&cells);
+    let machine = machine_for(cfg, &cells);
     let mut r = Report::new("fig3b");
     r.note("Fig 3b — QUIC (experimental BBR) state machine inferred from traces\n\n");
     r.push(Machine {
@@ -92,7 +93,7 @@ pub fn fig3b() -> Report {
 }
 
 /// Fig 13: Desktop vs MotoG state machines at 50 Mbps, no impairment.
-pub fn fig13() -> Report {
+pub fn fig13(cfg: &RunConfig) -> Report {
     let page = PageSpec::single(10 * 1024 * 1024);
     let base = |seed: u64| {
         Scenario::new(NetProfile::baseline(50.0), page.clone())
@@ -100,7 +101,7 @@ pub fn fig13() -> Report {
             .with_seed(seed)
     };
     let cells = [base(321), base(322).on_device(DeviceProfile::MOTOG)];
-    let recs = records(&cells);
+    let recs = records(cfg, &cells);
     let [desktop, motog] = [0, 1].map(|i| infer_from_records(&recs[i]));
     let mut r = Report::new("fig13");
     r.note(

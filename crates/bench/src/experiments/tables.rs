@@ -1,6 +1,7 @@
 //! Tables 1, 2, 3 and 5.
 
 use crate::report::{Cell, Column, Report, Table};
+use crate::RunConfig;
 use longlook_core::params::table1 as related_work;
 use longlook_core::prelude::*;
 use longlook_transport::ccstate::CcState;
@@ -12,7 +13,7 @@ fn list<T: ToString>(values: &[T]) -> Cell {
 }
 
 /// Table 1: related-work matrix.
-pub fn table1() -> Report {
+pub fn table1(_: &RunConfig) -> Report {
     let mut r = Report::new("table1");
     r.note("Table 1 — contributions vs prior work\n\n");
     let heads = [
@@ -45,7 +46,7 @@ pub fn table1() -> Report {
 }
 
 /// Table 2: parameter space.
-pub fn table2() -> Report {
+pub fn table2(_: &RunConfig) -> Report {
     let p = ParameterSpace::table2();
     let mut r = Report::new("table2");
     r.note("Table 2 — parameters used in our tests\n\n");
@@ -67,7 +68,7 @@ pub fn table2() -> Report {
 }
 
 /// Table 3: QUIC congestion-control states.
-pub fn table3() -> Report {
+pub fn table3(_: &RunConfig) -> Report {
     let mut r = Report::new("table3");
     r.note("Table 3 — QUIC states (Cubic CC) and their meanings\n\n");
     let mut t = Table::new(vec![
@@ -85,7 +86,7 @@ pub fn table3() -> Report {
 /// Table 5: target cellular characteristics and what the emulation
 /// actually delivers (measured on a 60 s bulk transfer through each
 /// profile's link).
-pub fn table5() -> Report {
+pub fn table5(_: &RunConfig) -> Report {
     use longlook_sim::link::Verdict;
     use longlook_sim::{LinkDir, SimRng};
 
@@ -160,9 +161,15 @@ pub fn table5() -> Report {
 mod tests {
     use super::*;
 
+    /// The tables measure nothing, so any settings give the same render.
+    const CFG: RunConfig = RunConfig {
+        par: Parallelism::Serial,
+        rounds: RunConfig::DEFAULT_ROUNDS,
+    };
+
     #[test]
     fn table1_lists_this_work_last() {
-        let text = table1().to_string();
+        let text = table1(&CFG).to_string();
         assert!(text.contains("This work"));
         let last = text.lines().last().expect("rows");
         assert!(last.starts_with("This work     | 25 to 37 | yes"), "{last}");
@@ -170,7 +177,7 @@ mod tests {
 
     #[test]
     fn table2_lists_every_parameter() {
-        let text = table2().to_string();
+        let text = table2(&CFG).to_string();
         assert!(text.contains("Rate limits (Mbps)   | 5, 10, 50, 100\n"));
         assert!(text.contains("210000"));
         assert!(text.contains("Video qualities      | tiny, medium, hd720, hd2160\n"));
@@ -178,7 +185,7 @@ mod tests {
 
     #[test]
     fn table5_target_rows_hold_the_paper_measurements() {
-        let text = table5().to_string();
+        let text = table5(&CFG).to_string();
         assert!(
             text.contains("Verizon-3G   |           0.17 |     109 (20) |           1.43 | 0.05\n")
         );

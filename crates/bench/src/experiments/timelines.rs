@@ -3,12 +3,12 @@
 
 use super::{cwnd_kb, quic, reordering, tcp};
 use crate::report::{Column, Report, Table};
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 use longlook_core::testbed::{FlowSpec, Testbed};
 
 /// Fig 9: congestion window over time at 100 Mbps with 1% loss.
-pub fn fig9() -> Report {
+pub fn fig9(_: &RunConfig) -> Report {
     let mut r = Report::new("fig9");
     r.note(
         "Fig 9 — congestion window over time, 100 Mbps, 1% loss (KB, sampled\n\
@@ -47,18 +47,18 @@ pub fn fig9() -> Report {
 
 /// Fig 10: larger NACK thresholds rescue QUIC from jitter-induced
 /// reordering (10 MB, 112 ms RTT, ±10 ms jitter).
-pub fn fig10() -> Report {
+pub fn fig10(cfg: &RunConfig) -> Report {
     let mut r = Report::new("fig10");
     r.note(
         "Fig 10 — QUIC vs TCP downloading 10 MB (112 ms RTT, ±10 ms jitter\n\
          causing packet reordering), mean PLT over rounds\n\n",
     );
     let quic_at = |nack_threshold| {
-        let cfg = QuicConfig {
+        let quic_cfg = QuicConfig {
             nack_threshold,
             ..QuicConfig::default()
         };
-        ProtoConfig::Quic(cfg)
+        ProtoConfig::Quic(quic_cfg)
     };
     let mut senders: Vec<(String, ProtoConfig)> = [3, 10, 25, 50]
         .into_iter()
@@ -72,7 +72,7 @@ pub fn fig10() -> Report {
         Column::num("false loss", 10, 0),
         Column::num("spurious rtx", 12, 0),
     ];
-    r.push(reordering(columns, senders, 1000));
+    r.push(reordering(cfg, columns, senders, 1000));
     r.note(
         "\npaper shape: at the default threshold (3) reordering is misread as\n\
          loss and QUIC is much slower than TCP; raising the threshold\n\
@@ -83,7 +83,7 @@ pub fn fig10() -> Report {
 
 /// Fig 11: variable bandwidth (210 MB, rate redrawn from [50, 150] Mbps
 /// every second).
-pub fn fig11() -> Report {
+pub fn fig11(cfg: &RunConfig) -> Report {
     let mut r = Report::new("fig11");
     r.note(
         "Fig 11 — downloading 210 MB while the bottleneck rate is redrawn\n\
@@ -96,7 +96,7 @@ pub fn fig11() -> Report {
     let run_secs = 20u64;
     let protos = [quic(), tcp()];
     // Each run's per-second throughput timeline.
-    let runs = sample(Parallelism::auto(), [rounds().min(5); 2], |i, k| {
+    let runs = sample(cfg.par, [cfg.rounds.min(5); 2], |i, k| {
         // A home-router-sized buffer (the paper's OpenWRT testbed):
         // down-shifts in rate overflow it, and recovery speed decides
         // the average throughput.

@@ -8,7 +8,7 @@
 
 use super::{quic, records, tcp};
 use crate::report::{Cell, Column, Report, Table};
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 
 fn ev(at_ms: u64, dur_ms: u64, dir: FaultDir, kind: FaultKind) -> FaultEvent {
@@ -117,7 +117,7 @@ fn catalogue() -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The trauma sweep table.
-pub fn trauma() -> Report {
+pub fn trauma(cfg: &RunConfig) -> Report {
     let mut r = Report::new("trauma");
     r.note(
         "Fault-injection sweep — 2 MB page at 2 Mbps, 36 ms RTT\n\
@@ -150,10 +150,10 @@ pub fn trauma() -> Report {
         .map(|(plan, proto)| {
             let net = NetProfile::baseline(2.0).with_fault(plan.clone());
             let sc = Scenario::new(net, page.clone()).with_proto(proto.clone());
-            sc.with_rounds(rounds()).with_seed(9_000)
+            sc.with_rounds(cfg.rounds).with_seed(9_000)
         })
         .collect();
-    for (i, recs) in records(&cells).iter().enumerate() {
+    for (i, recs) in records(cfg, &cells).iter().enumerate() {
         let (label, proto) = (catalogue[i / 2].0, &protos[i % 2]);
         let completed = recs.iter().filter(|r| r.completed()).count();
         let plt: Summary = (recs.iter())

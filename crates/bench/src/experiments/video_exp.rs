@@ -2,7 +2,7 @@
 
 use super::{quic, summaries, tcp};
 use crate::report::{Cell, Column, Report, Table};
-use crate::rounds;
+use crate::RunConfig;
 use longlook_core::prelude::*;
 
 fn run_video(proto: &ProtoConfig, cfg: &VideoConfig, seed: u64) -> QoeMetrics {
@@ -27,7 +27,7 @@ fn run_video(proto: &ProtoConfig, cfg: &VideoConfig, seed: u64) -> QoeMetrics {
 }
 
 /// Table 6: QoE metrics per quality for QUIC and TCP.
-pub fn table6() -> Report {
+pub fn table6(cfg: &RunConfig) -> Report {
     let mut r = Report::new("table6");
     r.note(
         "Table 6 — video QoE (1-hour video, 100 Mbps + 1% loss, 60 s plays,\n\
@@ -45,11 +45,11 @@ pub fn table6() -> Report {
     let protos = [("QUIC", quic()), ("TCP", tcp())];
     // Cell `2q + p` plays quality `q` over protocol `p`.
     const CELLS: usize = 2 * QUALITIES.len();
-    let runs = sample(Parallelism::auto(), [rounds(); CELLS], |i, k| {
-        let cfg = VideoConfig::table6(QUALITIES[i / 2]);
-        let m = run_video(&protos[i % 2].1, &cfg, 1600 + k);
-        let start = m.time_to_start.unwrap_or(cfg.watch_time).as_secs_f64();
-        let loaded = m.loaded_pct(cfg.video_secs);
+    let runs = sample(cfg.par, [cfg.rounds; CELLS], |i, k| {
+        let video = VideoConfig::table6(QUALITIES[i / 2]);
+        let m = run_video(&protos[i % 2].1, &video, 1600 + k);
+        let start = m.time_to_start.unwrap_or(video.watch_time).as_secs_f64();
+        let loaded = m.loaded_pct(video.video_secs);
         let rebuffers = m.rebuffer_count as f64;
         let rps = m.rebuffers_per_playing_sec();
         [start, loaded, m.buffer_play_ratio_pct(), rebuffers, rps]

@@ -15,8 +15,10 @@
 //! is not committed. A change that moves a render on purpose reruns that
 //! command and commits the new files with it.
 //!
-//! Every experiment is a pure function of its seed; `LONGLOOK_ROUNDS`
-//! overrides the default 10 rounds for quicker smoke runs.
+//! Every experiment is a pure function of its seed and of the
+//! [`RunConfig`] `repro` builds once from its flags: the worker threads
+//! its runner batches use (which never change a number) and its rounds
+//! per measurement.
 
 pub mod experiments;
 pub mod fuzz;
@@ -24,36 +26,20 @@ pub mod report;
 
 pub use experiments::EXPERIMENTS;
 
-use std::sync::Once;
+use longlook_core::runner::Parallelism;
 
-/// Rounds per measurement (paper: "at least 10"): `LONGLOOK_ROUNDS` when
-/// it is a positive integer, otherwise 10 (junk and `0` warn once).
-pub fn rounds() -> u64 {
-    static WARNED: Once = Once::new();
-    longlook_sim::env_knob(
-        "LONGLOOK_ROUNDS",
-        "a positive integer",
-        "10 rounds",
-        &WARNED,
-        parse_rounds,
-    )
-    .unwrap_or(10)
+/// The settings of one run, handed to every experiment as an argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// How runner batches spread over worker threads. Results are
+    /// bit-identical at any value.
+    pub par: Parallelism,
+    /// Rounds per measurement (paper: "at least 10"); lower for quicker
+    /// smoke runs.
+    pub rounds: u64,
 }
 
-fn parse_rounds(v: &str) -> Option<u64> {
-    v.trim().parse::<u64>().ok().filter(|n| *n > 0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rounds_knob_takes_positive_integers_only() {
-        assert_eq!(parse_rounds("3"), Some(3));
-        assert_eq!(parse_rounds(" 12\n"), Some(12));
-        for junk in ["0", "", "-2", "2.5", "ten", "3x"] {
-            assert_eq!(parse_rounds(junk), None, "{junk:?}");
-        }
-    }
+impl RunConfig {
+    /// The paper's rounds per measurement.
+    pub const DEFAULT_ROUNDS: u64 = 10;
 }

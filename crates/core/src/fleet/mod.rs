@@ -21,7 +21,7 @@
 //! The headline output is [`fleet_heatmap`]: arrival profiles × load
 //! multipliers, QUIC-vs-TCP p99 completion latency, Welch-gated exactly
 //! like the paper's figures, executed through the deterministic parallel
-//! runner so the matrix is bit-identical at any `LONGLOOK_JOBS`.
+//! runner so the matrix is bit-identical at any worker count.
 //!
 //! [`Summary`]: longlook_stats::Summary
 //! [`QuantileSketch`]: longlook_stats::QuantileSketch
@@ -31,8 +31,6 @@ pub mod world;
 
 pub use arena::{ConnArena, ConnInit};
 pub use world::{run_fleet, run_fleet_par, FleetMetrics, FleetObservables};
-
-use std::sync::Once;
 
 use longlook_http::host::ProtoConfig;
 use longlook_quic::QuicConfig;
@@ -169,31 +167,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// Fleet size for interactive runs: `default` unless `LONGLOOK_FLEET_N`
-/// overrides it with a population the heatmap can double (warn-once on
-/// anything else, like every other knob).
-pub fn fleet_n(default: usize) -> usize {
-    static WARNED: Once = Once::new();
-    longlook_wire::env_knob(
-        "LONGLOOK_FLEET_N",
-        "a positive integer up to 2147483647",
-        "the experiment default",
-        &WARNED,
-        parse_fleet_n,
-    )
-    .unwrap_or(default)
-}
-
-/// A `LONGLOOK_FLEET_N` value: a positive integer no larger than half the
-/// 32-bit client id space, because [`fleet_heatmap`]'s 2× load column
-/// doubles it into `FleetConfig::n_conns`.
-fn parse_fleet_n(v: &str) -> Option<usize> {
-    v.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|n| (1..=u32::MAX as usize / 2).contains(n))
-}
-
 /// Arrival profiles × load multipliers, QUIC vs TCP on p99 completion
 /// latency, Welch-gated. Rows are the three [`ArrivalProfile`]s; columns
 /// scale `base.n_conns` by 0.5 / 1 / 2. Runs through the deterministic
@@ -294,33 +267,5 @@ mod tests {
         assert_eq!(a, b);
         let c = run_fleet(&proto, &cfg.clone().with_seed(99));
         assert_ne!(a.latency_ms, c.latency_ms, "seed must matter");
-    }
-
-    #[test]
-    fn fleet_n_defaults_without_env() {
-        // The env var is absent in tests; the default must pass through.
-        assert_eq!(fleet_n(1234), 1234);
-    }
-
-    #[test]
-    fn fleet_n_knob_takes_populations_the_heatmap_can_double() {
-        assert_eq!(parse_fleet_n("4000"), Some(4000));
-        assert_eq!(parse_fleet_n(" 1\n"), Some(1));
-        assert_eq!(parse_fleet_n("2147483647"), Some(2_147_483_647));
-        for junk in [
-            "0",
-            "",
-            "-2",
-            "2.5",
-            "many",
-            "3x",
-            "2147483648",
-            "3000000000",
-        ] {
-            assert_eq!(parse_fleet_n(junk), None, "{junk:?}");
-        }
-        // The largest accepted population still fits the 2x column.
-        let most = parse_fleet_n("2147483647").expect("accepted");
-        assert!(u32::try_from(2 * most).is_ok());
     }
 }

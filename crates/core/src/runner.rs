@@ -28,7 +28,7 @@
 use longlook_sim::{CellGuard, CellId};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -66,30 +66,11 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// The environment variable overriding the default worker count.
-    pub const JOBS_ENV: &'static str = "LONGLOOK_JOBS";
-
-    /// Resolve the session default: `LONGLOOK_JOBS` if set (`0` or `1`
-    /// mean serial), otherwise one worker per available hardware thread.
-    /// An unparsable value falls back to auto-detection with a one-time
-    /// warning on stderr.
+    /// One worker per available hardware thread: the default of the
+    /// binaries, tests and examples. Library code takes its `Parallelism`
+    /// from the caller instead.
     pub fn auto() -> Self {
-        static WARNED: Once = Once::new();
-        // An unset *or* unparsable value (warned once via the shared knob
-        // parser) falls back to one worker per hardware thread.
-        match longlook_wire::env_knob(
-            Self::JOBS_ENV,
-            "a non-negative integer",
-            "hardware thread count",
-            &WARNED,
-            |v| v.trim().parse::<usize>().ok(),
-        ) {
-            Some(0) | Some(1) => Parallelism::Serial,
-            Some(n) => Parallelism::Threads(n),
-            None => Parallelism::Threads(
-                thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            ),
-        }
+        Parallelism::Threads(thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
     }
 
     /// Worker count this policy resolves to (≥ 1).

@@ -91,12 +91,6 @@ pub struct QuicConfig {
     /// default so unfaulted runs schedule no extra timers; the testbed
     /// flips it on whenever a fault plan is attached.
     pub watchdog: bool,
-    /// Test-only canary: swallow watchdog expiry without surfacing the
-    /// typed error, leaving the connection incomplete and silent. Exists
-    /// so the fuzzer's no-silent-livelock oracle has a real bug to catch
-    /// and shrink; never set outside the fuzz harness.
-    #[doc(hidden)]
-    pub canary_mute_watchdog: bool,
     /// Whether this connection keeps an event trace. Never changes
     /// protocol behavior; the experiment runner stamps the scenario's
     /// value onto both endpoints.
@@ -124,7 +118,6 @@ impl Default for QuicConfig {
             delayed_ack: Dur::from_millis(25),
             zero_rtt_accept: true,
             watchdog: false,
-            canary_mute_watchdog: false,
             trace: TraceMode::Off,
         }
     }

@@ -85,7 +85,7 @@ pub struct QuicConnection {
     /// Client's 0-RTT attempt was rejected; it fell back to 1-RTT.
     zero_rtt_rejected: bool,
 
-    /// Give-up deadlines (the error may be muted by the test-only canary).
+    /// Give-up deadlines.
     watchdog: Watchdog,
 
     next_pn: u64,
@@ -231,11 +231,6 @@ impl QuicConnection {
     /// fell back to a full 1-RTT handshake.
     pub fn zero_rtt_rejected(&self) -> bool {
         self.zero_rtt_rejected
-    }
-
-    /// The effective NACK threshold (grows under `adaptive_nack`).
-    pub fn current_nack_threshold(&self) -> u32 {
-        self.nack_threshold
     }
 
     /// The connection id.
@@ -493,12 +488,9 @@ impl QuicConnection {
     }
 
     /// Watchdog trip: stop trying, clear every pending timer and queue so
-    /// the connection reads as quiescent, and surface the typed error —
-    /// unless the test-only canary mutes it (the silent-livelock bug the
-    /// fuzzer oracle exists to catch).
+    /// the connection reads as quiescent, and surface the typed error.
     fn give_up(&mut self, err: ConnError, now: Time) {
-        let surface = !self.cfg.canary_mute_watchdog;
-        self.watchdog.trip(err, surface, now, &mut self.tel.tracer);
+        self.watchdog.trip(err, now, &mut self.tel.tracer);
         self.recovery.cancel();
         self.hs_queue.clear();
         self.pacing_deadline = None;

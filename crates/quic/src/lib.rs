@@ -380,14 +380,4 @@ mod loopback_tests {
         assert!(max > 32 * 1350, "window grew past initial: {max}");
         assert_eq!(max, c.stats().max_cwnd);
     }
-
-    #[test]
-    fn adaptive_nack_config_starts_at_default() {
-        let cfg = QuicConfig {
-            adaptive_nack: true,
-            ..QuicConfig::default()
-        };
-        let c = QuicConnection::client(cfg, 2, true, Time::ZERO);
-        assert_eq!(c.current_nack_threshold(), 3);
-    }
 }

@@ -36,10 +36,10 @@ pub use longlook_wire::pool;
 // so transports and the fault layer can both emit); re-exported here as
 // `longlook_sim::trace` for everything above the simulator.
 pub use longlook_wire::trace;
-// The one JSON codec (traces and traumafuzz repro files) and the warn-once
-// knob parser also live in `longlook-wire`.
+// The one JSON codec (traces and traumafuzz repro files) also lives in
+// `longlook-wire`.
 pub use longlook_wire::json;
-pub use longlook_wire::{env_knob, TraceMode, TraceRecord, Tracer};
+pub use longlook_wire::{TraceMode, TraceRecord, Tracer};
 // Sole caller: `observatory/` (frozen), which names all three through
 // this crate; see `longlook_wire::mode`.
 #[doc(hidden)]

@@ -12,7 +12,7 @@
 //! Sketches are mergeable (bucket-wise addition), so per-shard sketches
 //! built inside the deterministic parallel runner combine into exactly
 //! the sketch a serial pass would have produced — quantiles stay
-//! bit-identical across `LONGLOOK_JOBS` settings.
+//! bit-identical at any worker count.
 
 /// Default relative-error bound (1%).
 pub const DEFAULT_ALPHA: f64 = 0.01;

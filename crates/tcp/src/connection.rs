@@ -361,7 +361,7 @@ impl TcpConnection {
     /// Watchdog trip: stop trying, clear every pending timer and control
     /// flag so the connection reads as quiescent, and surface the error.
     fn give_up(&mut self, err: ConnError, now: Time) {
-        self.watchdog.trip(err, true, now, &mut self.tel.tracer);
+        self.watchdog.trip(err, now, &mut self.tel.tracer);
         self.recovery.cancel();
         self.syn_pending = false;
         self.synack_pending = false;

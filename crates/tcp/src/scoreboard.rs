@@ -154,25 +154,6 @@ impl Scoreboard {
         !self.segs.is_empty()
     }
 
-    /// Oldest unacked, un-sacked segment (RTO retransmission target).
-    pub fn oldest_unsacked(&self) -> Option<(u64, u32)> {
-        self.segs
-            .iter()
-            .find(|(_, s)| !s.sacked)
-            .map(|&(seq, s)| (seq, s.len))
-    }
-
-    /// Mark the oldest unsacked segment lost (RTO) and return it.
-    pub fn mark_oldest_lost(&mut self) -> Option<(u64, u32)> {
-        let (seq, seg) = self.segs.iter_mut().find(|(_, s)| !s.sacked)?;
-        if !seg.lost {
-            seg.lost = true;
-            self.lost_segs += 1;
-            self.pipe -= seg.len as u64;
-        }
-        Some((*seq, seg.len))
-    }
-
     /// RTO handling per RFC 6675 / Linux: consider *every* outstanding
     /// unsacked segment lost and rebuild from slow start. Marking only
     /// the oldest would leave phantom bytes in the pipe and starve the
@@ -479,13 +460,17 @@ mod tests {
         assert!(sb.lost_ranges().is_empty());
     }
 
+    /// The RTO marks the oldest unsacked segment lost, and every later
+    /// unsacked one with it, so no phantom bytes stay in the pipe.
     #[test]
     fn rto_marks_oldest() {
         let mut sb = Scoreboard::new();
         send_n(&mut sb, 3, 1000);
-        let (seq, len) = sb.mark_oldest_lost().unwrap();
-        assert_eq!((seq, len), (0, 1000));
-        assert_eq!(sb.pipe(), 2000);
+        sb.on_ack(t(40), 0, &[(1000, 2000)], false, false);
+        assert_eq!(sb.mark_all_lost(), 2);
+        assert_eq!(sb.first_lost(), Some((0, 1000)));
+        assert_eq!(sb.lost_ranges(), vec![(0, 1000), (2000, 1000)]);
+        assert_eq!(sb.pipe(), 0);
     }
 
     #[test]

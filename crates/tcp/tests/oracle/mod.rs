@@ -110,24 +110,13 @@ impl MapScoreboard {
         !self.segs.is_empty()
     }
 
-    /// Oldest unacked, un-sacked segment (RTO retransmission target).
-    pub fn oldest_unsacked(&self) -> Option<(u64, u32)> {
+    /// Oldest unacked, un-sacked segment (the dupack fast-retransmit
+    /// target).
+    fn oldest_unsacked(&self) -> Option<(u64, u32)> {
         self.segs
             .iter()
             .find(|(_, s)| !s.sacked)
             .map(|(&seq, s)| (seq, s.len))
-    }
-
-    /// Mark the oldest unsacked segment lost (RTO) and return it.
-    pub fn mark_oldest_lost(&mut self) -> Option<(u64, u32)> {
-        let (seq, len) = self.oldest_unsacked()?;
-        let seg = self.segs.get_mut(&seq).expect("just found");
-        if !seg.lost {
-            seg.lost = true;
-            self.lost_segs += 1;
-            self.pipe -= seg.len as u64;
-        }
-        Some((seq, len))
     }
 
     /// RTO handling per RFC 6675 / Linux: consider *every* outstanding

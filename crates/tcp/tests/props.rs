@@ -362,8 +362,6 @@ enum SbOp {
     },
     /// `n` pure duplicate acks at `snd_una`, no SACK information.
     Dupacks { n: u8 },
-    /// RTO, old style: the oldest unsacked segment.
-    MarkOldestLost,
     /// RTO: everything unsacked.
     MarkAllLost,
 }
@@ -401,7 +399,6 @@ fn arb_sb_op() -> impl Strategy<Value = SbOp> {
                 carries_data: false,
             }),
         (1u8..5).prop_map(|n| SbOp::Dupacks { n }),
-        Just(SbOp::MarkOldestLost),
         Just(SbOp::MarkAllLost),
     ]
 }
@@ -504,9 +501,6 @@ proptest! {
                 SbOp::Dupacks { n } => {
                     acks.extend((0..n).map(|_| (ring.snd_una(), Vec::new(), false, false)));
                 }
-                SbOp::MarkOldestLost => {
-                    prop_assert_eq!(ring.mark_oldest_lost(), map.mark_oldest_lost());
-                }
                 SbOp::MarkAllLost => {
                     prop_assert_eq!(ring.mark_all_lost(), map.mark_all_lost());
                 }
@@ -533,7 +527,6 @@ proptest! {
             prop_assert_eq!(ring.dupthresh(), map.dupthresh());
             prop_assert_eq!(ring.lost_count(), map.lost_count());
             prop_assert_eq!(ring.first_lost(), map.first_lost());
-            prop_assert_eq!(ring.oldest_unsacked(), map.oldest_unsacked());
             prop_assert_eq!(ring.has_outstanding(), map.has_outstanding());
         }
     }

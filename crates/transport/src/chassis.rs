@@ -73,14 +73,11 @@ impl Watchdog {
         })
     }
 
-    /// Stop trying (sticky) and log the give-up. `surface = false` mutes
-    /// the typed error — the silent livelock the fuzzer's canary plants.
-    pub fn trip(&mut self, err: ConnError, surface: bool, now: Time, tracer: &mut Tracer) {
+    /// Stop trying (sticky), log the give-up and surface the typed error.
+    pub fn trip(&mut self, err: ConnError, now: Time, tracer: &mut Tracer) {
         tracer.recovery(now.as_nanos(), RecoveryKind::GiveUp);
         self.gave_up = true;
-        if surface {
-            self.error = Some(err);
-        }
+        self.error = Some(err);
     }
 
     /// Inbound traffic arrived: restart the idle clock.
@@ -385,29 +382,27 @@ mod tests {
     }
 
     #[test]
-    fn trip_is_sticky_logs_once_and_can_be_muted() {
-        for surface in [true, false] {
-            let mut w = armed_watchdog(t(0));
-            let mut tracer = Tracer::new(true);
-            assert!(!w.gave_up());
-            w.trip(ConnError::IdleTimeout, surface, t(9), &mut tracer);
-            assert!(w.gave_up());
-            assert_eq!(w.error(), surface.then_some(ConnError::IdleTimeout));
-            // Tripped: no further deadline, whatever arrives afterwards.
-            w.on_progress(t(10));
-            assert!(w.gave_up());
-            assert_eq!(w.deadline(false, || false), None);
-            assert_eq!(w.check(t(10_000_000), true, || false), None);
-            assert!(matches!(
-                tracer.records(),
-                [TraceRecord {
-                    t: 9_000_000,
-                    ev: TraceEvent::Recovery {
-                        kind: RecoveryKind::GiveUp
-                    }
-                }]
-            ));
-        }
+    fn trip_is_sticky_surfaces_its_error_and_logs_once() {
+        let mut w = armed_watchdog(t(0));
+        let mut tracer = Tracer::new(true);
+        assert!(!w.gave_up());
+        w.trip(ConnError::IdleTimeout, t(9), &mut tracer);
+        assert!(w.gave_up());
+        assert_eq!(w.error(), Some(ConnError::IdleTimeout));
+        // Tripped: no further deadline, whatever arrives afterwards.
+        w.on_progress(t(10));
+        assert!(w.gave_up());
+        assert_eq!(w.deadline(false, || false), None);
+        assert_eq!(w.check(t(10_000_000), true, || false), None);
+        assert!(matches!(
+            tracer.records(),
+            [TraceRecord {
+                t: 9_000_000,
+                ev: TraceEvent::Recovery {
+                    kind: RecoveryKind::GiveUp
+                }
+            }]
+        ));
     }
 
     fn sampled_rtt(ms: u64) -> RttEstimator {

@@ -28,7 +28,7 @@ pub mod quic;
 pub mod tcp;
 pub mod trace;
 
-pub use mode::{env_knob, BatchMode, SchedKind, WireMode};
+pub use mode::{BatchMode, SchedKind, WireMode};
 pub use trace::{TraceEvent, TraceMode, TraceRecord, Tracer};
 
 /// Checked big-endian read cursor over a borrowed packet: the decoding

@@ -16,7 +16,7 @@ fn main() {
         .clone()
         .with_proto(ProtoConfig::Tcp(TcpConfig::default()));
 
-    // Shard the rounds over every hardware thread (or `LONGLOOK_JOBS`).
+    // Shard the rounds over every hardware thread.
     let result = compare(&quic, &tcp, Parallelism::auto());
     println!("QUIC PLTs (ms): {:?}", result.cand_ms);
     println!("TCP  PLTs (ms): {:?}", result.base_ms);

@@ -260,9 +260,9 @@ fn same_seed_same_world() {
     assert!(events_a > 0, "world processed no events");
 }
 
-/// `LONGLOOK_JOBS`-driven `Parallelism::auto` resolution is exercised in
-/// the runner's own unit tests; here we only confirm that the PLT samples
-/// (the most common reading of a cell) agree with the serial path.
+/// `repro -j N` resolves to a `Parallelism` in `repro`'s own flag tests;
+/// here we only confirm that the PLT samples (the most common reading of
+/// a cell) agree with the serial path.
 #[test]
 fn plt_samples_serial_equals_threads4() {
     let plts =

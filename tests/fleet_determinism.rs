@@ -6,7 +6,7 @@
 //! key), never a shared RNG stream — so `run_fleet` is bit-repeatable,
 //! and the fleet heatmap is field-for-field identical whether its cells
 //! run serially, on 4 worker threads, or at the auto-detected width
-//! (i.e. across `LONGLOOK_JOBS={1,4,...}`). A final test pins the
+//! (i.e. across `repro -j 1`, `-j 4`, …). A final test pins the
 //! tentpole memory budget: a 10k flash crowd completes with the arena
 //! far under the 650 bytes-per-connection acceptance bar.
 
@@ -52,10 +52,8 @@ fn seeds_produce_distinct_fleets() {
 
 /// The fleet heatmap — arrival profiles x load, QUIC vs TCP, Welch-gated
 /// — is field-for-field identical across Serial, Threads(4), and the
-/// auto-detected parallelism. This is the acceptance criterion "fleet
-/// experiment bit-identical across LONGLOOK_JOBS={1,4}" exercised
-/// without touching the environment (env mutation races parallel
-/// tests); `Parallelism` is exactly what `LONGLOOK_JOBS` resolves to.
+/// auto-detected parallelism: the fleet experiment is bit-identical at
+/// any `repro -j N`, because `Parallelism` is exactly what `-j` sets.
 #[test]
 fn fleet_heatmap_serial_equals_threads4_equals_auto() {
     let base = FleetConfig::new(250);

@@ -1,147 +1,123 @@
-//! Knob census: the `LONGLOOK_*` environment variables the code reads are
-//! exactly the rows of README's environment table, plus the two
-//! test-only names below. "Fewer knobs" is an executable fact, and the
-//! README cannot drift from the code: adding an env read without a README
-//! row (or leaving a row behind after deleting the read) fails here.
+//! Knob census: run settings are arguments, not environment. `repro`
+//! builds one `RunConfig` from its flags (README's flag table) and hands
+//! it to every experiment, so no product source reads the process
+//! environment, the tests read only their re-bless switch, and the
+//! default worker count is resolved only where a program starts.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Read by tests only, so deliberately absent from the README table:
-/// the golden suites' re-bless switch and the knob parser's own unit test.
-const TEST_ONLY: [&str; 2] = ["LONGLOOK_BLESS", "LONGLOOK_TEST_KNOB"];
-
 /// The calls that read the environment.
-const READERS: [&str; 3] = ["env::var(", "env::var_os(", "env_knob("];
+const READERS: [&str; 4] = ["env::var(", "env::var_os(", "env::vars(", "env::vars_os("];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn rust_files(dir: &Path, recurse: bool, out: &mut Vec<PathBuf>) {
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).expect("readable source directory") {
         let path = entry.expect("directory entry").path();
         if path.is_dir() {
-            if recurse {
-                rust_files(&path, true, out);
-            }
+            rust_files(&path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
     }
 }
 
-/// The value of `const NAME: … = "…";` in `src`, if declared there.
-fn const_str<'a>(src: &'a str, name: &str) -> Option<&'a str> {
-    let decl = src.find(&format!("const {name}:"))?;
-    let rest = &src[decl..src[decl..].find(';')? + decl];
-    let open = rest.find('"')? + 1;
-    Some(&rest[open..open + rest[open..].find('"')?])
-}
-
-/// Every name a reader call in `path` is handed: a string literal, or a
-/// SCREAMING_CASE constant resolved in the same file. A lower-case first
-/// argument is a parameter being passed through (the parser's own body)
-/// and names no knob.
-fn knobs_read_in(path: &Path, found: &mut BTreeSet<String>) {
-    let text = fs::read_to_string(path).expect("readable source file");
-    let code: String = text
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("//"))
-        .flat_map(|l| [l, "\n"])
-        .collect();
-    for reader in READERS {
-        for (at, _) in code.match_indices(reader) {
-            let arg = code[at + reader.len()..].trim_start();
-            let arg = &arg[..arg.find([',', ')']).expect("call has an argument list")];
-            let name = match arg.strip_prefix('"') {
-                Some(lit) => lit.trim_end_matches('"'),
-                None => {
-                    let ident = arg.rsplit("::").next().expect("rsplit yields one item");
-                    if ident.chars().any(|c| c.is_ascii_lowercase()) {
-                        continue;
-                    }
-                    const_str(&code, ident).unwrap_or_else(|| {
-                        panic!("{}: cannot resolve `{arg}` to a literal", path.display())
-                    })
-                }
-            };
-            if name.starts_with("LONGLOOK_") {
-                found.insert(name.to_string());
-            }
-        }
-    }
-}
-
-/// The first-column names of README's environment-variable table.
-fn readme_rows() -> BTreeSet<String> {
-    let readme = fs::read_to_string(repo_root().join("README.md")).expect("README.md");
-    readme
-        .lines()
-        .filter_map(|l| l.strip_prefix("| `LONGLOOK_"))
-        .map(|rest| {
-            format!(
-                "LONGLOOK_{}",
-                &rest[..rest.find('`').expect("closing tick")]
-            )
-        })
-        .collect()
-}
-
-/// Every `.rs` file under `crates/*/src`, skipping the crates named.
-fn crate_sources(skip: &[&str]) -> Vec<PathBuf> {
+/// Every `.rs` file under `crates/*/<sub>`.
+fn crate_files(sub: &str) -> Vec<PathBuf> {
     let mut files = Vec::new();
     for krate in fs::read_dir(repo_root().join("crates")).expect("crates/") {
-        let krate = krate.expect("directory entry").path();
-        let src = krate.join("src");
-        if src.is_dir() && !skip.iter().any(|s| krate.ends_with(s)) {
-            rust_files(&src, true, &mut files);
+        let dir = krate.expect("directory entry").path().join(sub);
+        if dir.is_dir() {
+            rust_files(&dir, &mut files);
         }
     }
     files
 }
 
-/// `LONGLOOK_JOBS` is a knob of the `repro` harness, not of the library:
-/// every library runner takes its `Parallelism` from the caller, so only
-/// `crates/bench` resolves the session default.
-#[test]
-fn only_the_harness_resolves_parallelism_from_the_environment() {
-    let mut callers = Vec::new();
-    for file in crate_sources(&["bench"]) {
-        let text = fs::read_to_string(&file).expect("readable source file");
-        for (n, line) in text.lines().enumerate() {
-            if !line.trim_start().starts_with("//") && line.contains("Parallelism::auto") {
-                callers.push(format!("{}:{}", file.display(), n + 1));
+/// `path`'s lines that are not `//` comments, numbered from 1.
+fn code_lines(path: &Path) -> Vec<(usize, String)> {
+    let text = fs::read_to_string(path).expect("readable source file");
+    text.lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim_start().starts_with("//"))
+        .map(|(n, l)| (n + 1, l.to_string()))
+        .collect()
+}
+
+/// `file:line` of every code line in `files` that contains one of `needles`.
+fn sites(files: &[PathBuf], needles: &[&str]) -> Vec<String> {
+    let mut found = Vec::new();
+    for file in files {
+        for (n, line) in code_lines(file) {
+            if needles.iter().any(|needle| line.contains(needle)) {
+                found.push(format!("{}:{n}", file.display()));
             }
         }
     }
+    found
+}
+
+/// The product takes no setting from the process environment: nothing
+/// under `crates/*/src` reads it or sets it. The vendored proptest shim
+/// is a dev-dependency that only tests link; its `PROPTEST_CASES` is a
+/// test setting.
+#[test]
+fn no_crate_source_reads_the_environment() {
+    let files: Vec<PathBuf> = crate_files("src")
+        .into_iter()
+        .filter(|f| !f.components().any(|c| c.as_os_str() == "proptest-shim"))
+        .collect();
+    let mut needles = READERS.to_vec();
+    needles.extend(["env::set_var(", "env::remove_var(", "LONGLOOK_"]);
+    let found = sites(&files, &needles);
+    assert!(
+        found.is_empty(),
+        "product code reads or sets the environment; take the setting as an \
+         argument instead: {found:?}"
+    );
+}
+
+/// The tests name one `LONGLOOK_*` variable: the golden suites' re-bless
+/// switch.
+#[test]
+fn tests_read_only_the_bless_switch() {
+    let mut files = crate_files("tests");
+    rust_files(&repo_root().join("tests"), &mut files);
+    rust_files(&repo_root().join("examples"), &mut files);
+    let mut names = BTreeSet::new();
+    for file in files.iter().filter(|f| !f.ends_with("knob_census.rs")) {
+        for (_, line) in code_lines(file) {
+            for (at, _) in line.match_indices("LONGLOOK_") {
+                let name: String = line[at..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                    .collect();
+                names.insert(name);
+            }
+        }
+    }
+    assert_eq!(names, BTreeSet::from(["LONGLOOK_BLESS".to_string()]));
+}
+
+/// `Parallelism::auto()` (one worker per hardware thread) is a default
+/// for programs, not for the library: every library runner and every
+/// experiment takes its `Parallelism` from the caller. So under
+/// `crates/*/src` only the binaries call it; tests and examples may.
+#[test]
+fn only_the_harness_resolves_parallelism_from_the_environment() {
+    let bins = repo_root().join("crates/bench/src/bin");
+    let files: Vec<PathBuf> = crate_files("src")
+        .into_iter()
+        .filter(|f| !f.starts_with(&bins))
+        .collect();
+    let callers = sites(&files, &["Parallelism::auto"]);
     assert!(
         callers.is_empty(),
         "library code resolves Parallelism::auto() itself instead of taking \
          `par` from its caller: {callers:?}"
-    );
-}
-
-#[test]
-fn env_reads_match_the_readme_table() {
-    let root = repo_root();
-    let mut files = crate_sources(&[]);
-    rust_files(&root.join("tests"), false, &mut files);
-    let mut found = BTreeSet::new();
-    for file in &files {
-        // This file names the test-only knobs without reading them.
-        if !file.ends_with("knob_census.rs") {
-            knobs_read_in(file, &mut found);
-        }
-    }
-
-    let mut expected = readme_rows();
-    assert!(!expected.is_empty(), "README environment table not found");
-    expected.extend(TEST_ONLY.map(String::from));
-    assert_eq!(
-        found, expected,
-        "LONGLOOK_* variables read by the code (left) must equal README's \
-         table plus the test-only names (right)"
     );
 }
