@@ -3,11 +3,9 @@
 //! Arrival profiles (poisson / flash-crowd / diurnal) × load multipliers
 //! (0.5x / 1x / 2x of the base fleet), compared on p99 completion latency
 //! with the usual Welch gate. The base fleet is 2 000 clients; rounds
-//! come from the [`RunConfig`] like every other experiment. The
-//! representative appendix fleets deal their links to the runner's worker
-//! threads, one range per worker — which never changes a reported number (the
-//! `fleet_shard_differential` referee pins that), it only spreads one
-//! big cell across cores.
+//! and workers come from the [`RunConfig`] like every other experiment:
+//! the heatmap's cells are dealt to the workers, each fleet cell runs on
+//! one thread.
 
 use crate::report::Report;
 use crate::RunConfig;
@@ -31,13 +29,11 @@ pub fn fleet(cfg: &RunConfig) -> Report {
 
     // One representative flash-crowd fleet per protocol, for the numbers
     // the heatmap compresses away: completion rate, tails, arena cost.
-    // One link range per worker thread, so big interactive fleets use
-    // the cores the heatmap cells above have left idle by now.
     for (label, proto) in [
         ("QUIC", ProtoConfig::Quic(QuicConfig::default())),
         ("TCP", ProtoConfig::Tcp(TcpConfig::default())),
     ] {
-        let m = run_fleet_par(&proto, &base, cfg.par);
+        let m = run_fleet(&proto, &base);
         r.note(format!(
             "\n{label}: {CLIENTS} clients flash-crowd over {} links — \
              {} completed, {} timed out; \

@@ -8,7 +8,7 @@
 //! 1. **termination** — the world must quiesce (stop or go idle), never
 //!    run to the deadline;
 //! 2. **typed completion** — the load either finishes or surfaces a typed
-//!    [`ConnError`](longlook_core::prelude::ConnError) on an endpoint
+//!    [`ConnError`] on an endpoint
 //!    (the negation is a silent livelock);
 //! 3. **conservation** — app bytes delivered in order to the client never
 //!    exceed wire bytes the server sent (duplication must not forge data);

@@ -7,30 +7,28 @@
 //! concurrent connections by trading packet granularity for flight
 //! granularity:
 //!
-//! * per-connection hot state lives in a struct-of-arrays [`ConnArena`]
-//!   with generational handles ([`arena`]),
+//! * each live connection is one 32-byte record in a `Vec`, indexed by
+//!   a generational [`SlotPool`] slot ([`world`]),
 //! * latency distributions stream into a Welford [`Summary`] and a
 //!   log-bucketed [`QuantileSketch`] — no per-sample vectors
 //!   ([`longlook_stats`]),
 //! * the event loop charges flights against fluid shared-bottleneck
 //!   links ([`world`]) and runs one link at a time, so what is live at
-//!   once is one link's clients, not the fleet's; the links can be dealt
-//!   to worker threads ([`run_fleet_par`]) without moving a bit of the
-//!   result — the path to 10^7 connections per cell.
+//!   once is one link's clients, not the fleet's.
 //!
-//! The headline output is [`fleet_heatmap`]: arrival profiles × load
-//! multipliers, QUIC-vs-TCP p99 completion latency, Welch-gated exactly
-//! like the paper's figures, executed through the deterministic parallel
-//! runner so the matrix is bit-identical at any worker count.
+//! A cell runs on one thread. The headline output is [`fleet_heatmap`]:
+//! arrival profiles × load multipliers, QUIC-vs-TCP p99 completion
+//! latency, Welch-gated exactly like the paper's figures, its cells dealt
+//! to the deterministic parallel runner's workers so the matrix is
+//! bit-identical at any worker count.
 //!
 //! [`Summary`]: longlook_stats::Summary
 //! [`QuantileSketch`]: longlook_stats::QuantileSketch
+//! [`SlotPool`]: longlook_sim::SlotPool
 
-pub mod arena;
 pub mod world;
 
-pub use arena::{ConnArena, ConnInit};
-pub use world::{run_fleet, run_fleet_par, FleetMetrics, FleetObservables};
+pub use world::{run_fleet, FleetMetrics, FleetObservables, BYTES_PER_SLOT};
 
 use longlook_http::host::ProtoConfig;
 use longlook_quic::QuicConfig;
@@ -86,7 +84,19 @@ impl ArrivalProfile {
     }
 }
 
-/// The full parameterization of one fleet cell.
+/// Raw capacity of each bottleneck link (Mbps).
+pub const LINK_MBPS: f64 = 500.0;
+/// Fraction of each link consumed by non-fleet cross traffic.
+pub const CROSS_TRAFFIC_FRAC: f64 = 0.15;
+/// Buffer drain time per link; flights that would queue longer are
+/// marked lost (drop-tail congestion loss).
+pub const BUFFER: Dur = Dur::from_millis(50);
+/// Per-flight service delay unit; server pool `s` charges `s + 1` units.
+pub const SERVER_SERVICE: Dur = Dur::from_micros(200);
+
+/// The parameterization of one fleet cell. The link capacity, cross
+/// traffic, buffer and server service time are the same in every cell:
+/// [`LINK_MBPS`], [`CROSS_TRAFFIC_FRAC`], [`BUFFER`], [`SERVER_SERVICE`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Clients to spawn across the window.
@@ -99,21 +109,12 @@ pub struct FleetConfig {
     pub n_links: usize,
     /// Server pools (each adds its own per-flight service delay).
     pub n_servers: usize,
-    /// Raw capacity per bottleneck link (Mbps).
-    pub link_mbps: f64,
-    /// Fraction of each link consumed by non-fleet cross traffic.
-    pub cross_traffic_frac: f64,
-    /// Buffer drain time per link; flights that would queue longer are
-    /// marked lost (drop-tail congestion loss).
-    pub buffer: Dur,
     /// Base client RTT; per-client jitter stretches it upward.
     pub base_rtt: Dur,
     /// Max fractional RTT stretch (0.5 = up to 1.5x base).
     pub rtt_jitter_frac: f64,
     /// Random per-flight loss probability (on top of congestion loss).
     pub loss: f64,
-    /// Per-flight service delay unit; pool `s` charges `(s+1)` units.
-    pub server_service: Dur,
     /// Per-connection completion deadline (measured from arrival).
     pub deadline: Dur,
     /// Fraction of clients that are repeat visitors (QUIC may 0-RTT).
@@ -135,13 +136,9 @@ impl FleetConfig {
             // below capacity for the workload mixture's ~280 KB mean.
             n_links: (n / 1500).max(4),
             n_servers: ((n / 1500).max(4) / 4).max(2),
-            link_mbps: 500.0,
-            cross_traffic_frac: 0.15,
-            buffer: Dur::from_millis(50),
             base_rtt: Dur::from_millis(36),
             rtt_jitter_frac: 0.5,
             loss: 0.001,
-            server_service: Dur::from_micros(200),
             deadline: Dur::from_secs(40),
             repeat_visit_frac: 0.5,
             seed: 0xF1EE7,

@@ -2,7 +2,7 @@
 //! bottleneck links, at flight granularity — run one link at a time.
 //!
 //! A fleet cell does not build N packet-level testbeds — that is what
-//! the arena-backed model avoids. Each connection advances in *flights*:
+//! the flight-grain model avoids. Each connection advances in *flights*:
 //! one event per congestion window of data, charged against a fluid model
 //! of its bottleneck link (a busy horizon per link; queueing delay is the
 //! gap between "now" and the horizon, and a flight that would wait longer
@@ -17,20 +17,21 @@
 //! n_links`) and the per-connection state itself; server pools are
 //! stateless delay terms. So a cell is not one event loop over the
 //! population but one event loop *per link*, run back to back through
-//! scratch (queue, arena, deadline FIFO, sketch) that is reset, not
-//! rebuilt, between links and dropped when the call returns. What is
-//! live at any instant is one link's clients, not the fleet's.
+//! scratch (queue, slot pool and connection records, deadline FIFO,
+//! sketch) that is reset, not rebuilt, between links and dropped when
+//! the call returns. What is live at any instant is one link's clients,
+//! not the fleet's: one `Conn` record each, in a `Vec` indexed by its
+//! [`SlotPool`] slot.
 //!
 //! Two rules make every link's run a pure function of `(cfg, proto,
-//! link)`, whatever ran before it on the same scratch and on whichever
-//! thread:
+//! link)`, whatever ran before it on the same scratch:
 //!
 //! 1. **Every event of a link is pushed while processing an event of
 //!    that link.** Arrivals chain per link (`Arrival(k)` schedules
 //!    `Arrival(k + n_links)`, the next client of the *same* link), acks
 //!    follow flights of their own connection.
 //! 2. **No draw or decision keys on execution-dependent identifiers.**
-//!    Random draws hash (seed, client id, flight), never arena slots.
+//!    Random draws hash (seed, client id, flight), never slots.
 //!
 //! # Deadlines wait in a FIFO, not in the scheduler
 //!
@@ -54,21 +55,20 @@
 //! `link_loop_equivalent_to_global_queue` referee holds the loop to the
 //! single-queue oracle it replaced, ties included.
 //!
-//! # Threads, and what the numbers mean
+//! # What the numbers mean
 //!
-//! [`run_fleet_par`] deals contiguous link ranges to the
-//! deterministic runner's workers, each with its own scratch. Per-link
-//! results are scalars and fold in global link order in every mode:
-//! counters sum, `finished_at` is a max, the [`QuantileSketch`] merges
-//! bucket-wise in `u64`s (order-free), the Welford [`Summary`] — whose
-//! batch merge *is* float-order-sensitive — folds link by link, and the
-//! capacity diagnostics (`scheduled_peak`, `peak_live`,
-//! `arena_bytes_peak`) are the largest over the links, i.e. what the
-//! busiest link needed. All of that is a function of per-link values, so
-//! the whole [`FleetMetrics`] is bit-identical for every `par`.
+//! A cell runs on the calling thread, its links in order on one scratch;
+//! the runner parallelises across cells, not inside one. Per-link
+//! results are scalars and fold in link order: counters sum,
+//! `finished_at` is a max, the [`QuantileSketch`] is shared by the links
+//! (its buckets are `u64` counts, so order is moot), the Welford
+//! [`Summary`] — whose batch merge *is* float-order-sensitive — folds
+//! link by link, and the capacity diagnostics (`scheduled_peak`,
+//! `peak_live`, `arena_bytes_peak`) are the largest over the links,
+//! i.e. what the busiest link needed.
 
 use std::collections::VecDeque;
-use std::ops::Range;
+use std::mem::size_of;
 
 use longlook_http::host::ProtoConfig;
 use longlook_http::workload::fleet_object_bytes;
@@ -76,12 +76,11 @@ use longlook_quic::CONN_RECV_WINDOW_MAX;
 use longlook_sim::rng::hash_unit;
 use longlook_sim::sched::EventQueue;
 use longlook_sim::time::{Dur, Time};
-use longlook_sim::SlotHandle;
+use longlook_sim::{SlotHandle, SlotPool};
 use longlook_stats::{QuantileSketch, Summary};
 
-use super::arena::{ConnArena, ConnInit};
-use super::FleetConfig;
-use crate::runner::{note_cell_events, run_ordered, Parallelism};
+use super::{FleetConfig, BUFFER, CROSS_TRAFFIC_FRAC, LINK_MBPS, SERVER_SERVICE};
+use crate::runner::note_cell_events;
 
 /// Hash-stream salts: one independent draw stream per decision kind.
 const SALT_SIZE: u64 = 0x517E_0000_0000_0001;
@@ -89,6 +88,39 @@ const SALT_ARRIVE: u64 = 0x4121_0000_0000_0002;
 const SALT_RTT: u64 = 0x0177_0000_0000_0003;
 const SALT_REPEAT: u64 = 0x0E77_0000_0000_0004;
 const SALT_LOSS: u64 = 0x1055_0000_0000_0005;
+
+/// Serialization cost on the cross-traffic-reduced link (ns/byte):
+/// mbps → bytes/ns is mbps / 8000, inverted.
+const NS_PER_BYTE: f64 = 8000.0 / (LINK_MBPS * (1.0 - CROSS_TRAFFIC_FRAC));
+
+/// One live connection of the running link, in the slot its
+/// [`SlotHandle`] names. The link it shares is the one running, and its
+/// server pool is `client % n_servers`, so neither is stored.
+#[derive(Clone, Copy)]
+struct Conn {
+    /// Arrival time — latency is measured from here.
+    arrived: Time,
+    /// Bytes still to deliver (the workload cursor).
+    remaining: u32,
+    /// Congestion window (bytes).
+    cwnd: u32,
+    /// Slow-start threshold (bytes).
+    ssthresh: u32,
+    /// Round-trip time (µs).
+    rtt_us: u32,
+    /// Global client id `k`, the key of the per-flight loss draw: slot
+    /// assignment depends on what else the link has held, client ids do
+    /// not.
+    client: u32,
+    /// Flights sent so far (indexes the per-flight loss draw; 32 bits so
+    /// the loss key never aliases across flights).
+    flights: u32,
+}
+
+/// Connection state per slot: one `Conn` record plus the slot pool's
+/// generation word and free-list entry — an order of magnitude under the
+/// 650 B/connection budget.
+pub const BYTES_PER_SLOT: usize = size_of::<Conn>() + 2 * size_of::<u32>();
 
 /// One scheduled occurrence on the running link. Completion deadlines
 /// are not among them: they wait in the link's FIFO (module docs).
@@ -107,8 +139,7 @@ enum FleetEvent {
 }
 
 /// Everything a fleet run reports. Every field is a function of
-/// per-link values folded in link order, so the whole struct is
-/// bit-identical however [`run_fleet_par`] deals the links to threads.
+/// per-link values folded in link order (module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
     /// Events processed (arrivals + acks + deadline pops), summed over
@@ -118,18 +149,18 @@ pub struct FleetMetrics {
     /// pending arrival plus one ack per live connection. Deadlines wait
     /// in the link's FIFO, not in the scheduler, and are not counted.
     pub scheduled_peak: usize,
-    /// Peak simultaneously live connections on the busiest link — what
-    /// the arena has to hold at once, since links run one at a time.
+    /// Peak simultaneously live connections on the busiest link — the
+    /// records held at once, since links run one at a time.
     pub peak_live: usize,
-    /// Connection-arena bytes at that high-water mark
-    /// ([`ConnArena::bytes_in_use`] on the busiest link).
+    /// Connection-state bytes at that high-water mark: the busiest
+    /// link's slots × [`BYTES_PER_SLOT`].
     pub arena_bytes_peak: usize,
     /// Connections that delivered their full object before the deadline.
     pub completed: u64,
     /// Connections cut off at the deadline.
     pub timed_out: u64,
     /// Deadlines that came due after their connection had already
-    /// completed and were rejected by the arena's generation check:
+    /// completed and were rejected by the slot pool's generation check:
     /// exactly one per completed connection (the determinism suite pins
     /// `stale_deadline_pops == completed`). They cost a FIFO pop each,
     /// never a scheduler entry.
@@ -175,8 +206,8 @@ impl FleetMetrics {
         self.latency_sketch.p999()
     }
 
-    /// Peak arena bytes per connection at the concurrency high-water
-    /// mark — the number the 650 B/connection budget gates.
+    /// Peak connection-state bytes per connection at the concurrency
+    /// high-water mark — the number the 650 B/connection budget gates.
     pub fn bytes_per_conn(&self) -> f64 {
         if self.peak_live == 0 {
             0.0
@@ -186,11 +217,11 @@ impl FleetMetrics {
     }
 
     /// What the cell measured, without the three capacity diagnostics
-    /// (`scheduled_peak`, `peak_live`, `arena_bytes_peak`). Both halves
-    /// are invariant under `par`; the split is between results
-    /// that only a model change may move and footprint figures a change
-    /// to the loop may move. It is what the loop's referee compares with
-    /// the single-queue oracle, whose footprint is the population's.
+    /// (`scheduled_peak`, `peak_live`, `arena_bytes_peak`): the split is
+    /// between results that only a model change may move and footprint
+    /// figures a change to the loop may move. It is what the loop's
+    /// referee compares with the single-queue oracle, whose footprint is
+    /// the population's.
     pub fn observables(&self) -> FleetObservables {
         FleetObservables {
             events: self.events,
@@ -222,40 +253,6 @@ pub struct FleetObservables {
     pub latency_sketch: QuantileSketch,
     /// Simulated time of the last event.
     pub finished_at: Time,
-}
-
-/// A contiguous, balanced partition of the fleet's link space into
-/// shards: the ranges [`run_fleet_par`] deals to worker threads. Links
-/// (and with them connections, `k % n_links`) are the unit because they
-/// are the only state connections share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ShardPlan {
-    /// Total links being partitioned (at least one).
-    n_links: usize,
-    /// Number of shards, in `[1, n_links]`.
-    shards: usize,
-}
-
-impl ShardPlan {
-    /// Plan `shards` shards over `n_links` links. The shard count is
-    /// clamped to `[1, n_links]` — a shard must own at least one link.
-    fn new(n_links: usize, shards: usize) -> ShardPlan {
-        let n_links = n_links.max(1);
-        ShardPlan {
-            n_links,
-            shards: shards.clamp(1, n_links),
-        }
-    }
-
-    /// Global link ids owned by shard `s`: the standard balanced split
-    /// `s·L/S .. (s+1)·L/S`, so shard sizes differ by at most one even
-    /// when `n_links` is not divisible by the shard count, and
-    /// concatenating the ranges in shard order walks the links in global
-    /// order (which is what pins the Summary fold).
-    fn link_range(&self, s: usize) -> Range<usize> {
-        assert!(s < self.shards, "shard {s} out of {}", self.shards);
-        (s * self.n_links / self.shards)..((s + 1) * self.n_links / self.shards)
-    }
 }
 
 /// Per-world constants derived from the protocol config.
@@ -306,9 +303,6 @@ struct Cell<'a> {
     n_conns: u32,
     n_links: usize,
     n_servers: usize,
-    /// Serialization cost on the cross-traffic-reduced link (ns/byte).
-    ns_per_byte: f64,
-    buffer_ns: u64,
 }
 
 impl<'a> Cell<'a> {
@@ -321,16 +315,12 @@ impl<'a> Cell<'a> {
                 cfg.n_conns
             )
         });
-        let eff_mbps = cfg.link_mbps * (1.0 - cfg.cross_traffic_frac).max(1e-3);
         Cell {
             cfg,
             model: ProtoModel::of(proto),
             n_conns,
             n_links: cfg.n_links.max(1),
             n_servers: cfg.n_servers.max(1),
-            // mbps → bytes/ns is mbps / 8000; invert for ns/byte.
-            ns_per_byte: 8000.0 / eff_mbps,
-            buffer_ns: cfg.buffer.as_nanos(),
         }
     }
 
@@ -343,29 +333,48 @@ impl<'a> Cell<'a> {
     }
 }
 
-/// What one worker reuses from link to link. Reset, not rebuilt, between
+/// What a cell reuses from link to link. Reset, not rebuilt, between
 /// links, so after the first link the loop allocates nothing; owned by
-/// one [`run_fleet_par`] call and dropped with it.
+/// one [`run_fleet`] call and dropped with it.
 struct Scratch {
     queue: EventQueue<FleetEvent>,
-    arena: ConnArena,
+    /// Hands out the running link's slots; its generations turn the
+    /// handle of a finished connection stale.
+    pool: SlotPool,
+    /// The running link's connections, indexed by slot, `pool.slots()`
+    /// long: a finished connection's record stays until its slot is
+    /// reused.
+    conns: Vec<Conn>,
     /// The running link's pending completion deadlines, in arrival (and
     /// therefore time) order.
     deadlines: VecDeque<(Time, SlotHandle)>,
     /// Completion latencies of every link run on this scratch so far
-    /// (the sketch merge is order-free, so it need not be per link).
+    /// (bucket counts, so they need not be per link).
     sketch: QuantileSketch,
 }
 
 impl Scratch {
     fn new(cell: &Cell) -> Scratch {
         let per_link = cell.cfg.n_conns / cell.n_links;
+        let slots = (per_link / 4).max(16);
         Scratch {
             queue: EventQueue::default(),
-            arena: ConnArena::with_capacity((per_link / 4).max(16)),
+            pool: SlotPool::with_capacity(slots),
+            conns: Vec::with_capacity(slots),
             deadlines: VecDeque::new(),
             sketch: QuantileSketch::new(),
         }
+    }
+
+    /// Admit a connection into a finished connection's slot (the most
+    /// recently freed) or, when none is free, a new one at the end.
+    fn admit(&mut self, conn: Conn) -> SlotHandle {
+        let h = self.pool.alloc();
+        match self.conns.get_mut(h.index()) {
+            Some(slot) => *slot = conn,
+            None => self.conns.push(conn),
+        }
+        h
     }
 }
 
@@ -385,8 +394,7 @@ struct LinkRun {
 }
 
 impl FleetMetrics {
-    /// Fold the next link's run in. Callers feed links in global link
-    /// order — the one order every `par` reproduces — because
+    /// Fold the next link's run in. Links come in link order, because
     /// the Summary merge is float-order-sensitive; everything else here
     /// is a sum or a max.
     fn absorb(&mut self, r: &LinkRun) {
@@ -404,59 +412,26 @@ impl FleetMetrics {
 
 /// Run one fleet cell to completion on the calling thread, link by
 /// link. Deterministic in `cfg` (including `cfg.seed`) and `proto`;
-/// independent of thread scheduling and everything else environmental —
-/// and bit-identical to any [`run_fleet_par`] execution of the same cell.
-pub fn run_fleet(proto: &ProtoConfig, cfg: &FleetConfig) -> FleetMetrics {
-    run_fleet_par(proto, cfg, Parallelism::Serial)
-}
-
-/// Run one fleet cell with its links dealt to `par`'s workers as one
-/// contiguous range per worker (clamped to the links that have clients).
-///
-/// Each range runs link by link on its own scratch and the per-link
-/// results fold in global link order, so the returned [`FleetMetrics`] —
-/// diagnostics included — is bit-identical for every `par`, which only
-/// decides which thread runs which link. With one job the calling thread
-/// runs the plain loop over every link on one scratch.
+/// independent of thread scheduling and everything else environmental.
 ///
 /// # Panics
 ///
 /// If `cfg.n_conns` exceeds `u32::MAX` (the client id space).
-pub fn run_fleet_par(proto: &ProtoConfig, cfg: &FleetConfig, par: Parallelism) -> FleetMetrics {
+pub fn run_fleet(proto: &ProtoConfig, cfg: &FleetConfig) -> FleetMetrics {
     let cell = Cell::new(proto, cfg);
-    // Only links `l < n_conns` have a client (`k % n_links` reaches no
-    // other); the rest would never see an event and are not planned.
-    let plan = ShardPlan::new(cell.n_links.min(cfg.n_conns), par.jobs());
+    let mut scratch = Scratch::new(&cell);
     let mut total = FleetMetrics::empty();
-    if plan.shards == 1 {
-        let mut scratch = Scratch::new(&cell);
-        for link in 0..plan.n_links {
-            total.absorb(&run_link(&cell, &mut scratch, link));
-        }
-        total.latency_sketch = scratch.sketch;
-    } else {
-        let parts = run_ordered(par, plan.shards, |s| {
-            let mut scratch = Scratch::new(&cell);
-            let runs: Vec<LinkRun> = plan
-                .link_range(s)
-                .map(|link| run_link(&cell, &mut scratch, link))
-                .collect();
-            (runs, scratch.sketch)
-        });
-        // Shard ranges are contiguous and ascending, so shard order
-        // concatenated is global link order.
-        for (runs, sketch) in &parts {
-            for r in runs {
-                total.absorb(r);
-            }
-            total.latency_sketch.merge(sketch);
-        }
+    // Only links `l < n_conns` have a client (`k % n_links` reaches no
+    // other); the rest would never see an event and are not run.
+    for link in 0..cell.n_links.min(cfg.n_conns) {
+        total.absorb(&run_link(&cell, &mut scratch, link));
     }
+    total.latency_sketch = scratch.sketch;
     note_cell_events(total.events);
     total
 }
 
-/// The link being run: its scalars plus the worker's scratch.
+/// The link being run: its scalars plus the cell's scratch.
 struct Link<'a> {
     cell: &'a Cell<'a>,
     s: &'a mut Scratch,
@@ -469,7 +444,8 @@ struct Link<'a> {
 /// of {queue front, deadline FIFO front} until both are empty.
 fn run_link(cell: &Cell, scratch: &mut Scratch, link: usize) -> LinkRun {
     scratch.queue.reset();
-    scratch.arena.reset();
+    scratch.pool.reset();
+    scratch.conns.clear();
     debug_assert!(scratch.deadlines.is_empty(), "a link left deadlines behind");
     let mut l = Link {
         cell,
@@ -488,15 +464,12 @@ fn run_link(cell: &Cell, scratch: &mut Scratch, link: usize) -> LinkRun {
         },
     };
     // Client `link` is the first client of this link (links assign
-    // round-robin, `k % n_links`); arrivals chain from there. Only the
-    // one link planned for a cell with no clients at all has none.
-    if link < cell.cfg.n_conns {
-        let first = link as u32;
-        l.s.queue.push(
-            Time::ZERO + cell.arrival_time(first),
-            FleetEvent::Arrival(first),
-        );
-    }
+    // round-robin, `k % n_links`); arrivals chain from there.
+    let first = link as u32;
+    l.s.queue.push(
+        Time::ZERO + cell.arrival_time(first),
+        FleetEvent::Arrival(first),
+    );
     loop {
         // Deadline first on equal times: a queue event goes ahead only
         // if it is strictly earlier than the oldest pending deadline.
@@ -517,7 +490,7 @@ fn run_link(cell: &Cell, scratch: &mut Scratch, link: usize) -> LinkRun {
                 let Some((due, h)) = l.s.deadlines.pop_front() else {
                     break;
                 };
-                if l.s.arena.free(h) {
+                if l.s.pool.free(h) {
                     l.run.timed_out += 1;
                 } else {
                     // The connection completed and freed its slot
@@ -531,10 +504,10 @@ fn run_link(cell: &Cell, scratch: &mut Scratch, link: usize) -> LinkRun {
         l.run.events += 1;
         l.run.finished_at = now;
     }
-    debug_assert_eq!(l.s.arena.live(), 0, "every connection has a deadline");
+    debug_assert_eq!(l.s.pool.live(), 0, "every connection has a deadline");
     l.run.scheduled_peak = l.s.queue.scheduled_peak();
-    l.run.peak_live = l.s.arena.live_peak();
-    l.run.arena_bytes_peak = l.s.arena.bytes_in_use();
+    l.run.peak_live = l.s.pool.live_peak();
+    l.run.arena_bytes_peak = l.s.pool.slots() * BYTES_PER_SLOT;
     l.run
 }
 
@@ -555,13 +528,14 @@ impl Link<'_> {
         let rtt_jitter = hash_unit(cfg.seed ^ SALT_RTT, k.into());
         let rtt_us = (cfg.base_rtt.as_nanos() as f64 / 1_000.0
             * (1.0 + cfg.rtt_jitter_frac * rtt_jitter)) as u32;
-        let h = self.s.arena.alloc(ConnInit {
+        let h = self.s.admit(Conn {
             arrived: now,
-            object,
+            remaining: object,
             cwnd: self.cell.model.init_cwnd,
             ssthresh: self.cell.model.max_cwnd,
             rtt_us,
             client: k,
+            flights: 0,
         });
         let due = now + cfg.deadline;
         debug_assert!(
@@ -595,30 +569,30 @@ impl Link<'_> {
     /// the link's fluid queue.
     fn send_flight(&mut self, now: Time, h: SlotHandle) {
         let cfg = self.cell.cfg;
-        let arena = &mut self.s.arena;
-        let i = arena.resolve(h).expect("send_flight on stale handle");
-        let flight = arena.remaining[i].min(arena.cwnd[i]).max(1);
-        let f = arena.flights[i];
-        arena.flights[i] = f.saturating_add(1);
+        let i = self.s.pool.resolve(h).expect("send_flight on stale handle");
+        let c = &mut self.s.conns[i];
+        let flight = c.remaining.min(c.cwnd).max(1);
+        let f = c.flights;
+        c.flights = f.saturating_add(1);
+        let (client, rtt_us) = (c.client, c.rtt_us);
         let now_ns = now.as_nanos();
         let wait_ns = self.busy_ns.saturating_sub(now_ns);
-        let ser_ns = (f64::from(flight) * self.cell.ns_per_byte).round() as u64;
+        let ser_ns = (f64::from(flight) * NS_PER_BYTE).round() as u64;
         self.busy_ns = self.busy_ns.max(now_ns) + ser_ns;
         // Congestion loss: the flight would queue past the buffer's drain
         // time. Random loss: an independent per-flight draw keyed by
         // (client id, flight) — injective over the full 32-bit flight
-        // counter, and keyed by the *client*, not the arena slot, which
-        // depends on what else the arena has held. `hash_unit`'s
+        // counter, and keyed by the *client*, not the slot, which
+        // depends on what else the link has held. `hash_unit`'s
         // SplitMix64 finalizer does the 64-bit mixing.
-        let client = arena.client[i];
         let key = (u64::from(client) << 32) | u64::from(f);
-        let lost = wait_ns > self.cell.buffer_ns || hash_unit(cfg.seed ^ SALT_LOSS, key) < cfg.loss;
+        let lost = wait_ns > BUFFER.as_nanos() || hash_unit(cfg.seed ^ SALT_LOSS, key) < cfg.loss;
         let delivered = if lost { flight / 2 } else { flight };
-        let rtt_ns = u64::from(arena.rtt_us[i]) * 1_000;
+        let rtt_ns = u64::from(rtt_us) * 1_000;
         // Clients round-robin over the server pools; pool `s` charges
         // `s + 1` service units.
         let server = (client as usize % self.cell.n_servers) as u64;
-        let service_ns = cfg.server_service.as_nanos() * (1 + server);
+        let service_ns = SERVER_SERVICE.as_nanos() * (1 + server);
         self.s.queue.push(
             now + Dur::from_nanos(wait_ns + ser_ns + rtt_ns + service_ns),
             FleetEvent::Ack { h, delivered, lost },
@@ -626,34 +600,32 @@ impl Link<'_> {
     }
 
     fn on_ack(&mut self, now: Time, h: SlotHandle, delivered: u32, lost: bool) {
-        let arena = &mut self.s.arena;
         // Stale = the deadline already retired this connection.
-        let Some(i) = arena.resolve(h) else {
+        let Some(i) = self.s.pool.resolve(h) else {
             return;
         };
         let mss = self.cell.model.mss;
         let max_cwnd = self.cell.model.max_cwnd;
+        let c = &mut self.s.conns[i];
         if lost {
-            arena.retx[i] = arena.retx[i].saturating_add(1);
-            let half = (arena.cwnd[i] / 2).max(2 * mss);
-            arena.ssthresh[i] = half;
-            arena.cwnd[i] = half;
-        } else if arena.cwnd[i] < arena.ssthresh[i] {
+            let half = (c.cwnd / 2).max(2 * mss);
+            c.ssthresh = half;
+            c.cwnd = half;
+        } else if c.cwnd < c.ssthresh {
             // Slow start: grow by the bytes acked.
-            arena.cwnd[i] = (arena.cwnd[i].saturating_add(delivered)).min(max_cwnd);
+            c.cwnd = (c.cwnd.saturating_add(delivered)).min(max_cwnd);
         } else {
             // Congestion avoidance: ~one MSS per cwnd of acked data.
-            let grow =
-                (u64::from(mss) * u64::from(delivered) / u64::from(arena.cwnd[i].max(1))) as u32;
-            arena.cwnd[i] = (arena.cwnd[i].saturating_add(grow)).min(max_cwnd);
+            let grow = (u64::from(mss) * u64::from(delivered) / u64::from(c.cwnd.max(1))) as u32;
+            c.cwnd = (c.cwnd.saturating_add(grow)).min(max_cwnd);
         }
-        arena.remaining[i] = arena.remaining[i].saturating_sub(delivered);
-        if arena.remaining[i] == 0 {
-            let latency_ms = (now.as_nanos().saturating_sub(arena.arrived_ns[i])) as f64 / 1e6;
+        c.remaining = c.remaining.saturating_sub(delivered);
+        if c.remaining == 0 {
+            let latency_ms = (now.as_nanos().saturating_sub(c.arrived.as_nanos())) as f64 / 1e6;
             self.run.latency_ms.add(latency_ms);
             self.s.sketch.add(latency_ms);
             self.run.completed += 1;
-            arena.free(h);
+            self.s.pool.free(h);
         } else {
             self.send_flight(now, h);
         }
@@ -663,37 +635,6 @@ impl Link<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_plan_partitions_the_link_space() {
-        for (n_links, shards) in [(1, 1), (4, 4), (5, 3), (7, 2), (666, 4), (3, 9)] {
-            let plan = ShardPlan::new(n_links, shards);
-            assert!(plan.shards >= 1 && plan.shards <= n_links);
-            let mut covered = Vec::new();
-            for s in 0..plan.shards {
-                let r = plan.link_range(s);
-                assert!(!r.is_empty(), "shard {s} of {plan:?} owns no links");
-                covered.extend(r);
-            }
-            assert_eq!(
-                covered,
-                (0..n_links).collect::<Vec<_>>(),
-                "{plan:?} is not a partition"
-            );
-            // Balanced: sizes differ by at most one.
-            let sizes: Vec<usize> = (0..plan.shards).map(|s| plan.link_range(s).len()).collect();
-            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(hi - lo <= 1, "{plan:?} unbalanced: {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn shard_plan_clamps_degenerate_inputs() {
-        assert_eq!(ShardPlan::new(8, 0).shards, 1);
-        assert_eq!(ShardPlan::new(8, 100).shards, 8);
-        assert_eq!(ShardPlan::new(0, 4).shards, 1);
-        assert_eq!(ShardPlan::new(0, 4).n_links, 1);
-    }
 
     /// Scratch reuse is unobservable: a link reports the same run on a
     /// scratch that other links — busier ones included — have been
@@ -735,6 +676,53 @@ mod tests {
         let mut cfg = FleetConfig::new(10);
         cfg.n_conns = u32::MAX as usize + 1;
         run_fleet(&ProtoConfig::Quic(Default::default()), &cfg);
+    }
+
+    fn conn(client: u32) -> Conn {
+        Conn {
+            arrived: Time::ZERO,
+            remaining: 1_000,
+            cwnd: 14_000,
+            ssthresh: u32::MAX,
+            rtt_us: 36_000,
+            client,
+            flights: 0,
+        }
+    }
+
+    /// A finished connection's slot goes to the next arrival, whose
+    /// record replaces the old one whole, and the old handle is stale.
+    #[test]
+    fn a_recycled_slot_holds_only_its_new_connection() {
+        let cfg = FleetConfig::new(100);
+        let mut s = Scratch::new(&Cell::new(&ProtoConfig::Quic(Default::default()), &cfg));
+        let h1 = s.admit(conn(1));
+        s.conns[h1.index()].flights = 9;
+        assert!(s.pool.free(h1));
+        let h2 = s.admit(conn(2));
+        assert_eq!(h2.index(), h1.index(), "slot recycled");
+        assert_eq!(s.pool.resolve(h1), None, "stale handle rejected");
+        let c = s.conns[s.pool.resolve(h2).unwrap()];
+        assert_eq!((c.client, c.flights), (2, 0), "record re-initialized");
+        assert_eq!(s.conns.len(), 1);
+    }
+
+    /// With the records and the pool's free list grown to exactly `n`
+    /// slots (doubling reaches a power of two), the heap they hold is
+    /// `n × BYTES_PER_SLOT`: the constant is what a slot costs.
+    #[test]
+    fn bytes_per_slot_is_what_a_slot_holds() {
+        let n = 1024;
+        let mut cfg = FleetConfig::new(4 * n);
+        cfg.n_links = 1;
+        let mut s = Scratch::new(&Cell::new(&ProtoConfig::Quic(Default::default()), &cfg));
+        let hs: Vec<_> = (0..n as u32).map(|k| s.admit(conn(k))).collect();
+        for h in hs {
+            assert!(s.pool.free(h));
+        }
+        assert_eq!(s.pool.slots(), n);
+        let held = s.pool.bytes() + s.conns.capacity() * size_of::<Conn>();
+        assert_eq!(held, n * BYTES_PER_SLOT);
     }
 
     #[test]

@@ -65,8 +65,7 @@ pub mod prelude {
         fairness_net, quic_vs_n_tcp, run_fairness, FairnessRun, FlowThroughput,
     };
     pub use crate::fleet::{
-        fleet_heatmap, run_fleet, run_fleet_par, ArrivalProfile, ConnArena, ConnInit, FleetConfig,
-        FleetMetrics, FleetObservables,
+        fleet_heatmap, run_fleet, ArrivalProfile, FleetConfig, FleetMetrics, FleetObservables,
     };
     pub use crate::params::ParameterSpace;
     pub use crate::rootcause::infer_from_records;

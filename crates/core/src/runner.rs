@@ -3,9 +3,9 @@
 //!
 //! The experiment matrix of Sec 3.3 — `(scenario, protocol, round)` cells,
 //! ≥ 10 rounds per scenario, swept over bandwidth × loss × RTT grids — is
-//! embarrassingly parallel: each cell is a self-contained [`World`]
-//! (crate `longlook-sim`) keyed only by its derived seed, sharing no
-//! state with any other cell. This module shards those cells across OS
+//! embarrassingly parallel: each cell is a self-contained
+//! [`World`](longlook_sim::world::World) keyed only by its derived seed,
+//! sharing no state with any other cell. This module shards those cells across OS
 //! threads and reassembles results **in deterministic cell order**, so
 //! parallel execution is bit-identical to serial execution. That claim is
 //! not an assumption: the `determinism_equivalence` suite in

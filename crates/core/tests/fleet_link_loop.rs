@@ -28,9 +28,8 @@ fn cold_handshake_rtts(proto: &ProtoConfig) -> u64 {
 
 proptest! {
     /// Random cells, from "nobody times out" to "everybody does at the
-    /// instant they arrive", dealt to threads at random: the link loop's
-    /// observables are the global queue's, the population is accounted
-    /// for, and the whole struct is the serial loop's.
+    /// instant they arrive": the link loop's observables are the global
+    /// queue's, and the population is accounted for.
     #[test]
     fn link_loop_equivalent_to_global_queue(
         n_conns in 0usize..4000,
@@ -61,7 +60,6 @@ proptest! {
         jitter in prop_oneof![Just(0.0), Just(0.5)],
         repeat in prop_oneof![Just(0.0), Just(0.5), Just(1.0)],
         quic in any::<bool>(),
-        jobs in 1usize..5,
         seed in any::<u64>(),
     ) {
         let mut cfg = FleetConfig::new(n_conns).with_profile(profile).with_seed(seed);
@@ -75,11 +73,10 @@ proptest! {
         cfg.rtt_jitter_frac = jitter;
         cfg.repeat_visit_frac = repeat;
         let want = run_fleet_global_queue(&proto, &cfg);
-        let got = run_fleet_par(&proto, &cfg, Parallelism::Threads(jobs));
+        let got = run_fleet(&proto, &cfg);
         prop_assert_eq!(got.observables(), want.observables());
         prop_assert_eq!(got.completed + got.timed_out, n_conns as u64);
         prop_assert_eq!(got.stale_deadline_pops, got.completed);
-        prop_assert_eq!(got, run_fleet(&proto, &cfg));
     }
 }
 
@@ -122,7 +119,7 @@ fn link_and_server_counts_past_u16_do_not_alias() {
     cfg.n_links = 70_000;
     cfg.n_servers = 70_000;
     let proto = proto(true);
-    let m = run_fleet_par(&proto, &cfg, Parallelism::Threads(3));
+    let m = run_fleet(&proto, &cfg);
     assert_eq!(m.completed + m.timed_out, 71_000);
     assert!(m.completed > 0 && m.timed_out > 0, "{m:?}");
     assert_eq!(

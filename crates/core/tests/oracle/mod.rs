@@ -7,13 +7,17 @@
 //! Verbatim from `longlook_core::fleet::world` at that commit, but for:
 //! the shard plumbing (this is the `shards = 1` loop, whose merge is the
 //! identity apart from the per-link Summary fold, which is kept); the
-//! arena, a local copy because the product's columns are crate-private,
+//! struct-of-arrays arena of that commit, kept here as it was but
 //! without the two columns nothing read (`object`, `retx`) and with
 //! `link` / `server` widened from `u16` to `usize` (the narrowing was a
-//! bug, and the oracle has to run the sizes that exposed it); and
-//! `n_conns as u32`, left as it was — callers stay below 2^32.
+//! bug, and the oracle has to run the sizes that exposed it); the link,
+//! buffer and server settings no cell varies, read from the product's
+//! constants instead of `FleetConfig` fields; and `n_conns as u32`, left
+//! as it was — callers stay below 2^32.
 
-use longlook_core::fleet::{FleetConfig, FleetMetrics};
+use longlook_core::fleet::{
+    FleetConfig, FleetMetrics, BUFFER, CROSS_TRAFFIC_FRAC, LINK_MBPS, SERVER_SERVICE,
+};
 use longlook_http::host::ProtoConfig;
 use longlook_http::workload::fleet_object_bytes;
 use longlook_quic::CONN_RECV_WINDOW_MAX;
@@ -168,7 +172,7 @@ struct World<'a> {
 /// the whole population, `arena_bytes_peak` left at zero.
 pub fn run_fleet_global_queue(proto: &ProtoConfig, cfg: &FleetConfig) -> FleetMetrics {
     let n_links = cfg.n_links.max(1);
-    let eff_mbps = cfg.link_mbps * (1.0 - cfg.cross_traffic_frac).max(1e-3);
+    let eff_mbps = LINK_MBPS * (1.0 - CROSS_TRAFFIC_FRAC).max(1e-3);
     let mut w = World {
         cfg,
         model: ProtoModel::of(proto),
@@ -178,7 +182,7 @@ pub fn run_fleet_global_queue(proto: &ProtoConfig, cfg: &FleetConfig) -> FleetMe
         link_latency: vec![Summary::new(); n_links],
         // mbps → bytes/ns is mbps / 8000; invert for ns/byte.
         ns_per_byte: 8000.0 / eff_mbps,
-        buffer_ns: cfg.buffer.as_nanos(),
+        buffer_ns: BUFFER.as_nanos(),
         metrics: FleetMetrics {
             events: 0,
             scheduled_peak: 0,
@@ -299,7 +303,7 @@ impl World<'_> {
             wait_ns > self.buffer_ns || hash_unit(self.cfg.seed ^ SALT_LOSS, key) < self.cfg.loss;
         let delivered = if lost { flight / 2 } else { flight };
         let rtt_ns = u64::from(self.arena.rtt_us[i]) * 1_000;
-        let service_ns = self.cfg.server_service.as_nanos() * (1 + self.arena.server[i] as u64);
+        let service_ns = SERVER_SERVICE.as_nanos() * (1 + self.arena.server[i] as u64);
         self.queue.push(
             now + Dur::from_nanos(wait_ns + ser_ns + rtt_ns + service_ns),
             FleetEvent::Ack { h, delivered, lost },

@@ -330,7 +330,7 @@ pub mod collection {
         VecStrategy { elem, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: Range<usize>,

@@ -7,14 +7,14 @@
 //! 25-37 onto instances of this struct.
 //!
 //! What no experiment varies is a constant, not a field: the flow-control
-//! auto-tune ceilings below, the ack decimation count
-//! ([`connection`](crate::connection)), the RTT seed
+//! auto-tune ceilings below, the ack decimation count and delayed-ack
+//! timer ([`connection`](crate::connection)), tail loss probes (always
+//! on), the RTT seed
 //! ([`longlook_transport::rtt::INITIAL_RTT`]) and the watchdog deadlines
 //! ([`longlook_transport::chassis`]). The segment size is `cubic.mss`, and
 //! a client with cached server state always attempts 0-RTT; the server
 //! side's `zero_rtt_accept` decides whether it succeeds.
 
-use longlook_sim::time::Dur;
 use longlook_sim::TraceMode;
 use longlook_transport::cubic::CubicConfig;
 
@@ -52,8 +52,6 @@ pub struct QuicConfig {
     /// largest acked ("time based" loss detection QUIC was experimenting
     /// with per the paper).
     pub time_loss_detection: bool,
-    /// Enable tail loss probes.
-    pub tlp: bool,
     /// Enable packet pacing.
     pub pacing: bool,
     /// Maximum concurrent streams per connection (MSPC, default 100).
@@ -76,8 +74,6 @@ pub struct QuicConfig {
     /// cannot consume packets in userspace never grows its windows, so
     /// the sender ends up Application-Limited (Fig 13).
     pub flow_auto_tune: bool,
-    /// Delayed-ack timer.
-    pub delayed_ack: Dur,
     /// Whether the server accepts 0-RTT data before the full handshake
     /// (real servers reject when the cached server config expired). When
     /// `false`, a 0-RTT attempt draws a REJ: the client falls back to a
@@ -107,7 +103,6 @@ impl Default for QuicConfig {
             nack_threshold: 3,
             adaptive_nack: false,
             time_loss_detection: false,
-            tlp: true,
             pacing: true,
             max_streams: 100,
             // gQUIC-era initial flow-control windows; auto-tuning grows
@@ -115,7 +110,6 @@ impl Default for QuicConfig {
             conn_recv_window: 192 * 1024,
             stream_recv_window: 128 * 1024,
             flow_auto_tune: true,
-            delayed_ack: Dur::from_millis(25),
             zero_rtt_accept: true,
             watchdog: false,
             trace: TraceMode::Off,

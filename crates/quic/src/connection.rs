@@ -31,6 +31,9 @@ use std::collections::VecDeque;
 /// decimation), or when the delayed-ack timer fires first.
 const ACK_EVERY: u32 = 2;
 
+/// How long a lone retransmittable packet may wait for its ack.
+const DELAYED_ACK: Dur = Dur::from_millis(25);
+
 /// The first stream id an endpoint opens; it opens every second id after
 /// it. Stream 0 is the connection-level window.
 fn first_own_stream(role: Role) -> u32 {
@@ -180,7 +183,8 @@ impl QuicConnection {
         let next_stream_id = first_own_stream(role);
         QuicConnection {
             watchdog: Watchdog::new(now, cfg.watchdog),
-            recovery: RecoveryTimer::new(cfg.tlp),
+            // Up to two tail loss probes before an RTO.
+            recovery: RecoveryTimer::new(true),
             tel: ConnTelemetry::new(now, cfg.trace, cc.state()),
             rtt: RttEstimator::new(INITIAL_RTT),
             nack_threshold: cfg.nack_threshold,
@@ -225,17 +229,6 @@ impl QuicConnection {
     /// Whether this connection actually used 0-RTT establishment.
     pub fn used_zero_rtt(&self) -> bool {
         self.used_zero_rtt
-    }
-
-    /// Whether a 0-RTT attempt was refused by the server and the client
-    /// fell back to a full 1-RTT handshake.
-    pub fn zero_rtt_rejected(&self) -> bool {
-        self.zero_rtt_rejected
-    }
-
-    /// The connection id.
-    pub fn conn_id(&self) -> u64 {
-        self.conn_id
     }
 
     /// Streams the send scheduler has examined so far.
@@ -613,13 +606,8 @@ impl Connection for QuicConnection {
                 Frame::Stream { .. } | Frame::Handshake { .. } | Frame::WindowUpdate { .. }
             )
         });
-        self.acks.on_packet(
-            pkt.pn,
-            now,
-            retransmittable,
-            ACK_EVERY,
-            self.cfg.delayed_ack,
-        );
+        self.acks
+            .on_packet(pkt.pn, now, retransmittable, ACK_EVERY, DELAYED_ACK);
         let mut frames = pkt.frames;
         for frame in frames.drain(..) {
             match frame {

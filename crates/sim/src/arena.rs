@@ -1,18 +1,18 @@
-//! Generational slot allocation for struct-of-arrays connection arenas.
+//! Generational slot allocation for dense connection storage.
 //!
 //! Fleet-scale worlds hold 10^5–10^6 concurrent connections; per-cell
 //! `Box`/`HashMap` ownership (one allocation per connection, pointer
 //! chasing per event) is exactly the layout the slab sent-store removed
 //! from the 1-vs-1 cells, so the fleet substrate never introduces it.
-//! Instead, per-connection state lives in parallel columns (`Vec<T>` per
-//! field) indexed by a *slot*, and [`SlotPool`] is the allocator that
-//! hands slots out, recycles them LIFO when connections finish, and
-//! brands every handle with a *generation* so a handle that outlives its
-//! connection can never silently read the stranger that reused the slot.
+//! Instead, per-connection state lives in one `Vec` of records indexed
+//! by a *slot*, and [`SlotPool`] is the allocator that hands slots out,
+//! recycles them LIFO when connections finish, and brands every handle
+//! with a *generation* so a handle that outlives its connection can never
+//! silently read the stranger that reused the slot.
 //!
 //! The pool itself costs 4 bytes per slot (the generation word) plus the
-//! recycled-slot free list; columns are owned by the caller (e.g.
-//! `longlook_core::fleet::ConnArena`) and sized via [`SlotPool::slots`].
+//! recycled-slot free list; the records are owned by the caller (the
+//! fleet world's connection `Vec`) and sized via [`SlotPool::slots`].
 //! Everything is deterministic: allocation order is a pure function of
 //! the alloc/free call sequence, which the fleet world drives from its
 //! seeded event loop.
@@ -42,7 +42,7 @@ impl SlotHandle {
     }
 }
 
-/// Generational slot allocator backing struct-of-arrays storage.
+/// Generational slot allocator backing dense per-slot records.
 ///
 /// Generations use the low bit as the liveness flag: a slot's generation
 /// is odd while allocated and even while free, so a handle is live iff
@@ -53,7 +53,7 @@ impl SlotHandle {
 pub struct SlotPool {
     /// Per-slot generation; odd = allocated, even = free.
     generations: Vec<u32>,
-    /// Recycled slot indices, LIFO (keeps the hot end of the columns in
+    /// Recycled slot indices, LIFO (keeps the hot end of the records in
     /// cache and makes allocation order deterministic).
     free: Vec<u32>,
     live: usize,
@@ -91,7 +91,7 @@ impl SlotPool {
     }
 
     /// Allocate a slot: recycle the most recently freed one, or grow the
-    /// slot space by one. The caller must keep its columns at least
+    /// slot space by one. The caller must keep its records at least
     /// [`Self::slots`] long.
     pub fn alloc(&mut self) -> SlotHandle {
         let index = match self.free.pop() {
@@ -143,7 +143,7 @@ impl SlotPool {
     }
 
     /// Total slots ever allocated (live + recycled); the minimum length
-    /// the caller's columns must have.
+    /// the caller's record vector must have.
     #[inline]
     pub fn slots(&self) -> usize {
         self.generations.len()

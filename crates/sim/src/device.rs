@@ -83,8 +83,6 @@ impl DeviceProfile {
 pub struct DeviceCpu {
     profile: DeviceProfile,
     free_at: Time,
-    /// Total busy time, for utilization reporting.
-    busy: Dur,
 }
 
 impl DeviceCpu {
@@ -93,7 +91,6 @@ impl DeviceCpu {
         DeviceCpu {
             profile,
             free_at: Time::ZERO,
-            busy: Dur::ZERO,
         }
     }
 
@@ -107,18 +104,12 @@ impl DeviceCpu {
         };
         let done = start + self.profile.cost(class);
         self.free_at = done;
-        self.busy += self.profile.cost(class);
         done
     }
 
     /// The device profile.
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
-    }
-
-    /// Accumulated busy time.
-    pub fn busy_time(&self) -> Dur {
-        self.busy
     }
 }
 
@@ -174,6 +165,5 @@ mod tests {
         let late = Time::ZERO + Dur::from_secs(1);
         let done = cpu.process(late, PktClass::Userspace);
         assert_eq!(done, late + Dur::from_micros(250));
-        assert_eq!(cpu.busy_time(), Dur::from_micros(500));
     }
 }

@@ -23,7 +23,7 @@
 //! the fleet's link loop hold a few hundred.
 //!
 //! The timeline is quantized into ticks of `2^SLOT_SHIFT` ns (128 µs) and
-//! the wheel covers a ring of [`SLOTS`] consecutive ticks (~268 ms). With
+//! the wheel covers a ring of `SLOTS` consecutive ticks (~268 ms). With
 //! the testbed's 36–54 ms RTTs, retransmission timers, pacing wakes,
 //! link-transit completions, the fleet's acks (queueing, serialisation,
 //! an RTT and server time) and TCP's 2-RTT handshakes all land inside the
@@ -257,8 +257,8 @@ impl<T> EventQueue<T> {
     /// keeping all allocations (slab, `active`, overflow heap, ring). A
     /// reset wheel is observationally identical to a fresh one — same pop
     /// order, same tie-breaks, same peak accounting — which is what lets
-    /// the fleet run link after link through one queue and still match a
-    /// threaded shard's fresh one.
+    /// the fleet run link after link through one queue and still get
+    /// each link's run a fresh queue would give.
     pub fn reset(&mut self) {
         self.active.clear();
         self.heads.fill(NIL);

@@ -11,7 +11,7 @@
 /// use longlook_stats::Summary;
 /// let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].iter().copied().collect();
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Summary {
@@ -81,11 +81,10 @@ impl Summary {
     /// The batch formula is floating-point order-sensitive: merging the
     /// same parts in a different order (or grouping) can change the low
     /// bits of `mean`/`m2`. Callers that need bit-identical aggregates
-    /// across execution strategies (the sharded fleet's deterministic
-    /// merge, the parallel runner) must therefore fold their partials in
-    /// one *pinned* canonical order — this helper is that fold, and given
-    /// the same parts in the same order it is bit-exact no matter which
-    /// threads computed the parts.
+    /// across execution strategies (the parallel runner) must therefore
+    /// fold their partials in one *pinned* canonical order — this helper
+    /// is that fold, and given the same parts in the same order it is
+    /// bit-exact no matter which threads computed the parts.
     pub fn merge_all<'a, I: IntoIterator<Item = &'a Summary>>(parts: I) -> Summary {
         let mut total = Summary::new();
         for p in parts {
@@ -129,11 +128,6 @@ impl Summary {
     /// Unbiased sample standard deviation.
     pub fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Smallest observation, or `NaN` if empty.

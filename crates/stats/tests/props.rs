@@ -134,7 +134,7 @@ proptest! {
         }
     }
 
-    /// The sharded-fleet merge contract for `Summary`: partials computed
+    /// The pinned-order merge contract for `Summary`: partials computed
     /// in *any* worker order, folded by `merge_all` in pinned shard
     /// order, are bit-exact — the fold is a pure function of the ordered
     /// parts list, so worker interleaving (simulated here by computing
@@ -169,7 +169,7 @@ proptest! {
         prop_assert_eq!(a.count(), xs.len() as u64);
     }
 
-    /// The sharded-fleet merge contract for `QuantileSketch` is stronger:
+    /// The merge contract for `QuantileSketch` is stronger:
     /// bucket counts are `u64`s and the stored representation is
     /// canonical, so `merge_all` is bit-exact under *any* order or
     /// grouping of the same parts — structurally equal to the bulk

@@ -51,6 +51,9 @@ mod tls {
 /// connection retries forever.
 const SYN_RTO: Dur = Dur::from_secs(1);
 
+/// Delayed-ack timeout (Linux delack min).
+const DELAYED_ACK: Dur = Dur::from_millis(40);
+
 /// TCP configuration.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
@@ -59,8 +62,6 @@ pub struct TcpConfig {
     pub cubic: CubicConfig,
     /// Receive buffer / advertised window.
     pub recv_buffer: u64,
-    /// Delayed-ack timeout (Linux delack min).
-    pub delayed_ack: Dur,
     /// Model TLS on top (HTTPS); disable for a raw-TCP proxy leg.
     pub tls: bool,
     /// Arm the connection watchdog: give up with a typed
@@ -83,7 +84,6 @@ impl Default for TcpConfig {
         TcpConfig {
             cubic: CubicConfig::linux_tcp(1400),
             recv_buffer: 6 * 1024 * 1024,
-            delayed_ack: Dur::from_millis(40),
             tls: true,
             watchdog: false,
             trace: TraceMode::Off,
@@ -414,9 +414,9 @@ impl Connection for TcpConnection {
         // Data path.
         if seg.payload_len > 0 {
             self.demux.on_descs(&seg.records);
-            let newly =
-                self.receiver
-                    .on_segment(seg.seq, seg.payload_len, now, self.cfg.delayed_ack);
+            let newly = self
+                .receiver
+                .on_segment(seg.seq, seg.payload_len, now, DELAYED_ACK);
             self.tel.stats.bytes_received += seg.payload_len as u64;
             if newly > 0 {
                 self.maybe_tls_established(now);

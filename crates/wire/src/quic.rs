@@ -13,7 +13,7 @@
 //! control structure stays real and round-trippable.
 //!
 //! Sizing comes in two flavors: [`Frame::encoded_len`] is exactly the
-//! number of control bytes [`Frame::encode`] would produce (proptest-pinned
+//! number of control bytes `Frame::encode` would produce (proptest-pinned
 //! to `encode().len()`), and [`Frame::wire_size`] adds the synthetic
 //! payload bytes the link is charged for. The transports use these analytic
 //! sizes and never serialize.
@@ -122,7 +122,7 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Exact number of control bytes [`Frame::encode`] produces for this
+    /// Exact number of control bytes `Frame::encode` produces for this
     /// frame, computed without allocating. Pinned to `encode().len()` by
     /// proptest; link charging relies on this equality.
     pub fn encoded_len(&self) -> u32 {

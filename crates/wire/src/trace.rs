@@ -137,7 +137,7 @@ pub enum TraceEvent {
         /// Which timer fired.
         kind: RecoveryKind,
     },
-    /// A fault window opened (synthesized from the [`FaultPlan`], never
+    /// A fault window opened (synthesized from the `FaultPlan`, never
     /// emitted by a connection — pure function of the plan).
     FaultOn {
         /// Fault kind label (`blackout`, `flap`, ... — repro spelling).

@@ -1,15 +1,17 @@
 //! Fleet determinism suite: the 10^5-connection worlds obey the same
-//! shard-invariance contract as every other experiment.
+//! worker-count invariance contract as every other experiment.
 //!
 //! The claim under test: a fleet cell is a pure function of its
 //! `FleetConfig` — every random draw is a pure hash of (seed, entity
 //! key), never a shared RNG stream — so `run_fleet` is bit-repeatable,
 //! and the fleet heatmap is field-for-field identical whether its cells
 //! run serially, on 4 worker threads, or at the auto-detected width
-//! (i.e. across `repro -j 1`, `-j 4`, …). A final test pins the
-//! tentpole memory budget: a 10k flash crowd completes with the arena
-//! far under the 650 bytes-per-connection acceptance bar.
+//! (i.e. across `repro -j 1`, `-j 4`, …). The rest pin the cell's
+//! footprint and accounting: a 10k flash crowd completes far under the
+//! 650 bytes-per-connection acceptance bar, the scheduler holds about
+//! one event per live connection, and every client is accounted for.
 
+use longlook_core::fleet::BYTES_PER_SLOT;
 use longlook_core::prelude::*;
 
 fn quic() -> ProtoConfig {
@@ -77,9 +79,9 @@ fn fleet_heatmap_serial_equals_threads4_equals_auto() {
     }
 }
 
-/// Tentpole budget check at an integration-worthy scale: a 10k-client
-/// flash crowd runs to completion with the struct-of-arrays arena far
-/// under the 650 B/connection acceptance bar, and the population is
+/// Budget check at an integration-worthy scale: a 10k-client flash
+/// crowd runs to completion with its connection records far under the
+/// 650 B/connection acceptance bar, and the population is
 /// fully accounted for (completed + timed out == spawned).
 #[test]
 fn flash_crowd_10k_fits_connection_budget() {
@@ -108,4 +110,58 @@ fn flash_crowd_10k_fits_connection_budget() {
         m.stale_deadline_pops, m.completed,
         "stale deadline pops must equal completions"
     );
+}
+
+/// A 20 000-client flash crowd over 13 links. The scheduler holds the
+/// running link's pending arrival and one ack per live connection — a
+/// deadline per client in the queue would make it ≈ `n_conns` — and the
+/// connection state reported is the busiest link's slots at
+/// `BYTES_PER_SLOT` each.
+#[test]
+fn scheduler_depth_tracks_live_connections() {
+    let m = run_fleet(&quic(), &FleetConfig::new(20_000));
+    assert!(
+        m.scheduled_peak <= m.peak_live + 2,
+        "scheduled_peak {} vs peak_live {}",
+        m.scheduled_peak,
+        m.peak_live
+    );
+    assert_eq!(
+        m.arena_bytes_peak,
+        m.peak_live * BYTES_PER_SLOT,
+        "connection bytes come from the slot high-water mark"
+    );
+}
+
+/// Fewer connections than links: the links no client maps to are not
+/// run, and the three clients are all accounted for.
+#[test]
+fn fewer_clients_than_links_are_benign() {
+    let mut cfg = FleetConfig::new(3);
+    cfg.n_links = 8;
+    cfg.n_servers = 2;
+    let m = run_fleet(&quic(), &cfg);
+    assert_eq!(m.completed + m.timed_out, 3);
+    assert_eq!(m.peak_live, 1, "one client per link");
+}
+
+/// Population accounting is exact for both protocols: completed +
+/// timed_out covers every spawned client, the latency feeds agree on
+/// the sample count, and each completion leaves exactly one stale
+/// deadline.
+#[test]
+fn population_accounting_is_exact() {
+    let cfg = FleetConfig::new(1_500);
+    for proto in [quic(), tcp()] {
+        let m = run_fleet(&proto, &cfg);
+        assert_eq!(m.completed + m.timed_out, 1_500, "{}", proto.name());
+        assert_eq!(m.latency_sketch.count(), m.completed);
+        assert_eq!(m.latency_ms.count(), m.completed);
+        assert_eq!(
+            m.stale_deadline_pops,
+            m.completed,
+            "stale deadline pops must equal completions ({})",
+            proto.name()
+        );
+    }
 }

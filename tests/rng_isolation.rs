@@ -10,7 +10,9 @@
 //! builds compile the whole check away.
 
 use longlook_core::runner::{run_ordered, Parallelism};
-use longlook_sim::{current_cell, CellGuard, CellId, SimRng};
+use longlook_sim::{current_cell, SimRng};
+#[cfg(debug_assertions)]
+use longlook_sim::{CellGuard, CellId};
 
 /// Legal use — each cell builds its own `SimRng` from its derived seed —
 /// passes untouched under every parallelism level, and stays bit-identical
