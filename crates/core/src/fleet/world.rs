@@ -366,6 +366,16 @@ impl Scratch {
         }
     }
 
+    /// Forget the last link — queue, slots, generations, records and the
+    /// peaks rewind — keeping every capacity, so the next link reuses
+    /// this link's memory.
+    fn reset(&mut self) {
+        self.queue.reset();
+        self.pool.reset();
+        self.conns.clear();
+        debug_assert!(self.deadlines.is_empty(), "a link left deadlines behind");
+    }
+
     /// Admit a connection into a finished connection's slot (the most
     /// recently freed) or, when none is free, a new one at the end.
     fn admit(&mut self, conn: Conn) -> SlotHandle {
@@ -443,10 +453,7 @@ struct Link<'a> {
 /// One link's event loop: seed its first arrival, then take the earlier
 /// of {queue front, deadline FIFO front} until both are empty.
 fn run_link(cell: &Cell, scratch: &mut Scratch, link: usize) -> LinkRun {
-    scratch.queue.reset();
-    scratch.pool.reset();
-    scratch.conns.clear();
-    debug_assert!(scratch.deadlines.is_empty(), "a link left deadlines behind");
+    scratch.reset();
     let mut l = Link {
         cell,
         s: scratch,
@@ -721,8 +728,63 @@ mod tests {
             assert!(s.pool.free(h));
         }
         assert_eq!(s.pool.slots(), n);
-        let held = s.pool.bytes() + s.conns.capacity() * size_of::<Conn>();
-        assert_eq!(held, n * BYTES_PER_SLOT);
+        assert_eq!(held(&s), n * BYTES_PER_SLOT);
+    }
+
+    /// Heap held by the slot pool and the records, capacity included.
+    fn held(s: &Scratch) -> usize {
+        s.pool.bytes() + s.conns.capacity() * size_of::<Conn>()
+    }
+
+    /// 10 000 concurrent connections on one link hold far under the
+    /// 650 B/connection budget, and churn through the same slots does
+    /// not grow the footprint.
+    #[test]
+    fn bytes_per_connection_is_far_under_budget() {
+        let n = 10_000;
+        let mut cfg = FleetConfig::new(4 * n);
+        cfg.n_links = 1;
+        let mut s = Scratch::new(&Cell::new(&ProtoConfig::Quic(Default::default()), &cfg));
+        let hs: Vec<_> = (0..n as u32).map(|k| s.admit(conn(k))).collect();
+        let per_conn = held(&s) as f64 / s.pool.live_peak() as f64;
+        assert!(
+            per_conn <= 650.0,
+            "{per_conn:.1} B/conn exceeds the 650 B budget"
+        );
+        let before = held(&s);
+        for h in hs {
+            assert!(s.pool.free(h));
+        }
+        for k in 0..n as u32 {
+            let _ = s.admit(conn(k));
+        }
+        assert_eq!(s.pool.slots(), n);
+        assert!(held(&s) <= before * 2);
+    }
+
+    /// A reset scratch issues a fresh scratch's handles and records but
+    /// keeps the memory the last link grew.
+    #[test]
+    fn reset_scratch_is_a_fresh_scratch_with_the_old_capacity() {
+        let cfg = FleetConfig::new(100);
+        let cell = Cell::new(&ProtoConfig::Quic(Default::default()), &cfg);
+        let mut s = Scratch::new(&cell);
+        let hs: Vec<_> = (0..100).map(|k| s.admit(conn(k))).collect();
+        assert!(s.pool.free(hs[3]));
+        s.conns[hs[5].index()].flights = 9;
+        let bytes = held(&s);
+        s.reset();
+        assert_eq!(
+            (s.pool.live(), s.pool.live_peak(), s.pool.slots()),
+            (0, 0, 0)
+        );
+        assert!(s.conns.is_empty());
+        assert_eq!(held(&s), bytes, "reset keeps capacity");
+        let h = s.admit(conn(2_000));
+        assert_eq!(h, Scratch::new(&cell).admit(conn(2_000)));
+        let c = s.conns[s.pool.resolve(h).unwrap()];
+        assert_eq!((c.client, c.flights), (2_000, 0), "record re-initialized");
+        assert_eq!(s.pool.slots(), 1);
     }
 
     #[test]
